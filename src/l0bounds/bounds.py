@@ -34,7 +34,7 @@ from .analytic import (
     min_slope,
     strip_sup_logistic,
 )
-from .design import DesignMatrix, capacity, coherence
+from .design import DesignMatrix, _as_design, capacity, coherence
 from .domains import Interval
 from .expfam import ExpFamily, curvature_inf
 from .grids import CoveringGrid
@@ -70,10 +70,6 @@ class SeriesBound:
 
     def __float__(self):
         return self.value
-
-
-def _as_design(X) -> DesignMatrix:
-    return X if isinstance(X, DesignMatrix) else DesignMatrix(X)
 
 
 def _check_q(q: float):

@@ -11,11 +11,11 @@ predictably under the closed/open endpoint flags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMatrix, weighted_l1_norm
+from .design import _as_design, weighted_l1_norm
 
 __all__ = [
     "Interval",
@@ -128,7 +128,7 @@ class PointSet:
 
 def in_domain(u, X, D: DomainSpec) -> bool:
     """Exact membership test of u in D (rows, support budget, weighted cap)."""
-    dm = X if isinstance(X, DesignMatrix) else DesignMatrix(X)
+    dm = _as_design(X)
     u = np.asarray(u, dtype=float).ravel()
     if u.size != dm.p:
         raise ValueError("parameter length does not match design width")
@@ -172,7 +172,7 @@ def enclosing_radius(points, X) -> float:
     The center is restricted to the point set itself, so {0, u} has radius
     ||u||_{1,inf} and {-u, u} has radius 2 ||u||_{1,inf}.
     """
-    dm = X if isinstance(X, DesignMatrix) else DesignMatrix(X)
+    dm = _as_design(X)
     pts = [np.asarray(v, dtype=float).ravel() for v in points]
     if not pts:
         raise ValueError("enclosing radius of an empty set")
@@ -190,7 +190,7 @@ def sample_domain(D: DomainSpec, X, size: int, seed: int, support_size=None) -> 
     vectors.  Points are scaled toward zero until the row and cap
     constraints hold, so 0 in I is required.
     """
-    dm = X if isinstance(X, DesignMatrix) else DesignMatrix(X)
+    dm = _as_design(X)
     if not D.interval.contains(0.0):
         raise ValueError("sampler requires 0 in the interval")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xD0)))

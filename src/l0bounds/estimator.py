@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .analytic import AnalyticFn
-from .design import DesignMatrix, SparseParam
+from .analytic import AnalyticFn, _deriv1_grid
+from .design import DesignMatrix, SparseParam, _as_design
 from .domains import DomainSpec, in_domain
 from .expfam import ExpFamily, mle_loss
 
@@ -56,8 +55,7 @@ class FitProblem:
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float).ravel()
-        if not isinstance(self.X, DesignMatrix):
-            self.X = DesignMatrix(self.X)
+        self.X = _as_design(self.X)
         if self.y.size != self.X.n:
             raise ValueError("response length does not match design rows")
         if self.loss == "mle" and self.family is None:
@@ -131,21 +129,6 @@ def _feasible(prob: FitProblem, u: np.ndarray) -> bool:
     return in_domain(u, prob.X, prob.domain)
 
 
-def _link_deriv1(f: AnalyticFn, t: np.ndarray) -> np.ndarray:
-    if f.tag == "logistic_flip":
-        s = expit(t)
-        return f.params["delta"] * s * (1.0 - s)
-    if f.tag == "linear":
-        return np.full_like(t, f.params["a"])
-    if f.tag == "exp":
-        return np.exp(t)
-    if f.tag == "polynomial":
-        c = f.params["coeffs"]
-        dc = c[1:] * np.arange(1, c.size)
-        return np.polynomial.polynomial.polyval(t, dc) if dc.size else np.zeros_like(t)
-    return np.array([f.coeff_k(1, ti) for ti in t])
-
-
 def _backtrack(prob, uS_full, S, d, loss, cur, gdotd):
     """Armijo backtracking along d restricted to S; rejects infeasible steps.
 
@@ -184,7 +167,7 @@ def _mle_grad_hess(prob: FitProblem, Xs: np.ndarray, v: np.ndarray):
 def _lse_grad_hess(prob: FitProblem, Xs: np.ndarray, v: np.ndarray):
     f = prob.link
     t = Xs @ v
-    fp = _link_deriv1(f, t)
+    fp = _deriv1_grid(f, t)
     r = prob.y - f(t)
     if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(r))):
         return None
@@ -386,7 +369,7 @@ def _solve_lse_support(prob: FitProblem, S: tuple, loss):
         clamped = False
         for _ in range(prob.max_iter):
             t = Xs @ u[Sl]
-            fp = _link_deriv1(f, t)
+            fp = _deriv1_grid(f, t)
             r = prob.y - f(t)
             J = fp[:, None] * Xs
             g = -2.0 * (J.T @ r)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
-from .design import DesignMatrix
+from .design import _as_design
 from .domains import Interval
 
 __all__ = [
@@ -148,7 +148,7 @@ def _support_count(u: np.ndarray) -> int:
 
 def mle_loss(y, X, u, fam: ExpFamily) -> float:
     """Negative log-likelihood -(y' X u - sum_i Lambda(X_i' u))."""
-    dm = X if isinstance(X, DesignMatrix) else DesignMatrix(X)
+    dm = _as_design(X)
     y = np.asarray(y, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
     t = dm.X @ u
@@ -174,7 +174,7 @@ def mle_gradient_hessian(y, X, u, fam: ExpFamily, support=None):
     -------
     (g, H) : gradient X_S'(Lambda'(t) - y) and Hessian X_S' diag(Lambda'') X_S.
     """
-    dm = X if isinstance(X, DesignMatrix) else DesignMatrix(X)
+    dm = _as_design(X)
     y = np.asarray(y, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
     t = dm.X @ u

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import AnalyticFn
-from .design import DesignMatrix
+from .design import DesignMatrix, _as_design
 from .domains import DomainSpec, Interval
 
 __all__ = ["CoveringGrid", "build_grid", "singleton_grid", "grid_statistics", "covers"]
@@ -177,7 +177,7 @@ def build_grid(
     ValueError on non-compact domains, budget blow-ups, or b rules that
     violate 0 < b < r.
     """
-    dm = X if isinstance(X, DesignMatrix) else DesignMatrix(X)
+    dm = _as_design(X)
     if D.l1inf_cap is None:
         raise ValueError("covering requires an l1inf cap (compact domain)")
     h = int(h)
@@ -292,7 +292,7 @@ def singleton_grid(w, X, f: AnalyticFn, D: DomainSpec, d: float) -> CoveringGrid
     cap + ||w||_{1,inf} <= d/2 (requires a capped domain).  b is the
     midpoint (d + r(w))/2 capped at 0.999 r(w), or 2d for entire links.
     """
-    dm = X if isinstance(X, DesignMatrix) else DesignMatrix(X)
+    dm = _as_design(X)
     w = np.asarray(w, dtype=float).ravel()
     if D.l1inf_cap is None:
         raise ValueError("singleton cover requires an l1inf cap")

@@ -29,7 +29,7 @@ from scipy.special import expit
 
 from .analytic import AnalyticFn, logistic_flip
 from .bounds import BoundsReport, glm_report, ub_report
-from .design import DesignMatrix, capacity, load_matrix_csv
+from .design import DesignMatrix, _as_design, capacity, load_matrix_csv
 from .domains import DomainSpec, Interval, in_domain
 from .estimator import FitProblem, fit
 from .expfam import ExpFamily, bernoulli, gaussian
@@ -541,7 +541,7 @@ def verify_control_event(
     1 - 2q - 3 SE (the infinite tail of orders is not simulated; its budget
     is part of the same geometric split).
     """
-    dm = X if isinstance(X, DesignMatrix) else DesignMatrix(X)
+    dm = _as_design(X)
     if not 0.0 < q < 0.5:
         raise ValueError("q must lie in (0, 1/2)")
     if K_check < 1 or K_check > 6:

@@ -1,10 +1,17 @@
 """Analytic links: Taylor coefficients, radii, slopes, coefficient envelopes."""
 
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
+import l0bounds
 from l0bounds import (
     DesignMatrix,
     Interval,
@@ -24,6 +31,23 @@ from l0bounds import (
 RADIUS_AT_1 = 3.296908309475615  # sqrt(1 + pi^2)
 FLIP_MIN_SLOPE_2 = 0.08399486832280523  # 0.8 * (2 cosh 1)^-2 on [-2, 2]
 LOGISTIC_MIN_SLOPE_2 = 0.10499358540350652  # (2 cosh 1)^-2
+
+# a_k(t) of the standard logistic at the float64 centers t, from 150-digit
+# arithmetic (mpmath, mp.dps = 150) by two routes that agree to > 100
+# digits: the integer derivative polynomials s^(k) = P_k(s) with
+# P_{k+1} = P_k' (s - s^2), divided by k!, and the Taylor-mode recurrence
+# (k+1) a_{k+1} = a_k - sum_j a_j a_{k-j}.  Rounded to 20 digits.
+LOGISTIC_COEFF_REF = {
+    (0.3, 5): 0.0017059820457908458640,
+    (0.3, 20): 6.0025396749586704155e-11,
+    (0.3, 60): -3.2771405665120481970e-31,
+    (-1.3, 5): -0.00091165850883029299502,
+    (-1.3, 20): -1.2795430177246306738e-11,
+    (-1.3, 60): 7.0895131655359210954e-33,
+    (2.0, 5): -0.00072355384875959893198,
+    (2.0, 20): -1.2519510082475362910e-12,
+    (2.0, 60): -7.0751775946711637809e-37,
+}
 
 
 def test_polynomial_eval_and_coeffs():
@@ -189,3 +213,64 @@ def test_deriv_k_overflow_saturates():
     assert f.deriv_k(200, 0.0) == 0.0
     v = f.deriv_k(301, 0.0)
     assert math.isinf(v) or abs(v) > 1e300  # k! overwhelms float range; documented
+
+
+def _bernoulli(m: int) -> list[Fraction]:
+    """B_0..B_m exactly, from sum_{j<=n} C(n+1, j) B_j = 0."""
+    B = [Fraction(1)]
+    for n in range(1, m + 1):
+        B.append(-sum(math.comb(n + 1, j) * B[j] for j in range(n)) / (n + 1))
+    return B
+
+
+def test_logistic_coeff_symmetry_is_exact():
+    f = logistic_flip(0.0, 1.0)
+    ts = np.array([0.0, 0.3, 1.3, 2.0, 7.5, 40.0, 60.0])
+    for k in range(1, 61):
+        pos = f.coeff_abs_batch(k, ts)  # magnitudes agree exactly...
+        np.testing.assert_array_equal(pos, f.coeff_abs_batch(k, -ts))
+        for t in ts:  # ...and the signs follow a_k(-t) = (-1)^(k+1) a_k(t)
+            assert f.coeff_k(k, -t) == (-1) ** (k + 1) * f.coeff_k(k, t), (k, t)
+
+
+def test_logistic_first_coeff_at_large_centers():
+    f = logistic_flip(0.0, 1.0)
+    for t in (-60.0, -40.0, 40.0, 60.0):
+        want = expit(t) * expit(-t)
+        assert f.coeff_k(1, t) == pytest.approx(want, rel=1e-14, abs=0.0), t
+
+
+def test_logistic_odd_coeffs_at_zero_match_bernoulli_closed_form():
+    # s(t) = 1/2 + tanh(t/2)/2, so a_{2n-1}(0) = (2^{2n} - 1) B_{2n} / (2n)!
+    f = logistic_flip(0.0, 1.0)
+    B = _bernoulli(60)
+    for k in range(1, 60, 2):
+        n2 = k + 1
+        want = float((2**n2 - 1) * B[n2] / math.factorial(n2))
+        assert f.coeff_k(k, 0.0) == pytest.approx(want, rel=1e-13, abs=0.0), k
+        assert f.coeff_k(k + 1, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("t,k", sorted(LOGISTIC_COEFF_REF))
+def test_logistic_coeffs_match_high_precision_reference(t, k):
+    f = logistic_flip(0.0, 1.0)
+    want = LOGISTIC_COEFF_REF[(t, k)]
+    assert f.coeff_k(k, t) == pytest.approx(want, rel=1e-11, abs=0.0)
+    assert f.coeff_abs_batch(k, [t])[0] == pytest.approx(abs(want), rel=1e-11, abs=0.0)
+
+
+def test_logistic_envelope_needs_no_mpmath():
+    # a None entry in sys.modules makes any import of mpmath fail
+    code = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "import l0bounds as lb\n"
+        "env = lb.coefficient_envelope(lb.logistic_flip(0.1, 0.9), 'interval',\n"
+        "                              lb.Interval(-1.5, 1.5), K=60)\n"
+        "assert env.dk[1] > 0\n"
+    )
+    src = str(Path(l0bounds.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
