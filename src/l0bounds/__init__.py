@@ -45,6 +45,7 @@ from .design import (
     coherence,
     condition_ratio,
     separability_lower_bound,
+    series_norms,
     weighted_l1_norm,
 )
 from .domains import (

@@ -55,16 +55,23 @@ __all__ = [
 # ----------------------------------------------------------------------------
 
 
+def _sig_coeff_table(K: int, ts) -> np.ndarray:
+    """Rows a_0..a_K of the standard logistic's coefficients at the centers
+    -|t|; the k-th row is a_k(t) up to the sign (-1)^(k+1) where t > 0."""
+    t = np.asarray(ts, dtype=float)
+    a = np.empty((K + 1,) + t.shape)
+    a[0] = expit(-np.abs(t))  # the small root: a_0 - a_0^2 does not cancel
+    for m in range(K):
+        a[m + 1] = (a[m] - np.sum(a[: m + 1] * a[m::-1], axis=0)) / (m + 1)
+    return a
+
+
 def _sig_coeff_batch(k: int, ts) -> np.ndarray:
     """a_k(t) = s^(k)(t)/k! of the standard logistic s, for each center t."""
     if k < 1:
         raise ValueError("derivative order must be >= 1")
     t = np.asarray(ts, dtype=float)
-    a = np.empty((k + 1,) + t.shape)
-    a[0] = expit(-np.abs(t))  # the small root: a_0 - a_0^2 does not cancel
-    for m in range(k):
-        a[m + 1] = (a[m] - np.sum(a[: m + 1] * a[m::-1], axis=0)) / (m + 1)
-    return np.where(t > 0, (-1.0) ** (k + 1), 1.0) * a[k]
+    return np.where(t > 0, (-1.0) ** (k + 1), 1.0) * _sig_coeff_table(k, t)[k]
 
 
 def strip_sup_logistic(y: float) -> float:
@@ -423,10 +430,11 @@ def coefficient_envelope(
         )
     xs = I.grid(grid)
     if f.tag == "logistic_flip":
-        # |a_k| is even in the center, so fold the grid
+        # |a_k| is even in the center, so fold the grid; one table serves
+        # every order
         xs = np.unique(np.abs(xs))
-        for k in range(1, K + 1):
-            dk[k] = float(np.max(f.coeff_abs_batch(k, xs)))
+        a = _sig_coeff_table(K, xs)
+        dk[1:] = np.max(np.abs(f.params["delta"] * a[1:]), axis=1)
         m = min(abs(x) for x in (I.lo, I.hi)) if I.lo * I.hi > 0 else 0.0
         return CoefficientEnvelope(
             "interval", K, dk, math.hypot(m, math.pi),

@@ -34,7 +34,7 @@ from .analytic import (
     min_slope,
     strip_sup_logistic,
 )
-from .design import DesignMatrix, _as_design, capacity, coherence
+from .design import DesignMatrix, _as_design, capacity, coherence, series_norms
 from .domains import Interval
 from .expfam import ExpFamily, curvature_inf
 from .grids import CoveringGrid
@@ -85,9 +85,11 @@ def lambda_p(p: int, q: float) -> float:
     return math.log(p * (1.0 + 1.0 / q))
 
 
-def _wk(dm: DesignMatrix, k: int) -> float:
-    """Norm factor n^{-1/(2k)} max_j ||V_j||_{2k} (<= max_j ||V_j||_inf)."""
-    return dm.n ** (-1.0 / (2.0 * k)) * dm.max_norm(2 * k)
+def _wk(dm: DesignMatrix, K: int) -> list:
+    """Norm factors w[k] = n^{-1/(2k)} max_j ||V_j||_{2k} (<= max_j ||V_j||_inf)
+    for k = 1..K, from one ``series_norms`` pass; w[0] is unused."""
+    top = series_norms(dm, K).max(axis=1)
+    return [0.0] + [dm.n ** (-1.0 / (2.0 * k)) * float(top[k - 1]) for k in range(1, K + 1)]
 
 
 def _w_inf(dm: DesignMatrix) -> float:
@@ -190,17 +192,18 @@ def c1_one_disc(X, f: AnalyticFn, sigma: float, q: float, theta: float, K: int =
     if math.isinf(rho):
         deg = f.params.get("degree", 1 if f.tag == "linear" else None)
         if f.tag == "linear" or (f.tag == "polynomial" and deg <= 1):
-            v = pref * abs(f.coeff_k(1, 0.0)) * _wk(dm, 1)
+            v = pref * abs(f.coeff_k(1, 0.0)) * _wk(dm, 1)[1]
             return SeriesBound(v, v, 0.0, 1)
         raise ValueError(
             "series diverges: infinite radius with a nonlinear link; "
             "use the envelope form on a bounded region"
         )
     x = theta * rho
+    w = _wk(dm, max(K, f.params["degree"]) if f.tag == "polynomial" else K)
     T = np.zeros(K + 1)
     for k in range(1, K + 1):
         # |f^(k)(0)|/(k-1)! = k |a_k(0)|
-        T[k] = math.sqrt(k) * k * abs(f.coeff_k(k, 0.0)) * x ** (k - 1) * _wk(dm, k)
+        T[k] = math.sqrt(k) * k * abs(f.coeff_k(k, 0.0)) * x ** (k - 1) * w[k]
     if f.tag not in ("polynomial", "linear"):  # finite series need no decay
         _check_decay(T)
     partial = pref * float(T.sum())
@@ -211,7 +214,7 @@ def c1_one_disc(X, f: AnalyticFn, sigma: float, q: float, theta: float, K: int =
     elif f.tag == "polynomial":
         deg = f.params["degree"]
         tail = pref * sum(
-            math.sqrt(k) * k * abs(f.coeff_k(k, 0.0)) * x ** (k - 1) * _wk(dm, k)
+            math.sqrt(k) * k * abs(f.coeff_k(k, 0.0)) * x ** (k - 1) * w[k]
             for k in range(K + 1, deg + 1)
         )
     else:
@@ -230,9 +233,10 @@ def c1_multi_disc(X, G: CoveringGrid, sigma: float, q: float, K: int = 60) -> Se
     lam = lambda_p(dm.p, q)
     lg = math.log(len(G))
     b = G.b_inf
+    w = _wk(dm, max(K, G.f.params["degree"]) if G.f.tag == "polynomial" else K)
     T = np.zeros(K + 1)
     for k in range(1, K + 1):
-        T[k] = k * math.sqrt(lg + k * lam) * G.A_sup(k) * b ** (k - 1) * _wk(dm, k)
+        T[k] = k * math.sqrt(lg + k * lam) * G.A_sup(k) * b ** (k - 1) * w[k]
     if G.f.tag not in ("polynomial", "linear"):
         _check_decay(T)
     pref = math.sqrt(2.0) * sigma
@@ -251,7 +255,7 @@ def c1_multi_disc(X, G: CoveringGrid, sigma: float, q: float, K: int = 60) -> Se
     elif tag == "polynomial":
         deg = G.f.params["degree"]
         tail = pref * sum(
-            k * math.sqrt(lg + k * lam) * G.A_sup(k) * b ** (k - 1) * _wk(dm, k)
+            k * math.sqrt(lg + k * lam) * G.A_sup(k) * b ** (k - 1) * w[k]
             for k in range(K + 1, deg + 1)
         )
     elif tag == "linear":
@@ -303,9 +307,10 @@ def c1_ub(
     K_use = min(K, envelope.K)
     if K_use < K and envelope.tail is not None and envelope.tail[0] != "finite":
         raise ValueError("envelope stores fewer orders than requested K")
+    w = _wk(dm, K_use)
     T = np.zeros(K_use + 1)
     for k in range(1, K_use + 1):
-        T[k] = k * math.sqrt(L + k * lam) * envelope.dk[k] * rho1 ** (k - 1) * _wk(dm, k)
+        T[k] = k * math.sqrt(L + k * lam) * envelope.dk[k] * rho1 ** (k - 1) * w[k]
     if envelope.tail is None or envelope.tail[0] != "finite":
         _check_decay(T)
     pref = math.sqrt(2.0) * sigma

@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "DesignMatrix",
     "SparseParam",
+    "series_norms",
     "coherence",
     "capacity",
     "weighted_l1_norm",
@@ -29,14 +30,18 @@ __all__ = [
 # relative slack used when clamping coherence into [0, 1]
 _MU_CLAMP_TOL = 1e-12
 
+# bytes of design rows that series_norms raises to all orders at once
+_SERIES_BLOCK_BYTES = 2**18
+
 
 class DesignMatrix:
-    """Validated n x p design with cached per-column norms.
+    """Validated n x p design with cached per-column norms and coherence.
 
     Rejects non-finite entries and all-zero columns (a zero column makes
     coherence and every norm ratio meaningless).  Norms of any positive
-    order, plus the sup norm, are computed once and cached; the series
-    bounds repeatedly ask for orders 2k with k up to ~60.
+    order, plus the sup norm, are computed once and cached, and so is the
+    mutual coherence.  The series bounds need the orders 2k, k <= ~60, all
+    together; ``series_norms`` serves them from one pass over the rows.
     """
 
     def __init__(self, X):
@@ -56,6 +61,7 @@ class DesignMatrix:
         self.n = n
         self.p = p
         self._norms = {math.inf: sup}
+        self._mu = None
 
     def column_norms(self, s) -> np.ndarray:
         """Per-column ell_s norms ||V_j||_s (s = inf gives the sup norm)."""
@@ -115,6 +121,38 @@ def _as_design(X) -> DesignMatrix:
     return X if isinstance(X, DesignMatrix) else DesignMatrix(X)
 
 
+def series_norms(X, K: int) -> np.ndarray:
+    """All series orders at once: row k-1 holds ||V_j||_{2k}, k = 1..K.
+
+    Each column is first divided by its sup norm m_j, as in LAPACK's dnrm2
+    (Blue, ACM TOMS 1978): every power (x/m_j)^(2k) lies in [0, 1] and the
+    largest entry contributes exactly 1, so the power sums S_k >= 1 neither
+    overflow nor collapse to 0, whatever the scale of the design.  Row
+    blocks of about 256 KB are squared once and multiplied up through all K
+    orders while they sit in cache; ||V_j||_{2k} = m_j S_k^(1/(2k)).
+
+    Returns
+    -------
+    ndarray of shape (K, p).
+    """
+    dm = _as_design(X)
+    K = int(K)
+    if K < 1:
+        raise ValueError("need at least one series order")
+    m = dm._norms[math.inf]  # stored when the design was validated
+    rows = max(1, _SERIES_BLOCK_BYTES // (8 * dm.p))
+    S = np.zeros((K, dm.p))
+    for i in range(0, dm.n, rows):
+        y2 = (dm.X[i : i + rows] / m) ** 2
+        acc = y2.copy()
+        for k in range(K):
+            S[k] += acc.sum(axis=0)
+            acc *= y2
+    # a scalar exponent per order keeps numpy's sqrt path for k = 1, so a
+    # +-1 design gets exactly the values column_norms(2k) gives
+    return np.array([m * S[k - 1] ** (1.0 / (2.0 * k)) for k in range(1, K + 1)])
+
+
 def coherence(X) -> float:
     """Mutual coherence mu(X) = max_{i<j} |V_i' V_j| / (||V_i|| ||V_j||).
 
@@ -126,10 +164,14 @@ def coherence(X) -> float:
     Returns
     -------
     float in [0, 1].  Floating-point excess above 1 within 1e-12 is clamped.
+    The value is stored on the DesignMatrix, so the p x p Gram is formed
+    once per design.
     """
     dm = _as_design(X)
     if dm.p < 2:
         raise ValueError("coherence undefined for single column")
+    if dm._mu is not None:
+        return dm._mu
     V = dm.X / dm.column_norms(2)
     G = np.abs(V.T @ V)
     np.fill_diagonal(G, 0.0)
@@ -138,6 +180,7 @@ def coherence(X) -> float:
         if mu > 1.0 + _MU_CLAMP_TOL:
             raise ValueError("coherence exceeded 1 beyond rounding tolerance")
         mu = 1.0
+    dm._mu = mu
     return mu
 
 

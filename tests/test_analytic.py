@@ -157,6 +157,15 @@ def test_strip_envelope_logistic_dominates_grid():
         assert env.dk[k] >= grid_max * (1 - 1e-9), k
 
 
+def test_interval_envelope_logistic_equals_per_order_grid_max():
+    f = logistic_flip(0.1, 0.9)
+    I = Interval(-1.5, 1.5)
+    env = coefficient_envelope(f, "interval", I, K=60)
+    xs = np.unique(np.abs(I.grid(2001)))
+    for k in range(1, 61):
+        assert env.dk[k] == np.max(f.coeff_abs_batch(k, xs)), k
+
+
 def test_interval_envelope_exp_exact():
     env = coefficient_envelope(exp_fn(), "interval", Interval(0.0, 1.0), K=12)
     want = np.array([math.e / math.factorial(k) for k in range(1, 13)])

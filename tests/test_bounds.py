@@ -238,6 +238,26 @@ def test_reports_identities_and_json():
         assert r.error_radius(2, X.n) == pytest.approx(r.kappa_r * math.sqrt(2.0 / X.n))
 
 
+@pytest.mark.parametrize("t", [1e-4, 1e2, 1e3])
+def test_series_c1_is_scale_equivariant(t):
+    # c1 carries the design only through the factors max_j ||V_j||_{2k}, so
+    # scaling the design by t scales c1 by t; |x|^(2k) taken directly
+    # overflows at t = 1e2 and underflows at t = 1e-4
+    rng = np.random.default_rng(8)
+    X = DesignMatrix(2.0 * rng.standard_normal((30, 6)))
+    tX = DesignMatrix(t * X.X)
+    f = logistic_flip(0.1, 0.9)
+    I = Interval(-1.5, 1.5)
+    G = build_grid(X, f, DomainSpec(I, max_support=1.0, l1inf_cap=1.5), h=2)
+    reports = [
+        lambda Y: one_disc_report(Y, f, I, 1.0, 0.1, 0.5, theta=0.6),
+        lambda Y: ub_report(Y, f, I, 1.0, 0.1, 0.5, rho1=math.pi / 2, theta=0.75),
+        lambda Y: multi_disc_report(Y, G, I, 1.0, 0.1, 0.5, K=40),
+    ]
+    for report in reports:
+        assert report(tX).c1 == pytest.approx(t * report(X).c1, rel=1e-12, abs=0.0)
+
+
 def test_ub_report_defaults_h_from_capacity():
     X = _design(n=30, p=6, seed=7)
     f = logistic_flip(0.1, 0.9)

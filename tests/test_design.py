@@ -13,8 +13,10 @@ from l0bounds import (
     coherence,
     condition_ratio,
     separability_lower_bound,
+    series_norms,
     weighted_l1_norm,
 )
+from l0bounds.design import _SERIES_BLOCK_BYTES
 
 
 def test_design_matrix_validation():
@@ -35,6 +37,58 @@ def test_column_norms_match_numpy():
         np.testing.assert_allclose(X.column_norms(s), want, rtol=1e-14)
     assert X.max_norm(2) == X.column_norms(2).max()
     assert X.min_norm(2) == X.column_norms(2).min()
+
+
+def _series_designs():
+    rng = np.random.default_rng(11)
+    p = 64
+    rows = _SERIES_BLOCK_BYTES // (8 * p)
+    n = 3 * rows + 17  # several full row blocks and a partial one
+    scales = np.exp(np.linspace(-3.0, 3.0, 5))  # columns from ~0.05 to ~20
+    return {
+        "gaussian": rng.standard_normal((n, p)),
+        "zero_one": rng.integers(0, 2, size=(57, 6)).astype(float) + np.eye(57, 6),
+        "wide_range": rng.standard_normal((300, 5)) * scales,
+        "one_row": rng.standard_normal((1, 3)),
+        "one_column": rng.standard_normal((50, 1)),
+    }
+
+
+@pytest.mark.parametrize("name", ["gaussian", "zero_one", "wide_range", "one_row", "one_column"])
+def test_series_norms_match_per_order_norms(name):
+    X = DesignMatrix(_series_designs()[name])
+    got = series_norms(X, 60)
+    assert got.shape == (60, X.p)
+    for k in range(1, 61):
+        np.testing.assert_allclose(got[k - 1], X.column_norms(2 * k), rtol=1e-13, atol=0.0)
+
+
+def test_series_norms_exact_on_pm1_design():
+    rng = np.random.default_rng(12)
+    X = DesignMatrix(rng.choice([-1.0, 1.0], size=(1001, 9)))
+    got = series_norms(X, 60)
+    for k in range(1, 61):
+        assert np.array_equal(got[k - 1], X.column_norms(2 * k)), k
+
+
+def test_series_norms_scale_without_overflow_or_underflow():
+    # |x|^(2k) alone overflows above ~370 and underflows for tiny entries at
+    # k = 60; the sup-scaled sums keep every order exact up to the scale
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((200, 4))
+    base = series_norms(X, 60)
+    for t in (1e-200, 1e-4, 1e3, 1e200):
+        np.testing.assert_allclose(series_norms(t * X, 60), t * base, rtol=1e-13, atol=0.0)
+    with pytest.raises(ValueError):
+        series_norms(X, 0)
+
+
+def test_coherence_is_computed_once_per_design():
+    rng = np.random.default_rng(14)
+    dm = DesignMatrix(rng.standard_normal((40, 5)))
+    mu = coherence(dm)
+    dm.X = np.full_like(dm.X, np.nan)  # a recomputed Gram would be NaN
+    assert coherence(dm) == mu
 
 
 def test_coherence_hand_example():
