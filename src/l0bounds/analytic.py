@@ -96,7 +96,9 @@ class AnalyticFn:
     Attributes
     ----------
     tag : str
-        One of "polynomial", "exp", "linear", "logistic_flip", "custom".
+        Label of the link kind ("polynomial", "exp", "linear",
+        "logistic_flip", "custom"), written into reports as ``"link"``;
+        behaviour never branches on it.
     params : dict
         Constructor parameters (coefficients, channel probabilities, ...).
     pole_set : str
@@ -107,6 +109,12 @@ class AnalyticFn:
     ``coeff_k(k, t)`` returns a_k(t) = f^(k)(t)/k! and is the numerically
     stable surface: raw derivatives overflow float64 once k! does (k > 170),
     so ``deriv_k`` is only finite where the product a_k * k! is.
+
+    The facts the bounds need about a link are methods that each link kind
+    overrides where it has closed forms: ``deriv1``, ``deriv2_sup``,
+    ``slope_floor``, ``radius_floor``, ``tail``, ``abs_coeff_table``,
+    ``strip_dk`` and ``interval_dk``.  The versions here are the generic
+    ones (custom links), built from the coefficient callable alone.
     """
 
     def __init__(self, tag, evalf, coeff, radius, params=None, pole_set="none", coeff_batch=None):
@@ -132,7 +140,7 @@ class AnalyticFn:
         return float(self._coeff(int(k), float(t)))
 
     def coeff_abs_batch(self, k: int, ts) -> np.ndarray:
-        """|a_k| at many centers (vectorized where the tag allows)."""
+        """|a_k| at many centers (vectorized where the link allows)."""
         ts = np.asarray(ts, dtype=float).ravel()
         if k == 0:
             return np.abs(self._eval(ts))
@@ -154,6 +162,147 @@ class AnalyticFn:
         """Convergence radius of the Taylor series centered at real t."""
         return float(self._radius(float(t)))
 
+    # -- per-link facts (generic versions) ----------------------------------
+
+    def deriv1(self, xs: np.ndarray) -> np.ndarray:
+        """f'(x) at each grid point."""
+        return np.array([self.coeff_k(1, x) for x in xs])
+
+    def deriv2_sup(self, xs: np.ndarray) -> float:
+        """max |f''| over the grid points."""
+        return float(2.0 * np.max(np.abs([self.coeff_k(2, x) for x in xs])))
+
+    def slope_floor(self, I: Interval) -> float | None:
+        """Closed form of inf_I |f'|, or None when only a grid search gives it."""
+        return None
+
+    def radius_floor(self, I: Interval | None = None) -> float:
+        """Lower bound on the convergence radius at every center of I, or of
+        the real line when I is None (0.0: none known); generic links take
+        the minimum over a 2001-point grid of I, an estimate."""
+        if I is None:
+            return 0.0
+        return min(self.radius_at(x) for x in I.grid(2001))
+
+    def tail(self, t_hi: float) -> tuple | None:
+        """Certified majorant of d_k for all orders k, for centers up to t_hi,
+        as a ``CoefficientEnvelope.tail`` kind; None when there is none."""
+        return None
+
+    def abs_coeff_table(self, K: int, ts) -> np.ndarray:
+        """(K, m) array whose row k-1 holds |a_k| at the m centers ts."""
+        return np.stack([self.coeff_abs_batch(k, ts) for k in range(1, K + 1)])
+
+    def strip_dk(self, K: int, c: float | None) -> np.ndarray:
+        """d_1..d_K >= sup |a_k| over all real centers (contour half-width c)."""
+        raise ValueError(
+            "strip envelope unavailable: derivative unbounded on horizontal strips"
+        )
+
+    def interval_dk(self, K: int, I: Interval, grid: int) -> np.ndarray:
+        """d_1..d_K: the max of |a_k| over ``grid`` points of I."""
+        return np.max(self.abs_coeff_table(K, I.grid(grid)), axis=1)
+
+
+class _Polynomial(AnalyticFn):
+    """Entire; coefficients vanish above the degree, and f' is constant for
+    degree <= 1."""
+
+    def deriv1(self, xs):
+        c = self.params["coeffs"]
+        dc = c[1:] * np.arange(1, c.size)
+        return np.polynomial.polynomial.polyval(xs, dc) if dc.size else np.zeros_like(xs)
+
+    def deriv2_sup(self, xs):
+        c = self.params["coeffs"]
+        if c.size < 3:
+            return 0.0
+        d2 = c[2:] * np.arange(2, c.size) * np.arange(1, c.size - 1)
+        return float(np.max(np.abs(np.polynomial.polynomial.polyval(xs, d2))))
+
+    def slope_floor(self, I):
+        if self.params["degree"] > 1:
+            return None
+        c = self.params["coeffs"]
+        return float(abs(c[1])) if c.size > 1 else 0.0
+
+    def radius_floor(self, I=None):
+        return math.inf
+
+    def tail(self, t_hi):
+        return ("finite", self.params["degree"])
+
+    def abs_coeff_table(self, K, ts):
+        out = np.zeros((K, np.size(ts)))
+        deg = min(K, self.params["degree"])
+        if deg:
+            out[:deg] = super().abs_coeff_table(deg, ts)
+        return out
+
+    def strip_dk(self, K, c):
+        if self.params["degree"] > 1:
+            return super().strip_dk(K, c)
+        dk = np.zeros(K)
+        dk[0] = self.slope_floor(None)
+        return dk
+
+
+class _Exp(AnalyticFn):
+    """Entire; a_k(t) = e^t / k! is largest at the right end of an interval."""
+
+    def deriv1(self, xs):
+        return np.exp(xs)
+
+    def deriv2_sup(self, xs):
+        return float(np.exp(np.max(xs)))
+
+    def radius_floor(self, I=None):
+        return math.inf
+
+    def tail(self, t_hi):
+        return ("factorial", math.exp(t_hi))
+
+    def interval_dk(self, K, I, grid):
+        ks = np.arange(1, K + 1)
+        return np.exp(I.hi - np.cumsum(np.log(ks)))
+
+
+class _LogisticFlip(AnalyticFn):
+    """p01 + delta s(t): poles at t +- (2m+1) pi i, slope decreasing in |t|."""
+
+    def deriv1(self, xs):
+        s = expit(xs)
+        return self.params["delta"] * s * (1.0 - s)
+
+    def slope_floor(self, I):
+        m = I.sup_abs
+        if not math.isfinite(m):
+            return 0.0
+        return self.params["delta"] * (2.0 * math.cosh(m / 2.0)) ** -2
+
+    def radius_floor(self, I=None):
+        if I is None:
+            return math.pi
+        m = min(abs(I.lo), abs(I.hi)) if I.lo * I.hi > 0 else 0.0
+        return math.hypot(m, math.pi)
+
+    def tail(self, t_hi):
+        return ("logistic", self.params["delta"])
+
+    def abs_coeff_table(self, K, ts):
+        # |a_k| is even in the center, which the table's rows at -|t| use
+        return np.abs(self.params["delta"] * _sig_coeff_table(K, ts)[1:])
+
+    def strip_dk(self, K, c):
+        if c is None:
+            raise ValueError("strip mode needs a contour_radius")
+        c = float(c)
+        if not 0.0 < c < math.pi:
+            raise ValueError("contour_radius must lie in (0, pi)")
+        M = self.params["delta"] * strip_sup_logistic(c)
+        ks = np.arange(1, K + 1, dtype=float)
+        return M / (ks * c ** (ks - 1.0))
+
 
 def polynomial(coeffs) -> AnalyticFn:
     """f(t) = sum_m coeffs[m] t^m (entire, radius infinity everywhere)."""
@@ -172,23 +321,18 @@ def polynomial(coeffs) -> AnalyticFn:
             sum(c[m] * math.comb(m, k) * t ** (m - k) for m in range(k, deg + 1))
         )
 
-    return AnalyticFn(
+    return _Polynomial(
         "polynomial", ev, coeff, lambda t: math.inf,
         params={"coeffs": c, "degree": deg}, pole_set="none (entire)",
     )
 
 
 def linear(a: float, b: float = 0.0) -> AnalyticFn:
-    """f(t) = a t + b."""
-    a, b = float(a), float(b)
-    return AnalyticFn(
-        "linear",
-        lambda t: a * t + b,
-        lambda k, t: a if k == 1 else 0.0,
-        lambda t: math.inf,
-        params={"a": a, "b": b},
-        pole_set="none (entire)",
-    )
+    """f(t) = a t + b: the polynomial with coefficients [b, a], labelled
+    "linear"."""
+    f = polynomial([b, a])
+    f.tag = "linear"
+    return f
 
 
 def exp_fn() -> AnalyticFn:
@@ -197,7 +341,7 @@ def exp_fn() -> AnalyticFn:
     def coeff(k, t):
         return math.exp(t) / math.factorial(k) if k <= 170 else math.exp(t) * math.exp(-math.lgamma(k + 1))
 
-    return AnalyticFn(
+    return _Exp(
         "exp", np.exp, coeff, lambda t: math.inf,
         params={}, pole_set="none (entire)",
     )
@@ -227,7 +371,7 @@ def logistic_flip(p01: float, p11: float) -> AnalyticFn:
     def coeff_batch(k, ts):
         return delta * _sig_coeff_batch(k, ts)
 
-    return AnalyticFn(
+    return _LogisticFlip(
         "logistic_flip", ev, coeff,
         lambda t: math.hypot(t, math.pi),
         params={"p01": p01, "p11": p11, "delta": delta},
@@ -270,38 +414,6 @@ def custom_fn(evalf, coeff=None, radius=None, params=None, limsup_order: int = 2
 # ----------------------------------------------------------------------------
 
 
-def _deriv1_grid(f: AnalyticFn, xs: np.ndarray) -> np.ndarray:
-    if f.tag == "logistic_flip":
-        s = expit(xs)
-        return f.params["delta"] * s * (1.0 - s)
-    if f.tag == "linear":
-        return np.full_like(xs, f.params["a"])
-    if f.tag == "exp":
-        return np.exp(xs)
-    if f.tag == "polynomial":
-        c = f.params["coeffs"]
-        dc = c[1:] * np.arange(1, c.size)
-        return np.polynomial.polynomial.polyval(xs, dc) if dc.size else np.zeros_like(xs)
-    return np.array([f.coeff_k(1, x) for x in xs])
-
-
-def _deriv2_sup_grid(f: AnalyticFn, xs: np.ndarray) -> float:
-    if f.tag == "logistic_flip":
-        s = expit(xs)
-        return float(np.max(np.abs(f.params["delta"] * s * (1 - s) * (1 - 2 * s))))
-    if f.tag == "linear":
-        return 0.0
-    if f.tag == "exp":
-        return float(np.exp(np.max(xs)))
-    if f.tag == "polynomial":
-        c = f.params["coeffs"]
-        if c.size < 3:
-            return 0.0
-        d2 = c[2:] * np.arange(2, c.size) * np.arange(1, c.size - 1)
-        return float(np.max(np.abs(np.polynomial.polynomial.polyval(xs, d2))))
-    return float(2.0 * np.max(np.abs([f.coeff_k(2, x) for x in xs])))
-
-
 def min_slope(f: AnalyticFn, I: Interval, grid: int = 2001) -> float:
     """Certified lower bound on the secant-slope floor
     d(f, I) = inf_{x != y in I} |f(x) - f(y)| / |x - y|.
@@ -312,18 +424,15 @@ def min_slope(f: AnalyticFn, I: Interval, grid: int = 2001) -> float:
     then subtracts the Lipschitz correction (h/2) sup |f''| for the grid
     spacing h.  Where the floor has a closed form (logistic-type links:
     slope decreasing in |t|, so delta * (2 cosh(M/2))^-2 at M = sup_I |t|;
-    linear: |a|) the exact value is returned.
+    polynomials of degree <= 1, linear links included: |c_1|) the exact
+    value is returned, on unbounded intervals too.
 
     Returns 0.0 for non-identifiable links (the estimation constants reject
     that downstream).
     """
-    if f.tag == "linear":
-        return abs(f.params["a"])
-    if f.tag == "logistic_flip":
-        m = I.sup_abs
-        if not math.isfinite(m):
-            return 0.0
-        return f.params["delta"] * (2.0 * math.cosh(m / 2.0)) ** -2
+    floor = f.slope_floor(I)
+    if floor is not None:
+        return floor
     if not I.bounded:
         raise ValueError("min_slope needs a bounded interval for grid search")
     xs = I.grid(grid)
@@ -337,8 +446,8 @@ def min_slope(f: AnalyticFn, I: Interval, grid: int = 2001) -> float:
         m = np.abs(dx) > 0
         if np.any(m):
             best = min(best, float(np.min(np.abs(dv[m]) / np.abs(dx[m]))))
-    best = min(best, float(np.min(np.abs(_deriv1_grid(f, xs)))))
-    corr = 0.5 * h * _deriv2_sup_grid(f, xs)
+    best = min(best, float(np.min(np.abs(f.deriv1(xs)))))
+    corr = 0.5 * h * f.deriv2_sup(xs)
     return max(0.0, best - corr)
 
 
@@ -388,71 +497,26 @@ def coefficient_envelope(
     region : Interval or None
         Required for interval mode.
     contour_radius : float
-        Strip half-width c for strip mode (0 < c < rho0).
+        Strip half-width c for strip mode (0 < c < rho0); entire links
+        ignore it.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     dk = np.zeros(K + 1)
     if mode == "strip":
-        if f.tag == "logistic_flip":
-            if contour_radius is None:
-                raise ValueError("strip mode needs a contour_radius")
-            c = float(contour_radius)
-            if not 0.0 < c < math.pi:
-                raise ValueError("contour_radius must lie in (0, pi)")
-            M = f.params["delta"] * strip_sup_logistic(c)
-            ks = np.arange(1, K + 1, dtype=float)
-            dk[1:] = M / (ks * c ** (ks - 1.0))
-            return CoefficientEnvelope(
-                "strip", K, dk, math.pi, ("logistic", f.params["delta"]),
-                f.tag, contour_radius=c,
-            )
-        if f.tag == "linear":
-            dk[1] = abs(f.params["a"])
-            return CoefficientEnvelope("strip", K, dk, math.inf, ("finite", 1), f.tag)
-        if f.tag == "polynomial" and f.params["degree"] <= 1:
-            c = f.params["coeffs"]
-            dk[1] = abs(c[1]) if c.size > 1 else 0.0
-            return CoefficientEnvelope("strip", K, dk, math.inf, ("finite", 1), f.tag)
-        raise ValueError(
-            "strip envelope unavailable: derivative unbounded on horizontal strips"
+        dk[1:] = f.strip_dk(K, contour_radius)
+        rho0 = f.radius_floor(None)
+        c = None if math.isinf(rho0) else float(contour_radius)
+        return CoefficientEnvelope(
+            "strip", K, dk, rho0, f.tail(math.inf), f.tag, contour_radius=c
         )
     if mode != "interval":
         raise ValueError("mode must be 'strip' or 'interval'")
     I = region
     if not isinstance(I, Interval) or not I.bounded:
         raise ValueError("interval mode needs a bounded Interval region")
-    if f.tag == "exp":
-        ks = np.arange(1, K + 1)
-        dk[1:] = np.exp(I.hi - np.cumsum(np.log(ks)))
-        return CoefficientEnvelope(
-            "interval", K, dk, math.inf, ("factorial", math.exp(I.hi)), f.tag
-        )
-    xs = I.grid(grid)
-    if f.tag == "logistic_flip":
-        # |a_k| is even in the center, so fold the grid; one table serves
-        # every order
-        xs = np.unique(np.abs(xs))
-        a = _sig_coeff_table(K, xs)
-        dk[1:] = np.max(np.abs(f.params["delta"] * a[1:]), axis=1)
-        m = min(abs(x) for x in (I.lo, I.hi)) if I.lo * I.hi > 0 else 0.0
-        return CoefficientEnvelope(
-            "interval", K, dk, math.hypot(m, math.pi),
-            ("logistic", f.params["delta"]), f.tag,
-        )
-    if f.tag == "linear":
-        dk[1] = abs(f.params["a"])
-        return CoefficientEnvelope("interval", K, dk, math.inf, ("finite", 1), f.tag)
-    if f.tag == "polynomial":
-        deg = f.params["degree"]
-        for k in range(1, min(K, deg) + 1):
-            dk[k] = float(np.max(f.coeff_abs_batch(k, xs)))
-        return CoefficientEnvelope("interval", K, dk, math.inf, ("finite", deg), f.tag)
-    # custom: grid estimates, no tail certificate
-    for k in range(1, K + 1):
-        dk[k] = float(np.max(f.coeff_abs_batch(k, xs)))
-    rho0 = min(f.radius_at(x) for x in xs)
-    return CoefficientEnvelope("interval", K, dk, rho0, None, f.tag)
+    dk[1:] = f.interval_dk(K, I, grid)
+    return CoefficientEnvelope("interval", K, dk, f.radius_floor(I), f.tail(I.hi), f.tag)
 
 
 def multi_radius(f: AnalyticFn, X, u):

@@ -92,40 +92,47 @@ def _wk(dm: DesignMatrix, K: int) -> list:
     return [0.0] + [dm.n ** (-1.0 / (2.0 * k)) * float(top[k - 1]) for k in range(1, K + 1)]
 
 
-def _w_inf(dm: DesignMatrix) -> float:
-    return dm.max_norm(math.inf)
-
-
-def _sqrt_geom_tail(A: float, ratio: float, K: int) -> float:
-    """Certified bound on sum_{k > K} A sqrt(k) ratio^(k-1).
-
-    Consecutive terms grow by at most gamma = sqrt((K+2)/(K+1)) * ratio, so
-    the tail is dominated by the first term times a geometric series.
+def _tail(kind: tuple, amp: float, x: float, K: int) -> float:
+    """Certified bound on the terms amp k sqrt(k) d_k x^(k-1), k > K, where d_k
+    follows the envelope tail ``kind`` (see ``CoefficientEnvelope``) and amp
+    carries sup_k w_k.  Past its degree a finite series has no terms.
+    Otherwise the term ratio is at most gamma < 1 -- sqrt(2) x/(K+1) when
+    d_k <= A/k!, sqrt((K+2)/(K+1)) x/c for the logistic majorant at contour
+    c = (x + pi)/2 < pi -- so the first omitted term over 1 - gamma bounds it.
     """
-    if A == 0.0:
+    name, arg = kind
+    if name == "finite":
+        if K < arg:
+            raise ValueError("increase K beyond the polynomial degree")
         return 0.0
-    gamma = math.sqrt((K + 2.0) / (K + 1.0)) * ratio
-    if gamma >= 1.0:
-        raise ValueError(_DECAY_ERR)
-    return A * math.sqrt(K + 1.0) * ratio**K / (1.0 - gamma)
-
-
-def _factorial_tail(A: float, base: float, K: int) -> float:
-    """Certified bound on sum_{k > K} A sqrt(k) base^(k-1) / (k-1)!.
-
-    Term ratio is sqrt((k+1)/k) base / k <= sqrt(2) base / (K+1) =: gamma.
-    """
-    if A == 0.0:
-        return 0.0
-    gamma = math.sqrt(2.0) * base / (K + 1.0)
-    if gamma >= 1.0:
-        raise ValueError("increase K: factorial tail not yet decaying")
-    first = A * math.sqrt(K + 1.0) * base**K / math.factorial(K)
+    if name == "factorial":
+        A = amp * arg
+        if A == 0.0:
+            return 0.0
+        gamma = math.sqrt(2.0) * x / (K + 1.0)
+        if gamma >= 1.0:
+            raise ValueError("increase K: factorial tail not yet decaying")
+        first = A * math.sqrt(K + 1.0) * x**K / math.factorial(K)
+    else:
+        if x >= math.pi:
+            raise ValueError("certified tail unavailable: disc size >= pi for a logistic link")
+        c = 0.5 * (x + math.pi)
+        A = amp * (arg * strip_sup_logistic(c))
+        if A == 0.0:
+            return 0.0
+        ratio = x / c
+        gamma = math.sqrt((K + 2.0) / (K + 1.0)) * ratio
+        if gamma >= 1.0:
+            raise ValueError(_DECAY_ERR)
+        first = A * math.sqrt(K + 1.0) * ratio**K
     return first / (1.0 - gamma)
 
 
-def _check_decay(T: np.ndarray):
-    """Refuse a series whose last two nonzero computed terms are not decaying."""
+def _check_decay(T: np.ndarray, kind: tuple | None):
+    """Refuse a series whose last two nonzero computed terms are not decaying
+    (a finite series needs no decay)."""
+    if kind is not None and kind[0] == "finite":
+        return
     nz = np.nonzero(T)[0]
     if nz.size >= 2 and T[nz[-1]] >= T[nz[-2]]:
         raise ValueError(_DECAY_ERR)
@@ -179,8 +186,8 @@ def c1_one_disc(X, f: AnalyticFn, sigma: float, q: float, theta: float, K: int =
          (theta rho)^(k-1) n^{-1/(2k)} max_j ||V_j||_{2k}.
 
     Entire nonlinear links are refused (the disc radius is infinite, so the
-    series has no finite domain scale); linear links collapse to the k = 1
-    term exactly.
+    series has no finite domain scale); polynomials of degree <= 1 collapse
+    to the k = 1 term exactly.
     """
     dm = _as_design(X)
     _check_q(q)
@@ -189,9 +196,9 @@ def c1_one_disc(X, f: AnalyticFn, sigma: float, q: float, theta: float, K: int =
     lam = lambda_p(dm.p, q)
     pref = sigma * math.sqrt(2.0 * lam)
     rho = f.radius_at(0.0)
+    kind = f.tail(0.0)
     if math.isinf(rho):
-        deg = f.params.get("degree", 1 if f.tag == "linear" else None)
-        if f.tag == "linear" or (f.tag == "polynomial" and deg <= 1):
+        if kind is not None and kind[0] == "finite" and kind[1] <= 1:
             v = pref * abs(f.coeff_k(1, 0.0)) * _wk(dm, 1)[1]
             return SeriesBound(v, v, 0.0, 1)
         raise ValueError(
@@ -199,26 +206,16 @@ def c1_one_disc(X, f: AnalyticFn, sigma: float, q: float, theta: float, K: int =
             "use the envelope form on a bounded region"
         )
     x = theta * rho
-    w = _wk(dm, max(K, f.params["degree"]) if f.tag == "polynomial" else K)
+    w = _wk(dm, K)
     T = np.zeros(K + 1)
     for k in range(1, K + 1):
         # |f^(k)(0)|/(k-1)! = k |a_k(0)|
         T[k] = math.sqrt(k) * k * abs(f.coeff_k(k, 0.0)) * x ** (k - 1) * w[k]
-    if f.tag not in ("polynomial", "linear"):  # finite series need no decay
-        _check_decay(T)
-    partial = pref * float(T.sum())
-    if f.tag == "logistic_flip":
-        c = 0.5 * (x + rho)  # strictly inside the disc of analyticity
-        M = f.params["delta"] * strip_sup_logistic(c)
-        tail = _sqrt_geom_tail(pref * M * _w_inf(dm), x / c, K)
-    elif f.tag == "polynomial":
-        deg = f.params["degree"]
-        tail = pref * sum(
-            math.sqrt(k) * k * abs(f.coeff_k(k, 0.0)) * x ** (k - 1) * w[k]
-            for k in range(K + 1, deg + 1)
-        )
-    else:
+    _check_decay(T, kind)
+    if kind is None:
         raise ValueError("certified tail unavailable for custom links")
+    partial = pref * float(T.sum())
+    tail = _tail(kind, pref * dm.max_norm(math.inf), x, K)
     return SeriesBound(partial + tail, partial, tail, K)
 
 
@@ -233,35 +230,18 @@ def c1_multi_disc(X, G: CoveringGrid, sigma: float, q: float, K: int = 60) -> Se
     lam = lambda_p(dm.p, q)
     lg = math.log(len(G))
     b = G.b_inf
-    w = _wk(dm, max(K, G.f.params["degree"]) if G.f.tag == "polynomial" else K)
+    kind = G.f.tail(G.t_signed_max())
+    w = _wk(dm, K)
+    A = G.A_sup(K)
     T = np.zeros(K + 1)
     for k in range(1, K + 1):
-        T[k] = k * math.sqrt(lg + k * lam) * G.A_sup(k) * b ** (k - 1) * w[k]
-    if G.f.tag not in ("polynomial", "linear"):
-        _check_decay(T)
+        T[k] = k * math.sqrt(lg + k * lam) * A[k] * b ** (k - 1) * w[k]
+    _check_decay(T, kind)
+    if kind is None:
+        raise ValueError("certified tail unavailable for custom links")
     pref = math.sqrt(2.0) * sigma
     partial = pref * float(T.sum())
-    tail_amp = pref * math.sqrt(lg + lam) * _w_inf(dm)
-    tag = G.f.tag
-    if tag == "logistic_flip":
-        ceil = min(G.r_inf, math.pi)
-        if b >= ceil:
-            raise ValueError("grid b too large for a certified tail")
-        c = 0.5 * (b + ceil)
-        M = G.f.params["delta"] * strip_sup_logistic(c)
-        tail = _sqrt_geom_tail(tail_amp * M, b / c, K)
-    elif tag == "exp":
-        tail = _factorial_tail(tail_amp * math.exp(G.t_signed_max()), b, K)
-    elif tag == "polynomial":
-        deg = G.f.params["degree"]
-        tail = pref * sum(
-            k * math.sqrt(lg + k * lam) * G.A_sup(k) * b ** (k - 1) * w[k]
-            for k in range(K + 1, deg + 1)
-        )
-    elif tag == "linear":
-        tail = 0.0
-    else:
-        raise ValueError("certified tail unavailable for custom links")
+    tail = _tail(kind, pref * math.sqrt(lg + lam) * dm.max_norm(math.inf), b, K)
     return SeriesBound(partial + tail, partial, tail, K)
 
 
@@ -311,32 +291,12 @@ def c1_ub(
     T = np.zeros(K_use + 1)
     for k in range(1, K_use + 1):
         T[k] = k * math.sqrt(L + k * lam) * envelope.dk[k] * rho1 ** (k - 1) * w[k]
-    if envelope.tail is None or envelope.tail[0] != "finite":
-        _check_decay(T)
+    _check_decay(T, envelope.tail)
+    if envelope.tail is None:
+        raise ValueError("certified tail unavailable for custom envelopes")
     pref = math.sqrt(2.0) * sigma
     partial = pref * float(T.sum())
-    tail_amp = pref * math.sqrt(L + lam) * _w_inf(dm)
-    tail_kind = envelope.tail
-    if tail_kind is None:
-        raise ValueError("certified tail unavailable for custom envelopes")
-    kind = tail_kind[0]
-    if kind == "finite":
-        deg = tail_kind[1]
-        if K_use < deg:
-            raise ValueError("increase K beyond the polynomial degree")
-        tail = 0.0
-    elif kind == "factorial":
-        tail = _factorial_tail(tail_amp * tail_kind[1], rho1, K_use)
-    elif kind == "logistic":
-        if rho1 >= math.pi:
-            raise ValueError(
-                "certified tail unavailable: rho1 >= pi for a logistic link"
-            )
-        c = 0.5 * (rho1 + math.pi)
-        M = tail_kind[1] * strip_sup_logistic(c)
-        tail = _sqrt_geom_tail(tail_amp * M, rho1 / c, K_use)
-    else:  # pragma: no cover - defensive
-        raise ValueError(f"unknown tail kind {kind!r}")
+    tail = _tail(envelope.tail, pref * math.sqrt(L + lam) * dm.max_norm(math.inf), rho1, K_use)
     return SeriesBound(partial + tail, partial, tail, K_use)
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, bounds, domains, estimator, expfam, grids, harness
-from .design import DesignMatrix, load_matrix_csv, load_vector_csv
+from .design import DESIGN_TAGS, DesignMatrix, load_matrix_csv, load_vector_csv, random_design
 
 
 class ConfigError(Exception):
@@ -116,18 +116,10 @@ def load_design(args, cfg: dict) -> DesignMatrix:
     tag = _need(d, "tag")
     n, p = int(_need(d, "n")), int(_need(d, "p"))
     seed = int(d.get("seed", 0))
+    if tag not in DESIGN_TAGS:
+        raise ConfigError(f"unknown design tag {tag!r}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDE5)))
-    if tag == "pm1_iid":
-        return DesignMatrix(rng.choice([-1.0, 1.0], size=(n, p)))
-    if tag == "gaussian_iid":
-        return DesignMatrix(rng.normal(0.0, 1.0, size=(n, p)))
-    if tag == "binary_iid":
-        X = rng.integers(0, 2, size=(n, p)).astype(float)
-        for j in range(p):
-            if not X[:, j].any():
-                X[int(rng.integers(n)), j] = 1.0
-        return DesignMatrix(X)
-    raise ConfigError(f"unknown design tag {tag!r}")
+    return random_design(tag, n, p, rng)
 
 
 # ----------------------------------------------------------------------------

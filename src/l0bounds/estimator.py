@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import AnalyticFn, _deriv1_grid
+from .analytic import AnalyticFn
 from .design import DesignMatrix, SparseParam, _as_design
 from .domains import DomainSpec, in_domain
 from .expfam import ExpFamily, mle_loss
@@ -167,7 +167,7 @@ def _mle_grad_hess(prob: FitProblem, Xs: np.ndarray, v: np.ndarray):
 def _lse_grad_hess(prob: FitProblem, Xs: np.ndarray, v: np.ndarray):
     f = prob.link
     t = Xs @ v
-    fp = _deriv1_grid(f, t)
+    fp = f.deriv1(t)
     r = prob.y - f(t)
     if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(r))):
         return None
@@ -369,7 +369,7 @@ def _solve_lse_support(prob: FitProblem, S: tuple, loss):
         clamped = False
         for _ in range(prob.max_iter):
             t = Xs @ u[Sl]
-            fp = _deriv1_grid(f, t)
+            fp = f.deriv1(t)
             r = prob.y - f(t)
             J = fp[:, None] * Xs
             g = -2.0 * (J.T @ r)

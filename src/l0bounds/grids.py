@@ -10,15 +10,17 @@ weighted-l1 radius is below the covering step d.
 
 Two regimes:
 
-* case 1 -- the link is analytic on a neighborhood of the whole real line
-  with radius bounded below (every built-in tag).  Cell centers are valid
-  cover points as-is and d = inf b / 2.
-* case 2 -- real singularities possible (custom links).  The step shrinks
-  to inf b / 4 and each nonempty cell is re-centered on a feasible point of
-  the hull; cells with no feasible representative are dropped, which is
-  exact for the cells the hull actually meets (documented caveat: a cell
-  whose feasible region is missed by the clamp search would be dropped
-  wrongly; built-in tags never take this path).
+* case 1 -- picked by default exactly when ``f.radius_floor(None) > 0``:
+  the link is analytic on a neighborhood of the whole real line with radius
+  bounded below (every built-in link).  Cell centers are valid cover points
+  as-is and d = inf b / 2, b coming from the radius floor over the line.
+* case 2 -- otherwise (custom links).  b comes from the radius floor over
+  the domain's interval, the step shrinks to inf b / 4 and each nonempty
+  cell is re-centered on a feasible point of the hull; cells with no
+  feasible representative are dropped, which is exact for the cells the
+  hull actually meets (documented caveat: a cell whose feasible region is
+  missed by the clamp search would be dropped wrongly; built-in links take
+  this path only when the caller asks for it).
 
 All reported radii are overestimates by construction (box radius
 delta-hat = h * cap bounds the true hull radius), so the cardinality
@@ -36,14 +38,12 @@ import numpy as np
 
 from .analytic import AnalyticFn
 from .design import DesignMatrix, _as_design
-from .domains import DomainSpec, Interval
+from .domains import DomainSpec
 
 __all__ = ["CoveringGrid", "build_grid", "singleton_grid", "grid_statistics", "covers"]
 
 _ENUM_BUDGET = 1_000_000
 _POINT_BUDGET = 2_000_000
-
-_ENTIRE_TAGS = {"polynomial", "exp", "linear"}
 
 
 @dataclass
@@ -73,7 +73,7 @@ class CoveringGrid:
     b_rule: tuple
     _r: np.ndarray | None = field(default=None, repr=False)
     _rows: np.ndarray | None = field(default=None, repr=False)
-    _A: dict = field(default_factory=dict, repr=False)
+    _A: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self):
         return self.points.shape[0]
@@ -103,14 +103,13 @@ class CoveringGrid:
     def t_signed_max(self) -> float:
         return float(np.max(self.row_images()))
 
-    def A_sup(self, k: int) -> float:
-        """max over grid points and rows of |a_k(X_i'u)| (lazily cached)."""
-        got = self._A.get(k)
-        if got is None:
+    def A_sup(self, K: int) -> np.ndarray:
+        """A[k] = max over grid points and rows of |a_k(X_i'u)| for
+        k = 1..K (A[0] = 0), from one coefficient table (cached)."""
+        if self._A is None or self._A.size <= K:
             flat = np.unique(self.row_images().ravel())
-            got = float(np.max(self.f.coeff_abs_batch(k, flat)))
-            self._A[k] = got
-        return got
+            self._A = np.concatenate(([0.0], np.max(self.f.abs_coeff_table(K, flat), axis=1)))
+        return self._A[: K + 1]
 
     def to_json(self) -> str:
         r = self.r_values()
@@ -134,23 +133,6 @@ class CoveringGrid:
             },
             indent=2,
         )
-
-
-def _inf_radius_on_line(f: AnalyticFn) -> float:
-    if f.tag == "logistic_flip":
-        return math.pi
-    if f.tag in _ENTIRE_TAGS:
-        return math.inf
-    raise ValueError("case 1 requires a link analytic along the real line")
-
-
-def _inf_radius_on_interval(f: AnalyticFn, I: Interval, grid: int = 201) -> float:
-    if f.tag == "logistic_flip":
-        m = min(abs(I.lo), abs(I.hi)) if I.lo * I.hi > 0 else 0.0
-        return math.hypot(m, math.pi)
-    if f.tag in _ENTIRE_TAGS:
-        return math.inf
-    return min(f.radius_at(x) for x in I.grid(grid))
 
 
 def build_grid(
@@ -189,13 +171,13 @@ def build_grid(
     if n_supports > _ENUM_BUDGET:
         raise ValueError("enumeration budget exceeded (C(p, h) > 1e6)")
     if case is None:
-        case = 1 if f.tag in _ENTIRE_TAGS or f.tag == "logistic_flip" else 2
+        case = 1 if f.radius_floor(None) > 0 else 2
     if case not in (1, 2):
         raise ValueError("case must be 1 or 2")
 
-    rho_floor = (
-        _inf_radius_on_line(f) if case == 1 else _inf_radius_on_interval(f, D.interval)
-    )
+    rho_floor = f.radius_floor(None if case == 1 else D.interval)
+    if case == 1 and not rho_floor > 0:
+        raise ValueError("case 1 requires a link analytic along the real line")
     if b_rule[0] == "half_radius":
         if math.isinf(rho_floor):
             raise ValueError(
@@ -332,7 +314,7 @@ def grid_statistics(G: CoveringGrid, K: int = 60) -> dict:
     return {
         "b_inf": b_inf,
         "r_inf": r_inf,
-        "A_sup": {k: G.A_sup(k) for k in range(1, K + 1)},
+        "A_sup": {k: float(a) for k, a in enumerate(G.A_sup(K)[1:], start=1)},
         "size": len(G),
         "cardinality_bound": G.cardinality_bound,
     }

@@ -29,7 +29,7 @@ from scipy.special import expit
 
 from .analytic import AnalyticFn, logistic_flip
 from .bounds import BoundsReport, glm_report, ub_report
-from .design import DesignMatrix, _as_design, capacity, load_matrix_csv
+from .design import DESIGN_TAGS, DesignMatrix, _as_design, capacity, load_matrix_csv, random_design
 from .domains import DomainSpec, Interval, in_domain
 from .estimator import FitProblem, fit
 from .expfam import ExpFamily, bernoulli, gaussian
@@ -229,7 +229,7 @@ class ExperimentConfig:
             raise ValueError("spt_size cannot exceed p")
         if self.model not in ("glm", "flip"):
             raise ValueError("model must be 'glm' or 'flip'")
-        if self.design not in ("pm1_iid", "binary_iid", "gaussian_iid", "csv"):
+        if self.design not in DESIGN_TAGS + ("csv",):
             raise ValueError("unknown design tag")
         if self.design == "csv" and not self.csv_path:
             raise ValueError("csv design needs csv_path")
@@ -275,18 +275,9 @@ def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
 
 
 def _draw_design(cfg: ExperimentConfig, rng: np.random.Generator) -> DesignMatrix:
-    if cfg.design == "pm1_iid":
-        return DesignMatrix(rng.choice([-1.0, 1.0], size=(cfg.n, cfg.p)))
-    if cfg.design == "binary_iid":
-        X = rng.integers(0, 2, size=(cfg.n, cfg.p)).astype(float)
-        # a zero column breaks every norm ratio; flip one entry if it happens
-        for j in range(cfg.p):
-            if not X[:, j].any():
-                X[int(rng.integers(cfg.n)), j] = 1.0
-        return DesignMatrix(X)
-    if cfg.design == "gaussian_iid":
-        return DesignMatrix(rng.normal(0.0, 1.0, size=(cfg.n, cfg.p)))
-    return DesignMatrix(load_matrix_csv(cfg.csv_path))
+    if cfg.design == "csv":
+        return DesignMatrix(load_matrix_csv(cfg.csv_path))
+    return random_design(cfg.design, cfg.n, cfg.p, rng)
 
 
 def _fit_domain(cfg: ExperimentConfig, dm: DesignMatrix) -> DomainSpec:
@@ -332,18 +323,9 @@ def generate_instance(cfg: ExperimentConfig, replicate: int) -> Instance:
     if beta is None:
         raise ValueError("could not place beta inside the domain after 100 attempts")
     t = dm.X @ beta
-    if cfg.model == "flip":
-        noise = flip_channel(cfg.p01, cfg.p11)
-        eps = draw_noise(noise, rng, cfg.n, t=t)
-        f = cfg.link_obj()
-        y = f(t) + eps  # exactly the observed 0/1 channel output
-    else:
-        fam = cfg.family_obj()
-        if fam.tag == "bernoulli":
-            eps = draw_noise(bernoulli_residual(), rng, cfg.n, t=t)
-            y = expit(t) + eps
-        else:
-            y = fam.mean(t) + draw_noise(gaussian_iid(math.sqrt(cfg.sigma2)), rng, cfg.n)
+    mean = cfg.link_obj() if cfg.model == "flip" else cfg.family_obj().mean
+    # channel models return exactly the observed 0/1 output
+    y = mean(t) + draw_noise(cfg.noise_obj(), rng, cfg.n, t=t)
     return Instance(X=dm, beta=beta, y=y, t=t)
 
 
@@ -351,16 +333,10 @@ def replicate_report(cfg: ExperimentConfig, dm: DesignMatrix) -> BoundsReport:
     """Theorem constants for one realized design."""
     I = Interval(-cfg.interval_halfwidth, cfg.interval_halfwidth)
     if cfg.model == "glm":
-        fam = cfg.family_obj()
-        sigma = 1.0 if fam.tag == "bernoulli" else math.sqrt(cfg.sigma2)
-        return glm_report(dm, fam, I, sigma, cfg.q, cfg.nu)
-    f = cfg.link_obj()
-    cap = capacity(dm, cfg.nu)
-    h = max(1.0, cap / 2.0) if math.isfinite(cap) else 1.0
+        return glm_report(dm, cfg.family_obj(), I, cfg.noise_obj().sigma, cfg.q, cfg.nu)
     return ub_report(
-        dm, f, I, 1.0, cfg.q, cfg.nu,
-        rho1=cfg.rho1, theta=cfg.theta, h=h,
-        delta_D=cfg.interval_halfwidth, mode="strip", K=cfg.K,
+        dm, cfg.link_obj(), I, 1.0, cfg.q, cfg.nu,
+        rho1=cfg.rho1, theta=cfg.theta, mode="strip", K=cfg.K,
     )
 
 

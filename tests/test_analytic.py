@@ -13,6 +13,7 @@ from scipy.special import expit
 
 import l0bounds
 from l0bounds import (
+    AnalyticFn,
     DesignMatrix,
     Interval,
     coefficient_envelope,
@@ -128,6 +129,16 @@ def test_min_slope_closed_forms():
     assert min_slope(s, Interval(-2.0, 2.0)) == pytest.approx(
         LOGISTIC_MIN_SLOPE_2, abs=1e-14
     )
+
+
+@pytest.mark.parametrize("a,b", [(1.7, 0.5), (-2.5, 0.0), (0.0, 3.0)])
+def test_min_slope_degree_one_polynomial_closed_form(a, b):
+    # linear(a, b) is the polynomial [b, a]: the closed form |a| holds on
+    # the whole line, with no grid search
+    line = Interval(-math.inf, math.inf)
+    assert min_slope(polynomial([b, a]), line) == abs(a)
+    assert min_slope(linear(a, b), line) == abs(a)
+    assert min_slope(polynomial([b, a]), Interval(-9.0, 4.0)) == abs(a)
 
 
 def test_min_slope_grid_path_close_to_closed_form():
@@ -283,3 +294,48 @@ def test_logistic_envelope_needs_no_mpmath():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+BUILTIN_LINKS = {
+    "polynomial": polynomial([0.5, -1.0, 0.25, 0.1]),
+    "linear": linear(1.5, 0.5),
+    "exp": exp_fn(),
+    "logistic_flip": logistic_flip(0.1, 0.9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_LINKS))
+@pytest.mark.parametrize("lo,hi", [(-1.5, 1.5), (0.5, 2.0), (-3.0, -0.25)])
+def test_radius_floor_bounds_the_radius_on_the_interval(name, lo, hi):
+    f = BUILTIN_LINKS[name]
+    I = Interval(lo, hi)
+    xs = np.linspace(lo, hi, 20001)
+    assert f.radius_floor(I) <= min(f.radius_at(x) for x in xs)
+    assert f.radius_floor(None) <= f.radius_floor(I)
+    assert f.radius_floor(None) > 0  # every built-in link takes grid case 1
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_LINKS))
+def test_deriv1_matches_first_coefficient(name):
+    f = BUILTIN_LINKS[name]
+    xs = np.linspace(-4.0, 4.0, 41)
+    want = np.array([f.coeff_k(1, x) for x in xs])
+    np.testing.assert_allclose(f.deriv1(xs), want, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_LINKS))
+def test_builtin_links_inherit_the_traced_methods(name):
+    # profilers patch these three on AnalyticFn; an override would hide a
+    # link's calls from them
+    cls = type(BUILTIN_LINKS[name])
+    for attr in ("__call__", "coeff_k", "coeff_abs_batch"):
+        assert getattr(cls, attr) is getattr(AnalyticFn, attr), attr
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_LINKS))
+def test_abs_coeff_table_equals_per_order_batches(name):
+    f = BUILTIN_LINKS[name]
+    ts = np.linspace(-2.0, 2.0, 37)
+    table = f.abs_coeff_table(12, ts)
+    for k in range(1, 13):
+        assert np.array_equal(table[k - 1], f.coeff_abs_batch(k, ts)), k

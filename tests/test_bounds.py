@@ -267,3 +267,18 @@ def test_ub_report_defaults_h_from_capacity():
     half_cap = 0.5 * (1 - 0.5) * (1 + 1 / mu)
     assert rep.inputs["h"] == pytest.approx(max(1.0, half_cap))
     assert rep.inputs["delta_D"] == pytest.approx(I.sup_abs)
+
+
+
+@pytest.mark.parametrize("a,b", [(1.7, 0.5), (-0.8, 0.0)])
+def test_linear_equals_degree_one_polynomial(a, b):
+    X = _design(n=30, p=6, seed=3)
+    I = Interval(-1.5, 1.5)
+    lin, poly = linear(a, b), polynomial([b, a])
+    for mode in ("strip", "interval"):
+        got = ub_report(X, lin, I, 1.0, 0.1, 0.5, rho1=0.5, theta=0.75, mode=mode, K=10)
+        want = ub_report(X, poly, I, 1.0, 0.1, 0.5, rho1=0.5, theta=0.75, mode=mode, K=10)
+        assert got.c1 == want.c1 and got.c2 == want.c2, mode
+    got = one_disc_report(X, lin, I, 1.0, 0.1, 0.5, theta=0.5)
+    want = one_disc_report(X, poly, I, 1.0, 0.1, 0.5, theta=0.5)
+    assert got.c1 == want.c1 and got.c2 == want.c2

@@ -181,3 +181,15 @@ def test_grid_to_json_round_trip():
     assert blob["size"] == len(G.points)
     assert blob["case"] == 1
     assert blob["cardinality_bound"] >= blob["size"]
+
+
+def test_A_sup_table_equals_per_order_grid_max():
+    # one coefficient table serves every order; each entry is the max of the
+    # per-order batch over the distinct row images
+    X = _design()
+    G = build_grid(X, F, _domain(), h=2)
+    A = G.A_sup(30)
+    flat = np.unique(G.row_images().ravel())
+    for k in range(1, 31):
+        assert A[k] == np.max(F.coeff_abs_batch(k, flat)), k
+    assert np.array_equal(G.A_sup(12), A[:13])
