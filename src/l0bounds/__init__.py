@@ -16,7 +16,6 @@ from .analytic import (
     linear,
     logistic_flip,
     min_slope,
-    multi_radius,
     polynomial,
     strip_sup_logistic,
     taylor_eval,

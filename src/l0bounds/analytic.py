@@ -41,12 +41,12 @@ __all__ = [
     "exp_fn",
     "linear",
     "logistic_flip",
+    "LINKS",
     "custom_fn",
     "strip_sup_logistic",
     "min_slope",
     "CoefficientEnvelope",
     "coefficient_envelope",
-    "multi_radius",
     "taylor_eval",
 ]
 
@@ -380,6 +380,9 @@ def logistic_flip(p01: float, p11: float) -> AnalyticFn:
     )
 
 
+LINKS = {"logistic_flip": logistic_flip, "linear": linear, "polynomial": polynomial, "exp": exp_fn}
+
+
 def custom_fn(evalf, coeff=None, radius=None, params=None, limsup_order: int = 200) -> AnalyticFn:
     """Wrap user callables.  Without an explicit radius the convergence radius
     is estimated from the coefficient lim-sup over orders [K/2, K] (K =
@@ -517,36 +520,6 @@ def coefficient_envelope(
         raise ValueError("interval mode needs a bounded Interval region")
     dk[1:] = f.interval_dk(K, I, grid)
     return CoefficientEnvelope("interval", K, dk, f.radius_floor(I), f.tail(I.hi), f.tag)
-
-
-def multi_radius(f: AnalyticFn, X, u):
-    """Joint radius and coefficient sizes at a center u.
-
-    Returns
-    -------
-    (r, A) : r = min_i radius at X_i'u; A(k) = max_i |a_k(X_i'u)|, cached.
-
-    Raises
-    ------
-    ValueError with the offending row index if the function is singular at
-    some row image.
-    """
-    Xarr = X.X if hasattr(X, "X") else np.asarray(X, dtype=float)
-    u = np.asarray(u, dtype=float).ravel()
-    t = Xarr @ u
-    radii = np.array([f.radius_at(ti) for ti in t])
-    bad = ~(radii > 0)
-    if np.any(bad):
-        raise ValueError(f"function singular at row {int(np.argmax(bad))}")
-    r = float(np.min(radii))
-    cache: dict[int, float] = {}
-
-    def A(k: int) -> float:
-        if k not in cache:
-            cache[k] = float(np.max(f.coeff_abs_batch(k, t)))
-        return cache[k]
-
-    return r, A
 
 
 def taylor_eval(f: AnalyticFn, center: float, z: float, K: int) -> float:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, bounds, domains, estimator, expfam, grids, harness
-from .design import DESIGN_TAGS, DesignMatrix, load_matrix_csv, load_vector_csv, random_design
+from .design import DesignMatrix, load_matrix_csv, load_vector_csv, random_design
 
 
 class ConfigError(Exception):
@@ -39,50 +39,19 @@ def _need(cfg: dict, key: str):
     return cfg[key]
 
 
-def parse_link(d: dict) -> analytic.AnalyticFn:
+def parse_block(cfg: dict, key: str, table: dict):
+    """Build the object that the block ``cfg[key]`` describes: its ``tag``
+    picks the constructor from ``table`` and its other keys are the
+    constructor's keyword arguments, so the signature is the block's schema
+    and an unknown or missing key is a config error."""
+    d = _need(cfg, key)
     try:
-        tag = _need(d, "tag")
-        if tag == "logistic_flip":
-            return analytic.logistic_flip(_need(d, "p01"), _need(d, "p11"))
-        if tag == "linear":
-            return analytic.linear(_need(d, "a"), d.get("b", 0.0))
-        if tag == "polynomial":
-            return analytic.polynomial(_need(d, "coeffs"))
-        if tag == "exp":
-            return analytic.exp_fn()
-        raise ConfigError(f"unknown link tag {tag!r}")
+        make = table.get(_need(d, "tag"))
+        if make is None:
+            raise ConfigError(f"unknown {key} tag {d['tag']!r}")
+        return make(**{k: v for k, v in d.items() if k != "tag"})
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad link block: {exc}") from exc
-
-
-def parse_family(d: dict) -> expfam.ExpFamily:
-    try:
-        tag = _need(d, "tag")
-        if tag == "bernoulli":
-            return expfam.bernoulli()
-        if tag == "gaussian":
-            return expfam.gaussian(d.get("sigma2", 1.0))
-        raise ConfigError(f"unknown family tag {tag!r}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad family block: {exc}") from exc
-
-
-def parse_noise(d: dict) -> harness.NoiseModel:
-    try:
-        tag = _need(d, "tag")
-        if tag == "gaussian_iid":
-            return harness.gaussian_iid(_need(d, "sigma"))
-        if tag == "gaussian_correlated":
-            return harness.gaussian_correlated(_need(d, "sigma"), d.get("rho", 0.5))
-        if tag == "bounded_iid":
-            return harness.bounded_iid(_need(d, "sigma"))
-        if tag == "bernoulli_residual":
-            return harness.bernoulli_residual()
-        if tag == "flip_channel":
-            return harness.flip_channel(_need(d, "p01"), _need(d, "p11"))
-        raise ConfigError(f"unknown noise tag {tag!r}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad noise block: {exc}") from exc
+        raise ConfigError(f"bad {key} block: {exc}") from exc
 
 
 def parse_interval(v) -> domains.Interval:
@@ -113,13 +82,12 @@ def load_design(args, cfg: dict) -> DesignMatrix:
     d = cfg.get("design")
     if d is None:
         raise ConfigError("no design: pass --x or a 'design' config block")
-    tag = _need(d, "tag")
-    n, p = int(_need(d, "n")), int(_need(d, "p"))
-    seed = int(d.get("seed", 0))
-    if tag not in DESIGN_TAGS:
-        raise ConfigError(f"unknown design tag {tag!r}")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDE5)))
-    return random_design(tag, n, p, rng)
+    try:
+        n, p = int(_need(d, "n")), int(_need(d, "p"))
+        rng = np.random.default_rng(np.random.SeedSequence((int(d.get("seed", 0)), 0xDE5)))
+        return random_design(_need(d, "tag"), n, p, rng)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad design block: {exc}") from exc
 
 
 # ----------------------------------------------------------------------------
@@ -136,13 +104,13 @@ def _cmd_bounds(args, cfg: dict) -> dict:
     sigma = float(cfg.get("sigma", 1.0))
     K = int(cfg.get("K", 60))
     if theorem == "glm":
-        fam = parse_family(_need(cfg, "family"))
+        fam = parse_block(cfg, "family", expfam.FAMILIES)
         rep = bounds.glm_report(dm, fam, I, sigma, q, nu)
     elif theorem == "one_disc":
-        f = parse_link(_need(cfg, "link"))
+        f = parse_block(cfg, "link", analytic.LINKS)
         rep = bounds.one_disc_report(dm, f, I, sigma, q, nu, float(_need(cfg, "theta")), K=K)
     elif theorem in ("ub_strip", "ub_interval"):
-        f = parse_link(_need(cfg, "link"))
+        f = parse_block(cfg, "link", analytic.LINKS)
         rep = bounds.ub_report(
             dm, f, I, sigma, q, nu,
             rho1=float(_need(cfg, "rho1")), theta=float(cfg.get("theta", 0.75)),
@@ -169,9 +137,9 @@ def _cmd_fit(args, cfg: dict) -> dict:
         h_max=int(_need(cfg, "h_max")), loss=loss,
     )
     if loss == "mle":
-        kwargs["family"] = parse_family(_need(cfg, "family"))
+        kwargs["family"] = parse_block(cfg, "family", expfam.FAMILIES)
     elif loss == "lse":
-        kwargs["link"] = parse_link(_need(cfg, "link"))
+        kwargs["link"] = parse_block(cfg, "link", analytic.LINKS)
     else:
         raise ConfigError("loss must be 'mle' or 'lse'")
     try:
@@ -204,7 +172,7 @@ def _cmd_coverage(args, cfg: dict) -> dict:
 
 def _cmd_grid(args, cfg: dict) -> dict:
     dm = load_design(args, cfg)
-    f = parse_link(_need(cfg, "link"))
+    f = parse_block(cfg, "link", analytic.LINKS)
     D = parse_domain(_need(cfg, "domain"))
     br = cfg.get("b_rule", {"rule": "half_radius"})
     rule = ("half_radius",) if br.get("rule") == "half_radius" else ("constant", float(_need(br, "c")))
@@ -214,7 +182,7 @@ def _cmd_grid(args, cfg: dict) -> dict:
 
 def _cmd_verify(args, cfg: dict) -> dict:
     what = _need(cfg, "what")
-    noise = parse_noise(_need(cfg, "noise"))
+    noise = parse_block(cfg, "noise", harness.NOISES)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 2026))
     if what == "tail":
         return harness.verify_tail(
@@ -226,7 +194,7 @@ def _cmd_verify(args, cfg: dict) -> dict:
         )
     if what == "control":
         dm = load_design(args, cfg)
-        f = parse_link(_need(cfg, "link"))
+        f = parse_block(cfg, "link", analytic.LINKS)
         centers = cfg.get("centers")
         if centers is None:
             centers = [[0.0] * dm.p]

@@ -25,7 +25,7 @@ __all__ = [
     "binary_augment",
     "load_matrix_csv",
     "load_vector_csv",
-    "DESIGN_TAGS",
+    "DESIGNS",
     "random_design",
 ]
 
@@ -123,23 +123,31 @@ def _as_design(X) -> DesignMatrix:
     return X if isinstance(X, DesignMatrix) else DesignMatrix(X)
 
 
-DESIGN_TAGS = ("pm1_iid", "gaussian_iid", "binary_iid")
+def _binary_iid(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    X = rng.integers(0, 2, size=(n, p)).astype(float)
+    for j in range(p):
+        if not X[:, j].any():
+            X[int(rng.integers(n)), j] = 1.0
+    return X
+
+
+# n x p iid entries from rng: +-1 signs, standard normal, or 0/1 (an all-zero
+# 0/1 column, which breaks every norm ratio, gets one 1)
+DESIGNS = {
+    "pm1_iid": lambda n, p, rng: rng.choice([-1.0, 1.0], size=(n, p)),
+    "gaussian_iid": lambda n, p, rng: rng.normal(0.0, 1.0, size=(n, p)),
+    "binary_iid": _binary_iid,
+}
 
 
 def random_design(tag: str, n: int, p: int, rng: np.random.Generator) -> DesignMatrix:
-    """n x p iid design from ``rng``: +-1 signs, standard normal or 0/1 entries
-    (an all-zero 0/1 column, which breaks every norm ratio, gets one 1)."""
-    if tag == "pm1_iid":
-        return DesignMatrix(rng.choice([-1.0, 1.0], size=(n, p)))
-    if tag == "gaussian_iid":
-        return DesignMatrix(rng.normal(0.0, 1.0, size=(n, p)))
-    if tag == "binary_iid":
-        X = rng.integers(0, 2, size=(n, p)).astype(float)
-        for j in range(p):
-            if not X[:, j].any():
-                X[int(rng.integers(n)), j] = 1.0
-        return DesignMatrix(X)
-    raise ValueError(f"unknown design tag {tag!r}")
+    """n x p design of kind ``tag`` (a key of ``DESIGNS``) drawn from ``rng``."""
+    draw = DESIGNS.get(tag)
+    if draw is None:
+        raise ValueError(f"unknown design tag {tag!r}")
+    if n < 1 or p < 1:
+        raise ValueError("design needs n >= 1 and p >= 1")
+    return DesignMatrix(draw(n, p, rng))
 
 
 def series_norms(X, K: int) -> np.ndarray:

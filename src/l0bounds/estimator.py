@@ -111,20 +111,6 @@ def _loss_fn(prob: FitProblem):
     return loss
 
 
-def _loss_floor(prob: FitProblem) -> float:
-    """A lower bound on the unpenalized loss over all u (used to prune
-    supports whose penalty alone already loses to the incumbent)."""
-    if prob.loss == "lse":
-        return 0.0
-    fam = prob.family
-    if fam.tag == "bernoulli":
-        return 0.0  # log(1 + e^t) - y t >= 0 rowwise for y in {0, 1}
-    if fam.tag == "gaussian":
-        s2 = fam.params["sigma2"]
-        return float(-np.sum(prob.y**2) / (2.0 * s2))  # rowwise complete square
-    return -math.inf
-
-
 def _feasible(prob: FitProblem, u: np.ndarray) -> bool:
     return in_domain(u, prob.X, prob.domain)
 
@@ -186,40 +172,36 @@ def _active_constraints(prob: FitProblem, S: list, u: np.ndarray):
     constraint contributes one linear row.  Coordinates sitting exactly at 0
     while the cap binds are frozen (the cap is nonsmooth there).
 
-    Returns (A, kinds, frozen) with A of shape (m, |S|).
+    Returns (A, kinds) with A of shape (m, |S|): the cap row, the binding
+    upper rows, the binding lower rows (both in row order), then the frozen
+    unit rows; None when nothing binds.
     """
     D, dm = prob.domain, prob.X
     v = u[S]
     k = len(S)
-    rows, kinds = [], []
+    cap_rows, kinds = [], []
     frozen: list[int] = []
     cap = D.l1inf_cap
     if cap is not None:
         w = dm.column_norms(np.inf)[S]
         if float(w @ np.abs(v)) >= cap * (1.0 - 1e-9):
-            rows.append(w * np.sign(v))
+            cap_rows.append((w * np.sign(v))[None, :])
             kinds.append("cap")
             frozen = [j for j in range(k) if abs(v[j]) <= 1e-12]
     I = D.interval
-    t = dm.X[:, S] @ v
+    Xs = dm.X[:, S]
+    t = Xs @ v
     scale = max(1.0, abs(I.lo) if math.isfinite(I.lo) else 1.0,
                 abs(I.hi) if math.isfinite(I.hi) else 1.0)
+    rows = []
     if math.isfinite(I.hi):
-        for i in np.nonzero(t >= I.hi - 1e-9 * scale)[0]:
-            rows.append(dm.X[i, S].astype(float))
-            kinds.append("row")
+        rows.append(Xs[t >= I.hi - 1e-9 * scale])
     if math.isfinite(I.lo):
-        for i in np.nonzero(t <= I.lo + 1e-9 * scale)[0]:
-            rows.append(-dm.X[i, S].astype(float))
-            kinds.append("row")
-    for j in frozen:
-        e = np.zeros(k)
-        e[j] = 1.0
-        rows.append(e)
-        kinds.append("frozen")
-    if not rows:
+        rows.append(-Xs[t <= I.lo + 1e-9 * scale])
+    kinds += ["row"] * sum(len(r) for r in rows) + ["frozen"] * len(frozen)
+    if not kinds:
         return None
-    return np.vstack(rows), kinds, frozen
+    return np.vstack(cap_rows + rows + [np.eye(k)[frozen]]), kinds
 
 
 def _facet_phase(prob: FitProblem, S: list, u: np.ndarray, cur: float, loss, gh):
@@ -239,7 +221,7 @@ def _facet_phase(prob: FitProblem, S: list, u: np.ndarray, cur: float, loss, gh)
         act = _active_constraints(prob, S, u)
         if act is None:  # drifted inside; hand back to the interior loop
             return u, cur, False, True
-        A, kinds, _ = act
+        A, kinds = act
         got = gh(prob, Xs, u[S])
         if got is None:
             return u, cur, False, False
@@ -444,7 +426,8 @@ def fit(prob: FitProblem) -> FitResult:
     total = sum(math.comb(p, k) for k in range(h + 1))
     if total > _ENUM_BUDGET:
         raise ValueError("enumeration budget exceeded (more than 1e6 supports)")
-    loss_floor = _loss_floor(prob)
+    # exact lower bound on the unpenalized loss over all u
+    loss_floor = prob.family.loss_floor(prob.y) if prob.loss == "mle" else 0.0
     records = []
     candidates = []  # (objective, sparsity, support, u, loss)
     incumbent = math.inf

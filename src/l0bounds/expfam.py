@@ -3,7 +3,9 @@
 A family is determined by its log-partition Lambda on a natural-parameter
 interval; densities are p_t(y) = exp(y t - Lambda(t)) h(y).  The penalized
 likelihood objective, its derivatives on a support, and the curvature floor
-delta = inf_I Lambda'' are what the estimation bounds consume.
+delta = inf_I Lambda'' are what the estimation bounds consume.  The built-in
+families carry their own closed forms (curvature floor, loss floor) as
+methods of private ``ExpFamily`` subclasses.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "gaussian",
     "bernoulli",
     "custom_family",
+    "FAMILIES",
     "curvature_inf",
     "mle_loss",
     "mle_objective",
@@ -56,13 +59,42 @@ class ExpFamily:
                 f"natural parameter outside family domain at row {i}"
             )
 
+    def curvature_floor(self, I: Interval):
+        """Closed-form inf over I of Lambda'', or None when the family has
+        none (``curvature_inf`` then searches)."""
+        return None
+
+    def loss_floor(self, y) -> float:
+        """Exact lower bound on ``mle_loss(y, X, u, self)`` over all X and u;
+        -inf when none is known."""
+        return -math.inf
+
+
+class _Gaussian(ExpFamily):
+    def curvature_floor(self, I: Interval):
+        return self.params["sigma2"]
+
+    def loss_floor(self, y) -> float:
+        # rowwise complete square: sigma2 t^2 / 2 - y t >= -y^2 / (2 sigma2)
+        return float(-np.sum(np.asarray(y, dtype=float) ** 2) / (2.0 * self.params["sigma2"]))
+
+
+class _Bernoulli(ExpFamily):
+    def curvature_floor(self, I: Interval):
+        if not I.bounded:
+            raise ValueError("flat family on I")
+        return (2.0 * math.cosh(I.sup_abs / 2.0)) ** -2
+
+    def loss_floor(self, y) -> float:
+        return 0.0  # log(1 + e^t) - y t >= 0 rowwise for y in {0, 1}
+
 
 def gaussian(sigma2: float = 1.0) -> ExpFamily:
     """Gaussian family with unit carrier: Lambda(t) = sigma2 t^2 / 2."""
     if not sigma2 > 0:
         raise ValueError("sigma2 must be positive")
     s2 = float(sigma2)
-    return ExpFamily(
+    return _Gaussian(
         tag="gaussian",
         log_partition=lambda t: 0.5 * s2 * np.asarray(t, float) ** 2,
         mean=lambda t: s2 * np.asarray(t, float),
@@ -73,13 +105,16 @@ def gaussian(sigma2: float = 1.0) -> ExpFamily:
 
 def bernoulli() -> ExpFamily:
     """Bernoulli family: Lambda(t) = log(1 + e^t), computed stably."""
-    return ExpFamily(
+    return _Bernoulli(
         tag="bernoulli",
         log_partition=lambda t: np.logaddexp(0.0, np.asarray(t, float)),
         mean=lambda t: expit(np.asarray(t, float)),
         variance=lambda t: expit(np.asarray(t, float)) * expit(-np.asarray(t, float)),
         params={},
     )
+
+
+FAMILIES = {"bernoulli": bernoulli, "gaussian": gaussian}
 
 
 def custom_family(
@@ -90,7 +125,10 @@ def custom_family(
     natural_hi: float = math.inf,
     tag: str = "custom",
 ) -> ExpFamily:
-    """Wrap user callables as a family; callables must accept numpy arrays."""
+    """Wrap user callables as a family; callables must accept numpy arrays.
+
+    The tag is only a label: a custom family gets the generic curvature
+    search and no loss floor, whatever it is called."""
     return ExpFamily(
         tag=tag,
         log_partition=log_partition,
@@ -104,23 +142,20 @@ def custom_family(
 def curvature_inf(fam: ExpFamily, I: Interval, grid: int = 10_000) -> float:
     """Curvature floor delta = inf over I of Lambda''.
 
-    Closed forms for the built-in tags.  For custom families the infimum is
-    approximated by a dense grid plus golden-section refinement around the
-    best cell; the result can overshoot the true infimum by at most about
-    1e-8 on smooth variances (documented upper bias).
+    The family's closed form when it has one (``curvature_floor``);
+    otherwise the infimum is approximated by a dense grid plus golden-section
+    refinement around the best cell, and the result can overshoot the true
+    infimum by at most about 1e-8 on smooth variances (documented upper
+    bias).
 
     Raises
     ------
     ValueError
         "flat family on I" when the floor is not strictly positive.
     """
-    if fam.tag == "gaussian":
-        return fam.params["sigma2"]
-    if fam.tag == "bernoulli":
-        if not I.bounded:
-            raise ValueError("flat family on I")
-        m = I.sup_abs
-        return (2.0 * math.cosh(m / 2.0)) ** -2
+    closed = fam.curvature_floor(I)
+    if closed is not None:
+        return closed
     if not I.bounded:
         raise ValueError("curvature search requires a bounded interval")
     xs = I.grid(grid)

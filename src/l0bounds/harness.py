@@ -19,6 +19,7 @@ replicates are independent streams.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -29,10 +30,10 @@ from scipy.special import expit
 
 from .analytic import AnalyticFn, logistic_flip
 from .bounds import BoundsReport, glm_report, ub_report
-from .design import DESIGN_TAGS, DesignMatrix, _as_design, capacity, load_matrix_csv, random_design
+from .design import DESIGNS, DesignMatrix, _as_design, capacity, load_matrix_csv, random_design
 from .domains import DomainSpec, Interval, in_domain
 from .estimator import FitProblem, fit
-from .expfam import ExpFamily, bernoulli, gaussian
+from .expfam import FAMILIES, ExpFamily, bernoulli, gaussian
 
 __all__ = [
     "NoiseModel",
@@ -41,6 +42,7 @@ __all__ = [
     "bounded_iid",
     "bernoulli_residual",
     "flip_channel",
+    "NOISES",
     "power_iteration",
     "wilson_interval",
     "ExperimentConfig",
@@ -73,11 +75,53 @@ class NoiseModel:
     sigma: float
     params: dict = field(default_factory=dict)
 
+    def draw(self, rng: np.random.Generator, n: int, t=None) -> np.ndarray:
+        """Draw one residual vector (channel models need the row images t)."""
+        raise ValueError(f"noise model {self.tag!r} has no sampler")
+
+
+def _row_images(t, what: str) -> np.ndarray:
+    if t is None:
+        raise ValueError(f"{what} residuals need row images t")
+    return np.asarray(t, float)
+
+
+class _GaussianIID(NoiseModel):
+    def draw(self, rng, n, t=None):
+        return rng.normal(0.0, self.sigma, n)
+
+
+class _GaussianCorrelated(NoiseModel):
+    def draw(self, rng, n, t=None):
+        return self.sigma * (_corr_chol(n, self.params["rho"]) @ rng.normal(0.0, 1.0, n))
+
+
+class _BoundedIID(NoiseModel):
+    def draw(self, rng, n, t=None):
+        return rng.uniform(-self.sigma, self.sigma, n)
+
+
+class _BernoulliResidual(NoiseModel):
+    def draw(self, rng, n, t=None):
+        p = expit(_row_images(t, "bernoulli"))
+        return rng.binomial(1, p).astype(float) - p
+
+
+class _FlipChannel(NoiseModel):
+    def draw(self, rng, n, t=None):
+        s = expit(_row_images(t, "flip-channel"))
+        p01, p11 = self.params["p01"], self.params["p11"]
+        latent = rng.binomial(1, s)
+        z = np.where(
+            latent == 1, rng.binomial(1, p11, latent.size), rng.binomial(1, p01, latent.size)
+        ).astype(float)
+        return z - (p01 + (p11 - p01) * s)
+
 
 def gaussian_iid(sigma: float) -> NoiseModel:
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    return NoiseModel("gaussian_iid", float(sigma))
+    return _GaussianIID("gaussian_iid", float(sigma))
 
 
 def gaussian_correlated(sigma: float, rho: float = 0.5) -> NoiseModel:
@@ -87,18 +131,18 @@ def gaussian_correlated(sigma: float, rho: float = 0.5) -> NoiseModel:
         raise ValueError("sigma must be positive")
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must lie in [0, 1)")
-    return NoiseModel("gaussian_correlated", float(sigma), {"rho": float(rho)})
+    return _GaussianCorrelated("gaussian_correlated", float(sigma), {"rho": float(rho)})
 
 
 def bounded_iid(sigma: float) -> NoiseModel:
     """iid uniform on [-sigma, sigma]; bounded, hence sigma-sub-gaussian."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    return NoiseModel("bounded_iid", float(sigma))
+    return _BoundedIID("bounded_iid", float(sigma))
 
 
 def bernoulli_residual() -> NoiseModel:
-    return NoiseModel("bernoulli_residual", 1.0)
+    return _BernoulliResidual("bernoulli_residual", 1.0)
 
 
 def flip_channel(p01: float, p11: float) -> NoiseModel:
@@ -107,7 +151,16 @@ def flip_channel(p01: float, p11: float) -> NoiseModel:
             raise ValueError(f"{name} must lie in [0, 1]")
     if not p11 > p01:
         raise ValueError("flip channel needs p11 > p01")
-    return NoiseModel("flip_channel", 1.0, {"p01": float(p01), "p11": float(p11)})
+    return _FlipChannel("flip_channel", 1.0, {"p01": float(p01), "p11": float(p11)})
+
+
+NOISES = {
+    "gaussian_iid": gaussian_iid,
+    "gaussian_correlated": gaussian_correlated,
+    "bounded_iid": bounded_iid,
+    "bernoulli_residual": bernoulli_residual,
+    "flip_channel": flip_channel,
+}
 
 
 def power_iteration(A, tol: float = 1e-8, max_iter: int = 10_000) -> float:
@@ -128,47 +181,12 @@ def power_iteration(A, tol: float = 1e-8, max_iter: int = 10_000) -> float:
     return lam
 
 
-def _corr_chol(n: int, rho: float):
+@functools.cache
+def _corr_chol(n: int, rho: float) -> np.ndarray:
     """Cholesky factor of the AR(1) covariance normalized to spectral radius 1."""
     idx = np.arange(n)
     S = rho ** np.abs(idx[:, None] - idx[None, :])
-    lam = power_iteration(S)
-    S = S / lam
-    return np.linalg.cholesky(S), S
-
-
-_CHOL_CACHE: dict = {}
-
-
-def draw_noise(noise: NoiseModel, rng: np.random.Generator, n: int, t=None):
-    """Draw one residual vector (channel models need the row images t)."""
-    if noise.tag == "gaussian_iid":
-        return rng.normal(0.0, noise.sigma, n)
-    if noise.tag == "gaussian_correlated":
-        key = (n, noise.params["rho"])
-        if key not in _CHOL_CACHE:
-            _CHOL_CACHE[key] = _corr_chol(n, noise.params["rho"])
-        L, _ = _CHOL_CACHE[key]
-        return noise.sigma * (L @ rng.normal(0.0, 1.0, n))
-    if noise.tag == "bounded_iid":
-        return rng.uniform(-noise.sigma, noise.sigma, n)
-    if noise.tag == "bernoulli_residual":
-        if t is None:
-            raise ValueError("bernoulli residuals need row images t")
-        p = expit(np.asarray(t, float))
-        return rng.binomial(1, p).astype(float) - p
-    if noise.tag == "flip_channel":
-        if t is None:
-            raise ValueError("flip-channel residuals need row images t")
-        p01, p11 = noise.params["p01"], noise.params["p11"]
-        s = expit(np.asarray(t, float))
-        latent = rng.binomial(1, s)
-        z = np.where(
-            latent == 1, rng.binomial(1, p11, latent.size), rng.binomial(1, p01, latent.size)
-        ).astype(float)
-        mean = p01 + (p11 - p01) * s
-        return z - mean
-    raise ValueError(f"unknown noise tag {noise.tag!r}")
+    return np.linalg.cholesky(S / power_iteration(S))
 
 
 def wilson_interval(k: int, n: int, z: float = Z95):
@@ -191,11 +209,11 @@ def wilson_interval(k: int, n: int, z: float = Z95):
 class ExperimentConfig:
     """Specification of one coverage experiment.
 
-    model = "glm" fits a penalized MLE (family per ``family`` tag) with the
-    closed-form constants; model = "flip" observes a flipped-channel binary
-    response and fits least squares with the strip-envelope series
-    constants.  c_r = "theorem" takes the penalty from the per-replicate
-    report; a float uses that value directly.
+    model = "glm" fits a penalized MLE (``family``, a key of ``FAMILIES``)
+    with the closed-form constants; model = "flip" observes a
+    flipped-channel binary response and fits least squares with the
+    strip-envelope series constants.  c_r = "theorem" takes the penalty from
+    the per-replicate report; a finite number >= 0 is used directly.
     """
 
     n: int
@@ -229,7 +247,16 @@ class ExperimentConfig:
             raise ValueError("spt_size cannot exceed p")
         if self.model not in ("glm", "flip"):
             raise ValueError("model must be 'glm' or 'flip'")
-        if self.design not in DESIGN_TAGS + ("csv",):
+        if self.family not in FAMILIES:
+            raise ValueError(f"family must be one of {sorted(FAMILIES)}")
+        if self.c_r != "theorem":
+            try:
+                c_r = float(self.c_r)
+            except (TypeError, ValueError):
+                c_r = math.nan
+            if not (math.isfinite(c_r) and c_r >= 0.0):
+                raise ValueError("c_r must be 'theorem' or a finite number >= 0")
+        if self.design != "csv" and self.design not in DESIGNS:
             raise ValueError("unknown design tag")
         if self.design == "csv" and not self.csv_path:
             raise ValueError("csv design needs csv_path")
@@ -245,11 +272,7 @@ class ExperimentConfig:
         return cls(**d)
 
     def family_obj(self) -> ExpFamily:
-        if self.family == "bernoulli":
-            return bernoulli()
-        if self.family == "gaussian":
-            return gaussian(self.sigma2)
-        raise ValueError("family must be 'bernoulli' or 'gaussian'")
+        return gaussian(self.sigma2) if self.family == "gaussian" else bernoulli()
 
     def link_obj(self) -> AnalyticFn:
         return logistic_flip(self.p01, self.p11)
@@ -325,7 +348,7 @@ def generate_instance(cfg: ExperimentConfig, replicate: int) -> Instance:
     t = dm.X @ beta
     mean = cfg.link_obj() if cfg.model == "flip" else cfg.family_obj().mean
     # channel models return exactly the observed 0/1 output
-    y = mean(t) + draw_noise(cfg.noise_obj(), rng, cfg.n, t=t)
+    y = mean(t) + cfg.noise_obj().draw(rng, cfg.n, t=t)
     return Instance(X=dm, beta=beta, y=y, t=t)
 
 
@@ -390,6 +413,7 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageResult:
     hits = 0
     errors = 0
     budget_ok = 0
+    glm = cfg.model == "glm"
     for rep in range(cfg.replicates):
         inst = generate_instance(cfg, rep)
         report = replicate_report(cfg, inst.X)
@@ -412,17 +436,12 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageResult:
             "spt_hat": -1,
         }
         try:
-            if cfg.model == "glm":
-                prob = FitProblem(
-                    y=inst.y, X=inst.X, domain=D, c_r=c_r,
-                    h_max=int(D.max_support), loss="mle", family=cfg.family_obj(),
-                )
-            else:
-                prob = FitProblem(
-                    y=inst.y, X=inst.X, domain=D, c_r=c_r,
-                    h_max=int(D.max_support), loss="lse", link=cfg.link_obj(),
-                )
-            res = fit(prob)
+            res = fit(FitProblem(
+                y=inst.y, X=inst.X, domain=D, c_r=c_r, h_max=int(D.max_support),
+                loss="mle" if glm else "lse",
+                family=cfg.family_obj() if glm else None,
+                link=None if glm else cfg.link_obj(),
+            ))
             err = float(np.linalg.norm(res.beta_hat.values - inst.beta))
             row["error"] = err
             row["hit"] = int(err <= radius)
@@ -475,7 +494,7 @@ def verify_tail(
         b = min(block, trials - done)
         E = np.empty((b, n))
         for i in range(b):
-            E[i] = draw_noise(noise, rng, n, t=t_lat)
+            E[i] = noise.draw(rng, n, t=t_lat)
         S = E @ A
         for m in (1, 2, 3):
             counts[m - 1] += np.sum(S**2 > (m * noise.sigma) ** 2, axis=0)
@@ -557,7 +576,7 @@ def verify_control_event(
         b = min(block, trials - done)
         E = np.empty((b, dm.n))
         for i in range(b):
-            E[i] = draw_noise(noise, rng, dm.n, t=t0)
+            E[i] = noise.draw(rng, dm.n, t=t0)
         Z = np.abs(E @ V.T) <= thr[None, :]
         good += int(np.sum(np.all(Z, axis=1)))
         done += b

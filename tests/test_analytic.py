@@ -14,7 +14,6 @@ from scipy.special import expit
 import l0bounds
 from l0bounds import (
     AnalyticFn,
-    DesignMatrix,
     Interval,
     coefficient_envelope,
     custom_fn,
@@ -22,7 +21,6 @@ from l0bounds import (
     linear,
     logistic_flip,
     min_slope,
-    multi_radius,
     polynomial,
     strip_sup_logistic,
     taylor_eval,
@@ -194,26 +192,6 @@ def test_interval_envelope_polynomial_finite_tail():
 def test_strip_envelope_unavailable_for_exp():
     with pytest.raises(ValueError, match="strip envelope unavailable"):
         coefficient_envelope(exp_fn(), "strip", Interval(-1.0, 1.0), K=10)
-
-
-def test_multi_radius_logistic_at_zero():
-    rng = np.random.default_rng(6)
-    X = DesignMatrix(rng.standard_normal((12, 3)))
-    f = logistic_flip(0.1, 0.9)
-    r, A = multi_radius(f, X, np.zeros(3))
-    assert r == pytest.approx(math.pi, rel=1e-12)
-    assert A(1) == pytest.approx(0.2, rel=1e-12)  # delta/4 at t = 0
-
-
-def test_multi_radius_singular_row():
-    bad = custom_fn(
-        evalf=lambda t: np.asarray(t, dtype=float),
-        coeff=lambda k, t: float(k == 1),
-        radius=lambda t: 0.0,
-    )
-    X = DesignMatrix(np.ones((3, 2)))
-    with pytest.raises(ValueError, match="function singular at row 0"):
-        multi_radius(bad, X, np.array([1.0, 0.0]))
 
 
 def test_custom_fn_without_radius_uses_limsup():

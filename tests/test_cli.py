@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from l0bounds.cli import main
+from l0bounds import analytic, expfam, harness
+from l0bounds.cli import ConfigError, main, parse_block
 
 
 def _write(path, obj):
@@ -217,3 +218,108 @@ def test_quiet_suppresses_summary(tmp_path, capsys):
     )
     main(["coverage", "--config", cfg, "--out", str(tmp_path), "--quiet"])
     assert capsys.readouterr().out == ""
+
+
+# one valid block per constructor-table entry: the keys are the
+# constructor's keyword arguments
+BLOCKS = {
+    "link": {
+        "logistic_flip": {"p01": 0.1, "p11": 0.9},
+        "linear": {"a": 2.0, "b": -0.5},
+        "polynomial": {"coeffs": [1.0, 0.0, -0.25]},
+        "exp": {},
+    },
+    "family": {"bernoulli": {}, "gaussian": {"sigma2": 2.5}},
+    "noise": {
+        "gaussian_iid": {"sigma": 1.5},
+        "gaussian_correlated": {"sigma": 0.5, "rho": 0.3},
+        "bounded_iid": {"sigma": 0.4},
+        "bernoulli_residual": {},
+        "flip_channel": {"p01": 0.2, "p11": 0.7},
+    },
+}
+TABLES = {"link": analytic.LINKS, "family": expfam.FAMILIES, "noise": harness.NOISES}
+
+
+def _same(a, b):
+    """Same kind, same parameters, same values on a grid of row images."""
+    assert type(a) is type(b) and a.tag == b.tag
+    assert repr(a.params) == repr(b.params)
+    t = np.linspace(-2.0, 2.0, 9)
+    if isinstance(a, analytic.AnalyticFn):
+        assert np.array_equal(a(t), b(t))
+        assert [a.coeff_k(k, 0.3) for k in range(4)] == [b.coeff_k(k, 0.3) for k in range(4)]
+    elif isinstance(a, expfam.ExpFamily):
+        for fn in ("log_partition", "mean", "variance"):
+            assert np.array_equal(getattr(a, fn)(t), getattr(b, fn)(t))
+    else:
+        assert a == b
+        draws = [m.draw(np.random.default_rng(3), t.size, t=t) for m in (a, b)]
+        assert np.array_equal(*draws)
+
+
+def test_every_table_entry_has_a_block():
+    assert {k: set(v) for k, v in BLOCKS.items()} == {k: set(v) for k, v in TABLES.items()}
+
+
+@pytest.mark.parametrize(
+    "key,tag", [(key, tag) for key, tags in BLOCKS.items() for tag in tags]
+)
+def test_block_builds_the_constructor_object(key, tag):
+    kwargs = BLOCKS[key][tag]
+    got = parse_block({key: {"tag": tag, **kwargs}}, key, TABLES[key])
+    _same(got, TABLES[key][tag](**kwargs))
+
+
+@pytest.mark.parametrize("key", sorted(BLOCKS))
+def test_block_unknown_tag_or_key_is_a_config_error(key):
+    tag, kwargs = next(iter(BLOCKS[key].items()))
+    for bad in ({"tag": "nope", **kwargs}, {"tag": tag, **kwargs, "bogus": 1}, {**kwargs}):
+        with pytest.raises(ConfigError):
+            parse_block({key: bad}, key, TABLES[key])
+
+
+def test_unknown_block_key_exits_1(tmp_path):
+    base = {
+        "theorem": "glm", "interval": [-2.0, 2.0], "q": 0.1, "nu": 0.5,
+        "design": {"tag": "pm1_iid", "n": 20, "p": 3, "seed": 1},
+    }
+    ok = _write(tmp_path / "ok.json", {**base, "family": {"tag": "bernoulli"}})
+    assert main(["bounds", "--config", ok, "--out", str(tmp_path), "--quiet"]) == 0
+    bad = _write(tmp_path / "bad.json", {**base, "family": {"tag": "bernoulli", "sigma2": 3}})
+    assert main(["bounds", "--config", bad, "--out", str(tmp_path), "--quiet"]) == 1
+    noise = _write(
+        tmp_path / "noise.json",
+        {"what": "tail", "noise": {"tag": "gaussian_iid", "sigma": 1.0, "rho": 0.5}},
+    )
+    assert main(["verify", "--config", noise, "--out", str(tmp_path), "--quiet"]) == 1
+
+
+@pytest.mark.parametrize(
+    "design",
+    [
+        {"tag": "nope", "n": 20, "p": 3},
+        {"tag": "pm1_iid", "n": 0, "p": 3},
+        {"tag": "binary_iid", "n": 20, "p": 0},
+        {"tag": "gaussian_iid", "n": "many", "p": 3},
+    ],
+)
+def test_bad_design_block_exits_1(tmp_path, design):
+    cfg = _write(
+        tmp_path / "cfg.json",
+        {"theorem": "glm", "interval": [-2.0, 2.0], "q": 0.1, "nu": 0.5,
+         "family": {"tag": "bernoulli"}, "design": design},
+    )
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+
+
+@pytest.mark.parametrize(
+    "bad", [{"family": "poisson"}, {"c_r": "big"}, {"c_r": -0.5}, {"c_r": "nan"}, {"c_r": None}]
+)
+def test_bad_coverage_config_exits_1(tmp_path, bad):
+    cfg = _write(
+        tmp_path / "cfg.json",
+        {"n": 30, "p": 5, "spt_size": 1, "replicates": 2, "seed": 11, **bad},
+    )
+    assert main(["coverage", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+    assert not (tmp_path / "coverage.json").exists()

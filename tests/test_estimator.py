@@ -226,3 +226,69 @@ def test_objective_recompute_assertion_holds():
     assert res.objective == pytest.approx(
         direct + 0.2 * len(res.support), rel=1e-12
     )
+
+
+def _active_rows_loop(prob, S, u):
+    """Row-by-row reference for the binding constraints: cap row, upper rows
+    ascending, lower rows ascending, frozen unit rows."""
+    D, dm = prob.domain, prob.X
+    v = u[S]
+    rows, kinds, frozen = [], [], []
+    if D.l1inf_cap is not None:
+        w = dm.column_norms(np.inf)[S]
+        if float(w @ np.abs(v)) >= D.l1inf_cap * (1.0 - 1e-9):
+            rows.append(w * np.sign(v))
+            kinds.append("cap")
+            frozen = [j for j in range(len(S)) if abs(v[j]) <= 1e-12]
+    I = D.interval
+    t = dm.X[:, S] @ v
+    scale = max(1.0, abs(I.lo) if math.isfinite(I.lo) else 1.0,
+                abs(I.hi) if math.isfinite(I.hi) else 1.0)
+    if math.isfinite(I.hi):
+        for i in np.nonzero(t >= I.hi - 1e-9 * scale)[0]:
+            rows.append(dm.X[i, S].astype(float))
+            kinds.append("row")
+    if math.isfinite(I.lo):
+        for i in np.nonzero(t <= I.lo + 1e-9 * scale)[0]:
+            rows.append(-dm.X[i, S].astype(float))
+            kinds.append("row")
+    for j in frozen:
+        e = np.zeros(len(S))
+        e[j] = 1.0
+        rows.append(e)
+        kinds.append("frozen")
+    return (np.vstack(rows), kinds) if rows else None
+
+
+def test_active_constraints_match_row_loop():
+    from l0bounds.estimator import _active_constraints
+
+    rng = np.random.default_rng(21)
+    seen = {"cap": 0, "row": 0, "frozen": 0, "none": 0}
+    for trial in range(400):
+        n, p = int(rng.integers(2, 40)), int(rng.integers(1, 5))
+        X = rng.choice([-1.0, 1.0], size=(n, p)) if trial % 2 else rng.normal(size=(n, p))
+        dm = DesignMatrix(X)
+        S = sorted(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False).tolist())
+        u = np.zeros(p)
+        u[S] = rng.normal(size=len(S)) * rng.choice([0.0, 1.0], size=len(S), p=[0.25, 0.75])
+        t = dm.X[:, S] @ u[S]
+        hi = float(np.max(t)) if rng.random() < 0.7 else math.inf
+        lo = float(np.min(t)) if rng.random() < 0.7 else -math.inf
+        if not lo < hi:
+            lo, hi = lo - 1.0, hi + 1.0
+        wn = float(dm.column_norms(np.inf)[S] @ np.abs(u[S]))
+        cap = wn if wn > 0 and rng.random() < 0.5 else None
+        D = DomainSpec(Interval(lo, hi), max_support=float(p), l1inf_cap=cap)
+        prob = FitProblem(y=np.zeros(n), X=dm, domain=D, c_r=0.0, h_max=p, family=bernoulli())
+        want, got = _active_rows_loop(prob, S, u), _active_constraints(prob, S, u)
+        if want is None:
+            assert got is None
+            seen["none"] += 1
+            continue
+        assert got[1] == want[1]
+        assert got[0].dtype == want[0].dtype and got[0].shape == want[0].shape
+        assert got[0].tobytes() == want[0].tobytes()
+        for kind in set(want[1]):
+            seen[kind] += 1
+    assert min(seen.values()) > 10, seen

@@ -60,6 +60,40 @@ def test_custom_family_curvature_matches_closed_form():
     assert got == pytest.approx(BERNOULLI_CURV_2, abs=1e-6)
 
 
+def test_custom_family_label_gets_no_closed_forms():
+    # the tag is only a label: closed forms belong to the built-in constructors
+    fam = custom_family(
+        log_partition=lambda t: np.logaddexp(0.0, t),
+        mean=lambda t: expit(t),
+        variance=lambda t: expit(t) * expit(-t),
+        tag="bernoulli",
+    )
+    assert fam.curvature_floor(Interval(-2.0, 2.0)) is None
+    assert fam.loss_floor(np.array([0.0, 1.0])) == -math.inf
+    assert curvature_inf(fam, Interval(-2.0, 2.0)) == pytest.approx(BERNOULLI_CURV_2, abs=1e-6)
+    with pytest.raises(ValueError, match="curvature search requires a bounded interval"):
+        curvature_inf(fam, Interval(-math.inf, math.inf))
+    with pytest.raises(ValueError, match="flat family on I"):
+        curvature_inf(bernoulli(), Interval(-math.inf, math.inf))
+
+
+@pytest.mark.parametrize("fam_name", ["bernoulli", "gaussian"])
+def test_loss_floor_below_mle_loss(fam_name):
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n, p = int(rng.integers(1, 30)), int(rng.integers(1, 5))
+        X = rng.normal(size=(n, p))
+        u = rng.normal(size=p) * rng.choice([0.1, 1.0, 5.0])
+        if fam_name == "bernoulli":
+            fam, y = bernoulli(), rng.integers(0, 2, n).astype(float)
+        else:
+            fam, y = gaussian(float(rng.uniform(0.1, 4.0))), rng.normal(size=n) * 3.0
+        assert fam.loss_floor(y) <= mle_loss(y, X, u, fam)
+    # the gaussian floor is attained where every row completes its square
+    fam, y = gaussian(2.0), np.array([1.0, -3.0])
+    assert mle_loss(y, np.eye(2), y / 2.0, fam) == pytest.approx(fam.loss_floor(y), rel=1e-15)
+
+
 def test_flat_family_raises():
     fam = custom_family(
         log_partition=lambda t: np.zeros_like(t),

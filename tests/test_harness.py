@@ -26,7 +26,6 @@ from l0bounds import (
     verify_tail,
     wilson_interval,
 )
-from l0bounds.harness import draw_noise
 
 
 def test_wilson_interval_frozen_values():
@@ -52,20 +51,20 @@ def test_noise_model_constructors():
 def test_draw_noise_shapes_and_bounds():
     rng = np.random.default_rng(0)
     for noise in (gaussian_iid(1.0), gaussian_correlated(1.0), bounded_iid(0.4)):
-        eps = draw_noise(noise, rng, 50)
+        eps = noise.draw(rng, 50)
         assert eps.shape == (50,)
-    assert np.all(np.abs(draw_noise(bounded_iid(0.4), rng, 1000)) <= 0.4)
+    assert np.all(np.abs(bounded_iid(0.4).draw(rng, 1000)) <= 0.4)
     t = np.linspace(-2, 2, 30)
-    eps = draw_noise(bernoulli_residual(), rng, 30, t=t)
+    eps = bernoulli_residual().draw(rng, 30, t=t)
     assert eps.shape == (30,)
     with pytest.raises(ValueError):
-        draw_noise(bernoulli_residual(), rng, 30)  # channel noise needs t
+        bernoulli_residual().draw(rng, 30)  # channel noise needs t
 
 
 def test_channel_noise_is_centred():
     rng = np.random.default_rng(1)
     t = np.full(200_000, 0.7)
-    eps = draw_noise(flip_channel(0.1, 0.9), rng, t.size, t=t)
+    eps = flip_channel(0.1, 0.9).draw(rng, t.size, t=t)
     f = logistic_flip(0.1, 0.9)
     # E[y | t] = f(t), so the residual must be mean-zero
     assert abs(eps.mean()) < 5e-3
@@ -75,7 +74,7 @@ def test_channel_noise_is_centred():
 def test_correlated_noise_spectral_radius_one():
     noise = gaussian_correlated(1.0, rho=0.6)
     rng = np.random.default_rng(2)
-    draws = np.stack([draw_noise(noise, rng, 12) for _ in range(40_000)])
+    draws = np.stack([noise.draw(rng, 12) for _ in range(40_000)])
     C = np.cov(draws.T)
     top = np.linalg.eigvalsh(C).max()
     assert top == pytest.approx(1.0, rel=0.02)
