@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import null_space
 
 from .analytic import AnalyticFn
 from .design import DesignMatrix, SparseParam, _as_design
@@ -204,17 +205,31 @@ def _active_constraints(prob: FitProblem, S: list, u: np.ndarray):
     return np.vstack(cap_rows + rows + [np.eye(k)[frozen]]), kinds
 
 
+def _null_space_step(Au: np.ndarray, g: np.ndarray, H: np.ndarray):
+    """argmin of g'd + d'Hd/2 subject to Au d = 0, or None when only d = 0 is
+    feasible.  The rank of Au is decided by the SVD inside null_space."""
+    Z = null_space(Au)
+    if Z.shape[1] == 0:
+        return None
+    return -Z @ np.linalg.solve(Z.T @ H @ Z, Z.T @ g)
+
+
 def _facet_phase(prob: FitProblem, S: list, u: np.ndarray, cur: float, loss, gh):
     """Equality-constrained Newton on the facet of binding constraints.
 
-    All constraints are linear once the sign orthant is fixed, so Newton
-    steps solve the KKT system on the current active set; feasibility is
-    still enforced by rejection backtracking (a sign flip leaves the facet
-    and is rejected exactly).  Returns (u, cur, converged, released): when
-    the single active constraint carries a negative multiplier the point is
-    not a boundary optimum and the caller should resume interior iterations.
+    All constraints are linear once the sign orthant is fixed, so the
+    Newton step minimizes the quadratic model over the null space of the
+    active rows: d = -Z (Z'HZ)^{-1} Z'g, with Z an orthonormal basis of that
+    null space.  On +-1 and 0/1 designs about n/2 rows can bind while a
+    support of size k has at most 2^k distinct row images, so Z and the
+    multipliers are taken from the distinct rows only: a step costs one sort
+    of the m binding rows plus O(k^3), and no system of order k + m is ever
+    formed.  Feasibility is still enforced by rejection backtracking (a sign
+    flip leaves the facet and is rejected exactly).  Returns
+    (u, cur, converged, released): when the single active constraint
+    carries a negative multiplier the point is not a boundary optimum and
+    the caller should resume interior iterations.
     """
-    k = len(S)
     Xs = prob.X.X[:, S]
     tol = max(prob.grad_tol, 1e-8)
     for _ in range(prob.max_iter):
@@ -226,20 +241,15 @@ def _facet_phase(prob: FitProblem, S: list, u: np.ndarray, cur: float, loss, gh)
         if got is None:
             return u, cur, False, False
         g, H = got
-        lam = np.linalg.lstsq(A.T, -g, rcond=None)[0]
-        pg = g + A.T @ lam
+        Au = np.unique(A, axis=0)
+        lam = np.linalg.lstsq(Au.T, -g, rcond=None)[0]
+        pg = g + Au.T @ lam
         if float(np.max(np.abs(pg))) <= tol * max(1.0, float(np.max(np.abs(g)))):
             if len(kinds) == 1 and kinds[0] == "cap" and lam[0] < -tol:
                 return u, cur, False, True  # cap not binding at the optimum
             return u, cur, True, False
-        m = A.shape[0]
-        K = np.block([[H, A.T], [A, np.zeros((m, m))]])
-        rhs = np.concatenate([-g, np.zeros(m)])
-        try:
-            d = np.linalg.solve(K, rhs)[:k]
-        except np.linalg.LinAlgError:
-            d = np.linalg.lstsq(K, rhs, rcond=None)[0][:k]
-        if not np.all(np.isfinite(d)) or float(np.max(np.abs(d))) == 0.0:
+        d = _null_space_step(Au, g, H)
+        if d is None or not np.all(np.isfinite(d)) or float(np.max(np.abs(d))) == 0.0:
             return u, cur, False, False
         u2, cur2, ok, _hit = _backtrack(prob, u, S, d, loss, cur, float(g @ d))
         if not ok:

@@ -408,7 +408,12 @@ class CoverageResult:
 
 
 def run_coverage(cfg: ExperimentConfig) -> CoverageResult:
-    """Run the coverage experiment; fit failures count as misses, not crashes."""
+    """Run the coverage experiment; fit failures count as misses, not crashes.
+
+    A fit that raises ValueError (numpy's LinAlgError included),
+    AssertionError, ArithmeticError or MemoryError leaves its message (or,
+    when empty, the exception's name) in the row's ``fit_error`` column.
+    """
     rows = []
     hits = 0
     errors = 0
@@ -447,9 +452,9 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageResult:
             row["hit"] = int(err <= radius)
             row["spt_hat"] = len(res.support)
             hits += row["hit"]
-        except (ValueError, AssertionError) as exc:  # count as a miss
-            errors += 1
-            row["fit_error"] = str(exc)
+        except (ValueError, AssertionError, ArithmeticError, MemoryError) as exc:
+            errors += 1  # count as a miss
+            row["fit_error"] = str(exc) or type(exc).__name__
         rows.append(row)
     lo, hi = wilson_interval(hits, cfg.replicates)
     target = 1.0 - 2.0 * cfg.q

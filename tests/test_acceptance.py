@@ -113,6 +113,37 @@ def _oracle_objective(prob):
         u[list(S)] = v
         return loss(u)
 
+    def grid_losses(S, pts):
+        # sub_loss at every row of pts as one array operation: the same
+        # support-size, interval, cap and natural-domain tests, on the
+        # (n, points) matrix of linear predictors.  Grid points land exactly
+        # on the cap, where a batched product can round the other way than
+        # in_domain's, so points within rounding of the cap or of an
+        # interval end are re-tested by in_domain itself.
+        S = list(S)
+        T = X.X[:, S] @ pts.T
+        I = D.interval
+        ok = np.count_nonzero(pts, axis=1) <= D.max_support
+        ok &= np.all((T >= I.lo) if I.closed_lo else (T > I.lo), axis=0)
+        ok &= np.all((T <= I.hi) if I.closed_hi else (T < I.hi), axis=0)
+        tol = 1e-12 * max(1.0, I.sup_abs if I.bounded else 1.0)
+        near = np.any((np.abs(T - I.lo) <= tol) | (np.abs(T - I.hi) <= tol), axis=0)
+        if cap is not None:
+            norms = np.abs(pts) @ w[S]
+            ok &= norms <= cap
+            near |= np.abs(norms - cap) <= 1e-12 * cap
+        for i in np.nonzero(near)[0]:
+            u = np.zeros(p)
+            u[S] = pts[i]
+            ok[i] = lb.in_domain(u, X, D)
+        if prob.loss == "mle":
+            fam = prob.family
+            ok &= np.all((T > fam.natural_lo) & (T < fam.natural_hi) & np.isfinite(T), axis=0)
+            vals = np.sum(fam.log_partition(T), axis=0) - y @ T
+        else:
+            vals = np.sum((y[:, None] - prob.link(T)) ** 2, axis=0)
+        return np.where(ok, vals, np.inf)
+
     def facet_min(S):
         # minimize on { sum w_j |v_j| = cap } per sign orthant, where the
         # facet is smooth: magnitudes m_1..m_{k-1} free, the last one
@@ -156,13 +187,13 @@ def _oracle_objective(prob):
             box = [cap / w[j] for j in S]
             axes = [np.linspace(-b, b, 17) for b in box]
             pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, k)
-            vals = [sub_loss(S, row) for row in pts]
+            vals = grid_losses(S, pts)
             center = pts[int(np.argmin(vals))]
             step = np.array([2 * b / 16 for b in box])
             while step.max() >= 0.01:
                 axes = [np.linspace(c - s, c + s, 9) for c, s in zip(center, step)]
                 pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, k)
-                vals = [sub_loss(S, row) for row in pts]
+                vals = grid_losses(S, pts)
                 center = pts[int(np.argmin(vals))]
                 step = step / 4
             r = minimize(

@@ -292,3 +292,138 @@ def test_active_constraints_match_row_loop():
         for kind in set(want[1]):
             seen[kind] += 1
     assert min(seen.values()) > 10, seen
+
+
+def _boundary_instance(n):
+    """A glm/bernoulli instance on a +-1 design whose truth sits on the
+    interval facet |x_i'beta| = 1, so about n/2 rows bind there."""
+    from l0bounds.harness import ExperimentConfig, _fit_domain, generate_instance
+
+    cfg = ExperimentConfig(
+        n=n, p=8, spt_size=2, replicates=1, model="glm", family="bernoulli",
+        design="pm1_iid", interval_halfwidth=1.0, seed=1,
+    )
+    inst = generate_instance(cfg, 0)
+    return cfg, inst, _fit_domain(cfg, inst.X)
+
+
+def test_facet_phase_solves_no_system_of_order_above_distinct_rows(monkeypatch):
+    import sys
+
+    from l0bounds import estimator
+
+    _cfg, inst, D = _boundary_instance(5000)
+    prob = FitProblem(
+        y=inst.y, X=inst.X, domain=D, c_r=0.5, h_max=2, loss="mle", family=bernoulli()
+    )
+    seen = []
+    for name in ("solve", "lstsq"):
+        real = getattr(np.linalg, name)
+
+        def wrapped(a, *args, _real=real, _name=name, **kwargs):
+            if sys._getframe(1).f_code.co_name in ("_facet_phase", "_null_space_step"):
+                seen.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(estimator.np.linalg, name, wrapped)
+    res = fit(prob)
+    k = 2
+    assert {r.support for r in res.records if r.boundary_clamped}, "no facet phase entered"
+    assert any(name == "solve" for name, _ in seen), seen
+    assert max(max(shape) for _, shape in seen) <= k + 2**k, seen
+
+
+def _reference_block_kkt(Au, g, H):
+    """Block KKT solve [[H, Au'], [Au, 0]] [d; lam] = [-g; 0] on the distinct
+    rows; None unless Au has full row rank m < k (otherwise the matrix is
+    singular or only d = 0 is feasible)."""
+    m, k = Au.shape
+    if m >= k or np.linalg.matrix_rank(Au) < m:
+        return None
+    K = np.block([[H, Au.T], [Au, np.zeros((m, m))]])
+    return np.linalg.solve(K, np.concatenate([-g, np.zeros(m)]))[:k]
+
+
+def test_null_space_step_matches_block_kkt_on_facets():
+    from l0bounds.estimator import (
+        _active_constraints,
+        _lse_grad_hess,
+        _mle_grad_hess,
+        _null_space_step,
+    )
+
+    rng = np.random.default_rng(606)
+    f = logistic_flip(0.1, 0.9)
+    compared = {"pm1": 0, "binary": 0, "gaussian": 0, "cap": 0, "row": 0}
+    for i in range(42):
+        design = ("pm1", "binary", "gaussian")[i % 3]
+        mle = (i // 3) % 2 == 0
+        cap_facet = (i // 6) % 2 == 1
+        n, p = int(rng.integers(20, 200)), int(rng.integers(2, 5))
+        if design == "pm1":
+            Xm = rng.choice([-1.0, 1.0], size=(n, p))
+        elif design == "binary":
+            Xm = rng.integers(0, 2, size=(n, p)).astype(float)
+            Xm[0] = 1.0
+        else:
+            Xm = rng.standard_normal((n, p))
+        dm = DesignMatrix(Xm)
+        S = list(range(p)) if p <= 2 else sorted(rng.choice(p, 3, replace=False).tolist())
+        v = rng.uniform(0.3, 1.0, len(S)) * rng.choice([-1.0, 1.0], len(S))
+        u = np.zeros(p)
+        u[S] = v
+        t = Xm[:, S] @ v
+        if cap_facet:  # cap binds, rows stay strictly inside
+            cap = float(dm.column_norms(np.inf)[S] @ np.abs(v))
+            h = 2.0 * float(np.max(np.abs(t))) + 1.0
+        else:  # the extreme row image binds at the interval end
+            cap = None
+            h = float(np.max(np.abs(t)))
+        D = DomainSpec(Interval(-h, h), max_support=float(p), l1inf_cap=cap)
+        if mle:
+            y = (rng.random(n) < expit(t)).astype(float)
+            prob = FitProblem(y=y, X=dm, domain=D, c_r=0.0, h_max=p, family=bernoulli())
+            g, H = _mle_grad_hess(prob, Xm[:, S], v)
+        else:
+            y = f(t) + rng.normal(0.0, 0.05, n)
+            prob = FitProblem(y=y, X=dm, domain=D, c_r=0.0, h_max=p, loss="lse", link=f)
+            g, H = _lse_grad_hess(prob, Xm[:, S], v)
+        A, kinds = _active_constraints(prob, S, u)
+        assert ("cap" in kinds) == cap_facet
+        Au = np.unique(A, axis=0)
+        d = _null_space_step(Au, g, H)
+        ref = _reference_block_kkt(Au, g, H)
+        if ref is None:
+            continue
+        assert d is not None
+        scale = float(np.linalg.norm(ref))
+        assert np.linalg.norm(d - ref) <= 1e-10 * scale, (i, d, ref)
+        # the duplicated rows span the same null space
+        full = _null_space_step(A, g, H)
+        assert np.linalg.norm(full - ref) <= 1e-10 * scale, (i, full, ref)
+        compared[design] += 1
+        compared["cap" if cap_facet else "row"] += 1
+    assert min(compared.values()) >= 5, compared
+    assert compared["pm1"] + compared["binary"] + compared["gaussian"] >= 30, compared
+    # rows spanning the support leave no facet direction
+    assert _null_space_step(np.vstack([np.eye(2), [1.0, 1.0]]), g[:2], H[:2, :2]) is None
+
+
+def test_large_n_boundary_replicates_fit_in_seconds():
+    # on replicate 1 about 10 000 rows with a single distinct image bind on
+    # the facet; a facet phase that solves a system of that order takes
+    # minutes
+    import dataclasses
+    import time
+
+    from l0bounds.harness import run_coverage
+
+    cfg, _inst, _D = _boundary_instance(20_000)
+    t0 = time.monotonic()
+    res = run_coverage(dataclasses.replace(cfg, replicates=2))
+    wall = time.monotonic() - t0
+    for row in res.rows:
+        assert row["fit_error"] == ""
+        assert row["spt_hat"] == 2 and row["hit"] == 1 and row["budget_ok"] == 1
+        assert row["error"] < 0.05
+    assert wall < 10.0, f"two replicates took {wall:.1f} s"

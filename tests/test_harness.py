@@ -222,3 +222,32 @@ def test_multinomial_identity_gap_exact():
         assert multinomial_identity_gap(x, k) <= 1e-12
     with pytest.raises(ValueError, match="enumeration"):
         multinomial_identity_gap(np.ones(50), 6)
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), FloatingPointError("overflow")])
+def test_run_coverage_records_resource_and_arithmetic_failures(monkeypatch, tmp_path, exc):
+    import l0bounds.harness as harness
+
+    cfg = ExperimentConfig(n=30, p=5, spt_size=1, replicates=4, seed=2)
+    clean = run_coverage(cfg)
+    real_fit, calls = harness.fit, []
+
+    def flaky_fit(prob):
+        calls.append(1)
+        if len(calls) == 2:
+            raise exc
+        return real_fit(prob)
+
+    monkeypatch.setattr(harness, "fit", flaky_fit)
+    out = run_coverage(cfg)
+    assert out.n_fit_errors == clean.n_fit_errors + 1
+    bad = out.rows[1]
+    assert bad["fit_error"] == (str(exc) or type(exc).__name__)
+    assert bad["spt_hat"] == -1 and bad["hit"] == 0 and math.isnan(bad["error"])
+    for rep in (0, 2, 3):
+        assert out.rows[rep] == clean.rows[rep]
+    paths = [tmp_path / "clean.csv", tmp_path / "flaky.csv"]
+    clean.to_csv(paths[0])
+    out.to_csv(paths[1])
+    heads = [p.read_text().splitlines()[0] for p in paths]
+    assert heads[0] == heads[1]
