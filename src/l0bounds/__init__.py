@@ -11,14 +11,12 @@ from .analytic import (
     AnalyticFn,
     CoefficientEnvelope,
     coefficient_envelope,
-    custom_fn,
     exp_fn,
     linear,
     logistic_flip,
     min_slope,
     polynomial,
     strip_sup_logistic,
-    taylor_eval,
 )
 from .bounds import (
     BoundsReport,
@@ -39,23 +37,13 @@ from .bounds import (
 from .design import (
     DesignMatrix,
     SparseParam,
-    binary_augment,
     capacity,
     coherence,
-    condition_ratio,
     separability_lower_bound,
     series_norms,
     weighted_l1_norm,
 )
-from .domains import (
-    DomainSpec,
-    Interval,
-    PointSet,
-    enclosing_radius,
-    in_domain,
-    sample_domain,
-    segment_hull_sample,
-)
+from .domains import DomainSpec, Interval, in_domain
 from .estimator import FitProblem, FitResult, SupportRecord, fit, inner_solve
 from .expfam import ExpFamily, bernoulli, curvature_inf, custom_family, gaussian, mle_gradient_hessian, mle_loss, mle_objective
 from .grids import CoveringGrid, build_grid, covers, grid_statistics, singleton_grid

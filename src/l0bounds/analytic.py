@@ -42,12 +42,10 @@ __all__ = [
     "linear",
     "logistic_flip",
     "LINKS",
-    "custom_fn",
     "strip_sup_logistic",
     "min_slope",
     "CoefficientEnvelope",
     "coefficient_envelope",
-    "taylor_eval",
 ]
 
 # ----------------------------------------------------------------------------
@@ -97,8 +95,8 @@ class AnalyticFn:
     ----------
     tag : str
         Label of the link kind ("polynomial", "exp", "linear",
-        "logistic_flip", "custom"), written into reports as ``"link"``;
-        behaviour never branches on it.
+        "logistic_flip"), written into reports as ``"link"``; behaviour
+        never branches on it.
     params : dict
         Constructor parameters (coefficients, channel probabilities, ...).
     pole_set : str
@@ -110,11 +108,13 @@ class AnalyticFn:
     stable surface: raw derivatives overflow float64 once k! does (k > 170),
     so ``deriv_k`` is only finite where the product a_k * k! is.
 
-    The facts the bounds need about a link are methods that each link kind
-    overrides where it has closed forms: ``deriv1``, ``deriv2_sup``,
-    ``slope_floor``, ``radius_floor``, ``tail``, ``abs_coeff_table``,
-    ``strip_dk`` and ``interval_dk``.  The versions here are the generic
-    ones (custom links), built from the coefficient callable alone.
+    Links are built through the constructors in ``LINKS``, never from this
+    base class directly.  The facts the bounds need about a link are
+    methods: each link kind defines ``deriv1`` (f' at grid points),
+    ``radius_floor`` and ``tail``, and overrides ``slope_floor``,
+    ``abs_coeff_table``, ``strip_dk`` and ``interval_dk`` where it has
+    closed forms; the kinds whose slope floor needs ``min_slope``'s grid
+    search also define ``deriv2_sup`` (max |f''| over grid points).
     """
 
     def __init__(self, tag, evalf, coeff, radius, params=None, pole_set="none", coeff_batch=None):
@@ -162,31 +162,10 @@ class AnalyticFn:
         """Convergence radius of the Taylor series centered at real t."""
         return float(self._radius(float(t)))
 
-    # -- per-link facts (generic versions) ----------------------------------
-
-    def deriv1(self, xs: np.ndarray) -> np.ndarray:
-        """f'(x) at each grid point."""
-        return np.array([self.coeff_k(1, x) for x in xs])
-
-    def deriv2_sup(self, xs: np.ndarray) -> float:
-        """max |f''| over the grid points."""
-        return float(2.0 * np.max(np.abs([self.coeff_k(2, x) for x in xs])))
+    # -- per-link facts shared by every link kind ---------------------------
 
     def slope_floor(self, I: Interval) -> float | None:
         """Closed form of inf_I |f'|, or None when only a grid search gives it."""
-        return None
-
-    def radius_floor(self, I: Interval | None = None) -> float:
-        """Lower bound on the convergence radius at every center of I, or of
-        the real line when I is None (0.0: none known); generic links take
-        the minimum over a 2001-point grid of I, an estimate."""
-        if I is None:
-            return 0.0
-        return min(self.radius_at(x) for x in I.grid(2001))
-
-    def tail(self, t_hi: float) -> tuple | None:
-        """Certified majorant of d_k for all orders k, for centers up to t_hi,
-        as a ``CoefficientEnvelope.tail`` kind; None when there is none."""
         return None
 
     def abs_coeff_table(self, K: int, ts) -> np.ndarray:
@@ -383,35 +362,6 @@ def logistic_flip(p01: float, p11: float) -> AnalyticFn:
 LINKS = {"logistic_flip": logistic_flip, "linear": linear, "polynomial": polynomial, "exp": exp_fn}
 
 
-def custom_fn(evalf, coeff=None, radius=None, params=None, limsup_order: int = 200) -> AnalyticFn:
-    """Wrap user callables.  Without an explicit radius the convergence radius
-    is estimated from the coefficient lim-sup over orders [K/2, K] (K =
-    limsup_order); the truncation makes it an estimate, not a certificate.
-    """
-
-    def radius_est(t):
-        if coeff is None:
-            return math.inf
-        best = 0.0
-        for k in range(limsup_order // 2, limsup_order + 1):
-            a = abs(coeff(k, t))
-            if a > 0:
-                best = max(best, a ** (1.0 / k))
-        return 1.0 / best if best > 0 else math.inf
-
-    def no_coeff(k, t):
-        raise ValueError("custom function has no coefficient callable")
-
-    return AnalyticFn(
-        "custom",
-        evalf,
-        coeff if coeff is not None else no_coeff,
-        radius if radius is not None else radius_est,
-        params=params,
-        pole_set="unknown (custom)",
-    )
-
-
 # ----------------------------------------------------------------------------
 # slope floor and coefficient envelopes
 # ----------------------------------------------------------------------------
@@ -465,8 +415,10 @@ class CoefficientEnvelope:
     - ("finite", deg): d_k = 0 for k > deg;
     - ("factorial", A): d_k <= A / k!;
     - ("logistic", delta): d_k <= delta/(4 cos^2(c/2)) / (k c^(k-1)) for any
-      contour half-width c < pi, chosen by the consumer;
-    - None: no certificate (custom functions) -- series constants refuse it.
+      contour half-width c < pi, chosen by the consumer.
+
+    Every link in ``LINKS`` has one of these; an envelope built by hand
+    with ``tail=None`` carries no certificate, and ``c1_ub`` refuses it.
     """
 
     mode: str
@@ -520,13 +472,3 @@ def coefficient_envelope(
         raise ValueError("interval mode needs a bounded Interval region")
     dk[1:] = f.interval_dk(K, I, grid)
     return CoefficientEnvelope("interval", K, dk, f.radius_floor(I), f.tail(I.hi), f.tag)
-
-
-def taylor_eval(f: AnalyticFn, center: float, z: float, K: int) -> float:
-    """Partial Taylor sum sum_{k<=K} a_k(center) z^k (test/diagnostic aid)."""
-    total = 0.0
-    zp = 1.0
-    for k in range(K + 1):
-        total += f.coeff_k(k, center) * zp
-        zp *= z
-    return total

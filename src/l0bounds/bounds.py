@@ -128,10 +128,10 @@ def _tail(kind: tuple, amp: float, x: float, K: int) -> float:
     return first / (1.0 - gamma)
 
 
-def _check_decay(T: np.ndarray, kind: tuple | None):
+def _check_decay(T: np.ndarray, kind: tuple):
     """Refuse a series whose last two nonzero computed terms are not decaying
     (a finite series needs no decay)."""
-    if kind is not None and kind[0] == "finite":
+    if kind[0] == "finite":
         return
     nz = np.nonzero(T)[0]
     if nz.size >= 2 and T[nz[-1]] >= T[nz[-2]]:
@@ -198,7 +198,7 @@ def c1_one_disc(X, f: AnalyticFn, sigma: float, q: float, theta: float, K: int =
     rho = f.radius_at(0.0)
     kind = f.tail(0.0)
     if math.isinf(rho):
-        if kind is not None and kind[0] == "finite" and kind[1] <= 1:
+        if kind[0] == "finite" and kind[1] <= 1:
             v = pref * abs(f.coeff_k(1, 0.0)) * _wk(dm, 1)[1]
             return SeriesBound(v, v, 0.0, 1)
         raise ValueError(
@@ -212,8 +212,6 @@ def c1_one_disc(X, f: AnalyticFn, sigma: float, q: float, theta: float, K: int =
         # |f^(k)(0)|/(k-1)! = k |a_k(0)|
         T[k] = math.sqrt(k) * k * abs(f.coeff_k(k, 0.0)) * x ** (k - 1) * w[k]
     _check_decay(T, kind)
-    if kind is None:
-        raise ValueError("certified tail unavailable for custom links")
     partial = pref * float(T.sum())
     tail = _tail(kind, pref * dm.max_norm(math.inf), x, K)
     return SeriesBound(partial + tail, partial, tail, K)
@@ -237,8 +235,6 @@ def c1_multi_disc(X, G: CoveringGrid, sigma: float, q: float, K: int = 60) -> Se
     for k in range(1, K + 1):
         T[k] = k * math.sqrt(lg + k * lam) * A[k] * b ** (k - 1) * w[k]
     _check_decay(T, kind)
-    if kind is None:
-        raise ValueError("certified tail unavailable for custom links")
     pref = math.sqrt(2.0) * sigma
     partial = pref * float(T.sum())
     tail = _tail(kind, pref * math.sqrt(lg + lam) * dm.max_norm(math.inf), b, K)
@@ -271,6 +267,8 @@ def c1_ub(
         raise ValueError("mode must be 'strip' or 'interval'")
     if envelope.mode != mode:
         raise ValueError("envelope mode does not match the requested mode")
+    if envelope.tail is None:
+        raise ValueError("certified tail unavailable for custom envelopes")
     if not rho1 > 0:
         raise ValueError("rho1 must be positive")
     if delta_D < 0:
@@ -285,15 +283,13 @@ def c1_ub(
     Q = (2.0 if mode == "strip" else 4.0) * delta_D / rho1 + 1.0
     L = h * math.log(dm.p * Q)
     K_use = min(K, envelope.K)
-    if K_use < K and envelope.tail is not None and envelope.tail[0] != "finite":
+    if K_use < K and envelope.tail[0] != "finite":
         raise ValueError("envelope stores fewer orders than requested K")
     w = _wk(dm, K_use)
     T = np.zeros(K_use + 1)
     for k in range(1, K_use + 1):
         T[k] = k * math.sqrt(L + k * lam) * envelope.dk[k] * rho1 ** (k - 1) * w[k]
     _check_decay(T, envelope.tail)
-    if envelope.tail is None:
-        raise ValueError("certified tail unavailable for custom envelopes")
     pref = math.sqrt(2.0) * sigma
     partial = pref * float(T.sum())
     tail = _tail(envelope.tail, pref * math.sqrt(L + lam) * dm.max_norm(math.inf), rho1, K_use)

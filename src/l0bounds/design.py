@@ -1,10 +1,9 @@
-"""Design-matrix functionals: coherence, capacity, weighted norms, augmentation.
+"""Design-matrix functionals: coherence, capacity, weighted norms.
 
 The error-bound constants consume a handful of quantities derived from the
-design: mutual coherence mu(X), the support capacity it induces, per-column
-norms of several orders, and the 0/1 -> +-1 recoding that absorbs an
-intercept column.  They live here together with a thin validated wrapper
-that caches column norms between calls.
+design: mutual coherence mu(X), the support capacity it induces and
+per-column norms of several orders.  They live here together with a thin
+validated wrapper that caches column norms between calls.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ __all__ = [
     "capacity",
     "weighted_l1_norm",
     "separability_lower_bound",
-    "condition_ratio",
-    "binary_augment",
     "load_matrix_csv",
     "load_vector_csv",
     "DESIGNS",
@@ -253,42 +250,6 @@ def separability_lower_bound(u, X, nu: float):
     rhs = float(nu * (1.0 + mu) * np.sum(u**2 * dm.column_norms(2) ** 2))
     holds = lhs >= rhs - 1e-9 * abs(rhs)
     return lhs, rhs, holds
-
-
-def condition_ratio(X) -> float:
-    """R(X) = sqrt(n) max_j ||V_j||_2 / min_j ||V_j||_2^2.
-
-    Equals 1 for any matrix with +-1 entries, and scales like 1/t when the
-    design is multiplied by t.
-    """
-    dm = _as_design(X)
-    return math.sqrt(dm.n) * dm.max_norm(2) / dm.min_norm(2) ** 2
-
-
-def binary_augment(X, beta=None):
-    """Recode a 0/1 design as a +-1 design with an appended constant column.
-
-    X~ = [2X - 1, 1] and beta~ = (beta/2, sum(beta)/2) keep every row product
-    unchanged: X_i' beta = X~_i' beta~.  All augmented columns have
-    ||V~_j||_2 = sqrt(n).
-
-    Returns
-    -------
-    (Xt, bt) : augmented design (n x (p+1)) and augmented parameter, or
-        (Xt, None) when no parameter is supplied.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if not np.all((X == 0.0) | (X == 1.0)):
-        raise ValueError("augmentation requires 0/1 entries")
-    n, p = X.shape
-    Xt = np.hstack([2.0 * X - 1.0, np.ones((n, 1))])
-    if beta is None:
-        return Xt, None
-    beta = np.asarray(beta, dtype=float).ravel()
-    if beta.size != p:
-        raise ValueError("parameter length does not match design width")
-    bt = np.append(beta / 2.0, beta.sum() / 2.0)
-    return Xt, bt
 
 
 def load_matrix_csv(path) -> np.ndarray:

@@ -8,19 +8,10 @@ of a domain with support budget h/2 has supports of size at most h, so each
 of the C(p, h) coordinate boxes is subdivided into equal cells whose
 weighted-l1 radius is below the covering step d.
 
-Two regimes:
-
-* case 1 -- picked by default exactly when ``f.radius_floor(None) > 0``:
-  the link is analytic on a neighborhood of the whole real line with radius
-  bounded below (every built-in link).  Cell centers are valid cover points
-  as-is and d = inf b / 2, b coming from the radius floor over the line.
-* case 2 -- otherwise (custom links).  b comes from the radius floor over
-  the domain's interval, the step shrinks to inf b / 4 and each nonempty
-  cell is re-centered on a feasible point of the hull; cells with no
-  feasible representative are dropped, which is exact for the cells the
-  hull actually meets (documented caveat: a cell whose feasible region is
-  missed by the clamp search would be dropped wrongly; built-in links take
-  this path only when the caller asks for it).
+Every link in ``analytic.LINKS`` is analytic on a neighborhood of the whole
+real line with its radius bounded below (``f.radius_floor(None) > 0``), so
+cell centers are valid cover points as-is and d = inf b / 2, b coming from
+the radius floor over the line.
 
 All reported radii are overestimates by construction (box radius
 delta-hat = h * cap bounds the true hull radius), so the cardinality
@@ -56,8 +47,8 @@ class CoveringGrid:
         lexicographic order, exact duplicates removed.
     supports : generating support per point.
     b : per-point disc parameter b(u) (strictly below the local radius).
-    d : covering step; every hull point is within d (case 1) or 2d (case 2)
-        of some cover point in the weighted l1 norm, and that is <= b/2.
+    d : covering step; every hull point is within d of some cover point
+        in the weighted l1 norm, and d <= b/2.
     cardinality_bound : certified upper bound on N.
     """
 
@@ -65,7 +56,6 @@ class CoveringGrid:
     supports: list
     b: np.ndarray
     d: float
-    case: int
     construction: str
     cardinality_bound: float
     f: AnalyticFn
@@ -125,7 +115,7 @@ class CoveringGrid:
         return json.dumps(
             {
                 "construction": self.construction,
-                "case": self.case,
+                "case": 1,  # one construction; the key keeps the JSON layout
                 "d": self.d,
                 "cardinality_bound": self.cardinality_bound,
                 "size": len(self),
@@ -141,7 +131,6 @@ def build_grid(
     D: DomainSpec,
     h: int,
     b_rule: tuple = ("half_radius",),
-    case: int | None = None,
 ) -> CoveringGrid:
     """Cover the segment hull of D (support budget h/2) at doubled supports h.
 
@@ -170,14 +159,8 @@ def build_grid(
     n_supports = math.comb(dm.p, h)
     if n_supports > _ENUM_BUDGET:
         raise ValueError("enumeration budget exceeded (C(p, h) > 1e6)")
-    if case is None:
-        case = 1 if f.radius_floor(None) > 0 else 2
-    if case not in (1, 2):
-        raise ValueError("case must be 1 or 2")
 
-    rho_floor = f.radius_floor(None if case == 1 else D.interval)
-    if case == 1 and not rho_floor > 0:
-        raise ValueError("case 1 requires a link analytic along the real line")
+    rho_floor = f.radius_floor(None)
     if b_rule[0] == "half_radius":
         if math.isinf(rho_floor):
             raise ValueError(
@@ -192,7 +175,7 @@ def build_grid(
             raise ValueError("constant b must stay below the radius floor")
     else:
         raise ValueError("unknown b rule")
-    d = db / 2.0 if case == 1 else db / 4.0
+    d = db / 2.0
 
     cap = float(D.l1inf_cap)
     w = dm.column_norms(math.inf)
@@ -215,19 +198,6 @@ def build_grid(
                 continue
             u = np.zeros(dm.p)
             u[list(S)] = center
-            if case == 2:
-                u[list(S)] = np.sign(center) * near
-                rows = dm.X @ u
-                if not D.interval.contains(rows):
-                    ok = False
-                    for t in np.linspace(0.9, 0.0, 10):
-                        v = u * t
-                        if D.interval.contains(dm.X @ v):
-                            u = v
-                            ok = True
-                            break
-                    if not ok:
-                        continue
             key = u.tobytes()
             if key in seen:
                 continue
@@ -243,11 +213,8 @@ def build_grid(
         supports=sups,
         b=np.empty(len(pts)),
         d=d,
-        case=case,
         construction="per_support_box",
-        cardinality_bound=float(
-            n_supports * ((2 if case == 1 else 4) * (h * cap) / db + 1.0) ** h
-        ),
+        cardinality_bound=float(n_supports * (2 * (h * cap) / db + 1.0) ** h),
         f=f,
         X=dm,
         b_rule=b_rule,
@@ -259,10 +226,8 @@ def build_grid(
         if np.any(db >= r):
             raise ValueError("constant b reaches the radius at some grid point")
         grid.b = np.full(len(pts), db)
-    # coverage needs dist <= b/2: cells have radius d (case 1) or lie within
-    # 2d of their representative (case 2)
-    need = 2.0 * d if case == 1 else 4.0 * d
-    if np.any(grid.b < need * (1 - 1e-12)):
+    # coverage needs dist <= b/2, and cells have radius d
+    if np.any(grid.b < 2.0 * d * (1 - 1e-12)):
         raise ValueError("covering step exceeds b/2; inconsistent rule")
     return grid
 
@@ -297,7 +262,6 @@ def singleton_grid(w, X, f: AnalyticFn, D: DomainSpec, d: float) -> CoveringGrid
         supports=[tuple(int(j) for j in np.nonzero(w)[0])],
         b=np.array([b]),
         d=d,
-        case=1,
         construction="singleton",
         cardinality_bound=1.0,
         f=f,

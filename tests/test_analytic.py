@@ -16,15 +16,15 @@ from l0bounds import (
     AnalyticFn,
     Interval,
     coefficient_envelope,
-    custom_fn,
     exp_fn,
     linear,
     logistic_flip,
     min_slope,
     polynomial,
     strip_sup_logistic,
-    taylor_eval,
 )
+from l0bounds.analytic import LINKS
+from oracles import taylor_eval
 
 # frozen oracle values (computed independently before the implementation)
 RADIUS_AT_1 = 3.296908309475615  # sqrt(1 + pi^2)
@@ -140,12 +140,16 @@ def test_min_slope_degree_one_polynomial_closed_form(a, b):
 
 
 def test_min_slope_grid_path_close_to_closed_form():
-    # a custom copy of the flipped logistic exercises the certified grid bound
-    f = logistic_flip(0.1, 0.9)
-    g = custom_fn(evalf=lambda t: f(t), coeff=f.coeff_k, radius=f.radius_at)
-    got = min_slope(g, Interval(-2.0, 2.0))
-    assert 0.0 <= got <= FLIP_MIN_SLOPE_2 + 1e-12  # certified: never above truth
-    assert got == pytest.approx(FLIP_MIN_SLOPE_2, abs=2e-3)
+    # links without a closed-form floor exercise the certified grid bound
+    cases = [
+        (exp_fn(), Interval(0.0, 1.0), 1.0),  # inf e^t at the left end
+        (polynomial([0.0, 1.0, 0.5]), Interval(-0.5, 1.0), 0.5),  # inf |1 + t|
+    ]
+    for f, I, truth in cases:
+        assert f.slope_floor(I) is None
+        got = min_slope(f, I)
+        assert 0.0 <= got <= truth + 1e-12  # certified: never above truth
+        assert got == pytest.approx(truth, abs=2e-3)
 
 
 def test_strip_sup_logistic_values():
@@ -192,17 +196,6 @@ def test_interval_envelope_polynomial_finite_tail():
 def test_strip_envelope_unavailable_for_exp():
     with pytest.raises(ValueError, match="strip envelope unavailable"):
         coefficient_envelope(exp_fn(), "strip", Interval(-1.0, 1.0), K=10)
-
-
-def test_custom_fn_without_radius_uses_limsup():
-    # coefficient data for 1/(1-t): a_k = 1 -> radius 1 everywhere it is probed
-    g = custom_fn(
-        evalf=lambda t: 1.0 / (1.0 - np.asarray(t)),
-        coeff=lambda k, t: (1.0 / (1.0 - t)) ** (k + 1),
-        params={},
-    )
-    r = g.radius_at(0.0)
-    assert r == pytest.approx(1.0, rel=0.05)
 
 
 def test_deriv_k_overflow_saturates():
@@ -282,15 +275,21 @@ BUILTIN_LINKS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BUILTIN_LINKS))
+@pytest.mark.parametrize("name", sorted(LINKS))
 @pytest.mark.parametrize("lo,hi", [(-1.5, 1.5), (0.5, 2.0), (-3.0, -0.25)])
 def test_radius_floor_bounds_the_radius_on_the_interval(name, lo, hi):
+    # every link in the table (a KeyError here means a new link lacks an
+    # instance above): build_grid's one construction needs a positive radius
+    # floor over the whole line, and the series constants need a certified
+    # tail kind
     f = BUILTIN_LINKS[name]
     I = Interval(lo, hi)
     xs = np.linspace(lo, hi, 20001)
     assert f.radius_floor(I) <= min(f.radius_at(x) for x in xs)
     assert f.radius_floor(None) <= f.radius_floor(I)
-    assert f.radius_floor(None) > 0  # every built-in link takes grid case 1
+    assert f.radius_floor(None) > 0
+    for t in (0.0, 1.5, math.inf):
+        assert f.tail(t)[0] in ("finite", "factorial", "logistic"), t
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_LINKS))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from l0bounds import (
+    CoefficientEnvelope,
     DesignMatrix,
     DomainSpec,
     Interval,
@@ -21,7 +22,6 @@ from l0bounds import (
     coefficient_envelope,
     coherence,
     curvature_inf,
-    custom_fn,
     error_radius,
     exp_fn,
     glm_report,
@@ -137,13 +137,6 @@ def test_one_disc_divergence_and_unsupported_links():
         c1_one_disc(X, logistic_flip(0.1, 0.9), 1.0, 0.1, theta=0.999)
     with pytest.raises(ValueError, match="series diverges: infinite radius"):
         c1_one_disc(X, exp_fn(), 1.0, 0.1, theta=0.5)
-    g = custom_fn(
-        evalf=lambda t: np.tanh(np.asarray(t)),
-        coeff=lambda k, t: 0.1**k,
-        radius=lambda t: 5.0,
-    )
-    with pytest.raises(ValueError, match="certified tail unavailable for custom links"):
-        c1_one_disc(X, g, 1.0, 0.1, theta=0.5)
 
 
 def test_one_disc_nonlinear_polynomial_diverges():
@@ -197,13 +190,9 @@ def test_c1_ub_polynomial_needs_k_past_degree():
 
 def test_c1_ub_custom_envelope_refused():
     X = _design(n=30, p=6, seed=5)
-    g = custom_fn(
-        evalf=lambda t: np.tanh(np.asarray(t)),
-        coeff=lambda k, t: 0.3**k,
-        radius=lambda t: 2.0,
-    )
-    env = coefficient_envelope(g, "interval", Interval(-1.0, 1.0), K=10)
-    assert env.tail is None
+    # a hand-built envelope with no certified tail
+    dk = np.concatenate(([0.0], 0.3 ** np.arange(1, 11)))
+    env = CoefficientEnvelope("interval", 10, dk, 2.0, None, "hand")
     with pytest.raises(ValueError, match="certified tail unavailable for custom envelopes"):
         c1_ub(X, env, 1.0, 0.1, h=2.0, delta_D=1.0, rho1=1.0, mode="interval", K=10)
 

@@ -8,10 +8,8 @@ import pytest
 from l0bounds import (
     DesignMatrix,
     SparseParam,
-    binary_augment,
     capacity,
     coherence,
-    condition_ratio,
     separability_lower_bound,
     series_norms,
     weighted_l1_norm,
@@ -173,27 +171,6 @@ def test_separability_random_instances():
         u[S] = rng.standard_normal(S.size)
         lhs, rhs, holds = separability_lower_bound(u, X, nu)
         assert holds, (lhs, rhs)
-
-
-def test_condition_ratio_pm1_design():
-    rng = np.random.default_rng(5)
-    X = rng.choice([-1.0, 1.0], size=(16, 6))
-    # all column 2-norms are sqrt(n): sqrt(n) * sqrt(n) / n = 1
-    assert condition_ratio(X) == pytest.approx(1.0, rel=1e-12)
-    # scaling the matrix by c scales the ratio by 1/c
-    assert condition_ratio(2.0 * X) == pytest.approx(0.5, rel=1e-12)
-
-
-def test_binary_augment_identity_and_validation():
-    rng = np.random.default_rng(7)
-    X = rng.integers(0, 2, size=(9, 4)).astype(float)
-    beta = rng.standard_normal(4)
-    Xt, bt = binary_augment(X, beta)
-    assert Xt.shape == (9, 5)
-    np.testing.assert_allclose(Xt @ bt, X @ beta, atol=1e-12)
-    assert set(np.unique(Xt[:, :-1])) <= {-1.0, 1.0}
-    with pytest.raises(ValueError):
-        binary_augment(np.array([[0.5, 1.0], [1.0, 0.0]]))
 
 
 def test_sparse_param_support():

@@ -1,4 +1,4 @@
-"""Domain specifications, membership, hull sampling, enclosing radii."""
+"""Domain specifications, membership, and the hull-sampling test oracles."""
 
 import math
 
@@ -9,13 +9,10 @@ from l0bounds import (
     DesignMatrix,
     DomainSpec,
     Interval,
-    PointSet,
-    enclosing_radius,
     in_domain,
-    segment_hull_sample,
     weighted_l1_norm,
 )
-from l0bounds.domains import sample_domain
+from oracles import sample_domain, segment_hull_sample
 
 
 def test_interval_basics():
@@ -38,15 +35,6 @@ def test_interval_validation_and_open_ends():
     assert I.contains(-1e300) and I.contains(0.0)
 
 
-def test_point_set_dedups_exact():
-    ps = PointSet([np.zeros(2), np.zeros(2), np.array([1.0, 0.0])])
-    assert len(ps) == 2
-    ps.add(np.array([1.0, 0.0]))
-    assert len(ps) == 2
-    ps.add(np.array([1.0, 1e-300]))  # different bits -> kept
-    assert len(ps) == 3
-
-
 def test_in_domain_checks_each_constraint():
     X = DesignMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
     D = DomainSpec(Interval(-2.0, 2.0), max_support=1.0, l1inf_cap=2.0)
@@ -60,7 +48,7 @@ def test_in_domain_checks_each_constraint():
 
 def test_segment_hull_sample_hand_example():
     got = segment_hull_sample([np.zeros(2), np.array([1.0, 0.0])], grid_per_edge=3)
-    pts = sorted(tuple(p) for p in got.asarray())
+    pts = sorted(tuple(p) for p in got)
     assert pts == [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)]
 
 
@@ -72,18 +60,9 @@ def test_segment_hull_sample_stays_in_convex_domain():
     hull = segment_hull_sample(base, grid_per_edge=9)
     # the domain is convex only within a fixed support; same-support pairs
     # must stay inside, so filter the mixed ones the way the grid tests do
-    for u in hull.asarray():
+    for u in hull:
         if np.count_nonzero(u) <= D.max_support:
             assert weighted_l1_norm(u, X) <= D.l1inf_cap + 1e-9
-
-
-def test_enclosing_radius_hand_examples():
-    X = DesignMatrix(np.eye(2))
-    u = np.array([2.0, 0.0])
-    assert enclosing_radius([np.zeros(2), u], X) == pytest.approx(2.0)
-    assert enclosing_radius([-u, u], X) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        enclosing_radius([], X)
 
 
 def test_sample_domain_deterministic_and_feasible():

@@ -13,14 +13,12 @@ from l0bounds import (
     Interval,
     build_grid,
     covers,
-    custom_fn,
     exp_fn,
     grid_statistics,
     logistic_flip,
-    segment_hull_sample,
     singleton_grid,
 )
-from l0bounds.domains import sample_domain
+from oracles import sample_domain, segment_hull_sample
 
 F = logistic_flip(0.1, 0.9)
 
@@ -38,7 +36,6 @@ def test_build_grid_basic_certificates():
     X = _design()
     D = _domain(cap=1.5, h=2)
     G = build_grid(X, F, D, h=2)
-    assert G.case == 1
     assert len(G.points) >= 1
     assert len(G.points) <= G.cardinality_bound + 1e-9
     # kept cell centres may overshoot the cap by at most the cell radius d
@@ -56,23 +53,18 @@ def test_grid_covers_hull_samples():
     D = _domain(cap=1.5, h=2)
     G = build_grid(X, F, D, h=2)
     base = sample_domain(D, X, 40, seed=3, support_size=1)
-    samples = segment_hull_sample(base, grid_per_edge=7).asarray()
+    samples = segment_hull_sample(base, grid_per_edge=7)
     ok, margin = covers(G, samples)
     assert ok, margin
 
 
 def test_grid_cardinality_hand_example():
-    # case 2, p = 3, h = 1, cap * h = 1, d_b = 2: C(3,1) * (4*1/2 + 1) = 9
+    # p = 3, h = 1, cap * h = 1, d_b = 2: C(3,1) * (2*1/2 + 1) = 6
     X = DesignMatrix(np.eye(3))
-    g = custom_fn(
-        evalf=lambda t: np.asarray(t, dtype=float) ** 2,
-        coeff=lambda k, t: {0: t**2, 1: 2.0 * t, 2: 1.0}.get(k, 0.0),
-        radius=lambda t: 16.0,
-    )
     D = DomainSpec(Interval(-1.0, 1.0), max_support=0.5, l1inf_cap=1.0)
-    G = build_grid(X, g, D, h=1, b_rule=("constant", 2.0), case=2)
-    assert G.cardinality_bound == pytest.approx(9.0)
-    assert len(G.points) <= 9
+    G = build_grid(X, exp_fn(), D, h=1, b_rule=("constant", 2.0))
+    assert G.cardinality_bound == pytest.approx(6.0)
+    assert len(G.points) <= 6
 
 
 def test_build_grid_requires_cap():
@@ -103,7 +95,6 @@ def test_half_radius_rejected_for_entire_links():
     with pytest.raises(ValueError, match="half_radius undefined for entire links"):
         build_grid(X, exp_fn(), D, h=2)
     G = build_grid(X, exp_fn(), D, h=2, b_rule=("constant", 1.0))
-    assert G.case == 1
     assert np.all(G.b == 1.0)
 
 
@@ -155,22 +146,6 @@ def test_singleton_grid_and_errors():
     big = DomainSpec(Interval(-10.0, 10.0), max_support=1.0, l1inf_cap=10.0)
     with pytest.raises(ValueError, match="domain exceeds analytic radius"):
         singleton_grid(w, X, F, big, d=30.0)
-
-
-def test_case2_recentre_keeps_feasibility():
-    rng = np.random.default_rng(8)
-    X = DesignMatrix(rng.standard_normal((20, 4)))
-    g = custom_fn(
-        evalf=lambda t: 1.0 / (4.0 - np.asarray(t)),
-        coeff=lambda k, t: (1.0 / (4.0 - t)) ** (k + 1),
-        radius=lambda t: abs(4.0 - t),
-    )
-    D = DomainSpec(Interval(-1.0, 1.0), max_support=1.0, l1inf_cap=1.0)
-    G = build_grid(X, g, D, h=2, case=2)
-    assert G.case == 2
-    w = X.column_norms(np.inf)
-    for u in G.points:
-        assert float(w @ np.abs(u)) <= D.l1inf_cap * (1 + 1e-9)
 
 
 def test_grid_to_json_round_trip():
