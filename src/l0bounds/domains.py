@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import _as_design, weighted_l1_norm
+from .design import _as_design
 
 __all__ = ["Interval", "DomainSpec", "in_domain"]
 
@@ -86,6 +86,16 @@ class DomainSpec:
     def compact(self) -> bool:
         return self.l1inf_cap is not None
 
+    def admits(self, u: np.ndarray, t: np.ndarray, w: np.ndarray) -> bool:
+        """Exact membership given the row images t = X u and the column sup
+        norms w.  u may be restricted to a support S, with t = X_S u and
+        w = ||V_j||_inf for j in S: the three tests see the same numbers."""
+        if np.count_nonzero(u) > self.max_support:
+            return False
+        if not self.interval.contains(t):
+            return False
+        return self.l1inf_cap is None or not float(np.abs(u) @ w) > self.l1inf_cap
+
 
 def in_domain(u, X, D: DomainSpec) -> bool:
     """Exact membership test of u in D (rows, support budget, weighted cap)."""
@@ -93,10 +103,4 @@ def in_domain(u, X, D: DomainSpec) -> bool:
     u = np.asarray(u, dtype=float).ravel()
     if u.size != dm.p:
         raise ValueError("parameter length does not match design width")
-    if np.count_nonzero(u) > D.max_support:
-        return False
-    if not D.interval.contains(dm.X @ u):
-        return False
-    if D.l1inf_cap is not None and weighted_l1_norm(u, dm) > D.l1inf_cap:
-        return False
-    return True
+    return D.admits(u, dm.X @ u, dm.column_norms(math.inf))

@@ -6,8 +6,10 @@ with loss either the negative log-likelihood of an exponential linear
 family or the squared residual of an analytic link.  Supports up to h_max
 are enumerated exhaustively (the penalty makes the outer problem exact once
 every inner problem is solved); inner problems are smooth in 1..h_max
-variables and are solved by damped Newton (MLE, convex per support) or
-Levenberg-damped Gauss-Newton with two starts (least squares).
+variables and share one solver, damped Newton and then Newton on the facet
+of binding constraints: exact Hessian and one start for the likelihood
+(convex per support), Gauss-Newton and two starts for least squares.  A
+trial point costs one product X_S v, shared by the domain test and the loss.
 
 Determinism: enumeration order is itertools.combinations, all tie-breaking
 is lexicographic, and no randomness enters anywhere, so refitting the same
@@ -16,6 +18,7 @@ inputs is bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,13 +28,17 @@ from scipy.linalg import null_space
 
 from .analytic import AnalyticFn
 from .design import DesignMatrix, SparseParam, _as_design
-from .domains import DomainSpec, in_domain
-from .expfam import ExpFamily, mle_loss
+from .domains import DomainSpec
+from .expfam import ExpFamily
 
 __all__ = ["FitProblem", "FitResult", "SupportRecord", "fit", "inner_solve"]
 
 _ENUM_BUDGET = 1_000_000
 _TIE_TOL = 1e-9
+_GRAD_TOL = 1e-9  # interior stop: max |gradient|
+_FACET_TOL = 1e-8  # facet stop: max |projected gradient| / max(1, max |gradient|)
+_STEP_TOL = 1e-12  # backtracking gives up once max |alpha d| falls below this
+_MAX_ITER = 100  # Newton iterations per interior or facet phase
 
 
 @dataclass
@@ -50,9 +57,6 @@ class FitProblem:
     loss: str = "mle"
     family: ExpFamily | None = None
     link: AnalyticFn | None = None
-    grad_tol: float = 1e-9
-    step_tol: float = 1e-12
-    max_iter: int = 100
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float).ravel()
@@ -63,7 +67,7 @@ class FitProblem:
             raise ValueError("mle loss needs a family")
         if self.loss == "lse" and self.link is None:
             raise ValueError("lse loss needs a link")
-        if self.loss not in ("mle", "lse"):
+        if self.loss not in _LOSSES:
             raise ValueError("loss must be 'mle' or 'lse'")
         if self.c_r < 0:
             raise ValueError("c_r must be nonnegative")
@@ -90,63 +94,25 @@ class FitResult:
     records: tuple
 
 
-def _loss_fn(prob: FitProblem):
-    if prob.loss == "mle":
-        fam = prob.family
-
-        def loss(u):
-            try:
-                return mle_loss(prob.y, prob.X, u, fam)
-            except ValueError:
-                return math.inf
-
-        return loss
-    f = prob.link
-
-    def loss(u):
-        r = prob.y - f(prob.X.X @ u)
-        if not np.all(np.isfinite(r)):
-            return math.inf
-        return float(r @ r)
-
-    return loss
+def _mle_value(prob: FitProblem, t: np.ndarray) -> float:
+    try:
+        return prob.family.nll(prob.y, t)
+    except ValueError:
+        return math.inf
 
 
-def _feasible(prob: FitProblem, u: np.ndarray) -> bool:
-    return in_domain(u, prob.X, prob.domain)
-
-
-def _backtrack(prob, uS_full, S, d, loss, cur, gdotd):
-    """Armijo backtracking along d restricted to S; rejects infeasible steps.
-
-    Returns (new_full_u, new_loss, step_ok, hit_boundary).
-    """
-    alpha = 1.0
-    dn = float(np.max(np.abs(d)))
-    hit_boundary = False
-    while alpha * dn > prob.step_tol:
-        trial = uS_full.copy()
-        trial[S] = uS_full[S] + alpha * d
-        if not _feasible(prob, trial):
-            hit_boundary = True
-            alpha *= 0.5
-            continue
-        val = loss(trial)
-        if val <= cur + 1e-4 * alpha * gdotd:
-            return trial, val, True, False
-        alpha *= 0.5
-    return uS_full, cur, False, hit_boundary
+def _lse_value(prob: FitProblem, t: np.ndarray) -> float:
+    r = prob.y - prob.link(t)
+    if not np.all(np.isfinite(r)):
+        return math.inf
+    return float(r @ r)
 
 
 def _mle_grad_hess(prob: FitProblem, Xs: np.ndarray, v: np.ndarray):
-    fam = prob.family
-    t = Xs @ v
     try:
-        fam.check_natural(t)
+        g, H = prob.family.nll_derivatives(prob.y, Xs, Xs @ v)
     except ValueError:
         return None
-    g = Xs.T @ (fam.mean(t) - prob.y)
-    H = Xs.T @ (fam.variance(t)[:, None] * Xs)
     H = H + (1e-12 * max(1.0, float(np.trace(H)))) * np.eye(Xs.shape[1])
     return g, H
 
@@ -160,9 +126,75 @@ def _lse_grad_hess(prob: FitProblem, Xs: np.ndarray, v: np.ndarray):
         return None
     J = fp[:, None] * Xs
     g = -2.0 * (J.T @ r)
-    H = 2.0 * (J.T @ J)  # Gauss-Newton curvature; exact enough for descent
+    H = 2.0 * (J.T @ J)  # Gauss-Newton curvature, positive definite with the ridge
     H = H + (1e-10 * max(1.0, float(np.trace(H)))) * np.eye(Xs.shape[1])
     return g, H
+
+
+def _mle_working_response(prob: FitProblem) -> np.ndarray:
+    fam, zero = prob.family, np.zeros(1)
+    m0, v0 = float(fam.mean(zero)[0]), float(fam.variance(zero)[0])
+    return (prob.y - m0) / v0 if v0 > 1e-12 else prob.y - m0
+
+
+def _lse_working_response(prob: FitProblem) -> np.ndarray:
+    f0, fp0 = prob.link(0.0), prob.link.coeff_k(1, 0.0)
+    return (prob.y - f0) / fp0 if abs(fp0) > 1e-8 else prob.y - f0
+
+
+# Per loss: value on row images t, (gradient, Hessian) on a support, working
+# response of the ridge start, and whether the zero start is kept beside the
+# ridge start (least squares is not convex, so it keeps the better of two).
+_LOSSES = {
+    "mle": (_mle_value, _mle_grad_hess, _mle_working_response, False),
+    "lse": (_lse_value, _lse_grad_hess, _lse_working_response, True),
+}
+
+
+class _Support:
+    """The inner problem on one support S: the columns X_S, their sup norms
+    (the cap weights) and the loss pieces bound to the problem.  Iterates are
+    v in R^|S|; every evaluation goes through the row images t = X_S v."""
+
+    def __init__(self, prob: FitProblem, S: tuple):
+        value, gh, working_response, self.two_starts = _LOSSES[prob.loss]
+        self.prob, self.S = prob, list(S)
+        self.Xs = prob.X.X[:, self.S]
+        self.w = prob.X.column_norms(math.inf)[self.S]
+        self.value = functools.partial(value, prob)
+        self.grad_hess = functools.partial(gh, prob, self.Xs)
+        self.working_response = functools.partial(working_response, prob)
+
+    def admits(self, v: np.ndarray, t: np.ndarray) -> bool:
+        return self.prob.domain.admits(v, t, self.w)
+
+    def embed(self, v: np.ndarray) -> np.ndarray:
+        u = np.zeros(self.prob.X.p)
+        u[self.S] = v
+        return u
+
+
+def _backtrack(sp: _Support, v, d, cur, gdotd):
+    """Armijo backtracking along d; rejects infeasible steps.
+
+    Each trial forms t = X_S v once and runs the membership test and the loss
+    on it.  Returns (new_v, new_loss, step_ok, hit_boundary); only a
+    membership failure counts as hitting the boundary.
+    """
+    alpha = 1.0
+    dn = float(np.max(np.abs(d)))
+    hit_boundary = False
+    while alpha * dn > _STEP_TOL:
+        trial = v + alpha * d
+        t = sp.Xs @ trial
+        if not sp.admits(trial, t):
+            hit_boundary = True
+        else:
+            val = sp.value(t)
+            if val <= cur + 1e-4 * alpha * gdotd:
+                return trial, val, True, False
+        alpha *= 0.5
+    return v, cur, False, hit_boundary
 
 
 def _active_constraints(prob: FitProblem, S: list, u: np.ndarray):
@@ -214,7 +246,7 @@ def _null_space_step(Au: np.ndarray, g: np.ndarray, H: np.ndarray):
     return -Z @ np.linalg.solve(Z.T @ H @ Z, Z.T @ g)
 
 
-def _facet_phase(prob: FitProblem, S: list, u: np.ndarray, cur: float, loss, gh):
+def _facet_phase(sp: _Support, v: np.ndarray, cur: float):
     """Equality-constrained Newton on the facet of binding constraints.
 
     All constraints are linear once the sign orthant is fixed, so the
@@ -226,49 +258,44 @@ def _facet_phase(prob: FitProblem, S: list, u: np.ndarray, cur: float, loss, gh)
     of the m binding rows plus O(k^3), and no system of order k + m is ever
     formed.  Feasibility is still enforced by rejection backtracking (a sign
     flip leaves the facet and is rejected exactly).  Returns
-    (u, cur, converged, released): when the single active constraint
+    (v, cur, converged, released): when the single active constraint
     carries a negative multiplier the point is not a boundary optimum and
     the caller should resume interior iterations.
     """
-    Xs = prob.X.X[:, S]
-    tol = max(prob.grad_tol, 1e-8)
-    for _ in range(prob.max_iter):
-        act = _active_constraints(prob, S, u)
+    for _ in range(_MAX_ITER):
+        act = _active_constraints(sp.prob, sp.S, sp.embed(v))
         if act is None:  # drifted inside; hand back to the interior loop
-            return u, cur, False, True
+            return v, cur, False, True
         A, kinds = act
-        got = gh(prob, Xs, u[S])
+        got = sp.grad_hess(v)
         if got is None:
-            return u, cur, False, False
+            return v, cur, False, False
         g, H = got
         Au = np.unique(A, axis=0)
         lam = np.linalg.lstsq(Au.T, -g, rcond=None)[0]
         pg = g + Au.T @ lam
-        if float(np.max(np.abs(pg))) <= tol * max(1.0, float(np.max(np.abs(g)))):
-            if len(kinds) == 1 and kinds[0] == "cap" and lam[0] < -tol:
-                return u, cur, False, True  # cap not binding at the optimum
-            return u, cur, True, False
+        if float(np.max(np.abs(pg))) <= _FACET_TOL * max(1.0, float(np.max(np.abs(g)))):
+            if len(kinds) == 1 and kinds[0] == "cap" and lam[0] < -_FACET_TOL:
+                return v, cur, False, True  # cap not binding at the optimum
+            return v, cur, True, False
         d = _null_space_step(Au, g, H)
         if d is None or not np.all(np.isfinite(d)) or float(np.max(np.abs(d))) == 0.0:
-            return u, cur, False, False
-        u2, cur2, ok, _hit = _backtrack(prob, u, S, d, loss, cur, float(g @ d))
+            return v, cur, False, False
+        v, cur, ok, _hit = _backtrack(sp, v, d, cur, float(g @ d))
         if not ok:
-            return u, cur, False, False
-        u, cur = u2, cur2
-    return u, cur, False, False
+            return v, cur, False, False
+    return v, cur, False, False
 
 
-def _newton_interior(prob: FitProblem, S: list, u: np.ndarray, cur: float, loss, gh):
+def _newton_interior(sp: _Support, v: np.ndarray, cur: float):
     """Damped Newton with feasibility-rejecting Armijo backtracking."""
-    converged = False
-    clamped = False
-    Xs = prob.X.X[:, S]
-    for _ in range(prob.max_iter):
-        got = gh(prob, Xs, u[S])
+    converged = clamped = False
+    for _ in range(_MAX_ITER):
+        got = sp.grad_hess(v)
         if got is None:
             break
         g, H = got
-        if float(np.max(np.abs(g))) <= prob.grad_tol:
+        if float(np.max(np.abs(g))) <= _GRAD_TOL:
             converged = True
             break
         try:
@@ -277,143 +304,72 @@ def _newton_interior(prob: FitProblem, S: list, u: np.ndarray, cur: float, loss,
             d = np.linalg.lstsq(H, -g, rcond=None)[0]
         if not np.all(np.isfinite(d)):
             break
-        u, cur, ok, hit = _backtrack(prob, u, S, d, loss, cur, float(g @ d))
+        v, cur, ok, hit = _backtrack(sp, v, d, cur, float(g @ d))
         if not ok:
             clamped = hit
             break
-    return u, cur, converged, clamped
+    return v, cur, converged, clamped
 
 
-def _polish(prob: FitProblem, S: list, u, cur, converged, clamped, loss, gh):
-    """Alternate interior Newton and facet Newton until stationary.
+def _polish(sp: _Support, v: np.ndarray, cur: float):
+    """Interior Newton, then facet and interior Newton in turn until stationary.
 
     The interior loop stalls when the minimizer sits on the domain boundary;
     the facet loop then optimizes along the binding constraints and releases
     back to the interior if the boundary turns out not to bind.
     """
+    v, cur, converged, clamped = _newton_interior(sp, v, cur)
     for _ in range(5):
         if converged or not clamped:
             break
-        u, cur, converged, released = _facet_phase(prob, S, u, cur, loss, gh)
+        v, cur, converged, released = _facet_phase(sp, v, cur)
         if converged:
-            return u, cur, True, True
+            return v, cur, True, True
         if not released:
-            return u, cur, False, True
-        u, cur, converged, clamped = _newton_interior(prob, S, u, cur, loss, gh)
-    return u, cur, converged, clamped
+            return v, cur, False, True
+        v, cur, converged, clamped = _newton_interior(sp, v, cur)
+    return v, cur, converged, clamped
 
 
-def _solve_mle_support(prob: FitProblem, S: tuple, loss) -> SupportRecord | tuple:
-    dm, fam = prob.X, prob.family
-    Sl = list(S)
-    u = np.zeros(dm.p)
-    if not _feasible(prob, u):
-        m0 = float(fam.mean(np.zeros(1))[0])
-        v0 = float(fam.variance(np.zeros(1))[0])
-        z = (prob.y - m0) / v0 if v0 > 1e-12 else prob.y - m0
-        u = _ridge_start(prob, Sl, z)
-        if u is None:
-            return None
-    cur = loss(u)
-    u, cur, converged, clamped = _newton_interior(prob, Sl, u, cur, loss, _mle_grad_hess)
-    return _polish(prob, Sl, u, cur, converged, clamped, loss, _mle_grad_hess)
-
-
-def _ridge_start(prob: FitProblem, S: list, z: np.ndarray) -> np.ndarray | None:
-    Xs = prob.X.X[:, S]
+def _ridge_start(sp: _Support) -> np.ndarray | None:
+    """Ridge fit of the working response on X_S, shrunk into the domain."""
+    Xs, k = sp.Xs, len(sp.S)
     A = Xs.T @ Xs
-    A = A + 1e-3 * max(1.0, float(np.trace(A)) / len(S)) * np.eye(len(S))
+    A = A + 1e-3 * max(1.0, float(np.trace(A)) / k) * np.eye(k)
     try:
-        w = np.linalg.solve(A, Xs.T @ z)
+        v = np.linalg.solve(A, Xs.T @ sp.working_response())
     except np.linalg.LinAlgError:
         return None
-    u = np.zeros(prob.X.p)
-    u[S] = w
     for _ in range(80):
-        if _feasible(prob, u):
-            return u
-        u = u * 0.7
+        if sp.admits(v, Xs @ v):
+            return v
+        v = v * 0.7
     return None
-
-
-def _solve_lse_support(prob: FitProblem, S: tuple, loss):
-    dm, f = prob.X, prob.link
-    Sl = list(S)
-    Xs = dm.X[:, Sl]
-    starts = []
-    zero = np.zeros(dm.p)
-    if _feasible(prob, zero):
-        starts.append(zero)
-    f0 = f(0.0)
-    fp0 = f.coeff_k(1, 0.0)
-    z = (prob.y - f0) / fp0 if abs(fp0) > 1e-8 else prob.y - f0
-    ridge = _ridge_start(prob, Sl, z)
-    if ridge is not None and (not starts or not np.array_equal(ridge, starts[0])):
-        starts.append(ridge)
-    if not starts:
-        return None
-    best = None
-    for u0 in starts:
-        u = u0.copy()
-        cur = loss(u)
-        lam = 1e-8
-        converged = False
-        clamped = False
-        for _ in range(prob.max_iter):
-            t = Xs @ u[Sl]
-            fp = f.deriv1(t)
-            r = prob.y - f(t)
-            J = fp[:, None] * Xs
-            g = -2.0 * (J.T @ r)
-            if float(np.max(np.abs(g))) <= prob.grad_tol:
-                converged = True
-                break
-            stepped = False
-            for _damp in range(10):
-                A = J.T @ J + (lam + 1e-14) * np.eye(len(Sl))
-                try:
-                    d = np.linalg.solve(A, J.T @ r)
-                except np.linalg.LinAlgError:
-                    lam = max(lam, 1e-8) * 10.0
-                    continue
-                if not np.all(np.isfinite(d)):
-                    lam = max(lam, 1e-8) * 10.0
-                    continue
-                u_new, val, ok, hit = _backtrack(
-                    prob, u, Sl, d, loss, cur, float(g @ d)
-                )
-                if ok:
-                    u, cur = u_new, val
-                    lam = max(lam / 10.0, 1e-10)
-                    stepped = True
-                    break
-                clamped = clamped or hit
-                lam = max(lam, 1e-8) * 10.0
-            if not stepped:
-                break
-        u, cur, converged, clamped = _polish(
-            prob, Sl, u, cur, converged, clamped, loss, _lse_grad_hess
-        )
-        if best is None or cur < best[1]:
-            best = (u, cur, converged, clamped)
-    return best
 
 
 def inner_solve(prob: FitProblem, S: tuple):
     """Solve the smooth inner problem on a fixed support.
 
-    Returns (u, loss, converged, boundary_clamped) or None when no feasible
-    start exists for the support.
+    Every start runs ``_polish`` with the loss's own derivative pair (exact
+    Hessian for the likelihood, Gauss-Newton for least squares).  Returns
+    (u, loss, converged, boundary_clamped) or None when no feasible start
+    exists for the support.
     """
-    loss = _loss_fn(prob)
-    if len(S) == 0:
-        zero = np.zeros(prob.X.p)
-        if not _feasible(prob, zero):
-            return None
-        return zero, loss(zero), True, False
-    if prob.loss == "mle":
-        return _solve_mle_support(prob, S, loss)
-    return _solve_lse_support(prob, S, loss)
+    sp = _Support(prob, S)
+    zero = np.zeros(len(sp.S))
+    starts = [zero] if sp.admits(zero, sp.Xs @ zero) else []
+    if not S:
+        return (sp.embed(zero), sp.value(sp.Xs @ zero), True, False) if starts else None
+    if sp.two_starts or not starts:
+        ridge = _ridge_start(sp)
+        if ridge is not None and not (starts and np.array_equal(ridge, zero)):
+            starts.append(ridge)
+    if not starts:
+        return None
+    v, cur, converged, clamped = min(
+        (_polish(sp, v, sp.value(sp.Xs @ v)) for v in starts), key=lambda r: r[1]
+    )
+    return sp.embed(v), cur, converged, clamped
 
 
 def fit(prob: FitProblem) -> FitResult:
@@ -464,7 +420,7 @@ def fit(prob: FitProblem) -> FitResult:
     obj, spt, support, u, lval = tied[0]
     tie_break = len({c[2] for c in tied}) > 1
     # recompute the reported objective from the returned parameter
-    check = _loss_fn(prob)(u) + prob.c_r * int(np.count_nonzero(u))
+    check = _LOSSES[prob.loss][0](prob, prob.X.X @ u) + prob.c_r * int(np.count_nonzero(u))
     if not math.isclose(check, obj, rel_tol=0.0, abs_tol=1e-9 * max(1.0, abs(obj))):
         raise AssertionError("objective recomputation mismatch")
     return FitResult(

@@ -59,6 +59,19 @@ class ExpFamily:
                 f"natural parameter outside family domain at row {i}"
             )
 
+    def nll(self, y: np.ndarray, t: np.ndarray) -> float:
+        """Negative log-likelihood sum_i Lambda(t_i) - y't on row images t;
+        raises ValueError outside the natural domain."""
+        self.check_natural(t)
+        return float(np.sum(self.log_partition(t)) - y @ t)
+
+    def nll_derivatives(self, y: np.ndarray, Xs: np.ndarray, t: np.ndarray):
+        """Gradient Xs'(Lambda'(t) - y) and Hessian Xs' diag(Lambda''(t)) Xs of
+        ``nll`` along the columns Xs, at row images t; raises ValueError
+        outside the natural domain."""
+        self.check_natural(t)
+        return Xs.T @ (self.mean(t) - y), Xs.T @ (self.variance(t)[:, None] * Xs)
+
     def curvature_floor(self, I: Interval):
         """Closed-form inf over I of Lambda'', or None when the family has
         none (``curvature_inf`` then searches)."""
@@ -186,9 +199,7 @@ def mle_loss(y, X, u, fam: ExpFamily) -> float:
     dm = _as_design(X)
     y = np.asarray(y, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
-    t = dm.X @ u
-    fam.check_natural(t)
-    return float(np.sum(fam.log_partition(t)) - y @ t)
+    return fam.nll(y, dm.X @ u)
 
 
 def mle_objective(y, X, u, fam: ExpFamily, c_r: float) -> float:
@@ -212,10 +223,5 @@ def mle_gradient_hessian(y, X, u, fam: ExpFamily, support=None):
     dm = _as_design(X)
     y = np.asarray(y, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
-    t = dm.X @ u
-    fam.check_natural(t)
     S = np.arange(dm.p) if support is None else np.asarray(support, dtype=int)
-    Xs = dm.X[:, S]
-    g = Xs.T @ (fam.mean(t) - y)
-    H = Xs.T @ (fam.variance(t)[:, None] * Xs)
-    return g, H
+    return fam.nll_derivatives(y, dm.X[:, S], dm.X @ u)

@@ -37,6 +37,14 @@ _ENUM_BUDGET = 1_000_000
 _POINT_BUDGET = 2_000_000
 
 
+def _row_radii(f: AnalyticFn, T: np.ndarray) -> np.ndarray:
+    """min over each row of T of f.radius_at, called once per distinct value
+    of T (row by row, so no temporary of the size of T is formed)."""
+    vals = np.unique(T)
+    rad = np.array([f.radius_at(t) for t in vals])
+    return np.array([np.min(rad[np.searchsorted(vals, row)]) for row in T])
+
+
 @dataclass
 class CoveringGrid:
     """A finite cover of the segment hull with per-point disc radii.
@@ -76,10 +84,7 @@ class CoveringGrid:
     def r_values(self) -> np.ndarray:
         """Per-point joint radius min_i rho(X_i'u)."""
         if self._r is None:
-            T = self.row_images()
-            self._r = np.array(
-                [min(self.f.radius_at(t) for t in row) for row in T]
-            )
+            self._r = _row_radii(self.f, self.row_images())
         return self._r
 
     @property
@@ -246,9 +251,7 @@ def singleton_grid(w, X, f: AnalyticFn, D: DomainSpec, d: float) -> CoveringGrid
     wn = float(np.abs(w) @ dm.column_norms(math.inf))
     if D.l1inf_cap + wn > d / 2.0:
         raise ValueError("domain not certified inside B(w, d/2)")
-    rows = dm.X @ w
-    radii = [f.radius_at(t) for t in rows]
-    r = min(radii)
+    r = float(_row_radii(f, (dm.X @ w)[None, :])[0])
     if not r > 0:
         raise ValueError("function singular at the cover center")
     if math.isinf(r):

@@ -46,6 +46,25 @@ def test_in_domain_checks_each_constraint():
     assert not in_domain(np.array([1.0, 0.0]), X, D2)  # row leaves I
 
 
+def test_admits_on_a_support_restriction_matches_in_domain():
+    # the inner solver tests (v, X_S v, ||V_j||_inf for j in S); on a +-1
+    # design with |S| <= 2 those are the very numbers in_domain sees
+    rng = np.random.default_rng(5)
+    X = DesignMatrix(rng.choice([-1.0, 1.0], size=(40, 5)))
+    w = X.column_norms(math.inf)
+    D = DomainSpec(Interval(-1.0, 1.0), max_support=2.0, l1inf_cap=1.2)
+    seen = set()
+    for _ in range(400):
+        S = sorted(rng.choice(5, size=int(rng.integers(1, 4)), replace=False).tolist())
+        v = rng.uniform(-0.8, 0.8, len(S)) * rng.choice([0.0, 1.0], len(S), p=[0.2, 0.8])
+        u = np.zeros(5)
+        u[S] = v
+        want = in_domain(u, X, D)
+        assert D.admits(v, X.X[:, S] @ v, w[S]) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
 def test_segment_hull_sample_hand_example():
     got = segment_hull_sample([np.zeros(2), np.array([1.0, 0.0])], grid_per_edge=3)
     pts = sorted(tuple(p) for p in got)

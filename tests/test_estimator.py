@@ -1,5 +1,6 @@
 """L0 estimator: enumeration, inner solves, ties, pruning, boundary handling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -427,3 +428,90 @@ def test_large_n_boundary_replicates_fit_in_seconds():
         assert row["spt_hat"] == 2 and row["hit"] == 1 and row["budget_ok"] == 1
         assert row["error"] < 0.05
     assert wall < 10.0, f"two replicates took {wall:.1f} s"
+
+
+def test_fit_does_not_call_the_full_vector_helpers_per_trial(monkeypatch):
+    # every trial point is judged on one product X_S v; the public helpers
+    # in_domain and mle_loss form X u over all p columns, and a fit that
+    # called them per trial made thousands of such products
+    import l0bounds
+    from l0bounds import domains, estimator, expfam, harness
+
+    _cfg, inst, D = _boundary_instance(1200)
+    calls = {"in_domain": 0, "mle_loss": 0}
+    for mod, name in ((domains, "in_domain"), (expfam, "mle_loss")):
+        real = getattr(mod, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for ns in (l0bounds, domains, expfam, estimator, harness):
+            if getattr(ns, name, None) is real:
+                monkeypatch.setattr(ns, name, counted)
+    res = fit(
+        FitProblem(y=inst.y, X=inst.X, domain=D, c_r=0.5, h_max=2, loss="mle", family=bernoulli())
+    )
+    assert {r.support for r in res.records if r.boundary_clamped}, "no facet phase entered"
+    assert len(res.records) == 37
+    assert calls["in_domain"] <= 5 and calls["mle_loss"] <= 5, calls
+
+
+def test_lse_interior_solves_are_stationary():
+    # least squares runs the same damped Newton as the likelihood, with the
+    # Gauss-Newton curvature; wherever no constraint stopped it, the loss
+    # gradient on the support must vanish (recomputed here from X u)
+    rng = np.random.default_rng(808)
+    f = logistic_flip(0.1, 0.9)
+    checked = {"pm1": 0, "gaussian": 0}
+    for i in range(12):
+        design = ("pm1", "gaussian")[i % 2]
+        n, p = int(rng.integers(80, 300)), int(rng.integers(3, 6))
+        if design == "pm1":
+            Xm = rng.choice([-1.0, 1.0], size=(n, p))
+        else:
+            Xm = rng.standard_normal((n, p))
+        beta = np.zeros(p)
+        beta[rng.choice(p, 2, replace=False)] = rng.uniform(0.3, 0.8, 2) * rng.choice([-1.0, 1.0], 2)
+        t = Xm @ beta
+        if design == "pm1":  # flip-channel binary response
+            y = (rng.random(n) < f(t)).astype(float)
+        else:
+            y = f(t) + rng.normal(0.0, 0.05, n)
+        D = DomainSpec(Interval(-3.0, 3.0), max_support=3.0, l1inf_cap=3.0)
+        prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=D, c_r=0.0, h_max=3, loss="lse", link=f)
+        for k in (1, 2, 3):
+            for S in itertools.combinations(range(p), k):
+                got = inner_solve(prob, S)
+                assert got is not None
+                u, lval, _conv, clamped = got
+                if clamped:
+                    continue
+                tu = Xm @ u
+                r = y - f(tu)
+                assert lval == pytest.approx(float(r @ r), rel=1e-12)
+                grad = -2.0 * Xm[:, list(S)].T @ (f.deriv1(tu) * r)
+                assert float(np.max(np.abs(grad))) <= 1e-6, (i, S, grad)
+                checked[design] += 1
+    assert min(checked.values()) >= 50, checked
+
+
+def test_likelihood_derivatives_are_the_public_ones():
+    # the solver's (g, H) is expfam's formula plus a 1e-12 trace ridge, so the
+    # finite-difference checks of mle_gradient_hessian cover what fit uses
+    from l0bounds import mle_gradient_hessian
+    from l0bounds.estimator import _mle_grad_hess
+
+    rng = np.random.default_rng(9)
+    for fam in (bernoulli(), gaussian(1.3)):
+        Xm = rng.standard_normal((30, 5))
+        u = np.zeros(5)
+        S = [0, 2, 3]
+        u[S] = 0.3 * rng.standard_normal(3)
+        y = rng.integers(0, 2, 30).astype(float)
+        prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=WIDE, c_r=0.0, h_max=3, family=fam)
+        g, H = _mle_grad_hess(prob, Xm[:, S], u[S])
+        g0, H0 = mle_gradient_hessian(y, Xm, u, fam, support=S)
+        np.testing.assert_allclose(g, g0, rtol=1e-12, atol=1e-12)
+        ridge = 1e-12 * max(1.0, float(np.trace(H0)))
+        np.testing.assert_allclose(H - ridge * np.eye(3), H0, rtol=1e-12, atol=1e-12)

@@ -168,3 +168,18 @@ def test_A_sup_table_equals_per_order_grid_max():
     for k in range(1, 31):
         assert A[k] == np.max(F.coeff_abs_batch(k, flat)), k
     assert np.array_equal(G.A_sup(12), A[:13])
+
+
+def test_radii_match_the_per_row_loop():
+    # r(u) is taken once per distinct row image; the values must be the
+    # per-(point, row) minimum bit for bit, so the grid JSON does not move
+    X = _design(n=60, p=5, seed=3)
+    G = build_grid(X, F, _domain(cap=1.5, h=2), h=2)
+    want = np.array([min(F.radius_at(t) for t in row) for row in G.row_images()])
+    assert G.r_values().tobytes() == want.tobytes()
+    w = np.zeros(5)
+    w[[0, 3]] = [0.02, -0.01]
+    small = DomainSpec(Interval(-1.5, 1.5), max_support=1.0, l1inf_cap=0.05)
+    S = singleton_grid(w, X, F, small, d=1.0)
+    r = min(F.radius_at(t) for t in X.X @ w)
+    assert S.b[0] == min((1.0 + r) / 2.0, 0.999 * r)
