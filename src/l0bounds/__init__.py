@@ -45,7 +45,7 @@ from .design import (
 )
 from .domains import DomainSpec, Interval, in_domain
 from .estimator import FitProblem, FitResult, SupportRecord, fit, inner_solve
-from .expfam import ExpFamily, bernoulli, curvature_inf, custom_family, gaussian, mle_gradient_hessian, mle_loss, mle_objective
+from .expfam import ExpFamily, bernoulli, curvature_inf, gaussian, mle_gradient_hessian, mle_loss
 from .grids import CoveringGrid, build_grid, covers, grid_statistics, singleton_grid
 from .harness import (
     CoverageResult,
@@ -58,7 +58,6 @@ from .harness import (
     gaussian_iid,
     generate_instance,
     multinomial_identity_gap,
-    power_iteration,
     run_coverage,
     verify_control_event,
     verify_tail,

@@ -99,8 +99,6 @@ class AnalyticFn:
         never branches on it.
     params : dict
         Constructor parameters (coefficients, channel probabilities, ...).
-    pole_set : str
-        Human-readable description of the complex singularities.
 
     Notes
     -----
@@ -109,22 +107,20 @@ class AnalyticFn:
     so ``deriv_k`` is only finite where the product a_k * k! is.
 
     Links are built through the constructors in ``LINKS``, never from this
-    base class directly.  The facts the bounds need about a link are
-    methods: each link kind defines ``deriv1`` (f' at grid points),
-    ``radius_floor`` and ``tail``, and overrides ``slope_floor``,
-    ``abs_coeff_table``, ``strip_dk`` and ``interval_dk`` where it has
-    closed forms; the kinds whose slope floor needs ``min_slope``'s grid
-    search also define ``deriv2_sup`` (max |f''| over grid points).
+    base class directly.  Everything a link knows is a method of its kind:
+    each kind defines ``_eval`` (f on an array), ``_coeff`` (a_k at one
+    center, k >= 1), ``radius_at`` (convergence radius of the Taylor series
+    at a real center), ``deriv1`` (f' at grid points),
+    ``radius_floor`` and ``tail``, and overrides ``_coeff_batch`` (a_k at
+    many centers), ``slope_floor``, ``abs_coeff_table``, ``strip_dk`` and
+    ``interval_dk`` where it has vectorized or closed forms; the kinds whose
+    slope floor needs ``min_slope``'s grid search also define
+    ``deriv2_sup`` (max |f''| over grid points).
     """
 
-    def __init__(self, tag, evalf, coeff, radius, params=None, pole_set="none", coeff_batch=None):
+    def __init__(self, tag: str, params: dict):
         self.tag = tag
-        self._eval = evalf
-        self._coeff = coeff
-        self._radius = radius
-        self._coeff_batch = coeff_batch
-        self.params = dict(params or {})
-        self.pole_set = pole_set
+        self.params = params
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -144,9 +140,10 @@ class AnalyticFn:
         ts = np.asarray(ts, dtype=float).ravel()
         if k == 0:
             return np.abs(self._eval(ts))
-        if self._coeff_batch is not None:
-            return np.abs(self._coeff_batch(int(k), ts))
-        return np.abs(np.array([self._coeff(int(k), float(t)) for t in ts]))
+        return np.abs(self._coeff_batch(int(k), ts))
+
+    def _coeff_batch(self, k: int, ts: np.ndarray) -> np.ndarray:
+        return np.array([self._coeff(k, float(t)) for t in ts])
 
     def deriv_k(self, k: int, t: float = 0.0) -> float:
         """Raw derivative f^(k)(t); +-inf once k! overflows the double range."""
@@ -157,10 +154,6 @@ class AnalyticFn:
             return a * math.factorial(k)
         except OverflowError:
             return math.copysign(math.inf, a) if a else 0.0
-
-    def radius_at(self, t: float) -> float:
-        """Convergence radius of the Taylor series centered at real t."""
-        return float(self._radius(float(t)))
 
     # -- per-link facts shared by every link kind ---------------------------
 
@@ -186,6 +179,20 @@ class AnalyticFn:
 class _Polynomial(AnalyticFn):
     """Entire; coefficients vanish above the degree, and f' is constant for
     degree <= 1."""
+
+    def _eval(self, t):
+        return np.polynomial.polynomial.polyval(t, self.params["coeffs"])
+
+    def _coeff(self, k, t):
+        c, deg = self.params["coeffs"], self.params["degree"]
+        if k > deg:
+            return 0.0
+        return float(
+            sum(c[m] * math.comb(m, k) * t ** (m - k) for m in range(k, deg + 1))
+        )
+
+    def radius_at(self, t):
+        return math.inf
 
     def deriv1(self, xs):
         c = self.params["coeffs"]
@@ -229,6 +236,15 @@ class _Polynomial(AnalyticFn):
 class _Exp(AnalyticFn):
     """Entire; a_k(t) = e^t / k! is largest at the right end of an interval."""
 
+    def _eval(self, t):
+        return np.exp(t)
+
+    def _coeff(self, k, t):
+        return math.exp(t) / math.factorial(k) if k <= 170 else math.exp(t) * math.exp(-math.lgamma(k + 1))
+
+    def radius_at(self, t):
+        return math.inf
+
     def deriv1(self, xs):
         return np.exp(xs)
 
@@ -248,6 +264,18 @@ class _Exp(AnalyticFn):
 
 class _LogisticFlip(AnalyticFn):
     """p01 + delta s(t): poles at t +- (2m+1) pi i, slope decreasing in |t|."""
+
+    def _eval(self, t):
+        return self.params["p01"] + self.params["delta"] * expit(t)
+
+    def _coeff(self, k, t):
+        return self.params["delta"] * _sig_coeff_batch(k, [t])[0]
+
+    def _coeff_batch(self, k, ts):
+        return self.params["delta"] * _sig_coeff_batch(k, ts)
+
+    def radius_at(self, t):
+        return math.hypot(float(t), math.pi)
 
     def deriv1(self, xs):
         s = expit(xs)
@@ -289,21 +317,7 @@ def polynomial(coeffs) -> AnalyticFn:
     if c.size == 0:
         raise ValueError("polynomial needs at least one coefficient")
     deg = int(np.max(np.nonzero(c)[0])) if np.any(c) else 0
-
-    def ev(t):
-        return np.polynomial.polynomial.polyval(t, c)
-
-    def coeff(k, t):
-        if k > deg:
-            return 0.0
-        return float(
-            sum(c[m] * math.comb(m, k) * t ** (m - k) for m in range(k, deg + 1))
-        )
-
-    return _Polynomial(
-        "polynomial", ev, coeff, lambda t: math.inf,
-        params={"coeffs": c, "degree": deg}, pole_set="none (entire)",
-    )
+    return _Polynomial("polynomial", {"coeffs": c, "degree": deg})
 
 
 def linear(a: float, b: float = 0.0) -> AnalyticFn:
@@ -316,14 +330,7 @@ def linear(a: float, b: float = 0.0) -> AnalyticFn:
 
 def exp_fn() -> AnalyticFn:
     """f(t) = e^t."""
-
-    def coeff(k, t):
-        return math.exp(t) / math.factorial(k) if k <= 170 else math.exp(t) * math.exp(-math.lgamma(k + 1))
-
-    return _Exp(
-        "exp", np.exp, coeff, lambda t: math.inf,
-        params={}, pole_set="none (entire)",
-    )
+    return _Exp("exp", {})
 
 
 def logistic_flip(p01: float, p11: float) -> AnalyticFn:
@@ -339,24 +346,7 @@ def logistic_flip(p01: float, p11: float) -> AnalyticFn:
             raise ValueError(f"{name} must lie in [0, 1]")
     if p11 <= p01:
         raise ValueError("p11 must exceed p01 (monotone channel)")
-    delta = p11 - p01
-
-    def ev(t):
-        return p01 + delta * expit(t)
-
-    def coeff(k, t):
-        return delta * _sig_coeff_batch(k, [t])[0]
-
-    def coeff_batch(k, ts):
-        return delta * _sig_coeff_batch(k, ts)
-
-    return _LogisticFlip(
-        "logistic_flip", ev, coeff,
-        lambda t: math.hypot(t, math.pi),
-        params={"p01": p01, "p11": p11, "delta": delta},
-        pole_set="t +- (2m+1) pi i along the imaginary axis",
-        coeff_batch=coeff_batch,
-    )
+    return _LogisticFlip("logistic_flip", {"p01": p01, "p11": p11, "delta": p11 - p01})
 
 
 LINKS = {"logistic_flip": logistic_flip, "linear": linear, "polynomial": polynomial, "exp": exp_fn}

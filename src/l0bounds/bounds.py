@@ -95,7 +95,8 @@ def _wk(dm: DesignMatrix, K: int) -> list:
 def _tail(kind: tuple, amp: float, x: float, K: int) -> float:
     """Certified bound on the terms amp k sqrt(k) d_k x^(k-1), k > K, where d_k
     follows the envelope tail ``kind`` (see ``CoefficientEnvelope``) and amp
-    carries sup_k w_k.  Past its degree a finite series has no terms.
+    carries the prefactor, sup_k w_k and the order weight at k = 1.  Past its
+    degree a finite series has no terms.
     Otherwise the term ratio is at most gamma < 1 -- sqrt(2) x/(K+1) when
     d_k <= A/k!, sqrt((K+2)/(K+1)) x/c for the logistic majorant at contour
     c = (x + pi)/2 < pi -- so the first omitted term over 1 - gamma bounds it.
@@ -128,14 +129,25 @@ def _tail(kind: tuple, amp: float, x: float, K: int) -> float:
     return first / (1.0 - gamma)
 
 
-def _check_decay(T: np.ndarray, kind: tuple):
-    """Refuse a series whose last two nonzero computed terms are not decaying
-    (a finite series needs no decay)."""
-    if kind[0] == "finite":
-        return
+def _c1_series(dm: DesignMatrix, weight, d, x: float, K: int, kind: tuple, pref: float) -> SeriesBound:
+    """pref sum_{k<=K} weight(k) d[k] x^(k-1) w_k plus the certified tail.
+
+    Every weight satisfies weight(k) <= k sqrt(k) weight(1) (k sqrt(L + k
+    lambda_p) <= k sqrt(k) sqrt(L + lambda_p) for L >= 0), so the tail
+    amplitude is pref weight(1) sup_k w_k.  A series whose last two nonzero
+    computed terms are not decaying is refused (a finite series needs no
+    decay).
+    """
+    w = _wk(dm, K)
+    T = np.zeros(K + 1)
+    for k in range(1, K + 1):
+        T[k] = weight(k) * d[k] * x ** (k - 1) * w[k]
     nz = np.nonzero(T)[0]
-    if nz.size >= 2 and T[nz[-1]] >= T[nz[-2]]:
+    if kind[0] != "finite" and nz.size >= 2 and T[nz[-1]] >= T[nz[-2]]:
         raise ValueError(_DECAY_ERR)
+    partial = pref * float(T.sum())
+    tail = _tail(kind, pref * weight(1) * dm.max_norm(math.inf), x, K)
+    return SeriesBound(partial + tail, partial, tail, K)
 
 
 # ----------------------------------------------------------------------------
@@ -205,16 +217,9 @@ def c1_one_disc(X, f: AnalyticFn, sigma: float, q: float, theta: float, K: int =
             "series diverges: infinite radius with a nonlinear link; "
             "use the envelope form on a bounded region"
         )
-    x = theta * rho
-    w = _wk(dm, K)
-    T = np.zeros(K + 1)
-    for k in range(1, K + 1):
-        # |f^(k)(0)|/(k-1)! = k |a_k(0)|
-        T[k] = math.sqrt(k) * k * abs(f.coeff_k(k, 0.0)) * x ** (k - 1) * w[k]
-    _check_decay(T, kind)
-    partial = pref * float(T.sum())
-    tail = _tail(kind, pref * dm.max_norm(math.inf), x, K)
-    return SeriesBound(partial + tail, partial, tail, K)
+    # |f^(k)(0)|/(k-1)! = k |a_k(0)|
+    d = [0.0] + [abs(f.coeff_k(k, 0.0)) for k in range(1, K + 1)]
+    return _c1_series(dm, lambda k: math.sqrt(k) * k, d, theta * rho, K, kind, pref)
 
 
 def c1_multi_disc(X, G: CoveringGrid, sigma: float, q: float, K: int = 60) -> SeriesBound:
@@ -227,18 +232,10 @@ def c1_multi_disc(X, G: CoveringGrid, sigma: float, q: float, K: int = 60) -> Se
     _check_q(q)
     lam = lambda_p(dm.p, q)
     lg = math.log(len(G))
-    b = G.b_inf
-    kind = G.f.tail(G.t_signed_max())
-    w = _wk(dm, K)
-    A = G.A_sup(K)
-    T = np.zeros(K + 1)
-    for k in range(1, K + 1):
-        T[k] = k * math.sqrt(lg + k * lam) * A[k] * b ** (k - 1) * w[k]
-    _check_decay(T, kind)
-    pref = math.sqrt(2.0) * sigma
-    partial = pref * float(T.sum())
-    tail = _tail(kind, pref * math.sqrt(lg + lam) * dm.max_norm(math.inf), b, K)
-    return SeriesBound(partial + tail, partial, tail, K)
+    return _c1_series(
+        dm, lambda k: k * math.sqrt(lg + k * lam), G.A_sup(K), G.b_inf, K,
+        G.f.tail(G.t_signed_max()), math.sqrt(2.0) * sigma,
+    )
 
 
 def c1_ub(
@@ -249,24 +246,19 @@ def c1_ub(
     h: float,
     delta_D: float,
     rho1: float,
-    mode: str = "strip",
-    K: int = 60,
 ) -> SeriesBound:
     """Envelope series with the cover cardinality folded into the log factor:
 
     c1 = sqrt(2) sigma sum_k k sqrt(h ln(p Q) + k lambda_p) d_k rho1^(k-1)
          n^{-1/(2k)} max_j ||V_j||_{2k},
 
-    where Q = 2 delta_D / rho1 + 1 (strip mode, d_k over the real line) or
-    Q = 4 delta_D / rho1 + 1 (interval mode).  delta_D is the hull radius of
-    the domain and h the support size of hull points.
+    summed over the envelope's K orders, where Q = 2 delta_D / rho1 + 1 for
+    a strip envelope (d_k over the real line) and Q = 4 delta_D / rho1 + 1
+    for an interval envelope.  delta_D is the hull radius of the domain and
+    h the support size of hull points.
     """
     dm = _as_design(X)
     _check_q(q)
-    if mode not in ("strip", "interval"):
-        raise ValueError("mode must be 'strip' or 'interval'")
-    if envelope.mode != mode:
-        raise ValueError("envelope mode does not match the requested mode")
     if envelope.tail is None:
         raise ValueError("certified tail unavailable for custom envelopes")
     if not rho1 > 0:
@@ -280,20 +272,12 @@ def c1_ub(
     if envelope.contour_radius is not None and rho1 >= envelope.contour_radius:
         raise ValueError("rho1 exceeds the envelope contour radius")
     lam = lambda_p(dm.p, q)
-    Q = (2.0 if mode == "strip" else 4.0) * delta_D / rho1 + 1.0
+    Q = (2.0 if envelope.mode == "strip" else 4.0) * delta_D / rho1 + 1.0
     L = h * math.log(dm.p * Q)
-    K_use = min(K, envelope.K)
-    if K_use < K and envelope.tail[0] != "finite":
-        raise ValueError("envelope stores fewer orders than requested K")
-    w = _wk(dm, K_use)
-    T = np.zeros(K_use + 1)
-    for k in range(1, K_use + 1):
-        T[k] = k * math.sqrt(L + k * lam) * envelope.dk[k] * rho1 ** (k - 1) * w[k]
-    _check_decay(T, envelope.tail)
-    pref = math.sqrt(2.0) * sigma
-    partial = pref * float(T.sum())
-    tail = _tail(envelope.tail, pref * math.sqrt(L + lam) * dm.max_norm(math.inf), rho1, K_use)
-    return SeriesBound(partial + tail, partial, tail, K_use)
+    return _c1_series(
+        dm, lambda k: k * math.sqrt(L + k * lam), envelope.dk, rho1, envelope.K,
+        envelope.tail, math.sqrt(2.0) * sigma,
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -376,6 +360,20 @@ def glm_report(X, family: ExpFamily, I: Interval, sigma: float, q: float, nu: fl
     )
 
 
+def _lse_report(theorem, s: SeriesBound, dm, f: AnalyticFn, I: Interval, sigma, q, nu, extra) -> BoundsReport:
+    """Least-squares report: c1 from the series s, c2 from the slope floor
+    of f on I; ``extra`` holds the theorem's own inputs."""
+    dmin = min_slope(f, I)
+    c2v = c2_lse(dm, nu, dmin)
+    return _assemble(
+        theorem, s.value, c2v, dm, q, s.K, s.tail,
+        {
+            "n": dm.n, "p": dm.p, "sigma": sigma, "q": q, "nu": nu, **extra,
+            "dmin": dmin, "mu": coherence(dm), "link": f.tag, "interval": [I.lo, I.hi],
+        },
+    )
+
+
 def one_disc_report(
     X, f: AnalyticFn, I: Interval, sigma: float, q: float, nu: float,
     theta: float, K: int = 60,
@@ -383,16 +381,7 @@ def one_disc_report(
     """Least-squares constants from the single-disc series at the origin."""
     dm = _as_design(X)
     s = c1_one_disc(dm, f, sigma, q, theta, K=K)
-    dmin = min_slope(f, I)
-    c2v = c2_lse(dm, nu, dmin)
-    return _assemble(
-        "one_disc", s.value, c2v, dm, q, s.K, s.tail,
-        {
-            "n": dm.n, "p": dm.p, "sigma": sigma, "q": q, "nu": nu,
-            "theta": theta, "dmin": dmin, "mu": coherence(dm), "link": f.tag,
-            "interval": [I.lo, I.hi],
-        },
-    )
+    return _lse_report("one_disc", s, dm, f, I, sigma, q, nu, {"theta": theta})
 
 
 def multi_disc_report(
@@ -401,15 +390,8 @@ def multi_disc_report(
     """Least-squares constants from the covering-grid series."""
     dm = _as_design(X)
     s = c1_multi_disc(dm, G, sigma, q, K=K)
-    dmin = min_slope(G.f, I)
-    c2v = c2_lse(dm, nu, dmin)
-    return _assemble(
-        "multi_disc", s.value, c2v, dm, q, s.K, s.tail,
-        {
-            "n": dm.n, "p": dm.p, "sigma": sigma, "q": q, "nu": nu,
-            "grid_size": len(G), "b_inf": G.b_inf, "dmin": dmin,
-            "mu": coherence(dm), "link": G.f.tag, "interval": [I.lo, I.hi],
-        },
+    return _lse_report(
+        "multi_disc", s, dm, G.f, I, sigma, q, nu, {"grid_size": len(G), "b_inf": G.b_inf}
     )
 
 
@@ -436,16 +418,9 @@ def ub_report(
     if mode == "strip":
         env = coefficient_envelope(f, "strip", None, K=K, contour_radius=rho1 / theta)
     else:
-        env = coefficient_envelope(f, "interval", I, K=K)
-    s = c1_ub(dm, env, sigma, q, h, delta_D, rho1, mode=mode, K=K)
-    dmin = min_slope(f, I)
-    c2v = c2_lse(dm, nu, dmin)
-    return _assemble(
-        f"ub_{mode}", s.value, c2v, dm, q, s.K, s.tail,
-        {
-            "n": dm.n, "p": dm.p, "sigma": sigma, "q": q, "nu": nu,
-            "rho1": rho1, "theta": theta, "h": h, "delta_D": delta_D,
-            "dmin": dmin, "mu": coherence(dm), "link": f.tag,
-            "interval": [I.lo, I.hi],
-        },
+        env = coefficient_envelope(f, mode, I, K=K)
+    s = c1_ub(dm, env, sigma, q, h, delta_D, rho1)
+    return _lse_report(
+        f"ub_{mode}", s, dm, f, I, sigma, q, nu,
+        {"rho1": rho1, "theta": theta, "h": h, "delta_D": delta_D},
     )

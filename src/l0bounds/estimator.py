@@ -197,8 +197,8 @@ def _backtrack(sp: _Support, v, d, cur, gdotd):
     return v, cur, False, hit_boundary
 
 
-def _active_constraints(prob: FitProblem, S: list, u: np.ndarray):
-    """Linearize the constraints binding at u, restricted to support coords.
+def _active_constraints(sp: _Support, v: np.ndarray):
+    """Linearize the constraints binding at the support iterate v.
 
     The domain is an intersection of the weighted-l1 ball (linear on each
     sign orthant) and per-row interval half-spaces, so every active
@@ -209,20 +209,17 @@ def _active_constraints(prob: FitProblem, S: list, u: np.ndarray):
     upper rows, the binding lower rows (both in row order), then the frozen
     unit rows; None when nothing binds.
     """
-    D, dm = prob.domain, prob.X
-    v = u[S]
-    k = len(S)
+    D, Xs, w = sp.prob.domain, sp.Xs, sp.w
+    k = len(sp.S)
     cap_rows, kinds = [], []
     frozen: list[int] = []
     cap = D.l1inf_cap
     if cap is not None:
-        w = dm.column_norms(np.inf)[S]
         if float(w @ np.abs(v)) >= cap * (1.0 - 1e-9):
             cap_rows.append((w * np.sign(v))[None, :])
             kinds.append("cap")
             frozen = [j for j in range(k) if abs(v[j]) <= 1e-12]
     I = D.interval
-    Xs = dm.X[:, S]
     t = Xs @ v
     scale = max(1.0, abs(I.lo) if math.isfinite(I.lo) else 1.0,
                 abs(I.hi) if math.isfinite(I.hi) else 1.0)
@@ -263,7 +260,7 @@ def _facet_phase(sp: _Support, v: np.ndarray, cur: float):
     the caller should resume interior iterations.
     """
     for _ in range(_MAX_ITER):
-        act = _active_constraints(sp.prob, sp.S, sp.embed(v))
+        act = _active_constraints(sp, v)
         if act is None:  # drifted inside; hand back to the interior loop
             return v, cur, False, True
         A, kinds = act

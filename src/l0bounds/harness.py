@@ -30,7 +30,7 @@ from scipy.special import expit
 
 from .analytic import AnalyticFn, logistic_flip
 from .bounds import BoundsReport, glm_report, ub_report
-from .design import DESIGNS, DesignMatrix, _as_design, capacity, load_matrix_csv, random_design
+from .design import DESIGNS, DesignMatrix, _as_design, capacity, random_design
 from .domains import DomainSpec, Interval, in_domain
 from .estimator import FitProblem, fit
 from .expfam import FAMILIES, ExpFamily, bernoulli, gaussian
@@ -43,7 +43,6 @@ __all__ = [
     "bernoulli_residual",
     "flip_channel",
     "NOISES",
-    "power_iteration",
     "wilson_interval",
     "ExperimentConfig",
     "CoverageResult",
@@ -163,30 +162,12 @@ NOISES = {
 }
 
 
-def power_iteration(A, tol: float = 1e-8, max_iter: int = 10_000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix, deterministic start."""
-    A = np.asarray(A, dtype=float)
-    v = np.ones(A.shape[0]) / math.sqrt(A.shape[0])
-    lam = 0.0
-    for _ in range(max_iter):
-        w = A @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        lam_new = float(v_new @ (A @ v_new))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        v, lam = v_new, lam_new
-    return lam
-
-
 @functools.cache
 def _corr_chol(n: int, rho: float) -> np.ndarray:
     """Cholesky factor of the AR(1) covariance normalized to spectral radius 1."""
     idx = np.arange(n)
     S = rho ** np.abs(idx[:, None] - idx[None, :])
-    return np.linalg.cholesky(S / power_iteration(S))
+    return np.linalg.cholesky(S / np.linalg.eigvalsh(S)[-1])
 
 
 def wilson_interval(k: int, n: int, z: float = Z95):
@@ -228,7 +209,6 @@ class ExperimentConfig:
     p01: float = 0.1
     p11: float = 0.9
     design: str = "pm1_iid"
-    csv_path: str | None = None
     interval_halfwidth: float = 3.0
     theta: float = 0.75
     rho1: float = math.pi / 2.0
@@ -256,10 +236,8 @@ class ExperimentConfig:
                 c_r = math.nan
             if not (math.isfinite(c_r) and c_r >= 0.0):
                 raise ValueError("c_r must be 'theorem' or a finite number >= 0")
-        if self.design != "csv" and self.design not in DESIGNS:
+        if self.design not in DESIGNS:
             raise ValueError("unknown design tag")
-        if self.design == "csv" and not self.csv_path:
-            raise ValueError("csv design needs csv_path")
         if not self.interval_halfwidth > 0:
             raise ValueError("interval_halfwidth must be positive")
 
@@ -297,12 +275,6 @@ def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(replicate))))
 
 
-def _draw_design(cfg: ExperimentConfig, rng: np.random.Generator) -> DesignMatrix:
-    if cfg.design == "csv":
-        return DesignMatrix(load_matrix_csv(cfg.csv_path))
-    return random_design(cfg.design, cfg.n, cfg.p, rng)
-
-
 def _fit_domain(cfg: ExperimentConfig, dm: DesignMatrix) -> DomainSpec:
     """Fit domain: interval rows, weighted cap, and a support budget that
     stays inside the theorem domain (half the coherence capacity) whenever
@@ -324,7 +296,7 @@ def generate_instance(cfg: ExperimentConfig, replicate: int) -> Instance:
     """One (X, beta, y) draw; beta is rescaled into the fit domain and its
     membership certified.  Raises after 100 failed rescaling attempts."""
     rng = _replicate_rng(cfg.seed, replicate)
-    dm = _draw_design(cfg, rng)
+    dm = random_design(cfg.design, cfg.n, cfg.p, rng)
     D = _fit_domain(cfg, dm)
     beta = None
     for _ in range(100):

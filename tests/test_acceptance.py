@@ -139,7 +139,7 @@ def _oracle_objective(prob):
             ok[i] = lb.in_domain(u, X, D)
         if prob.loss == "mle":
             fam = prob.family
-            ok &= np.all((T > fam.natural_lo) & (T < fam.natural_hi) & np.isfinite(T), axis=0)
+            ok &= np.all(np.isfinite(T), axis=0)
             vals = np.sum(fam.log_partition(T), axis=0) - y @ T
         else:
             vals = np.sum((y[:, None] - prob.link(T)) ** 2, axis=0)

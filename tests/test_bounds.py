@@ -165,7 +165,7 @@ def test_c1_ub_strip_logistic_and_guards():
     I = Interval(-2.0, 2.0)
     rho1 = math.pi / 2
     env = coefficient_envelope(f, "strip", I, K=40, contour_radius=rho1 / 0.75)
-    sb = c1_ub(X, env, sigma=1.0, q=0.1, h=2.0, delta_D=2.0, rho1=rho1, K=40)
+    sb = c1_ub(X, env, sigma=1.0, q=0.1, h=2.0, delta_D=2.0, rho1=rho1)
     assert float(sb) > 0 and sb.tail >= 0
     # the contour must stay inside the pole-free strip ...
     with pytest.raises(ValueError, match=r"contour_radius must lie in \(0, pi\)"):
@@ -173,7 +173,7 @@ def test_c1_ub_strip_logistic_and_guards():
     # ... and rho1 must stay below the envelope's radius floor
     env2 = coefficient_envelope(f, "interval", I, K=40)
     with pytest.raises(ValueError, match="rho1 must stay below the envelope radius floor"):
-        c1_ub(X, env2, sigma=1.0, q=0.1, h=2.0, delta_D=2.0, rho1=3.3, mode="interval", K=40)
+        c1_ub(X, env2, sigma=1.0, q=0.1, h=2.0, delta_D=2.0, rho1=3.3)
 
 
 def test_c1_ub_polynomial_needs_k_past_degree():
@@ -182,9 +182,9 @@ def test_c1_ub_polynomial_needs_k_past_degree():
     I = Interval(-1.0, 1.0)
     env = coefficient_envelope(f, "interval", I, K=5)
     with pytest.raises(ValueError, match="increase K beyond the polynomial degree"):
-        c1_ub(X, env, 1.0, 0.1, h=2.0, delta_D=1.0, rho1=0.5, mode="interval", K=5)
+        c1_ub(X, env, 1.0, 0.1, h=2.0, delta_D=1.0, rho1=0.5)
     env2 = coefficient_envelope(f, "interval", I, K=10)
-    sb = c1_ub(X, env2, 1.0, 0.1, h=2.0, delta_D=1.0, rho1=0.5, mode="interval", K=10)
+    sb = c1_ub(X, env2, 1.0, 0.1, h=2.0, delta_D=1.0, rho1=0.5)
     assert sb.tail == 0.0
 
 
@@ -194,7 +194,7 @@ def test_c1_ub_custom_envelope_refused():
     dk = np.concatenate(([0.0], 0.3 ** np.arange(1, 11)))
     env = CoefficientEnvelope("interval", 10, dk, 2.0, None, "hand")
     with pytest.raises(ValueError, match="certified tail unavailable for custom envelopes"):
-        c1_ub(X, env, 1.0, 0.1, h=2.0, delta_D=1.0, rho1=1.0, mode="interval", K=10)
+        c1_ub(X, env, 1.0, 0.1, h=2.0, delta_D=1.0, rho1=1.0)
 
 
 def test_error_radius_formula():

@@ -262,7 +262,7 @@ def _active_rows_loop(prob, S, u):
 
 
 def test_active_constraints_match_row_loop():
-    from l0bounds.estimator import _active_constraints
+    from l0bounds.estimator import _active_constraints, _Support
 
     rng = np.random.default_rng(21)
     seen = {"cap": 0, "row": 0, "frozen": 0, "none": 0}
@@ -282,7 +282,7 @@ def test_active_constraints_match_row_loop():
         cap = wn if wn > 0 and rng.random() < 0.5 else None
         D = DomainSpec(Interval(lo, hi), max_support=float(p), l1inf_cap=cap)
         prob = FitProblem(y=np.zeros(n), X=dm, domain=D, c_r=0.0, h_max=p, family=bernoulli())
-        want, got = _active_rows_loop(prob, S, u), _active_constraints(prob, S, u)
+        want, got = _active_rows_loop(prob, S, u), _active_constraints(_Support(prob, S), u[S])
         if want is None:
             assert got is None
             seen["none"] += 1
@@ -351,6 +351,7 @@ def test_null_space_step_matches_block_kkt_on_facets():
         _lse_grad_hess,
         _mle_grad_hess,
         _null_space_step,
+        _Support,
     )
 
     rng = np.random.default_rng(606)
@@ -389,7 +390,7 @@ def test_null_space_step_matches_block_kkt_on_facets():
             y = f(t) + rng.normal(0.0, 0.05, n)
             prob = FitProblem(y=y, X=dm, domain=D, c_r=0.0, h_max=p, loss="lse", link=f)
             g, H = _lse_grad_hess(prob, Xm[:, S], v)
-        A, kinds = _active_constraints(prob, S, u)
+        A, kinds = _active_constraints(_Support(prob, S), v)
         assert ("cap" in kinds) == cap_facet
         Au = np.unique(A, axis=0)
         d = _null_space_step(Au, g, H)

@@ -1,22 +1,25 @@
 """Exponential linear families: closed forms, curvature, likelihood calculus."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+import l0bounds
 from l0bounds import (
     DesignMatrix,
     Interval,
     bernoulli,
     curvature_inf,
-    custom_family,
     gaussian,
     mle_gradient_hessian,
     mle_loss,
-    mle_objective,
 )
+from l0bounds.expfam import FAMILIES
 
 # inf over [-2, 2] of the Bernoulli variance s(t)(1 - s(t)), attained at the
 # endpoints: (2 cosh(1))^-2; frozen before the implementation existed
@@ -50,31 +53,20 @@ def test_gaussian_curvature_is_sigma2():
     assert curvature_inf(gaussian(2.5), Interval(-7.0, 3.0)) == pytest.approx(2.5)
 
 
-def test_custom_family_curvature_matches_closed_form():
-    fam = custom_family(
-        log_partition=lambda t: np.logaddexp(0.0, t),
-        mean=lambda t: expit(t),
-        variance=lambda t: expit(t) * (1 - expit(t)),
-    )
-    got = curvature_inf(fam, Interval(-2.0, 2.0))
-    assert got == pytest.approx(BERNOULLI_CURV_2, abs=1e-6)
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_family_has_closed_forms(name):
+    fam = FAMILIES[name]()
+    floor = fam.curvature_floor(Interval(-3.0, 3.0))
+    assert floor > 0
+    assert floor == curvature_inf(fam, Interval(-3.0, 3.0))
+    assert math.isfinite(fam.loss_floor(np.array([0.0, 1.0, 1.0])))
 
 
-def test_custom_family_label_gets_no_closed_forms():
-    # the tag is only a label: closed forms belong to the built-in constructors
-    fam = custom_family(
-        log_partition=lambda t: np.logaddexp(0.0, t),
-        mean=lambda t: expit(t),
-        variance=lambda t: expit(t) * expit(-t),
-        tag="bernoulli",
-    )
-    assert fam.curvature_floor(Interval(-2.0, 2.0)) is None
-    assert fam.loss_floor(np.array([0.0, 1.0])) == -math.inf
-    assert curvature_inf(fam, Interval(-2.0, 2.0)) == pytest.approx(BERNOULLI_CURV_2, abs=1e-6)
-    with pytest.raises(ValueError, match="curvature search requires a bounded interval"):
-        curvature_inf(fam, Interval(-math.inf, math.inf))
-    with pytest.raises(ValueError, match="flat family on I"):
-        curvature_inf(bernoulli(), Interval(-math.inf, math.inf))
+def test_import_leaves_scipy_optimize_out():
+    src = str(Path(l0bounds.__file__).parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); import l0bounds; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("fam_name", ["bernoulli", "gaussian"])
@@ -95,25 +87,14 @@ def test_loss_floor_below_mle_loss(fam_name):
 
 
 def test_flat_family_raises():
-    fam = custom_family(
-        log_partition=lambda t: np.zeros_like(t),
-        mean=lambda t: np.zeros_like(t),
-        variance=lambda t: np.zeros_like(t),
-    )
+    # the Bernoulli variance tends to 0 as |t| grows
     with pytest.raises(ValueError, match="flat family on I"):
-        curvature_inf(fam, Interval(-1.0, 1.0))
+        curvature_inf(bernoulli(), Interval(-math.inf, math.inf))
 
 
 def test_check_natural_reports_row():
-    fam = custom_family(
-        log_partition=lambda t: t**2,
-        mean=lambda t: 2 * t,
-        variance=lambda t: np.full_like(t, 2.0),
-        natural_lo=-1.0,
-        natural_hi=1.0,
-    )
     with pytest.raises(ValueError, match="natural parameter outside family domain at row 2"):
-        fam.check_natural(np.array([0.0, 0.5, 1.5]))
+        bernoulli().check_natural(np.array([0.0, 0.5, math.inf, math.nan]))
 
 
 def test_mle_loss_at_zero_is_n_log2():
@@ -123,16 +104,6 @@ def test_mle_loss_at_zero_is_n_log2():
     y = rng.integers(0, 2, n).astype(float)
     got = mle_loss(y, X, np.zeros(3), bernoulli())
     assert got == pytest.approx(n * math.log(2.0), rel=1e-14)
-
-
-def test_mle_objective_adds_penalty():
-    rng = np.random.default_rng(1)
-    X = DesignMatrix(rng.standard_normal((10, 3)))
-    y = rng.integers(0, 2, 10).astype(float)
-    u = np.array([0.3, 0.0, -0.2])
-    assert mle_objective(y, X, u, bernoulli(), c_r=1.5) == pytest.approx(
-        mle_loss(y, X, u, bernoulli()) + 3.0
-    )
 
 
 def _fd_gradient(fun, u, h=1e-6):

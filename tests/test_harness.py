@@ -20,7 +20,6 @@ from l0bounds import (
     in_domain,
     logistic_flip,
     multinomial_identity_gap,
-    power_iteration,
     run_coverage,
     verify_control_event,
     verify_tail,
@@ -82,11 +81,12 @@ def test_correlated_noise_spectral_radius_one():
     assert np.corrcoef(draws[:, 0], draws[:, 1])[0, 1] > 0.2
 
 
-def test_power_iteration_matches_numpy():
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((8, 8))
-    A = A @ A.T
-    assert power_iteration(A) == pytest.approx(np.linalg.eigvalsh(A).max(), rel=1e-6)
+def test_correlated_covariance_spectral_radius_at_most_one():
+    # sigma-sub-gaussian needs the normalized covariance's top eigenvalue <= 1
+    from l0bounds.harness import _corr_chol
+
+    L = _corr_chol(200, 0.5)
+    assert np.linalg.eigvalsh(L @ L.T)[-1] <= 1.0 + 1e-12
 
 
 def test_experiment_config_from_dict_rejects_unknown_keys():
@@ -95,6 +95,8 @@ def test_experiment_config_from_dict_rejects_unknown_keys():
     assert cfg.q == 0.1 and cfg.design == "pm1_iid"
     with pytest.raises(ValueError, match="unknown experiment keys"):
         ExperimentConfig.from_dict({**good, "bogus": 1})
+    with pytest.raises(ValueError, match="unknown experiment keys"):
+        ExperimentConfig.from_dict({**good, "csv_path": "X.csv"})
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({**good, "q": 0.4})  # q must be <= 0.25
 
