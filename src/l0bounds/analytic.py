@@ -8,6 +8,11 @@ bounds d_k on sup |a_k| over a strip or an interval) feed the series
 constants; everything that enters an error bound is an overestimate, which
 only loosens the bound.
 
+The standard logistic s(t) = 1/(1 + e^-t) lives here, with its slope
+s(t) s(-t) = e^-|t|/(1 + e^-|t|)^2 and the slope floor (2 cosh(M/2))^-2
+over |t| <= M; the flip link, the Bernoulli family (``expfam``) and the
+harness's noise draws all use these, and numpy alone computes them.
+
 Taylor coefficients of the logistic s (and so of the logistic-type links)
 come from the Taylor-mode recurrence of s' = s - s^2 (Griewank & Walther,
 *Evaluating Derivatives*, Taylor arithmetic):
@@ -31,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .domains import Interval
 
@@ -49,8 +53,30 @@ __all__ = [
 ]
 
 # ----------------------------------------------------------------------------
-# logistic Taylor coefficients: float64 Taylor-mode recurrence
+# the logistic s(t) = 1/(1 + e^-t) and its Taylor coefficients
 # ----------------------------------------------------------------------------
+
+
+def _logistic(t) -> np.ndarray:
+    """s(t) = 1/(1 + e^-t), one ufunc chain; the exponent is capped at 709
+    so np.exp never overflows (s(t) < 1e-307 there anyway)."""
+    return 1.0 / (1.0 + np.exp(np.minimum(-np.asarray(t, dtype=float), 709.0)))
+
+
+def _logistic_slope(t) -> np.ndarray:
+    """s'(t) = s(t) s(-t) = e/(1 + e)^2 with e = e^-|t| <= 1: one exp that
+    cannot overflow, no cancellation in either tail, within 3 ulp."""
+    e = np.exp(-np.abs(np.asarray(t, dtype=float)))
+    return e / (1.0 + e) ** 2
+
+
+def _logistic_slope_floor(m: float) -> float:
+    """inf of s' over |t| <= m, which is (2 cosh(m/2))^-2 (s' decreases in
+    |t|); 0.0 once cosh overflows (m above about 1420) and at m = inf."""
+    try:
+        return (2.0 * math.cosh(m / 2.0)) ** -2
+    except OverflowError:
+        return 0.0
 
 
 def _sig_coeff_table(K: int, ts) -> np.ndarray:
@@ -58,7 +84,7 @@ def _sig_coeff_table(K: int, ts) -> np.ndarray:
     -|t|; the k-th row is a_k(t) up to the sign (-1)^(k+1) where t > 0."""
     t = np.asarray(ts, dtype=float)
     a = np.empty((K + 1,) + t.shape)
-    a[0] = expit(-np.abs(t))  # the small root: a_0 - a_0^2 does not cancel
+    a[0] = _logistic(-np.abs(t))  # the small root: a_0 - a_0^2 does not cancel
     for m in range(K):
         a[m + 1] = (a[m] - np.sum(a[: m + 1] * a[m::-1], axis=0)) / (m + 1)
     return a
@@ -266,7 +292,7 @@ class _LogisticFlip(AnalyticFn):
     """p01 + delta s(t): poles at t +- (2m+1) pi i, slope decreasing in |t|."""
 
     def _eval(self, t):
-        return self.params["p01"] + self.params["delta"] * expit(t)
+        return self.params["p01"] + self.params["delta"] * _logistic(t)
 
     def _coeff(self, k, t):
         return self.params["delta"] * _sig_coeff_batch(k, [t])[0]
@@ -278,14 +304,10 @@ class _LogisticFlip(AnalyticFn):
         return math.hypot(float(t), math.pi)
 
     def deriv1(self, xs):
-        s = expit(xs)
-        return self.params["delta"] * s * (1.0 - s)
+        return self.params["delta"] * _logistic_slope(xs)
 
     def slope_floor(self, I):
-        m = I.sup_abs
-        if not math.isfinite(m):
-            return 0.0
-        return self.params["delta"] * (2.0 * math.cosh(m / 2.0)) ** -2
+        return self.params["delta"] * _logistic_slope_floor(I.sup_abs)
 
     def radius_floor(self, I=None):
         if I is None:

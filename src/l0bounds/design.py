@@ -71,7 +71,9 @@ class DesignMatrix:
         if key == math.inf:
             out = np.max(np.abs(self.X), axis=0)
         elif key > 0:
-            out = np.sum(np.abs(self.X) ** key, axis=0) ** (1.0 / key)
+            a = np.abs(self.X)
+            a **= key  # in place: one n x p temporary, not two
+            out = np.sum(a, axis=0) ** (1.0 / key)
         else:
             raise ValueError("norm order must be positive")
         self._norms[key] = out

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .analytic import AnalyticFn
 from .design import DesignMatrix, SparseParam, _as_design
@@ -236,8 +235,11 @@ def _active_constraints(sp: _Support, v: np.ndarray):
 
 def _null_space_step(Au: np.ndarray, g: np.ndarray, H: np.ndarray):
     """argmin of g'd + d'Hd/2 subject to Au d = 0, or None when only d = 0 is
-    feasible.  The rank of Au is decided by the SVD inside null_space."""
-    Z = null_space(Au)
+    feasible.  Z holds the right singular vectors of Au past its numerical
+    rank, the number of singular values above max(s) max(m, k) eps."""
+    _, s, vh = np.linalg.svd(Au)
+    rank = int(np.sum(s > np.max(s) * max(Au.shape) * np.finfo(float).eps))
+    Z = vh[rank:].T
     if Z.shape[1] == 0:
         return None
     return -Z @ np.linalg.solve(Z.T @ H @ Z, Z.T @ g)

@@ -6,16 +6,15 @@ its derivatives on a support, and the curvature floor delta = inf_I Lambda''
 are what the estimation bounds consume.  Each family in ``FAMILIES`` is a
 private ``ExpFamily`` subclass whose methods give Lambda, Lambda', Lambda''
 and the closed forms the bounds need (curvature floor, loss floor); a bound
-never consumes an estimated curvature.
+never consumes an estimated curvature.  The Bernoulli family takes the
+logistic, its slope and the slope floor from ``analytic``, their one home.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy.special import expit
 
+from .analytic import _logistic, _logistic_slope, _logistic_slope_floor
 from .design import _as_design
 from .domains import Interval
 
@@ -88,15 +87,14 @@ class _Bernoulli(ExpFamily):
         return np.logaddexp(0.0, np.asarray(t, float))
 
     def mean(self, t):
-        return expit(np.asarray(t, float))
+        return _logistic(t)
 
     def variance(self, t):
-        # stable product form; s (1 - s) cancels in the tails
-        return expit(np.asarray(t, float)) * expit(-np.asarray(t, float))
+        return _logistic_slope(t)
 
     def curvature_floor(self, I: Interval) -> float:
-        # Lambda'' = (2 cosh(t/2))^-2 decreases in |t|
-        return (2.0 * math.cosh(I.sup_abs / 2.0)) ** -2
+        # Lambda'' = s' = (2 cosh(t/2))^-2 decreases in |t|
+        return _logistic_slope_floor(I.sup_abs)
 
     def loss_floor(self, y) -> float:
         return 0.0  # log(1 + e^t) - y t >= 0 rowwise for y in {0, 1}

@@ -26,9 +26,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
-from .analytic import AnalyticFn, logistic_flip
+from .analytic import AnalyticFn, _logistic, logistic_flip
 from .bounds import BoundsReport, glm_report, ub_report
 from .design import DESIGNS, DesignMatrix, _as_design, capacity, random_design
 from .domains import DomainSpec, Interval, in_domain
@@ -102,13 +101,13 @@ class _BoundedIID(NoiseModel):
 
 class _BernoulliResidual(NoiseModel):
     def draw(self, rng, n, t=None):
-        p = expit(_row_images(t, "bernoulli"))
+        p = _logistic(_row_images(t, "bernoulli"))
         return rng.binomial(1, p).astype(float) - p
 
 
 class _FlipChannel(NoiseModel):
     def draw(self, rng, n, t=None):
-        s = expit(_row_images(t, "flip-channel"))
+        s = _logistic(_row_images(t, "flip-channel"))
         p01, p11 = self.params["p01"], self.params["p11"]
         latent = rng.binomial(1, s)
         z = np.where(

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from l0bounds import (
     polynomial,
     strip_sup_logistic,
 )
-from l0bounds.analytic import LINKS
+from l0bounds.analytic import LINKS, _logistic, _logistic_slope
 from oracles import taylor_eval
 
 # frozen oracle values (computed independently before the implementation)
@@ -123,6 +124,9 @@ def test_min_slope_closed_forms():
     assert min_slope(linear(-2.5), Interval(-9, 4)) == pytest.approx(2.5)
     f = logistic_flip(0.1, 0.9)
     assert min_slope(f, Interval(-2.0, 2.0)) == pytest.approx(FLIP_MIN_SLOPE_2, abs=1e-14)
+    # (2 cosh(M/2))^-2 holds until cosh overflows (M > ~1420), then the floor is 0
+    assert min_slope(f, Interval(-1400.0, 1400.0)) == 0.8 * (2.0 * math.cosh(700.0)) ** -2
+    assert min_slope(f, Interval(-1500.0, 1500.0)) == 0.0
     s = logistic_flip(0.0, 1.0)
     assert min_slope(s, Interval(-2.0, 2.0)) == pytest.approx(
         LOGISTIC_MIN_SLOPE_2, abs=1e-14
@@ -229,6 +233,32 @@ def test_logistic_first_coeff_at_large_centers():
     for t in (-60.0, -40.0, 40.0, 60.0):
         want = expit(t) * expit(-t)
         assert f.coeff_k(1, t) == pytest.approx(want, rel=1e-14, abs=0.0), t
+
+
+def test_logistic_matches_expit_to_4_ulp():
+    t = np.linspace(-700.0, 700.0, 140_001)
+    want = expit(t)
+    assert np.all(np.abs(_logistic(t) - want) <= 4.0 * np.spacing(want))
+
+
+@pytest.mark.parametrize("t", [40.0, 60.0, 700.0])
+def test_logistic_small_root_and_slope_keep_relative_accuracy(t):
+    e = math.exp(-t)
+    assert _logistic(-t) == pytest.approx(e / (1.0 + e), rel=1e-14, abs=0.0)
+    for x in (t, -t):  # s (1 - s) would be 0 at +t for t > ~37
+        assert _logistic_slope(x) == pytest.approx(e / (1.0 + e) ** 2, rel=1e-14, abs=0.0)
+        assert logistic_flip(0.0, 1.0).deriv1(np.array([x]))[0] == pytest.approx(
+            e / (1.0 + e) ** 2, rel=1e-14, abs=0.0
+        )
+
+
+def test_logistic_raises_no_warning_far_out():
+    t = np.array([-1e4, 1e4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, ds = _logistic(t), _logistic_slope(t)
+    assert s[1] == 1.0 and 0.0 <= s[0] < 1e-307
+    assert np.all((0.0 <= ds) & (ds < 1e-307))
 
 
 def test_logistic_odd_coeffs_at_zero_match_bernoulli_closed_form():

@@ -211,6 +211,36 @@ def test_exit_code_2_on_computation_error(tmp_path):
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ({"theorem": "glm", "family": {"tag": "bernoulli"}}, "flat family on I"),
+        (
+            {
+                "theorem": "one_disc",
+                "link": {"tag": "logistic_flip", "p01": 0.1, "p11": 0.9},
+                "theta": 0.75,
+            },
+            "non-identifiable link",
+        ),
+    ],
+)
+def test_exit_code_2_where_the_logistic_floor_underflows(tmp_path, capsys, block, message):
+    # sup |t| = 1500 overflows cosh(sup|t| / 2): the floor is 0, a computation error
+    cfg = _write(
+        tmp_path / "cfg.json",
+        {
+            **block,
+            "design": {"tag": "pm1_iid", "n": 30, "p": 6, "seed": 5},
+            "interval": [-1500, 1500],
+            "q": 0.1,
+            "nu": 0.5,
+        },
+    )
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_quiet_suppresses_summary(tmp_path, capsys):
     cfg = _write(
         tmp_path / "cfg.json",

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 from scipy.special import expit
 
 from l0bounds import (
@@ -343,6 +344,31 @@ def _reference_block_kkt(Au, g, H):
         return None
     K = np.block([[H, Au.T], [Au, np.zeros((m, m))]])
     return np.linalg.solve(K, np.concatenate([-g, np.zeros(m)]))[:k]
+
+
+def test_null_space_step_matches_scipy_null_space():
+    from l0bounds.estimator import _null_space_step
+
+    rng = np.random.default_rng(707)
+    for i in range(600):
+        k, m = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+        kind = i % 3
+        if kind == 0:
+            A = rng.choice([-1.0, 1.0], size=(m, k))
+        elif kind == 1:
+            A = rng.integers(0, 2, size=(m, k)).astype(float)
+        else:
+            A = rng.standard_normal((m, k))
+        Au = np.unique(A, axis=0)
+        B = rng.standard_normal((k, k))
+        H, g = B @ B.T + np.eye(k), rng.standard_normal(k)
+        Z = null_space(Au)
+        d = _null_space_step(Au, g, H)
+        if Z.shape[1] == 0:
+            assert d is None
+        else:
+            want = -Z @ np.linalg.solve(Z.T @ H @ Z, Z.T @ g)
+            np.testing.assert_allclose(d, want, rtol=1e-12, atol=1e-12)
 
 
 def test_null_space_step_matches_block_kkt_on_facets():
