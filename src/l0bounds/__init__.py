@@ -39,7 +39,6 @@ from .design import (
     SparseParam,
     capacity,
     coherence,
-    separability_lower_bound,
     series_norms,
     weighted_l1_norm,
 )
@@ -57,7 +56,6 @@ from .harness import (
     gaussian_correlated,
     gaussian_iid,
     generate_instance,
-    multinomial_identity_gap,
     run_coverage,
     verify_control_event,
     verify_tail,

@@ -52,6 +52,9 @@ __all__ = [
     "coefficient_envelope",
 ]
 
+# points of I in the slope-floor grid search and in interval envelopes
+_GRID = 2001
+
 # ----------------------------------------------------------------------------
 # the logistic s(t) = 1/(1 + e^-t) and its Taylor coefficients
 # ----------------------------------------------------------------------------
@@ -197,9 +200,9 @@ class AnalyticFn:
             "strip envelope unavailable: derivative unbounded on horizontal strips"
         )
 
-    def interval_dk(self, K: int, I: Interval, grid: int) -> np.ndarray:
-        """d_1..d_K: the max of |a_k| over ``grid`` points of I."""
-        return np.max(self.abs_coeff_table(K, I.grid(grid)), axis=1)
+    def interval_dk(self, K: int, I: Interval) -> np.ndarray:
+        """d_1..d_K: the max of |a_k| over ``_GRID`` points of I."""
+        return np.max(self.abs_coeff_table(K, I.grid(_GRID)), axis=1)
 
 
 class _Polynomial(AnalyticFn):
@@ -283,7 +286,7 @@ class _Exp(AnalyticFn):
     def tail(self, t_hi):
         return ("factorial", math.exp(t_hi))
 
-    def interval_dk(self, K, I, grid):
+    def interval_dk(self, K, I):
         ks = np.arange(1, K + 1)
         return np.exp(I.hi - np.cumsum(np.log(ks)))
 
@@ -379,18 +382,19 @@ LINKS = {"logistic_flip": logistic_flip, "linear": linear, "polynomial": polynom
 # ----------------------------------------------------------------------------
 
 
-def min_slope(f: AnalyticFn, I: Interval, grid: int = 2001) -> float:
+def min_slope(f: AnalyticFn, I: Interval) -> float:
     """Certified lower bound on the secant-slope floor
     d(f, I) = inf_{x != y in I} |f(x) - f(y)| / |x - y|.
 
     For continuously differentiable f this infimum equals inf_I |f'| (mean
     value theorem; nearby pairs approach the derivative minimum).  The bound
-    scans all grid-pair difference quotients and the grid derivative values,
-    then subtracts the Lipschitz correction (h/2) sup |f''| for the grid
-    spacing h.  Where the floor has a closed form (logistic-type links:
-    slope decreasing in |t|, so delta * (2 cosh(M/2))^-2 at M = sup_I |t|;
-    polynomials of degree <= 1, linear links included: |c_1|) the exact
-    value is returned, on unbounded intervals too.
+    scans the difference quotients of all pairs of ``_GRID`` points of I and
+    the derivative at those points, then subtracts the Lipschitz correction
+    (h/2) sup |f''| for the grid spacing h.  Where the floor has a closed
+    form (logistic-type links: slope decreasing in |t|, so
+    delta * (2 cosh(M/2))^-2 at M = sup_I |t|; polynomials of degree <= 1,
+    linear links included: |c_1|) the exact value is returned, on unbounded
+    intervals too.
 
     Returns 0.0 for non-identifiable links (the estimation constants reject
     that downstream).
@@ -400,12 +404,12 @@ def min_slope(f: AnalyticFn, I: Interval, grid: int = 2001) -> float:
         return floor
     if not I.bounded:
         raise ValueError("min_slope needs a bounded interval for grid search")
-    xs = I.grid(grid)
+    xs = I.grid(_GRID)
     vals = np.asarray(f(xs), dtype=float)
     h = xs[1] - xs[0]
     best = math.inf
     block = 256
-    for i0 in range(0, grid, block):
+    for i0 in range(0, _GRID, block):
         dv = vals[i0 : i0 + block, None] - vals[None, :]
         dx = xs[i0 : i0 + block, None] - xs[None, :]
         m = np.abs(dx) > 0
@@ -447,7 +451,6 @@ def coefficient_envelope(
     mode: str,
     region,
     K: int = 60,
-    grid: int = 2001,
     contour_radius: float | None = None,
 ) -> CoefficientEnvelope:
     """Build a coefficient envelope.
@@ -457,7 +460,7 @@ def coefficient_envelope(
     mode : "strip" or "interval"
         Strip envelopes bound sup over all real centers via a Cauchy contour
         (available only when f' is bounded on horizontal strips); interval
-        envelopes maximize |a_k| over a point grid on ``region`` (an
+        envelopes maximize |a_k| over ``_GRID`` points of ``region`` (an
         Interval), which is the recipe the downstream constants expect --
         the grid max underestimates the true sup, so certified tails come
         from the closed forms instead.
@@ -482,5 +485,5 @@ def coefficient_envelope(
     I = region
     if not isinstance(I, Interval) or not I.bounded:
         raise ValueError("interval mode needs a bounded Interval region")
-    dk[1:] = f.interval_dk(K, I, grid)
+    dk[1:] = f.interval_dk(K, I)
     return CoefficientEnvelope("interval", K, dk, f.radius_floor(I), f.tail(I.hi), f.tag)

@@ -19,7 +19,6 @@ __all__ = [
     "coherence",
     "capacity",
     "weighted_l1_norm",
-    "separability_lower_bound",
     "load_matrix_csv",
     "load_vector_csv",
     "DESIGNS",
@@ -229,29 +228,6 @@ def weighted_l1_norm(u, X) -> float:
     if u.size != dm.p:
         raise ValueError("parameter length does not match design width")
     return float(np.abs(u) @ dm.column_norms(math.inf))
-
-
-def separability_lower_bound(u, X, nu: float):
-    """Check ||X u||_2^2 >= nu (1 + mu) sum_j u_j^2 ||V_j||_2^2.
-
-    Valid whenever |spt(u)| <= capacity(X, nu); raises if the support is too
-    large for the inequality to be claimed.
-
-    Returns
-    -------
-    (lhs, rhs, holds) : the two sides and whether lhs >= rhs - 1e-9 |rhs|.
-    """
-    dm = _as_design(X)
-    u = np.asarray(u, dtype=float).ravel()
-    spt = int(np.count_nonzero(u))
-    if spt > capacity(dm, nu):
-        raise ValueError("support exceeds capacity")
-    mu = coherence(dm)
-    xu = dm.X @ u
-    lhs = float(xu @ xu)
-    rhs = float(nu * (1.0 + mu) * np.sum(u**2 * dm.column_norms(2) ** 2))
-    holds = lhs >= rhs - 1e-9 * abs(rhs)
-    return lhs, rhs, holds
 
 
 def load_matrix_csv(path) -> np.ndarray:

@@ -4,8 +4,8 @@ A feasible set is described by three restrictions on u: every row image
 X_i' u must land in an interval I, the support size must not exceed a
 budget, and optionally the weighted l1 norm sum_j |u_j| ||V_j||_inf must
 stay under a cap (which makes the set compact).  Membership tests are
-exact comparisons -- no epsilon slack -- so boundary points behave
-predictably under the closed/open endpoint flags.
+exact comparisons -- no epsilon slack -- on closed intervals, so points on
+a finite end are members.
 """
 
 from __future__ import annotations
@@ -22,29 +22,24 @@ __all__ = ["Interval", "DomainSpec", "in_domain"]
 
 @dataclass(frozen=True)
 class Interval:
-    """A real interval with per-endpoint closed/open flags.
+    """A real interval, closed at its finite ends.
 
-    Infinite endpoints are allowed and are always treated as open.
+    Infinite endpoints are allowed and are always open, so +-inf and nan
+    are never members.
     """
 
     lo: float
     hi: float
-    closed_lo: bool = True
-    closed_hi: bool = True
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError("interval requires lo < hi")
-        if math.isinf(self.lo):
-            object.__setattr__(self, "closed_lo", False)
-        if math.isinf(self.hi):
-            object.__setattr__(self, "closed_hi", False)
 
     def contains(self, x) -> bool:
         """Exact membership of a scalar or of every entry of an array."""
         x = np.asarray(x, dtype=float)
-        lo_ok = (x >= self.lo) if self.closed_lo else (x > self.lo)
-        hi_ok = (x <= self.hi) if self.closed_hi else (x < self.hi)
+        lo_ok = (x >= self.lo) if math.isfinite(self.lo) else (x > self.lo)
+        hi_ok = (x <= self.hi) if math.isfinite(self.hi) else (x < self.hi)
         return bool(np.all(lo_ok & hi_ok))
 
     @property

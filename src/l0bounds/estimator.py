@@ -6,10 +6,12 @@ with loss either the negative log-likelihood of an exponential linear
 family or the squared residual of an analytic link.  Supports up to h_max
 are enumerated exhaustively (the penalty makes the outer problem exact once
 every inner problem is solved); inner problems are smooth in 1..h_max
-variables and share one solver, damped Newton and then Newton on the facet
-of binding constraints: exact Hessian and one start for the likelihood
-(convex per support), Gauss-Newton and two starts for least squares.  A
-trial point costs one product X_S v, shared by the domain test and the loss.
+variables and share one solver, a primal active-set Newton loop whose free
+steps and facet steps (Newton on the facet of binding constraints) share
+one state: exact Hessian and one start for the likelihood (convex per
+support), Gauss-Newton and two starts for least squares.  A trial point
+costs one product X_S v, and its row images serve the domain test, the
+loss, the derivatives and the binding constraints of the accepted point.
 
 Determinism: enumeration order is itertools.combinations, all tie-breaking
 is lexicographic, and no randomness enters anywhere, so refitting the same
@@ -34,10 +36,10 @@ __all__ = ["FitProblem", "FitResult", "SupportRecord", "fit", "inner_solve"]
 
 _ENUM_BUDGET = 1_000_000
 _TIE_TOL = 1e-9
-_GRAD_TOL = 1e-9  # interior stop: max |gradient|
+_GRAD_TOL = 1e-9  # free stop: max |gradient|
 _FACET_TOL = 1e-8  # facet stop: max |projected gradient| / max(1, max |gradient|)
 _STEP_TOL = 1e-12  # backtracking gives up once max |alpha d| falls below this
-_MAX_ITER = 100  # Newton iterations per interior or facet phase
+_MAX_ITER = 100  # Newton iterations per start
 
 
 @dataclass
@@ -107,18 +109,17 @@ def _lse_value(prob: FitProblem, t: np.ndarray) -> float:
     return float(r @ r)
 
 
-def _mle_grad_hess(prob: FitProblem, Xs: np.ndarray, v: np.ndarray):
+def _mle_grad_hess(prob: FitProblem, Xs: np.ndarray, t: np.ndarray):
     try:
-        g, H = prob.family.nll_derivatives(prob.y, Xs, Xs @ v)
+        g, H = prob.family.nll_derivatives(prob.y, Xs, t)
     except ValueError:
         return None
     H = H + (1e-12 * max(1.0, float(np.trace(H)))) * np.eye(Xs.shape[1])
     return g, H
 
 
-def _lse_grad_hess(prob: FitProblem, Xs: np.ndarray, v: np.ndarray):
+def _lse_grad_hess(prob: FitProblem, Xs: np.ndarray, t: np.ndarray):
     f = prob.link
-    t = Xs @ v
     fp = f.deriv1(t)
     r = prob.y - f(t)
     if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(r))):
@@ -173,11 +174,12 @@ class _Support:
         return u
 
 
-def _backtrack(sp: _Support, v, d, cur, gdotd):
+def _backtrack(sp: _Support, v, t, d, cur, gdotd):
     """Armijo backtracking along d; rejects infeasible steps.
 
-    Each trial forms t = X_S v once and runs the membership test and the loss
-    on it.  Returns (new_v, new_loss, step_ok, hit_boundary); only a
+    Each trial forms its row images X_S v once, for the membership test and
+    the loss.  Returns (v, t, loss, step_ok, hit_boundary): the accepted
+    trial and its row images, or the inputs when no step is accepted; only a
     membership failure counts as hitting the boundary.
     """
     alpha = 1.0
@@ -185,19 +187,20 @@ def _backtrack(sp: _Support, v, d, cur, gdotd):
     hit_boundary = False
     while alpha * dn > _STEP_TOL:
         trial = v + alpha * d
-        t = sp.Xs @ trial
-        if not sp.admits(trial, t):
+        t_trial = sp.Xs @ trial
+        if not sp.admits(trial, t_trial):
             hit_boundary = True
         else:
-            val = sp.value(t)
+            val = sp.value(t_trial)
             if val <= cur + 1e-4 * alpha * gdotd:
-                return trial, val, True, False
+                return trial, t_trial, val, True, False
         alpha *= 0.5
-    return v, cur, False, hit_boundary
+    return v, t, cur, False, hit_boundary
 
 
-def _active_constraints(sp: _Support, v: np.ndarray):
-    """Linearize the constraints binding at the support iterate v.
+def _active_constraints(sp: _Support, v: np.ndarray, t: np.ndarray):
+    """Linearize the constraints binding at the support iterate v, whose row
+    images are t = X_S v.
 
     The domain is an intersection of the weighted-l1 ball (linear on each
     sign orthant) and per-row interval half-spaces, so every active
@@ -219,7 +222,6 @@ def _active_constraints(sp: _Support, v: np.ndarray):
             kinds.append("cap")
             frozen = [j for j in range(k) if abs(v[j]) <= 1e-12]
     I = D.interval
-    t = Xs @ v
     scale = max(1.0, abs(I.lo) if math.isfinite(I.lo) else 1.0,
                 abs(I.hi) if math.isfinite(I.hi) else 1.0)
     rows = []
@@ -245,93 +247,68 @@ def _null_space_step(Au: np.ndarray, g: np.ndarray, H: np.ndarray):
     return -Z @ np.linalg.solve(Z.T @ H @ Z, Z.T @ g)
 
 
-def _facet_phase(sp: _Support, v: np.ndarray, cur: float):
-    """Equality-constrained Newton on the facet of binding constraints.
+def _active_set_newton(sp: _Support, v: np.ndarray, t: np.ndarray, cur: float):
+    """Primal active-set Newton from one start (Nocedal & Wright, ch. 16).
 
-    All constraints are linear once the sign orthant is fixed, so the
-    Newton step minimizes the quadratic model over the null space of the
-    active rows: d = -Z (Z'HZ)^{-1} Z'g, with Z an orthonormal basis of that
-    null space.  On +-1 and 0/1 designs about n/2 rows can bind while a
-    support of size k has at most 2^k distinct row images, so Z and the
-    multipliers are taken from the distinct rows only: a step costs one sort
-    of the m binding rows plus O(k^3), and no system of order k + m is ever
-    formed.  Feasibility is still enforced by rejection backtracking (a sign
-    flip leaves the facet and is rejected exactly).  Returns
-    (v, cur, converged, released): when the single active constraint
-    carries a negative multiplier the point is not a boundary optimum and
-    the caller should resume interior iterations.
+    The state is v, its row images t = X_S v (those of the trial that
+    accepted v) and its loss.  Each iteration takes (g, H) at t and one step
+    judged by feasibility-rejecting Armijo backtracking.  A free step is the
+    Newton step -H^{-1} g, until max |g| <= ``_GRAD_TOL``.  Once a free step
+    is stopped by the domain, the constraints binding at v are linearized
+    (they are linear on a sign orthant) and the step is Newton on their
+    facet: d = -Z (Z'HZ)^{-1} Z'g, Z an orthonormal basis of the null space
+    of the active rows.  On +-1 and 0/1 designs about n/2 rows can bind
+    while a support of size k has at most 2^k distinct row images, so Z and
+    the multipliers are taken from the distinct rows only: a step costs one
+    sort of the m binding rows plus O(k^3), and no system of order k + m is
+    ever formed.  A sign flip leaves the facet and is rejected exactly.  A
+    vanishing projected gradient is converged, unless the cap binds alone
+    with a negative multiplier; then, as when nothing binds, free steps
+    resume, and an accepted free step ends the linearizing.  A failed step
+    ends the solve, unless it is a free step stopped by the domain at a v
+    not yet linearized.  Returns (v, loss, converged, boundary_clamped),
+    clamped if constraints bind where the solve stopped or its last step
+    was stopped by the domain.
     """
+    on_boundary = converged = clamped = False
     for _ in range(_MAX_ITER):
-        act = _active_constraints(sp, v)
-        if act is None:  # drifted inside; hand back to the interior loop
-            return v, cur, False, True
-        A, kinds = act
-        got = sp.grad_hess(v)
+        act = _active_constraints(sp, v, t) if on_boundary else None
+        clamped = act is not None
+        got = sp.grad_hess(t)
         if got is None:
-            return v, cur, False, False
+            break
         g, H = got
-        Au = np.unique(A, axis=0)
-        lam = np.linalg.lstsq(Au.T, -g, rcond=None)[0]
-        pg = g + Au.T @ lam
-        if float(np.max(np.abs(pg))) <= _FACET_TOL * max(1.0, float(np.max(np.abs(g)))):
-            if len(kinds) == 1 and kinds[0] == "cap" and lam[0] < -_FACET_TOL:
-                return v, cur, False, True  # cap not binding at the optimum
-            return v, cur, True, False
-        d = _null_space_step(Au, g, H)
+        if clamped:
+            Au = np.unique(act[0], axis=0)
+            lam = np.linalg.lstsq(Au.T, -g, rcond=None)[0]
+            pg = g + Au.T @ lam
+            if float(np.max(np.abs(pg))) > _FACET_TOL * max(1.0, float(np.max(np.abs(g)))):
+                d = _null_space_step(Au, g, H)
+            elif act[1] == ["cap"] and lam[0] < -_FACET_TOL:
+                clamped = False  # the cap does not bind at the optimum
+            else:
+                converged = True
+                break
+        if not clamped:
+            if float(np.max(np.abs(g))) <= _GRAD_TOL:
+                converged = True
+                break
+            try:
+                d = np.linalg.solve(H, -g)
+            except np.linalg.LinAlgError:
+                d = np.linalg.lstsq(H, -g, rcond=None)[0]
         if d is None or not np.all(np.isfinite(d)) or float(np.max(np.abs(d))) == 0.0:
-            return v, cur, False, False
-        v, cur, ok, _hit = _backtrack(sp, v, d, cur, float(g @ d))
-        if not ok:
-            return v, cur, False, False
-    return v, cur, False, False
-
-
-def _newton_interior(sp: _Support, v: np.ndarray, cur: float):
-    """Damped Newton with feasibility-rejecting Armijo backtracking."""
-    converged = clamped = False
-    for _ in range(_MAX_ITER):
-        got = sp.grad_hess(v)
-        if got is None:
             break
-        g, H = got
-        if float(np.max(np.abs(g))) <= _GRAD_TOL:
-            converged = True
+        v, t, cur, ok, hit = _backtrack(sp, v, t, d, cur, float(g @ d))
+        if not ok and (clamped or on_boundary or not hit):
+            clamped = clamped or hit
             break
-        try:
-            d = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            d = np.linalg.lstsq(H, -g, rcond=None)[0]
-        if not np.all(np.isfinite(d)):
-            break
-        v, cur, ok, hit = _backtrack(sp, v, d, cur, float(g @ d))
-        if not ok:
-            clamped = hit
-            break
+        on_boundary = clamped = clamped or hit
     return v, cur, converged, clamped
 
 
-def _polish(sp: _Support, v: np.ndarray, cur: float):
-    """Interior Newton, then facet and interior Newton in turn until stationary.
-
-    The interior loop stalls when the minimizer sits on the domain boundary;
-    the facet loop then optimizes along the binding constraints and releases
-    back to the interior if the boundary turns out not to bind.
-    """
-    v, cur, converged, clamped = _newton_interior(sp, v, cur)
-    for _ in range(5):
-        if converged or not clamped:
-            break
-        v, cur, converged, released = _facet_phase(sp, v, cur)
-        if converged:
-            return v, cur, True, True
-        if not released:
-            return v, cur, False, True
-        v, cur, converged, clamped = _newton_interior(sp, v, cur)
-    return v, cur, converged, clamped
-
-
-def _ridge_start(sp: _Support) -> np.ndarray | None:
-    """Ridge fit of the working response on X_S, shrunk into the domain."""
+def _ridge_start(sp: _Support):
+    """Ridge fit of the working response on X_S, shrunk into the domain: (v, X_S v) or None."""
     Xs, k = sp.Xs, len(sp.S)
     A = Xs.T @ Xs
     A = A + 1e-3 * max(1.0, float(np.trace(A)) / k) * np.eye(k)
@@ -340,8 +317,9 @@ def _ridge_start(sp: _Support) -> np.ndarray | None:
     except np.linalg.LinAlgError:
         return None
     for _ in range(80):
-        if sp.admits(v, Xs @ v):
-            return v
+        t = Xs @ v
+        if sp.admits(v, t):
+            return v, t
         v = v * 0.7
     return None
 
@@ -349,24 +327,25 @@ def _ridge_start(sp: _Support) -> np.ndarray | None:
 def inner_solve(prob: FitProblem, S: tuple):
     """Solve the smooth inner problem on a fixed support.
 
-    Every start runs ``_polish`` with the loss's own derivative pair (exact
-    Hessian for the likelihood, Gauss-Newton for least squares).  Returns
-    (u, loss, converged, boundary_clamped) or None when no feasible start
-    exists for the support.
+    Every start runs ``_active_set_newton`` with the loss's own derivative
+    pair (exact Hessian for the likelihood, Gauss-Newton for least squares).
+    Returns (u, loss, converged, boundary_clamped) or None when no feasible
+    start exists for the support.
     """
     sp = _Support(prob, S)
     zero = np.zeros(len(sp.S))
-    starts = [zero] if sp.admits(zero, sp.Xs @ zero) else []
+    t0 = sp.Xs @ zero
+    starts = [(zero, t0)] if sp.admits(zero, t0) else []
     if not S:
-        return (sp.embed(zero), sp.value(sp.Xs @ zero), True, False) if starts else None
+        return (sp.embed(zero), sp.value(t0), True, False) if starts else None
     if sp.two_starts or not starts:
         ridge = _ridge_start(sp)
-        if ridge is not None and not (starts and np.array_equal(ridge, zero)):
+        if ridge is not None and not (starts and np.array_equal(ridge[0], zero)):
             starts.append(ridge)
     if not starts:
         return None
     v, cur, converged, clamped = min(
-        (_polish(sp, v, sp.value(sp.Xs @ v)) for v in starts), key=lambda r: r[1]
+        (_active_set_newton(sp, v, t, sp.value(t)) for v, t in starts), key=lambda r: r[1]
     )
     return sp.embed(v), cur, converged, clamped
 

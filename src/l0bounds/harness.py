@@ -29,7 +29,7 @@ import numpy as np
 
 from .analytic import AnalyticFn, _logistic, logistic_flip
 from .bounds import BoundsReport, glm_report, ub_report
-from .design import DESIGNS, DesignMatrix, _as_design, capacity, random_design
+from .design import DESIGNS, DesignMatrix, _as_design, capacity, random_design, weighted_l1_norm
 from .domains import DomainSpec, Interval, in_domain
 from .estimator import FitProblem, fit
 from .expfam import FAMILIES, ExpFamily, bernoulli, gaussian
@@ -49,7 +49,6 @@ __all__ = [
     "run_coverage",
     "verify_tail",
     "verify_control_event",
-    "multinomial_identity_gap",
 ]
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -73,8 +72,9 @@ class NoiseModel:
     sigma: float
     params: dict = field(default_factory=dict)
 
-    def draw(self, rng: np.random.Generator, n: int, t=None) -> np.ndarray:
-        """Draw one residual vector (channel models need the row images t)."""
+    def draw(self, rng: np.random.Generator, size, t=None) -> np.ndarray:
+        """Draw residuals of shape ``size``: n for one vector, (b, n) for b
+        vectors in one call.  Channel models need the n row images t."""
         raise ValueError(f"noise model {self.tag!r} has no sampler")
 
 
@@ -85,33 +85,34 @@ def _row_images(t, what: str) -> np.ndarray:
 
 
 class _GaussianIID(NoiseModel):
-    def draw(self, rng, n, t=None):
-        return rng.normal(0.0, self.sigma, n)
+    def draw(self, rng, size, t=None):
+        return rng.normal(0.0, self.sigma, size)
 
 
 class _GaussianCorrelated(NoiseModel):
-    def draw(self, rng, n, t=None):
-        return self.sigma * (_corr_chol(n, self.params["rho"]) @ rng.normal(0.0, 1.0, n))
+    def draw(self, rng, size, t=None):
+        z = rng.normal(0.0, 1.0, size)
+        return self.sigma * (_corr_chol(z.shape[-1], self.params["rho"]) @ z.T).T
 
 
 class _BoundedIID(NoiseModel):
-    def draw(self, rng, n, t=None):
-        return rng.uniform(-self.sigma, self.sigma, n)
+    def draw(self, rng, size, t=None):
+        return rng.uniform(-self.sigma, self.sigma, size)
 
 
 class _BernoulliResidual(NoiseModel):
-    def draw(self, rng, n, t=None):
+    def draw(self, rng, size, t=None):
         p = _logistic(_row_images(t, "bernoulli"))
-        return rng.binomial(1, p).astype(float) - p
+        return rng.binomial(1, p, size).astype(float) - p
 
 
 class _FlipChannel(NoiseModel):
-    def draw(self, rng, n, t=None):
+    def draw(self, rng, size, t=None):
         s = _logistic(_row_images(t, "flip-channel"))
         p01, p11 = self.params["p01"], self.params["p11"]
-        latent = rng.binomial(1, s)
+        latent = rng.binomial(1, s, size)
         z = np.where(
-            latent == 1, rng.binomial(1, p11, latent.size), rng.binomial(1, p01, latent.size)
+            latent == 1, rng.binomial(1, p11, latent.shape), rng.binomial(1, p01, latent.shape)
         ).astype(float)
         return z - (p01 + (p11 - p01) * s)
 
@@ -169,14 +170,14 @@ def _corr_chol(n: int, rho: float) -> np.ndarray:
     return np.linalg.cholesky(S / np.linalg.eigvalsh(S)[-1])
 
 
-def wilson_interval(k: int, n: int, z: float = Z95):
+def wilson_interval(k: int, n: int):
     """Wilson 95% score interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("n must be positive")
     ph = k / n
-    denom = 1.0 + z**2 / n
-    center = (ph + z**2 / (2 * n)) / denom
-    half = z * math.sqrt(ph * (1 - ph) / n + z**2 / (4 * n**2)) / denom
+    denom = 1.0 + Z95**2 / n
+    center = (ph + Z95**2 / (2 * n)) / denom
+    half = Z95 * math.sqrt(ph * (1 - ph) / n + Z95**2 / (4 * n**2)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -307,7 +308,7 @@ def generate_instance(cfg: ExperimentConfig, replicate: int) -> Instance:
         mx = float(np.max(np.abs(rows)))
         if mx > 0:
             scale = min(scale, cfg.interval_halfwidth / mx)
-        wn = float(np.abs(b) @ dm.column_norms(math.inf))
+        wn = weighted_l1_norm(b, dm)
         if wn > 0:
             scale = min(scale, D.l1inf_cap / wn)
         b = b * (scale * (1.0 - 1e-12))
@@ -468,10 +469,7 @@ def verify_tail(
     done = 0
     while done < trials:
         b = min(block, trials - done)
-        E = np.empty((b, n))
-        for i in range(b):
-            E[i] = noise.draw(rng, n, t=t_lat)
-        S = E @ A
+        S = noise.draw(rng, (b, n), t=t_lat) @ A
         for m in (1, 2, 3):
             counts[m - 1] += np.sum(S**2 > (m * noise.sigma) ** 2, axis=0)
         done += b
@@ -550,10 +548,7 @@ def verify_control_event(
     done = 0
     while done < trials:
         b = min(block, trials - done)
-        E = np.empty((b, dm.n))
-        for i in range(b):
-            E[i] = noise.draw(rng, dm.n, t=t0)
-        Z = np.abs(E @ V.T) <= thr[None, :]
+        Z = np.abs(noise.draw(rng, (b, dm.n), t=t0) @ V.T) <= thr[None, :]
         good += int(np.sum(np.all(Z, axis=1)))
         done += b
     freq = good / trials
@@ -568,30 +563,3 @@ def verify_control_event(
         "trials": trials,
     }
 
-
-def multinomial_identity_gap(x, k: int) -> float:
-    """Max relative gap in the weight identity behind the series bounds:
-
-    for every j, sum over alpha in {1..p}^k of
-    n_j(alpha) x_j^(n_j(alpha)-1) prod_{s != j} x_s^(n_s(alpha))
-    equals k (sum_s x_s)^(k-1).
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    p = x.size
-    if k < 1 or p**k > 2_000_000:
-        raise ValueError("k out of range for exact enumeration")
-    rhs = k * float(np.sum(x)) ** (k - 1)
-    worst = 0.0
-    for j in range(p):
-        lhs = 0.0
-        for alpha in itertools.product(range(p), repeat=k):
-            nj = alpha.count(j)
-            if nj == 0:
-                continue
-            term = nj * x[j] ** (nj - 1)
-            for s in set(alpha):
-                if s != j:
-                    term *= x[s] ** alpha.count(s)
-            lhs += term
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst

@@ -1,13 +1,16 @@
-"""Independent test oracles: seeded domain members, segment-hull samples and
-Taylor partial sums.  The library never calls these; the acceptance
-criteria and unit tests use them to check covers and series from outside.
+"""Independent test oracles: seeded domain members, segment-hull samples,
+Taylor partial sums, the column-separability inequality and the
+multinomial weight identity.  The library never calls these; the
+acceptance criteria and unit tests use them to check covers, series and
+the bounds' design assumptions from outside.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from l0bounds import in_domain, weighted_l1_norm
+from l0bounds import capacity, coherence, in_domain, weighted_l1_norm
 from l0bounds.design import _as_design
 
 
@@ -86,3 +89,54 @@ def taylor_eval(f, center: float, z: float, K: int) -> float:
         total += f.coeff_k(k, center) * zp
         zp *= z
     return total
+
+
+def separability_lower_bound(u, X, nu: float):
+    """Check ||X u||_2^2 >= nu (1 + mu) sum_j u_j^2 ||V_j||_2^2.
+
+    Valid whenever |spt(u)| <= capacity(X, nu); raises if the support is too
+    large for the inequality to be claimed.
+
+    Returns
+    -------
+    (lhs, rhs, holds) : the two sides and whether lhs >= rhs - 1e-9 |rhs|.
+    """
+    dm = _as_design(X)
+    u = np.asarray(u, dtype=float).ravel()
+    spt = int(np.count_nonzero(u))
+    if spt > capacity(dm, nu):
+        raise ValueError("support exceeds capacity")
+    mu = coherence(dm)
+    xu = dm.X @ u
+    lhs = float(xu @ xu)
+    rhs = float(nu * (1.0 + mu) * np.sum(u**2 * dm.column_norms(2) ** 2))
+    holds = lhs >= rhs - 1e-9 * abs(rhs)
+    return lhs, rhs, holds
+
+
+def multinomial_identity_gap(x, k: int) -> float:
+    """Max relative gap in the weight identity behind the series bounds:
+
+    for every j, sum over alpha in {1..p}^k of
+    n_j(alpha) x_j^(n_j(alpha)-1) prod_{s != j} x_s^(n_s(alpha))
+    equals k (sum_s x_s)^(k-1).
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    p = x.size
+    if k < 1 or p**k > 2_000_000:
+        raise ValueError("k out of range for exact enumeration")
+    rhs = k * float(np.sum(x)) ** (k - 1)
+    worst = 0.0
+    for j in range(p):
+        lhs = 0.0
+        for alpha in itertools.product(range(p), repeat=k):
+            nj = alpha.count(j)
+            if nj == 0:
+                continue
+            term = nj * x[j] ** (nj - 1)
+            for s in set(alpha):
+                if s != j:
+                    term *= x[s] ** alpha.count(s)
+            lhs += term
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return worst

@@ -10,11 +10,11 @@ from l0bounds import (
     SparseParam,
     capacity,
     coherence,
-    separability_lower_bound,
     series_norms,
     weighted_l1_norm,
 )
 from l0bounds.design import _SERIES_BLOCK_BYTES
+from oracles import separability_lower_bound
 
 
 def test_design_matrix_validation():

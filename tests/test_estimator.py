@@ -283,7 +283,7 @@ def test_active_constraints_match_row_loop():
         cap = wn if wn > 0 and rng.random() < 0.5 else None
         D = DomainSpec(Interval(lo, hi), max_support=float(p), l1inf_cap=cap)
         prob = FitProblem(y=np.zeros(n), X=dm, domain=D, c_r=0.0, h_max=p, family=bernoulli())
-        want, got = _active_rows_loop(prob, S, u), _active_constraints(_Support(prob, S), u[S])
+        want, got = _active_rows_loop(prob, S, u), _active_constraints(_Support(prob, S), u[S], t)
         if want is None:
             assert got is None
             seen["none"] += 1
@@ -323,7 +323,7 @@ def test_facet_phase_solves_no_system_of_order_above_distinct_rows(monkeypatch):
         real = getattr(np.linalg, name)
 
         def wrapped(a, *args, _real=real, _name=name, **kwargs):
-            if sys._getframe(1).f_code.co_name in ("_facet_phase", "_null_space_step"):
+            if sys._getframe(1).f_code.co_name in ("_active_set_newton", "_null_space_step"):
                 seen.append((_name, np.shape(a)))
             return _real(a, *args, **kwargs)
 
@@ -411,12 +411,12 @@ def test_null_space_step_matches_block_kkt_on_facets():
         if mle:
             y = (rng.random(n) < expit(t)).astype(float)
             prob = FitProblem(y=y, X=dm, domain=D, c_r=0.0, h_max=p, family=bernoulli())
-            g, H = _mle_grad_hess(prob, Xm[:, S], v)
+            g, H = _mle_grad_hess(prob, Xm[:, S], t)
         else:
             y = f(t) + rng.normal(0.0, 0.05, n)
             prob = FitProblem(y=y, X=dm, domain=D, c_r=0.0, h_max=p, loss="lse", link=f)
-            g, H = _lse_grad_hess(prob, Xm[:, S], v)
-        A, kinds = _active_constraints(_Support(prob, S), v)
+            g, H = _lse_grad_hess(prob, Xm[:, S], t)
+        A, kinds = _active_constraints(_Support(prob, S), v, t)
         assert ("cap" in kinds) == cap_facet
         Au = np.unique(A, axis=0)
         d = _null_space_step(Au, g, H)
@@ -484,6 +484,69 @@ def test_fit_does_not_call_the_full_vector_helpers_per_trial(monkeypatch):
     assert calls["in_domain"] <= 5 and calls["mle_loss"] <= 5, calls
 
 
+def test_every_iterate_carries_the_row_images_its_trial_admitted(monkeypatch):
+    # an inner solve forms X_S v once per point, where the membership test
+    # judges it: the derivatives and the binding constraints of the
+    # accepted point are computed on those very row images, never on a
+    # fresh product
+    from l0bounds import estimator
+
+    _cfg, inst, D = _boundary_instance(1200)
+    inside = [False]
+    products = [0]
+
+    class CountedDesign(np.ndarray):
+        def __matmul__(self, other):
+            if inside[0] and self.ndim == 2 and self.shape[0] == inst.X.n and np.ndim(other) == 1:
+                products[0] += 1
+            return np.asarray(self) @ np.asarray(other)
+
+    dm = DesignMatrix(inst.X.X)
+    dm.X = dm.X.view(CountedDesign)
+    admitted = {}  # id -> row images, kept alive so that ids stay unique
+    received = {"grad_hess": [], "active": []}
+
+    real_admits = estimator._Support.admits
+
+    def admits(self, v, t):
+        admitted[id(t)] = t
+        return real_admits(self, v, t)
+
+    value, grad_hess, working_response, two_starts = estimator._LOSSES["mle"]
+
+    def counted_grad_hess(*args):
+        received["grad_hess"].append(args[-1])
+        return grad_hess(*args)
+
+    real_active = estimator._active_constraints
+
+    def active(*args):
+        received["active"].append(args[-1])
+        return real_active(*args)
+
+    real_inner = estimator.inner_solve
+
+    def inner(prob, S):
+        inside[0] = True
+        try:
+            return real_inner(prob, S)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(estimator._Support, "admits", admits)
+    monkeypatch.setitem(
+        estimator._LOSSES, "mle", (value, counted_grad_hess, working_response, two_starts)
+    )
+    monkeypatch.setattr(estimator, "_active_constraints", active)
+    monkeypatch.setattr(estimator, "inner_solve", inner)
+    res = fit(FitProblem(y=inst.y, X=dm, domain=D, c_r=0.5, h_max=2, loss="mle", family=bernoulli()))
+    assert {r.support for r in res.records if r.boundary_clamped}, "no facet step taken"
+    assert received["active"] and received["grad_hess"]
+    for kind, ts in received.items():
+        assert all(admitted.get(id(t)) is t for t in ts), kind
+    assert products[0] == len(admitted)
+
+
 def test_lse_interior_solves_are_stationary():
     # least squares runs the same damped Newton as the likelihood, with the
     # Gauss-Newton curvature; wherever no constraint stopped it, the loss
@@ -537,7 +600,7 @@ def test_likelihood_derivatives_are_the_public_ones():
         u[S] = 0.3 * rng.standard_normal(3)
         y = rng.integers(0, 2, 30).astype(float)
         prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=WIDE, c_r=0.0, h_max=3, family=fam)
-        g, H = _mle_grad_hess(prob, Xm[:, S], u[S])
+        g, H = _mle_grad_hess(prob, Xm[:, S], Xm[:, S] @ u[S])
         g0, H0 = mle_gradient_hessian(y, Xm, u, fam, support=S)
         np.testing.assert_allclose(g, g0, rtol=1e-12, atol=1e-12)
         ridge = 1e-12 * max(1.0, float(np.trace(H0)))

@@ -19,12 +19,12 @@ from l0bounds import (
     generate_instance,
     in_domain,
     logistic_flip,
-    multinomial_identity_gap,
     run_coverage,
     verify_control_event,
     verify_tail,
     wilson_interval,
 )
+from oracles import multinomial_identity_gap
 
 
 def test_wilson_interval_frozen_values():
@@ -58,6 +58,18 @@ def test_draw_noise_shapes_and_bounds():
     assert eps.shape == (30,)
     with pytest.raises(ValueError):
         bernoulli_residual().draw(rng, 30)  # channel noise needs t
+
+
+def test_block_draw_is_the_stream_of_row_draws():
+    # verify_tail and verify_control_event draw a (b, n) block per call; for
+    # these models it must be the same numbers as b draws of one row each
+    t = np.linspace(-2.0, 2.0, 17)
+    for noise in (gaussian_iid(1.3), bounded_iid(0.4), bernoulli_residual()):
+        block = noise.draw(np.random.default_rng(11), (50, t.size), t=t)
+        rng = np.random.default_rng(11)
+        rows = np.stack([noise.draw(rng, t.size, t=t) for _ in range(50)])
+        assert block.shape == (50, t.size)
+        assert block.tobytes() == rows.tobytes(), noise.tag
 
 
 def test_channel_noise_is_centred():
