@@ -52,7 +52,7 @@ __all__ = [
     "coefficient_envelope",
 ]
 
-# points of I in the slope-floor grid search and in interval envelopes
+# points of I in the polynomial slope floor and in interval envelopes
 _GRID = 2001
 
 # ----------------------------------------------------------------------------
@@ -93,14 +93,6 @@ def _sig_coeff_table(K: int, ts) -> np.ndarray:
     return a
 
 
-def _sig_coeff_batch(k: int, ts) -> np.ndarray:
-    """a_k(t) = s^(k)(t)/k! of the standard logistic s, for each center t."""
-    if k < 1:
-        raise ValueError("derivative order must be >= 1")
-    t = np.asarray(ts, dtype=float)
-    return np.where(t > 0, (-1.0) ** (k + 1), 1.0) * _sig_coeff_table(k, t)[k]
-
-
 def strip_sup_logistic(y: float) -> float:
     """sup over the strip |Im z| <= y of |2 cosh(z/2)|^-2 = 1/(4 cos^2(y/2)).
 
@@ -136,15 +128,15 @@ class AnalyticFn:
     so ``deriv_k`` is only finite where the product a_k * k! is.
 
     Links are built through the constructors in ``LINKS``, never from this
-    base class directly.  Everything a link knows is a method of its kind:
-    each kind defines ``_eval`` (f on an array), ``_coeff`` (a_k at one
-    center, k >= 1), ``radius_at`` (convergence radius of the Taylor series
-    at a real center), ``deriv1`` (f' at grid points),
-    ``radius_floor`` and ``tail``, and overrides ``_coeff_batch`` (a_k at
-    many centers), ``slope_floor``, ``abs_coeff_table``, ``strip_dk`` and
-    ``interval_dk`` where it has vectorized or closed forms; the kinds whose
-    slope floor needs ``min_slope``'s grid search also define
-    ``deriv2_sup`` (max |f''| over grid points).
+    base class directly.  Everything a link knows is a method of its kind,
+    and each kind has one coefficient method: ``coeff_table(K, ts)``, the
+    signed a_1..a_K at the centers ts as a (K, m) array, which ``coeff_k``,
+    ``coeff_abs_batch``, ``abs_coeff_table`` and every consumer read.  Each
+    kind also defines ``_eval`` (f on an array), ``radius_at`` (convergence
+    radius of the Taylor series at a real center, non-decreasing in |t|),
+    ``deriv1`` (f' at grid points), ``slope_floor`` (inf_I |f'|, certified)
+    and ``tail``, and overrides ``strip_dk`` and ``interval_dk`` where it
+    has closed forms.
     """
 
     def __init__(self, tag: str, params: dict):
@@ -162,17 +154,13 @@ class AnalyticFn:
             raise ValueError("coefficient order must be >= 0")
         if k == 0:
             return float(self._eval(np.asarray(float(t))))
-        return float(self._coeff(int(k), float(t)))
+        return float(self.coeff_table(int(k), [float(t)])[-1, 0])
 
     def coeff_abs_batch(self, k: int, ts) -> np.ndarray:
-        """|a_k| at many centers (vectorized where the link allows)."""
-        ts = np.asarray(ts, dtype=float).ravel()
+        """|a_k| at many centers."""
         if k == 0:
-            return np.abs(self._eval(ts))
-        return np.abs(self._coeff_batch(int(k), ts))
-
-    def _coeff_batch(self, k: int, ts: np.ndarray) -> np.ndarray:
-        return np.array([self._coeff(k, float(t)) for t in ts])
+            return np.abs(self._eval(np.asarray(ts, dtype=float).ravel()))
+        return self.abs_coeff_table(int(k), ts)[-1]
 
     def deriv_k(self, k: int, t: float = 0.0) -> float:
         """Raw derivative f^(k)(t); +-inf once k! overflows the double range."""
@@ -186,13 +174,17 @@ class AnalyticFn:
 
     # -- per-link facts shared by every link kind ---------------------------
 
-    def slope_floor(self, I: Interval) -> float | None:
-        """Closed form of inf_I |f'|, or None when only a grid search gives it."""
-        return None
-
     def abs_coeff_table(self, K: int, ts) -> np.ndarray:
         """(K, m) array whose row k-1 holds |a_k| at the m centers ts."""
-        return np.stack([self.coeff_abs_batch(k, ts) for k in range(1, K + 1)])
+        return np.abs(self.coeff_table(K, np.asarray(ts, dtype=float).ravel()))
+
+    def radius_floor(self, I: Interval | None = None) -> float:
+        """inf of the radius over I (the real line when I is None): the radius
+        at the point of I nearest 0, as every kind's radius is non-decreasing
+        in |t|."""
+        if I is None or I.lo <= 0.0 <= I.hi:
+            return self.radius_at(0.0)
+        return self.radius_at(min(abs(I.lo), abs(I.hi)))
 
     def strip_dk(self, K: int, c: float | None) -> np.ndarray:
         """d_1..d_K >= sup |a_k| over all real centers (contour half-width c)."""
@@ -212,13 +204,16 @@ class _Polynomial(AnalyticFn):
     def _eval(self, t):
         return np.polynomial.polynomial.polyval(t, self.params["coeffs"])
 
-    def _coeff(self, k, t):
+    def coeff_table(self, K, ts):
+        # a_k(t) = sum_m c_m C(m, k) t^(m-k), summed in Python floats with
+        # libm pow (numpy.power can differ from it in the last bit)
         c, deg = self.params["coeffs"], self.params["degree"]
-        if k > deg:
-            return 0.0
-        return float(
-            sum(c[m] * math.comb(m, k) * t ** (m - k) for m in range(k, deg + 1))
-        )
+        ts = np.asarray(ts, dtype=float).tolist()
+        out = np.zeros((K, len(ts)))
+        for k in range(1, min(K, deg) + 1):
+            terms = [(c[m] * math.comb(m, k), m - k) for m in range(k, deg + 1)]
+            out[k - 1] = [sum(b * t**e for b, e in terms) for t in ts]
+        return out
 
     def radius_at(self, t):
         return math.inf
@@ -228,31 +223,24 @@ class _Polynomial(AnalyticFn):
         dc = c[1:] * np.arange(1, c.size)
         return np.polynomial.polynomial.polyval(xs, dc) if dc.size else np.zeros_like(xs)
 
-    def deriv2_sup(self, xs):
-        c = self.params["coeffs"]
-        if c.size < 3:
-            return 0.0
-        d2 = c[2:] * np.arange(2, c.size) * np.arange(1, c.size - 1)
-        return float(np.max(np.abs(np.polynomial.polynomial.polyval(xs, d2))))
-
     def slope_floor(self, I):
-        if self.params["degree"] > 1:
-            return None
-        c = self.params["coeffs"]
-        return float(abs(c[1])) if c.size > 1 else 0.0
-
-    def radius_floor(self, I=None):
-        return math.inf
+        """|c_1| for degree <= 1.  Otherwise the certified grid bound: within
+        r = h/2 of a grid point g, |f'| >= |f'(g)| - r sup |f''|, and the
+        finite expansion at g bounds that sup by sum_j j(j-1) |a_j(g)| r^(j-2)."""
+        c, deg = self.params["coeffs"], self.params["degree"]
+        if deg <= 1:
+            return float(abs(c[1])) if c.size > 1 else 0.0
+        if not I.bounded:
+            raise ValueError("min_slope needs a bounded interval for grid search")
+        xs = I.grid(_GRID)
+        r = 0.5 * (xs[1] - xs[0])
+        a = self.coeff_table(deg, xs)
+        j = np.arange(2, deg + 1)[:, None]
+        curv = np.max(np.sum(j * (j - 1) * np.abs(a[1:]) * r ** (j - 2), axis=0))
+        return max(0.0, float(np.min(np.abs(a[0])) - r * curv))
 
     def tail(self, t_hi):
         return ("finite", self.params["degree"])
-
-    def abs_coeff_table(self, K, ts):
-        out = np.zeros((K, np.size(ts)))
-        deg = min(K, self.params["degree"])
-        if deg:
-            out[:deg] = super().abs_coeff_table(deg, ts)
-        return out
 
     def strip_dk(self, K, c):
         if self.params["degree"] > 1:
@@ -268,8 +256,14 @@ class _Exp(AnalyticFn):
     def _eval(self, t):
         return np.exp(t)
 
-    def _coeff(self, k, t):
-        return math.exp(t) / math.factorial(k) if k <= 170 else math.exp(t) * math.exp(-math.lgamma(k + 1))
+    def coeff_table(self, K, ts):
+        # libm exp per center (numpy's SIMD exp can differ in the last bit),
+        # then e^t / k!, or e^t e^-lgamma(k+1) once k! overflows
+        e = np.array([math.exp(t) for t in np.asarray(ts, dtype=float).tolist()])
+        out = np.empty((K, e.size))
+        for k in range(1, K + 1):
+            out[k - 1] = e / float(math.factorial(k)) if k <= 170 else e * math.exp(-math.lgamma(k + 1))
+        return out
 
     def radius_at(self, t):
         return math.inf
@@ -277,11 +271,9 @@ class _Exp(AnalyticFn):
     def deriv1(self, xs):
         return np.exp(xs)
 
-    def deriv2_sup(self, xs):
-        return float(np.exp(np.max(xs)))
-
-    def radius_floor(self, I=None):
-        return math.inf
+    def slope_floor(self, I):
+        # f' = e^t increases, so the floor sits at the left end
+        return math.exp(I.lo)
 
     def tail(self, t_hi):
         return ("factorial", math.exp(t_hi))
@@ -297,11 +289,11 @@ class _LogisticFlip(AnalyticFn):
     def _eval(self, t):
         return self.params["p01"] + self.params["delta"] * _logistic(t)
 
-    def _coeff(self, k, t):
-        return self.params["delta"] * _sig_coeff_batch(k, [t])[0]
-
-    def _coeff_batch(self, k, ts):
-        return self.params["delta"] * _sig_coeff_batch(k, ts)
+    def coeff_table(self, K, ts):
+        t = np.asarray(ts, dtype=float)
+        a = _sig_coeff_table(K, t)[1:]
+        a[1::2] *= np.where(t > 0, -1.0, 1.0)  # a_k(t) = (-1)^(k+1) a_k(-t)
+        return self.params["delta"] * a
 
     def radius_at(self, t):
         return math.hypot(float(t), math.pi)
@@ -312,18 +304,8 @@ class _LogisticFlip(AnalyticFn):
     def slope_floor(self, I):
         return self.params["delta"] * _logistic_slope_floor(I.sup_abs)
 
-    def radius_floor(self, I=None):
-        if I is None:
-            return math.pi
-        m = min(abs(I.lo), abs(I.hi)) if I.lo * I.hi > 0 else 0.0
-        return math.hypot(m, math.pi)
-
     def tail(self, t_hi):
         return ("logistic", self.params["delta"])
-
-    def abs_coeff_table(self, K, ts):
-        # |a_k| is even in the center, which the table's rows at -|t| use
-        return np.abs(self.params["delta"] * _sig_coeff_table(K, ts)[1:])
 
     def strip_dk(self, K, c):
         if c is None:
@@ -387,37 +369,18 @@ def min_slope(f: AnalyticFn, I: Interval) -> float:
     d(f, I) = inf_{x != y in I} |f(x) - f(y)| / |x - y|.
 
     For continuously differentiable f this infimum equals inf_I |f'| (mean
-    value theorem; nearby pairs approach the derivative minimum).  The bound
-    scans the difference quotients of all pairs of ``_GRID`` points of I and
-    the derivative at those points, then subtracts the Lipschitz correction
-    (h/2) sup |f''| for the grid spacing h.  Where the floor has a closed
-    form (logistic-type links: slope decreasing in |t|, so
-    delta * (2 cosh(M/2))^-2 at M = sup_I |t|; polynomials of degree <= 1,
-    linear links included: |c_1|) the exact value is returned, on unbounded
-    intervals too.
+    value theorem), which each link kind bounds from below in its
+    ``slope_floor``: logistic-type links have slope decreasing in |t|, so
+    delta * (2 cosh(M/2))^-2 at M = sup_I |t|; exp has e^(inf I);
+    polynomials of degree <= 1, linear links included, have |c_1|; higher
+    degrees take the least |f'| over ``_GRID`` points of I minus a
+    curvature correction from their own coefficient table, and need a
+    bounded I.
 
     Returns 0.0 for non-identifiable links (the estimation constants reject
     that downstream).
     """
-    floor = f.slope_floor(I)
-    if floor is not None:
-        return floor
-    if not I.bounded:
-        raise ValueError("min_slope needs a bounded interval for grid search")
-    xs = I.grid(_GRID)
-    vals = np.asarray(f(xs), dtype=float)
-    h = xs[1] - xs[0]
-    best = math.inf
-    block = 256
-    for i0 in range(0, _GRID, block):
-        dv = vals[i0 : i0 + block, None] - vals[None, :]
-        dx = xs[i0 : i0 + block, None] - xs[None, :]
-        m = np.abs(dx) > 0
-        if np.any(m):
-            best = min(best, float(np.min(np.abs(dv[m]) / np.abs(dx[m]))))
-    best = min(best, float(np.min(np.abs(f.deriv1(xs)))))
-    corr = 0.5 * h * f.deriv2_sup(xs)
-    return max(0.0, best - corr)
+    return f.slope_floor(I)
 
 
 @dataclass(frozen=True)
@@ -460,10 +423,12 @@ def coefficient_envelope(
     mode : "strip" or "interval"
         Strip envelopes bound sup over all real centers via a Cauchy contour
         (available only when f' is bounded on horizontal strips); interval
-        envelopes maximize |a_k| over ``_GRID`` points of ``region`` (an
-        Interval), which is the recipe the downstream constants expect --
-        the grid max underestimates the true sup, so certified tails come
-        from the closed forms instead.
+        envelopes take ``f.interval_dk``: the max of |a_k| over ``_GRID``
+        points of ``region`` (an Interval), read from one coefficient
+        table, or exp's closed form e^(sup I)/k!.  This is the recipe the
+        downstream constants expect -- the grid max underestimates the
+        true sup, so certified tails come from the closed forms instead.
+        Both modes take rho0 from ``f.radius_floor``.
     region : Interval or None
         Required for interval mode.
     contour_radius : float

@@ -209,16 +209,16 @@ def c1_one_disc(X, f: AnalyticFn, sigma: float, q: float, theta: float, K: int =
     pref = sigma * math.sqrt(2.0 * lam)
     rho = f.radius_at(0.0)
     kind = f.tail(0.0)
+    # |f^(k)(0)|/(k-1)! = k |a_k(0)|
+    d = [0.0] + f.abs_coeff_table(K, [0.0])[:, 0].tolist()
     if math.isinf(rho):
         if kind[0] == "finite" and kind[1] <= 1:
-            v = pref * abs(f.coeff_k(1, 0.0)) * _wk(dm, 1)[1]
+            v = pref * d[1] * _wk(dm, 1)[1]
             return SeriesBound(v, v, 0.0, 1)
         raise ValueError(
             "series diverges: infinite radius with a nonlinear link; "
             "use the envelope form on a bounded region"
         )
-    # |f^(k)(0)|/(k-1)! = k |a_k(0)|
-    d = [0.0] + [abs(f.coeff_k(k, 0.0)) for k in range(1, K + 1)]
     return _c1_series(dm, lambda k: math.sqrt(k) * k, d, theta * rho, K, kind, pref)
 
 

@@ -39,6 +39,22 @@ def _need(cfg: dict, key: str):
     return cfg[key]
 
 
+_REQUIRED = object()
+
+
+def _num(cfg: dict, key: str, kind=float, default=_REQUIRED):
+    """``kind(cfg[key])`` for a scalar key (kind is float or int), or
+    ``default`` when the key is absent; a missing required key, or a value
+    that does not convert, is a config error."""
+    if key not in cfg and default is not _REQUIRED:
+        return default
+    v = _need(cfg, key)
+    try:
+        return kind(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {v!r}") from exc
+
+
 def parse_block(cfg: dict, key: str, table: dict):
     """Build the object that the block ``cfg[key]`` describes: its ``tag``
     picks the constructor from ``table`` and its other keys are the
@@ -66,8 +82,8 @@ def parse_domain(d: dict) -> domains.DomainSpec:
     try:
         return domains.DomainSpec(
             interval=parse_interval(_need(d, "interval")),
-            max_support=float(_need(d, "max_support")),
-            l1inf_cap=d.get("l1inf_cap"),
+            max_support=_num(d, "max_support"),
+            l1inf_cap=_num(d, "l1inf_cap", default=None),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad domain block: {exc}") from exc
@@ -82,9 +98,9 @@ def load_design(args, cfg: dict) -> DesignMatrix:
     d = cfg.get("design")
     if d is None:
         raise ConfigError("no design: pass --x or a 'design' config block")
+    n, p, seed = _num(d, "n", int), _num(d, "p", int), _num(d, "seed", int, 0)
     try:
-        n, p = int(_need(d, "n")), int(_need(d, "p"))
-        rng = np.random.default_rng(np.random.SeedSequence((int(d.get("seed", 0)), 0xDE5)))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDE5)))
         return random_design(_need(d, "tag"), n, p, rng)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad design block: {exc}") from exc
@@ -99,22 +115,22 @@ def _cmd_bounds(args, cfg: dict) -> dict:
     dm = load_design(args, cfg)
     theorem = _need(cfg, "theorem")
     I = parse_interval(_need(cfg, "interval"))
-    q = float(_need(cfg, "q"))
-    nu = float(_need(cfg, "nu"))
-    sigma = float(cfg.get("sigma", 1.0))
-    K = int(cfg.get("K", 60))
+    q = _num(cfg, "q")
+    nu = _num(cfg, "nu")
+    sigma = _num(cfg, "sigma", default=1.0)
+    K = _num(cfg, "K", int, 60)
     if theorem == "glm":
         fam = parse_block(cfg, "family", expfam.FAMILIES)
         rep = bounds.glm_report(dm, fam, I, sigma, q, nu)
     elif theorem == "one_disc":
         f = parse_block(cfg, "link", analytic.LINKS)
-        rep = bounds.one_disc_report(dm, f, I, sigma, q, nu, float(_need(cfg, "theta")), K=K)
+        rep = bounds.one_disc_report(dm, f, I, sigma, q, nu, _num(cfg, "theta"), K=K)
     elif theorem in ("ub_strip", "ub_interval"):
         f = parse_block(cfg, "link", analytic.LINKS)
         rep = bounds.ub_report(
             dm, f, I, sigma, q, nu,
-            rho1=float(_need(cfg, "rho1")), theta=float(cfg.get("theta", 0.75)),
-            h=cfg.get("h"), delta_D=cfg.get("delta_D"),
+            rho1=_num(cfg, "rho1"), theta=_num(cfg, "theta", default=0.75),
+            h=_num(cfg, "h", default=None), delta_D=_num(cfg, "delta_D", default=None),
             mode=theorem.removeprefix("ub_"), K=K,
         )
     else:
@@ -133,8 +149,8 @@ def _cmd_fit(args, cfg: dict) -> dict:
     D = parse_domain(_need(cfg, "domain"))
     loss = _need(cfg, "loss")
     kwargs = dict(
-        y=y, X=dm, domain=D, c_r=float(_need(cfg, "c_r")),
-        h_max=int(_need(cfg, "h_max")), loss=loss,
+        y=y, X=dm, domain=D, c_r=_num(cfg, "c_r"),
+        h_max=_num(cfg, "h_max", int), loss=loss,
     )
     if loss == "mle":
         kwargs["family"] = parse_block(cfg, "family", expfam.FAMILIES)
@@ -175,21 +191,21 @@ def _cmd_grid(args, cfg: dict) -> dict:
     f = parse_block(cfg, "link", analytic.LINKS)
     D = parse_domain(_need(cfg, "domain"))
     br = cfg.get("b_rule", {"rule": "half_radius"})
-    rule = ("half_radius",) if br.get("rule") == "half_radius" else ("constant", float(_need(br, "c")))
-    G = grids.build_grid(dm, f, D, int(_need(cfg, "h")), b_rule=rule)
+    rule = ("half_radius",) if br.get("rule") == "half_radius" else ("constant", _num(br, "c"))
+    G = grids.build_grid(dm, f, D, _num(cfg, "h", int), b_rule=rule)
     return json.loads(G.to_json())
 
 
 def _cmd_verify(args, cfg: dict) -> dict:
     what = _need(cfg, "what")
     noise = parse_block(cfg, "noise", harness.NOISES)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 2026))
+    seed = args.seed if args.seed is not None else _num(cfg, "seed", int, 2026)
     if what == "tail":
         return harness.verify_tail(
             noise,
-            trials=int(cfg.get("trials", 100_000)),
-            n=int(cfg.get("n", 20)),
-            n_dirs=int(cfg.get("n_dirs", 8)),
+            trials=_num(cfg, "trials", int, 100_000),
+            n=_num(cfg, "n", int, 20),
+            n_dirs=_num(cfg, "n_dirs", int, 8),
             seed=seed,
         )
     if what == "control":
@@ -200,9 +216,9 @@ def _cmd_verify(args, cfg: dict) -> dict:
             centers = [[0.0] * dm.p]
         return harness.verify_control_event(
             dm, f, [np.asarray(c, float) for c in centers], noise,
-            q=float(_need(cfg, "q")),
-            K_check=int(cfg.get("K_check", 3)),
-            trials=int(cfg.get("trials", 10_000)),
+            q=_num(cfg, "q"),
+            K_check=_num(cfg, "K_check", int, 3),
+            trials=_num(cfg, "trials", int, 10_000),
             seed=seed,
         )
     raise ConfigError("verify 'what' must be 'tail' or 'control'")

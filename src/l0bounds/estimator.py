@@ -74,6 +74,11 @@ class FitProblem:
             raise ValueError("c_r must be nonnegative")
         self.h_max = int(self.h_max)
 
+    @functools.cached_property
+    def working_response(self) -> np.ndarray:
+        """The response every support's ridge start regresses on X_S."""
+        return _LOSSES[self.loss][2](self)
+
 
 @dataclass(frozen=True)
 class SupportRecord:
@@ -157,13 +162,12 @@ class _Support:
     v in R^|S|; every evaluation goes through the row images t = X_S v."""
 
     def __init__(self, prob: FitProblem, S: tuple):
-        value, gh, working_response, self.two_starts = _LOSSES[prob.loss]
+        value, gh, _, self.two_starts = _LOSSES[prob.loss]
         self.prob, self.S = prob, list(S)
         self.Xs = prob.X.X[:, self.S]
         self.w = prob.X.column_norms(math.inf)[self.S]
         self.value = functools.partial(value, prob)
         self.grad_hess = functools.partial(gh, prob, self.Xs)
-        self.working_response = functools.partial(working_response, prob)
 
     def admits(self, v: np.ndarray, t: np.ndarray) -> bool:
         return self.prob.domain.admits(v, t, self.w)
@@ -313,7 +317,7 @@ def _ridge_start(sp: _Support):
     A = Xs.T @ Xs
     A = A + 1e-3 * max(1.0, float(np.trace(A)) / k) * np.eye(k)
     try:
-        v = np.linalg.solve(A, Xs.T @ sp.working_response())
+        v = np.linalg.solve(A, Xs.T @ sp.prob.working_response)
     except np.linalg.LinAlgError:
         return None
     for _ in range(80):

@@ -240,6 +240,17 @@ class ExperimentConfig:
             raise ValueError("unknown design tag")
         if not self.interval_halfwidth > 0:
             raise ValueError("interval_halfwidth must be positive")
+        # the constructors validate their own parameters
+        if self.model == "glm":
+            self.family_obj()
+        else:
+            self.link_obj()
+            if self.K < 1:
+                raise ValueError("K must be >= 1")
+            # the strip envelope's contour radius rho1/theta lies in (rho1, pi)
+            if not (self.theta > 0 and 0.0 < self.rho1 < self.rho1 / self.theta < math.pi):
+                raise ValueError("rho1 and theta must satisfy 0 < rho1 < rho1/theta < pi")
+        self.noise_obj()
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -524,9 +535,9 @@ def verify_control_event(
     V = []
     thr = []
     for u in centers:
-        t = dm.X @ u
+        table = f.coeff_table(K_check, dm.X @ u)
         for k in range(1, K_check + 1):
-            a_k = np.array([f.coeff_k(k, ti) for ti in t])
+            a_k = table[k - 1]
             qk = (q / (1.0 + q)) ** k / len(centers)
             lam = math.sqrt(2.0 * math.log(dm.p**k / qk))
             for alpha in itertools.product(range(dm.p), repeat=k):

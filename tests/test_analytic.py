@@ -144,16 +144,39 @@ def test_min_slope_degree_one_polynomial_closed_form(a, b):
 
 
 def test_min_slope_grid_path_close_to_closed_form():
-    # links without a closed-form floor exercise the certified grid bound
-    cases = [
-        (exp_fn(), Interval(0.0, 1.0), 1.0),  # inf e^t at the left end
-        (polynomial([0.0, 1.0, 0.5]), Interval(-0.5, 1.0), 0.5),  # inf |1 + t|
-    ]
-    for f, I, truth in cases:
-        assert f.slope_floor(I) is None
-        got = min_slope(f, I)
-        assert 0.0 <= got <= truth + 1e-12  # certified: never above truth
-        assert got == pytest.approx(truth, abs=2e-3)
+    # a polynomial of degree >= 2 takes the certified grid bound
+    f, I, truth = polynomial([0.0, 1.0, 0.5]), Interval(-0.5, 1.0), 0.5  # inf |1 + t|
+    got = min_slope(f, I)
+    assert 0.0 <= got <= truth + 1e-12  # certified: never above truth
+    assert got == pytest.approx(truth, abs=2e-3)
+    # exp's slope e^t increases: the floor is its value at the left end
+    for lo, hi in [(0.0, 1.0), (-1.5, 1.5), (-3.0, -0.25), (0.5, math.inf), (-math.inf, 1.0)]:
+        assert min_slope(exp_fn(), Interval(lo, hi)) == math.exp(lo)
+
+
+@pytest.mark.parametrize(
+    "coeffs,lo,hi",
+    [
+        ([0.0, 1.0, 0.5], -0.5, 1.0),
+        ([0.5, -1.0, 0.25, 0.1], 0.0, 1.0),
+        ([0.5, -1.0, 0.25, 0.1, 0.05], -3.0, -0.25),
+        ([2.0, 3.0, -1.0, 0.2], -1.0, 2.5),
+        # f' = 1 - 1.2 t^3 changes sign inside an off-center interval
+        ([0.0, 1.0, 0.0, 0.0, -0.3], -1.0003, 1.0007),
+    ],
+)
+def test_min_slope_polynomial_never_exceeds_the_dense_infimum(coeffs, lo, hi):
+    f = polynomial(coeffs)
+    xs = np.linspace(lo, hi, 2_000_000)
+    dense = float(np.min(np.abs(f.deriv1(xs))))
+    got = min_slope(f, Interval(lo, hi))
+    assert 0.0 <= got <= dense
+    assert got == pytest.approx(dense, abs=5e-3)
+
+
+def test_min_slope_polynomial_needs_a_bounded_interval():
+    with pytest.raises(ValueError, match="bounded interval"):
+        min_slope(polynomial([0.0, 1.0, 0.5]), Interval(0.0, math.inf))
 
 
 def test_strip_sup_logistic_values():
@@ -344,5 +367,23 @@ def test_abs_coeff_table_equals_per_order_batches(name):
     f = BUILTIN_LINKS[name]
     ts = np.linspace(-2.0, 2.0, 37)
     table = f.abs_coeff_table(12, ts)
+    np.testing.assert_array_equal(table, np.abs(f.coeff_table(12, ts)))
     for k in range(1, 13):
         assert np.array_equal(table[k - 1], f.coeff_abs_batch(k, ts)), k
+
+
+@pytest.mark.parametrize("name", sorted(LINKS))
+def test_coeff_table_equals_coeff_k_at_each_center(name):
+    f = BUILTIN_LINKS[name]
+    ts = np.linspace(-2.0, 2.0, 37)
+    K = 24
+    table = f.coeff_table(K, ts)
+    assert table.shape == (K, ts.size)
+    single = np.array([[f.coeff_k(k, t) for t in ts] for k in range(1, K + 1)])
+    np.testing.assert_array_equal(np.sign(table), np.sign(single))
+    # numpy sums the logistic recurrence's convolution pairwise at one
+    # center and in order across many, so from order 8 (sums of 8 terms)
+    # the two round differently in the last bits
+    exact = K if name != "logistic_flip" else 7
+    np.testing.assert_array_equal(table[:exact], single[:exact])
+    np.testing.assert_allclose(table, single, rtol=1e-12, atol=0.0)

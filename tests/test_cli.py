@@ -344,12 +344,97 @@ def test_bad_design_block_exits_1(tmp_path, design):
 
 
 @pytest.mark.parametrize(
-    "bad", [{"family": "poisson"}, {"c_r": "big"}, {"c_r": -0.5}, {"c_r": "nan"}, {"c_r": None}]
+    "bad",
+    [
+        {"family": "poisson"},
+        {"c_r": "big"},
+        {"c_r": -0.5},
+        {"c_r": "nan"},
+        {"c_r": None},
+        {"family": "gaussian", "sigma2": -1},
+        {"model": "flip", "K": 0},
+        {"model": "flip", "p01": 0.9, "p11": 0.1},
+        {"model": "flip", "theta": 1.5},
+    ],
 )
-def test_bad_coverage_config_exits_1(tmp_path, bad):
+def test_bad_coverage_config_exits_1(tmp_path, monkeypatch, bad):
+    drawn = []
+    real = harness.generate_instance
+    monkeypatch.setattr(harness, "generate_instance", lambda *a: drawn.append(a) or real(*a))
     cfg = _write(
         tmp_path / "cfg.json",
         {"n": 30, "p": 5, "spt_size": 1, "replicates": 2, "seed": 11, **bad},
     )
     assert main(["coverage", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
     assert not (tmp_path / "coverage.json").exists()
+    assert drawn == []  # rejected before any replicate is drawn
+
+
+SCALAR_BASE = {
+    "bounds": {
+        "theorem": "ub_strip", "design": {"tag": "pm1_iid", "n": 40, "p": 6, "seed": 2},
+        "link": {"tag": "logistic_flip", "p01": 0.1, "p11": 0.9},
+        "interval": [-1.5, 1.5], "q": 0.1, "nu": 0.5, "rho1": 1.0, "theta": 0.75, "K": 12,
+    },
+    "grid": {
+        "design": {"tag": "pm1_iid", "n": 30, "p": 6, "seed": 1},
+        "link": {"tag": "logistic_flip", "p01": 0.1, "p11": 0.9},
+        "domain": {"interval": [-1.5, 1.5], "max_support": 1, "l1inf_cap": 1.5}, "h": 2,
+    },
+    "verify": {
+        "what": "control", "design": {"tag": "pm1_iid", "n": 12, "p": 3, "seed": 1},
+        "link": {"tag": "logistic_flip", "p01": 0.1, "p11": 0.9},
+        "noise": {"tag": "gaussian_iid", "sigma": 1.0}, "q": 0.1, "trials": 500,
+    },
+}
+
+
+@pytest.mark.parametrize("key,value", [("h", 2), ("delta_D", 1.5), ("q", 0.1), ("K", 12)])
+def test_numeric_string_scalar_reads_as_its_number(tmp_path, key, value):
+    base = SCALAR_BASE["bounds"]
+    num = _write(tmp_path / "num.json", {**base, key: value})
+    assert main(["bounds", "--config", num, "--out", str(tmp_path / "a"), "--quiet"]) == 0
+    txt = _write(tmp_path / "txt.json", {**base, key: str(value)})
+    assert main(["bounds", "--config", txt, "--out", str(tmp_path / "b"), "--quiet"]) == 0
+    a = json.loads((tmp_path / "a" / "bounds.json").read_text())
+    b = json.loads((tmp_path / "b" / "bounds.json").read_text())
+    assert a == b
+
+
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("bounds", "h", "two"),
+        ("bounds", "delta_D", "1.5.0"),
+        ("bounds", "q", "abc"),
+        ("bounds", "K", "many"),
+        ("bounds", "sigma", [1.0]),
+        ("grid", "h", "two"),
+        ("verify", "K_check", "3.5"),
+        ("verify", "trials", None),
+        ("verify", "q", {}),
+    ],
+)
+def test_bad_scalar_value_exits_1(tmp_path, capsys, command, key, value):
+    good = _write(tmp_path / "good.json", SCALAR_BASE[command])
+    assert main([command, "--config", good, "--out", str(tmp_path), "--quiet"]) == 0
+    cfg = _write(tmp_path / "cfg.json", {**SCALAR_BASE[command], key: value})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "bad"), "--quiet"]) == 1
+    assert f"bad value for {key!r}" in capsys.readouterr().err
+
+
+def test_bad_fit_scalar_exits_1(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(x, rng.choice([-1.0, 1.0], size=(20, 3)), delimiter=",")
+    np.savetxt(y, rng.integers(0, 2, 20).astype(float), delimiter=",")
+    base = {
+        "loss": "mle", "family": {"tag": "bernoulli"}, "c_r": 0.5, "h_max": 1,
+        "domain": {"interval": [-3, 3], "max_support": 1, "l1inf_cap": 3},
+    }
+    argv = ["fit", "--x", str(x), "--y", str(y), "--out", str(tmp_path), "--quiet"]
+    assert main(argv + ["--config", _write(tmp_path / "ok.json", base)]) == 0
+    for key, value in (("c_r", "0.5x"), ("h_max", "one")):
+        cfg = _write(tmp_path / "cfg.json", {**base, key: value})
+        assert main(argv + ["--config", cfg]) == 1
+        assert f"bad value for {key!r}" in capsys.readouterr().err

@@ -77,6 +77,29 @@ def test_lse_noiseless_recovery():
     assert res.loss_value < 1e-12
 
 
+# the likelihood builds no ridge start where the zero start is feasible
+@pytest.mark.parametrize("loss,builds", [("mle", 0), ("lse", 1)])
+def test_ridge_working_response_is_built_once_per_problem(monkeypatch, loss, builds):
+    from l0bounds import estimator
+
+    value, gh, working_response, two_starts = estimator._LOSSES[loss]
+    calls = []
+
+    def counted(prob):
+        calls.append(prob)
+        return working_response(prob)
+
+    monkeypatch.setitem(estimator._LOSSES, loss, (value, gh, counted, two_starts))
+    rng = np.random.default_rng(5)
+    X = DesignMatrix(rng.choice([-1.0, 1.0], size=(80, 5)))
+    y = rng.integers(0, 2, 80).astype(float)
+    D = DomainSpec(Interval(-3.0, 3.0), max_support=2.0, l1inf_cap=3.0)
+    model = {"family": bernoulli()} if loss == "mle" else {"link": logistic_flip(0.1, 0.9)}
+    res = fit(FitProblem(y=y, X=X, domain=D, c_r=0.5, h_max=2, loss=loss, **model))
+    assert len(res.records) == 16
+    assert len(calls) == builds
+
+
 def test_mle_bernoulli_support_recovery():
     rng = np.random.default_rng(7)
     n, p = 400, 6

@@ -1,5 +1,6 @@
 """Monte Carlo harness: noise models, configs, coverage runs, verifications."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -13,17 +14,21 @@ from l0bounds import (
     ExperimentConfig,
     bernoulli_residual,
     bounded_iid,
+    exp_fn,
     flip_channel,
     gaussian_correlated,
     gaussian_iid,
     generate_instance,
     in_domain,
+    linear,
     logistic_flip,
+    polynomial,
     run_coverage,
     verify_control_event,
     verify_tail,
     wilson_interval,
 )
+from l0bounds.analytic import LINKS
 from oracles import multinomial_identity_gap
 
 
@@ -227,6 +232,30 @@ def test_verify_control_event():
     assert rep["freq"] >= rep["target"] - 3 * rep["se"]
     with pytest.raises(ValueError):
         verify_control_event(X, f, [np.zeros(3)], gaussian_iid(1.0), q=0.1, K_check=9)
+
+
+@pytest.mark.parametrize("name", sorted(LINKS))
+def test_verify_control_event_matches_the_per_row_coefficients(name):
+    # the event's rows read one coefficient table per center; the same rows
+    # built from coeff_k one row image at a time give the same report
+    f = {
+        "logistic_flip": logistic_flip(0.1, 0.9),
+        "linear": linear(1.5, 0.5),
+        "polynomial": polynomial([0.5, -1.0, 0.25, 0.1]),
+        "exp": exp_fn(),
+    }[name]
+    per_row = copy.copy(f)
+    per_row.coeff_table = lambda K, ts: np.array(
+        [[f.coeff_k(k, t) for t in ts] for k in range(1, K + 1)]
+    )
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((20, 3))
+    centers = [np.zeros(3), np.array([0.4, -0.3, 0.2])]
+    for K_check in (1, 4, 6):
+        args = (centers, gaussian_iid(1.0))
+        kw = dict(q=0.1, K_check=K_check, trials=400, seed=3)
+        want = verify_control_event(X, per_row, *args, **kw)
+        assert json.dumps(verify_control_event(X, f, *args, **kw)) == json.dumps(want)
 
 
 def test_multinomial_identity_gap_exact():
