@@ -280,7 +280,8 @@ class _Exp(AnalyticFn):
 
     def interval_dk(self, K, I):
         ks = np.arange(1, K + 1)
-        return np.exp(I.hi - np.cumsum(np.log(ks)))
+        with np.errstate(over="raise"):  # past sup I ~ 709.78: FloatingPointError
+            return np.exp(I.hi - np.cumsum(np.log(ks)))
 
 
 class _LogisticFlip(AnalyticFn):

@@ -34,7 +34,7 @@ from .analytic import (
     min_slope,
     strip_sup_logistic,
 )
-from .design import DesignMatrix, _as_design, capacity, coherence, series_norms
+from .design import _NU, DesignMatrix, _as_design, capacity, coherence, series_norms
 from .domains import Interval
 from .expfam import ExpFamily, curvature_inf
 from .grids import CoveringGrid
@@ -164,26 +164,22 @@ def c1_glm(X, sigma: float, q: float) -> float:
     return sigma * math.sqrt(math.log(dm.p / q) / (2.0 * dm.n)) * dm.max_norm(2)
 
 
-def c2_glm(X, nu: float, delta: float) -> float:
-    """c2 = nu delta (1 + mu) min_j ||V_j||_2^2 / (2n)."""
+def c2_glm(X, delta: float) -> float:
+    """c2 = nu delta (1 + mu) min_j ||V_j||_2^2 / (2n), nu = ``design._NU``."""
     dm = _as_design(X)
     if delta <= 0:
         raise ValueError("curvature floor must be positive")
-    if not 0.0 < nu <= 1.0:
-        raise ValueError("nu must lie in (0, 1]")
     mu = coherence(dm)
-    return nu * delta * (1.0 + mu) * dm.min_norm(2) ** 2 / (2.0 * dm.n)
+    return _NU * delta * (1.0 + mu) * dm.min_norm(2) ** 2 / (2.0 * dm.n)
 
 
-def c2_lse(X, nu: float, dmin: float) -> float:
-    """c2 = d(f, I)^2 nu (1 + mu) min_j ||V_j||_2^2 / n."""
+def c2_lse(X, dmin: float) -> float:
+    """c2 = d(f, I)^2 nu (1 + mu) min_j ||V_j||_2^2 / n, nu = ``design._NU``."""
     dm = _as_design(X)
     if not dmin > 0:
         raise ValueError("non-identifiable link on I")
-    if not 0.0 < nu <= 1.0:
-        raise ValueError("nu must lie in (0, 1]")
     mu = coherence(dm)
-    return dmin**2 * nu * (1.0 + mu) * dm.min_norm(2) ** 2 / dm.n
+    return dmin**2 * _NU * (1.0 + mu) * dm.min_norm(2) ** 2 / dm.n
 
 
 # ----------------------------------------------------------------------------
@@ -344,59 +340,58 @@ def _assemble(theorem, c1v, c2v, dm, q, K, tail, inputs) -> BoundsReport:
     )
 
 
-def glm_report(X, family: ExpFamily, I: Interval, sigma: float, q: float, nu: float) -> BoundsReport:
+def glm_report(X, family: ExpFamily, I: Interval, sigma: float, q: float) -> BoundsReport:
     """Constants for penalized MLE in an exponential linear family on I."""
     dm = _as_design(X)
     delta = curvature_inf(family, I)
     c1v = c1_glm(dm, sigma, q)
-    c2v = c2_glm(dm, nu, delta)
+    c2v = c2_glm(dm, delta)
     return _assemble(
         "glm", c1v, c2v, dm, q, 0, 0.0,
         {
-            "n": dm.n, "p": dm.p, "sigma": sigma, "q": q, "nu": nu,
+            "n": dm.n, "p": dm.p, "sigma": sigma, "q": q, "nu": _NU,
             "delta": delta, "mu": coherence(dm), "family": family.tag,
             "interval": [I.lo, I.hi],
         },
     )
 
 
-def _lse_report(theorem, s: SeriesBound, dm, f: AnalyticFn, I: Interval, sigma, q, nu, extra) -> BoundsReport:
+def _lse_report(theorem, s: SeriesBound, dm, f: AnalyticFn, I: Interval, sigma, q, extra) -> BoundsReport:
     """Least-squares report: c1 from the series s, c2 from the slope floor
     of f on I; ``extra`` holds the theorem's own inputs."""
     dmin = min_slope(f, I)
-    c2v = c2_lse(dm, nu, dmin)
+    c2v = c2_lse(dm, dmin)
     return _assemble(
         theorem, s.value, c2v, dm, q, s.K, s.tail,
         {
-            "n": dm.n, "p": dm.p, "sigma": sigma, "q": q, "nu": nu, **extra,
+            "n": dm.n, "p": dm.p, "sigma": sigma, "q": q, "nu": _NU, **extra,
             "dmin": dmin, "mu": coherence(dm), "link": f.tag, "interval": [I.lo, I.hi],
         },
     )
 
 
 def one_disc_report(
-    X, f: AnalyticFn, I: Interval, sigma: float, q: float, nu: float,
-    theta: float, K: int = 60,
+    X, f: AnalyticFn, I: Interval, sigma: float, q: float, theta: float, K: int = 60,
 ) -> BoundsReport:
     """Least-squares constants from the single-disc series at the origin."""
     dm = _as_design(X)
     s = c1_one_disc(dm, f, sigma, q, theta, K=K)
-    return _lse_report("one_disc", s, dm, f, I, sigma, q, nu, {"theta": theta})
+    return _lse_report("one_disc", s, dm, f, I, sigma, q, {"theta": theta})
 
 
 def multi_disc_report(
-    X, G: CoveringGrid, I: Interval, sigma: float, q: float, nu: float, K: int = 60,
+    X, G: CoveringGrid, I: Interval, sigma: float, q: float, K: int = 60,
 ) -> BoundsReport:
     """Least-squares constants from the covering-grid series."""
     dm = _as_design(X)
     s = c1_multi_disc(dm, G, sigma, q, K=K)
     return _lse_report(
-        "multi_disc", s, dm, G.f, I, sigma, q, nu, {"grid_size": len(G), "b_inf": G.b_inf}
+        "multi_disc", s, dm, G.f, I, sigma, q, {"grid_size": len(G), "b_inf": G.b_inf}
     )
 
 
 def ub_report(
-    X, f: AnalyticFn, I: Interval, sigma: float, q: float, nu: float,
+    X, f: AnalyticFn, I: Interval, sigma: float, q: float,
     rho1: float, theta: float, h: float | None = None,
     delta_D: float | None = None, mode: str = "strip", K: int = 60,
 ) -> BoundsReport:
@@ -409,7 +404,7 @@ def ub_report(
     """
     dm = _as_design(X)
     if h is None:
-        cap = capacity(dm, nu)
+        cap = capacity(dm)
         h = max(1.0, cap / 2.0) if math.isfinite(cap) else 1.0
     if delta_D is None:
         if not I.bounded:
@@ -421,6 +416,6 @@ def ub_report(
         env = coefficient_envelope(f, mode, I, K=K)
     s = c1_ub(dm, env, sigma, q, h, delta_D, rho1)
     return _lse_report(
-        f"ub_{mode}", s, dm, f, I, sigma, q, nu,
+        f"ub_{mode}", s, dm, f, I, sigma, q,
         {"rho1": rho1, "theta": theta, "h": h, "delta_D": delta_D},
     )

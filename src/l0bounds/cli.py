@@ -7,7 +7,8 @@ Carlo coverage experiment), ``grid`` (covering-grid construction), and
 JSON file; results are written as JSON (plus CSV for coverage) into --out.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 computation
-error (diverging series, budget blow-ups, non-identifiable links, ...).
+error (diverging series, budget blow-ups, non-identifiable links, arithmetic
+overflow, ...).
 Input files are never modified.
 """
 
@@ -116,19 +117,18 @@ def _cmd_bounds(args, cfg: dict) -> dict:
     theorem = _need(cfg, "theorem")
     I = parse_interval(_need(cfg, "interval"))
     q = _num(cfg, "q")
-    nu = _num(cfg, "nu")
     sigma = _num(cfg, "sigma", default=1.0)
     K = _num(cfg, "K", int, 60)
     if theorem == "glm":
         fam = parse_block(cfg, "family", expfam.FAMILIES)
-        rep = bounds.glm_report(dm, fam, I, sigma, q, nu)
+        rep = bounds.glm_report(dm, fam, I, sigma, q)
     elif theorem == "one_disc":
         f = parse_block(cfg, "link", analytic.LINKS)
-        rep = bounds.one_disc_report(dm, f, I, sigma, q, nu, _num(cfg, "theta"), K=K)
+        rep = bounds.one_disc_report(dm, f, I, sigma, q, _num(cfg, "theta"), K=K)
     elif theorem in ("ub_strip", "ub_interval"):
         f = parse_block(cfg, "link", analytic.LINKS)
         rep = bounds.ub_report(
-            dm, f, I, sigma, q, nu,
+            dm, f, I, sigma, q,
             rho1=_num(cfg, "rho1"), theta=_num(cfg, "theta", default=0.75),
             h=_num(cfg, "h", default=None), delta_D=_num(cfg, "delta_D", default=None),
             mode=theorem.removeprefix("ub_"), K=K,
@@ -147,19 +147,14 @@ def _cmd_fit(args, cfg: dict) -> dict:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load response from {args.y}: {exc}") from exc
     D = parse_domain(_need(cfg, "domain"))
-    loss = _need(cfg, "loss")
-    kwargs = dict(
-        y=y, X=dm, domain=D, c_r=_num(cfg, "c_r"),
-        h_max=_num(cfg, "h_max", int), loss=loss,
-    )
-    if loss == "mle":
-        kwargs["family"] = parse_block(cfg, "family", expfam.FAMILIES)
-    elif loss == "lse":
-        kwargs["link"] = parse_block(cfg, "link", analytic.LINKS)
-    else:
-        raise ConfigError("loss must be 'mle' or 'lse'")
+    # the block present picks the loss: family -> likelihood, link -> least squares
+    model = {
+        key: parse_block(cfg, key, table)
+        for key, table in (("family", expfam.FAMILIES), ("link", analytic.LINKS))
+        if key in cfg
+    }
     try:
-        prob = estimator.FitProblem(**kwargs)
+        prob = estimator.FitProblem(y=y, X=dm, domain=D, c_r=_num(cfg, "c_r"), **model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     res = estimator.fit(prob)
@@ -192,7 +187,7 @@ def _cmd_grid(args, cfg: dict) -> dict:
     D = parse_domain(_need(cfg, "domain"))
     br = cfg.get("b_rule", {"rule": "half_radius"})
     rule = ("half_radius",) if br.get("rule") == "half_radius" else ("constant", _num(br, "c"))
-    G = grids.build_grid(dm, f, D, _num(cfg, "h", int), b_rule=rule)
+    G = grids.build_grid(dm, f, D, b_rule=rule)
     return json.loads(G.to_json())
 
 
@@ -269,7 +264,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, AssertionError, np.linalg.LinAlgError) as exc:
+    except (ValueError, AssertionError, ArithmeticError) as exc:  # LinAlgError is a ValueError
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out) if args.out else Path.cwd()

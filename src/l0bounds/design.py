@@ -31,6 +31,10 @@ _MU_CLAMP_TOL = 1e-12
 # bytes of design rows that series_norms raises to all orders at once
 _SERIES_BLOCK_BYTES = 2**18
 
+# the separability split: ||Xu||^2 >= _NU (1 + mu) sum_j u_j^2 ||V_j||^2 on
+# supports within capacity(X) = (1 - _NU)(1 + 1/mu); c2 rests on it
+_NU = 0.5
+
 
 class DesignMatrix:
     """Validated n x p design with cached per-column norms and coherence.
@@ -211,14 +215,13 @@ def coherence(X) -> float:
     return mu
 
 
-def capacity(X, nu: float) -> float:
-    """Support budget n(nu) = (1 - nu) (1 + 1/mu); +inf for orthogonal designs."""
-    if not 0.0 <= nu <= 1.0:
-        raise ValueError("nu must lie in [0, 1]")
+def capacity(X) -> float:
+    """Support budget (1 - _NU) (1 + 1/mu) of the separability split; +inf
+    for orthogonal designs."""
     mu = coherence(X)
     if mu == 0.0:
         return math.inf
-    return (1.0 - nu) * (1.0 + 1.0 / mu)
+    return (1.0 - _NU) * (1.0 + 1.0 / mu)
 
 
 def weighted_l1_norm(u, X) -> float:

@@ -62,7 +62,10 @@ class DomainSpec:
     """Feasible set {u : X_i'u in I for all i, |spt(u)| <= max_support, cap}.
 
     max_support may be fractional (budgets derived from capacity usually
-    are); membership compares the integer support size against it directly.
+    are) or inf (no budget); membership compares the integer support size
+    against it directly.  The budget is also what ``fit`` enumerates to
+    (support sizes up to min(p, max_support)) and what ``build_grid``
+    covers (segments of members have supports up to 2 max_support).
     l1inf_cap, when present, bounds sum_j |u_j| ||V_j||_inf and makes the
     domain compact.
     """
@@ -72,8 +75,8 @@ class DomainSpec:
     l1inf_cap: float | None = None
 
     def __post_init__(self):
-        if self.max_support < 0:
-            raise ValueError("max_support must be nonnegative")
+        if not self.max_support >= 0:
+            raise ValueError("max_support must be nonnegative (inf for no budget)")
         if self.l1inf_cap is not None and not self.l1inf_cap > 0:
             raise ValueError("l1inf_cap must be positive")
 

@@ -3,12 +3,12 @@
 beta_hat = argmin over feasible u of  loss(y, X u) + c_r |spt(u)|,
 
 with loss either the negative log-likelihood of an exponential linear
-family or the squared residual of an analytic link.  Supports up to h_max
-are enumerated exhaustively (the penalty makes the outer problem exact once
-every inner problem is solved); inner problems are smooth in 1..h_max
-variables and share one solver, a primal active-set Newton loop whose free
-steps and facet steps (Newton on the facet of binding constraints) share
-one state: exact Hessian and one start for the likelihood (convex per
+family or the squared residual of an analytic link.  Supports up to the
+domain's support budget are enumerated exhaustively (the penalty makes the
+outer problem exact once every inner problem is solved); inner problems are
+smooth in the support's coordinates and share one solver, a primal
+active-set Newton loop whose free steps and facet steps (Newton on the
+facet of binding constraints) share one state: exact Hessian and one start for the likelihood (convex per
 support), Gauss-Newton and two starts for least squares.  A trial point
 costs one product X_S v, and its row images serve the domain test, the
 loss, the derivatives and the binding constraints of the accepted point.
@@ -46,16 +46,16 @@ _MAX_ITER = 100  # Newton iterations per start
 class FitProblem:
     """One estimation instance.
 
-    loss = "mle" uses ``family``; loss = "lse" uses ``link``.  c_r is the
-    per-coordinate penalty; h_max caps the enumerated support size.
+    Exactly one model is given: ``family`` (the loss is its negative
+    log-likelihood, "mle") or ``link`` (least squares, "lse").  c_r is the
+    per-coordinate penalty; the domain's support budget caps the enumerated
+    support size.
     """
 
     y: np.ndarray
     X: DesignMatrix
     domain: DomainSpec
     c_r: float
-    h_max: int
-    loss: str = "mle"
     family: ExpFamily | None = None
     link: AnalyticFn | None = None
 
@@ -64,15 +64,15 @@ class FitProblem:
         self.X = _as_design(self.X)
         if self.y.size != self.X.n:
             raise ValueError("response length does not match design rows")
-        if self.loss == "mle" and self.family is None:
-            raise ValueError("mle loss needs a family")
-        if self.loss == "lse" and self.link is None:
-            raise ValueError("lse loss needs a link")
-        if self.loss not in _LOSSES:
-            raise ValueError("loss must be 'mle' or 'lse'")
+        if (self.family is None) == (self.link is None):
+            raise ValueError("give exactly one of family (likelihood) or link (least squares)")
         if self.c_r < 0:
             raise ValueError("c_r must be nonnegative")
-        self.h_max = int(self.h_max)
+
+    @property
+    def loss(self) -> str:
+        """The key of ``_LOSSES`` that the model picks."""
+        return "mle" if self.family is not None else "lse"
 
     @functools.cached_property
     def working_response(self) -> np.ndarray:
@@ -366,11 +366,12 @@ def fit(prob: FitProblem) -> FitResult:
     Raises
     ------
     ValueError
-        "enumeration budget exceeded" when sum_k C(p, k) for k <= h_max
-        passes 1e6; "empty domain" when no support admits a feasible point.
+        "enumeration budget exceeded" when sum_k C(p, k) for
+        k <= min(p, max_support) passes 1e6; "empty domain" when no support
+        admits a feasible point.
     """
     p = prob.X.p
-    h = max(0, min(prob.h_max, p))
+    h = math.floor(min(p, prob.domain.max_support))  # an infinite budget means p
     total = sum(math.comb(p, k) for k in range(h + 1))
     if total > _ENUM_BUDGET:
         raise ValueError("enumeration budget exceeded (more than 1e6 supports)")

@@ -3,10 +3,11 @@
 The series error constants are evaluated on a finite set G that must cover
 the segment hull of the feasible set in the weighted l1 norm, each point u
 covering a ball of radius b(u)/2 where b(u) stays strictly inside the local
-convergence radius r(u) of the link.  Construction is per support: the hull
-of a domain with support budget h/2 has supports of size at most h, so each
-of the C(p, h) coordinate boxes is subdivided into equal cells whose
-weighted-l1 radius is below the covering step d.
+convergence radius r(u) of the link.  Construction is per support: a segment
+between two members of a domain with support budget s has support size at
+most h = max(1, ceil(2 s)) (and at most p), so each of the C(p, h)
+coordinate boxes is subdivided into equal cells whose weighted-l1 radius is
+below the covering step d.
 
 Every link in ``analytic.LINKS`` is analytic on a neighborhood of the whole
 real line with its radius bounded below (``f.radius_floor(None) > 0``), so
@@ -130,20 +131,14 @@ class CoveringGrid:
         )
 
 
-def build_grid(
-    X,
-    f: AnalyticFn,
-    D: DomainSpec,
-    h: int,
-    b_rule: tuple = ("half_radius",),
-) -> CoveringGrid:
-    """Cover the segment hull of D (support budget h/2) at doubled supports h.
+def build_grid(X, f: AnalyticFn, D: DomainSpec, b_rule: tuple = ("half_radius",)) -> CoveringGrid:
+    """Cover the segment hull of D at the support size h of its points.
+
+    A segment between two members of D has support size at most twice the
+    budget, so h = max(1, ceil(2 D.max_support)), at most p.
 
     Parameters
     ----------
-    h : int
-        Support size of the hull points (differences/segments of D members);
-        requires D.max_support <= h/2.
     b_rule : ("half_radius",) or ("constant", c)
         Per-point disc parameter: half the local radius, or a constant c
         (mandatory for entire links, whose radius is infinite).
@@ -156,11 +151,7 @@ def build_grid(
     dm = _as_design(X)
     if D.l1inf_cap is None:
         raise ValueError("covering requires an l1inf cap (compact domain)")
-    h = int(h)
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    if D.max_support > h / 2.0:
-        raise ValueError("support budget exceeds h/2; enlarge h")
+    h = max(1, math.ceil(min(dm.p, 2.0 * D.max_support)))
     n_supports = math.comb(dm.p, h)
     if n_supports > _ENUM_BUDGET:
         raise ValueError("enumeration budget exceeded (C(p, h) > 1e6)")

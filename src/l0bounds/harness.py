@@ -202,7 +202,6 @@ class ExperimentConfig:
     spt_size: int
     replicates: int
     q: float = 0.1
-    nu: float = 0.5
     model: str = "glm"
     family: str = "bernoulli"
     sigma2: float = 1.0
@@ -276,31 +275,35 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class Instance:
+    """One replicate: the design, the truth, the response and its row
+    images, and the domain the truth was placed in, which the fit uses,
+    with whether the capacity precondition held."""
+
     X: DesignMatrix
     beta: np.ndarray
     y: np.ndarray
     t: np.ndarray
+    domain: DomainSpec
+    budget_ok: bool
 
 
 def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(replicate))))
 
 
-def _fit_domain(cfg: ExperimentConfig, dm: DesignMatrix) -> DomainSpec:
-    """Fit domain: interval rows, weighted cap, and a support budget that
-    stays inside the theorem domain (half the coherence capacity) whenever
-    that still admits the truth; when the capacity precondition fails the
-    budget falls back to spt_size and the failure is recorded upstream."""
+def _fit_domain(cfg: ExperimentConfig, dm: DesignMatrix) -> tuple:
+    """Fit domain and whether the capacity precondition spt_size <=
+    capacity/2 holds.  The domain has interval rows, a weighted cap, and a
+    support budget that stays inside the theorem domain (half the coherence
+    capacity) whenever that still admits the truth; when the precondition
+    fails the budget falls back to spt_size."""
     r = cfg.interval_halfwidth
-    cap = capacity(dm, cfg.nu)
+    cap = capacity(dm)
     h_req = cfg.h_max if cfg.h_max is not None else cfg.spt_size
     half_cap = math.floor(cap / 2.0) if math.isfinite(cap) else h_req
     h_dom = max(cfg.spt_size, min(h_req, half_cap))
-    return DomainSpec(
-        interval=Interval(-r, r),
-        max_support=float(h_dom),
-        l1inf_cap=r,
-    )
+    D = DomainSpec(interval=Interval(-r, r), max_support=float(h_dom), l1inf_cap=r)
+    return D, cfg.spt_size <= cap / 2.0
 
 
 def generate_instance(cfg: ExperimentConfig, replicate: int) -> Instance:
@@ -308,7 +311,7 @@ def generate_instance(cfg: ExperimentConfig, replicate: int) -> Instance:
     membership certified.  Raises after 100 failed rescaling attempts."""
     rng = _replicate_rng(cfg.seed, replicate)
     dm = random_design(cfg.design, cfg.n, cfg.p, rng)
-    D = _fit_domain(cfg, dm)
+    D, budget_ok = _fit_domain(cfg, dm)
     beta = None
     for _ in range(100):
         b = np.zeros(cfg.p)
@@ -332,17 +335,19 @@ def generate_instance(cfg: ExperimentConfig, replicate: int) -> Instance:
     mean = cfg.link_obj() if cfg.model == "flip" else cfg.family_obj().mean
     # channel models return exactly the observed 0/1 output
     y = mean(t) + cfg.noise_obj().draw(rng, cfg.n, t=t)
-    return Instance(X=dm, beta=beta, y=y, t=t)
+    return Instance(X=dm, beta=beta, y=y, t=t, domain=D, budget_ok=budget_ok)
 
 
-def replicate_report(cfg: ExperimentConfig, dm: DesignMatrix) -> BoundsReport:
-    """Theorem constants for one realized design."""
+def replicate_report(cfg: ExperimentConfig, inst: Instance) -> BoundsReport:
+    """Theorem constants for one replicate's design.  The flip series covers
+    the segment hull of the fit domain, whose points have supports up to
+    twice its budget."""
     I = Interval(-cfg.interval_halfwidth, cfg.interval_halfwidth)
     if cfg.model == "glm":
-        return glm_report(dm, cfg.family_obj(), I, cfg.noise_obj().sigma, cfg.q, cfg.nu)
+        return glm_report(inst.X, cfg.family_obj(), I, cfg.noise_obj().sigma, cfg.q)
     return ub_report(
-        dm, cfg.link_obj(), I, 1.0, cfg.q, cfg.nu,
-        rho1=cfg.rho1, theta=cfg.theta, mode="strip", K=cfg.K,
+        inst.X, cfg.link_obj(), I, 1.0, cfg.q, rho1=cfg.rho1, theta=cfg.theta,
+        h=2.0 * inst.domain.max_support, mode="strip", K=cfg.K,
     )
 
 
@@ -401,14 +406,11 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageResult:
     hits = 0
     errors = 0
     budget_ok = 0
-    glm = cfg.model == "glm"
+    model = {"family": cfg.family_obj()} if cfg.model == "glm" else {"link": cfg.link_obj()}
     for rep in range(cfg.replicates):
         inst = generate_instance(cfg, rep)
-        report = replicate_report(cfg, inst.X)
-        D = _fit_domain(cfg, inst.X)
-        cap = capacity(inst.X, cfg.nu)
-        b_ok = cfg.spt_size <= cap / 2.0
-        budget_ok += b_ok
+        report = replicate_report(cfg, inst)
+        budget_ok += inst.budget_ok
         c_r = report.c_r if cfg.c_r == "theorem" else float(cfg.c_r)
         radius = report.error_radius(cfg.spt_size, cfg.n)
         row = {
@@ -417,19 +419,14 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageResult:
             "c_r": c_r,
             "kappa_r": report.kappa_r,
             "mu": report.inputs["mu"],
-            "budget_ok": int(b_ok),
+            "budget_ok": int(inst.budget_ok),
             "fit_error": "",
             "error": math.nan,
             "hit": 0,
             "spt_hat": -1,
         }
         try:
-            res = fit(FitProblem(
-                y=inst.y, X=inst.X, domain=D, c_r=c_r, h_max=int(D.max_support),
-                loss="mle" if glm else "lse",
-                family=cfg.family_obj() if glm else None,
-                link=None if glm else cfg.link_obj(),
-            ))
+            res = fit(FitProblem(y=inst.y, X=inst.X, domain=inst.domain, c_r=c_r, **model))
             err = float(np.linalg.norm(res.beta_hat.values - inst.beta))
             row["error"] = err
             row["hit"] = int(err <= radius)

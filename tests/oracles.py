@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from l0bounds import capacity, coherence, in_domain, weighted_l1_norm
+from l0bounds import coherence, in_domain, weighted_l1_norm
 from l0bounds.design import _as_design
 
 
@@ -91,11 +91,19 @@ def taylor_eval(f, center: float, z: float, K: int) -> float:
     return total
 
 
+def nu_capacity(X, nu: float) -> float:
+    """Support budget (1 - nu)(1 + 1/mu) of the separability split at any nu
+    in [0, 1]; +inf for orthogonal designs.  The library fixes nu = 1/2
+    (``l0bounds.capacity``)."""
+    mu = coherence(X)
+    return math.inf if mu == 0.0 else (1.0 - nu) * (1.0 + 1.0 / mu)
+
+
 def separability_lower_bound(u, X, nu: float):
     """Check ||X u||_2^2 >= nu (1 + mu) sum_j u_j^2 ||V_j||_2^2.
 
-    Valid whenever |spt(u)| <= capacity(X, nu); raises if the support is too
-    large for the inequality to be claimed.
+    Valid whenever |spt(u)| <= nu_capacity(X, nu); raises if the support is
+    too large for the inequality to be claimed.
 
     Returns
     -------
@@ -104,7 +112,7 @@ def separability_lower_bound(u, X, nu: float):
     dm = _as_design(X)
     u = np.asarray(u, dtype=float).ravel()
     spt = int(np.count_nonzero(u))
-    if spt > capacity(dm, nu):
+    if spt > nu_capacity(dm, nu):
         raise ValueError("support exceeds capacity")
     mu = coherence(dm)
     xu = dm.X @ u

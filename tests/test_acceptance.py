@@ -18,6 +18,7 @@ from scipy.special import expit
 import l0bounds as lb
 from oracles import (
     multinomial_identity_gap,
+    nu_capacity,
     sample_domain,
     segment_hull_sample,
     separability_lower_bound,
@@ -35,12 +36,12 @@ def test_criterion_01_constant_identities():
     I = lb.Interval(-1.5, 1.5)
     f = lb.logistic_flip(0.1, 0.9)
     D = lb.DomainSpec(I, max_support=1, l1inf_cap=1.5)
-    G = lb.build_grid(X, f, D, h=2)
+    G = lb.build_grid(X, f, D)
     reports = [
-        lb.glm_report(X, lb.bernoulli(), I, 1.0, 0.1, 0.5),
-        lb.one_disc_report(X, f, I, 1.0, 0.1, 0.5, theta=0.75),
-        lb.multi_disc_report(X, G, I, 1.0, 0.1, 0.5),
-        lb.ub_report(X, f, I, 1.0, 0.1, 0.5, rho1=math.pi / 2, theta=0.75),
+        lb.glm_report(X, lb.bernoulli(), I, 1.0, 0.1),
+        lb.one_disc_report(X, f, I, 1.0, 0.1, theta=0.75),
+        lb.multi_disc_report(X, G, I, 1.0, 0.1),
+        lb.ub_report(X, f, I, 1.0, 0.1, rho1=math.pi / 2, theta=0.75),
     ]
     assert [r.theorem for r in reports] == ["glm", "one_disc", "multi_disc", "ub_strip"]
     for r in reports:
@@ -49,7 +50,7 @@ def test_criterion_01_constant_identities():
     # closed-form GLM constants feed the same identity
     delta = lb.curvature_inf(lb.bernoulli(), I)
     c1 = lb.c1_glm(X, 1.0, 0.1)
-    c2 = lb.c2_glm(X, 0.5, delta)
+    c2 = lb.c2_glm(X, delta)
     assert reports[0].kappa_r == pytest.approx(3.0 * c1 / c2, rel=1e-12)
     assert reports[0].c_r == pytest.approx(3.0 * c1**2 / c2, rel=1e-12)
     assert time.monotonic() - t0 < 1.0
@@ -66,7 +67,7 @@ def test_criterion_02_column_separability():
         p = int(rng.integers(4, 11))
         X = lb.DesignMatrix(rng.standard_normal((n, p)))
         nu = float(rng.uniform(0.05, 0.95))
-        h = min(int(lb.capacity(X, nu)), p)
+        h = min(int(nu_capacity(X, nu)), p)
         if h < 1:
             continue  # capacity below one support coordinate: nothing to claim
         k = int(rng.integers(1, h + 1))
@@ -188,7 +189,7 @@ def _oracle_objective(prob):
         return best
 
     best = loss(np.zeros(p))
-    for k in range(1, prob.h_max + 1):
+    for k in range(1, int(prob.domain.max_support) + 1):
         for S in itertools.combinations(range(p), k):
             box = [cap / w[j] for j in S]
             axes = [np.linspace(-b, b, 17) for b in box]
@@ -215,7 +216,7 @@ def _oracle_objective(prob):
 
 
 def test_criterion_04_estimator_matches_bruteforce():
-    """50 seeded fits (p <= 8, h_max <= 3; penalized-MLE/bernoulli and
+    """50 seeded fits (p <= 8, support budget <= 3; penalized-MLE/bernoulli and
     least-squares/flipped-logistic alternating) land within 1e-6 of the
     grid + polish brute-force objective."""
     t0 = time.monotonic()
@@ -234,16 +235,11 @@ def test_criterion_04_estimator_matches_bruteforce():
         t = Xm @ beta
         if i % 2 == 0:
             y = (rng.random(n) < expit(t)).astype(float)
-            prob = lb.FitProblem(
-                y=y, X=X, domain=D, c_r=0.6, h_max=h, loss="mle",
-                family=lb.bernoulli(),
-            )
+            prob = lb.FitProblem(y=y, X=X, domain=D, c_r=0.6, family=lb.bernoulli())
         else:
             f = lb.logistic_flip(0.1, 0.9)
             y = f(t) + rng.normal(0.0, 0.05, n)
-            prob = lb.FitProblem(
-                y=y, X=X, domain=D, c_r=0.05, h_max=h, loss="lse", link=f,
-            )
+            prob = lb.FitProblem(y=y, X=X, domain=D, c_r=0.05, link=f)
         res = lb.fit(prob)
         gap = abs(res.objective - _oracle_objective(prob))
         worst = max(worst, gap)
@@ -253,11 +249,11 @@ def test_criterion_04_estimator_matches_bruteforce():
 
 def test_criterion_05_glm_coverage():
     """Penalized bernoulli MLE on a +-1 design (n=100, p=20, 2-sparse truth,
-    q=0.1, nu=0.5, theorem penalty): Wilson lower bound of the event
+    q=0.1, theorem penalty): Wilson lower bound of the event
     ||beta_hat - beta|| <= kappa_r sqrt(2/n) reaches 0.8 over 200 runs."""
     t0 = time.monotonic()
     cfg = lb.ExperimentConfig(
-        n=100, p=20, spt_size=2, replicates=200, q=0.1, nu=0.5,
+        n=100, p=20, spt_size=2, replicates=200, q=0.1,
         model="glm", family="bernoulli", design="pm1_iid", seed=RNG_SEED,
     )
     res = lb.run_coverage(cfg)
@@ -274,7 +270,7 @@ def test_criterion_06_flip_channel_coverage():
     bound reaches 0.8 over 200 runs."""
     t0 = time.monotonic()
     cfg = lb.ExperimentConfig(
-        n=100, p=15, spt_size=2, replicates=200, q=0.1, nu=0.5,
+        n=100, p=15, spt_size=2, replicates=200, q=0.1,
         model="flip", p01=0.1, p11=0.9, design="pm1_iid", seed=RNG_SEED,
     )
     res = lb.run_coverage(cfg)
@@ -309,7 +305,7 @@ def test_criterion_07_grid_cover_certificates():
             b_rule = ("constant", 0.6)
         cap = float(rng.uniform(0.8, 1.6))
         D = lb.DomainSpec(lb.Interval(-2.0, 2.0), max_support=1, l1inf_cap=cap)
-        G = lb.build_grid(X, f, D, h=2, b_rule=b_rule)
+        G = lb.build_grid(X, f, D, b_rule=b_rule)
         assert len(G) <= G.cardinality_bound
         pts = sample_domain(D, X, 40, seed=100 + dom)
         hull = segment_hull_sample(pts, grid_per_edge=14)

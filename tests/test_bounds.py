@@ -60,10 +60,10 @@ def test_c1_glm_closed_form():
 
 def test_c2_glm_closed_form():
     X = _design()
-    nu, delta = 0.5, 0.11
+    nu, delta = 0.5, 0.11  # the library's separability split
     mu = coherence(X.X)
     want = nu * delta * (1 + mu) * X.min_norm(2) ** 2 / (2.0 * X.n)
-    assert c2_glm(X, nu, delta) == pytest.approx(want, rel=1e-14)
+    assert c2_glm(X, delta) == pytest.approx(want, rel=1e-14)
 
 
 def test_c2_lse_closed_form_and_identifiability():
@@ -73,15 +73,15 @@ def test_c2_lse_closed_form_and_identifiability():
     dmin = min_slope(f, I)
     mu = coherence(X.X)
     want = dmin**2 * 0.5 * (1 + mu) * X.min_norm(2) ** 2 / X.n
-    assert c2_lse(X, 0.5, dmin) == pytest.approx(want, rel=1e-14)
+    assert c2_lse(X, dmin) == pytest.approx(want, rel=1e-14)
     with pytest.raises(ValueError, match="non-identifiable link on I"):
-        c2_lse(X, 0.5, 0.0)
+        c2_lse(X, 0.0)
 
 
 def test_constant_identities_glm():
     X = _design()
     I = Interval(-2.0, 2.0)
-    rep = glm_report(X, bernoulli(), I, sigma=1.0, q=0.1, nu=0.5)
+    rep = glm_report(X, bernoulli(), I, sigma=1.0, q=0.1)
     assert rep.c_r == pytest.approx(3.0 * rep.c1**2 / rep.c2, rel=1e-14)
     assert rep.kappa_r == pytest.approx(3.0 * rep.c1 / rep.c2, rel=1e-14)
 
@@ -93,7 +93,8 @@ def test_glm_report_matches_explicit_prefactor_form():
     X = _design(seed=3)
     M = 2.0
     q, nu = 0.1, 0.5
-    rep = glm_report(X, bernoulli(), Interval(-M, M), sigma=1.0, q=q, nu=nu)
+    rep = glm_report(X, bernoulli(), Interval(-M, M), sigma=1.0, q=q)
+    assert rep.inputs["nu"] == nu
     mu = coherence(X.X)
     explicit = (
         12.0
@@ -153,7 +154,7 @@ def test_c1_multi_disc_logistic():
     X = _design(n=30, p=6, seed=1)
     f = logistic_flip(0.1, 0.9)
     D = DomainSpec(Interval(-1.5, 1.5), max_support=1.0, l1inf_cap=1.5)
-    G = build_grid(X, f, D, h=2)
+    G = build_grid(X, f, D)
     sb = c1_multi_disc(X, G, sigma=1.0, q=0.1, K=40)
     assert float(sb) > 0 and sb.tail >= 0
     assert sb.value == pytest.approx(sb.partial + sb.tail, rel=1e-12)
@@ -207,12 +208,12 @@ def test_reports_identities_and_json():
     f = logistic_flip(0.1, 0.9)
     I = Interval(-1.5, 1.5)
     D = DomainSpec(I, max_support=1.0, l1inf_cap=1.5)
-    G = build_grid(X, f, D, h=2)
+    G = build_grid(X, f, D)
     reports = [
-        glm_report(X, bernoulli(), I, 1.0, 0.1, 0.5),
-        one_disc_report(X, f, I, 1.0, 0.1, 0.5, theta=0.6),
-        multi_disc_report(X, G, I, 1.0, 0.1, 0.5, K=40),
-        ub_report(X, f, I, 1.0, 0.1, 0.5, rho1=math.pi / 2, theta=0.75),
+        glm_report(X, bernoulli(), I, 1.0, 0.1),
+        one_disc_report(X, f, I, 1.0, 0.1, theta=0.6),
+        multi_disc_report(X, G, I, 1.0, 0.1, K=40),
+        ub_report(X, f, I, 1.0, 0.1, rho1=math.pi / 2, theta=0.75),
     ]
     tags = [r.theorem for r in reports]
     assert tags == ["glm", "one_disc", "multi_disc", "ub_strip"]
@@ -237,11 +238,11 @@ def test_series_c1_is_scale_equivariant(t):
     tX = DesignMatrix(t * X.X)
     f = logistic_flip(0.1, 0.9)
     I = Interval(-1.5, 1.5)
-    G = build_grid(X, f, DomainSpec(I, max_support=1.0, l1inf_cap=1.5), h=2)
+    G = build_grid(X, f, DomainSpec(I, max_support=1.0, l1inf_cap=1.5))
     reports = [
-        lambda Y: one_disc_report(Y, f, I, 1.0, 0.1, 0.5, theta=0.6),
-        lambda Y: ub_report(Y, f, I, 1.0, 0.1, 0.5, rho1=math.pi / 2, theta=0.75),
-        lambda Y: multi_disc_report(Y, G, I, 1.0, 0.1, 0.5, K=40),
+        lambda Y: one_disc_report(Y, f, I, 1.0, 0.1, theta=0.6),
+        lambda Y: ub_report(Y, f, I, 1.0, 0.1, rho1=math.pi / 2, theta=0.75),
+        lambda Y: multi_disc_report(Y, G, I, 1.0, 0.1, K=40),
     ]
     for report in reports:
         assert report(tX).c1 == pytest.approx(t * report(X).c1, rel=1e-12, abs=0.0)
@@ -251,7 +252,7 @@ def test_ub_report_defaults_h_from_capacity():
     X = _design(n=30, p=6, seed=7)
     f = logistic_flip(0.1, 0.9)
     I = Interval(-1.5, 1.5)
-    rep = ub_report(X, f, I, 1.0, 0.1, 0.5, rho1=math.pi / 2, theta=0.75)
+    rep = ub_report(X, f, I, 1.0, 0.1, rho1=math.pi / 2, theta=0.75)
     mu = coherence(X.X)
     half_cap = 0.5 * (1 - 0.5) * (1 + 1 / mu)
     assert rep.inputs["h"] == pytest.approx(max(1.0, half_cap))
@@ -265,9 +266,9 @@ def test_linear_equals_degree_one_polynomial(a, b):
     I = Interval(-1.5, 1.5)
     lin, poly = linear(a, b), polynomial([b, a])
     for mode in ("strip", "interval"):
-        got = ub_report(X, lin, I, 1.0, 0.1, 0.5, rho1=0.5, theta=0.75, mode=mode, K=10)
-        want = ub_report(X, poly, I, 1.0, 0.1, 0.5, rho1=0.5, theta=0.75, mode=mode, K=10)
+        got = ub_report(X, lin, I, 1.0, 0.1, rho1=0.5, theta=0.75, mode=mode, K=10)
+        want = ub_report(X, poly, I, 1.0, 0.1, rho1=0.5, theta=0.75, mode=mode, K=10)
         assert got.c1 == want.c1 and got.c2 == want.c2, mode
-    got = one_disc_report(X, lin, I, 1.0, 0.1, 0.5, theta=0.5)
-    want = one_disc_report(X, poly, I, 1.0, 0.1, 0.5, theta=0.5)
+    got = one_disc_report(X, lin, I, 1.0, 0.1, theta=0.5)
+    want = one_disc_report(X, poly, I, 1.0, 0.1, theta=0.5)
     assert got.c1 == want.c1 and got.c2 == want.c2

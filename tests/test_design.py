@@ -14,7 +14,7 @@ from l0bounds import (
     weighted_l1_norm,
 )
 from l0bounds.design import _SERIES_BLOCK_BYTES
-from oracles import separability_lower_bound
+from oracles import nu_capacity, separability_lower_bound
 
 
 def test_design_matrix_validation():
@@ -105,13 +105,15 @@ def test_coherence_single_column_raises():
 
 
 def test_capacity_hand_examples():
-    # (1 - nu)(1 + 1/mu): worked examples
+    # (1 - nu)(1 + 1/mu): worked examples; the library's nu is 1/2
     X13 = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])  # mu = 1/3
-    assert capacity(X13, 0.0) == pytest.approx(4.0, abs=1e-12)
-    assert capacity(X13, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert capacity(X13) == pytest.approx(2.0, abs=1e-12)
+    assert nu_capacity(X13, 0.0) == pytest.approx(4.0, abs=1e-12)
+    assert nu_capacity(X13, 1.0) == pytest.approx(0.0, abs=1e-12)
     # mu = 0.1, nu = 0.5 -> 0.5 * 11 = 5.5, via a synthetic Gram
     Xs = _matrix_with_coherence(0.1)
-    assert capacity(Xs, 0.5) == pytest.approx(5.5, rel=1e-9)
+    assert capacity(Xs) == pytest.approx(5.5, rel=1e-9)
+    assert nu_capacity(Xs, 0.5) == capacity(Xs)
 
 
 def _matrix_with_coherence(mu, p=4):
@@ -122,15 +124,8 @@ def _matrix_with_coherence(mu, p=4):
 
 
 def test_capacity_orthogonal_is_infinite():
-    assert capacity(np.eye(4), 0.5) == math.inf
-
-
-def test_capacity_nu_domain():
-    X = np.eye(3)
-    with pytest.raises(ValueError):
-        capacity(X, -0.1)
-    with pytest.raises(ValueError):
-        capacity(X, 1.1)
+    assert capacity(np.eye(4)) == math.inf
+    assert nu_capacity(np.eye(4), 0.9) == math.inf
 
 
 def test_weighted_l1_norm_hand_example():
@@ -162,7 +157,7 @@ def test_separability_random_instances():
         p = int(rng.integers(2, 7))
         X = rng.standard_normal((n, p))
         nu = float(rng.uniform(0.0, 0.95))
-        cap = capacity(X, nu)
+        cap = nu_capacity(X, nu)
         k = int(min(p, math.floor(cap)))
         if k < 1:
             continue

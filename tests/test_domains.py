@@ -35,6 +35,16 @@ def test_interval_validation_and_open_ends():
     assert I.contains(-1e300) and I.contains(0.0)
 
 
+def test_support_budget_rejects_nan_and_keeps_inf():
+    # a nan budget compares false both ways, so every support size would pass
+    for bad in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="max_support must be nonnegative"):
+            DomainSpec(Interval(-3.0, 3.0), max_support=bad, l1inf_cap=3.0)
+    D = DomainSpec(Interval(-3.0, 3.0), max_support=math.inf, l1inf_cap=3.0)
+    X = DesignMatrix(np.eye(4))
+    assert in_domain(np.full(4, 0.5), X, D)
+
+
 def test_in_domain_checks_each_constraint():
     X = DesignMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
     D = DomainSpec(Interval(-2.0, 2.0), max_support=1.0, l1inf_cap=2.0)

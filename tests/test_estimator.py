@@ -22,13 +22,16 @@ from l0bounds import (
     mle_loss,
 )
 
-WIDE = DomainSpec(Interval(-50.0, 50.0), max_support=3.0, l1inf_cap=50.0)
+
+def _wide(budget=3):
+    return DomainSpec(Interval(-50.0, 50.0), max_support=float(budget), l1inf_cap=50.0)
 
 
-def _problem_gaussian(y, X, c_r, h_max=3, domain=WIDE):
-    return FitProblem(
-        y=y, X=X, domain=domain, c_r=c_r, h_max=h_max, loss="mle", family=gaussian(1.0)
-    )
+WIDE = _wide()
+
+
+def _problem_gaussian(y, X, c_r, budget=3):
+    return FitProblem(y=y, X=X, domain=_wide(budget), c_r=c_r, family=gaussian(1.0))
 
 
 def test_orthonormal_gaussian_hard_threshold():
@@ -42,7 +45,7 @@ def test_orthonormal_gaussian_hard_threshold():
     z = X.X.T @ y
     c_r = 1.0
     want = tuple(int(j) for j in range(4) if z[j] ** 2 > 2 * c_r)
-    res = fit(_problem_gaussian(y, X, c_r, h_max=4))
+    res = fit(_problem_gaussian(y, X, c_r, budget=4))
     assert res.support == want
     np.testing.assert_allclose(res.beta_hat.values[list(want)], z[list(want)], atol=1e-8)
 
@@ -53,10 +56,10 @@ def test_lse_linear_matches_mle_gaussian_at_half_penalty():
     rng = np.random.default_rng(1)
     X = DesignMatrix(rng.standard_normal((25, 5)))
     y = rng.standard_normal(25)
-    mle = fit(_problem_gaussian(y, X, c_r=0.7, h_max=2))
+    mle = fit(_problem_gaussian(y, X, c_r=0.7, budget=2))
     lse = fit(
         FitProblem(
-            y=y, X=X, domain=WIDE, c_r=1.4, h_max=2, loss="lse", link=linear(1.0)
+            y=y, X=X, domain=_wide(2), c_r=1.4, link=linear(1.0)
         )
     )
     assert mle.support == lse.support
@@ -71,7 +74,7 @@ def test_lse_noiseless_recovery():
     beta[[1, 4]] = [0.8, -0.6]
     y = f(X.X @ beta)
     D = DomainSpec(Interval(-8.0, 8.0), max_support=2.0, l1inf_cap=8.0)
-    res = fit(FitProblem(y=y, X=X, domain=D, c_r=1e-4, h_max=2, loss="lse", link=f))
+    res = fit(FitProblem(y=y, X=X, domain=D, c_r=1e-4, link=f))
     assert res.support == (1, 4)
     np.testing.assert_allclose(res.beta_hat.values, beta, atol=1e-6)
     assert res.loss_value < 1e-12
@@ -95,7 +98,7 @@ def test_ridge_working_response_is_built_once_per_problem(monkeypatch, loss, bui
     y = rng.integers(0, 2, 80).astype(float)
     D = DomainSpec(Interval(-3.0, 3.0), max_support=2.0, l1inf_cap=3.0)
     model = {"family": bernoulli()} if loss == "mle" else {"link": logistic_flip(0.1, 0.9)}
-    res = fit(FitProblem(y=y, X=X, domain=D, c_r=0.5, h_max=2, loss=loss, **model))
+    res = fit(FitProblem(y=y, X=X, domain=D, c_r=0.5, **model))
     assert len(res.records) == 16
     assert len(calls) == builds
 
@@ -110,7 +113,7 @@ def test_mle_bernoulli_support_recovery():
     y = (rng.random(n) < expit(t)).astype(float)
     D = DomainSpec(Interval(-20.0, 20.0), max_support=2.0, l1inf_cap=20.0)
     res = fit(
-        FitProblem(y=y, X=X, domain=D, c_r=4.0, h_max=2, loss="mle", family=bernoulli())
+        FitProblem(y=y, X=X, domain=D, c_r=4.0, family=bernoulli())
     )
     assert res.support == (0, 3)
     np.testing.assert_allclose(res.beta_hat.values[[0, 3]], beta[[0, 3]], atol=0.35)
@@ -121,7 +124,7 @@ def test_tie_breaking_prefers_smaller_then_lexicographic():
     col = np.array([1.0, 2.0, -1.0, 0.5])
     X = DesignMatrix(np.column_stack([col, col, np.array([0.1, -0.2, 0.3, 0.9])]))
     y = 2.0 * col
-    res = fit(_problem_gaussian(y, X, c_r=0.5, h_max=2))
+    res = fit(_problem_gaussian(y, X, c_r=0.5, budget=2))
     assert res.support == (0,)
     assert res.tie_break_applied
 
@@ -132,11 +135,11 @@ def test_penalty_prune_is_exact():
     rng = np.random.default_rng(3)
     X = DesignMatrix(rng.standard_normal((30, 5)))
     y = rng.standard_normal(30)
-    res = fit(_problem_gaussian(y, X, c_r=1e9, h_max=3))
+    res = fit(_problem_gaussian(y, X, c_r=1e9))
     assert res.support == ()
     assert len(res.records) == 1
-    # moderate penalty: pruning must not change the answer vs h_max sweep
-    res2 = fit(_problem_gaussian(y, X, c_r=0.4, h_max=3))
+    # moderate penalty: pruning must not change the answer vs the full sweep
+    res2 = fit(_problem_gaussian(y, X, c_r=0.4))
     best = min(
         (r for r in res2.records if r.feasible),
         key=lambda r: r.loss + 0.4 * len(r.support),
@@ -144,12 +147,28 @@ def test_penalty_prune_is_exact():
     assert res2.objective == pytest.approx(best.loss + 0.4 * len(best.support), abs=1e-9)
 
 
+@pytest.mark.parametrize("budget", [0.0, 1.0, 1.5, 2.0, 3.7, math.inf])
+def test_fit_visits_every_support_within_the_budget(budget):
+    # fit enumerates the sizes k <= min(p, max_support), all of them when
+    # nothing is pruned (c_r = 0)
+    rng = np.random.default_rng(6)
+    p = 5
+    X = DesignMatrix(rng.standard_normal((20, p)))
+    y = rng.standard_normal(20)
+    res = fit(FitProblem(y=y, X=X, domain=_wide(budget), c_r=0.0, family=gaussian(1.0)))
+    h = math.floor(min(p, budget))
+    want = [S for k in range(h + 1) for S in itertools.combinations(range(p), k)]
+    assert res.n_supports == sum(math.comb(p, k) for k in range(h + 1)) == len(want)
+    assert [r.support for r in res.records] == want
+    assert len(res.support) <= h
+
+
 def test_enumeration_budget_guard():
     rng = np.random.default_rng(4)
     X = DesignMatrix(rng.standard_normal((10, 45)))
     y = rng.standard_normal(10)
     prob = FitProblem(
-        y=y, X=X, domain=WIDE, c_r=0.1, h_max=22, loss="mle", family=gaussian(1.0)
+        y=y, X=X, domain=_wide(22), c_r=0.1, family=gaussian(1.0)
     )
     with pytest.raises(ValueError, match="enumeration budget exceeded"):
         fit(prob)
@@ -159,7 +178,7 @@ def test_empty_domain_raises():
     X = DesignMatrix(np.eye(3))
     D = DomainSpec(Interval(1.0, 2.0), max_support=0.0, l1inf_cap=5.0)
     prob = FitProblem(
-        y=np.ones(3), X=X, domain=D, c_r=0.1, h_max=0, loss="mle", family=gaussian(1.0)
+        y=np.ones(3), X=X, domain=D, c_r=0.1, family=gaussian(1.0)
     )
     with pytest.raises(ValueError, match="empty domain"):
         fit(prob)
@@ -168,15 +187,23 @@ def test_empty_domain_raises():
 def test_problem_validation():
     X = DesignMatrix(np.eye(3))
     with pytest.raises(ValueError, match="response length"):
-        FitProblem(y=np.ones(4), X=X, domain=WIDE, c_r=0.1, h_max=1, loss="mle",
-                   family=gaussian())
-    with pytest.raises(ValueError, match="mle loss needs a family"):
-        FitProblem(y=np.ones(3), X=X, domain=WIDE, c_r=0.1, h_max=1, loss="mle")
-    with pytest.raises(ValueError, match="lse loss needs a link"):
-        FitProblem(y=np.ones(3), X=X, domain=WIDE, c_r=0.1, h_max=1, loss="lse")
+        FitProblem(y=np.ones(4), X=X, domain=WIDE, c_r=0.1, family=gaussian())
+    one_model = r"give exactly one of family \(likelihood\) or link \(least squares\)"
+    with pytest.raises(ValueError, match=one_model):
+        FitProblem(y=np.ones(3), X=X, domain=WIDE, c_r=0.1)
+    with pytest.raises(ValueError, match=one_model):
+        FitProblem(y=np.ones(3), X=X, domain=WIDE, c_r=0.1, family=gaussian(), link=linear(1.0))
     with pytest.raises(ValueError, match="c_r must be nonnegative"):
-        FitProblem(y=np.ones(3), X=X, domain=WIDE, c_r=-1.0, h_max=1, loss="mle",
-                   family=gaussian())
+        FitProblem(y=np.ones(3), X=X, domain=WIDE, c_r=-1.0, family=gaussian())
+    # the model picks the loss, and the loss cannot be set
+    assert FitProblem(y=np.ones(3), X=X, domain=WIDE, c_r=0.1, family=gaussian()).loss == "mle"
+    prob = FitProblem(y=np.ones(3), X=X, domain=WIDE, c_r=0.1, link=linear(1.0))
+    assert prob.loss == "lse"
+    with pytest.raises(AttributeError):
+        prob.loss = "mle"
+    for key, value in (("loss", "mle"), ("h_max", 1)):  # the domain's budget caps the sizes
+        with pytest.raises(TypeError):
+            FitProblem(y=np.ones(3), X=X, domain=WIDE, c_r=0.1, family=gaussian(), **{key: value})
 
 
 def test_fit_is_deterministic():
@@ -184,7 +211,7 @@ def test_fit_is_deterministic():
     X = DesignMatrix(rng.standard_normal((20, 5)))
     y = rng.integers(0, 2, 20).astype(float)
     prob = lambda: FitProblem(
-        y=y, X=X, domain=WIDE, c_r=0.3, h_max=2, loss="mle", family=bernoulli()
+        y=y, X=X, domain=_wide(2), c_r=0.3, family=bernoulli()
     )
     a, b = fit(prob()), fit(prob())
     assert a.objective == b.objective
@@ -198,7 +225,7 @@ def test_boundary_clamped_flag_and_facet_optimum():
     y = np.ones(12)
     D = DomainSpec(Interval(-2.0, 2.0), max_support=1.0, l1inf_cap=2.0)
     prob = FitProblem(
-        y=y, X=X, domain=D, c_r=0.01, h_max=1, loss="mle", family=bernoulli()
+        y=y, X=X, domain=D, c_r=0.01, family=bernoulli()
     )
     res = fit(prob)
     rec = {r.support: r for r in res.records}[(0,)]
@@ -220,7 +247,7 @@ def test_facet_newton_matches_constrained_truth_2d():
     cap = 1.5
     D = DomainSpec(Interval(-cap, cap), max_support=2.0, l1inf_cap=cap)
     prob = FitProblem(
-        y=y, X=X, domain=D, c_r=0.0, h_max=2, loss="mle", family=bernoulli()
+        y=y, X=X, domain=D, c_r=0.0, family=bernoulli()
     )
     got = inner_solve(prob, (0, 1))
     u, lval, _conv, clamped = got
@@ -244,7 +271,7 @@ def test_objective_recompute_assertion_holds():
     y = rng.integers(0, 2, 15).astype(float)
     res = fit(
         FitProblem(
-            y=y, X=X, domain=WIDE, c_r=0.2, h_max=2, loss="mle", family=bernoulli()
+            y=y, X=X, domain=_wide(2), c_r=0.2, family=bernoulli()
         )
     )
     direct = mle_loss(y, X, res.beta_hat.values, bernoulli())
@@ -305,7 +332,7 @@ def test_active_constraints_match_row_loop():
         wn = float(dm.column_norms(np.inf)[S] @ np.abs(u[S]))
         cap = wn if wn > 0 and rng.random() < 0.5 else None
         D = DomainSpec(Interval(lo, hi), max_support=float(p), l1inf_cap=cap)
-        prob = FitProblem(y=np.zeros(n), X=dm, domain=D, c_r=0.0, h_max=p, family=bernoulli())
+        prob = FitProblem(y=np.zeros(n), X=dm, domain=D, c_r=0.0, family=bernoulli())
         want, got = _active_rows_loop(prob, S, u), _active_constraints(_Support(prob, S), u[S], t)
         if want is None:
             assert got is None
@@ -322,14 +349,14 @@ def test_active_constraints_match_row_loop():
 def _boundary_instance(n):
     """A glm/bernoulli instance on a +-1 design whose truth sits on the
     interval facet |x_i'beta| = 1, so about n/2 rows bind there."""
-    from l0bounds.harness import ExperimentConfig, _fit_domain, generate_instance
+    from l0bounds.harness import ExperimentConfig, generate_instance
 
     cfg = ExperimentConfig(
         n=n, p=8, spt_size=2, replicates=1, model="glm", family="bernoulli",
         design="pm1_iid", interval_halfwidth=1.0, seed=1,
     )
     inst = generate_instance(cfg, 0)
-    return cfg, inst, _fit_domain(cfg, inst.X)
+    return cfg, inst, inst.domain
 
 
 def test_facet_phase_solves_no_system_of_order_above_distinct_rows(monkeypatch):
@@ -339,7 +366,7 @@ def test_facet_phase_solves_no_system_of_order_above_distinct_rows(monkeypatch):
 
     _cfg, inst, D = _boundary_instance(5000)
     prob = FitProblem(
-        y=inst.y, X=inst.X, domain=D, c_r=0.5, h_max=2, loss="mle", family=bernoulli()
+        y=inst.y, X=inst.X, domain=D, c_r=0.5, family=bernoulli()
     )
     seen = []
     for name in ("solve", "lstsq"):
@@ -433,11 +460,11 @@ def test_null_space_step_matches_block_kkt_on_facets():
         D = DomainSpec(Interval(-h, h), max_support=float(p), l1inf_cap=cap)
         if mle:
             y = (rng.random(n) < expit(t)).astype(float)
-            prob = FitProblem(y=y, X=dm, domain=D, c_r=0.0, h_max=p, family=bernoulli())
+            prob = FitProblem(y=y, X=dm, domain=D, c_r=0.0, family=bernoulli())
             g, H = _mle_grad_hess(prob, Xm[:, S], t)
         else:
             y = f(t) + rng.normal(0.0, 0.05, n)
-            prob = FitProblem(y=y, X=dm, domain=D, c_r=0.0, h_max=p, loss="lse", link=f)
+            prob = FitProblem(y=y, X=dm, domain=D, c_r=0.0, link=f)
             g, H = _lse_grad_hess(prob, Xm[:, S], t)
         A, kinds = _active_constraints(_Support(prob, S), v, t)
         assert ("cap" in kinds) == cap_facet
@@ -500,7 +527,7 @@ def test_fit_does_not_call_the_full_vector_helpers_per_trial(monkeypatch):
             if getattr(ns, name, None) is real:
                 monkeypatch.setattr(ns, name, counted)
     res = fit(
-        FitProblem(y=inst.y, X=inst.X, domain=D, c_r=0.5, h_max=2, loss="mle", family=bernoulli())
+        FitProblem(y=inst.y, X=inst.X, domain=D, c_r=0.5, family=bernoulli())
     )
     assert {r.support for r in res.records if r.boundary_clamped}, "no facet phase entered"
     assert len(res.records) == 37
@@ -562,7 +589,7 @@ def test_every_iterate_carries_the_row_images_its_trial_admitted(monkeypatch):
     )
     monkeypatch.setattr(estimator, "_active_constraints", active)
     monkeypatch.setattr(estimator, "inner_solve", inner)
-    res = fit(FitProblem(y=inst.y, X=dm, domain=D, c_r=0.5, h_max=2, loss="mle", family=bernoulli()))
+    res = fit(FitProblem(y=inst.y, X=dm, domain=D, c_r=0.5, family=bernoulli()))
     assert {r.support for r in res.records if r.boundary_clamped}, "no facet step taken"
     assert received["active"] and received["grad_hess"]
     for kind, ts in received.items():
@@ -592,7 +619,7 @@ def test_lse_interior_solves_are_stationary():
         else:
             y = f(t) + rng.normal(0.0, 0.05, n)
         D = DomainSpec(Interval(-3.0, 3.0), max_support=3.0, l1inf_cap=3.0)
-        prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=D, c_r=0.0, h_max=3, loss="lse", link=f)
+        prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=D, c_r=0.0, link=f)
         for k in (1, 2, 3):
             for S in itertools.combinations(range(p), k):
                 got = inner_solve(prob, S)
@@ -622,7 +649,7 @@ def test_likelihood_derivatives_are_the_public_ones():
         S = [0, 2, 3]
         u[S] = 0.3 * rng.standard_normal(3)
         y = rng.integers(0, 2, 30).astype(float)
-        prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=WIDE, c_r=0.0, h_max=3, family=fam)
+        prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=WIDE, c_r=0.0, family=fam)
         g, H = _mle_grad_hess(prob, Xm[:, S], Xm[:, S] @ u[S])
         g0, H0 = mle_gradient_hessian(y, Xm, u, fam, support=S)
         np.testing.assert_allclose(g, g0, rtol=1e-12, atol=1e-12)

@@ -139,6 +139,30 @@ def test_generate_instance_binary_design_has_no_zero_column():
     assert np.all(np.abs(inst.X.X).sum(axis=0) > 0)
 
 
+def test_flip_reports_cover_the_hull_of_the_fit_domain(monkeypatch):
+    # the strip series covers segments of fit-domain members, whose supports
+    # reach twice the budget, which is at least the truth's support size
+    from l0bounds import harness
+
+    seen = []
+    real = harness.ub_report
+
+    def recorded(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        seen.append(rep.inputs["h"])
+        return rep
+
+    monkeypatch.setattr(harness, "ub_report", recorded)
+    cfg = ExperimentConfig(
+        n=60, p=6, spt_size=2, replicates=3, model="flip", design="pm1_iid", c_r=1.0, seed=4
+    )
+    run_coverage(cfg)
+    assert len(seen) == cfg.replicates
+    for rep, h in enumerate(seen):
+        assert h >= 2 * cfg.spt_size
+        assert h == 2 * generate_instance(cfg, rep).domain.max_support
+
+
 def test_run_coverage_small_glm():
     cfg = ExperimentConfig(n=40, p=6, spt_size=1, replicates=10, seed=77)
     out = run_coverage(cfg)
