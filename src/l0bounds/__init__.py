@@ -14,7 +14,6 @@ from .analytic import (
     exp_fn,
     linear,
     logistic_flip,
-    min_slope,
     polynomial,
     strip_sup_logistic,
 )
@@ -27,7 +26,6 @@ from .bounds import (
     c1_ub,
     c2_glm,
     c2_lse,
-    error_radius,
     glm_report,
     lambda_p,
     multi_disc_report,
@@ -44,8 +42,8 @@ from .design import (
 )
 from .domains import DomainSpec, Interval, in_domain
 from .estimator import FitProblem, FitResult, SupportRecord, fit, inner_solve
-from .expfam import ExpFamily, bernoulli, curvature_inf, gaussian, mle_gradient_hessian, mle_loss
-from .grids import CoveringGrid, build_grid, covers, grid_statistics, singleton_grid
+from .expfam import ExpFamily, bernoulli, gaussian, mle_gradient_hessian, mle_loss
+from .grids import CoveringGrid, build_grid, covers, singleton_grid
 from .harness import (
     CoverageResult,
     ExperimentConfig,

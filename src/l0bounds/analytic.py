@@ -47,13 +47,14 @@ __all__ = [
     "logistic_flip",
     "LINKS",
     "strip_sup_logistic",
-    "min_slope",
     "CoefficientEnvelope",
     "coefficient_envelope",
 ]
 
 # points of I in the polynomial slope floor and in interval envelopes
 _GRID = 2001
+
+_DECAY_ERR = "theta too close to 1: series terms not decaying by k = K"
 
 # ----------------------------------------------------------------------------
 # the logistic s(t) = 1/(1 + e^-t) and its Taylor coefficients
@@ -84,12 +85,16 @@ def _logistic_slope_floor(m: float) -> float:
 
 def _sig_coeff_table(K: int, ts) -> np.ndarray:
     """Rows a_0..a_K of the standard logistic's coefficients at the centers
-    -|t|; the k-th row is a_k(t) up to the sign (-1)^(k+1) where t > 0."""
+    -|t|; the k-th row is a_k(t) up to the sign (-1)^(k+1) where t > 0.
+
+    The convolution is summed in order with ``np.cumsum``: ``np.sum`` adds
+    pairwise along one contiguous axis, so a lone center would round
+    differently from the same center among many."""
     t = np.asarray(ts, dtype=float)
     a = np.empty((K + 1,) + t.shape)
     a[0] = _logistic(-np.abs(t))  # the small root: a_0 - a_0^2 does not cancel
     for m in range(K):
-        a[m + 1] = (a[m] - np.sum(a[: m + 1] * a[m::-1], axis=0)) / (m + 1)
+        a[m + 1] = (a[m] - np.cumsum(a[: m + 1] * a[m::-1], axis=0)[-1]) / (m + 1)
     return a
 
 
@@ -120,6 +125,9 @@ class AnalyticFn:
         never branches on it.
     params : dict
         Constructor parameters (coefficients, channel probabilities, ...).
+    degree : int or float
+        The polynomial degree (coefficients vanish above it); ``math.inf``
+        for every other kind.
 
     Notes
     -----
@@ -132,12 +140,27 @@ class AnalyticFn:
     and each kind has one coefficient method: ``coeff_table(K, ts)``, the
     signed a_1..a_K at the centers ts as a (K, m) array, which ``coeff_k``,
     ``coeff_abs_batch``, ``abs_coeff_table`` and every consumer read.  Each
-    kind also defines ``_eval`` (f on an array), ``radius_at`` (convergence
-    radius of the Taylor series at a real center, non-decreasing in |t|),
-    ``deriv1`` (f' at grid points), ``slope_floor`` (inf_I |f'|, certified)
-    and ``tail``, and overrides ``strip_dk`` and ``interval_dk`` where it
-    has closed forms.
+    kind also defines
+
+    - ``_eval``: f on an array;
+    - ``radius_at``: the convergence radius of the Taylor series at a real
+      center, non-decreasing in |t|;
+    - ``deriv1``: f' at grid points;
+    - ``slope_floor(I)``: a certified lower bound on the secant-slope floor
+      d(f, I) = inf_{x != y in I} |f(x) - f(y)| / |x - y|, which equals
+      inf_I |f'| for continuously differentiable f (mean value theorem);
+      0.0 for a link that is not identifiable on I (the estimation
+      constants reject that downstream);
+    - ``series_tail(amp, x, K, t_hi)``: a certified bound on the terms
+      amp k sqrt(k) d_k x^(k-1), k > K, of a c1 series, where d_k bounds
+      |a_k| at every center up to t_hi (amp carries the prefactor, sup_k
+      w_k and the order weight at k = 1; the series constants in
+      ``bounds`` sum the first K terms);
+
+    and overrides ``strip_dk`` and ``interval_dk`` where it has closed forms.
     """
+
+    degree = math.inf
 
     def __init__(self, tag: str, params: dict):
         self.tag = tag
@@ -201,13 +224,17 @@ class _Polynomial(AnalyticFn):
     """Entire; coefficients vanish above the degree, and f' is constant for
     degree <= 1."""
 
+    @property
+    def degree(self):
+        return self.params["degree"]
+
     def _eval(self, t):
         return np.polynomial.polynomial.polyval(t, self.params["coeffs"])
 
     def coeff_table(self, K, ts):
         # a_k(t) = sum_m c_m C(m, k) t^(m-k), summed in Python floats with
         # libm pow (numpy.power can differ from it in the last bit)
-        c, deg = self.params["coeffs"], self.params["degree"]
+        c, deg = self.params["coeffs"], self.degree
         ts = np.asarray(ts, dtype=float).tolist()
         out = np.zeros((K, len(ts)))
         for k in range(1, min(K, deg) + 1):
@@ -224,14 +251,15 @@ class _Polynomial(AnalyticFn):
         return np.polynomial.polynomial.polyval(xs, dc) if dc.size else np.zeros_like(xs)
 
     def slope_floor(self, I):
-        """|c_1| for degree <= 1.  Otherwise the certified grid bound: within
+        """|c_1| for degree <= 1, linear links included.  Otherwise the
+        certified grid bound over ``_GRID`` points of a bounded I: within
         r = h/2 of a grid point g, |f'| >= |f'(g)| - r sup |f''|, and the
         finite expansion at g bounds that sup by sum_j j(j-1) |a_j(g)| r^(j-2)."""
-        c, deg = self.params["coeffs"], self.params["degree"]
+        c, deg = self.params["coeffs"], self.degree
         if deg <= 1:
             return float(abs(c[1])) if c.size > 1 else 0.0
         if not I.bounded:
-            raise ValueError("min_slope needs a bounded interval for grid search")
+            raise ValueError("slope floor needs a bounded interval for grid search")
         xs = I.grid(_GRID)
         r = 0.5 * (xs[1] - xs[0])
         a = self.coeff_table(deg, xs)
@@ -239,11 +267,14 @@ class _Polynomial(AnalyticFn):
         curv = np.max(np.sum(j * (j - 1) * np.abs(a[1:]) * r ** (j - 2), axis=0))
         return max(0.0, float(np.min(np.abs(a[0])) - r * curv))
 
-    def tail(self, t_hi):
-        return ("finite", self.params["degree"])
+    def series_tail(self, amp, x, K, t_hi):
+        # d_k = 0 past the degree: no terms are left
+        if K < self.degree:
+            raise ValueError("increase K beyond the polynomial degree")
+        return 0.0
 
     def strip_dk(self, K, c):
-        if self.params["degree"] > 1:
+        if self.degree > 1:
             return super().strip_dk(K, c)
         dk = np.zeros(K)
         dk[0] = self.slope_floor(None)
@@ -272,11 +303,21 @@ class _Exp(AnalyticFn):
         return np.exp(xs)
 
     def slope_floor(self, I):
-        # f' = e^t increases, so the floor sits at the left end
+        """e^(inf I): f' = e^t increases, so the floor sits at the left end."""
         return math.exp(I.lo)
 
-    def tail(self, t_hi):
-        return ("factorial", math.exp(t_hi))
+    def series_tail(self, amp, x, K, t_hi):
+        """d_k <= e^t_hi / k!, so the term ratio is at most gamma =
+        sqrt(2) x/(K+1) < 1, and the first omitted term over 1 - gamma
+        bounds the tail."""
+        A = amp * math.exp(t_hi)
+        if A == 0.0:
+            return 0.0
+        gamma = math.sqrt(2.0) * x / (K + 1.0)
+        if gamma >= 1.0:
+            raise ValueError("increase K: factorial tail not yet decaying")
+        first = A * math.sqrt(K + 1.0) * x**K / math.factorial(K)
+        return first / (1.0 - gamma)
 
     def interval_dk(self, K, I):
         ks = np.arange(1, K + 1)
@@ -303,10 +344,26 @@ class _LogisticFlip(AnalyticFn):
         return self.params["delta"] * _logistic_slope(xs)
 
     def slope_floor(self, I):
+        """delta (2 cosh(M/2))^-2 at M = sup_I |t|: the slope decreases in |t|."""
         return self.params["delta"] * _logistic_slope_floor(I.sup_abs)
 
-    def tail(self, t_hi):
-        return ("logistic", self.params["delta"])
+    def series_tail(self, amp, x, K, t_hi):
+        """d_k <= delta/(4 cos^2(c/2)) / (k c^(k-1)) at every real center for
+        any contour half-width c < pi (the poles sit at +-(pi)i); at
+        c = (x + pi)/2 the term ratio is at most gamma = sqrt((K+2)/(K+1)) x/c
+        < 1, and the first omitted term over 1 - gamma bounds the tail."""
+        if x >= math.pi:
+            raise ValueError("certified tail unavailable: disc size >= pi for a logistic link")
+        c = 0.5 * (x + math.pi)
+        A = amp * (self.params["delta"] * strip_sup_logistic(c))
+        if A == 0.0:
+            return 0.0
+        ratio = x / c
+        gamma = math.sqrt((K + 2.0) / (K + 1.0)) * ratio
+        if gamma >= 1.0:
+            raise ValueError(_DECAY_ERR)
+        first = A * math.sqrt(K + 1.0) * ratio**K
+        return first / (1.0 - gamma)
 
     def strip_dk(self, K, c):
         if c is None:
@@ -361,27 +418,8 @@ LINKS = {"logistic_flip": logistic_flip, "linear": linear, "polynomial": polynom
 
 
 # ----------------------------------------------------------------------------
-# slope floor and coefficient envelopes
+# coefficient envelopes
 # ----------------------------------------------------------------------------
-
-
-def min_slope(f: AnalyticFn, I: Interval) -> float:
-    """Certified lower bound on the secant-slope floor
-    d(f, I) = inf_{x != y in I} |f(x) - f(y)| / |x - y|.
-
-    For continuously differentiable f this infimum equals inf_I |f'| (mean
-    value theorem), which each link kind bounds from below in its
-    ``slope_floor``: logistic-type links have slope decreasing in |t|, so
-    delta * (2 cosh(M/2))^-2 at M = sup_I |t|; exp has e^(inf I);
-    polynomials of degree <= 1, linear links included, have |c_1|; higher
-    degrees take the least |f'| over ``_GRID`` points of I minus a
-    curvature correction from their own coefficient table, and need a
-    bounded I.
-
-    Returns 0.0 for non-identifiable links (the estimation constants reject
-    that downstream).
-    """
-    return f.slope_floor(I)
 
 
 @dataclass(frozen=True)
@@ -389,24 +427,18 @@ class CoefficientEnvelope:
     """Upper bounds d_k >= sup |a_k| over a strip (whole real line through a
     contour of half-width ``contour_radius``) or over an interval (grid max).
 
-    ``tail`` describes a certified majorant valid for *all* orders, used to
-    close the series bounds beyond the stored K terms:
-
-    - ("finite", deg): d_k = 0 for k > deg;
-    - ("factorial", A): d_k <= A / k!;
-    - ("logistic", delta): d_k <= delta/(4 cos^2(c/2)) / (k c^(k-1)) for any
-      contour half-width c < pi, chosen by the consumer.
-
-    Every link in ``LINKS`` has one of these; an envelope built by hand
-    with ``tail=None`` carries no certificate, and ``c1_ub`` refuses it.
+    The envelope carries its link ``f`` and ``t_hi``, the largest center it
+    covers (sup I, or inf for a strip), so that the series constants close
+    beyond the stored K orders with ``f.series_tail(amp, x, K, t_hi)``, a
+    certified majorant valid for *all* orders.
     """
 
     mode: str
     K: int
     dk: np.ndarray
     rho0: float
-    tail: tuple | None
-    tag: str
+    f: AnalyticFn
+    t_hi: float
     contour_radius: float | None = None
 
 
@@ -433,8 +465,8 @@ def coefficient_envelope(
     region : Interval or None
         Required for interval mode.
     contour_radius : float
-        Strip half-width c for strip mode (0 < c < rho0); entire links
-        ignore it.
+        Strip half-width c for strip mode (0 < c < rho0); entire links and
+        interval mode ignore it.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -443,13 +475,11 @@ def coefficient_envelope(
         dk[1:] = f.strip_dk(K, contour_radius)
         rho0 = f.radius_floor(None)
         c = None if math.isinf(rho0) else float(contour_radius)
-        return CoefficientEnvelope(
-            "strip", K, dk, rho0, f.tail(math.inf), f.tag, contour_radius=c
-        )
+        return CoefficientEnvelope("strip", K, dk, rho0, f, math.inf, contour_radius=c)
     if mode != "interval":
         raise ValueError("mode must be 'strip' or 'interval'")
     I = region
     if not isinstance(I, Interval) or not I.bounded:
         raise ValueError("interval mode needs a bounded Interval region")
     dk[1:] = f.interval_dk(K, I)
-    return CoefficientEnvelope("interval", K, dk, f.radius_floor(I), f.tail(I.hi), f.tag)
+    return CoefficientEnvelope("interval", K, dk, f.radius_floor(I), f, I.hi)

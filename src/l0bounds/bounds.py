@@ -27,16 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import (
-    AnalyticFn,
-    CoefficientEnvelope,
-    coefficient_envelope,
-    min_slope,
-    strip_sup_logistic,
-)
+from .analytic import _DECAY_ERR, AnalyticFn, CoefficientEnvelope, coefficient_envelope
 from .design import _NU, DesignMatrix, _as_design, capacity, coherence, series_norms
 from .domains import Interval
-from .expfam import ExpFamily, curvature_inf
+from .expfam import ExpFamily
 from .grids import CoveringGrid
 
 __all__ = [
@@ -49,14 +43,11 @@ __all__ = [
     "c1_one_disc",
     "c1_multi_disc",
     "c1_ub",
-    "error_radius",
     "glm_report",
     "one_disc_report",
     "multi_disc_report",
     "ub_report",
 ]
-
-_DECAY_ERR = "theta too close to 1: series terms not decaying by k = K"
 
 
 @dataclass(frozen=True)
@@ -92,61 +83,27 @@ def _wk(dm: DesignMatrix, K: int) -> list:
     return [0.0] + [dm.n ** (-1.0 / (2.0 * k)) * float(top[k - 1]) for k in range(1, K + 1)]
 
 
-def _tail(kind: tuple, amp: float, x: float, K: int) -> float:
-    """Certified bound on the terms amp k sqrt(k) d_k x^(k-1), k > K, where d_k
-    follows the envelope tail ``kind`` (see ``CoefficientEnvelope``) and amp
-    carries the prefactor, sup_k w_k and the order weight at k = 1.  Past its
-    degree a finite series has no terms.
-    Otherwise the term ratio is at most gamma < 1 -- sqrt(2) x/(K+1) when
-    d_k <= A/k!, sqrt((K+2)/(K+1)) x/c for the logistic majorant at contour
-    c = (x + pi)/2 < pi -- so the first omitted term over 1 - gamma bounds it.
-    """
-    name, arg = kind
-    if name == "finite":
-        if K < arg:
-            raise ValueError("increase K beyond the polynomial degree")
-        return 0.0
-    if name == "factorial":
-        A = amp * arg
-        if A == 0.0:
-            return 0.0
-        gamma = math.sqrt(2.0) * x / (K + 1.0)
-        if gamma >= 1.0:
-            raise ValueError("increase K: factorial tail not yet decaying")
-        first = A * math.sqrt(K + 1.0) * x**K / math.factorial(K)
-    else:
-        if x >= math.pi:
-            raise ValueError("certified tail unavailable: disc size >= pi for a logistic link")
-        c = 0.5 * (x + math.pi)
-        A = amp * (arg * strip_sup_logistic(c))
-        if A == 0.0:
-            return 0.0
-        ratio = x / c
-        gamma = math.sqrt((K + 2.0) / (K + 1.0)) * ratio
-        if gamma >= 1.0:
-            raise ValueError(_DECAY_ERR)
-        first = A * math.sqrt(K + 1.0) * ratio**K
-    return first / (1.0 - gamma)
-
-
-def _c1_series(dm: DesignMatrix, weight, d, x: float, K: int, kind: tuple, pref: float) -> SeriesBound:
-    """pref sum_{k<=K} weight(k) d[k] x^(k-1) w_k plus the certified tail.
+def _c1_series(
+    dm: DesignMatrix, weight, d, x: float, K: int, f: AnalyticFn, t_hi: float, pref: float
+) -> SeriesBound:
+    """pref sum_{k<=K} weight(k) d[k] x^(k-1) w_k plus the certified tail
+    ``f.series_tail``, d_k bounding |a_k| at every center up to t_hi.
 
     Every weight satisfies weight(k) <= k sqrt(k) weight(1) (k sqrt(L + k
     lambda_p) <= k sqrt(k) sqrt(L + lambda_p) for L >= 0), so the tail
     amplitude is pref weight(1) sup_k w_k.  A series whose last two nonzero
-    computed terms are not decaying is refused (a finite series needs no
-    decay).
+    computed terms are not decaying is refused (a polynomial's finite series
+    needs no decay).
     """
     w = _wk(dm, K)
     T = np.zeros(K + 1)
     for k in range(1, K + 1):
         T[k] = weight(k) * d[k] * x ** (k - 1) * w[k]
     nz = np.nonzero(T)[0]
-    if kind[0] != "finite" and nz.size >= 2 and T[nz[-1]] >= T[nz[-2]]:
+    if math.isinf(f.degree) and nz.size >= 2 and T[nz[-1]] >= T[nz[-2]]:
         raise ValueError(_DECAY_ERR)
     partial = pref * float(T.sum())
-    tail = _tail(kind, pref * weight(1) * dm.max_norm(math.inf), x, K)
+    tail = f.series_tail(pref * weight(1) * dm.max_norm(math.inf), x, K, t_hi)
     return SeriesBound(partial + tail, partial, tail, K)
 
 
@@ -165,10 +122,12 @@ def c1_glm(X, sigma: float, q: float) -> float:
 
 
 def c2_glm(X, delta: float) -> float:
-    """c2 = nu delta (1 + mu) min_j ||V_j||_2^2 / (2n), nu = ``design._NU``."""
+    """c2 = nu delta (1 + mu) min_j ||V_j||_2^2 / (2n), nu = ``design._NU``;
+    the curvature floor delta must be positive (the Bernoulli variance
+    tends to 0 on an unbounded interval)."""
     dm = _as_design(X)
-    if delta <= 0:
-        raise ValueError("curvature floor must be positive")
+    if not delta > 0:
+        raise ValueError("flat family on I")
     mu = coherence(dm)
     return _NU * delta * (1.0 + mu) * dm.min_norm(2) ** 2 / (2.0 * dm.n)
 
@@ -204,18 +163,17 @@ def c1_one_disc(X, f: AnalyticFn, sigma: float, q: float, theta: float, K: int =
     lam = lambda_p(dm.p, q)
     pref = sigma * math.sqrt(2.0 * lam)
     rho = f.radius_at(0.0)
-    kind = f.tail(0.0)
     # |f^(k)(0)|/(k-1)! = k |a_k(0)|
     d = [0.0] + f.abs_coeff_table(K, [0.0])[:, 0].tolist()
     if math.isinf(rho):
-        if kind[0] == "finite" and kind[1] <= 1:
+        if f.degree <= 1:
             v = pref * d[1] * _wk(dm, 1)[1]
             return SeriesBound(v, v, 0.0, 1)
         raise ValueError(
             "series diverges: infinite radius with a nonlinear link; "
             "use the envelope form on a bounded region"
         )
-    return _c1_series(dm, lambda k: math.sqrt(k) * k, d, theta * rho, K, kind, pref)
+    return _c1_series(dm, lambda k: math.sqrt(k) * k, d, theta * rho, K, f, 0.0, pref)
 
 
 def c1_multi_disc(X, G: CoveringGrid, sigma: float, q: float, K: int = 60) -> SeriesBound:
@@ -230,7 +188,7 @@ def c1_multi_disc(X, G: CoveringGrid, sigma: float, q: float, K: int = 60) -> Se
     lg = math.log(len(G))
     return _c1_series(
         dm, lambda k: k * math.sqrt(lg + k * lam), G.A_sup(K), G.b_inf, K,
-        G.f.tail(G.t_signed_max()), math.sqrt(2.0) * sigma,
+        G.f, G.t_signed_max(), math.sqrt(2.0) * sigma,
     )
 
 
@@ -255,8 +213,6 @@ def c1_ub(
     """
     dm = _as_design(X)
     _check_q(q)
-    if envelope.tail is None:
-        raise ValueError("certified tail unavailable for custom envelopes")
     if not rho1 > 0:
         raise ValueError("rho1 must be positive")
     if delta_D < 0:
@@ -272,7 +228,7 @@ def c1_ub(
     L = h * math.log(dm.p * Q)
     return _c1_series(
         dm, lambda k: k * math.sqrt(L + k * lam), envelope.dk, rho1, envelope.K,
-        envelope.tail, math.sqrt(2.0) * sigma,
+        envelope.f, envelope.t_hi, math.sqrt(2.0) * sigma,
     )
 
 
@@ -297,7 +253,10 @@ class BoundsReport:
     inputs: dict = field(default_factory=dict)
 
     def error_radius(self, spt_size: int, n: int) -> float:
-        return error_radius(self.kappa_r, spt_size, n)
+        """Guaranteed radius kappa_r sqrt(|spt(beta)| / n)."""
+        if spt_size < 0 or n < 1:
+            raise ValueError("need spt_size >= 0 and n >= 1")
+        return self.kappa_r * math.sqrt(spt_size / n)
 
     def to_json(self) -> str:
         out = {
@@ -315,13 +274,6 @@ class BoundsReport:
             },
         }
         return json.dumps(out, indent=2)
-
-
-def error_radius(kappa_r: float, spt_size: int, n: int) -> float:
-    """Guaranteed radius kappa_r sqrt(|spt(beta)| / n)."""
-    if spt_size < 0 or n < 1:
-        raise ValueError("need spt_size >= 0 and n >= 1")
-    return kappa_r * math.sqrt(spt_size / n)
 
 
 def _assemble(theorem, c1v, c2v, dm, q, K, tail, inputs) -> BoundsReport:
@@ -343,9 +295,9 @@ def _assemble(theorem, c1v, c2v, dm, q, K, tail, inputs) -> BoundsReport:
 def glm_report(X, family: ExpFamily, I: Interval, sigma: float, q: float) -> BoundsReport:
     """Constants for penalized MLE in an exponential linear family on I."""
     dm = _as_design(X)
-    delta = curvature_inf(family, I)
-    c1v = c1_glm(dm, sigma, q)
+    delta = family.curvature_floor(I)
     c2v = c2_glm(dm, delta)
+    c1v = c1_glm(dm, sigma, q)
     return _assemble(
         "glm", c1v, c2v, dm, q, 0, 0.0,
         {
@@ -359,7 +311,7 @@ def glm_report(X, family: ExpFamily, I: Interval, sigma: float, q: float) -> Bou
 def _lse_report(theorem, s: SeriesBound, dm, f: AnalyticFn, I: Interval, sigma, q, extra) -> BoundsReport:
     """Least-squares report: c1 from the series s, c2 from the slope floor
     of f on I; ``extra`` holds the theorem's own inputs."""
-    dmin = min_slope(f, I)
+    dmin = f.slope_floor(I)
     c2v = c2_lse(dm, dmin)
     return _assemble(
         theorem, s.value, c2v, dm, q, s.K, s.tail,
@@ -400,7 +352,7 @@ def ub_report(
     Defaults follow the channel analysis: the cover support size h is half
     the coherence capacity (at least 1), the hull radius delta_D falls back
     to the interval half-width, and strip envelopes use contour half-width
-    rho1/theta.
+    rho1/theta (interval envelopes ignore it).
     """
     dm = _as_design(X)
     if h is None:
@@ -410,10 +362,7 @@ def ub_report(
         if not I.bounded:
             raise ValueError("delta_D required for unbounded intervals")
         delta_D = I.sup_abs
-    if mode == "strip":
-        env = coefficient_envelope(f, "strip", None, K=K, contour_radius=rho1 / theta)
-    else:
-        env = coefficient_envelope(f, mode, I, K=K)
+    env = coefficient_envelope(f, mode, I, K=K, contour_radius=rho1 / theta)
     s = c1_ub(dm, env, sigma, q, h, delta_D, rho1)
     return _lse_report(
         f"ub_{mode}", s, dm, f, I, sigma, q,

@@ -90,6 +90,27 @@ def parse_domain(d: dict) -> domains.DomainSpec:
         raise ConfigError(f"bad domain block: {exc}") from exc
 
 
+# the keys each covering-grid b rule takes besides "rule"
+_B_RULES = {"half_radius": (), "constant": ("c",)}
+
+
+def parse_b_rule(cfg: dict) -> tuple:
+    """The ``b_rule`` block as ``build_grid`` takes it: ("half_radius",) by
+    default, or ("constant", c); a block that is not an object, an unknown
+    rule or an unknown key is a config error."""
+    br = cfg.get("b_rule", {"rule": "half_radius"})
+    if not isinstance(br, dict):
+        raise ConfigError(f"b_rule must be an object, got {br!r}")
+    rule = _need(br, "rule")
+    keys = _B_RULES.get(rule) if isinstance(rule, str) else None
+    if keys is None:
+        raise ConfigError(f"unknown b_rule rule {rule!r}")
+    extra = sorted(set(br) - {"rule", *keys})
+    if extra:
+        raise ConfigError(f"unknown b_rule key(s) {extra} for rule {rule!r}")
+    return (rule, *(_num(br, k) for k in keys))
+
+
 def load_design(args, cfg: dict) -> DesignMatrix:
     if getattr(args, "x", None):
         try:
@@ -185,9 +206,7 @@ def _cmd_grid(args, cfg: dict) -> dict:
     dm = load_design(args, cfg)
     f = parse_block(cfg, "link", analytic.LINKS)
     D = parse_domain(_need(cfg, "domain"))
-    br = cfg.get("b_rule", {"rule": "half_radius"})
-    rule = ("half_radius",) if br.get("rule") == "half_radius" else ("constant", _num(br, "c"))
-    G = grids.build_grid(dm, f, D, b_rule=rule)
+    G = grids.build_grid(dm, f, D, b_rule=parse_b_rule(cfg))
     return json.loads(G.to_json())
 
 

@@ -211,19 +211,19 @@ def _active_constraints(sp: _Support, v: np.ndarray, t: np.ndarray):
     constraint contributes one linear row.  Coordinates sitting exactly at 0
     while the cap binds are frozen (the cap is nonsmooth there).
 
-    Returns (A, kinds) with A of shape (m, |S|): the cap row, the binding
-    upper rows, the binding lower rows (both in row order), then the frozen
-    unit rows; None when nothing binds.
+    Returns (A, cap_alone) with A of shape (m, |S|): the cap row, the
+    binding upper rows, the binding lower rows (both in row order), then the
+    frozen unit rows; cap_alone says whether A is the cap row alone.  None
+    when nothing binds.
     """
     D, Xs, w = sp.prob.domain, sp.Xs, sp.w
     k = len(sp.S)
-    cap_rows, kinds = [], []
+    cap_rows = []
     frozen: list[int] = []
     cap = D.l1inf_cap
     if cap is not None:
         if float(w @ np.abs(v)) >= cap * (1.0 - 1e-9):
             cap_rows.append((w * np.sign(v))[None, :])
-            kinds.append("cap")
             frozen = [j for j in range(k) if abs(v[j]) <= 1e-12]
     I = D.interval
     scale = max(1.0, abs(I.lo) if math.isfinite(I.lo) else 1.0,
@@ -233,10 +233,10 @@ def _active_constraints(sp: _Support, v: np.ndarray, t: np.ndarray):
         rows.append(Xs[t >= I.hi - 1e-9 * scale])
     if math.isfinite(I.lo):
         rows.append(-Xs[t <= I.lo + 1e-9 * scale])
-    kinds += ["row"] * sum(len(r) for r in rows) + ["frozen"] * len(frozen)
-    if not kinds:
+    A = np.vstack(cap_rows + rows + [np.eye(k)[frozen]])
+    if not len(A):
         return None
-    return np.vstack(cap_rows + rows + [np.eye(k)[frozen]]), kinds
+    return A, bool(cap_rows) and len(A) == 1
 
 
 def _null_space_step(Au: np.ndarray, g: np.ndarray, H: np.ndarray):
@@ -288,7 +288,7 @@ def _active_set_newton(sp: _Support, v: np.ndarray, t: np.ndarray, cur: float):
             pg = g + Au.T @ lam
             if float(np.max(np.abs(pg))) > _FACET_TOL * max(1.0, float(np.max(np.abs(g)))):
                 d = _null_space_step(Au, g, H)
-            elif act[1] == ["cap"] and lam[0] < -_FACET_TOL:
+            elif act[1] and lam[0] < -_FACET_TOL:
                 clamped = False  # the cap does not bind at the optimum
             else:
                 converged = True

@@ -23,7 +23,6 @@ __all__ = [
     "gaussian",
     "bernoulli",
     "FAMILIES",
-    "curvature_inf",
     "mle_loss",
     "mle_gradient_hessian",
 ]
@@ -34,7 +33,8 @@ class ExpFamily:
 
     Families are built through the constructors in ``FAMILIES``; each kind
     defines ``log_partition``, ``mean``, ``variance``, ``curvature_floor``
-    and ``loss_floor``.
+    (the closed form of delta = inf_I Lambda'', possibly 0) and
+    ``loss_floor``.
     """
 
     def __init__(self, tag: str, params: dict):
@@ -113,22 +113,6 @@ def bernoulli() -> ExpFamily:
 
 
 FAMILIES = {"bernoulli": bernoulli, "gaussian": gaussian}
-
-
-def curvature_inf(fam: ExpFamily, I: Interval) -> float:
-    """Curvature floor delta = inf over I of Lambda'', from the family's
-    closed form.
-
-    Raises
-    ------
-    ValueError
-        "flat family on I" when the floor is not strictly positive (the
-        Bernoulli variance tends to 0 on an unbounded interval).
-    """
-    delta = fam.curvature_floor(I)
-    if not delta > 0:
-        raise ValueError("flat family on I")
-    return delta
 
 
 def mle_loss(y, X, u, fam: ExpFamily) -> float:

@@ -32,7 +32,7 @@ from .analytic import AnalyticFn
 from .design import DesignMatrix, _as_design
 from .domains import DomainSpec
 
-__all__ = ["CoveringGrid", "build_grid", "singleton_grid", "grid_statistics", "covers"]
+__all__ = ["CoveringGrid", "build_grid", "singleton_grid", "covers"]
 
 _ENUM_BUDGET = 1_000_000
 _POINT_BUDGET = 2_000_000
@@ -69,7 +69,6 @@ class CoveringGrid:
     cardinality_bound: float
     f: AnalyticFn
     X: DesignMatrix
-    b_rule: tuple
     _r: np.ndarray | None = field(default=None, repr=False)
     _rows: np.ndarray | None = field(default=None, repr=False)
     _A: np.ndarray | None = field(default=None, repr=False)
@@ -213,7 +212,6 @@ def build_grid(X, f: AnalyticFn, D: DomainSpec, b_rule: tuple = ("half_radius",)
         cardinality_bound=float(n_supports * (2 * (h * cap) / db + 1.0) ** h),
         f=f,
         X=dm,
-        b_rule=b_rule,
     )
     r = grid.r_values()
     if b_rule[0] == "half_radius":
@@ -260,22 +258,7 @@ def singleton_grid(w, X, f: AnalyticFn, D: DomainSpec, d: float) -> CoveringGrid
         cardinality_bound=1.0,
         f=f,
         X=dm,
-        b_rule=("singleton", d),
     )
-
-
-def grid_statistics(G: CoveringGrid, K: int = 60) -> dict:
-    """Summary triple (b_inf, r_inf, A_sup[1..K]); checks r_inf > b_inf."""
-    b_inf, r_inf = G.b_inf, G.r_inf
-    if not b_inf < r_inf:
-        raise ValueError("b must stay strictly inside the radius")
-    return {
-        "b_inf": b_inf,
-        "r_inf": r_inf,
-        "A_sup": {k: float(a) for k, a in enumerate(G.A_sup(K)[1:], start=1)},
-        "size": len(G),
-        "cardinality_bound": G.cardinality_bound,
-    }
 
 
 def covers(G: CoveringGrid, samples) -> tuple:

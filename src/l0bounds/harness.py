@@ -275,14 +275,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class Instance:
-    """One replicate: the design, the truth, the response and its row
-    images, and the domain the truth was placed in, which the fit uses,
-    with whether the capacity precondition held."""
+    """One replicate: the design, the truth, the response, and the domain
+    the truth was placed in, which the fit uses, with whether the capacity
+    precondition held."""
 
     X: DesignMatrix
     beta: np.ndarray
     y: np.ndarray
-    t: np.ndarray
     domain: DomainSpec
     budget_ok: bool
 
@@ -335,7 +334,7 @@ def generate_instance(cfg: ExperimentConfig, replicate: int) -> Instance:
     mean = cfg.link_obj() if cfg.model == "flip" else cfg.family_obj().mean
     # channel models return exactly the observed 0/1 output
     y = mean(t) + cfg.noise_obj().draw(rng, cfg.n, t=t)
-    return Instance(X=dm, beta=beta, y=y, t=t, domain=D, budget_ok=budget_ok)
+    return Instance(X=dm, beta=beta, y=y, domain=D, budget_ok=budget_ok)
 
 
 def replicate_report(cfg: ExperimentConfig, inst: Instance) -> BoundsReport:

@@ -48,7 +48,7 @@ def test_criterion_01_constant_identities():
         assert r.kappa_r == pytest.approx(3.0 * r.c1 / r.c2, rel=1e-12)
         assert r.c_r == pytest.approx(3.0 * r.c1**2 / r.c2, rel=1e-12)
     # closed-form GLM constants feed the same identity
-    delta = lb.curvature_inf(lb.bernoulli(), I)
+    delta = lb.bernoulli().curvature_floor(I)
     c1 = lb.c1_glm(X, 1.0, 0.1)
     c2 = lb.c2_glm(X, delta)
     assert reports[0].kappa_r == pytest.approx(3.0 * c1 / c2, rel=1e-12)

@@ -20,7 +20,6 @@ from l0bounds import (
     exp_fn,
     linear,
     logistic_flip,
-    min_slope,
     polynomial,
     strip_sup_logistic,
 )
@@ -121,14 +120,14 @@ def test_taylor_reconstruction_inside_radius(f, center, radius):
 
 
 def test_min_slope_closed_forms():
-    assert min_slope(linear(-2.5), Interval(-9, 4)) == pytest.approx(2.5)
+    assert linear(-2.5).slope_floor(Interval(-9, 4)) == pytest.approx(2.5)
     f = logistic_flip(0.1, 0.9)
-    assert min_slope(f, Interval(-2.0, 2.0)) == pytest.approx(FLIP_MIN_SLOPE_2, abs=1e-14)
+    assert f.slope_floor(Interval(-2.0, 2.0)) == pytest.approx(FLIP_MIN_SLOPE_2, abs=1e-14)
     # (2 cosh(M/2))^-2 holds until cosh overflows (M > ~1420), then the floor is 0
-    assert min_slope(f, Interval(-1400.0, 1400.0)) == 0.8 * (2.0 * math.cosh(700.0)) ** -2
-    assert min_slope(f, Interval(-1500.0, 1500.0)) == 0.0
+    assert f.slope_floor(Interval(-1400.0, 1400.0)) == 0.8 * (2.0 * math.cosh(700.0)) ** -2
+    assert f.slope_floor(Interval(-1500.0, 1500.0)) == 0.0
     s = logistic_flip(0.0, 1.0)
-    assert min_slope(s, Interval(-2.0, 2.0)) == pytest.approx(
+    assert s.slope_floor(Interval(-2.0, 2.0)) == pytest.approx(
         LOGISTIC_MIN_SLOPE_2, abs=1e-14
     )
 
@@ -138,20 +137,20 @@ def test_min_slope_degree_one_polynomial_closed_form(a, b):
     # linear(a, b) is the polynomial [b, a]: the closed form |a| holds on
     # the whole line, with no grid search
     line = Interval(-math.inf, math.inf)
-    assert min_slope(polynomial([b, a]), line) == abs(a)
-    assert min_slope(linear(a, b), line) == abs(a)
-    assert min_slope(polynomial([b, a]), Interval(-9.0, 4.0)) == abs(a)
+    assert polynomial([b, a]).slope_floor(line) == abs(a)
+    assert linear(a, b).slope_floor(line) == abs(a)
+    assert polynomial([b, a]).slope_floor(Interval(-9.0, 4.0)) == abs(a)
 
 
 def test_min_slope_grid_path_close_to_closed_form():
     # a polynomial of degree >= 2 takes the certified grid bound
     f, I, truth = polynomial([0.0, 1.0, 0.5]), Interval(-0.5, 1.0), 0.5  # inf |1 + t|
-    got = min_slope(f, I)
+    got = f.slope_floor(I)
     assert 0.0 <= got <= truth + 1e-12  # certified: never above truth
     assert got == pytest.approx(truth, abs=2e-3)
     # exp's slope e^t increases: the floor is its value at the left end
     for lo, hi in [(0.0, 1.0), (-1.5, 1.5), (-3.0, -0.25), (0.5, math.inf), (-math.inf, 1.0)]:
-        assert min_slope(exp_fn(), Interval(lo, hi)) == math.exp(lo)
+        assert exp_fn().slope_floor(Interval(lo, hi)) == math.exp(lo)
 
 
 @pytest.mark.parametrize(
@@ -169,14 +168,14 @@ def test_min_slope_polynomial_never_exceeds_the_dense_infimum(coeffs, lo, hi):
     f = polynomial(coeffs)
     xs = np.linspace(lo, hi, 2_000_000)
     dense = float(np.min(np.abs(f.deriv1(xs))))
-    got = min_slope(f, Interval(lo, hi))
+    got = f.slope_floor(Interval(lo, hi))
     assert 0.0 <= got <= dense
     assert got == pytest.approx(dense, abs=5e-3)
 
 
 def test_min_slope_polynomial_needs_a_bounded_interval():
     with pytest.raises(ValueError, match="bounded interval"):
-        min_slope(polynomial([0.0, 1.0, 0.5]), Interval(0.0, math.inf))
+        polynomial([0.0, 1.0, 0.5]).slope_floor(Interval(0.0, math.inf))
 
 
 def test_strip_sup_logistic_values():
@@ -190,7 +189,7 @@ def test_strip_envelope_logistic_dominates_grid():
     f = logistic_flip(0.1, 0.9)
     env = coefficient_envelope(f, "strip", Interval(-2.0, 2.0), K=20, contour_radius=2.0)
     assert env.mode == "strip"
-    assert env.tail is not None and env.tail[0] == "logistic"
+    assert env.f is f and env.t_hi == math.inf
     xs = np.linspace(-2.0, 2.0, 41)
     for k in range(1, 21):
         grid_max = max(abs(f.coeff_k(k, x)) for x in xs)
@@ -210,14 +209,17 @@ def test_interval_envelope_exp_exact():
     env = coefficient_envelope(exp_fn(), "interval", Interval(0.0, 1.0), K=12)
     want = np.array([math.e / math.factorial(k) for k in range(1, 13)])
     np.testing.assert_allclose(env.dk[1:], want, rtol=1e-12)
-    assert env.tail[0] == "factorial"
+    assert env.t_hi == 1.0 and env.f.degree == math.inf
 
 
 def test_interval_envelope_polynomial_finite_tail():
     f = polynomial([0.0, 1.0, 2.0, -1.0])
     env = coefficient_envelope(f, "interval", Interval(-1.0, 1.0), K=8)
-    assert env.tail == ("finite", 3)
+    assert env.f.degree == 3
     assert np.all(env.dk[4:] == 0.0)  # d_k = 0 past the degree
+    assert env.f.series_tail(1.0, 0.5, 8, env.t_hi) == 0.0
+    with pytest.raises(ValueError, match="increase K beyond the polynomial degree"):
+        env.f.series_tail(1.0, 0.5, 2, env.t_hi)
 
 
 def test_strip_envelope_unavailable_for_exp():
@@ -334,15 +336,15 @@ def test_radius_floor_bounds_the_radius_on_the_interval(name, lo, hi):
     # every link in the table (a KeyError here means a new link lacks an
     # instance above): build_grid's one construction needs a positive radius
     # floor over the whole line, and the series constants need a certified
-    # tail kind
+    # series tail
     f = BUILTIN_LINKS[name]
     I = Interval(lo, hi)
     xs = np.linspace(lo, hi, 20001)
     assert f.radius_floor(I) <= min(f.radius_at(x) for x in xs)
     assert f.radius_floor(None) <= f.radius_floor(I)
     assert f.radius_floor(None) > 0
-    for t in (0.0, 1.5, math.inf):
-        assert f.tail(t)[0] in ("finite", "factorial", "logistic"), t
+    for t in (0.0, 1.5):
+        assert f.series_tail(1.0, 0.5, 20, t) >= 0.0, t
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_LINKS))
@@ -380,10 +382,17 @@ def test_coeff_table_equals_coeff_k_at_each_center(name):
     table = f.coeff_table(K, ts)
     assert table.shape == (K, ts.size)
     single = np.array([[f.coeff_k(k, t) for t in ts] for k in range(1, K + 1)])
-    np.testing.assert_array_equal(np.sign(table), np.sign(single))
-    # numpy sums the logistic recurrence's convolution pairwise at one
-    # center and in order across many, so from order 8 (sums of 8 terms)
-    # the two round differently in the last bits
-    exact = K if name != "logistic_flip" else 7
-    np.testing.assert_array_equal(table[:exact], single[:exact])
-    np.testing.assert_allclose(table, single, rtol=1e-12, atol=0.0)
+    # bit for bit: a coefficient does not depend on the other centers
+    assert table.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 37])
+def test_logistic_coefficients_do_not_depend_on_the_center_count(m):
+    # the recurrence's convolution is summed in one order however many
+    # centers share the table, so every column equals its lone-center table
+    f = logistic_flip(0.1, 0.9)
+    ts = np.linspace(-2.0, 2.0, m) + 0.3
+    table = f.coeff_table(80, ts)
+    for i, t in enumerate(ts):
+        assert table[:, i].tobytes() == f.coeff_table(80, [t])[:, 0].tobytes(), t
+        assert table[:, i].tobytes() == f.coeff_table(80, np.float64(t)).tobytes()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from l0bounds import (
-    CoefficientEnvelope,
+    BoundsReport,
     DesignMatrix,
     DomainSpec,
     Interval,
@@ -21,14 +21,11 @@ from l0bounds import (
     c2_lse,
     coefficient_envelope,
     coherence,
-    curvature_inf,
-    error_radius,
     exp_fn,
     glm_report,
     lambda_p,
     linear,
     logistic_flip,
-    min_slope,
     multi_disc_report,
     one_disc_report,
     polynomial,
@@ -64,13 +61,16 @@ def test_c2_glm_closed_form():
     mu = coherence(X.X)
     want = nu * delta * (1 + mu) * X.min_norm(2) ** 2 / (2.0 * X.n)
     assert c2_glm(X, delta) == pytest.approx(want, rel=1e-14)
+    for flat in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="flat family on I"):
+            c2_glm(X, flat)
 
 
 def test_c2_lse_closed_form_and_identifiability():
     X = _design()
     f = logistic_flip(0.1, 0.9)
     I = Interval(-2.0, 2.0)
-    dmin = min_slope(f, I)
+    dmin = f.slope_floor(I)
     mu = coherence(X.X)
     want = dmin**2 * 0.5 * (1 + mu) * X.min_norm(2) ** 2 / X.n
     assert c2_lse(X, dmin) == pytest.approx(want, rel=1e-14)
@@ -105,7 +105,7 @@ def test_glm_report_matches_explicit_prefactor_form():
     )
     assert rep.c_r == pytest.approx(explicit, rel=1e-12)
     # and the curvature constant really is the closed form used above
-    assert curvature_inf(bernoulli(), Interval(-M, M)) == pytest.approx(
+    assert bernoulli().curvature_floor(Interval(-M, M)) == pytest.approx(
         (2.0 * math.cosh(M / 2.0)) ** -2, abs=1e-14
     )
 
@@ -189,18 +189,14 @@ def test_c1_ub_polynomial_needs_k_past_degree():
     assert sb.tail == 0.0
 
 
-def test_c1_ub_custom_envelope_refused():
-    X = _design(n=30, p=6, seed=5)
-    # a hand-built envelope with no certified tail
-    dk = np.concatenate(([0.0], 0.3 ** np.arange(1, 11)))
-    env = CoefficientEnvelope("interval", 10, dk, 2.0, None, "hand")
-    with pytest.raises(ValueError, match="certified tail unavailable for custom envelopes"):
-        c1_ub(X, env, 1.0, 0.1, h=2.0, delta_D=1.0, rho1=1.0)
-
-
 def test_error_radius_formula():
-    assert error_radius(10.0, 4, 25) == pytest.approx(10.0 * 2.0 / 5.0)
-    assert error_radius(3.0, 0, 100) == 0.0
+    def report(kappa_r):
+        return BoundsReport("glm", 1.0, 1.0, 3.0, kappa_r, LN_110, 0, 0.0)
+
+    assert report(10.0).error_radius(4, 25) == pytest.approx(10.0 * 2.0 / 5.0)
+    assert report(3.0).error_radius(0, 100) == 0.0
+    with pytest.raises(ValueError, match="need spt_size >= 0 and n >= 1"):
+        report(3.0).error_radius(2, 0)
 
 
 def test_reports_identities_and_json():

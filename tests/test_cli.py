@@ -427,6 +427,43 @@ def test_bad_scalar_value_exits_1(tmp_path, capsys, command, key, value):
     assert f"bad value for {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "b_rule,named",
+    [
+        ("half_radius", "b_rule must be an object"),
+        (["constant", 0.5], "b_rule must be an object"),
+        (None, "b_rule must be an object"),
+        ({"rule": "half-radius", "c": 0.5}, "unknown b_rule rule 'half-radius'"),
+        ({"rule": ["constant"], "c": 0.5}, "unknown b_rule rule"),
+        ({"c": 0.5}, "missing required key 'rule'"),
+        ({"rule": "half_radius", "c": 0.5}, "unknown b_rule key(s) ['c']"),
+        ({"rule": "constant", "c": 0.5, "d": 1.0}, "unknown b_rule key(s) ['d']"),
+        ({"rule": "constant"}, "missing required key 'c'"),
+        ({"rule": "constant", "c": "wide"}, "bad value for 'c'"),
+    ],
+)
+def test_bad_b_rule_exits_1(tmp_path, capsys, b_rule, named):
+    cfg = _write(tmp_path / "cfg.json", {**SCALAR_BASE["grid"], "b_rule": b_rule})
+    assert main(["grid", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "grid.json").exists()
+
+
+def test_b_rule_block_picks_the_rule(tmp_path):
+    grids = {}
+    for name, extra in [
+        ("default", {}),
+        ("half", {"b_rule": {"rule": "half_radius"}}),
+        ("const", {"b_rule": {"rule": "constant", "c": 0.75}}),
+    ]:
+        cfg = _write(tmp_path / f"{name}.json", {**SCALAR_BASE["grid"], **extra})
+        assert main(["grid", "--config", cfg, "--out", str(tmp_path / name), "--quiet"]) == 0
+        grids[name] = json.loads((tmp_path / name / "grid.json").read_text())
+    assert grids["default"] == grids["half"]
+    assert {pt["b"] for pt in grids["const"]["points"]} == {0.75}
+    assert grids["const"]["d"] == 0.375
+
+
 def test_bad_fit_scalar_exits_1(tmp_path, capsys):
     rng = np.random.default_rng(0)
     x, y = tmp_path / "x.csv", tmp_path / "y.csv"

@@ -14,8 +14,8 @@ from l0bounds import (
     DesignMatrix,
     Interval,
     bernoulli,
-    curvature_inf,
     gaussian,
+    glm_report,
     mle_gradient_hessian,
     mle_loss,
 )
@@ -44,13 +44,13 @@ def test_bernoulli_family_closed_forms():
 
 
 def test_bernoulli_curvature_frozen_value():
-    got = curvature_inf(bernoulli(), Interval(-2.0, 2.0))
+    got = bernoulli().curvature_floor(Interval(-2.0, 2.0))
     assert got == pytest.approx(BERNOULLI_CURV_2, abs=1e-14)
     assert got == pytest.approx((2.0 * math.cosh(1.0)) ** -2, abs=1e-14)
 
 
 def test_gaussian_curvature_is_sigma2():
-    assert curvature_inf(gaussian(2.5), Interval(-7.0, 3.0)) == pytest.approx(2.5)
+    assert gaussian(2.5).curvature_floor(Interval(-7.0, 3.0)) == pytest.approx(2.5)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -58,7 +58,6 @@ def test_every_family_has_closed_forms(name):
     fam = FAMILIES[name]()
     floor = fam.curvature_floor(Interval(-3.0, 3.0))
     assert floor > 0
-    assert floor == curvature_inf(fam, Interval(-3.0, 3.0))
     assert math.isfinite(fam.loss_floor(np.array([0.0, 1.0, 1.0])))
 
 
@@ -92,10 +91,12 @@ def test_loss_floor_below_mle_loss(fam_name):
 
 def test_flat_family_raises():
     # the Bernoulli variance tends to 0 as |t| grows
+    X = DesignMatrix(np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
     for I in (Interval(-math.inf, math.inf), Interval(-1500.0, 1500.0)):
         # cosh(sup|t| / 2) overflows at sup |t| = 1500: the floor is 0, not an OverflowError
+        assert bernoulli().curvature_floor(I) == 0.0
         with pytest.raises(ValueError, match="flat family on I"):
-            curvature_inf(bernoulli(), I)
+            glm_report(X, bernoulli(), I, 1.0, 0.1)
 
 
 def test_check_natural_reports_row():

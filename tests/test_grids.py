@@ -1,6 +1,5 @@
 """Covering grids: construction, certificates, coverage, cardinality."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -15,7 +14,6 @@ from l0bounds import (
     build_grid,
     covers,
     exp_fn,
-    grid_statistics,
     logistic_flip,
     singleton_grid,
 )
@@ -136,18 +134,15 @@ def test_grid_monotone_in_cap():
     assert sizes[0] <= sizes[1] <= sizes[2]
 
 
-def test_grid_statistics_keys_and_radius_guard():
+def test_grid_summary_properties():
+    # the cover's summary is read from the grid itself
     X = _design()
     D = _domain(cap=1.5)
     G = build_grid(X, F, D)
-    st = grid_statistics(G, K=10)
-    assert set(st) == {"A_sup", "b_inf", "cardinality_bound", "r_inf", "size"}
-    assert st["size"] == len(G.points)
-    assert st["b_inf"] > 0 and st["r_inf"] >= math.pi
-    # build_grid validates b itself, so forge an oversized b to hit the guard
-    bad = dataclasses.replace(G, b=np.full(len(G.points), math.pi * 1.01))
-    with pytest.raises(ValueError, match="b must stay strictly inside the radius"):
-        grid_statistics(bad, K=10)
+    assert 0 < G.b_inf < G.r_inf and G.r_inf >= math.pi
+    assert len(G) == len(G.points) <= G.cardinality_bound
+    A = G.A_sup(10)
+    assert A.shape == (11,) and A[0] == 0.0 and np.all(A[1:] > 0)
 
 
 def test_covers_detects_missing_point():

@@ -56,3 +56,37 @@ def test_detector_sees_tag_comparisons():
 def test_no_tag_dispatch(module):
     lines = tag_comparisons((SRC / module).read_text())
     assert not lines, f"{module} compares a tag with a string at lines {lines}"
+
+
+def test_bounds_reads_the_series_tail_from_the_link():
+    # each link kind certifies its own series tail, so bounds.py holds no
+    # tail kinds, no logistic pole and no string-tagged dispatch: its one
+    # string comparison picks c1_ub's cover factor from the envelope mode
+    tree = ast.parse((SRC / "bounds.py").read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.alias))}
+    assert not {"_tail", "strip_sup_logistic"} & names
+    pis = [
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr == "pi"
+        and isinstance(n.value, ast.Name) and n.value.id == "math"
+    ]
+    assert not pis, f"math.pi at lines {pis}"
+    compares = [
+        ast.unparse(n) for n in ast.walk(tree)
+        if isinstance(n, ast.Compare) and any(_is_str(o) for o in [n.left, *n.comparators])
+    ]
+    assert compares == ["envelope.mode == 'strip'"]
+    strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+    assert not {"finite", "factorial", "logistic"} & strings
+
+
+def test_every_link_kind_certifies_its_own_series_tail():
+    from l0bounds.analytic import AnalyticFn
+
+    kinds = AnalyticFn.__subclasses__()
+    assert len(kinds) == 3
+    for kind in kinds:
+        assert "series_tail" in vars(kind), kind
+        assert "tail" not in vars(kind), kind
+    assert not hasattr(AnalyticFn, "tail")
