@@ -34,7 +34,6 @@ from .bounds import (
 )
 from .design import (
     DesignMatrix,
-    SparseParam,
     capacity,
     coherence,
     series_norms,
@@ -42,8 +41,8 @@ from .design import (
 )
 from .domains import DomainSpec, Interval, in_domain
 from .estimator import FitProblem, FitResult, SupportRecord, fit, inner_solve
-from .expfam import ExpFamily, bernoulli, gaussian, mle_gradient_hessian, mle_loss
-from .grids import CoveringGrid, build_grid, covers, singleton_grid
+from .expfam import ExpFamily, bernoulli, gaussian
+from .grids import CoveringGrid, build_grid
 from .harness import (
     CoverageResult,
     ExperimentConfig,

@@ -54,7 +54,10 @@ __all__ = [
 # points of I in the polynomial slope floor and in interval envelopes
 _GRID = 2001
 
-_DECAY_ERR = "theta too close to 1: series terms not decaying by k = K"
+# refusal of a series whose terms are not yet decaying at its last order K;
+# it names K and the disc size x, which decide it (multi_disc_report's
+# series has no theta at all)
+_DECAY_ERR = "series terms not decaying by k = {K} at disc size x = {x:.6g}"
 
 # ----------------------------------------------------------------------------
 # the logistic s(t) = 1/(1 + e^-t) and its Taylor coefficients
@@ -131,9 +134,8 @@ class AnalyticFn:
 
     Notes
     -----
-    ``coeff_k(k, t)`` returns a_k(t) = f^(k)(t)/k! and is the numerically
-    stable surface: raw derivatives overflow float64 once k! does (k > 170),
-    so ``deriv_k`` is only finite where the product a_k * k! is.
+    ``coeff_k(k, t)`` returns a_k(t) = f^(k)(t)/k!, the numerically stable
+    surface: raw derivatives overflow float64 once k! does (k > 170).
 
     Links are built through the constructors in ``LINKS``, never from this
     base class directly.  Everything a link knows is a method of its kind,
@@ -184,16 +186,6 @@ class AnalyticFn:
         if k == 0:
             return np.abs(self._eval(np.asarray(ts, dtype=float).ravel()))
         return self.abs_coeff_table(int(k), ts)[-1]
-
-    def deriv_k(self, k: int, t: float = 0.0) -> float:
-        """Raw derivative f^(k)(t); +-inf once k! overflows the double range."""
-        if k == 0:
-            return self.coeff_k(0, t)
-        a = self.coeff_k(k, t)
-        try:
-            return a * math.factorial(k)
-        except OverflowError:
-            return math.copysign(math.inf, a) if a else 0.0
 
     # -- per-link facts shared by every link kind ---------------------------
 
@@ -361,7 +353,7 @@ class _LogisticFlip(AnalyticFn):
         ratio = x / c
         gamma = math.sqrt((K + 2.0) / (K + 1.0)) * ratio
         if gamma >= 1.0:
-            raise ValueError(_DECAY_ERR)
+            raise ValueError(_DECAY_ERR.format(K=K, x=x))
         first = A * math.sqrt(K + 1.0) * ratio**K
         return first / (1.0 - gamma)
 

@@ -15,8 +15,8 @@ term) are computed:
 
 Every series value is a partial sum plus a *certified* geometric tail
 majorant -- never a bare truncation.  When the terms have not started
-decaying by the last computed order, the series is refused ("theta too
-close to 1") rather than reported optimistically.
+decaying by the last computed order K, the series is refused (the error
+names K and the disc size) rather than reported optimistically.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def _c1_series(
         T[k] = weight(k) * d[k] * x ** (k - 1) * w[k]
     nz = np.nonzero(T)[0]
     if math.isinf(f.degree) and nz.size >= 2 and T[nz[-1]] >= T[nz[-2]]:
-        raise ValueError(_DECAY_ERR)
+        raise ValueError(_DECAY_ERR.format(K=K, x=x))
     partial = pref * float(T.sum())
     tail = f.series_tail(pref * weight(1) * dm.max_norm(math.inf), x, K, t_hi)
     return SeriesBound(partial + tail, partial, tail, K)
@@ -355,6 +355,8 @@ def ub_report(
     rho1/theta (interval envelopes ignore it).
     """
     dm = _as_design(X)
+    if not 0.0 < theta < 1.0:
+        raise ValueError("theta must lie in (0, 1)")
     if h is None:
         cap = capacity(dm)
         h = max(1.0, cap / 2.0) if math.isfinite(cap) else 1.0

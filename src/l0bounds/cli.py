@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, bounds, domains, estimator, expfam, grids, harness
-from .design import DesignMatrix, load_matrix_csv, load_vector_csv, random_design
+from .design import DesignMatrix, random_design
 
 
 class ConfigError(Exception):
@@ -45,15 +45,19 @@ _REQUIRED = object()
 
 def _num(cfg: dict, key: str, kind=float, default=_REQUIRED):
     """``kind(cfg[key])`` for a scalar key (kind is float or int), or
-    ``default`` when the key is absent; a missing required key, or a value
-    that does not convert, is a config error."""
+    ``default`` when the key is absent; a missing required key, a value that
+    does not convert, or a fractional number for an int key (which int()
+    would truncate) is a config error."""
     if key not in cfg and default is not _REQUIRED:
         return default
     v = _need(cfg, key)
     try:
-        return kind(v)
+        x = kind(v)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key!r}: {v!r}") from exc
+    if kind is int and not isinstance(v, str) and x != v:
+        raise ConfigError(f"bad value for {key!r}: {v!r} is not a whole number")
+    return x
 
 
 def parse_block(cfg: dict, key: str, table: dict):
@@ -114,7 +118,7 @@ def parse_b_rule(cfg: dict) -> tuple:
 def load_design(args, cfg: dict) -> DesignMatrix:
     if getattr(args, "x", None):
         try:
-            return DesignMatrix(load_matrix_csv(args.x))
+            return DesignMatrix(np.loadtxt(args.x, delimiter=",", ndmin=2, dtype=float))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load design from {args.x}: {exc}") from exc
     d = cfg.get("design")
@@ -164,7 +168,7 @@ def _cmd_fit(args, cfg: dict) -> dict:
         raise ConfigError("fit needs --x and --y CSV paths")
     dm = load_design(args, cfg)
     try:
-        y = load_vector_csv(args.y)
+        y = np.loadtxt(args.y, delimiter=",", dtype=float).ravel()
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load response from {args.y}: {exc}") from exc
     D = parse_domain(_need(cfg, "domain"))
@@ -180,7 +184,7 @@ def _cmd_fit(args, cfg: dict) -> dict:
         raise ConfigError(str(exc)) from exc
     res = estimator.fit(prob)
     return {
-        "beta_hat": [float(v) for v in res.beta_hat.values],
+        "beta_hat": [float(v) for v in res.beta_hat],
         "support": list(res.support),
         "objective": res.objective,
         "loss": res.loss_value,

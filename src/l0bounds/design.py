@@ -3,7 +3,9 @@
 The error-bound constants consume a handful of quantities derived from the
 design: mutual coherence mu(X), the support capacity it induces and
 per-column norms of several orders.  They live here together with a thin
-validated wrapper that caches column norms between calls.
+validated wrapper that caches column norms between calls, and with the
+seeded random designs of ``DESIGNS``.  Parameter vectors are plain float
+arrays; a fit reports its support next to its estimate.
 """
 
 from __future__ import annotations
@@ -14,13 +16,10 @@ import numpy as np
 
 __all__ = [
     "DesignMatrix",
-    "SparseParam",
     "series_norms",
     "coherence",
     "capacity",
     "weighted_l1_norm",
-    "load_matrix_csv",
-    "load_vector_csv",
     "DESIGNS",
     "random_design",
 ]
@@ -90,35 +89,6 @@ class DesignMatrix:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"DesignMatrix(n={self.n}, p={self.p})"
-
-
-class SparseParam:
-    """A parameter vector whose support is always recomputed from the entries.
-
-    Keeping the support derived (rather than stored) means a coordinate that
-    an optimizer drives exactly to zero leaves the support, which is what the
-    penalty term counts.
-    """
-
-    def __init__(self, values):
-        v = np.asarray(values, dtype=float).ravel()
-        if not np.all(np.isfinite(v)):
-            raise ValueError("parameter contains non-finite entries")
-        self.values = v
-
-    @property
-    def support(self) -> tuple:
-        return tuple(int(j) for j in np.nonzero(self.values)[0])
-
-    @property
-    def sparsity(self) -> int:
-        return int(np.count_nonzero(self.values))
-
-    def __len__(self):
-        return self.values.size
-
-    def __repr__(self):  # pragma: no cover
-        return f"SparseParam(sparsity={self.sparsity}, p={len(self)})"
 
 
 def _as_design(X) -> DesignMatrix:
@@ -232,12 +202,3 @@ def weighted_l1_norm(u, X) -> float:
         raise ValueError("parameter length does not match design width")
     return float(np.abs(u) @ dm.column_norms(math.inf))
 
-
-def load_matrix_csv(path) -> np.ndarray:
-    """Read a headerless comma-separated matrix, one row per line."""
-    return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
-
-
-def load_vector_csv(path) -> np.ndarray:
-    """Read a headerless single-column (or single-row) CSV vector."""
-    return np.loadtxt(path, delimiter=",", dtype=float).ravel()

@@ -67,7 +67,7 @@ class DomainSpec:
     (support sizes up to min(p, max_support)) and what ``build_grid``
     covers (segments of members have supports up to 2 max_support).
     l1inf_cap, when present, bounds sum_j |u_j| ||V_j||_inf and makes the
-    domain compact.
+    domain compact, which ``build_grid`` requires.
     """
 
     interval: Interval
@@ -79,10 +79,6 @@ class DomainSpec:
             raise ValueError("max_support must be nonnegative (inf for no budget)")
         if self.l1inf_cap is not None and not self.l1inf_cap > 0:
             raise ValueError("l1inf_cap must be positive")
-
-    @property
-    def compact(self) -> bool:
-        return self.l1inf_cap is not None
 
     def admits(self, u: np.ndarray, t: np.ndarray, w: np.ndarray) -> bool:
         """Exact membership given the row images t = X u and the column sup

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import AnalyticFn
-from .design import DesignMatrix, SparseParam, _as_design
+from .design import DesignMatrix, _as_design
 from .domains import DomainSpec
 from .expfam import ExpFamily
 
@@ -91,7 +91,10 @@ class SupportRecord:
 
 @dataclass(frozen=True)
 class FitResult:
-    beta_hat: SparseParam
+    """beta_hat is the estimate as a length-p float array, support its
+    nonzero coordinates."""
+
+    beta_hat: np.ndarray
     objective: float
     loss_value: float
     support: tuple
@@ -407,7 +410,7 @@ def fit(prob: FitProblem) -> FitResult:
     if not math.isclose(check, obj, rel_tol=0.0, abs_tol=1e-9 * max(1.0, abs(obj))):
         raise AssertionError("objective recomputation mismatch")
     return FitResult(
-        beta_hat=SparseParam(u),
+        beta_hat=u,
         objective=float(obj),
         loss_value=float(lval),
         support=support,

@@ -1,13 +1,15 @@
 """Exponential linear families: log-partitions, curvature floors, MLE pieces.
 
 A family is determined by its log-partition Lambda on the natural-parameter
-line; densities are p_t(y) = exp(y t - Lambda(t)) h(y).  The likelihood loss,
-its derivatives on a support, and the curvature floor delta = inf_I Lambda''
-are what the estimation bounds consume.  Each family in ``FAMILIES`` is a
-private ``ExpFamily`` subclass whose methods give Lambda, Lambda', Lambda''
-and the closed forms the bounds need (curvature floor, loss floor); a bound
-never consumes an estimated curvature.  The Bernoulli family takes the
-logistic, its slope and the slope floor from ``analytic``, their one home.
+line; densities are p_t(y) = exp(y t - Lambda(t)) h(y).  The likelihood loss
+``ExpFamily.nll`` and its derivatives ``nll_derivatives`` take the row
+images t = X u directly, so the estimator's one product X_S v serves both;
+the bounds consume the curvature floor delta = inf_I Lambda''.  Each family
+in ``FAMILIES`` is a private ``ExpFamily`` subclass whose methods give
+Lambda, Lambda', Lambda'' and the closed forms the bounds need (curvature
+floor, loss floor); a bound never consumes an estimated curvature.  The
+Bernoulli family takes the logistic, its slope and the slope floor from
+``analytic``, their one home.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .analytic import _logistic, _logistic_slope, _logistic_slope_floor
-from .design import _as_design
 from .domains import Interval
 
 __all__ = [
@@ -23,8 +24,6 @@ __all__ = [
     "gaussian",
     "bernoulli",
     "FAMILIES",
-    "mle_loss",
-    "mle_gradient_hessian",
 ]
 
 
@@ -114,29 +113,3 @@ def bernoulli() -> ExpFamily:
 
 FAMILIES = {"bernoulli": bernoulli, "gaussian": gaussian}
 
-
-def mle_loss(y, X, u, fam: ExpFamily) -> float:
-    """Negative log-likelihood -(y' X u - sum_i Lambda(X_i' u))."""
-    dm = _as_design(X)
-    y = np.asarray(y, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    return fam.nll(y, dm.X @ u)
-
-
-def mle_gradient_hessian(y, X, u, fam: ExpFamily, support=None):
-    """Gradient and Hessian of the unpenalized loss restricted to a support.
-
-    Parameters
-    ----------
-    support : sequence of int, optional
-        Coordinates to differentiate along; defaults to all p coordinates.
-
-    Returns
-    -------
-    (g, H) : gradient X_S'(Lambda'(t) - y) and Hessian X_S' diag(Lambda'') X_S.
-    """
-    dm = _as_design(X)
-    y = np.asarray(y, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    S = np.arange(dm.p) if support is None else np.asarray(support, dtype=int)
-    return fam.nll_derivatives(y, dm.X[:, S], dm.X @ u)

@@ -16,7 +16,9 @@ the radius floor over the line.
 
 All reported radii are overestimates by construction (box radius
 delta-hat = h * cap bounds the true hull radius), so the cardinality
-certificate |G| <= C(p,h) (2 delta-hat / d_b + 1)^h holds exactly.
+certificate |G| <= C(p,h) (2 delta-hat / d_b + 1)^h holds exactly.  The
+covering property itself is checked against segment-hull samples by the
+test oracles (``tests/oracles.py``), not here.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .analytic import AnalyticFn
 from .design import DesignMatrix, _as_design
 from .domains import DomainSpec
 
-__all__ = ["CoveringGrid", "build_grid", "singleton_grid", "covers"]
+__all__ = ["CoveringGrid", "build_grid"]
 
 _ENUM_BUDGET = 1_000_000
 _POINT_BUDGET = 2_000_000
@@ -65,7 +67,6 @@ class CoveringGrid:
     supports: list
     b: np.ndarray
     d: float
-    construction: str
     cardinality_bound: float
     f: AnalyticFn
     X: DesignMatrix
@@ -119,8 +120,9 @@ class CoveringGrid:
         ]
         return json.dumps(
             {
-                "construction": self.construction,
-                "case": 1,  # one construction; the key keeps the JSON layout
+                # one construction; both keys keep the JSON layout
+                "construction": "per_support_box",
+                "case": 1,
                 "d": self.d,
                 "cardinality_bound": self.cardinality_bound,
                 "size": len(self),
@@ -208,7 +210,6 @@ def build_grid(X, f: AnalyticFn, D: DomainSpec, b_rule: tuple = ("half_radius",)
         supports=sups,
         b=np.empty(len(pts)),
         d=d,
-        construction="per_support_box",
         cardinality_bound=float(n_supports * (2 * (h * cap) / db + 1.0) ** h),
         f=f,
         X=dm,
@@ -225,60 +226,3 @@ def build_grid(X, f: AnalyticFn, D: DomainSpec, b_rule: tuple = ("half_radius",)
         raise ValueError("covering step exceeds b/2; inconsistent rule")
     return grid
 
-
-def singleton_grid(w, X, f: AnalyticFn, D: DomainSpec, d: float) -> CoveringGrid:
-    """One-point cover at w, valid when D sits inside B(w, d/2).
-
-    Containment is certified through the triangle inequality
-    cap + ||w||_{1,inf} <= d/2 (requires a capped domain).  b is the
-    midpoint (d + r(w))/2 capped at 0.999 r(w), or 2d for entire links.
-    """
-    dm = _as_design(X)
-    w = np.asarray(w, dtype=float).ravel()
-    if D.l1inf_cap is None:
-        raise ValueError("singleton cover requires an l1inf cap")
-    wn = float(np.abs(w) @ dm.column_norms(math.inf))
-    if D.l1inf_cap + wn > d / 2.0:
-        raise ValueError("domain not certified inside B(w, d/2)")
-    r = float(_row_radii(f, (dm.X @ w)[None, :])[0])
-    if not r > 0:
-        raise ValueError("function singular at the cover center")
-    if math.isinf(r):
-        b = 2.0 * d
-    else:
-        if d >= r:
-            raise ValueError("domain exceeds analytic radius")
-        b = min((d + r) / 2.0, 0.999 * r)
-    return CoveringGrid(
-        points=w[None, :],
-        supports=[tuple(int(j) for j in np.nonzero(w)[0])],
-        b=np.array([b]),
-        d=d,
-        construction="singleton",
-        cardinality_bound=1.0,
-        f=f,
-        X=dm,
-    )
-
-
-def covers(G: CoveringGrid, samples) -> tuple:
-    """Check the covering property on explicit hull samples.
-
-    Returns
-    -------
-    (ok, worst) : ok is True when every sample u has a grid point g with
-        ||u - g||_{1,inf} <= b(g)/2; worst is the largest slack
-        min_g (dist - b(g)/2) over the samples (<= 0 when covered).
-    """
-    S = np.asarray([np.asarray(s, float).ravel() for s in samples])
-    if S.size == 0:
-        raise ValueError("no samples supplied")
-    w = G.X.column_norms(math.inf)
-    worst = -math.inf
-    half_b = G.b / 2.0
-    for i0 in range(0, S.shape[0], 128):
-        blk = S[i0 : i0 + 128]
-        dist = np.abs(blk[:, None, :] - G.points[None, :, :]) @ w
-        margin = np.min(dist - half_b[None, :], axis=1)
-        worst = max(worst, float(np.max(margin)))
-    return worst <= 1e-12, worst

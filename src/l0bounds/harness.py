@@ -23,6 +23,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,6 +220,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 < self.q <= 0.25:
             raise ValueError("q must lie in (0, 0.25]")
+        # sizes, orders and seeds: whole numbers only, integral floats stored as int
+        for name in ("n", "p", "spt_size", "replicates", "K", "seed", "h_max"):
+            v = getattr(self, name)
+            if v is None and name == "h_max":
+                continue
+            if isinstance(v, bool) or not (
+                isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
+            ):
+                raise ValueError(f"{name} must be a whole number, got {v!r}")
+            setattr(self, name, int(v))
         for name in ("n", "p", "spt_size", "replicates"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -426,7 +437,7 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageResult:
         }
         try:
             res = fit(FitProblem(y=inst.y, X=inst.X, domain=inst.domain, c_r=c_r, **model))
-            err = float(np.linalg.norm(res.beta_hat.values - inst.beta))
+            err = float(np.linalg.norm(res.beta_hat - inst.beta))
             row["error"] = err
             row["hit"] = int(err <= radius)
             row["spt_hat"] = len(res.support)

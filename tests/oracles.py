@@ -1,8 +1,9 @@
 """Independent test oracles: seeded domain members, segment-hull samples,
-Taylor partial sums, the column-separability inequality and the
-multinomial weight identity.  The library never calls these; the
-acceptance criteria and unit tests use them to check covers, series and
-the bounds' design assumptions from outside.
+the covering check of a grid against such samples, Taylor partial sums,
+the column-separability inequality and the multinomial weight identity.
+The library never calls these; the acceptance criteria and unit tests use
+them to check covers, series and the bounds' design assumptions from
+outside.
 """
 
 import itertools
@@ -79,6 +80,29 @@ def segment_hull_sample(points, grid_per_edge: int = 17) -> np.ndarray:
                     seen.add(key)
                     out.append(w)
     return np.array(out, dtype=float)
+
+
+def covers(G, samples) -> tuple:
+    """Check the covering property of grid G on explicit hull samples.
+
+    Returns
+    -------
+    (ok, worst) : ok is True when every sample u has a grid point g with
+        ||u - g||_{1,inf} <= b(g)/2; worst is the largest slack
+        min_g (dist - b(g)/2) over the samples (<= 0 when covered).
+    """
+    S = np.asarray([np.asarray(s, float).ravel() for s in samples])
+    if S.size == 0:
+        raise ValueError("no samples supplied")
+    w = G.X.column_norms(math.inf)
+    worst = -math.inf
+    half_b = G.b / 2.0
+    for i0 in range(0, S.shape[0], 128):
+        blk = S[i0 : i0 + 128]
+        dist = np.abs(blk[:, None, :] - G.points[None, :, :]) @ w
+        margin = np.min(dist - half_b[None, :], axis=1)
+        worst = max(worst, float(np.max(margin)))
+    return worst <= 1e-12, worst
 
 
 def taylor_eval(f, center: float, z: float, K: int) -> float:

@@ -90,8 +90,6 @@ def test_logistic_flip_low_order_coeffs():
     # f = p01 + delta * s(t): a_1(0) = delta/4, a_2(0) = 0 by symmetry
     assert f.coeff_k(1, 0.0) == pytest.approx(0.2, rel=1e-12)
     assert abs(f.coeff_k(2, 0.0)) < 1e-15
-    # derivative scaling: deriv_k = k! * coeff_k
-    assert f.deriv_k(3, 0.0) == pytest.approx(6.0 * f.coeff_k(3, 0.0), rel=1e-10)
 
 
 def test_logistic_coeffs_match_finite_differences():
@@ -99,7 +97,7 @@ def test_logistic_coeffs_match_finite_differences():
     h = 1e-3
     x = 0.4
     fd2 = (f(x + h) - 2 * f(x) + f(x - h)) / h**2
-    assert f.deriv_k(2, x) == pytest.approx(fd2, rel=1e-5)
+    assert 2.0 * f.coeff_k(2, x) == pytest.approx(fd2, rel=1e-5)
 
 
 @pytest.mark.parametrize(
@@ -225,14 +223,6 @@ def test_interval_envelope_polynomial_finite_tail():
 def test_strip_envelope_unavailable_for_exp():
     with pytest.raises(ValueError, match="strip envelope unavailable"):
         coefficient_envelope(exp_fn(), "strip", Interval(-1.0, 1.0), K=10)
-
-
-def test_deriv_k_overflow_saturates():
-    f = logistic_flip(0.0, 1.0)
-    # even orders vanish at 0 by symmetry; odd high orders overflow k!
-    assert f.deriv_k(200, 0.0) == 0.0
-    v = f.deriv_k(301, 0.0)
-    assert math.isinf(v) or abs(v) > 1e300  # k! overwhelms float range; documented
 
 
 def _bernoulli(m: int) -> list[Fraction]:

@@ -134,7 +134,8 @@ def test_one_disc_logistic_series_behaviour():
 
 def test_one_disc_divergence_and_unsupported_links():
     X = _design()
-    with pytest.raises(ValueError, match="theta too close to 1"):
+    # theta only scales the disc: the refusal names the order and the disc size
+    with pytest.raises(ValueError, match=r"not decaying by k = 60 at disc size x = 3\.138"):
         c1_one_disc(X, logistic_flip(0.1, 0.9), 1.0, 0.1, theta=0.999)
     with pytest.raises(ValueError, match="series diverges: infinite radius"):
         c1_one_disc(X, exp_fn(), 1.0, 0.1, theta=0.5)
@@ -158,6 +159,25 @@ def test_c1_multi_disc_logistic():
     sb = c1_multi_disc(X, G, sigma=1.0, q=0.1, K=40)
     assert float(sb) > 0 and sb.tail >= 0
     assert sb.value == pytest.approx(sb.partial + sb.tail, rel=1e-12)
+
+
+def test_multi_disc_refusal_names_k_and_disc_size():
+    # a multi-disc series has no theta; at K = 3 its terms still grow
+    X = _design(n=30, p=6, seed=1)
+    I = Interval(-1.5, 1.5)
+    G = build_grid(X, logistic_flip(0.1, 0.9), DomainSpec(I, max_support=1.0, l1inf_cap=1.5))
+    with pytest.raises(ValueError, match=r"not decaying by k = 3 at disc size x = 1\.5708$"):
+        multi_disc_report(X, G, I, 1.0, 0.1, K=3)
+    assert multi_disc_report(X, G, I, 1.0, 0.1, K=4).c1 > 0
+
+
+@pytest.mark.parametrize("mode", ["strip", "interval"])
+@pytest.mark.parametrize("theta", [-0.5, 0.0, 1.0, 1.5])
+def test_ub_report_refuses_theta_outside_unit_interval(mode, theta):
+    X = _design(n=30, p=6, seed=1)
+    with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\)"):
+        ub_report(X, logistic_flip(0.1, 0.9), Interval(-1.5, 1.5), 1.0, 0.1,
+                  rho1=1.0, theta=theta, mode=mode)
 
 
 def test_c1_ub_strip_logistic_and_guards():

@@ -201,7 +201,7 @@ def test_exit_code_1_on_bad_config(tmp_path):
 
 
 def test_exit_code_2_on_computation_error(tmp_path):
-    # theta too close to 1 makes the one-disc series diverge -> exit 2
+    # theta near 1 widens the one-disc series past decay at K -> exit 2
     cfg = _write(
         tmp_path / "cfg.json",
         {
@@ -336,6 +336,7 @@ def test_unknown_block_key_exits_1(tmp_path):
         {"tag": "pm1_iid", "n": 0, "p": 3},
         {"tag": "binary_iid", "n": 20, "p": 0},
         {"tag": "gaussian_iid", "n": "many", "p": 3},
+        {"tag": "pm1_iid", "n": 100.7, "p": 3},  # int() would truncate it to 100
     ],
 )
 def test_bad_design_block_exits_1(tmp_path, design):
@@ -359,9 +360,15 @@ def test_bad_design_block_exits_1(tmp_path, design):
         {"model": "flip", "K": 0},
         {"model": "flip", "p01": 0.9, "p11": 0.1},
         {"model": "flip", "theta": 1.5},
+        # whole-number keys: fractions used to end in a TypeError traceback
+        # (or run on, for h_max), a non-number seed in exit 2
+        {"n": 100.5},
+        {"model": "flip", "K": 2.5},
+        {"seed": "abc"},
+        {"h_max": 2.5},
     ],
 )
-def test_bad_coverage_config_exits_1(tmp_path, monkeypatch, bad):
+def test_bad_coverage_config_exits_1(tmp_path, capsys, monkeypatch, bad):
     drawn = []
     real = harness.generate_instance
     monkeypatch.setattr(harness, "generate_instance", lambda *a: drawn.append(a) or real(*a))
@@ -372,6 +379,8 @@ def test_bad_coverage_config_exits_1(tmp_path, monkeypatch, bad):
     assert main(["coverage", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
     assert not (tmp_path / "coverage.json").exists()
     assert drawn == []  # rejected before any replicate is drawn
+    err = capsys.readouterr().err
+    assert any(key in err for key in bad if key != "model"), err  # the error names the key
 
 
 SCALAR_BASE = {
@@ -417,6 +426,7 @@ def test_numeric_string_scalar_reads_as_its_number(tmp_path, key, value):
         ("verify", "trials", None),
         # the id keeps the name this case had while a grid case stood before it
         pytest.param("verify", "q", {}, id="verify-q-value8"),
+        ("bounds", "K", 12.9),  # int() would truncate it to 12
     ],
 )
 def test_bad_scalar_value_exits_1(tmp_path, capsys, command, key, value):

@@ -7,7 +7,6 @@ import pytest
 
 from l0bounds import (
     DesignMatrix,
-    SparseParam,
     capacity,
     coherence,
     series_norms,
@@ -166,9 +165,3 @@ def test_separability_random_instances():
         u[S] = rng.standard_normal(S.size)
         lhs, rhs, holds = separability_lower_bound(u, X, nu)
         assert holds, (lhs, rhs)
-
-
-def test_sparse_param_support():
-    u = SparseParam(np.array([0.0, 3.0, 0.0, -1.0]))
-    assert u.support == (1, 3)
-    assert np.count_nonzero(u.values) == 2

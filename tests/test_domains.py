@@ -104,10 +104,3 @@ def test_sample_domain_deterministic_and_feasible():
     for u in a:
         assert in_domain(u, X, D)
         assert np.count_nonzero(u) <= 2
-
-
-def test_domain_compactness_flag():
-    # the weighted-l1 cap alone bounds the parameter set, so it decides
-    assert DomainSpec(Interval(-1, 1), 2.0, l1inf_cap=1.0).compact
-    assert not DomainSpec(Interval(-1, 1), 2.0, l1inf_cap=None).compact
-    assert DomainSpec(Interval(-math.inf, 1), 2.0, l1inf_cap=1.0).compact

@@ -19,7 +19,6 @@ from l0bounds import (
     inner_solve,
     linear,
     logistic_flip,
-    mle_loss,
 )
 
 
@@ -47,7 +46,7 @@ def test_orthonormal_gaussian_hard_threshold():
     want = tuple(int(j) for j in range(4) if z[j] ** 2 > 2 * c_r)
     res = fit(_problem_gaussian(y, X, c_r, budget=4))
     assert res.support == want
-    np.testing.assert_allclose(res.beta_hat.values[list(want)], z[list(want)], atol=1e-8)
+    np.testing.assert_allclose(res.beta_hat[list(want)], z[list(want)], atol=1e-8)
 
 
 def test_lse_linear_matches_mle_gaussian_at_half_penalty():
@@ -63,7 +62,7 @@ def test_lse_linear_matches_mle_gaussian_at_half_penalty():
         )
     )
     assert mle.support == lse.support
-    np.testing.assert_allclose(mle.beta_hat.values, lse.beta_hat.values, atol=1e-6)
+    np.testing.assert_allclose(mle.beta_hat, lse.beta_hat, atol=1e-6)
 
 
 def test_lse_noiseless_recovery():
@@ -76,7 +75,7 @@ def test_lse_noiseless_recovery():
     D = DomainSpec(Interval(-8.0, 8.0), max_support=2.0, l1inf_cap=8.0)
     res = fit(FitProblem(y=y, X=X, domain=D, c_r=1e-4, link=f))
     assert res.support == (1, 4)
-    np.testing.assert_allclose(res.beta_hat.values, beta, atol=1e-6)
+    np.testing.assert_allclose(res.beta_hat, beta, atol=1e-6)
     assert res.loss_value < 1e-12
 
 
@@ -116,7 +115,7 @@ def test_mle_bernoulli_support_recovery():
         FitProblem(y=y, X=X, domain=D, c_r=4.0, family=bernoulli())
     )
     assert res.support == (0, 3)
-    np.testing.assert_allclose(res.beta_hat.values[[0, 3]], beta[[0, 3]], atol=0.35)
+    np.testing.assert_allclose(res.beta_hat[[0, 3]], beta[[0, 3]], atol=0.35)
 
 
 def test_tie_breaking_prefers_smaller_then_lexicographic():
@@ -216,7 +215,7 @@ def test_fit_is_deterministic():
     a, b = fit(prob()), fit(prob())
     assert a.objective == b.objective
     assert a.support == b.support
-    np.testing.assert_array_equal(a.beta_hat.values, b.beta_hat.values)
+    np.testing.assert_array_equal(a.beta_hat, b.beta_hat)
 
 
 def test_boundary_clamped_flag_and_facet_optimum():
@@ -230,9 +229,9 @@ def test_boundary_clamped_flag_and_facet_optimum():
     res = fit(prob)
     rec = {r.support: r for r in res.records}[(0,)]
     assert rec.boundary_clamped
-    assert res.beta_hat.values[0] == pytest.approx(2.0, abs=1e-9)
+    assert res.beta_hat[0] == pytest.approx(2.0, abs=1e-9)
     assert res.loss_value == pytest.approx(
-        mle_loss(y, X, np.array([2.0]), bernoulli()), rel=1e-12
+        bernoulli().nll(y, X.X @ np.array([2.0])), rel=1e-12
     )
 
 
@@ -274,7 +273,7 @@ def test_objective_recompute_assertion_holds():
             y=y, X=X, domain=_wide(2), c_r=0.2, family=bernoulli()
         )
     )
-    direct = mle_loss(y, X, res.beta_hat.values, bernoulli())
+    direct = bernoulli().nll(y, X.X @ res.beta_hat)
     assert res.objective == pytest.approx(
         direct + 0.2 * len(res.support), rel=1e-12
     )
@@ -508,30 +507,29 @@ def test_large_n_boundary_replicates_fit_in_seconds():
 
 
 def test_fit_does_not_call_the_full_vector_helpers_per_trial(monkeypatch):
-    # every trial point is judged on one product X_S v; the public helpers
-    # in_domain and mle_loss form X u over all p columns, and a fit that
-    # called them per trial made thousands of such products
+    # every trial point is judged on one product X_S v; the public helper
+    # in_domain forms X u over all p columns, and a fit that called it per
+    # trial made thousands of such products
     import l0bounds
-    from l0bounds import domains, estimator, expfam, harness
+    from l0bounds import domains, estimator, harness
 
     _cfg, inst, D = _boundary_instance(1200)
-    calls = {"in_domain": 0, "mle_loss": 0}
-    for mod, name in ((domains, "in_domain"), (expfam, "mle_loss")):
-        real = getattr(mod, name)
+    calls = {"in_domain": 0}
+    real = domains.in_domain
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls["in_domain"] += 1
+        return real(*args, **kwargs)
 
-        for ns in (l0bounds, domains, expfam, estimator, harness):
-            if getattr(ns, name, None) is real:
-                monkeypatch.setattr(ns, name, counted)
+    for ns in (l0bounds, domains, estimator, harness):
+        if getattr(ns, "in_domain", None) is real:
+            monkeypatch.setattr(ns, "in_domain", counted)
     res = fit(
         FitProblem(y=inst.y, X=inst.X, domain=D, c_r=0.5, family=bernoulli())
     )
     assert {r.support for r in res.records if r.boundary_clamped}, "no facet phase entered"
     assert len(res.records) == 37
-    assert calls["in_domain"] <= 5 and calls["mle_loss"] <= 5, calls
+    assert calls["in_domain"] <= 5, calls
 
 
 def test_every_iterate_carries_the_row_images_its_trial_admitted(monkeypatch):
@@ -637,9 +635,8 @@ def test_lse_interior_solves_are_stationary():
 
 
 def test_likelihood_derivatives_are_the_public_ones():
-    # the solver's (g, H) is expfam's formula plus a 1e-12 trace ridge, so the
-    # finite-difference checks of mle_gradient_hessian cover what fit uses
-    from l0bounds import mle_gradient_hessian
+    # the solver's (g, H) is ExpFamily.nll_derivatives plus a 1e-12 trace
+    # ridge, so criterion 09's finite-difference checks cover what fit uses
     from l0bounds.estimator import _mle_grad_hess
 
     rng = np.random.default_rng(9)
@@ -651,7 +648,7 @@ def test_likelihood_derivatives_are_the_public_ones():
         y = rng.integers(0, 2, 30).astype(float)
         prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=WIDE, c_r=0.0, family=fam)
         g, H = _mle_grad_hess(prob, Xm[:, S], Xm[:, S] @ u[S])
-        g0, H0 = mle_gradient_hessian(y, Xm, u, fam, support=S)
+        g0, H0 = fam.nll_derivatives(y, Xm[:, S], Xm @ u)
         np.testing.assert_allclose(g, g0, rtol=1e-12, atol=1e-12)
         ridge = 1e-12 * max(1.0, float(np.trace(H0)))
         np.testing.assert_allclose(H - ridge * np.eye(3), H0, rtol=1e-12, atol=1e-12)

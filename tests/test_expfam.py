@@ -16,8 +16,6 @@ from l0bounds import (
     bernoulli,
     gaussian,
     glm_report,
-    mle_gradient_hessian,
-    mle_loss,
 )
 from l0bounds.expfam import FAMILIES
 
@@ -83,10 +81,10 @@ def test_loss_floor_below_mle_loss(fam_name):
             fam, y = bernoulli(), rng.integers(0, 2, n).astype(float)
         else:
             fam, y = gaussian(float(rng.uniform(0.1, 4.0))), rng.normal(size=n) * 3.0
-        assert fam.loss_floor(y) <= mle_loss(y, X, u, fam)
+        assert fam.loss_floor(y) <= fam.nll(y, X @ u)
     # the gaussian floor is attained where every row completes its square
     fam, y = gaussian(2.0), np.array([1.0, -3.0])
-    assert mle_loss(y, np.eye(2), y / 2.0, fam) == pytest.approx(fam.loss_floor(y), rel=1e-15)
+    assert fam.nll(y, y / 2.0) == pytest.approx(fam.loss_floor(y), rel=1e-15)
 
 
 def test_flat_family_raises():
@@ -109,7 +107,7 @@ def test_mle_loss_at_zero_is_n_log2():
     n = 17
     X = DesignMatrix(rng.standard_normal((n, 3)))
     y = rng.integers(0, 2, n).astype(float)
-    got = mle_loss(y, X, np.zeros(3), bernoulli())
+    got = bernoulli().nll(y, X.X @ np.zeros(3))
     assert got == pytest.approx(n * math.log(2.0), rel=1e-14)
 
 
@@ -135,8 +133,8 @@ def test_gradient_hessian_match_finite_differences(fam_name):
             else rng.standard_normal(n)
         )
         u = 0.3 * rng.standard_normal(p)
-        g, H = mle_gradient_hessian(y, X, u, fam)
-        fun = lambda v: mle_loss(y, X, v, fam)
+        g, H = fam.nll_derivatives(y, X.X, X.X @ u)
+        fun = lambda v: fam.nll(y, X.X @ v)
         g_fd = _fd_gradient(fun, u)
         np.testing.assert_allclose(g, g_fd, rtol=1e-6, atol=1e-8)
         # Hessian column-by-column from gradient differences
@@ -145,8 +143,8 @@ def test_gradient_hessian_match_finite_differences(fam_name):
             e = np.zeros(p)
             e[j] = h
             col = (
-                mle_gradient_hessian(y, X, u + e, fam)[0]
-                - mle_gradient_hessian(y, X, u - e, fam)[0]
+                fam.nll_derivatives(y, X.X, X.X @ (u + e))[0]
+                - fam.nll_derivatives(y, X.X, X.X @ (u - e))[0]
             ) / (2 * h)
             np.testing.assert_allclose(H[:, j], col, rtol=1e-5, atol=1e-7)
 
@@ -156,8 +154,9 @@ def test_gradient_hessian_support_restriction():
     X = DesignMatrix(rng.standard_normal((8, 4)))
     y = rng.integers(0, 2, 8).astype(float)
     u = np.array([0.5, 0.0, -0.4, 0.0])
-    g, H = mle_gradient_hessian(y, X, u, bernoulli())
-    gs, Hs = mle_gradient_hessian(y, X, u, bernoulli(), support=(0, 2))
+    t = X.X @ u
+    g, H = bernoulli().nll_derivatives(y, X.X, t)
+    gs, Hs = bernoulli().nll_derivatives(y, X.X[:, [0, 2]], t)
     np.testing.assert_allclose(gs, g[[0, 2]], rtol=1e-14)
     np.testing.assert_allclose(Hs, H[np.ix_([0, 2], [0, 2])], rtol=1e-14)
 
@@ -173,6 +172,5 @@ def test_mle_convexity_on_segment():
         b = rng.standard_normal(3)
         lam = rng.uniform()
         mid = lam * a + (1 - lam) * b
-        assert mle_loss(y, X, mid, fam) <= (
-            lam * mle_loss(y, X, a, fam) + (1 - lam) * mle_loss(y, X, b, fam) + 1e-9
-        )
+        nll = lambda v: fam.nll(y, X.X @ v)
+        assert nll(mid) <= lam * nll(a) + (1 - lam) * nll(b) + 1e-9

@@ -1,8 +1,10 @@
-"""Public names: every ``__all__`` entry resolves, and every name the
-package re-exports is public in its module."""
+"""Public names: every ``__all__`` entry resolves, every name the package
+re-exports is public in its module, and the names the traced benchmark
+reads exist."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -31,3 +33,18 @@ def test_package_reexports_only_public_names():
         assert not private, f"l0bounds re-exports {private}, not in {node.module}.__all__"
         for a in node.names:
             assert getattr(l0bounds, a.asname or a.name) is getattr(mod, a.name)
+
+
+def test_names_the_traced_benchmark_reads_exist():
+    # benchmarks/layers.py patches these methods on their classes, its
+    # ub_report hook reads the mode= keyword, and the workload checks read
+    # ExperimentConfig.h_max: a deletion would break the traced benchmark
+    patched = {
+        l0bounds.DesignMatrix: ("column_norms",),
+        l0bounds.AnalyticFn: ("__call__", "coeff_k", "coeff_abs_batch"),
+    }
+    for owner, attrs in patched.items():
+        for attr in attrs:
+            assert callable(vars(owner).get(attr)), f"{owner.__name__}.{attr}"
+    assert "mode" in inspect.signature(l0bounds.ub_report).parameters
+    assert "h_max" in l0bounds.ExperimentConfig.__dataclass_fields__

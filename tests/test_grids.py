@@ -12,12 +12,10 @@ from l0bounds import (
     DomainSpec,
     Interval,
     build_grid,
-    covers,
     exp_fn,
     logistic_flip,
-    singleton_grid,
 )
-from oracles import sample_domain, segment_hull_sample
+from oracles import covers, sample_domain, segment_hull_sample
 
 F = logistic_flip(0.1, 0.9)
 
@@ -159,26 +157,13 @@ def test_covers_detects_missing_point():
     assert not ok2 and margin2 > 0
 
 
-def test_singleton_grid_and_errors():
-    X = _design()
-    w = np.zeros(X.p)
-    D = DomainSpec(Interval(-0.1, 0.1), max_support=1.0, l1inf_cap=0.1)
-    G = singleton_grid(w, X, F, D, d=1.0)
-    assert len(G.points) == 1
-    with pytest.raises(ValueError, match=r"domain not certified inside B\(w, d/2\)"):
-        singleton_grid(w, X, F, D, d=0.05)
-    big = DomainSpec(Interval(-10.0, 10.0), max_support=1.0, l1inf_cap=10.0)
-    with pytest.raises(ValueError, match="domain exceeds analytic radius"):
-        singleton_grid(w, X, F, big, d=30.0)
-
-
 def test_grid_to_json_round_trip():
     X = _design()
     D = _domain(cap=1.0)
     G = build_grid(X, F, D)
     blob = json.loads(G.to_json())
     assert blob["size"] == len(G.points)
-    assert blob["case"] == 1
+    assert blob["construction"] == "per_support_box" and blob["case"] == 1
     assert blob["cardinality_bound"] >= blob["size"]
 
 
@@ -201,9 +186,3 @@ def test_radii_match_the_per_row_loop():
     G = build_grid(X, F, _domain(cap=1.5))
     want = np.array([min(F.radius_at(t) for t in row) for row in G.row_images()])
     assert G.r_values().tobytes() == want.tobytes()
-    w = np.zeros(5)
-    w[[0, 3]] = [0.02, -0.01]
-    small = DomainSpec(Interval(-1.5, 1.5), max_support=1.0, l1inf_cap=0.05)
-    S = singleton_grid(w, X, F, small, d=1.0)
-    r = min(F.radius_at(t) for t in X.X @ w)
-    assert S.b[0] == min((1.0 + r) / 2.0, 0.999 * r)
