@@ -83,7 +83,10 @@ class DomainSpec:
     def admits(self, u: np.ndarray, t: np.ndarray, w: np.ndarray) -> bool:
         """Exact membership given the row images t = X u and the column sup
         norms w.  u may be restricted to a support S, with t = X_S u and
-        w = ||V_j||_inf for j in S: the three tests see the same numbers."""
+        w = ||V_j||_inf for j in S: the three tests see the same numbers.
+        t may also list each distinct row image once, as the estimator's
+        grouped rows do: the interval test depends only on the set of
+        images."""
         if np.count_nonzero(u) > self.max_support:
             return False
         if not self.interval.contains(t):

@@ -8,10 +8,19 @@ domain's support budget are enumerated exhaustively (the penalty makes the
 outer problem exact once every inner problem is solved); inner problems are
 smooth in the support's coordinates and share one solver, a primal
 active-set Newton loop whose free steps and facet steps (Newton on the
-facet of binding constraints) share one state: exact Hessian and one start for the likelihood (convex per
-support), Gauss-Newton and two starts for least squares.  A trial point
-costs one product X_S v, and its row images serve the domain test, the
-loss, the derivatives and the binding constraints of the accepted point.
+facet of binding constraints) share one state: exact Hessian and one start
+for the likelihood (convex per support), Gauss-Newton and two starts for
+least squares.
+
+Every inner problem depends on the rows only through the distinct row
+images of X_S, their multiplicities m_g and their response sums, so each
+support groups its rows once (by the columns' level codes, which the
+problem caches) and solves on the G <= min(n, prod of the columns' level
+counts) group rows: at most 2^k on a +-1 or 0/1 design with support size k,
+n on a gaussian one.  A trial point costs one product of the G x k group
+rows with v, and those images serve the domain test, the loss, the
+derivatives and the binding constraints of the accepted point; no work per
+trial scales with n.  ``fit`` rechecks the winner's objective on all n rows.
 
 Determinism: enumeration order is itertools.combinations, all tie-breaking
 is lexicographic, and no randomness enters anywhere, so refitting the same
@@ -79,6 +88,18 @@ class FitProblem:
         """The response every support's ridge start regresses on X_S."""
         return _LOSSES[self.loss][2](self)
 
+    @functools.cached_property
+    def level_codes(self) -> tuple:
+        """(codes, levels): codes[j, i] is the rank of X_ij among the distinct
+        values of column j, levels[j] their number."""
+        X = self.X.X
+        codes = np.empty((self.X.p, self.X.n), dtype=np.intp)
+        levels = np.empty(self.X.p, dtype=np.intp)
+        for j in range(self.X.p):
+            values, codes[j] = np.unique(X[:, j], return_inverse=True)
+            levels[j] = values.size
+        return codes, levels
+
 
 @dataclass(frozen=True)
 class SupportRecord:
@@ -103,38 +124,93 @@ class FitResult:
     records: tuple
 
 
-def _mle_value(prob: FitProblem, t: np.ndarray) -> float:
+class _Rows:
+    """Rows in groups: ``inv[i]`` is the group of row i, m the multiplicities
+    and Y the response sums.  Least squares reads the group means ybar and
+    the within-group sum of squares W = sum_i (y_i - ybar_g(i))^2, the ridge
+    start the working-response sums; each is formed on first use.  With one
+    row per group (inv = 0..n-1, m = 1) the losses are their per-row forms."""
+
+    def __init__(self, prob: FitProblem, inv: np.ndarray, m: np.ndarray):
+        self.prob, self.inv, self.m = prob, inv, m
+        self.Y = np.bincount(inv, weights=prob.y, minlength=m.size)
+
+    @functools.cached_property
+    def ybar(self) -> np.ndarray:
+        return self.Y / self.m
+
+    @functools.cached_property
+    def W(self) -> float:
+        r = self.prob.y - self.ybar[self.inv]
+        return float(r @ r)
+
+    @functools.cached_property
+    def working_sums(self) -> np.ndarray:
+        return np.bincount(self.inv, weights=self.prob.working_response, minlength=self.m.size)
+
+
+def _group_rows(prob: FitProblem, S: list):
+    """Group the rows by their image under X_S: (inv, m, rep), rep holding
+    one row of each group.  The key is mixed-radix over the columns' level
+    codes, re-ranked whenever its range passes n, so no row is sorted unless
+    the levels multiply past n; groups come in key order (lexicographic in
+    the column values).  A column with n levels makes every row its own
+    group, in row order."""
+    codes, levels = prob.level_codes
+    n = prob.X.n
+    if S and int(np.max(levels[S])) == n:
+        inv = np.arange(n)
+        return inv, np.ones(n), inv
+    key, radix = np.zeros(n, dtype=np.intp), 1
+    for j in S:
+        key = key * levels[j] + codes[j]
+        radix *= int(levels[j])
+        if radix > n:
+            uniq, key = np.unique(key, return_inverse=True)
+            radix = uniq.size
+    counts = np.bincount(key, minlength=radix)
+    present = np.flatnonzero(counts)
+    rank = np.zeros(radix, dtype=np.intp)
+    rank[present] = np.arange(present.size)
+    inv = rank[key]
+    rep = np.empty(present.size, dtype=np.intp)
+    rep[inv] = np.arange(n)  # the rows of a group are equal on S: any one serves
+    return inv, counts[present].astype(float), rep
+
+
+def _mle_value(prob: FitProblem, rows: _Rows, t: np.ndarray) -> float:
     try:
-        return prob.family.nll(prob.y, t)
+        return prob.family.nll(rows.Y, t, rows.m)
     except ValueError:
         return math.inf
 
 
-def _lse_value(prob: FitProblem, t: np.ndarray) -> float:
-    r = prob.y - prob.link(t)
+def _lse_value(prob: FitProblem, rows: _Rows, t: np.ndarray) -> float:
+    r = rows.ybar - prob.link(t)
     if not np.all(np.isfinite(r)):
         return math.inf
-    return float(r @ r)
+    return rows.W + float((rows.m * r) @ r)
 
 
-def _mle_grad_hess(prob: FitProblem, Xs: np.ndarray, t: np.ndarray):
+def _mle_grad_hess(prob: FitProblem, rows: _Rows, Xs: np.ndarray, t: np.ndarray):
     try:
-        g, H = prob.family.nll_derivatives(prob.y, Xs, t)
+        g, H = prob.family.nll_derivatives(rows.Y, Xs, t, rows.m)
     except ValueError:
         return None
     H = H + (1e-12 * max(1.0, float(np.trace(H)))) * np.eye(Xs.shape[1])
     return g, H
 
 
-def _lse_grad_hess(prob: FitProblem, Xs: np.ndarray, t: np.ndarray):
+def _lse_grad_hess(prob: FitProblem, rows: _Rows, Xs: np.ndarray, t: np.ndarray):
     f = prob.link
     fp = f.deriv1(t)
-    r = prob.y - f(t)
+    r = rows.ybar - f(t)
     if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(r))):
         return None
     J = fp[:, None] * Xs
-    g = -2.0 * (J.T @ r)
-    H = 2.0 * (J.T @ J)  # Gauss-Newton curvature, positive definite with the ridge
+    mJ = rows.m[:, None] * J
+    g = -2.0 * (mJ.T @ r)
+    H = 2.0 * (J.T @ mJ)  # Gauss-Newton curvature, positive definite with the ridge
     H = H + (1e-10 * max(1.0, float(np.trace(H)))) * np.eye(Xs.shape[1])
     return g, H
 
@@ -150,9 +226,10 @@ def _lse_working_response(prob: FitProblem) -> np.ndarray:
     return (prob.y - f0) / fp0 if abs(fp0) > 1e-8 else prob.y - f0
 
 
-# Per loss: value on row images t, (gradient, Hessian) on a support, working
-# response of the ridge start, and whether the zero start is kept beside the
-# ridge start (least squares is not convex, so it keeps the better of two).
+# Per loss: value on the images t of grouped rows, (gradient, Hessian) on a
+# support, working response of the ridge start, and whether the zero start is
+# kept beside the ridge start (least squares is not convex, so it keeps the
+# better of two).
 _LOSSES = {
     "mle": (_mle_value, _mle_grad_hess, _mle_working_response, False),
     "lse": (_lse_value, _lse_grad_hess, _lse_working_response, True),
@@ -160,17 +237,21 @@ _LOSSES = {
 
 
 class _Support:
-    """The inner problem on one support S: the columns X_S, their sup norms
-    (the cap weights) and the loss pieces bound to the problem.  Iterates are
-    v in R^|S|; every evaluation goes through the row images t = X_S v."""
+    """The inner problem on one support S: the G x |S| distinct rows Xs of
+    X_S with their grouped statistics, the columns' sup norms (the cap
+    weights) and the loss pieces bound to them.  Iterates are v in R^|S|;
+    every evaluation goes through the images t = Xs v, which are the row
+    images X_S v without their repeats."""
 
     def __init__(self, prob: FitProblem, S: tuple):
         value, gh, _, self.two_starts = _LOSSES[prob.loss]
         self.prob, self.S = prob, list(S)
-        self.Xs = prob.X.X[:, self.S]
+        inv, m, rep = _group_rows(prob, self.S)
+        self.rows = _Rows(prob, inv, m)
+        self.Xs = prob.X.X[rep[:, None], self.S]
         self.w = prob.X.column_norms(math.inf)[self.S]
-        self.value = functools.partial(value, prob)
-        self.grad_hess = functools.partial(gh, prob, self.Xs)
+        self.value = functools.partial(value, prob, self.rows)
+        self.grad_hess = functools.partial(gh, prob, self.rows, self.Xs)
 
     def admits(self, v: np.ndarray, t: np.ndarray) -> bool:
         return self.prob.domain.admits(v, t, self.w)
@@ -184,8 +265,8 @@ class _Support:
 def _backtrack(sp: _Support, v, t, d, cur, gdotd):
     """Armijo backtracking along d; rejects infeasible steps.
 
-    Each trial forms its row images X_S v once, for the membership test and
-    the loss.  Returns (v, t, loss, step_ok, hit_boundary): the accepted
+    Each trial forms its images Xs v once, for the membership test and the
+    loss.  Returns (v, t, loss, step_ok, hit_boundary): the accepted
     trial and its row images, or the inputs when no step is accepted; only a
     membership failure counts as hitting the boundary.
     """
@@ -206,18 +287,20 @@ def _backtrack(sp: _Support, v, t, d, cur, gdotd):
 
 
 def _active_constraints(sp: _Support, v: np.ndarray, t: np.ndarray):
-    """Linearize the constraints binding at the support iterate v, whose row
-    images are t = X_S v.
+    """Linearize the constraints binding at the support iterate v, whose
+    images on the group rows are t = Xs v.
 
     The domain is an intersection of the weighted-l1 ball (linear on each
     sign orthant) and per-row interval half-spaces, so every active
-    constraint contributes one linear row.  Coordinates sitting exactly at 0
-    while the cap binds are frozen (the cap is nonsmooth there).
+    constraint contributes one linear row; equal rows give equal
+    half-spaces, so one per group row stands for all of them.  Coordinates
+    sitting exactly at 0 while the cap binds are frozen (the cap is
+    nonsmooth there).
 
     Returns (A, cap_alone) with A of shape (m, |S|): the cap row, the
-    binding upper rows, the binding lower rows (both in row order), then the
-    frozen unit rows; cap_alone says whether A is the cap row alone.  None
-    when nothing binds.
+    binding upper group rows, the binding lower group rows (both in group
+    order), then the frozen unit rows; cap_alone says whether A is the cap
+    row alone.  None when nothing binds.
     """
     D, Xs, w = sp.prob.domain, sp.Xs, sp.w
     k = len(sp.S)
@@ -257,25 +340,24 @@ def _null_space_step(Au: np.ndarray, g: np.ndarray, H: np.ndarray):
 def _active_set_newton(sp: _Support, v: np.ndarray, t: np.ndarray, cur: float):
     """Primal active-set Newton from one start (Nocedal & Wright, ch. 16).
 
-    The state is v, its row images t = X_S v (those of the trial that
-    accepted v) and its loss.  Each iteration takes (g, H) at t and one step
-    judged by feasibility-rejecting Armijo backtracking.  A free step is the
-    Newton step -H^{-1} g, until max |g| <= ``_GRAD_TOL``.  Once a free step
-    is stopped by the domain, the constraints binding at v are linearized
-    (they are linear on a sign orthant) and the step is Newton on their
-    facet: d = -Z (Z'HZ)^{-1} Z'g, Z an orthonormal basis of the null space
-    of the active rows.  On +-1 and 0/1 designs about n/2 rows can bind
-    while a support of size k has at most 2^k distinct row images, so Z and
-    the multipliers are taken from the distinct rows only: a step costs one
-    sort of the m binding rows plus O(k^3), and no system of order k + m is
-    ever formed.  A sign flip leaves the facet and is rejected exactly.  A
-    vanishing projected gradient is converged, unless the cap binds alone
-    with a negative multiplier; then, as when nothing binds, free steps
-    resume, and an accepted free step ends the linearizing.  A failed step
-    ends the solve, unless it is a free step stopped by the domain at a v
-    not yet linearized.  Returns (v, loss, converged, boundary_clamped),
-    clamped if constraints bind where the solve stopped or its last step
-    was stopped by the domain.
+    The state is v, its images t = Xs v on the G group rows (those of the
+    trial that accepted v) and its loss.  Each iteration takes (g, H) at t
+    and one step judged by feasibility-rejecting Armijo backtracking.  A
+    free step is the Newton step -H^{-1} g, until max |g| <= ``_GRAD_TOL``.
+    Once a free step is stopped by the domain, the constraints binding at v
+    are linearized (they are linear on a sign orthant) and the step is
+    Newton on their facet: d = -Z (Z'HZ)^{-1} Z'g, Z an orthonormal basis of
+    the null space of the distinct active rows.  On +-1 and 0/1 designs
+    about n/2 rows can bind, but they fall into at most 2^k group rows, so
+    an iteration costs O(G k^2 + k^3) whatever n is, and no system of order
+    above k + G is ever formed.  A sign flip leaves the facet and is
+    rejected exactly.  A vanishing projected gradient is converged, unless
+    the cap binds alone with a negative multiplier; then, as when nothing
+    binds, free steps resume, and an accepted free step ends the
+    linearizing.  A failed step ends the solve, unless it is a free step
+    stopped by the domain at a v not yet linearized.  Returns (v, loss,
+    converged, boundary_clamped), clamped if constraints bind where the
+    solve stopped or its last step was stopped by the domain.
     """
     on_boundary = converged = clamped = False
     for _ in range(_MAX_ITER):
@@ -315,12 +397,14 @@ def _active_set_newton(sp: _Support, v: np.ndarray, t: np.ndarray, cur: float):
 
 
 def _ridge_start(sp: _Support):
-    """Ridge fit of the working response on X_S, shrunk into the domain: (v, X_S v) or None."""
+    """Ridge fit of the working response on X_S, shrunk into the domain:
+    (v, Xs v) or None.  The normal equations are summed over the group rows,
+    sum_g m_g x_g x_g' and the working-response sums."""
     Xs, k = sp.Xs, len(sp.S)
-    A = Xs.T @ Xs
+    A = Xs.T @ (sp.rows.m[:, None] * Xs)
     A = A + 1e-3 * max(1.0, float(np.trace(A)) / k) * np.eye(k)
     try:
-        v = np.linalg.solve(A, Xs.T @ sp.prob.working_response)
+        v = np.linalg.solve(A, Xs.T @ sp.rows.working_sums)
     except np.linalg.LinAlgError:
         return None
     for _ in range(80):
@@ -405,8 +489,11 @@ def fit(prob: FitProblem) -> FitResult:
     tied.sort(key=lambda c: (c[1], c[2], c[0]))
     obj, spt, support, u, lval = tied[0]
     tie_break = len({c[2] for c in tied}) > 1
-    # recompute the reported objective from the returned parameter
-    check = _LOSSES[prob.loss][0](prob, prob.X.X @ u) + prob.c_r * int(np.count_nonzero(u))
+    # recompute the reported objective from the returned parameter on all n
+    # rows, one per group: an independent check of the grouping
+    n = prob.X.n
+    rows = _Rows(prob, np.arange(n), np.ones(n))
+    check = _LOSSES[prob.loss][0](prob, rows, prob.X.X @ u) + prob.c_r * int(np.count_nonzero(u))
     if not math.isclose(check, obj, rel_tol=0.0, abs_tol=1e-9 * max(1.0, abs(obj))):
         raise AssertionError("objective recomputation mismatch")
     return FitResult(

@@ -3,13 +3,14 @@
 A family is determined by its log-partition Lambda on the natural-parameter
 line; densities are p_t(y) = exp(y t - Lambda(t)) h(y).  The likelihood loss
 ``ExpFamily.nll`` and its derivatives ``nll_derivatives`` take the row
-images t = X u directly, so the estimator's one product X_S v serves both;
-the bounds consume the curvature floor delta = inf_I Lambda''.  Each family
-in ``FAMILIES`` is a private ``ExpFamily`` subclass whose methods give
-Lambda, Lambda', Lambda'' and the closed forms the bounds need (curvature
-floor, loss floor); a bound never consumes an estimated curvature.  The
-Bernoulli family takes the logistic, its slope and the slope floor from
-``analytic``, their one home.
+images t = X u directly, with optional multiplicities m: the estimator
+passes the distinct row images of a support with their counts and response
+sums, so one product of its group rows serves both; the bounds consume the
+curvature floor delta = inf_I Lambda''.  Each family in ``FAMILIES`` is a
+private ``ExpFamily`` subclass whose methods give Lambda, Lambda', Lambda''
+and the closed forms the bounds need (curvature floor, loss floor); a bound
+never consumes an estimated curvature.  The Bernoulli family takes the
+logistic, its slope and the slope floor from ``analytic``, their one home.
 """
 
 from __future__ import annotations
@@ -49,18 +50,20 @@ class ExpFamily:
                 f"natural parameter outside family domain at row {i}"
             )
 
-    def nll(self, y: np.ndarray, t: np.ndarray) -> float:
-        """Negative log-likelihood sum_i Lambda(t_i) - y't on row images t;
-        raises ValueError outside the natural domain."""
+    def nll(self, y: np.ndarray, t: np.ndarray, m=1.0) -> float:
+        """Negative log-likelihood sum_g m_g Lambda(t_g) - y't on row images
+        t with multiplicities m (1 for plain rows, where y is the response;
+        for grouped rows y holds each group's response sum); raises
+        ValueError outside the natural domain."""
         self.check_natural(t)
-        return float(np.sum(self.log_partition(t)) - y @ t)
+        return float(np.sum(m * self.log_partition(t)) - y @ t)
 
-    def nll_derivatives(self, y: np.ndarray, Xs: np.ndarray, t: np.ndarray):
-        """Gradient Xs'(Lambda'(t) - y) and Hessian Xs' diag(Lambda''(t)) Xs of
-        ``nll`` along the columns Xs, at row images t; raises ValueError
-        outside the natural domain."""
+    def nll_derivatives(self, y: np.ndarray, Xs: np.ndarray, t: np.ndarray, m=1.0):
+        """Gradient Xs'(m Lambda'(t) - y) and Hessian Xs' diag(m Lambda''(t)) Xs
+        of ``nll`` along the columns Xs, at row images t with multiplicities
+        m (as in ``nll``); raises ValueError outside the natural domain."""
         self.check_natural(t)
-        return Xs.T @ (self.mean(t) - y), Xs.T @ (self.variance(t)[:, None] * Xs)
+        return Xs.T @ (m * self.mean(t) - y), Xs.T @ ((m * self.variance(t))[:, None] * Xs)
 
 
 class _Gaussian(ExpFamily):

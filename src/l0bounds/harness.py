@@ -235,6 +235,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.spt_size > self.p:
             raise ValueError("spt_size cannot exceed p")
+        if self.h_max is not None and self.h_max < self.spt_size:
+            raise ValueError(f"h_max must be >= spt_size, got h_max={self.h_max}")
         if self.model not in ("glm", "flip"):
             raise ValueError("model must be 'glm' or 'flip'")
         if self.family not in FAMILIES:

@@ -355,10 +355,12 @@ def test_criterion_08_series_machinery():
 
 def test_criterion_09_gradient_hessian_fd():
     """The closed-form likelihood gradient/Hessian that fit runs
-    (``ExpFamily.nll_derivatives``) match central finite differences of
-    ``ExpFamily.nll`` to 1e-6 relative on 100 random instances."""
+    (``ExpFamily.nll_derivatives``, on rows with multiplicities m and
+    response sums Y) match central finite differences of ``ExpFamily.nll``
+    to 1e-6 relative on 100 random instances."""
     t0 = time.monotonic()
     rng = np.random.default_rng(99)
+    mrng = np.random.default_rng(909)  # multiplicities, apart from the instances' stream
     eps = 1e-5
     for i in range(100):
         n = int(rng.integers(15, 40))
@@ -370,15 +372,17 @@ def test_criterion_09_gradient_hessian_fd():
             y = (rng.random(n) < expit(X.X @ u)).astype(float)
         else:
             y = X.X @ u + rng.standard_normal(n)
-        g, H = fam.nll_derivatives(y, X.X, X.X @ u)
+        m = mrng.integers(1, 4, n).astype(float)
+        Y = m * y
+        g, H = fam.nll_derivatives(Y, X.X, X.X @ u, m)
         scale_g = max(1.0, float(np.max(np.abs(g))))
         for j in range(p):
             e = np.zeros(p)
             e[j] = eps
-            fd = (fam.nll(y, X.X @ (u + e)) - fam.nll(y, X.X @ (u - e))) / (2 * eps)
+            fd = (fam.nll(Y, X.X @ (u + e), m) - fam.nll(Y, X.X @ (u - e), m)) / (2 * eps)
             assert abs(g[j] - fd) <= 1e-6 * scale_g, f"instance {i}, grad coord {j}"
-            gp, _ = fam.nll_derivatives(y, X.X, X.X @ (u + e))
-            gm, _ = fam.nll_derivatives(y, X.X, X.X @ (u - e))
+            gp, _ = fam.nll_derivatives(Y, X.X, X.X @ (u + e), m)
+            gm, _ = fam.nll_derivatives(Y, X.X, X.X @ (u - e), m)
             col = (gp - gm) / (2 * eps)
             scale_h = max(1.0, float(np.max(np.abs(H))))
             assert np.max(np.abs(H[:, j] - col)) <= 1e-6 * scale_h, (

@@ -366,6 +366,9 @@ def test_bad_design_block_exits_1(tmp_path, design):
         {"model": "flip", "K": 2.5},
         {"seed": "abc"},
         {"h_max": 2.5},
+        # a support budget below the truth's support size
+        {"h_max": 0},
+        {"spt_size": 3, "h_max": -3},
     ],
 )
 def test_bad_coverage_config_exits_1(tmp_path, capsys, monkeypatch, bad):

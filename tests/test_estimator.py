@@ -279,10 +279,12 @@ def test_objective_recompute_assertion_holds():
     )
 
 
-def _active_rows_loop(prob, S, u):
+def _active_rows_loop(prob, S, u, Xs=None):
     """Row-by-row reference for the binding constraints: cap row, upper rows
-    ascending, lower rows ascending, frozen unit rows."""
+    ascending, lower rows ascending, frozen unit rows.  The rows looped over
+    are those of Xs (default: all n rows of X_S)."""
     D, dm = prob.domain, prob.X
+    Xs = dm.X[:, S] if Xs is None else Xs
     v = u[S]
     rows, kinds, frozen = [], [], []
     if D.l1inf_cap is not None:
@@ -292,16 +294,16 @@ def _active_rows_loop(prob, S, u):
             kinds.append("cap")
             frozen = [j for j in range(len(S)) if abs(v[j]) <= 1e-12]
     I = D.interval
-    t = dm.X[:, S] @ v
+    t = Xs @ v
     scale = max(1.0, abs(I.lo) if math.isfinite(I.lo) else 1.0,
                 abs(I.hi) if math.isfinite(I.hi) else 1.0)
     if math.isfinite(I.hi):
         for i in np.nonzero(t >= I.hi - 1e-9 * scale)[0]:
-            rows.append(dm.X[i, S].astype(float))
+            rows.append(Xs[i].astype(float))
             kinds.append("row")
     if math.isfinite(I.lo):
         for i in np.nonzero(t <= I.lo + 1e-9 * scale)[0]:
-            rows.append(-dm.X[i, S].astype(float))
+            rows.append(-Xs[i].astype(float))
             kinds.append("row")
     for j in frozen:
         e = np.zeros(len(S))
@@ -311,7 +313,14 @@ def _active_rows_loop(prob, S, u):
     return (np.vstack(rows), kinds) if rows else None
 
 
+def _distinct(A):
+    return np.unique(A, axis=0)
+
+
 def test_active_constraints_match_row_loop():
+    # the solver sees each support's distinct rows once: its constraint rows
+    # equal a loop over those group rows, and, up to repeats, a loop over
+    # all n rows of X_S
     from l0bounds.estimator import _active_constraints, _Support
 
     rng = np.random.default_rng(21)
@@ -332,14 +341,21 @@ def test_active_constraints_match_row_loop():
         cap = wn if wn > 0 and rng.random() < 0.5 else None
         D = DomainSpec(Interval(lo, hi), max_support=float(p), l1inf_cap=cap)
         prob = FitProblem(y=np.zeros(n), X=dm, domain=D, c_r=0.0, family=bernoulli())
-        want, got = _active_rows_loop(prob, S, u), _active_constraints(_Support(prob, S), u[S], t)
+        sp = _Support(prob, S)
+        assert sp.Xs.shape == _distinct(dm.X[:, S]).shape
+        np.testing.assert_array_equal(_distinct(sp.Xs), _distinct(dm.X[:, S]))
+        want = _active_rows_loop(prob, S, u, sp.Xs)
+        per_row = _active_rows_loop(prob, S, u)
+        got = _active_constraints(sp, u[S], sp.Xs @ u[S])
         if want is None:
-            assert got is None
+            assert got is None and per_row is None
             seen["none"] += 1
             continue
         assert got[1] == (want[1] == ["cap"])
         assert got[0].dtype == want[0].dtype and got[0].shape == want[0].shape
         assert got[0].tobytes() == want[0].tobytes()
+        assert set(per_row[1]) == set(want[1])
+        np.testing.assert_array_equal(_distinct(got[0]), _distinct(per_row[0]))
         for kind in set(want[1]):
             seen[kind] += 1
     assert min(seen.values()) > 10, seen
@@ -421,13 +437,10 @@ def test_null_space_step_matches_scipy_null_space():
 
 
 def test_null_space_step_matches_block_kkt_on_facets():
-    from l0bounds.estimator import (
-        _active_constraints,
-        _lse_grad_hess,
-        _mle_grad_hess,
-        _null_space_step,
-        _Support,
-    )
+    # the facet step the solver takes from a support's group rows and grouped
+    # derivatives is the block-KKT step, and the per-row constraints (every
+    # binding row, repeats included) and per-row derivatives give the same
+    from l0bounds.estimator import _active_constraints, _null_space_step, _Support
 
     rng = np.random.default_rng(606)
     f = logistic_flip(0.1, 0.9)
@@ -460,12 +473,18 @@ def test_null_space_step_matches_block_kkt_on_facets():
         if mle:
             y = (rng.random(n) < expit(t)).astype(float)
             prob = FitProblem(y=y, X=dm, domain=D, c_r=0.0, family=bernoulli())
-            g, H = _mle_grad_hess(prob, Xm[:, S], t)
+            g_row, H_row = bernoulli().nll_derivatives(y, Xm[:, S], t)
         else:
             y = f(t) + rng.normal(0.0, 0.05, n)
             prob = FitProblem(y=y, X=dm, domain=D, c_r=0.0, link=f)
-            g, H = _lse_grad_hess(prob, Xm[:, S], t)
-        A, cap_alone = _active_constraints(_Support(prob, S), v, t)
+            J = f.deriv1(t)[:, None] * Xm[:, S]
+            g_row, H_row = -2.0 * J.T @ (y - f(t)), 2.0 * J.T @ J
+        sp = _Support(prob, S)
+        ts = sp.Xs @ v
+        g, H = sp.grad_hess(ts)
+        np.testing.assert_allclose(g, g_row, rtol=1e-10, atol=1e-10 * float(np.max(np.abs(g_row))))
+        np.testing.assert_allclose(H, H_row, rtol=1e-10, atol=1e-9 * float(np.max(np.abs(H_row))))
+        A, cap_alone = _active_constraints(sp, v, ts)
         assert cap_alone == cap_facet
         Au = np.unique(A, axis=0)
         d = _null_space_step(Au, g, H)
@@ -475,9 +494,11 @@ def test_null_space_step_matches_block_kkt_on_facets():
         assert d is not None
         scale = float(np.linalg.norm(ref))
         assert np.linalg.norm(d - ref) <= 1e-10 * scale, (i, d, ref)
-        # the duplicated rows span the same null space
+        # the duplicated rows span the same null space, as do all n rows
         full = _null_space_step(A, g, H)
         assert np.linalg.norm(full - ref) <= 1e-10 * scale, (i, full, ref)
+        per_row = _null_space_step(_active_rows_loop(prob, S, u)[0], g, H)
+        assert np.linalg.norm(per_row - ref) <= 1e-10 * scale, (i, per_row, ref)
         compared[design] += 1
         compared["cap" if cap_facet else "row"] += 1
     assert min(compared.values()) >= 5, compared
@@ -533,26 +554,38 @@ def test_fit_does_not_call_the_full_vector_helpers_per_trial(monkeypatch):
 
 
 def test_every_iterate_carries_the_row_images_its_trial_admitted(monkeypatch):
-    # an inner solve forms X_S v once per point, where the membership test
-    # judges it: the derivatives and the binding constraints of the
-    # accepted point are computed on those very row images, never on a
-    # fresh product
+    # an inner solve forms the images of its group rows Xs v once per point,
+    # where the membership test judges it: the derivatives and the binding
+    # constraints of the accepted point are computed on those very images,
+    # never on a fresh product, and no product runs over all n rows
     from l0bounds import estimator
 
     _cfg, inst, D = _boundary_instance(1200)
     inside = [False]
-    products = [0]
+    products = {"all_rows": 0, "group_rows": 0}
+    group_rows = {}  # id -> each support's Xs, kept alive so that ids stay unique
 
     class CountedDesign(np.ndarray):
         def __matmul__(self, other):
-            if inside[0] and self.ndim == 2 and self.shape[0] == inst.X.n and np.ndim(other) == 1:
-                products[0] += 1
+            if inside[0] and self.ndim == 2 and np.ndim(other) == 1:
+                if self.shape[0] == inst.X.n:
+                    products["all_rows"] += 1
+                if group_rows.get(id(self)) is self:
+                    products["group_rows"] += 1
             return np.asarray(self) @ np.asarray(other)
 
     dm = DesignMatrix(inst.X.X)
     dm.X = dm.X.view(CountedDesign)
     admitted = {}  # id -> row images, kept alive so that ids stay unique
     received = {"grad_hess": [], "active": []}
+
+    real_init = estimator._Support.__init__
+
+    def init(self, prob, S):
+        real_init(self, prob, S)
+        assert len(self.Xs) <= 2 ** len(S)  # a +-1 design
+        self.Xs = self.Xs.view(CountedDesign)
+        group_rows[id(self.Xs)] = self.Xs
 
     real_admits = estimator._Support.admits
 
@@ -581,6 +614,7 @@ def test_every_iterate_carries_the_row_images_its_trial_admitted(monkeypatch):
         finally:
             inside[0] = False
 
+    monkeypatch.setattr(estimator._Support, "__init__", init)
     monkeypatch.setattr(estimator._Support, "admits", admits)
     monkeypatch.setitem(
         estimator._LOSSES, "mle", (value, counted_grad_hess, working_response, two_starts)
@@ -592,7 +626,7 @@ def test_every_iterate_carries_the_row_images_its_trial_admitted(monkeypatch):
     assert received["active"] and received["grad_hess"]
     for kind, ts in received.items():
         assert all(admitted.get(id(t)) is t for t in ts), kind
-    assert products[0] == len(admitted)
+    assert products == {"all_rows": 0, "group_rows": len(admitted)}
 
 
 def test_lse_interior_solves_are_stationary():
@@ -635,20 +669,130 @@ def test_lse_interior_solves_are_stationary():
 
 
 def test_likelihood_derivatives_are_the_public_ones():
-    # the solver's (g, H) is ExpFamily.nll_derivatives plus a 1e-12 trace
-    # ridge, so criterion 09's finite-difference checks cover what fit uses
-    from l0bounds.estimator import _mle_grad_hess
+    # the solver's loss and (g, H) on a support are ExpFamily.nll and
+    # nll_derivatives with the group multiplicities and response sums (plus
+    # a 1e-12 trace ridge), so criterion 09's finite-difference checks cover
+    # what fit uses; and they equal the per-row sums over all n rows
+    from l0bounds.estimator import _Support
 
     rng = np.random.default_rng(9)
     for fam in (bernoulli(), gaussian(1.3)):
-        Xm = rng.standard_normal((30, 5))
-        u = np.zeros(5)
-        S = [0, 2, 3]
-        u[S] = 0.3 * rng.standard_normal(3)
-        y = rng.integers(0, 2, 30).astype(float)
-        prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=WIDE, c_r=0.0, family=fam)
-        g, H = _mle_grad_hess(prob, Xm[:, S], Xm[:, S] @ u[S])
-        g0, H0 = fam.nll_derivatives(y, Xm[:, S], Xm @ u)
-        np.testing.assert_allclose(g, g0, rtol=1e-12, atol=1e-12)
-        ridge = 1e-12 * max(1.0, float(np.trace(H0)))
-        np.testing.assert_allclose(H - ridge * np.eye(3), H0, rtol=1e-12, atol=1e-12)
+        for design in ("pm1", "gaussian"):
+            if design == "pm1":
+                Xm = rng.choice([-1.0, 1.0], size=(30, 5))
+            else:
+                Xm = rng.standard_normal((30, 5))
+            u = np.zeros(5)
+            S = [0, 2, 3]
+            u[S] = 0.3 * rng.standard_normal(3)
+            y = rng.integers(0, 2, 30).astype(float)
+            prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=WIDE, c_r=0.0, family=fam)
+            sp = _Support(prob, S)
+            assert len(sp.Xs) <= (8 if design == "pm1" else 30)
+            t = sp.Xs @ u[S]
+            g, H = sp.grad_hess(t)
+            g1, H1 = fam.nll_derivatives(sp.rows.Y, sp.Xs, t, sp.rows.m)
+            ridge = 1e-12 * max(1.0, float(np.trace(H1)))
+            np.testing.assert_array_equal(g, g1)
+            np.testing.assert_array_equal(H, H1 + ridge * np.eye(3))
+            assert sp.value(t) == fam.nll(sp.rows.Y, t, sp.rows.m)
+            g0, H0 = fam.nll_derivatives(y, Xm[:, S], Xm @ u)
+            np.testing.assert_allclose(g, g0, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(H - ridge * np.eye(3), H0, rtol=1e-12, atol=1e-12)
+            assert sp.value(t) == pytest.approx(fam.nll(y, Xm @ u), rel=1e-12)
+
+
+def _grouping_problem(design, loss, n, p, rng):
+    """make(c_r, reps): a problem on a +-1, 0/1 or gaussian design, its rows
+    stacked reps times."""
+    if design == "pm1":
+        Xm = rng.choice([-1.0, 1.0], size=(n, p))
+    elif design == "binary":
+        Xm = rng.integers(0, 2, size=(n, p)).astype(float)
+        Xm[0] = 1.0
+    else:
+        Xm = rng.standard_normal((n, p))
+    beta = np.zeros(p)
+    beta[:2] = [0.7, -0.5]
+    t = Xm @ beta
+    f = logistic_flip(0.1, 0.9)
+    if loss == "mle":
+        y = (rng.random(n) < expit(t)).astype(float)
+        model = {"family": bernoulli()}
+    elif design == "gaussian":
+        y = f(t) + rng.normal(0.0, 0.1, n)
+        model = {"link": f}
+    else:
+        y = (rng.random(n) < f(t)).astype(float)
+        model = {"link": f}
+    # a cap and an interval that bind on some supports
+    D = DomainSpec(Interval(-1.2, 1.2), max_support=2.0, l1inf_cap=1.2)
+
+    def make(c_r, reps=1):
+        X = DesignMatrix(np.tile(Xm, (reps, 1)))
+        return FitProblem(y=np.tile(y, reps), X=X, domain=D, c_r=c_r, **model)
+
+    return make
+
+
+GROUPING_CASES = [(d, loss) for d in ("pm1", "binary", "gaussian") for loss in ("mle", "lse")]
+
+
+@pytest.mark.parametrize("design,loss", GROUPING_CASES)
+def test_stacking_the_data_twice_doubles_every_record_loss(design, loss):
+    # every loss is a sum over rows, so stacking (X, y) twice doubles each
+    # support's loss and, at a doubled penalty, keeps the fitted support
+    rng = np.random.default_rng(31)
+    make = _grouping_problem(design, loss, 90, 5, rng)
+    once, twice = fit(make(0.5, 1)), fit(make(1.0, 2))
+    assert twice.support == once.support
+    assert [r.support for r in twice.records] == [r.support for r in once.records]
+    for a, b in zip(once.records, twice.records):
+        assert a.feasible == b.feasible
+        if a.feasible:
+            assert b.loss == pytest.approx(2.0 * a.loss, rel=1e-12, abs=1e-12), a.support
+
+
+@pytest.mark.parametrize("design,loss", GROUPING_CASES)
+def test_group_rows_are_the_distinct_row_images(design, loss):
+    from l0bounds.estimator import _Support
+
+    rng = np.random.default_rng(32)
+    n, p = 120, 5
+    prob = _grouping_problem(design, loss, n, p, rng)(0.0)
+    for k in range(p + 1):
+        for S in itertools.combinations(range(p), k):
+            sp = _Support(prob, S)
+            G = len(sp.Xs)
+            if design == "gaussian" and k:
+                assert G == n
+            else:
+                assert G <= 2**k
+            distinct = np.unique(prob.X.X[:, list(S)], axis=0)
+            assert G == len(distinct)
+            np.testing.assert_array_equal(np.unique(sp.Xs, axis=0), distinct)
+            # each row's group holds its row image, with the counts and sums
+            np.testing.assert_array_equal(sp.Xs[sp.rows.inv], prob.X.X[:, list(S)])
+            for g in range(G):
+                members = sp.rows.inv == g
+                assert sp.rows.m[g] == np.count_nonzero(members)
+                assert sp.rows.Y[g] == pytest.approx(prob.y[members].sum(), rel=1e-15, abs=1e-15)
+
+
+@pytest.mark.parametrize("design,loss", GROUPING_CASES)
+def test_inner_solve_losses_match_the_per_row_recomputation(design, loss):
+    rng = np.random.default_rng(33)
+    prob = _grouping_problem(design, loss, 150, 4, rng)(0.0)
+    Xm, y = prob.X.X, prob.y
+    for k in range(3):
+        for S in itertools.combinations(range(4), k):
+            got = inner_solve(prob, S)
+            assert got is not None
+            u, lval = got[0], got[1]
+            t = Xm @ u
+            if loss == "mle":
+                want = prob.family.nll(y, t)
+            else:
+                r = y - prob.link(t)
+                want = float(r @ r)
+            assert lval == pytest.approx(want, rel=1e-12), S

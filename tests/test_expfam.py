@@ -161,6 +161,26 @@ def test_gradient_hessian_support_restriction():
     np.testing.assert_allclose(Hs, H[np.ix_([0, 2], [0, 2])], rtol=1e-14)
 
 
+@pytest.mark.parametrize("fam_name", sorted(FAMILIES))
+def test_multiplicities_equal_repeated_rows(fam_name):
+    # rows with multiplicities m and response sums Y give the likelihood and
+    # derivatives of the rows written out m times each
+    rng = np.random.default_rng(12)
+    fam = FAMILIES[fam_name]()
+    Xg = rng.standard_normal((6, 3))
+    m = rng.integers(1, 5, 6)
+    X = np.repeat(Xg, m, axis=0)
+    y = rng.integers(0, 2, X.shape[0]).astype(float)
+    Y = np.bincount(np.repeat(np.arange(6), m), weights=y)
+    u = 0.4 * rng.standard_normal(3)
+    w = m.astype(float)
+    assert fam.nll(Y, Xg @ u, w) == pytest.approx(fam.nll(y, X @ u), rel=1e-13)
+    g, H = fam.nll_derivatives(Y, Xg, Xg @ u, w)
+    g0, H0 = fam.nll_derivatives(y, X, X @ u)
+    np.testing.assert_allclose(g, g0, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(H, H0, rtol=1e-12)
+
+
 def test_mle_convexity_on_segment():
     # NLL of an exponential linear family is convex in u
     rng = np.random.default_rng(21)

@@ -118,6 +118,15 @@ def test_experiment_config_from_dict_rejects_unknown_keys():
         ExperimentConfig.from_dict({**good, "q": 0.4})  # q must be <= 0.25
 
 
+def test_experiment_config_refuses_a_budget_below_the_support_size():
+    good = dict(n=40, p=6, spt_size=2, replicates=5)
+    for h_max in (0, -3, 1):
+        with pytest.raises(ValueError, match="h_max"):
+            ExperimentConfig(**good, h_max=h_max)
+    assert ExperimentConfig(**good, h_max=2).h_max == 2
+    assert ExperimentConfig(**good).h_max is None
+
+
 def test_generate_instance_reproducible_and_feasible():
     cfg = ExperimentConfig(n=50, p=8, spt_size=2, replicates=3, seed=123)
     a = generate_instance(cfg, 1)
