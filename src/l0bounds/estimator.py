@@ -154,8 +154,10 @@ def _group_rows(prob: FitProblem, S: list):
     one row of each group.  The key is mixed-radix over the columns' level
     codes, re-ranked whenever its range passes n, so no row is sorted unless
     the levels multiply past n; groups come in key order (lexicographic in
-    the column values).  A column with n levels makes every row its own
-    group, in row order."""
+    the column values).  A column with n levels (any continuous one) already
+    makes every row its own group, so the groups are the rows in row order
+    and the re-ranking sort, which would add 4-10% to a gaussian design's
+    fit, is skipped."""
     codes, levels = prob.level_codes
     n = prob.X.n
     if S and int(np.max(levels[S])) == n:
@@ -248,7 +250,7 @@ class _Support:
         self.prob, self.S = prob, list(S)
         inv, m, rep = _group_rows(prob, self.S)
         self.rows = _Rows(prob, inv, m)
-        self.Xs = prob.X.X[rep[:, None], self.S]
+        self.Xs = prob.X.X[:, self.S].T.take(rep, axis=1).T  # column-major, like X[:, S]
         self.w = prob.X.column_norms(math.inf)[self.S]
         self.value = functools.partial(value, prob, self.rows)
         self.grad_hess = functools.partial(gh, prob, self.rows, self.Xs)
@@ -325,12 +327,13 @@ def _active_constraints(sp: _Support, v: np.ndarray, t: np.ndarray):
     return A, bool(cap_rows) and len(A) == 1
 
 
-def _null_space_step(Au: np.ndarray, g: np.ndarray, H: np.ndarray):
-    """argmin of g'd + d'Hd/2 subject to Au d = 0, or None when only d = 0 is
-    feasible.  Z holds the right singular vectors of Au past its numerical
-    rank, the number of singular values above max(s) max(m, k) eps."""
-    _, s, vh = np.linalg.svd(Au)
-    rank = int(np.sum(s > np.max(s) * max(Au.shape) * np.finfo(float).eps))
+def _null_space_step(A: np.ndarray, g: np.ndarray, H: np.ndarray):
+    """argmin of g'd + d'Hd/2 subject to A d = 0, or None when only d = 0 is
+    feasible.  Z holds the right singular vectors of A past its numerical
+    rank, the number of singular values above max(s) max(m, k) eps, so
+    repeated rows change nothing."""
+    _, s, vh = np.linalg.svd(A)
+    rank = int(np.sum(s > np.max(s) * max(A.shape) * np.finfo(float).eps))
     Z = vh[rank:].T
     if Z.shape[1] == 0:
         return None
@@ -347,11 +350,10 @@ def _active_set_newton(sp: _Support, v: np.ndarray, t: np.ndarray, cur: float):
     Once a free step is stopped by the domain, the constraints binding at v
     are linearized (they are linear on a sign orthant) and the step is
     Newton on their facet: d = -Z (Z'HZ)^{-1} Z'g, Z an orthonormal basis of
-    the null space of the distinct active rows.  On +-1 and 0/1 designs
-    about n/2 rows can bind, but they fall into at most 2^k group rows, so
-    an iteration costs O(G k^2 + k^3) whatever n is, and no system of order
-    above k + G is ever formed.  A sign flip leaves the facet and is
-    rejected exactly.  A vanishing projected gradient is converged, unless
+    the null space of the active rows.  On +-1 and 0/1 designs about n/2
+    rows can bind, but they fall into at most 2^k group rows, and at most
+    1 + 2G + k constraint rows bind, so an iteration costs O(G k^2 + k^3)
+    whatever n is.  A sign flip leaves the facet and is rejected exactly.  A vanishing projected gradient is converged, unless
     the cap binds alone with a negative multiplier; then, as when nothing
     binds, free steps resume, and an accepted free step ends the
     linearizing.  A failed step ends the solve, unless it is a free step
@@ -368,11 +370,11 @@ def _active_set_newton(sp: _Support, v: np.ndarray, t: np.ndarray, cur: float):
             break
         g, H = got
         if clamped:
-            Au = np.unique(act[0], axis=0)
-            lam = np.linalg.lstsq(Au.T, -g, rcond=None)[0]
-            pg = g + Au.T @ lam
+            A = act[0]
+            lam = np.linalg.lstsq(A.T, -g, rcond=None)[0]
+            pg = g + A.T @ lam
             if float(np.max(np.abs(pg))) > _FACET_TOL * max(1.0, float(np.max(np.abs(g)))):
-                d = _null_space_step(Au, g, H)
+                d = _null_space_step(A, g, H)
             elif act[1] and lam[0] < -_FACET_TOL:
                 clamped = False  # the cap does not bind at the optimum
             else:
