@@ -18,7 +18,6 @@ replicates are independent streams.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import json
@@ -396,6 +395,8 @@ class CoverageResult:
         )
 
     def to_csv(self, path):
+        import csv  # only the CSV writer needs it; the package import skips it
+
         cols = [
             "replicate", "error", "radius", "hit", "spt_hat", "c_r", "kappa_r",
             "mu", "budget_ok", "fit_error",
