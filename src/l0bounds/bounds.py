@@ -258,8 +258,8 @@ class BoundsReport:
             raise ValueError("need spt_size >= 0 and n >= 1")
         return self.kappa_r * math.sqrt(spt_size / n)
 
-    def to_json(self) -> str:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "theorem": self.theorem,
             "c1": self.c1,
             "c2": self.c2,
@@ -273,7 +273,9 @@ class BoundsReport:
                 for k, v in self.inputs.items()
             },
         }
-        return json.dumps(out, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _assemble(theorem, c1v, c2v, dm, q, K, tail, inputs) -> BoundsReport:

@@ -160,7 +160,7 @@ def _cmd_bounds(args, cfg: dict) -> dict:
         )
     else:
         raise ConfigError(f"unknown theorem {theorem!r}")
-    return json.loads(rep.to_json())
+    return rep.to_dict()
 
 
 def _cmd_fit(args, cfg: dict) -> dict:
@@ -190,6 +190,7 @@ def _cmd_fit(args, cfg: dict) -> dict:
         "loss": res.loss_value,
         "tie_break_applied": res.tie_break_applied,
         "n_supports": res.n_supports,
+        "supports_solved": len(res.records),
     }
 
 
@@ -203,7 +204,7 @@ def _cmd_coverage(args, cfg: dict) -> dict:
     result = harness.run_coverage(ecfg)
     if args.out:
         result.to_csv(Path(args.out) / "coverage.csv")
-    return json.loads(result.to_json())
+    return result.to_dict()
 
 
 def _cmd_grid(args, cfg: dict) -> dict:
@@ -211,7 +212,7 @@ def _cmd_grid(args, cfg: dict) -> dict:
     f = parse_block(cfg, "link", analytic.LINKS)
     D = parse_domain(_need(cfg, "domain"))
     G = grids.build_grid(dm, f, D, b_rule=parse_b_rule(cfg))
-    return json.loads(G.to_json())
+    return G.to_dict()
 
 
 def _cmd_verify(args, cfg: dict) -> dict:
@@ -293,7 +294,7 @@ def main(argv=None) -> int:
     out_dir = Path(args.out) if args.out else Path.cwd()
     out_path = out_dir / outname
     with open(out_path, "w") as fh:
-        json.dump(result, fh, indent=2, default=str)
+        fh.write(json.dumps(result, indent=2, default=str))
         fh.write("\n")
     if not args.quiet:
         summary = {

@@ -22,6 +22,14 @@ rows with v, and those images serve the domain test, the loss, the
 derivatives and the binding constraints of the accepted point; no work per
 trial scales with n.  ``fit`` rechecks the winner's objective on all n rows.
 
+The same grouping bounds least squares from below: on the group rows the
+loss is W_S + sum_g m_g (ybar_g - f(t_g))^2, so no point on S goes below
+the within-group sum of squares W_S.  ``fit`` forms that floor (less a
+rounding margin) from two bincounts on S's level key and skips every
+support whose floor plus penalty cannot beat the incumbent.  On a
+continuous column every group is one row and the floor is 0, so the test
+is the size prune's, made per support.
+
 Determinism: enumeration order is itertools.combinations, all tie-breaking
 is lexicographic, and no randomness enters anywhere, so refitting the same
 inputs is bit-for-bit reproducible.
@@ -149,35 +157,90 @@ class _Rows:
         return np.bincount(self.inv, weights=self.prob.working_response, minlength=self.m.size)
 
 
-def _group_rows(prob: FitProblem, S: list):
-    """Group the rows by their image under X_S: (inv, m, rep), rep holding
-    one row of each group.  The key is mixed-radix over the columns' level
-    codes, re-ranked whenever its range passes n, so no row is sorted unless
-    the levels multiply past n; groups come in key order (lexicographic in
-    the column values).  A column with n levels (any continuous one) already
-    makes every row its own group, so the groups are the rows in row order
-    and the re-ranking sort, which would add 4-10% to a gaussian design's
-    fit, is skipped."""
+def _level_key(prob: FitProblem, S: tuple | list):
+    """(key, radix) with 0 <= key < radix <= n, where rows i, i' have equal
+    images under X_S exactly when key[i] == key[i'].  The key is mixed-radix
+    over the columns' level codes (lexicographic in the column values),
+    re-ranked whenever its range passes n, so no row is sorted unless the
+    levels multiply past n.  None when a column of S has n levels (any
+    continuous one does): every row is then its own group, and the
+    re-ranking sort, which would add 4-10% to a gaussian design's fit, is
+    skipped."""
     codes, levels = prob.level_codes
     n = prob.X.n
-    if S and int(np.max(levels[S])) == n:
-        inv = np.arange(n)
-        return inv, np.ones(n), inv
-    key, radix = np.zeros(n, dtype=np.intp), 1
-    for j in S:
+    if not S:
+        return np.zeros(n, dtype=np.intp), 1
+    if max(levels[j] for j in S) == n:
+        return None
+    key, radix = codes[S[0]], int(levels[S[0]])
+    for j in S[1:]:
         key = key * levels[j] + codes[j]
         radix *= int(levels[j])
         if radix > n:
             uniq, key = np.unique(key, return_inverse=True)
             radix = uniq.size
+    return key, radix
+
+
+def _group_rows(prob: FitProblem, S: list):
+    """Group the rows by their image under X_S: (inv, m, rep), rep holding
+    one row of each group.  Groups come in key order (``_level_key``), or
+    are the rows in row order when every row is its own group."""
+    keyed = _level_key(prob, S)
+    if keyed is None:
+        inv = np.arange(prob.X.n)
+        return inv, np.ones(inv.size), inv
+    key, radix = keyed
     counts = np.bincount(key, minlength=radix)
     present = np.flatnonzero(counts)
     rank = np.zeros(radix, dtype=np.intp)
     rank[present] = np.arange(present.size)
     inv = rank[key]
     rep = np.empty(present.size, dtype=np.intp)
-    rep[inv] = np.arange(n)  # the rows of a group are equal on S: any one serves
+    rep[inv] = np.arange(key.size)  # the rows of a group are equal on S: any one serves
     return inv, counts[present].astype(float), rep
+
+
+def _lse_floors(prob: FitProblem):
+    """S -> a lower bound on the least-squares loss, as ``_lse_value``
+    computes it, of every point on the support S.
+
+    On the group rows of S the loss is W_S + sum_g m_g (ybar_g - f(t_g))^2,
+    so no point on S goes below the within-group sum of squares
+    W_S = sum_i y_i^2 - sum_g Y_g^2 / m_g, formed here from the counts and
+    sums on S's level key.  A column with n levels makes every group a
+    single row, and the floor is 0.
+
+    Rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3;
+    u = eps/2, gamma_k = k u / (1 - k u), Q = sum_i y_i^2, G <= n groups):
+    y'y is within gamma_n Q of Q; each Y_g within gamma_n A_g of its value,
+    A_g = sum over the group of |y_i|, and A_g^2 / m_g <= the group's sum
+    of y_i^2 (Cauchy-Schwarz), so the computed sum_g Y_g (Y_g / m_g) is
+    within (gamma_(G+1) (1 + gamma_n)^2 + gamma_n (2 + gamma_n)) Q of its
+    value, and the difference, rounded once more, lies within about
+    (4n + 3) u Q of W_S.  ``_Rows.W`` sums the rounded squares of
+    y_i - ybar_g with a rounded ybar_g; the exact sum E is >= W_S (the mean
+    minimizes it) and <= (1 + gamma_(n+1)^2) Q, and the computed one is
+    >= (1 - gamma_(n+2)) E, so at most about (n + 2) u Q below W_S.  The
+    margin 4 (n + 2) eps Q = 8 (n + 2) u Q exceeds both together with their
+    second-order terms.  ``_lse_value`` adds a rounded sum of nonnegative
+    terms to W, and rounding is monotone, so the floor never exceeds the
+    loss it reports.
+    """
+    y = prob.y
+    yy = float(y @ y)
+    margin = 4.0 * (y.size + 2) * np.finfo(float).eps * yy
+
+    def floor(S: tuple) -> float:
+        keyed = _level_key(prob, S)
+        if keyed is None:
+            return 0.0
+        key = keyed[0]
+        Y = np.bincount(key, weights=y)
+        # an empty group has Y_g = 0 exactly, so dividing it by 1 adds 0
+        return yy - float(Y @ (Y / np.maximum(np.bincount(key), 1))) - margin
+
+    return floor
 
 
 def _mle_value(prob: FitProblem, rows: _Rows, t: np.ndarray) -> float:
@@ -448,9 +511,16 @@ def fit(prob: FitProblem) -> FitResult:
 
     Support sizes are visited in increasing order; once the penalty alone
     (plus an exact lower bound on the loss) can no longer beat the
-    incumbent, the remaining sizes are skipped.  The prune is exact, so the
-    reported minimizer is the same as under full enumeration; pruned
-    supports simply do not appear in ``records``.
+    incumbent, the remaining sizes are skipped.  Least squares also skips
+    each support S whose within-group sum of squares (``_lse_floors``: a
+    floor on every loss on S, less an explicit rounding margin) plus
+    c_r |S| exceeds the incumbent by more than the tie tolerance.  Both
+    prunes are exact, so the reported minimizer is the same as under full
+    enumeration; pruned supports simply do not appear in ``records``.  The
+    caveat both share: they charge a support c_r |S|, while a solve that
+    returns exact zeros is charged only for its nonzeros, so a pruned S
+    could have returned such a point; it lies on a smaller support, and the
+    result is exact when that support's own solve does at least as well.
 
     Raises
     ------
@@ -464,8 +534,12 @@ def fit(prob: FitProblem) -> FitResult:
     total = sum(math.comb(p, k) for k in range(h + 1))
     if total > _ENUM_BUDGET:
         raise ValueError("enumeration budget exceeded (more than 1e6 supports)")
-    # exact lower bound on the unpenalized loss over all u
-    loss_floor = prob.family.loss_floor(prob.y) if prob.loss == "mle" else 0.0
+    # exact lower bounds on the unpenalized loss: over all u, and for least
+    # squares over the points on each support
+    if prob.loss == "mle":
+        loss_floor, support_floor = prob.family.loss_floor(prob.y), None
+    else:
+        loss_floor, support_floor = 0.0, _lse_floors(prob)
     records = []
     candidates = []  # (objective, sparsity, support, u, loss)
     incumbent = math.inf
@@ -474,6 +548,9 @@ def fit(prob: FitProblem) -> FitResult:
         if candidates and loss_floor + prob.c_r * k > incumbent + _TIE_TOL:
             break
         for S in itertools.combinations(range(p), k):
+            # exact prune: no point on S can beat the incumbent
+            if support_floor and support_floor(S) + prob.c_r * k > incumbent + _TIE_TOL:
+                continue
             got = inner_solve(prob, S)
             if got is None:
                 records.append(SupportRecord(S, math.inf, False, False, False))

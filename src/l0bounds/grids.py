@@ -107,7 +107,7 @@ class CoveringGrid:
             self._A = np.concatenate(([0.0], np.max(self.f.abs_coeff_table(K, flat), axis=1)))
         return self._A[: K + 1]
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         r = self.r_values()
         entries = [
             {
@@ -118,18 +118,18 @@ class CoveringGrid:
             }
             for i in range(len(self))
         ]
-        return json.dumps(
-            {
-                # one construction; both keys keep the JSON layout
-                "construction": "per_support_box",
-                "case": 1,
-                "d": self.d,
-                "cardinality_bound": self.cardinality_bound,
-                "size": len(self),
-                "points": entries,
-            },
-            indent=2,
-        )
+        return {
+            # one construction; both keys keep the JSON layout
+            "construction": "per_support_box",
+            "case": 1,
+            "d": self.d,
+            "cardinality_bound": self.cardinality_bound,
+            "size": len(self),
+            "points": entries,
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def build_grid(X, f: AnalyticFn, D: DomainSpec, b_rule: tuple = ("half_radius",)) -> CoveringGrid:

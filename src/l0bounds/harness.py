@@ -376,23 +376,23 @@ class CoverageResult:
     n_fit_errors: int
     budget_ok_frac: float
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         cfg = {k: getattr(self.config, k) for k in self.config.__dataclass_fields__}
         cfg["c_r"] = str(cfg["c_r"])
-        return json.dumps(
-            {
-                "config": cfg,
-                "coverage": self.coverage,
-                "wilson_lo": self.wilson_lo,
-                "wilson_hi": self.wilson_hi,
-                "target": self.target,
-                "passed": self.passed,
-                "n_fit_errors": self.n_fit_errors,
-                "budget_ok_frac": self.budget_ok_frac,
-                "replicates": len(self.rows),
-            },
-            indent=2,
-        )
+        return {
+            "config": cfg,
+            "coverage": self.coverage,
+            "wilson_lo": self.wilson_lo,
+            "wilson_hi": self.wilson_hi,
+            "target": self.target,
+            "passed": self.passed,
+            "n_fit_errors": self.n_fit_errors,
+            "budget_ok_frac": self.budget_ok_frac,
+            "replicates": len(self.rows),
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def to_csv(self, path):
         import csv  # only the CSV writer needs it; the package import skips it

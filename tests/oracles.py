@@ -1,9 +1,9 @@
 """Independent test oracles: seeded domain members, segment-hull samples,
 the covering check of a grid against such samples, Taylor partial sums,
-the column-separability inequality and the multinomial weight identity.
-The library never calls these; the acceptance criteria and unit tests use
-them to check covers, series and the bounds' design assumptions from
-outside.
+the column-separability inequality, the multinomial weight identity and a
+full-enumeration fit.  The library never calls these; the acceptance
+criteria and unit tests use them to check covers, series, the bounds'
+design assumptions and the estimator's prunes from outside.
 """
 
 import itertools
@@ -11,8 +11,9 @@ import math
 
 import numpy as np
 
-from l0bounds import coherence, in_domain, weighted_l1_norm
+from l0bounds import coherence, in_domain, inner_solve, weighted_l1_norm
 from l0bounds.design import _as_design
+from l0bounds.estimator import _TIE_TOL
 
 
 def sample_domain(D, X, size: int, seed: int, support_size=None) -> list:
@@ -172,3 +173,28 @@ def multinomial_identity_gap(x, k: int) -> float:
             lhs += term
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return worst
+
+
+def full_enumeration_fit(prob) -> tuple:
+    """The L0 fit without any prune: ``inner_solve`` on every support up to
+    the domain's budget, then ``fit``'s argmin and tie rule (objectives
+    within the tie tolerance of the best tie; the smaller, then
+    lexicographically earlier support wins).
+
+    Returns (support, objective, beta_hat, tie_break_applied, solved), solved
+    mapping each support to its ``inner_solve`` result (None if infeasible).
+    """
+    p = prob.X.p
+    h = math.floor(min(p, prob.domain.max_support))
+    solved, candidates = {}, []
+    for k in range(h + 1):
+        for S in itertools.combinations(range(p), k):
+            got = solved[S] = inner_solve(prob, S)
+            if got is not None:
+                u, lval = got[0], got[1]
+                support = tuple(int(j) for j in np.nonzero(u)[0])
+                candidates.append((lval + prob.c_r * len(support), len(support), support, u))
+    best = min(c[0] for c in candidates)
+    tied = sorted((c for c in candidates if c[0] <= best + _TIE_TOL), key=lambda c: (c[1], c[2], c[0]))
+    obj, _, support, u = tied[0]
+    return support, obj, u, len({c[2] for c in tied}) > 1, solved

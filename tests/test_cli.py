@@ -13,8 +13,10 @@ from l0bounds import (
     Interval,
     analytic,
     bernoulli,
+    bounds,
     expfam,
     fit,
+    grids,
     harness,
     logistic_flip,
 )
@@ -563,6 +565,7 @@ def test_fit_loss_follows_from_the_model_block(tmp_path, capsys):
         got = json.loads((tmp_path / "fit.json").read_text())
         want = fit(FitProblem(y=yfit, X=dm, domain=D, c_r=0.05, **model))
         assert got["objective"] == want.objective and got["loss"] == want.loss_value
+        assert got["supports_solved"] == len(want.records) <= got["n_supports"]
         assert got["support"] == list(want.support) == [1, 3]
     both = {**base, "link": LINK_BLOCK, "family": {"tag": "bernoulli"}}
     for bad in (both, base):
@@ -579,3 +582,28 @@ def test_fit_support_budget_nan_rejected_inf_enumerates_all(tmp_path, budget, ex
     assert main(argv) == exit_code
     if exit_code == 0:
         assert json.loads((tmp_path / "fit.json").read_text())["n_supports"] == 2**4
+
+
+@pytest.mark.parametrize(
+    "command,cls,cfg",
+    [
+        ("bounds", bounds.BoundsReport, SCALAR_BASE["bounds"]),
+        ("grid", grids.CoveringGrid, SCALAR_BASE["grid"]),
+        ("coverage", harness.CoverageResult, {"n": 30, "p": 5, "spt_size": 1, "replicates": 5, "seed": 11}),
+    ],
+)
+def test_json_file_is_the_to_json_text(tmp_path, monkeypatch, command, cls, cfg):
+    # the CLI writes the result's dict once; the file is byte for byte what
+    # a round trip through to_json and json.loads wrote before
+    made = []
+    to_dict = cls.to_dict
+
+    def recorded(self):
+        made.append(self)
+        return to_dict(self)
+
+    monkeypatch.setattr(cls, "to_dict", recorded)
+    path = _write(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path), "--quiet"]) == 0
+    want = json.dumps(json.loads(made[0].to_json()), indent=2, default=str) + "\n"
+    assert (tmp_path / f"{command}.json").read_text() == want

@@ -16,10 +16,12 @@ from l0bounds import (
     bernoulli,
     fit,
     gaussian,
+    harness,
     inner_solve,
     linear,
     logistic_flip,
 )
+from oracles import full_enumeration_fit
 
 
 def _wide(budget=3):
@@ -98,7 +100,9 @@ def test_ridge_working_response_is_built_once_per_problem(monkeypatch, loss, bui
     D = DomainSpec(Interval(-3.0, 3.0), max_support=2.0, l1inf_cap=3.0)
     model = {"family": bernoulli()} if loss == "mle" else {"link": logistic_flip(0.1, 0.9)}
     res = fit(FitProblem(y=y, X=X, domain=D, c_r=0.5, **model))
-    assert len(res.records) == 16
+    # several nonempty supports are solved (least squares prunes the rest),
+    # yet the working response is built at most once
+    assert sum(1 for r in res.records if r.support) > 1
     assert len(calls) == builds
 
 
@@ -796,3 +800,90 @@ def test_inner_solve_losses_match_the_per_row_recomputation(design, loss):
                 r = y - prob.link(t)
                 want = float(r @ r)
             assert lval == pytest.approx(want, rel=1e-12), S
+
+
+@pytest.mark.parametrize("twin", [False, True])
+@pytest.mark.parametrize("c_r", [0.0, 0.5, 1.0, 5.0])
+@pytest.mark.parametrize("design,loss", GROUPING_CASES)
+def test_fit_equals_full_enumeration(design, loss, c_r, twin):
+    # the prunes skip supports, never the answer: support, objective,
+    # beta_hat and the tie flag are those of solving every support, and each
+    # record is its support's own solve; a twin of column 1 makes exact ties
+    rng = np.random.default_rng(34)
+    prob = _grouping_problem(design, loss, 90, 5, rng)(c_r)
+    if twin:
+        Xm = prob.X.X.copy()
+        Xm[:, 4] = Xm[:, 1]
+        prob = FitProblem(
+            y=prob.y, X=DesignMatrix(Xm), domain=prob.domain, c_r=c_r,
+            family=prob.family, link=prob.link,
+        )
+    res = fit(prob)
+    support, obj, u, tie, solved = full_enumeration_fit(prob)
+    assert res.support == support
+    assert res.objective.hex() == obj.hex()
+    assert res.beta_hat.tobytes() == u.tobytes()
+    assert res.tie_break_applied == tie
+    for rec in res.records:
+        got = solved[rec.support]
+        assert rec.feasible == (got is not None)
+        if got is not None:
+            assert (rec.loss, rec.converged, rec.boundary_clamped) == got[1:], rec.support
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_least_squares_floor_is_below_every_loss_on_its_support(scale):
+    from l0bounds.estimator import _lse_floors
+
+    rng = np.random.default_rng(35)
+    n = 60
+    Xm = np.column_stack([
+        rng.choice([-1.0, 1.0], n),
+        rng.integers(0, 2, n).astype(float),
+        rng.integers(0, 25, n).astype(float),  # many singleton groups
+        rng.integers(0, 12, n).astype(float),  # with the column before: levels multiply past n
+        rng.standard_normal(n),  # n levels: every row its own group
+    ])
+    f = logistic_flip(0.1, 0.9)
+    y = scale * (f(0.5 * Xm[:, 0]) + rng.normal(0.0, 0.3, n))
+    D = DomainSpec(Interval(-1.2, 1.2), max_support=3.0, l1inf_cap=1.2)
+    prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=D, c_r=0.0, link=f)
+    floor = _lse_floors(prob)
+    for k in range(4):
+        for S in itertools.combinations(range(5), k):
+            # two-pass within-group sum of squares over the distinct rows of X_S
+            inv = np.unique(Xm[:, list(S)], axis=0, return_inverse=True)[1] if k else np.zeros(n, int)
+            W = sum(float(np.sum((y[inv == g] - y[inv == g].mean()) ** 2)) for g in range(inv.max() + 1))
+            got = inner_solve(prob, S)
+            assert got is not None
+            assert floor(S) <= W, S
+            assert floor(S) <= got[1], S
+            assert floor(S) >= W - 1e-9 * float(y @ y), S  # below W by the rounding margin only
+
+
+def test_least_squares_prune_keeps_exact_ties():
+    # a noiseless fit on a +-1 column and on its twin: both supports reach
+    # their floor (loss 0), and the prune still solves the twin, so the tie
+    # is seen and broken toward the earlier column
+    rng = np.random.default_rng(36)
+    col = rng.choice([-1.0, 1.0], 40)
+    X = DesignMatrix(np.column_stack([col, rng.choice([-1.0, 1.0], 40), col]))
+    f = logistic_flip(0.1, 0.9)
+    D = DomainSpec(Interval(-3.0, 3.0), max_support=2.0, l1inf_cap=3.0)
+    res = fit(FitProblem(y=f(0.8 * col), X=X, domain=D, c_r=0.5, link=f))
+    assert res.support == (0,)
+    assert res.tie_break_applied
+    assert (2,) in {r.support for r in res.records}
+
+
+def test_least_squares_prune_solves_few_supports_of_a_flip_enum_instance():
+    # n=400, p=15, +-1 design, c_r=1, budget 2: the within-group floors rule
+    # out nearly all of the 121 supports without solving them
+    cfg = harness.ExperimentConfig(
+        n=400, p=15, spt_size=2, model="flip", p01=0.1, p11=0.9, design="pm1_iid",
+        interval_halfwidth=3.0, c_r=1.0, replicates=1, seed=1,
+    )
+    inst = harness.generate_instance(cfg, 0)
+    res = fit(FitProblem(y=inst.y, X=inst.X, domain=inst.domain, c_r=1.0, link=cfg.link_obj()))
+    assert res.n_supports == 121
+    assert len(res.records) < 0.1 * res.n_supports
