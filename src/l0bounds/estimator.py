@@ -24,15 +24,18 @@ trial scales with n.  ``fit`` rechecks the winner's objective on all n rows.
 
 The same grouping bounds least squares from below: on the group rows the
 loss is W_S + sum_g m_g (ybar_g - f(t_g))^2, so no point on S goes below
-the within-group sum of squares W_S.  ``fit`` forms that floor (less a
-rounding margin) from two bincounts on S's level key and skips every
-support whose floor plus penalty cannot beat the incumbent.  On a
-continuous column every group is one row and the floor is 0, so the test
-is the size prune's, made per support.
+the within-group sum of squares W_S.  ``fit`` forms the floors (less a
+rounding margin) of all supports of one size in a single level pass, two
+bincounts over their stacked level keys, solves the level in ascending
+floor order and stops it at the first support whose floor plus penalty
+cannot beat the incumbent.  On a continuous column every group is one row
+and the floor is 0, so the test is the size prune's.
 
-Determinism: enumeration order is itertools.combinations, all tie-breaking
-is lexicographic, and no randomness enters anywhere, so refitting the same
-inputs is bit-for-bit reproducible.
+Determinism: each level is solved in ascending floor order (the likelihood,
+with no floor, in itertools.combinations order), equal floors in
+combinations order; records come in enumeration order, by size and then
+lexicographically; all tie-breaking is lexicographic, and no randomness
+enters anywhere, so refitting the same inputs is bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,7 +99,7 @@ class FitProblem:
     @functools.cached_property
     def working_response(self) -> np.ndarray:
         """The response every support's ridge start regresses on X_S."""
-        return _LOSSES[self.loss][2](self)
+        return _LOSSES[self.loss].working_response(self)
 
     @functools.cached_property
     def level_codes(self) -> tuple:
@@ -162,7 +167,9 @@ def _level_key(prob: FitProblem, S: tuple | list):
     images under X_S exactly when key[i] == key[i'].  The key is mixed-radix
     over the columns' level codes (lexicographic in the column values),
     re-ranked whenever its range passes n, so no row is sorted unless the
-    levels multiply past n.  None when a column of S has n levels (any
+    levels multiply past n (``_level_keys`` builds the same keys for a batch
+    of supports, at about 10 us more per support than this loop, which every
+    solve would pay).  None when a column of S has n levels (any
     continuous one does): every row is then its own group, and the
     re-ranking sort, which would add 4-10% to a gaussian design's fit, is
     skipped."""
@@ -201,46 +208,89 @@ def _group_rows(prob: FitProblem, S: list):
     return inv, counts[present].astype(float), rep
 
 
-def _lse_floors(prob: FitProblem):
-    """S -> a lower bound on the least-squares loss, as ``_lse_value``
-    computes it, of every point on the support S.
+def _level_keys(prob: FitProblem, supports: np.ndarray):
+    """(keys, radix) for a (B, k) array of supports, k >= 1, none of them
+    holding a column with n levels: rows i, i' have equal images under X_S,
+    S = supports[b], exactly when keys[b, i] == keys[b, i'], and
+    0 <= keys[b] < radix[b] <= n.  The keys are mixed-radix over the
+    columns' level codes (lexicographic in the column values).  Supports
+    whose radix passes n are re-ranked together: one sort over their keys,
+    each support's offset past the one before, so no row is sorted unless
+    the levels multiply past n."""
+    codes, levels = prob.level_codes
+    n = prob.X.n
+    first = supports[:, 0]
+    keys, radix = codes[first], levels[first]  # copies: updated in place below
+    for j in supports.T[1:]:
+        keys *= levels[j][:, None]
+        keys += codes[j]
+        radix *= levels[j]
+        over = np.flatnonzero(radix > n)
+        if over.size:
+            offset = np.arange(over.size) * radix[over].max()
+            uniq, rank = np.unique((keys[over] + offset[:, None]).ravel(), return_inverse=True)
+            base = np.searchsorted(uniq, offset)
+            keys[over] = rank.reshape(over.size, n) - base[:, None]
+            radix[over] = np.diff(base, append=uniq.size)
+    return keys, radix
+
+
+_PASS_CELLS = 1 << 14  # keys per chunk of a level pass: 128 KB of them
+
+
+def _lse_level_floors(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
+    """A lower bound on the least-squares loss, as ``_lse_value`` computes
+    it, of every point on each support of a (B, k) array, k >= 1.
 
     On the group rows of S the loss is W_S + sum_g m_g (ybar_g - f(t_g))^2,
     so no point on S goes below the within-group sum of squares
-    W_S = sum_i y_i^2 - sum_g Y_g^2 / m_g, formed here from the counts and
-    sums on S's level key.  A column with n levels makes every group a
-    single row, and the floor is 0.
+    W_S = sum_i y_i^2 - sum_g Y_g^2 / m_g.  One pass prices a chunk of
+    supports at once: their keys (``_level_keys``), each offset past the one
+    before, go through two bincounts (m_g and Y_g of every group of the
+    chunk) and one segmented sum of Y_g (Y_g / m_g) per support.  Chunks
+    hold at most ``_PASS_CELLS`` keys, so no temporary grows with the level.
+    A support with an n-level column makes every group a single row, and
+    its floor is 0.
 
     Rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3;
-    u = eps/2, gamma_k = k u / (1 - k u), Q = sum_i y_i^2, G <= n groups):
+    u = eps/2, gamma_k = k u / (1 - k u), Q = sum_i y_i^2, G <= n groups).
+    Recursive summation of N terms in any order, blocked or pairwise
+    included, is within gamma_(N-1) of the sum of their absolute values,
+    so none of the bounds below depends on the order the pass sums in.
     y'y is within gamma_n Q of Q; each Y_g within gamma_n A_g of its value,
     A_g = sum over the group of |y_i|, and A_g^2 / m_g <= the group's sum
-    of y_i^2 (Cauchy-Schwarz), so the computed sum_g Y_g (Y_g / m_g) is
-    within (gamma_(G+1) (1 + gamma_n)^2 + gamma_n (2 + gamma_n)) Q of its
-    value, and the difference, rounded once more, lies within about
-    (4n + 3) u Q of W_S.  ``_Rows.W`` sums the rounded squares of
-    y_i - ybar_g with a rounded ybar_g; the exact sum E is >= W_S (the mean
-    minimizes it) and <= (1 + gamma_(n+1)^2) Q, and the computed one is
-    >= (1 - gamma_(n+2)) E, so at most about (n + 2) u Q below W_S.  The
-    margin 4 (n + 2) eps Q = 8 (n + 2) u Q exceeds both together with their
+    of y_i^2 (Cauchy-Schwarz); each term Y_g (Y_g / m_g) takes two more
+    roundings, so the computed segment sum is within
+    (gamma_(G+1) (1 + gamma_n)^2 + gamma_n (2 + gamma_n)) Q of its value,
+    and the difference, rounded once more, lies within about (4n + 3) u Q
+    of W_S.  ``_Rows.W`` sums the rounded squares of y_i - ybar_g with a
+    rounded ybar_g; the exact sum E is >= W_S (the mean minimizes it) and
+    <= (1 + gamma_(n+1)^2) Q, and the computed one is >= (1 - gamma_(n+2)) E,
+    so at most about (n + 2) u Q below W_S.  The margin
+    4 (n + 2) eps Q = 8 (n + 2) u Q exceeds both together with their
     second-order terms.  ``_lse_value`` adds a rounded sum of nonnegative
     terms to W, and rounding is monotone, so the floor never exceeds the
     loss it reports.
     """
-    y = prob.y
+    levels = prob.level_codes[1]
+    n, y = prob.X.n, prob.y
     yy = float(y @ y)
-    margin = 4.0 * (y.size + 2) * np.finfo(float).eps * yy
-
-    def floor(S: tuple) -> float:
-        keyed = _level_key(prob, S)
-        if keyed is None:
-            return 0.0
-        key = keyed[0]
-        Y = np.bincount(key, weights=y)
+    margin = 4.0 * (n + 2) * np.finfo(float).eps * yy
+    floors = np.zeros(len(supports))
+    grouped = np.flatnonzero(levels[supports].max(axis=1) < n)
+    chunk = max(1, _PASS_CELLS // n)
+    weights = np.tile(y, min(chunk, grouped.size))
+    for lo in range(0, grouped.size, chunk):
+        b = grouped[lo:lo + chunk]
+        keys, radix = _level_keys(prob, supports[b])
+        start = np.cumsum(radix) - radix
+        keys += start[:, None]
+        cells = keys.ravel()
+        m = np.bincount(cells, minlength=int(start[-1] + radix[-1]))
+        Y = np.bincount(cells, weights=weights[:cells.size], minlength=m.size)
         # an empty group has Y_g = 0 exactly, so dividing it by 1 adds 0
-        return yy - float(Y @ (Y / np.maximum(np.bincount(key), 1))) - margin
-
-    return floor
+        floors[b] = yy - np.add.reduceat(Y * (Y / np.maximum(m, 1)), start) - margin
+    return floors
 
 
 def _mle_value(prob: FitProblem, rows: _Rows, t: np.ndarray) -> float:
@@ -291,13 +341,23 @@ def _lse_working_response(prob: FitProblem) -> np.ndarray:
     return (prob.y - f0) / fp0 if abs(fp0) > 1e-8 else prob.y - f0
 
 
-# Per loss: value on the images t of grouped rows, (gradient, Hessian) on a
-# support, working response of the ridge start, and whether the zero start is
-# kept beside the ridge start (least squares is not convex, so it keeps the
-# better of two).
+class _Loss(NamedTuple):
+    """Per loss: value on the images t of grouped rows, (gradient, Hessian)
+    on a support, working response of the ridge start, whether the zero
+    start is kept beside the ridge start (least squares is not convex, so it
+    keeps the better of two), and the floors of a level of supports (None:
+    the likelihood has none, and ``fit`` solves its levels in order)."""
+
+    value: Callable
+    grad_hess: Callable
+    working_response: Callable
+    two_starts: bool
+    level_floors: Callable | None
+
+
 _LOSSES = {
-    "mle": (_mle_value, _mle_grad_hess, _mle_working_response, False),
-    "lse": (_lse_value, _lse_grad_hess, _lse_working_response, True),
+    "mle": _Loss(_mle_value, _mle_grad_hess, _mle_working_response, False, None),
+    "lse": _Loss(_lse_value, _lse_grad_hess, _lse_working_response, True, _lse_level_floors),
 }
 
 
@@ -309,14 +369,15 @@ class _Support:
     images X_S v without their repeats."""
 
     def __init__(self, prob: FitProblem, S: tuple):
-        value, gh, _, self.two_starts = _LOSSES[prob.loss]
+        loss = _LOSSES[prob.loss]
+        self.two_starts = loss.two_starts
         self.prob, self.S = prob, list(S)
         inv, m, rep = _group_rows(prob, self.S)
         self.rows = _Rows(prob, inv, m)
         self.Xs = prob.X.X[:, self.S].T.take(rep, axis=1).T  # column-major, like X[:, S]
         self.w = prob.X.column_norms(math.inf)[self.S]
-        self.value = functools.partial(value, prob, self.rows)
-        self.grad_hess = functools.partial(gh, prob, self.rows, self.Xs)
+        self.value = functools.partial(loss.value, prob, self.rows)
+        self.grad_hess = functools.partial(loss.grad_hess, prob, self.rows, self.Xs)
 
     def admits(self, v: np.ndarray, t: np.ndarray) -> bool:
         return self.prob.domain.admits(v, t, self.w)
@@ -511,13 +572,18 @@ def fit(prob: FitProblem) -> FitResult:
 
     Support sizes are visited in increasing order; once the penalty alone
     (plus an exact lower bound on the loss) can no longer beat the
-    incumbent, the remaining sizes are skipped.  Least squares also skips
-    each support S whose within-group sum of squares (``_lse_floors``: a
-    floor on every loss on S, less an explicit rounding margin) plus
-    c_r |S| exceeds the incumbent by more than the tie tolerance.  Both
+    incumbent, the remaining sizes are skipped.  Least squares prices every
+    support of a size k >= 1 in one level pass (``_lse_level_floors``: the
+    within-group sum of squares, a floor on every loss on S, less an
+    explicit rounding margin), solves the level in ascending floor order
+    (a stable sort: equal floors keep combinations order), and stops it at
+    the first support whose floor plus c_r k exceeds the incumbent by more
+    than the tie tolerance; every later one fails the same test.  Both
     prunes are exact, so the reported minimizer is the same as under full
-    enumeration; pruned supports simply do not appear in ``records``.  The
-    caveat both share: they charge a support c_r |S|, while a solve that
+    enumeration; pruned supports simply do not appear in ``records``, which
+    lists the solved ones in enumeration order (by size, then
+    lexicographically) whatever order they were solved in.  The caveat
+    both prunes share: they charge a support c_r |S|, while a solve that
     returns exact zeros is charged only for its nonzeros, so a pruned S
     could have returned such a point; it lies on a smaller support, and the
     result is exact when that support's own solve does at least as well.
@@ -534,12 +600,9 @@ def fit(prob: FitProblem) -> FitResult:
     total = sum(math.comb(p, k) for k in range(h + 1))
     if total > _ENUM_BUDGET:
         raise ValueError("enumeration budget exceeded (more than 1e6 supports)")
-    # exact lower bounds on the unpenalized loss: over all u, and for least
-    # squares over the points on each support
-    if prob.loss == "mle":
-        loss_floor, support_floor = prob.family.loss_floor(prob.y), None
-    else:
-        loss_floor, support_floor = 0.0, _lse_floors(prob)
+    level_floors = _LOSSES[prob.loss].level_floors
+    # an exact lower bound on the unpenalized loss over all u
+    loss_floor = prob.family.loss_floor(prob.y) if prob.loss == "mle" else 0.0
     records = []
     candidates = []  # (objective, sparsity, support, u, loss)
     incumbent = math.inf
@@ -547,20 +610,31 @@ def fit(prob: FitProblem) -> FitResult:
         # exact prune: penalty alone already beats any achievable loss
         if candidates and loss_floor + prob.c_r * k > incumbent + _TIE_TOL:
             break
-        for S in itertools.combinations(range(p), k):
-            # exact prune: no point on S can beat the incumbent
-            if support_floor and support_floor(S) + prob.c_r * k > incumbent + _TIE_TOL:
-                continue
+        count = math.comb(p, k)
+        combos = itertools.chain.from_iterable(itertools.combinations(range(p), k))
+        supports = np.fromiter(combos, dtype=np.intp, count=count * k).reshape(count, k)
+        floors = level_floors(prob, supports) if level_floors and k else None
+        order = range(len(supports)) if floors is None else np.argsort(floors, kind="stable")
+        level = []  # (enumeration index, record, candidate or None)
+        for i in order:
+            # exact prune: no point on this support, nor (the floors ascend)
+            # on any later one of this size, can beat the incumbent
+            if floors is not None and floors[i] + prob.c_r * k > incumbent + _TIE_TOL:
+                break
+            S = tuple(supports[i].tolist())
             got = inner_solve(prob, S)
             if got is None:
-                records.append(SupportRecord(S, math.inf, False, False, False))
+                level.append((i, SupportRecord(S, math.inf, False, False, False), None))
                 continue
             u, lval, conv, clamp = got
             spt = int(np.count_nonzero(u))
             obj = lval + prob.c_r * spt
-            records.append(SupportRecord(S, lval, True, conv, clamp))
-            candidates.append((obj, spt, tuple(int(j) for j in np.nonzero(u)[0]), u, lval))
+            cand = (obj, spt, tuple(int(j) for j in np.nonzero(u)[0]), u, lval)
+            level.append((i, SupportRecord(S, lval, True, conv, clamp), cand))
             incumbent = min(incumbent, obj)
+        level.sort(key=lambda e: e[0])
+        records += [rec for _, rec, _ in level]
+        candidates += [cand for _, _, cand in level if cand is not None]
     if not candidates:
         raise ValueError("empty domain")
     best_obj = min(c[0] for c in candidates)
@@ -572,7 +646,7 @@ def fit(prob: FitProblem) -> FitResult:
     # rows, one per group: an independent check of the grouping
     n = prob.X.n
     rows = _Rows(prob, np.arange(n), np.ones(n))
-    check = _LOSSES[prob.loss][0](prob, rows, prob.X.X @ u) + prob.c_r * int(np.count_nonzero(u))
+    check = _LOSSES[prob.loss].value(prob, rows, prob.X.X @ u) + prob.c_r * int(np.count_nonzero(u))
     if not math.isclose(check, obj, rel_tol=0.0, abs_tol=1e-9 * max(1.0, abs(obj))):
         raise AssertionError("objective recomputation mismatch")
     return FitResult(

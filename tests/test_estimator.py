@@ -86,14 +86,16 @@ def test_lse_noiseless_recovery():
 def test_ridge_working_response_is_built_once_per_problem(monkeypatch, loss, builds):
     from l0bounds import estimator
 
-    value, gh, working_response, two_starts = estimator._LOSSES[loss]
+    working_response = estimator._LOSSES[loss].working_response
     calls = []
 
     def counted(prob):
         calls.append(prob)
         return working_response(prob)
 
-    monkeypatch.setitem(estimator._LOSSES, loss, (value, gh, counted, two_starts))
+    monkeypatch.setitem(
+        estimator._LOSSES, loss, estimator._LOSSES[loss]._replace(working_response=counted)
+    )
     rng = np.random.default_rng(5)
     X = DesignMatrix(rng.choice([-1.0, 1.0], size=(80, 5)))
     y = rng.integers(0, 2, 80).astype(float)
@@ -597,7 +599,7 @@ def test_every_iterate_carries_the_row_images_its_trial_admitted(monkeypatch):
         admitted[id(t)] = t
         return real_admits(self, v, t)
 
-    value, grad_hess, working_response, two_starts = estimator._LOSSES["mle"]
+    grad_hess = estimator._LOSSES["mle"].grad_hess
 
     def counted_grad_hess(*args):
         received["grad_hess"].append(args[-1])
@@ -621,7 +623,7 @@ def test_every_iterate_carries_the_row_images_its_trial_admitted(monkeypatch):
     monkeypatch.setattr(estimator._Support, "__init__", init)
     monkeypatch.setattr(estimator._Support, "admits", admits)
     monkeypatch.setitem(
-        estimator._LOSSES, "mle", (value, counted_grad_hess, working_response, two_starts)
+        estimator._LOSSES, "mle", estimator._LOSSES["mle"]._replace(grad_hess=counted_grad_hess)
     )
     monkeypatch.setattr(estimator, "_active_constraints", active)
     monkeypatch.setattr(estimator, "inner_solve", inner)
@@ -832,8 +834,11 @@ def test_fit_equals_full_enumeration(design, loss, c_r, twin):
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
-def test_least_squares_floor_is_below_every_loss_on_its_support(scale):
-    from l0bounds.estimator import _lse_floors
+def test_least_squares_floor_is_below_every_loss_on_its_support(monkeypatch, scale):
+    # one level pass prices every support of a size; each floor lies below
+    # the two-pass W_S by no more than the rounding margin, and below every
+    # loss inner_solve reaches on the support
+    from l0bounds import estimator
 
     rng = np.random.default_rng(35)
     n = 60
@@ -848,17 +853,65 @@ def test_least_squares_floor_is_below_every_loss_on_its_support(scale):
     y = scale * (f(0.5 * Xm[:, 0]) + rng.normal(0.0, 0.3, n))
     D = DomainSpec(Interval(-1.2, 1.2), max_support=3.0, l1inf_cap=1.2)
     prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=D, c_r=0.0, link=f)
-    floor = _lse_floors(prob)
-    for k in range(4):
-        for S in itertools.combinations(range(5), k):
+    for k in (1, 2, 3):
+        supports = np.array(list(itertools.combinations(range(5), k)))
+        floors = estimator._lse_level_floors(prob, supports)
+        # off the n-level column 4, the batch's keys are each support's own
+        # (re-ranked alike where the levels multiply past n)
+        keyed = [S for S in supports.tolist() if 4 not in S]
+        keys = estimator._level_keys(prob, np.array(keyed))[0]
+        for S, key in zip(keyed, keys):
+            np.testing.assert_array_equal(key, estimator._level_key(prob, S)[0])
+        # chunks of two supports, so every level spans several chunks
+        with monkeypatch.context() as patch:
+            patch.setattr(estimator, "_PASS_CELLS", 2 * n)
+            np.testing.assert_array_equal(estimator._lse_level_floors(prob, supports), floors)
+        for S, floor in zip(map(tuple, supports.tolist()), floors):
             # two-pass within-group sum of squares over the distinct rows of X_S
-            inv = np.unique(Xm[:, list(S)], axis=0, return_inverse=True)[1] if k else np.zeros(n, int)
+            inv = np.unique(Xm[:, list(S)], axis=0, return_inverse=True)[1].ravel()
             W = sum(float(np.sum((y[inv == g] - y[inv == g].mean()) ** 2)) for g in range(inv.max() + 1))
             got = inner_solve(prob, S)
             assert got is not None
-            assert floor(S) <= W, S
-            assert floor(S) <= got[1], S
-            assert floor(S) >= W - 1e-9 * float(y @ y), S  # below W by the rounding margin only
+            assert floor <= W, S
+            assert floor <= got[1], S
+            assert floor >= W - 1e-9 * float(y @ y), S  # below W by the rounding margin only
+
+
+def test_least_squares_solves_each_level_in_floor_order_and_records_it_in_enumeration_order(
+    monkeypatch,
+):
+    # the signal sits mostly on the last column, so ascending floors solve
+    # its supports first, and a narrow domain keeps every fit far from its
+    # floor, so most of them are solved; column 6 twins column 5, so equal
+    # floors meet and keep combinations order; records still come by size,
+    # then lexicographically
+    from l0bounds import estimator
+
+    rng = np.random.default_rng(37)
+    n, p = 200, 7
+    Xm = rng.choice([-1.0, 1.0], size=(n, p))
+    Xm[:, 6] = Xm[:, 5]
+    f = logistic_flip(0.1, 0.9)
+    y = (rng.random(n) < f(1.5 * Xm[:, 5] - 1.0 * Xm[:, 3] + 0.8 * Xm[:, 1])).astype(float)
+    D = DomainSpec(Interval(-0.5, 0.5), max_support=2.0, l1inf_cap=0.5)
+    prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=D, c_r=0.0, link=f)
+    solved = []
+    real_inner = estimator.inner_solve
+
+    def inner(prob, S):
+        solved.append(S)
+        return real_inner(prob, S)
+
+    monkeypatch.setattr(estimator, "inner_solve", inner)
+    res = fit(prob)
+    assert [r.support for r in res.records] == sorted(solved, key=lambda S: (len(S), S))
+    assert solved != sorted(solved, key=lambda S: (len(S), S))
+    for k in (1, 2):
+        level = [S for S in solved if len(S) == k]
+        floors = estimator._lse_level_floors(prob, np.array(level))
+        assert all(a < b or (a == b and S < T) for a, b, S, T in zip(
+            floors, floors[1:], level, level[1:])), level
+    assert solved.index((5,)) < solved.index((6,))
 
 
 def test_least_squares_prune_keeps_exact_ties():
@@ -877,8 +930,8 @@ def test_least_squares_prune_keeps_exact_ties():
 
 
 def test_least_squares_prune_solves_few_supports_of_a_flip_enum_instance():
-    # n=400, p=15, +-1 design, c_r=1, budget 2: the within-group floors rule
-    # out nearly all of the 121 supports without solving them
+    # n=400, p=15, +-1 design, c_r=1, budget 2: solved in ascending floor
+    # order, the within-group floors rule out all but 3 of the 121 supports
     cfg = harness.ExperimentConfig(
         n=400, p=15, spt_size=2, model="flip", p01=0.1, p11=0.9, design="pm1_iid",
         interval_halfwidth=3.0, c_r=1.0, replicates=1, seed=1,
@@ -886,4 +939,4 @@ def test_least_squares_prune_solves_few_supports_of_a_flip_enum_instance():
     inst = harness.generate_instance(cfg, 0)
     res = fit(FitProblem(y=inst.y, X=inst.X, domain=inst.domain, c_r=1.0, link=cfg.link_obj()))
     assert res.n_supports == 121
-    assert len(res.records) < 0.1 * res.n_supports
+    assert len(res.records) <= 3
