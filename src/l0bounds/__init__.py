@@ -36,7 +36,7 @@ from .design import (
     DesignMatrix,
     capacity,
     coherence,
-    series_norms,
+    series_max,
     weighted_l1_norm,
 )
 from .domains import DomainSpec, Interval, in_domain

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import _DECAY_ERR, AnalyticFn, CoefficientEnvelope, coefficient_envelope
-from .design import _NU, DesignMatrix, _as_design, capacity, coherence, series_norms
+from .design import _NU, DesignMatrix, _as_design, capacity, coherence, series_max
 from .domains import Interval
 from .expfam import ExpFamily
 from .grids import CoveringGrid
@@ -78,8 +78,8 @@ def lambda_p(p: int, q: float) -> float:
 
 def _wk(dm: DesignMatrix, K: int) -> list:
     """Norm factors w[k] = n^{-1/(2k)} max_j ||V_j||_{2k} (<= max_j ||V_j||_inf)
-    for k = 1..K, from one ``series_norms`` pass; w[0] is unused."""
-    top = series_norms(dm, K).max(axis=1)
+    for k = 1..K, from ``series_max``; w[0] is unused."""
+    top = series_max(dm, K)
     return [0.0] + [dm.n ** (-1.0 / (2.0 * k)) * float(top[k - 1]) for k in range(1, K + 1)]
 
 

@@ -9,11 +9,13 @@ from l0bounds import (
     DesignMatrix,
     capacity,
     coherence,
-    series_norms,
+    series_max,
     weighted_l1_norm,
 )
+from l0bounds import design
+from l0bounds.bounds import _wk
 from l0bounds.design import _SERIES_BLOCK_BYTES
-from oracles import nu_capacity, separability_lower_bound
+from oracles import nu_capacity, separability_lower_bound, series_norms
 
 
 def test_design_matrix_validation():
@@ -22,6 +24,28 @@ def test_design_matrix_validation():
         DesignMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(ValueError, match=r"zero column in design \(column 1\)"):
         DesignMatrix(np.array([[1.0, 0.0], [2.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("col", [0, 1, 2])
+def test_design_matrix_refuses_non_finite_entries(bad, col):
+    X = np.arange(1.0, 13.0).reshape(4, 3)
+    X[2, col] = bad
+    with pytest.raises(ValueError, match="design contains non-finite entries"):
+        DesignMatrix(X)
+
+
+def test_design_matrix_sup_norm_matches_abs_max():
+    rng = np.random.default_rng(21)
+    designs = [
+        rng.standard_normal((300, 7)),
+        rng.choice([-1.0, 1.0], size=(300, 7)),
+        np.maximum(rng.integers(0, 2, size=(300, 7)), np.eye(300, 7)).astype(float),
+        -np.abs(rng.standard_normal((300, 7))),  # every sup from a negative entry
+        rng.standard_normal((300, 7)) * np.logspace(-150, 150, 7),
+    ]
+    for X in designs:
+        assert np.array_equal(DesignMatrix(X).column_norms(np.inf), np.max(np.abs(X), axis=0))
 
 
 def test_column_norms_match_numpy():
@@ -54,18 +78,18 @@ def _series_designs():
 @pytest.mark.parametrize("name", ["gaussian", "zero_one", "wide_range", "one_row", "one_column"])
 def test_series_norms_match_per_order_norms(name):
     X = DesignMatrix(_series_designs()[name])
-    got = series_norms(X, 60)
-    assert got.shape == (60, X.p)
+    got = series_max(X, 60)
+    assert got.shape == (60,)
     for k in range(1, 61):
-        np.testing.assert_allclose(got[k - 1], X.column_norms(2 * k), rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(got[k - 1], X.column_norms(2 * k).max(), rtol=1e-13, atol=0.0)
 
 
 def test_series_norms_exact_on_pm1_design():
     rng = np.random.default_rng(12)
     X = DesignMatrix(rng.choice([-1.0, 1.0], size=(1001, 9)))
-    got = series_norms(X, 60)
+    got = series_max(X, 60)
     for k in range(1, 61):
-        assert np.array_equal(got[k - 1], X.column_norms(2 * k)), k
+        assert got[k - 1] == X.max_norm(2 * k), k
 
 
 def test_series_norms_scale_without_overflow_or_underflow():
@@ -73,11 +97,93 @@ def test_series_norms_scale_without_overflow_or_underflow():
     # k = 60; the sup-scaled sums keep every order exact up to the scale
     rng = np.random.default_rng(13)
     X = rng.standard_normal((200, 4))
-    base = series_norms(X, 60)
+    base = series_max(X, 60)
     for t in (1e-200, 1e-4, 1e3, 1e200):
-        np.testing.assert_allclose(series_norms(t * X, 60), t * base, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(series_max(t * X, 60), t * base, rtol=1e-13, atol=0.0)
     with pytest.raises(ValueError):
-        series_norms(X, 0)
+        series_max(X, 0)
+
+
+def _oracle_designs():
+    rng = np.random.default_rng(17)
+    rows = _SERIES_BLOCK_BYTES // (8 * 8)  # block rows of an 8-column design
+    tied = rng.standard_normal((400, 6))
+    tied[:, 1] = tied[:, 0] * (1.0 + 2.0**-52)  # sups one ulp apart
+    tied[:, 2] = tied[::-1, 0]  # the same entries in another row order
+    bulk = rng.standard_normal((2000, 4))
+    # a lower sup but a heavy bulk: this column wins the low orders
+    bulk[:, 1] = rng.choice([-1.0, 1.0], size=2000) * 0.9 * np.abs(bulk[:, 0]).max()
+    bulk[0, 1] *= 0.5
+    tiny = rng.standard_normal((500, 5))
+    tiny[:, 2] *= 1e-300
+    binary = rng.integers(0, 2, size=(700, 9)).astype(float)
+    binary[0] = 1.0
+    x = rng.standard_normal(2000)
+    # the same entries in three row orders: the norms differ only by rounding
+    copies = np.column_stack([x, x[::-1], rng.permutation(x), 0.5 * rng.standard_normal(2000)])
+    return {
+        "gaussian": rng.standard_normal((1200, 8)),
+        "near_tied_sups": tied,
+        "heavy_bulk": bulk,
+        "tiny_column": tiny,
+        "one_column_several_blocks": rng.standard_normal((100_000, 1)),
+        "rows_exact_multiple": rng.standard_normal((3 * rows, 8)),
+        "rows_exact_multiple_plus_one": rng.standard_normal((3 * rows + 1, 8)),
+        "one_row": rng.standard_normal((1, 5)),
+        "pm1": rng.choice([-1.0, 1.0], size=(20000, 8)),
+        "zero_one": binary,
+        "mixed": np.hstack([rng.choice([-1.0, 1.0], size=(700, 3)), rng.standard_normal((700, 3))]),
+        "zero_one_with_twos": rng.integers(0, 2, size=(5000, 12)).astype(float) + np.eye(5000, 12),
+        "permuted_copies": copies,
+        # one row block in which the first group falls to a lone column
+        "lone_column_in_row_block": np.random.default_rng(28).standard_normal((2000, 5)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_oracle_designs()))
+def test_series_max_is_the_oracle_column_maximum_bit_for_bit(name):
+    X = DesignMatrix(_oracle_designs()[name])
+    for K in (1, 2, 6, 7, 8, 13, 60):
+        want = series_norms(X, K).max(axis=1)
+        assert np.array_equal(series_max(X, K), want), K
+        wk = [0.0] + [X.n ** (-1.0 / (2.0 * k)) * float(want[k - 1]) for k in range(1, K + 1)]
+        assert _wk(X, K) == wk, K
+
+
+def test_series_max_reads_values_not_memory_layout():
+    X = np.random.default_rng(18).standard_normal((3000, 9))
+    assert np.array_equal(series_max(np.asfortranarray(X), 60), series_max(X, 60))
+
+
+def test_series_max_orders_are_a_prefix():
+    for name in ("gaussian", "heavy_bulk", "zero_one", "mixed"):
+        X = DesignMatrix(_oracle_designs()[name])
+        full = series_max(X, 60)
+        for K in (1, 5, 6, 7, 30, 59):
+            assert np.array_equal(series_max(X, K), full[:K]), (name, K)
+
+
+def _formed_share(monkeypatch, X, K=60):
+    """Share of the K p column-orders whose power sums series_max forms,
+    counted as summed entries over K n p (padding counts, so it is high)."""
+    summed = []
+    sums = design._column_sums
+
+    def counting(a, axis=0):
+        summed.append(a.size)
+        return sums(a, axis)
+
+    monkeypatch.setattr(design, "_column_sums", counting)
+    dm = DesignMatrix(X)
+    series_max(dm, K)
+    return sum(summed) / (K * dm.n * dm.p)
+
+
+def test_series_max_eliminates_columns(monkeypatch):
+    rng = np.random.default_rng(19)
+    assert _formed_share(monkeypatch, rng.standard_normal((5000, 40))) < 0.25
+    # the fixed point settles every +-1 column after its first sums
+    assert _formed_share(monkeypatch, rng.choice([-1.0, 1.0], size=(5000, 40))) <= 0.10
 
 
 def test_coherence_is_computed_once_per_design():
