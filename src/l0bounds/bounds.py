@@ -21,7 +21,6 @@ names K and the disc size) rather than reported optimistically.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -273,9 +272,6 @@ class BoundsReport:
                 for k, v in self.inputs.items()
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _assemble(theorem, c1v, c2v, dm, q, K, tail, inputs) -> BoundsReport:

@@ -5,10 +5,12 @@ design), ``fit`` (one penalized fit from CSV data), ``coverage`` (Monte
 Carlo coverage experiment), ``grid`` (covering-grid construction), and
 ``verify`` (tail / moment-control checks).  All configuration comes from a
 JSON file; results are written as JSON (plus CSV for coverage) into --out.
+Besides --config, --out and --quiet, a subcommand takes only the flags it reads.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 computation
 error (diverging series, budget blow-ups, non-identifiable links, arithmetic
-overflow, ...).
+overflow, ...) or a flag the subcommand does not take (argparse's usage
+error).
 Input files are never modified.
 """
 
@@ -116,7 +118,7 @@ def parse_b_rule(cfg: dict) -> tuple:
 
 
 def load_design(args, cfg: dict) -> DesignMatrix:
-    if getattr(args, "x", None):
+    if args.x:
         try:
             return DesignMatrix(np.loadtxt(args.x, delimiter=",", ndmin=2, dtype=float))
         except (OSError, ValueError) as exc:
@@ -243,12 +245,19 @@ def _cmd_verify(args, cfg: dict) -> dict:
     raise ConfigError("verify 'what' must be 'tail' or 'control'")
 
 
+# per command: handler, output file, and the flags of _FLAGS it reads
 _COMMANDS = {
-    "bounds": (_cmd_bounds, "bounds.json"),
-    "fit": (_cmd_fit, "fit.json"),
-    "coverage": (_cmd_coverage, "coverage.json"),
-    "grid": (_cmd_grid, "grid.json"),
-    "verify": (_cmd_verify, "verify.json"),
+    "bounds": (_cmd_bounds, "bounds.json", ("x",)),
+    "fit": (_cmd_fit, "fit.json", ("x", "y")),
+    "coverage": (_cmd_coverage, "coverage.json", ("seed",)),
+    "grid": (_cmd_grid, "grid.json", ("x",)),
+    "verify": (_cmd_verify, "verify.json", ("x", "seed")),
+}
+
+_FLAGS = {
+    "x": {"help": "design matrix CSV (headerless), instead of a 'design' block"},
+    "y": {"help": "response vector CSV"},
+    "seed": {"type": int, "help": "override the config seed"},
 }
 
 
@@ -258,13 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="L0-penalized nonlinear regression with certified error radii",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, _, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON configuration file")
-        sp.add_argument("--x", help="design matrix CSV (headerless)")
-        sp.add_argument("--y", help="response vector CSV (fit only)")
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
         sp.add_argument("--out", help="output directory (default: cwd)")
-        sp.add_argument("--seed", type=int, help="override the config seed")
         sp.add_argument("--quiet", action="store_true", help="suppress the summary line")
     return ap
 
@@ -283,7 +291,7 @@ def main(argv=None) -> int:
             raise ConfigError("config root must be a JSON object")
         if args.out:
             Path(args.out).mkdir(parents=True, exist_ok=True)
-        fn, outname = _COMMANDS[args.command]
+        fn, outname, _ = _COMMANDS[args.command]
         result = fn(args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,20 +22,20 @@ rows with v, and those images serve the domain test, the loss, the
 derivatives and the binding constraints of the accepted point; no work per
 trial scales with n.  ``fit`` rechecks the winner's objective on all n rows.
 
-The same grouping bounds least squares from below: on the group rows the
-loss is W_S + sum_g m_g (ybar_g - f(t_g))^2, so no point on S goes below
-the within-group sum of squares W_S.  ``fit`` forms the floors (less a
-rounding margin) of all supports of one size in a single level pass, two
-bincounts over their stacked level keys, solves the level in ascending
-floor order and stops it at the first support whose floor plus penalty
-cannot beat the incumbent.  On a continuous column every group is one row
-and the floor is 0, so the test is the size prune's.
+Each support size is one level for both losses: ``fit`` prices it with the
+loss's floors, solves it in ascending floor order and stops at the first
+support whose floor plus penalty cannot beat the incumbent.  The
+likelihood's floor is its global loss floor, the same for every support.
+On the group rows the least-squares loss is W_S + sum_g m_g (ybar_g -
+f(t_g))^2, so its floor is the within-group sum of squares W_S (less a
+rounding margin), formed for a whole level from stacked level keys; it is
+0 on a continuous column, where every group is one row.  ``_level_keys``
+keys the rows of a level's supports and of each solve's one support.
 
-Determinism: each level is solved in ascending floor order (the likelihood,
-with no floor, in itertools.combinations order), equal floors in
-combinations order; records come in enumeration order, by size and then
-lexicographically; all tie-breaking is lexicographic, and no randomness
-enters anywhere, so refitting the same inputs is bit-for-bit reproducible.
+Determinism: equal floors keep itertools.combinations order; records come
+in enumeration order, by size and then lexicographically; tie-breaking is
+lexicographic and nothing is random, so refits are bit-for-bit
+reproducible.
 """
 
 from __future__ import annotations
@@ -162,42 +162,52 @@ class _Rows:
         return np.bincount(self.inv, weights=self.prob.working_response, minlength=self.m.size)
 
 
-def _level_key(prob: FitProblem, S: tuple | list):
-    """(key, radix) with 0 <= key < radix <= n, where rows i, i' have equal
-    images under X_S exactly when key[i] == key[i'].  The key is mixed-radix
-    over the columns' level codes (lexicographic in the column values),
-    re-ranked whenever its range passes n, so no row is sorted unless the
-    levels multiply past n (``_level_keys`` builds the same keys for a batch
-    of supports, at about 10 us more per support than this loop, which every
-    solve would pay).  None when a column of S has n levels (any
-    continuous one does): every row is then its own group, and the
-    re-ranking sort, which would add 4-10% to a gaussian design's fit, is
-    skipped."""
+def _level_keys(prob: FitProblem, supports: np.ndarray):
+    """(keys, radix, grouped) for a (B, k) array of supports, k >= 0: rows
+    i, i' have equal images under X_S, S = supports[b], exactly when
+    keys[b, i] == keys[b, i'], and 0 <= keys[b] < radix[b] <= n.
+
+    The keys are mixed-radix over the columns' level codes (lexicographic
+    in the column values).  Supports whose radix passes n are re-ranked
+    together: one sort over their keys, each support's offset past the one
+    before, so no row is sorted unless the levels multiply past n.  A
+    support with a column of n levels (any continuous one has them) has n
+    distinct row images: grouped[b] is False, its keys are the row numbers
+    and its radix n, and it joins no product and no sort (which would add
+    4-10% to a gaussian design's fit); each of its groups is one row, so
+    its within-group sum of squares is 0.
+    """
     codes, levels = prob.level_codes
-    n = prob.X.n
-    if not S:
-        return np.zeros(n, dtype=np.intp), 1
-    if max(levels[j] for j in S) == n:
-        return None
-    key, radix = codes[S[0]], int(levels[S[0]])
-    for j in S[1:]:
-        key = key * levels[j] + codes[j]
-        radix *= int(levels[j])
-        if radix > n:
-            uniq, key = np.unique(key, return_inverse=True)
-            radix = uniq.size
-    return key, radix
+    n, B = prob.X.n, len(supports)
+    L = levels[supports]
+    grouped = L.max(axis=1, initial=0) < n
+    if not grouped.all():
+        keys, radix = np.tile(np.arange(n), (B, 1)), np.full(B, n)
+        keys[grouped], radix[grouped], _ = _level_keys(prob, supports[grouped])
+        return keys, radix, grouped
+    if not supports.shape[1]:  # the empty support: every row in one group
+        return np.zeros((B, n), dtype=np.intp), np.ones(B, dtype=np.intp), grouped
+    keys, radix = codes[supports[:, 0]], L[:, 0].copy()  # updated in place below
+    for c in range(1, supports.shape[1]):
+        keys *= L[:, c, None]
+        keys += codes[supports[:, c]]
+        radix *= L[:, c]
+        if radix.max(initial=0) > n:
+            over = np.flatnonzero(radix > n)
+            offset = np.arange(over.size) * radix[over].max()
+            uniq, rank = np.unique((keys[over] + offset[:, None]).ravel(), return_inverse=True)
+            base = np.searchsorted(uniq, offset)
+            keys[over] = rank.reshape(over.size, n) - base[:, None]
+            radix[over] = np.diff(base, append=uniq.size)
+    return keys, radix, grouped
 
 
 def _group_rows(prob: FitProblem, S: list):
     """Group the rows by their image under X_S: (inv, m, rep), rep holding
-    one row of each group.  Groups come in key order (``_level_key``), or
-    are the rows in row order when every row is its own group."""
-    keyed = _level_key(prob, S)
-    if keyed is None:
-        inv = np.arange(prob.X.n)
-        return inv, np.ones(inv.size), inv
-    key, radix = keyed
+    one row of each group.  Groups come in key order (``_level_keys``): in
+    row order when every row is its own group."""
+    keys, radix, _ = _level_keys(prob, np.array([S], dtype=np.intp))
+    key, radix = keys[0], int(radix[0])
     counts = np.bincount(key, minlength=radix)
     present = np.flatnonzero(counts)
     rank = np.zeros(radix, dtype=np.intp)
@@ -208,39 +218,12 @@ def _group_rows(prob: FitProblem, S: list):
     return inv, counts[present].astype(float), rep
 
 
-def _level_keys(prob: FitProblem, supports: np.ndarray):
-    """(keys, radix) for a (B, k) array of supports, k >= 1, none of them
-    holding a column with n levels: rows i, i' have equal images under X_S,
-    S = supports[b], exactly when keys[b, i] == keys[b, i'], and
-    0 <= keys[b] < radix[b] <= n.  The keys are mixed-radix over the
-    columns' level codes (lexicographic in the column values).  Supports
-    whose radix passes n are re-ranked together: one sort over their keys,
-    each support's offset past the one before, so no row is sorted unless
-    the levels multiply past n."""
-    codes, levels = prob.level_codes
-    n = prob.X.n
-    first = supports[:, 0]
-    keys, radix = codes[first], levels[first]  # copies: updated in place below
-    for j in supports.T[1:]:
-        keys *= levels[j][:, None]
-        keys += codes[j]
-        radix *= levels[j]
-        over = np.flatnonzero(radix > n)
-        if over.size:
-            offset = np.arange(over.size) * radix[over].max()
-            uniq, rank = np.unique((keys[over] + offset[:, None]).ravel(), return_inverse=True)
-            base = np.searchsorted(uniq, offset)
-            keys[over] = rank.reshape(over.size, n) - base[:, None]
-            radix[over] = np.diff(base, append=uniq.size)
-    return keys, radix
-
-
 _PASS_CELLS = 1 << 14  # keys per chunk of a level pass: 128 KB of them
 
 
 def _lse_level_floors(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
     """A lower bound on the least-squares loss, as ``_lse_value`` computes
-    it, of every point on each support of a (B, k) array, k >= 1.
+    it, of every point on each support of a (B, k) array.
 
     On the group rows of S the loss is W_S + sum_g m_g (ybar_g - f(t_g))^2,
     so no point on S goes below the within-group sum of squares
@@ -249,8 +232,8 @@ def _lse_level_floors(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
     before, go through two bincounts (m_g and Y_g of every group of the
     chunk) and one segmented sum of Y_g (Y_g / m_g) per support.  Chunks
     hold at most ``_PASS_CELLS`` keys, so no temporary grows with the level.
-    A support with an n-level column makes every group a single row, and
-    its floor is 0.
+    A support that ``_level_keys`` leaves ungrouped (every group one row)
+    has floor 0.
 
     Rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3;
     u = eps/2, gamma_k = k u / (1 - k u), Q = sum_i y_i^2, G <= n groups).
@@ -272,24 +255,22 @@ def _lse_level_floors(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
     terms to W, and rounding is monotone, so the floor never exceeds the
     loss it reports.
     """
-    levels = prob.level_codes[1]
     n, y = prob.X.n, prob.y
     yy = float(y @ y)
     margin = 4.0 * (n + 2) * np.finfo(float).eps * yy
-    floors = np.zeros(len(supports))
-    grouped = np.flatnonzero(levels[supports].max(axis=1) < n)
+    floors = np.empty(len(supports))
     chunk = max(1, _PASS_CELLS // n)
-    weights = np.tile(y, min(chunk, grouped.size))
-    for lo in range(0, grouped.size, chunk):
-        b = grouped[lo:lo + chunk]
-        keys, radix = _level_keys(prob, supports[b])
+    weights = np.tile(y, min(chunk, len(supports)))
+    for lo in range(0, len(supports), chunk):
+        keys, radix, grouped = _level_keys(prob, supports[lo:lo + chunk])
         start = np.cumsum(radix) - radix
         keys += start[:, None]
         cells = keys.ravel()
         m = np.bincount(cells, minlength=int(start[-1] + radix[-1]))
         Y = np.bincount(cells, weights=weights[:cells.size], minlength=m.size)
         # an empty group has Y_g = 0 exactly, so dividing it by 1 adds 0
-        floors[b] = yy - np.add.reduceat(Y * (Y / np.maximum(m, 1)), start) - margin
+        W = yy - np.add.reduceat(Y * (Y / np.maximum(m, 1)), start) - margin
+        floors[lo:lo + chunk] = np.where(grouped, W, 0.0)
     return floors
 
 
@@ -341,23 +322,36 @@ def _lse_working_response(prob: FitProblem) -> np.ndarray:
     return (prob.y - f0) / fp0 if abs(fp0) > 1e-8 else prob.y - f0
 
 
+def _mle_loss_floor(prob: FitProblem) -> float:
+    return prob.family.loss_floor(prob.y)
+
+
+def _mle_level_floors(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
+    return np.full(len(supports), _mle_loss_floor(prob))
+
+
 class _Loss(NamedTuple):
     """Per loss: value on the images t of grouped rows, (gradient, Hessian)
     on a support, working response of the ridge start, whether the zero
     start is kept beside the ridge start (least squares is not convex, so it
-    keeps the better of two), and the floors of a level of supports (None:
-    the likelihood has none, and ``fit`` solves its levels in order)."""
+    keeps the better of two), an exact lower bound on the loss over all u,
+    and a lower bound on the loss of each support of a level (the
+    likelihood's is its global floor, the same for every support; least
+    squares has the within-group sum of squares)."""
 
     value: Callable
     grad_hess: Callable
     working_response: Callable
     two_starts: bool
-    level_floors: Callable | None
+    loss_floor: Callable
+    level_floors: Callable
 
 
 _LOSSES = {
-    "mle": _Loss(_mle_value, _mle_grad_hess, _mle_working_response, False, None),
-    "lse": _Loss(_lse_value, _lse_grad_hess, _lse_working_response, True, _lse_level_floors),
+    "mle": _Loss(_mle_value, _mle_grad_hess, _mle_working_response, False, _mle_loss_floor,
+                 _mle_level_floors),
+    "lse": _Loss(_lse_value, _lse_grad_hess, _lse_working_response, True, lambda prob: 0.0,
+                 _lse_level_floors),
 }
 
 
@@ -571,22 +565,24 @@ def fit(prob: FitProblem) -> FitResult:
     """Exhaustive-enumeration L0 fit.
 
     Support sizes are visited in increasing order; once the penalty alone
-    (plus an exact lower bound on the loss) can no longer beat the
-    incumbent, the remaining sizes are skipped.  Least squares prices every
-    support of a size k >= 1 in one level pass (``_lse_level_floors``: the
-    within-group sum of squares, a floor on every loss on S, less an
-    explicit rounding margin), solves the level in ascending floor order
-    (a stable sort: equal floors keep combinations order), and stops it at
-    the first support whose floor plus c_r k exceeds the incumbent by more
-    than the tie tolerance; every later one fails the same test.  Both
-    prunes are exact, so the reported minimizer is the same as under full
-    enumeration; pruned supports simply do not appear in ``records``, which
-    lists the solved ones in enumeration order (by size, then
-    lexicographically) whatever order they were solved in.  The caveat
+    (plus the loss's exact global floor) can no longer beat the incumbent,
+    the remaining sizes are skipped.  Each size k is priced in one level
+    pass (the loss's ``level_floors``: the likelihood's global floor for
+    every support; for least squares the within-group sum of squares, a
+    floor on every loss on S, less an explicit rounding margin), solved in
+    ascending floor order (a stable sort: equal floors keep combinations
+    order), and stopped at the first support whose floor plus c_r k exceeds
+    the incumbent by more than the tie tolerance; every later one fails the
+    same test.  Both prunes are exact, so the reported minimizer is the
+    same as under full enumeration; pruned supports simply do not appear in
+    ``records``, which lists the solved ones in enumeration order (by size,
+    then lexicographically) whatever order they were solved in.  The caveat
     both prunes share: they charge a support c_r |S|, while a solve that
     returns exact zeros is charged only for its nonzeros, so a pruned S
     could have returned such a point; it lies on a smaller support, and the
     result is exact when that support's own solve does at least as well.
+    (A constant floor stops a level only after such a solve: any other
+    point on a size-k support costs at least that floor plus c_r k.)
 
     Raises
     ------
@@ -600,9 +596,8 @@ def fit(prob: FitProblem) -> FitResult:
     total = sum(math.comb(p, k) for k in range(h + 1))
     if total > _ENUM_BUDGET:
         raise ValueError("enumeration budget exceeded (more than 1e6 supports)")
-    level_floors = _LOSSES[prob.loss].level_floors
-    # an exact lower bound on the unpenalized loss over all u
-    loss_floor = prob.family.loss_floor(prob.y) if prob.loss == "mle" else 0.0
+    loss = _LOSSES[prob.loss]
+    loss_floor = loss.loss_floor(prob)  # an exact lower bound on the unpenalized loss over all u
     records = []
     candidates = []  # (objective, sparsity, support, u, loss)
     incumbent = math.inf
@@ -613,13 +608,12 @@ def fit(prob: FitProblem) -> FitResult:
         count = math.comb(p, k)
         combos = itertools.chain.from_iterable(itertools.combinations(range(p), k))
         supports = np.fromiter(combos, dtype=np.intp, count=count * k).reshape(count, k)
-        floors = level_floors(prob, supports) if level_floors and k else None
-        order = range(len(supports)) if floors is None else np.argsort(floors, kind="stable")
+        floors = loss.level_floors(prob, supports)
         level = []  # (enumeration index, record, candidate or None)
-        for i in order:
+        for i in np.argsort(floors, kind="stable"):
             # exact prune: no point on this support, nor (the floors ascend)
             # on any later one of this size, can beat the incumbent
-            if floors is not None and floors[i] + prob.c_r * k > incumbent + _TIE_TOL:
+            if floors[i] + prob.c_r * k > incumbent + _TIE_TOL:
                 break
             S = tuple(supports[i].tolist())
             got = inner_solve(prob, S)
@@ -646,7 +640,7 @@ def fit(prob: FitProblem) -> FitResult:
     # rows, one per group: an independent check of the grouping
     n = prob.X.n
     rows = _Rows(prob, np.arange(n), np.ones(n))
-    check = _LOSSES[prob.loss].value(prob, rows, prob.X.X @ u) + prob.c_r * int(np.count_nonzero(u))
+    check = loss.value(prob, rows, prob.X.X @ u) + prob.c_r * int(np.count_nonzero(u))
     if not math.isclose(check, obj, rel_tol=0.0, abs_tol=1e-9 * max(1.0, abs(obj))):
         raise AssertionError("objective recomputation mismatch")
     return FitResult(

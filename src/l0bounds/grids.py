@@ -24,7 +24,6 @@ test oracles (``tests/oracles.py``), not here.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -127,9 +126,6 @@ class CoveringGrid:
             "size": len(self),
             "points": entries,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def build_grid(X, f: AnalyticFn, D: DomainSpec, b_rule: tuple = ("half_radius",)) -> CoveringGrid:

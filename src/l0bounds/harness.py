@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -390,9 +389,6 @@ class CoverageResult:
             "budget_ok_frac": self.budget_ok_frac,
             "replicates": len(self.rows),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def to_csv(self, path):
         import csv  # only the CSV writer needs it; the package import skips it

@@ -236,7 +236,7 @@ def test_reports_identities_and_json():
     for r in reports:
         assert r.c_r == pytest.approx(3.0 * r.c1**2 / r.c2, rel=1e-12)
         assert r.kappa_r == pytest.approx(3.0 * r.c1 / r.c2, rel=1e-12)
-        blob = json.loads(r.to_json())
+        blob = json.loads(json.dumps(r.to_dict(), indent=2))
         assert blob["theorem"] == r.theorem
         assert blob["c_r"] == pytest.approx(r.c_r)
         assert "inputs" in blob

@@ -20,7 +20,7 @@ from l0bounds import (
     harness,
     logistic_flip,
 )
-from l0bounds.cli import ConfigError, main, parse_block
+from l0bounds.cli import ConfigError, build_parser, main, parse_block
 
 
 def _write(path, obj):
@@ -593,8 +593,8 @@ def test_fit_support_budget_nan_rejected_inf_enumerates_all(tmp_path, budget, ex
     ],
 )
 def test_json_file_is_the_to_json_text(tmp_path, monkeypatch, command, cls, cfg):
-    # the CLI writes the result's dict once; the file is byte for byte what
-    # a round trip through to_json and json.loads wrote before
+    # the CLI writes the result's dict once; the file is byte for byte the
+    # dict's indented JSON text after a round trip through json.loads
     made = []
     to_dict = cls.to_dict
 
@@ -605,5 +605,34 @@ def test_json_file_is_the_to_json_text(tmp_path, monkeypatch, command, cls, cfg)
     monkeypatch.setattr(cls, "to_dict", recorded)
     path = _write(tmp_path / "cfg.json", cfg)
     assert main([command, "--config", path, "--out", str(tmp_path), "--quiet"]) == 0
-    want = json.dumps(json.loads(made[0].to_json()), indent=2, default=str) + "\n"
+    text = json.dumps(to_dict(made[0]), indent=2)
+    want = json.dumps(json.loads(text), indent=2, default=str) + "\n"
     assert (tmp_path / f"{command}.json").read_text() == want
+
+
+@pytest.mark.parametrize(
+    "command,reads",
+    [
+        ("bounds", ("--x",)),
+        ("fit", ("--x", "--y")),
+        ("coverage", ("--seed",)),
+        ("grid", ("--x",)),
+        ("verify", ("--x", "--seed")),
+    ],
+)
+def test_each_command_takes_only_the_flags_it_reads(tmp_path, capsys, command, reads):
+    # a flag the command would ignore (bounds --seed 5 once wrote the same
+    # file as --seed 1) is a usage error: argparse exits 2 before any work
+    cfg = _write(tmp_path / "cfg.json", {})
+    out = tmp_path / "out"
+    for flag in sorted({"--x", "--y", "--seed"} - set(reads)):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(out), "--quiet", flag, "5"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+        assert not out.exists()
+    args = build_parser().parse_args(
+        [command, "--config", cfg, "--out", str(out), "--quiet", *(a for f in reads for a in (f, "5"))]
+    )
+    for flag in reads:
+        assert getattr(args, flag[2:]) in ("5", 5)

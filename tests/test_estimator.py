@@ -853,15 +853,29 @@ def test_least_squares_floor_is_below_every_loss_on_its_support(monkeypatch, sca
     y = scale * (f(0.5 * Xm[:, 0]) + rng.normal(0.0, 0.3, n))
     D = DomainSpec(Interval(-1.2, 1.2), max_support=3.0, l1inf_cap=1.2)
     prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=D, c_r=0.0, link=f)
+    seen = set()  # (holds the n-level column, levels multiply past n)
     for k in (1, 2, 3):
         supports = np.array(list(itertools.combinations(range(5), k)))
         floors = estimator._lse_level_floors(prob, supports)
-        # off the n-level column 4, the batch's keys are each support's own
-        # (re-ranked alike where the levels multiply past n)
-        keyed = [S for S in supports.tolist() if 4 not in S]
-        keys = estimator._level_keys(prob, np.array(keyed))[0]
-        for S, key in zip(keyed, keys):
-            np.testing.assert_array_equal(key, estimator._level_key(prob, S)[0])
+        # the keys against an independent reference, batched and one support
+        # at a time (as each solve groups its rows): two rows share a key
+        # exactly when their images under X_S agree, and the keys ascend
+        # lexicographically in the column values; with the n-level column 4
+        # every row is its own group, keyed by its row number
+        batch = estimator._level_keys(prob, supports)
+        for b, S in enumerate(supports.tolist()):
+            lex = np.unique(Xm[:, S], axis=0, return_inverse=True)[1].ravel()
+            radix_past_n = math.prod(len(np.unique(Xm[:, j])) for j in S) > n
+            seen.add((4 in S, radix_past_n))
+            one = estimator._level_keys(prob, supports[b:b + 1])
+            for key, r, grouped in ([a[b] for a in batch], [a[0] for a in one]):
+                assert grouped == (4 not in S), S
+                assert 0 <= key.min() and key.max() < r <= n, S
+                if 4 in S:
+                    np.testing.assert_array_equal(key, np.arange(n))
+                    assert r == n and lex.max() == n - 1, S
+                else:
+                    np.testing.assert_array_equal(np.unique(key, return_inverse=True)[1].ravel(), lex)
         # chunks of two supports, so every level spans several chunks
         with monkeypatch.context() as patch:
             patch.setattr(estimator, "_PASS_CELLS", 2 * n)
@@ -875,6 +889,7 @@ def test_least_squares_floor_is_below_every_loss_on_its_support(monkeypatch, sca
             assert floor <= W, S
             assert floor <= got[1], S
             assert floor >= W - 1e-9 * float(y @ y), S  # below W by the rounding margin only
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_least_squares_solves_each_level_in_floor_order_and_records_it_in_enumeration_order(

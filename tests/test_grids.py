@@ -161,7 +161,7 @@ def test_grid_to_json_round_trip():
     X = _design()
     D = _domain(cap=1.0)
     G = build_grid(X, F, D)
-    blob = json.loads(G.to_json())
+    blob = json.loads(json.dumps(G.to_dict(), indent=2))
     assert blob["size"] == len(G.points)
     assert blob["construction"] == "per_support_box" and blob["case"] == 1
     assert blob["cardinality_bound"] >= blob["size"]

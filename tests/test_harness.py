@@ -180,7 +180,7 @@ def test_run_coverage_small_glm():
     assert 0.0 <= out.coverage <= 1.0
     assert out.target == pytest.approx(1.0 - 2 * cfg.q)
     assert out.wilson_lo <= out.coverage <= out.wilson_hi + 1e-12
-    blob = json.loads(out.to_json())
+    blob = json.loads(json.dumps(out.to_dict(), indent=2))
     assert blob["coverage"] == pytest.approx(out.coverage)
     assert blob["replicates"] == 10
 
@@ -188,7 +188,7 @@ def test_run_coverage_small_glm():
 def test_run_coverage_bit_reproducible():
     cfg = ExperimentConfig(n=30, p=5, spt_size=1, replicates=6, seed=9)
     a, b = run_coverage(cfg), run_coverage(cfg)
-    assert a.to_json() == b.to_json()
+    assert json.dumps(a.to_dict(), indent=2) == json.dumps(b.to_dict(), indent=2)
 
 
 def test_run_coverage_csv(tmp_path):
