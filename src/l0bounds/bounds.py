@@ -175,18 +175,18 @@ def c1_one_disc(X, f: AnalyticFn, sigma: float, q: float, theta: float, K: int =
     return _c1_series(dm, lambda k: math.sqrt(k) * k, d, theta * rho, K, f, 0.0, pref)
 
 
-def c1_multi_disc(X, G: CoveringGrid, sigma: float, q: float, K: int = 60) -> SeriesBound:
-    """Covering-grid series: discs of size b(G) = inf b at every grid point,
+def c1_multi_disc(G: CoveringGrid, sigma: float, q: float, K: int = 60) -> SeriesBound:
+    """Covering-grid series on the grid's own design: discs of size
+    b(G) = inf b at every grid point,
 
     c1 = sqrt(2) sigma sum_k k sqrt(ln|G| + k lambda_p) A_k(G) b^(k-1)
          n^{-1/(2k)} max_j ||V_j||_{2k}.
     """
-    dm = _as_design(X)
     _check_q(q)
-    lam = lambda_p(dm.p, q)
+    lam = lambda_p(G.X.p, q)
     lg = math.log(len(G))
     return _c1_series(
-        dm, lambda k: k * math.sqrt(lg + k * lam), G.A_sup(K), G.b_inf, K,
+        G.X, lambda k: k * math.sqrt(lg + k * lam), G.A_sup(K), G.b_inf, K,
         G.f, G.t_signed_max(), math.sqrt(2.0) * sigma,
     )
 
@@ -330,13 +330,12 @@ def one_disc_report(
 
 
 def multi_disc_report(
-    X, G: CoveringGrid, I: Interval, sigma: float, q: float, K: int = 60,
+    G: CoveringGrid, I: Interval, sigma: float, q: float, K: int = 60,
 ) -> BoundsReport:
-    """Least-squares constants from the covering-grid series."""
-    dm = _as_design(X)
-    s = c1_multi_disc(dm, G, sigma, q, K=K)
+    """Least-squares constants from the covering-grid series on the grid's design."""
+    s = c1_multi_disc(G, sigma, q, K=K)
     return _lse_report(
-        "multi_disc", s, dm, G.f, I, sigma, q, {"grid_size": len(G), "b_inf": G.b_inf}
+        "multi_disc", s, G.X, G.f, I, sigma, q, {"grid_size": len(G), "b_inf": G.b_inf}
     )
 
 

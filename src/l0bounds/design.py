@@ -76,20 +76,17 @@ class DesignMatrix:
         self._mu = None
 
     def column_norms(self, s) -> np.ndarray:
-        """Per-column ell_s norms ||V_j||_s (s = inf gives the sup norm)."""
+        """Per-column ell_s norms ||V_j||_s (s = inf gives the sup norm,
+        stored at construction)."""
         key = float(s)
         cached = self._norms.get(key)
         if cached is not None:
             return cached
-        if key == math.inf:
-            out = np.max(np.abs(self.X), axis=0)
-        elif key > 0:
-            a = np.abs(self.X)
-            a **= key  # in place: one n x p temporary, not two
-            out = np.sum(a, axis=0) ** (1.0 / key)
-        else:
+        if not key > 0:
             raise ValueError("norm order must be positive")
-        self._norms[key] = out
+        a = np.abs(self.X)
+        a **= key  # in place: one n x p temporary, not two
+        out = self._norms[key] = np.sum(a, axis=0) ** (1.0 / key)
         return out
 
     def max_norm(self, s) -> float:

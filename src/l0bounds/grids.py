@@ -14,6 +14,10 @@ real line with its radius bounded below (``f.radius_floor(None) > 0``), so
 cell centers are valid cover points as-is and d = inf b / 2, b coming from
 the radius floor over the line.
 
+``build_grid`` computes every grid quantity once (points, radii, disc
+parameters, the distinct row images) and returns them in a frozen
+``CoveringGrid``; the series constants read its fields.
+
 All reported radii are overestimates by construction (box radius
 delta-hat = h * cap bounds the true hull radius), so the cardinality
 certificate |G| <= C(p,h) (2 delta-hat / d_b + 1)^h holds exactly.  The
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,17 +41,10 @@ __all__ = ["CoveringGrid", "build_grid"]
 
 _ENUM_BUDGET = 1_000_000
 _POINT_BUDGET = 2_000_000
+_BLOCK = 1 << 20  # row images per block of the per-point radius minimum
 
 
-def _row_radii(f: AnalyticFn, T: np.ndarray) -> np.ndarray:
-    """min over each row of T of f.radius_at, called once per distinct value
-    of T (row by row, so no temporary of the size of T is formed)."""
-    vals = np.unique(T)
-    rad = np.array([f.radius_at(t) for t in vals])
-    return np.array([np.min(rad[np.searchsorted(vals, row)]) for row in T])
-
-
-@dataclass
+@dataclass(frozen=True)
 class CoveringGrid:
     """A finite cover of the segment hull with per-point disc radii.
 
@@ -57,65 +54,43 @@ class CoveringGrid:
         lexicographic order, exact duplicates removed.
     supports : generating support per point.
     b : per-point disc parameter b(u) (strictly below the local radius).
+    r : per-point joint radius min_i rho(X_i'u).
     d : covering step; every hull point is within d of some cover point
         in the weighted l1 norm, and d <= b/2.
     cardinality_bound : certified upper bound on N.
+    images : the distinct row images X_i'u over every point and row, sorted.
     """
 
     points: np.ndarray
     supports: list
     b: np.ndarray
+    r: np.ndarray
     d: float
     cardinality_bound: float
+    images: np.ndarray
     f: AnalyticFn
     X: DesignMatrix
-    _r: np.ndarray | None = field(default=None, repr=False)
-    _rows: np.ndarray | None = field(default=None, repr=False)
-    _A: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self):
         return self.points.shape[0]
-
-    def row_images(self) -> np.ndarray:
-        if self._rows is None:
-            self._rows = self.points @ self.X.X.T
-        return self._rows
-
-    def r_values(self) -> np.ndarray:
-        """Per-point joint radius min_i rho(X_i'u)."""
-        if self._r is None:
-            self._r = _row_radii(self.f, self.row_images())
-        return self._r
 
     @property
     def b_inf(self) -> float:
         return float(np.min(self.b))
 
-    @property
-    def r_inf(self) -> float:
-        return float(np.min(self.r_values()))
-
     def t_signed_max(self) -> float:
-        return float(np.max(self.row_images()))
+        return float(self.images[-1])
 
     def A_sup(self, K: int) -> np.ndarray:
         """A[k] = max over grid points and rows of |a_k(X_i'u)| for
-        k = 1..K (A[0] = 0), from one coefficient table (cached)."""
-        if self._A is None or self._A.size <= K:
-            flat = np.unique(self.row_images().ravel())
-            self._A = np.concatenate(([0.0], np.max(self.f.abs_coeff_table(K, flat), axis=1)))
-        return self._A[: K + 1]
+        k = 1..K (A[0] = 0), from one coefficient table."""
+        return np.concatenate(([0.0], np.max(self.f.abs_coeff_table(K, self.images), axis=1)))
 
     def to_dict(self) -> dict:
-        r = self.r_values()
+        rows = zip(self.supports, self.points.tolist(), self.b.tolist(), self.r.tolist())
         entries = [
-            {
-                "support": [int(j) for j in self.supports[i]],
-                "center": [float(v) for v in self.points[i]],
-                "b": float(self.b[i]),
-                "r": float(r[i]) if math.isfinite(r[i]) else "inf",
-            }
-            for i in range(len(self))
+            {"support": list(S), "center": c, "b": b, "r": r if math.isfinite(r) else "inf"}
+            for S, c, b, r in rows
         ]
         return {
             # one construction; both keys keep the JSON layout
@@ -176,49 +151,48 @@ def build_grid(X, f: AnalyticFn, D: DomainSpec, b_rule: tuple = ("half_radius",)
     if n_supports * m**h > _POINT_BUDGET:
         raise ValueError("grid too large; shrink the cap or the support size")
 
-    pts: list[np.ndarray] = []
-    sups: list[tuple] = []
-    seen: set[bytes] = set()
-    cell_idx = list(itertools.product(range(m), repeat=h))
-    for S in itertools.combinations(range(dm.p), h):
-        a = cap / w[list(S)]  # raw per-coordinate half-widths
-        hw = a / m
-        for idx in cell_idx:
-            center = -a + (2 * np.asarray(idx) + 1) * hw
-            # certified prune: nearest point of the cell to the origin
-            near = np.maximum(0.0, np.abs(center) - hw)
-            if float(near @ w[list(S)]) > cap * (1 + 1e-12):
-                continue
-            u = np.zeros(dm.p)
-            u[list(S)] = center
-            key = u.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            pts.append(u)
-            sups.append(S)
-
-    if not pts:
+    # every support's m^h equal cells at once: (support, cell, coordinate)
+    supports = np.array(list(itertools.combinations(range(dm.p), h)))
+    odd = 2 * np.array(list(itertools.product(range(m), repeat=h))) + 1
+    a = (cap / w[supports])[:, None, :]  # raw per-coordinate half-widths
+    hw = a / m
+    centers = -a + odd * hw
+    # certified prune: nearest point of each cell to the origin
+    near = np.maximum(0.0, np.abs(centers) - hw)
+    s, c = np.nonzero(np.einsum("sch,sh->sc", near, w[supports]) <= cap * (1 + 1e-12))
+    if not s.size:
         raise ValueError("empty cover: no feasible cells")
-    P = np.array(pts)
-    grid = CoveringGrid(
-        points=P,
-        supports=sups,
-        b=np.empty(len(pts)),
-        d=d,
-        cardinality_bound=float(n_supports * (2 * (h * cap) / db + 1.0) ** h),
-        f=f,
-        X=dm,
-    )
-    r = grid.r_values()
+    P = np.zeros((s.size, dm.p))
+    P[np.arange(s.size)[:, None], supports[s]] = centers[s, c]
+    # exact duplicates (a zero center coordinate) keep their first copy
+    keys = P.view(np.dtype((np.void, P.itemsize * dm.p))).ravel()  # each point's bytes
+    _, first = np.unique(keys, return_index=True)
+    first.sort()
+    P, s = P[first], s[first]
+    # r(u) = min_i rho(X_i'u), rho taken once per distinct row image
+    T = P @ dm.X.T
+    images = np.unique(T)
+    rad = np.array([f.radius_at(t) for t in images])
+    step = max(1, _BLOCK // dm.n)
+    blocks = (T[i : i + step] for i in range(0, len(P), step))
+    r = np.concatenate([np.min(rad[np.searchsorted(images, B)], axis=1) for B in blocks])
     if b_rule[0] == "half_radius":
-        grid.b = r / 2.0
+        b = r / 2.0
     else:
         if np.any(db >= r):
             raise ValueError("constant b reaches the radius at some grid point")
-        grid.b = np.full(len(pts), db)
+        b = np.full(len(P), db)
     # coverage needs dist <= b/2, and cells have radius d
-    if np.any(grid.b < 2.0 * d * (1 - 1e-12)):
+    if np.any(b < 2.0 * d * (1 - 1e-12)):
         raise ValueError("covering step exceeds b/2; inconsistent rule")
-    return grid
-
+    return CoveringGrid(
+        points=P,
+        supports=[tuple(S) for S in supports[s].tolist()],
+        b=b,
+        r=r,
+        d=d,
+        cardinality_bound=float(n_supports * (2 * (h * cap) / db + 1.0) ** h),
+        images=images,
+        f=f,
+        X=dm,
+    )

@@ -52,6 +52,12 @@ __all__ = [
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
+# The flip model's strip-envelope series: contour half-width _RHO1 / _THETA,
+# inside the pole-free strip (0 < rho1 < rho1/theta < pi), summed to order _K.
+_THETA = 0.75
+_RHO1 = math.pi / 2.0
+_K = 60
+
 
 # ----------------------------------------------------------------------------
 # noise models
@@ -208,18 +214,15 @@ class ExperimentConfig:
     p11: float = 0.9
     design: str = "pm1_iid"
     interval_halfwidth: float = 3.0
-    theta: float = 0.75
-    rho1: float = math.pi / 2.0
     c_r: object = "theorem"
     h_max: int | None = None
-    K: int = 60
     seed: int = 20260819
 
     def __post_init__(self):
         if not 0.0 < self.q <= 0.25:
             raise ValueError("q must lie in (0, 0.25]")
-        # sizes, orders and seeds: whole numbers only, integral floats stored as int
-        for name in ("n", "p", "spt_size", "replicates", "K", "seed", "h_max"):
+        # sizes, budgets and seeds: whole numbers only, integral floats stored as int
+        for name in ("n", "p", "spt_size", "replicates", "seed", "h_max"):
             v = getattr(self, name)
             if v is None and name == "h_max":
                 continue
@@ -255,11 +258,6 @@ class ExperimentConfig:
             self.family_obj()
         else:
             self.link_obj()
-            if self.K < 1:
-                raise ValueError("K must be >= 1")
-            # the strip envelope's contour radius rho1/theta lies in (rho1, pi)
-            if not (self.theta > 0 and 0.0 < self.rho1 < self.rho1 / self.theta < math.pi):
-                raise ValueError("rho1 and theta must satisfy 0 < rho1 < rho1/theta < pi")
         self.noise_obj()
 
     @classmethod
@@ -356,8 +354,8 @@ def replicate_report(cfg: ExperimentConfig, inst: Instance) -> BoundsReport:
     if cfg.model == "glm":
         return glm_report(inst.X, cfg.family_obj(), I, cfg.noise_obj().sigma, cfg.q)
     return ub_report(
-        inst.X, cfg.link_obj(), I, 1.0, cfg.q, rho1=cfg.rho1, theta=cfg.theta,
-        h=2.0 * inst.domain.max_support, mode="strip", K=cfg.K,
+        inst.X, cfg.link_obj(), I, 1.0, cfg.q, rho1=_RHO1, theta=_THETA,
+        h=2.0 * inst.domain.max_support, mode="strip", K=_K,
     )
 
 

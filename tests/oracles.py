@@ -1,5 +1,6 @@
 """Independent test oracles: seeded domain members, segment-hull samples,
-the covering check of a grid against such samples, Taylor partial sums,
+the covering check of a grid against such samples, a cell-by-cell cover
+construction, Taylor partial sums,
 the one-pass series norms of every column at every order, the
 column-separability inequality, the multinomial weight identity and a
 full-enumeration fit.  The library never calls these; the acceptance
@@ -105,6 +106,35 @@ def covers(G, samples) -> tuple:
         margin = np.min(dist - half_b[None, :], axis=1)
         worst = max(worst, float(np.max(margin)))
     return worst <= 1e-12, worst
+
+
+def cover_points_loop(X, D, d: float) -> tuple:
+    """Cover points and their supports, one cell at a time: every support of
+    size h = max(1, ceil(2 budget)) (at most p), its box of half-widths
+    cap / ||V_j||_inf cut into m = ceil(h cap / d) cells per side, a cell
+    kept when its nearest point to the origin is within the weighted cap,
+    exact duplicates dropped (first copy kept)."""
+    dm = _as_design(X)
+    cap = float(D.l1inf_cap)
+    h = max(1, math.ceil(min(dm.p, 2.0 * D.max_support)))
+    m = max(1, math.ceil(h * cap / d))
+    w = dm.column_norms(math.inf)
+    pts, sups, seen = [], [], set()
+    for S in itertools.combinations(range(dm.p), h):
+        a = cap / w[list(S)]
+        hw = a / m
+        for idx in itertools.product(range(m), repeat=h):
+            center = -a + (2 * np.asarray(idx) + 1) * hw
+            near = np.maximum(0.0, np.abs(center) - hw)
+            if float(near @ w[list(S)]) > cap * (1 + 1e-12):
+                continue
+            u = np.zeros(dm.p)
+            u[list(S)] = center
+            if u.tobytes() not in seen:
+                seen.add(u.tobytes())
+                pts.append(u)
+                sups.append(S)
+    return np.array(pts), sups
 
 
 def taylor_eval(f, center: float, z: float, K: int) -> float:

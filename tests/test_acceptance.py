@@ -41,7 +41,7 @@ def test_criterion_01_constant_identities():
     reports = [
         lb.glm_report(X, lb.bernoulli(), I, 1.0, 0.1),
         lb.one_disc_report(X, f, I, 1.0, 0.1, theta=0.75),
-        lb.multi_disc_report(X, G, I, 1.0, 0.1),
+        lb.multi_disc_report(G, I, 1.0, 0.1),
         lb.ub_report(X, f, I, 1.0, 0.1, rho1=math.pi / 2, theta=0.75),
     ]
     assert [r.theorem for r in reports] == ["glm", "one_disc", "multi_disc", "ub_strip"]

@@ -156,7 +156,7 @@ def test_c1_multi_disc_logistic():
     f = logistic_flip(0.1, 0.9)
     D = DomainSpec(Interval(-1.5, 1.5), max_support=1.0, l1inf_cap=1.5)
     G = build_grid(X, f, D)
-    sb = c1_multi_disc(X, G, sigma=1.0, q=0.1, K=40)
+    sb = c1_multi_disc(G, sigma=1.0, q=0.1, K=40)
     assert float(sb) > 0 and sb.tail >= 0
     assert sb.value == pytest.approx(sb.partial + sb.tail, rel=1e-12)
 
@@ -167,8 +167,8 @@ def test_multi_disc_refusal_names_k_and_disc_size():
     I = Interval(-1.5, 1.5)
     G = build_grid(X, logistic_flip(0.1, 0.9), DomainSpec(I, max_support=1.0, l1inf_cap=1.5))
     with pytest.raises(ValueError, match=r"not decaying by k = 3 at disc size x = 1\.5708$"):
-        multi_disc_report(X, G, I, 1.0, 0.1, K=3)
-    assert multi_disc_report(X, G, I, 1.0, 0.1, K=4).c1 > 0
+        multi_disc_report(G, I, 1.0, 0.1, K=3)
+    assert multi_disc_report(G, I, 1.0, 0.1, K=4).c1 > 0
 
 
 @pytest.mark.parametrize("mode", ["strip", "interval"])
@@ -228,7 +228,7 @@ def test_reports_identities_and_json():
     reports = [
         glm_report(X, bernoulli(), I, 1.0, 0.1),
         one_disc_report(X, f, I, 1.0, 0.1, theta=0.6),
-        multi_disc_report(X, G, I, 1.0, 0.1, K=40),
+        multi_disc_report(G, I, 1.0, 0.1, K=40),
         ub_report(X, f, I, 1.0, 0.1, rho1=math.pi / 2, theta=0.75),
     ]
     tags = [r.theorem for r in reports]
@@ -254,11 +254,13 @@ def test_series_c1_is_scale_equivariant(t):
     tX = DesignMatrix(t * X.X)
     f = logistic_flip(0.1, 0.9)
     I = Interval(-1.5, 1.5)
-    G = build_grid(X, f, DomainSpec(I, max_support=1.0, l1inf_cap=1.5))
+    D = DomainSpec(I, max_support=1.0, l1inf_cap=1.5)
     reports = [
         lambda Y: one_disc_report(Y, f, I, 1.0, 0.1, theta=0.6),
         lambda Y: ub_report(Y, f, I, 1.0, 0.1, rho1=math.pi / 2, theta=0.75),
-        lambda Y: multi_disc_report(Y, G, I, 1.0, 0.1, K=40),
+        # the multi-disc series reads its design from the grid, so each design
+        # gets its own grid (the cap scales its points by 1/t)
+        lambda Y: multi_disc_report(build_grid(Y, f, D), I, 1.0, 0.1, K=40),
     ]
     for report in reports:
         assert report(tX).c1 == pytest.approx(t * report(X).c1, rel=1e-12, abs=0.0)

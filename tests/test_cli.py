@@ -359,6 +359,7 @@ def test_bad_design_block_exits_1(tmp_path, design):
         {"c_r": "nan"},
         {"c_r": None},
         {"family": "gaussian", "sigma2": -1},
+        # K and theta (here and below) are fixed in the harness: unknown keys
         {"model": "flip", "K": 0},
         {"model": "flip", "p01": 0.9, "p11": 0.1},
         {"model": "flip", "theta": 1.5},
@@ -386,6 +387,9 @@ def test_bad_coverage_config_exits_1(tmp_path, capsys, monkeypatch, bad):
     assert drawn == []  # rejected before any replicate is drawn
     err = capsys.readouterr().err
     assert any(key in err for key in bad if key != "model"), err  # the error names the key
+    fixed = sorted(set(bad) & {"K", "theta", "rho1"})
+    if fixed:
+        assert f"unknown experiment keys: {fixed}" in err, err
 
 
 SCALAR_BASE = {

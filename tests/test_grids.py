@@ -1,5 +1,6 @@
 """Covering grids: construction, certificates, coverage, cardinality."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -15,7 +16,9 @@ from l0bounds import (
     exp_fn,
     logistic_flip,
 )
-from oracles import covers, sample_domain, segment_hull_sample
+from l0bounds import grids
+from l0bounds.design import random_design
+from oracles import cover_points_loop, covers, sample_domain, segment_hull_sample
 
 F = logistic_flip(0.1, 0.9)
 
@@ -75,6 +78,13 @@ EXPLICIT_H_GRIDS = [
      "ace4d92bb7728ecba1e537a77e984026d9878e1e133bc1551803050be1fa8188"),
 ]
 
+# sha256 of the indented JSON of the same grids
+EXPLICIT_H_GRID_JSON = {
+    (0.5, 1.5): "62f25991482cb76c4fddbfbcf541977d6950f8c5265edcedc4fff1296a3efc7a",
+    (1.0, 1.5): "1552f83d7c5e2444602caf68dd04979d4f676149dcd24ae5b2f643c2dec9b013",
+    (2.0, 0.6): "779c0e870ae81ce19b78d8c8363b6d896cb671485d7244ba0eb6717f25cdc7b0",
+}
+
 
 @pytest.mark.parametrize("budget,cap,h,size,bound,digest", EXPLICIT_H_GRIDS)
 def test_cover_support_size_follows_from_the_budget(budget, cap, h, size, bound, digest):
@@ -88,6 +98,43 @@ def test_cover_support_size_follows_from_the_budget(budget, cap, h, size, bound,
     assert len(G) == size
     assert max(np.count_nonzero(u) for u in G.points) == h
     assert hashlib.sha256(G.points.tobytes()).hexdigest() == digest
+    blob = json.dumps(G.to_dict(), indent=2).encode()
+    assert hashlib.sha256(blob).hexdigest() == EXPLICIT_H_GRID_JSON[budget, cap]
+
+
+def test_exp_grid_json_bytes_are_pinned():
+    # a gaussian design: every row image is distinct
+    X = DesignMatrix(np.random.default_rng(5).standard_normal((30, 6)))
+    D = DomainSpec(Interval(-1.0, 1.0), max_support=1.0, l1inf_cap=1.0)
+    G = build_grid(X, exp_fn(), D, b_rule=("constant", 1.0))
+    assert len(G) == 240 and G.images.size == len(G) * X.n
+    blob = json.dumps(G.to_dict(), indent=2).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "dbce2b0dc131d9a6b5b38470c22cb96bca674d0f33868b80aa2fbb3766de869d"
+    )
+
+
+@pytest.mark.parametrize(
+    "design,budget,cap",
+    [("pm1_iid", 1.0, 1.5), ("pm1_iid", 1.5, 0.9), ("pm1_iid", 1.0, 1.0),
+     ("gaussian_iid", 0.5, 2.0), ("binary_iid", 1.0, 1.2)],
+)
+def test_cells_match_the_per_cell_loop(design, budget, cap):
+    # the array construction keeps the loop's cells, bit for bit and in order;
+    # at cap 1.0 and 2.0 the cell count per side is odd, so centers with a
+    # zero coordinate repeat across supports and only the first copy stays
+    X = random_design(design, 40, 6, np.random.default_rng(7))
+    D = DomainSpec(Interval(-cap, cap), max_support=budget, l1inf_cap=cap)
+    G = build_grid(X, F, D)
+    P, sups = cover_points_loop(X, D, G.d)
+    assert G.points.tobytes() == P.tobytes()
+    assert G.supports == sups
+
+
+def test_grid_is_frozen():
+    G = build_grid(_design(), F, _domain())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        G.b = np.zeros(len(G))
 
 
 def test_cover_of_an_unbudgeted_domain_spans_every_column():
@@ -137,7 +184,8 @@ def test_grid_summary_properties():
     X = _design()
     D = _domain(cap=1.5)
     G = build_grid(X, F, D)
-    assert 0 < G.b_inf < G.r_inf and G.r_inf >= math.pi
+    assert 0 < G.b_inf < np.min(G.r) and np.min(G.r) >= math.pi
+    assert G.t_signed_max() == np.max(G.points @ X.X.T)
     assert len(G) == len(G.points) <= G.cardinality_bound
     A = G.A_sup(10)
     assert A.shape == (11,) and A[0] == 0.0 and np.all(A[1:] > 0)
@@ -173,16 +221,20 @@ def test_A_sup_table_equals_per_order_grid_max():
     X = _design()
     G = build_grid(X, F, _domain())
     A = G.A_sup(30)
-    flat = np.unique(G.row_images().ravel())
+    flat = np.unique((G.points @ X.X.T).ravel())
+    assert np.array_equal(G.images, flat)
     for k in range(1, 31):
         assert A[k] == np.max(F.coeff_abs_batch(k, flat)), k
     assert np.array_equal(G.A_sup(12), A[:13])
 
 
-def test_radii_match_the_per_row_loop():
+def test_radii_match_the_per_row_loop(monkeypatch):
     # r(u) is taken once per distinct row image; the values must be the
-    # per-(point, row) minimum bit for bit, so the grid JSON does not move
+    # per-(point, row) minimum bit for bit, so the grid JSON does not move;
+    # blocks of 7 points, the last one short, stand in for the 2^20-image blocks
+    monkeypatch.setattr(grids, "_BLOCK", 7 * 60)
     X = _design(n=60, p=5, seed=3)
     G = build_grid(X, F, _domain(cap=1.5))
-    want = np.array([min(F.radius_at(t) for t in row) for row in G.row_images()])
-    assert G.r_values().tobytes() == want.tobytes()
+    assert len(G) % 7
+    want = np.array([min(F.radius_at(t) for t in row) for row in G.points @ X.X.T])
+    assert G.r.tobytes() == want.tobytes()
