@@ -127,8 +127,7 @@ def c2_glm(X, delta: float) -> float:
     dm = _as_design(X)
     if not delta > 0:
         raise ValueError("flat family on I")
-    mu = coherence(dm)
-    return _NU * delta * (1.0 + mu) * dm.min_norm(2) ** 2 / (2.0 * dm.n)
+    return _NU * delta * (1.0 + coherence(dm)) * dm.min_norm(2) ** 2 / (2.0 * dm.n)
 
 
 def c2_lse(X, dmin: float) -> float:
@@ -136,8 +135,7 @@ def c2_lse(X, dmin: float) -> float:
     dm = _as_design(X)
     if not dmin > 0:
         raise ValueError("non-identifiable link on I")
-    mu = coherence(dm)
-    return dmin**2 * _NU * (1.0 + mu) * dm.min_norm(2) ** 2 / dm.n
+    return dmin**2 * _NU * (1.0 + coherence(dm)) * dm.min_norm(2) ** 2 / dm.n
 
 
 # ----------------------------------------------------------------------------

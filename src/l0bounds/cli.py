@@ -48,11 +48,13 @@ _REQUIRED = object()
 def _num(cfg: dict, key: str, kind=float, default=_REQUIRED):
     """``kind(cfg[key])`` for a scalar key (kind is float or int), or
     ``default`` when the key is absent; a missing required key, a value that
-    does not convert, or a fractional number for an int key (which int()
-    would truncate) is a config error."""
+    does not convert, a JSON boolean, or a fractional number for an int key
+    (which int() would truncate) is a config error."""
     if key not in cfg and default is not _REQUIRED:
         return default
     v = _need(cfg, key)
+    if isinstance(v, bool):
+        raise ConfigError(f"bad value for {key!r}: {v!r} is not a number")
     try:
         x = kind(v)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -1,18 +1,19 @@
 """Design-matrix functionals: coherence, capacity, weighted norms.
 
 The error-bound constants consume a handful of quantities derived from the
-design: mutual coherence mu(X), the support capacity it induces,
-per-column norms of several orders and, for the series bounds, the column
+design: mutual coherence mu(X), the support capacity it induces, the
+column 2-norms and sup norms and, for the series bounds, the column
 maxima max_j ||V_j||_{2k} of every order k <= K (``series_max``, which
 raises a column to higher orders only while it can still be the maximum).
-They live here together with a thin validated wrapper that caches column
-norms between calls, and with the seeded random designs of ``DESIGNS``.
+They live here with a validated wrapper that holds the sup norms and one
+Gram of the sup-scaled columns, and with the seeded designs of ``DESIGNS``.
 Parameter vectors are plain float arrays; a fit reports its support next to
 its estimate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -30,8 +31,8 @@ __all__ = [
 # relative slack used when clamping coherence into [0, 1]
 _MU_CLAMP_TOL = 1e-12
 
-# bytes of design rows that series_max raises together, and of the stacked
-# powers of the columns it raises past the head orders
+# bytes of design rows that series_max raises (or the scaled Gram sums, in
+# blocks of at least p rows) together, and of series_max's stacked powers
 _SERIES_BLOCK_BYTES = 2**18
 # orders that series_max forms for every column before dropping any
 _SERIES_HEAD = 6
@@ -44,15 +45,15 @@ _NU = 0.5
 
 
 class DesignMatrix:
-    """Validated n x p design with cached per-column norms and coherence.
+    """Validated n x p design with its column sup norms and one scaled Gram.
 
     Rejects non-finite entries and all-zero columns (a zero column makes
     coherence and every norm ratio meaningless).  The rows are held
     C-contiguous, so every column sum adds the rows in the same order
-    whatever the layout of the input.  Norms of any positive order, plus
-    the sup norm, are computed once and cached, and so is the mutual
-    coherence.  The series bounds need the column maxima of the orders 2k,
-    k <= ~60, all together; ``series_max`` serves them.
+    whatever the layout of the input.  The sup norms m_j are stored; the
+    2-norms and the coherence read ``scaled_gram``, formed on first use.
+    The series bounds need the column maxima of the orders 2k, k <= ~60,
+    all together; ``series_max`` serves them.
     """
 
     def __init__(self, X):
@@ -72,22 +73,28 @@ class DesignMatrix:
         self.X = X
         self.n = n
         self.p = p
-        self._norms = {math.inf: sup}
-        self._mu = None
+        self._sup = sup
+
+    @functools.cached_property
+    def scaled_gram(self) -> np.ndarray:
+        """Gram V'V of the sup-scaled columns V_j = X_j / m_j, whose diagonal
+        lies in [1, n] at any scale (the scaling of LAPACK's dnrm2: Blue, ACM
+        TOMS 1978), summed over row blocks of max(p, _SERIES_BLOCK_BYTES // 8p) rows."""
+        rows = max(self.p, _SERIES_BLOCK_BYTES // (8 * self.p))
+        G = np.zeros((self.p, self.p))
+        for i in range(0, self.n, rows):
+            V = self.X[i : i + rows] / self._sup
+            G += V.T @ V
+        return G
 
     def column_norms(self, s) -> np.ndarray:
-        """Per-column ell_s norms ||V_j||_s (s = inf gives the sup norm,
-        stored at construction)."""
-        key = float(s)
-        cached = self._norms.get(key)
-        if cached is not None:
-            return cached
-        if not key > 0:
-            raise ValueError("norm order must be positive")
-        a = np.abs(self.X)
-        a **= key  # in place: one n x p temporary, not two
-        out = self._norms[key] = np.sum(a, axis=0) ** (1.0 / key)
-        return out
+        """Per-column norms ||V_j||_s: m_j sqrt(G_jj) from ``scaled_gram``
+        for s = 2, the sup norms m_j for s = inf; other orders raise."""
+        if s == math.inf:
+            return self._sup
+        if s == 2:
+            return self._sup * np.sqrt(np.diag(self.scaled_gram))
+        raise ValueError(f"column norm order must be 2 or inf, got {s!r}")
 
     def max_norm(self, s) -> float:
         return float(np.max(self.column_norms(s)))
@@ -180,7 +187,7 @@ def series_max(X, K: int) -> np.ndarray:
     K = int(K)
     if K < 1:
         raise ValueError("need at least one series order")
-    m = dm._norms[math.inf]  # stored when the design was validated
+    m = dm.column_norms(math.inf)
     rows = min(dm.n, max(1, _SERIES_BLOCK_BYTES // (8 * dm.p)))
     head = K if dm.p == 1 else min(K, _SERIES_HEAD)
     S = np.zeros((head, dm.p))
@@ -203,7 +210,7 @@ def series_max(X, K: int) -> np.ndarray:
                 acc *= y2
             S[k] += _column_sums(acc)
     # k = 1 keeps numpy's sqrt path (the scalar exponent 0.5), so a +-1
-    # design gets exactly the values column_norms(2k) gives
+    # design gets exactly sqrt(n), the value column_norms(2) gives
     e = 1.0 / (2.0 * np.arange(1.0, K + 1.0))
     top = np.concatenate([[(m * S[0] ** 0.5).max()], (m * S[1:] ** e[1:head, None]).max(axis=1)])
     if head == K:
@@ -296,7 +303,8 @@ def _raise_columns(X, m, cols, rows, head, e, M):
 
 
 def coherence(X) -> float:
-    """Mutual coherence mu(X) = max_{i<j} |V_i' V_j| / (||V_i|| ||V_j||).
+    """Mutual coherence mu(X) = max_{i<j} |V_i' V_j| / (||V_i|| ||V_j||),
+    read as max_{i != j} |G_ij| / sqrt(G_ii G_jj) from ``scaled_gram`` G.
 
     Parameters
     ----------
@@ -306,23 +314,18 @@ def coherence(X) -> float:
     Returns
     -------
     float in [0, 1].  Floating-point excess above 1 within 1e-12 is clamped.
-    The value is stored on the DesignMatrix, so the p x p Gram is formed
-    once per design.
     """
     dm = _as_design(X)
     if dm.p < 2:
         raise ValueError("coherence undefined for single column")
-    if dm._mu is not None:
-        return dm._mu
-    V = dm.X / dm.column_norms(2)
-    G = np.abs(V.T @ V)
-    np.fill_diagonal(G, 0.0)
-    mu = float(G.max())
+    d = np.diag(dm.scaled_gram)
+    C = np.abs(dm.scaled_gram) / np.sqrt(np.outer(d, d))
+    np.fill_diagonal(C, 0.0)
+    mu = float(C.max())
     if mu > 1.0:
         if mu > 1.0 + _MU_CLAMP_TOL:
             raise ValueError("coherence exceeded 1 beyond rounding tolerance")
         mu = 1.0
-    dm._mu = mu
     return mu
 
 
@@ -330,9 +333,7 @@ def capacity(X) -> float:
     """Support budget (1 - _NU) (1 + 1/mu) of the separability split; +inf
     for orthogonal designs."""
     mu = coherence(X)
-    if mu == 0.0:
-        return math.inf
-    return (1.0 - _NU) * (1.0 + 1.0 / mu)
+    return math.inf if mu == 0.0 else (1.0 - _NU) * (1.0 + 1.0 / mu)
 
 
 def weighted_l1_norm(u, X) -> float:

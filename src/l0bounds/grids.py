@@ -153,10 +153,9 @@ def build_grid(X, f: AnalyticFn, D: DomainSpec, b_rule: tuple = ("half_radius",)
 
     # every support's m^h equal cells at once: (support, cell, coordinate)
     supports = np.array(list(itertools.combinations(range(dm.p), h)))
-    odd = 2 * np.array(list(itertools.product(range(m), repeat=h))) + 1
-    a = (cap / w[supports])[:, None, :]  # raw per-coordinate half-widths
-    hw = a / m
-    centers = -a + odd * hw
+    steps = 2 * np.array(list(itertools.product(range(m), repeat=h))) + 1 - m
+    hw = (cap / w[supports])[:, None, :] / m  # per-coordinate cell half-widths
+    centers = steps * hw  # an odd m's middle cell is centred at exactly 0
     # certified prune: nearest point of each cell to the origin
     near = np.maximum(0.0, np.abs(centers) - hw)
     s, c = np.nonzero(np.einsum("sch,sh->sc", near, w[supports]) <= cap * (1 + 1e-12))

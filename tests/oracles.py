@@ -121,10 +121,9 @@ def cover_points_loop(X, D, d: float) -> tuple:
     w = dm.column_norms(math.inf)
     pts, sups, seen = [], [], set()
     for S in itertools.combinations(range(dm.p), h):
-        a = cap / w[list(S)]
-        hw = a / m
+        hw = cap / w[list(S)] / m
         for idx in itertools.product(range(m), repeat=h):
-            center = -a + (2 * np.asarray(idx) + 1) * hw
+            center = (2 * np.asarray(idx) + 1 - m) * hw
             near = np.maximum(0.0, np.abs(center) - hw)
             if float(near @ w[list(S)]) > cap * (1 + 1e-12):
                 continue
@@ -165,7 +164,7 @@ def series_norms(X, K: int) -> np.ndarray:
     K = int(K)
     if K < 1:
         raise ValueError("need at least one series order")
-    m = dm._norms[math.inf]  # stored when the design was validated
+    m = dm.column_norms(math.inf)
     rows = max(1, _SERIES_BLOCK_BYTES // (8 * dm.p))
     S = np.zeros((K, dm.p))
     for i in range(0, dm.n, rows):
@@ -175,7 +174,7 @@ def series_norms(X, K: int) -> np.ndarray:
             S[k] += acc.sum(axis=0)
             acc *= y2
     # a scalar exponent per order keeps numpy's sqrt path for k = 1, so a
-    # +-1 design gets exactly the values column_norms(2k) gives
+    # +-1 design gets exactly sqrt(n), the value column_norms(2) gives
     return np.array([m * S[k - 1] ** (1.0 / (2.0 * k)) for k in range(1, K + 1)])
 
 

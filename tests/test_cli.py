@@ -351,6 +351,24 @@ def test_bad_design_block_exits_1(tmp_path, design):
 
 
 @pytest.mark.parametrize(
+    "key,design,q",
+    [
+        ("p", {"tag": "pm1_iid", "n": 20, "p": True}, 0.1),  # int(True) would be p = 1
+        ("seed", {"tag": "pm1_iid", "n": 20, "p": 3, "seed": True}, 0.1),
+        ("q", {"tag": "pm1_iid", "n": 20, "p": 3}, False),  # float(False) would be 0.0
+    ],
+)
+def test_json_boolean_for_a_number_exits_1(tmp_path, capsys, key, design, q):
+    cfg = _write(
+        tmp_path / "cfg.json",
+        {"theorem": "glm", "interval": [-2.0, 2.0], "q": q,
+         "family": {"tag": "bernoulli"}, "design": design},
+    )
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+    assert f"bad value for {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         {"family": "poisson"},

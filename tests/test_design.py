@@ -1,12 +1,16 @@
 """Design-matrix functionals: coherence, capacity, separability, scaling."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from l0bounds import (
     DesignMatrix,
+    c1_glm,
+    c2_glm,
     capacity,
     coherence,
     series_max,
@@ -14,7 +18,7 @@ from l0bounds import (
 )
 from l0bounds import design
 from l0bounds.bounds import _wk
-from l0bounds.design import _SERIES_BLOCK_BYTES
+from l0bounds.design import _SERIES_BLOCK_BYTES, random_design
 from oracles import nu_capacity, separability_lower_bound, series_norms
 
 
@@ -51,13 +55,84 @@ def test_design_matrix_sup_norm_matches_abs_max():
 def test_column_norms_match_numpy():
     rng = np.random.default_rng(3)
     X = DesignMatrix(rng.standard_normal((11, 4)))
-    for s in (1, 2, 4, np.inf):
-        want = np.linalg.norm(X.X, ord=None if s == 2 else s, axis=0)
-        if s != 2:
-            want = np.array([np.linalg.norm(X.X[:, j], ord=s) for j in range(4)])
-        np.testing.assert_allclose(X.column_norms(s), want, rtol=1e-14)
+    np.testing.assert_allclose(X.column_norms(2), np.linalg.norm(X.X, axis=0), rtol=1e-14)
+    assert np.array_equal(X.column_norms(np.inf), np.max(np.abs(X.X), axis=0))
+    for s in (1, 4, 0, -1):  # only the orders the bounds read
+        with pytest.raises(ValueError, match="column norm order must be 2 or inf"):
+            X.column_norms(s)
     assert X.max_norm(2) == X.column_norms(2).max()
     assert X.min_norm(2) == X.column_norms(2).min()
+
+
+def _column_norms(X, s):
+    """||V_j||_s as (sum_i |x_ij|^s)^(1/s), summed in row order."""
+    return np.sum(np.abs(X) ** s, axis=0) ** (1.0 / s)
+
+
+def test_layer_one_is_scale_equivariant():
+    # at 1e-200 the squares underflow to 0 and at 1e160 they overflow to
+    # inf; the sup-scaled Gram keeps every functional within rounding
+    rng = np.random.default_rng(22)
+    X = rng.standard_normal((300, 6))
+    X[:, 2] *= 1e-3
+    norms, mu = DesignMatrix(X).column_norms(2), coherence(X)
+    c1, c2 = c1_glm(X, 1.0, 0.1), c2_glm(X, 0.25)
+    for t in (1e-200, 1e-170, 1e150, 1e160, 1e200):
+        tX = DesignMatrix(t * X)
+        np.testing.assert_allclose(tX.column_norms(2), t * norms, rtol=1e-13, atol=0.0)
+        assert coherence(tX) == pytest.approx(mu, rel=1e-13, abs=0.0), t
+        assert c1_glm(tX, 1.0, 0.1) == pytest.approx(t * c1, rel=1e-13, abs=0.0), t
+        # c2 scales as t^2: above the double range it raises (an infinite
+        # curvature floor would certify a zero radius), below it rounds to 0
+        want = t * t * c2
+        if want > sys.float_info.max:
+            with pytest.raises(OverflowError):
+                c2_glm(tX, 0.25)
+        elif want < sys.float_info.min:
+            assert c2_glm(tX, 0.25) == want == 0.0, t
+        else:
+            assert c2_glm(tX, 0.25) == pytest.approx(want, rel=1e-13, abs=0.0), t
+
+
+@pytest.mark.parametrize("tag", ["pm1_iid", "binary_iid"])
+def test_two_level_column_norms_are_exact(tag):
+    # +-1 and 0/1 columns scale by 1 and square to 0 or 1, so every Gram
+    # sum is an integer count; rows span several blocks and a partial one
+    X = random_design(tag, 10_001, 8, np.random.default_rng(23))
+    counts = np.count_nonzero(X.X, axis=0).astype(float)
+    assert np.array_equal(X.column_norms(2), np.sqrt(counts))
+    assert np.array_equal(X.column_norms(2), _column_norms(X.X, 2))
+
+
+def test_pm1_coherence_is_the_correctly_rounded_fraction():
+    for n, p, seed in ((100, 20, 24), (1201, 12, 25), (10_001, 8, 26)):
+        X = random_design("pm1_iid", n, p, np.random.default_rng(seed))
+        A = X.X.astype(int).tolist()
+        top = max(
+            abs(sum(r[i] * r[j] for r in A)) for i in range(p) for j in range(i + 1, p)
+        )
+        assert coherence(X) == float(Fraction(top, n)), (n, p)
+
+
+@pytest.mark.parametrize("block_bytes", [_SERIES_BLOCK_BYTES, 8])
+@pytest.mark.parametrize("blocks", [(1, 0), (3, 0), (3, 1)])
+def test_blocked_gram_is_exact_on_integer_designs(monkeypatch, blocks, block_bytes):
+    # column j holds integers in [-2^j, 2^j] and reaches 2^j, so its sup is a
+    # power of two and every scaled product and sum is exact: the blocked
+    # Gram equals one X'X, rescaled, at one block, a whole number of blocks
+    # and one row more; 8 bytes leaves blocks of p rows, the fewest allowed
+    monkeypatch.setattr(design, "_SERIES_BLOCK_BYTES", block_bytes)
+    p = 8
+    full, extra = blocks
+    n = full * max(p, block_bytes // (8 * p)) + extra
+    rng = np.random.default_rng(27)
+    top = 2 ** np.arange(p)
+    X = rng.integers(-top, top + 1, size=(n, p)).astype(float)
+    X[0] = top
+    dm = DesignMatrix(X)
+    assert np.array_equal(dm.column_norms(np.inf), top.astype(float))
+    assert np.array_equal(dm.scaled_gram * np.outer(top, top), X.T @ X)
+    assert np.array_equal(dm.column_norms(2), np.sqrt(np.diag(X.T @ X)))
 
 
 def _series_designs():
@@ -81,7 +156,8 @@ def test_series_norms_match_per_order_norms(name):
     got = series_max(X, 60)
     assert got.shape == (60,)
     for k in range(1, 61):
-        np.testing.assert_allclose(got[k - 1], X.column_norms(2 * k).max(), rtol=1e-13, atol=0.0)
+        want = _column_norms(X.X, 2 * k).max()
+        np.testing.assert_allclose(got[k - 1], want, rtol=1e-13, atol=0.0)
 
 
 def test_series_norms_exact_on_pm1_design():
@@ -89,7 +165,7 @@ def test_series_norms_exact_on_pm1_design():
     X = DesignMatrix(rng.choice([-1.0, 1.0], size=(1001, 9)))
     got = series_max(X, 60)
     for k in range(1, 61):
-        assert got[k - 1] == X.max_norm(2 * k), k
+        assert got[k - 1] == _column_norms(X.X, 2 * k).max(), k
 
 
 def test_series_norms_scale_without_overflow_or_underflow():

@@ -75,14 +75,14 @@ EXPLICIT_H_GRIDS = [
     (1.0, 1.5, 2, 240, 348.44531569361425,
      "38e426096503909063eb5253951c96b08389580a8c896cd42f03a8fd50aee548"),
     (2.0, 0.6, 4, 2640, 4058.6970410979175,
-     "ace4d92bb7728ecba1e537a77e984026d9878e1e133bc1551803050be1fa8188"),
+     "322b346ac0d6a65f29896cedf855b2d262c8015768b3e8170fc30f3ea0c72b10"),
 ]
 
 # sha256 of the indented JSON of the same grids
 EXPLICIT_H_GRID_JSON = {
     (0.5, 1.5): "62f25991482cb76c4fddbfbcf541977d6950f8c5265edcedc4fff1296a3efc7a",
     (1.0, 1.5): "1552f83d7c5e2444602caf68dd04979d4f676149dcd24ae5b2f643c2dec9b013",
-    (2.0, 0.6): "779c0e870ae81ce19b78d8c8363b6d896cb671485d7244ba0eb6717f25cdc7b0",
+    (2.0, 0.6): "8c0083b9b6c060712c92389019ae0168f82d1236244bc783e1dc0e3c4c1021fb",
 }
 
 
@@ -110,8 +110,21 @@ def test_exp_grid_json_bytes_are_pinned():
     assert len(G) == 240 and G.images.size == len(G) * X.n
     blob = json.dumps(G.to_dict(), indent=2).encode()
     assert hashlib.sha256(blob).hexdigest() == (
-        "dbce2b0dc131d9a6b5b38470c22cb96bca674d0f33868b80aa2fbb3766de869d"
+        "01c9462419b37a539e619d51bce492327905bdc45d4a98880f7709d3d834a7ac"
     )
+
+
+def test_odd_cell_count_centres_its_middle_cell_at_zero():
+    # m = 3 cells per side: the middle cell's centre is exactly 0, so the
+    # supports' copies of the origin are one point and no two points are
+    # near-copies of each other
+    X = random_design("gaussian_iid", 40, 6, np.random.default_rng(7))
+    D = DomainSpec(Interval(-2.0, 2.0), max_support=0.5, l1inf_cap=2.0)
+    G = build_grid(X, F, D)
+    assert len(G) == 13
+    gaps = np.abs(G.points[:, None, :] - G.points[None, :, :]).max(axis=2)
+    np.fill_diagonal(gaps, np.inf)
+    assert gaps.min() > 1e-12
 
 
 @pytest.mark.parametrize(
