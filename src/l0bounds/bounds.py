@@ -120,6 +120,17 @@ def c1_glm(X, sigma: float, q: float) -> float:
     return sigma * math.sqrt(math.log(dm.p / q) / (2.0 * dm.n)) * dm.max_norm(2)
 
 
+def _min_norm_sq(dm: DesignMatrix) -> float:
+    """min_j ||V_j||_2^2, the factor of c2 that leaves the double range first."""
+    try:
+        return dm.min_norm(2) ** 2
+    except OverflowError as exc:
+        raise OverflowError(
+            f"c2 overflows: the minimum column 2-norm {dm.min_norm(2):.6g} squares past the"
+            f" double range (design scale max |x_ij| = {dm.max_norm(math.inf):.6g})"
+        ) from exc
+
+
 def c2_glm(X, delta: float) -> float:
     """c2 = nu delta (1 + mu) min_j ||V_j||_2^2 / (2n), nu = ``design._NU``;
     the curvature floor delta must be positive (the Bernoulli variance
@@ -127,7 +138,7 @@ def c2_glm(X, delta: float) -> float:
     dm = _as_design(X)
     if not delta > 0:
         raise ValueError("flat family on I")
-    return _NU * delta * (1.0 + coherence(dm)) * dm.min_norm(2) ** 2 / (2.0 * dm.n)
+    return _NU * delta * (1.0 + coherence(dm)) * _min_norm_sq(dm) / (2.0 * dm.n)
 
 
 def c2_lse(X, dmin: float) -> float:
@@ -135,7 +146,7 @@ def c2_lse(X, dmin: float) -> float:
     dm = _as_design(X)
     if not dmin > 0:
         raise ValueError("non-identifiable link on I")
-    return dmin**2 * _NU * (1.0 + coherence(dm)) * dm.min_norm(2) ** 2 / dm.n
+    return dmin**2 * _NU * (1.0 + coherence(dm)) * _min_norm_sq(dm) / dm.n
 
 
 # ----------------------------------------------------------------------------

@@ -40,7 +40,7 @@ class Interval:
         x = np.asarray(x, dtype=float)
         lo_ok = (x >= self.lo) if math.isfinite(self.lo) else (x > self.lo)
         hi_ok = (x <= self.hi) if math.isfinite(self.hi) else (x < self.hi)
-        return bool(np.all(lo_ok & hi_ok))
+        return bool((lo_ok & hi_ok).all())
 
     @property
     def sup_abs(self) -> float:
@@ -87,7 +87,7 @@ class DomainSpec:
         t may also list each distinct row image once, as the estimator's
         grouped rows do: the interval test depends only on the set of
         images."""
-        if np.count_nonzero(u) > self.max_support:
+        if u.size > self.max_support and np.count_nonzero(u) > self.max_support:
             return False
         if not self.interval.contains(t):
             return False

@@ -13,14 +13,15 @@ for the likelihood (convex per support), Gauss-Newton and two starts for
 least squares.
 
 Every inner problem depends on the rows only through the distinct row
-images of X_S, their multiplicities m_g and their response sums, so each
-support groups its rows once (by the columns' level codes, which the
-problem caches) and solves on the G <= min(n, prod of the columns' level
-counts) group rows: at most 2^k on a +-1 or 0/1 design with support size k,
-n on a gaussian one.  A trial point costs one product of the G x k group
-rows with v, and those images serve the domain test, the loss, the
-derivatives and the binding constraints of the accepted point; no work per
-trial scales with n.  ``fit`` rechecks the winner's objective on all n rows.
+images of X_S, their multiplicities m_g and their response sums, so the
+rows are grouped (by the columns' level codes, which the problem caches)
+a chunk of a level's supports at a time, and each support solves on its
+G <= min(n, prod of the columns' level counts) group rows: at most 2^k on
+a +-1 or 0/1 design with support size k, n on a gaussian one.  A trial
+point costs one product of the G x k group rows with v, and those images
+serve the domain test, the loss, the derivatives and the binding
+constraints of the accepted point; no work per trial scales with n.
+``fit`` rechecks the winner's objective on all n rows.
 
 Each support size is one level for both losses: ``fit`` prices it with the
 loss's floors, solves it in ascending floor order and stops at the first
@@ -30,7 +31,7 @@ On the group rows the least-squares loss is W_S + sum_g m_g (ybar_g -
 f(t_g))^2, so its floor is the within-group sum of squares W_S (less a
 rounding margin), formed for a whole level from stacked level keys; it is
 0 on a continuous column, where every group is one row.  ``_level_keys``
-keys the rows of a level's supports and of each solve's one support.
+keys the rows of a level's supports, for the floors and the groups alike.
 
 Determinism: equal floors keep itertools.combinations order; records come
 in enumeration order, by size and then lexicographically; tie-breaking is
@@ -202,20 +203,23 @@ def _level_keys(prob: FitProblem, supports: np.ndarray):
     return keys, radix, grouped
 
 
-def _group_rows(prob: FitProblem, S: list):
-    """Group the rows by their image under X_S: (inv, m, rep), rep holding
-    one row of each group.  Groups come in key order (``_level_keys``): in
-    row order when every row is its own group."""
-    keys, radix, _ = _level_keys(prob, np.array([S], dtype=np.intp))
-    key, radix = keys[0], int(radix[0])
-    counts = np.bincount(key, minlength=radix)
+def _group_rows(prob: FitProblem, supports: np.ndarray) -> list:
+    """Group the rows of each support S of a (B, k) array by their image
+    under X_S, in one pass (keys offset support by support, one bincount,
+    one rank table): one (inv, m, rep) per support, rep holding one row of
+    each group.  Groups come in key order (``_level_keys``): in row order
+    when every row is its own group."""
+    keys, radix, _ = _level_keys(prob, supports)
+    start = np.cumsum(radix) - radix
+    keys += start[:, None]
+    counts = np.bincount(keys.ravel(), minlength=int(start[-1] + radix[-1]))
     present = np.flatnonzero(counts)
-    rank = np.zeros(radix, dtype=np.intp)
-    rank[present] = np.arange(present.size)
-    inv = rank[key]
+    inv = (np.cumsum(counts > 0) - 1)[keys]  # the rank table: each cell's rank among the present
     rep = np.empty(present.size, dtype=np.intp)
-    rep[inv] = np.arange(key.size)  # the rows of a group are equal on S: any one serves
-    return inv, counts[present].astype(float), rep
+    rep[inv] = np.arange(keys.shape[1])  # the rows of a group are equal on S: any one serves
+    first = np.searchsorted(present, start)  # each support's first group
+    m = np.split(counts[present].astype(float), first[1:])
+    return list(zip(inv - first[:, None], m, np.split(rep, first[1:])))
 
 
 _PASS_CELLS = 1 << 14  # keys per chunk of a level pass: 128 KB of them
@@ -283,7 +287,7 @@ def _mle_value(prob: FitProblem, rows: _Rows, t: np.ndarray) -> float:
 
 def _lse_value(prob: FitProblem, rows: _Rows, t: np.ndarray) -> float:
     r = rows.ybar - prob.link(t)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         return math.inf
     return rows.W + float((rows.m * r) @ r)
 
@@ -293,7 +297,7 @@ def _mle_grad_hess(prob: FitProblem, rows: _Rows, Xs: np.ndarray, t: np.ndarray)
         g, H = prob.family.nll_derivatives(rows.Y, Xs, t, rows.m)
     except ValueError:
         return None
-    H = H + (1e-12 * max(1.0, float(np.trace(H)))) * np.eye(Xs.shape[1])
+    H.flat[::Xs.shape[1] + 1] += 1e-12 * max(1.0, float(H.trace()))
     return g, H
 
 
@@ -301,13 +305,13 @@ def _lse_grad_hess(prob: FitProblem, rows: _Rows, Xs: np.ndarray, t: np.ndarray)
     f = prob.link
     fp = f.deriv1(t)
     r = rows.ybar - f(t)
-    if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(r))):
+    if not (np.isfinite(fp).all() and np.isfinite(r).all()):
         return None
     J = fp[:, None] * Xs
     mJ = rows.m[:, None] * J
     g = -2.0 * (mJ.T @ r)
     H = 2.0 * (J.T @ mJ)  # Gauss-Newton curvature, positive definite with the ridge
-    H = H + (1e-10 * max(1.0, float(np.trace(H)))) * np.eye(Xs.shape[1])
+    H.flat[::Xs.shape[1] + 1] += 1e-10 * max(1.0, float(H.trace()))
     return g, H
 
 
@@ -357,16 +361,17 @@ _LOSSES = {
 
 class _Support:
     """The inner problem on one support S: the G x |S| distinct rows Xs of
-    X_S with their grouped statistics, the columns' sup norms (the cap
-    weights) and the loss pieces bound to them.  Iterates are v in R^|S|;
-    every evaluation goes through the images t = Xs v, which are the row
-    images X_S v without their repeats."""
+    X_S (from ``groups``, S's ``_group_rows`` entry, formed here if None)
+    with their grouped statistics, the columns' sup norms (the cap weights)
+    and the loss pieces bound to them.  Iterates are v in R^|S|; every
+    evaluation goes through the images t = Xs v, which are the row images
+    X_S v without their repeats."""
 
-    def __init__(self, prob: FitProblem, S: tuple):
+    def __init__(self, prob: FitProblem, S: tuple, groups: tuple | None = None):
         loss = _LOSSES[prob.loss]
         self.two_starts = loss.two_starts
         self.prob, self.S = prob, list(S)
-        inv, m, rep = _group_rows(prob, self.S)
+        inv, m, rep = groups or _group_rows(prob, np.array([self.S], dtype=np.intp))[0]
         self.rows = _Rows(prob, inv, m)
         self.Xs = prob.X.X[:, self.S].T.take(rep, axis=1).T  # column-major, like X[:, S]
         self.w = prob.X.column_norms(math.inf)[self.S]
@@ -391,7 +396,7 @@ def _backtrack(sp: _Support, v, t, d, cur, gdotd):
     membership failure counts as hitting the boundary.
     """
     alpha = 1.0
-    dn = float(np.max(np.abs(d)))
+    dn = float(np.abs(d).max())
     hit_boundary = False
     while alpha * dn > _STEP_TOL:
         trial = v + alpha * d
@@ -491,7 +496,7 @@ def _active_set_newton(sp: _Support, v: np.ndarray, t: np.ndarray, cur: float):
             A = act[0]
             lam = np.linalg.lstsq(A.T, -g, rcond=None)[0]
             pg = g + A.T @ lam
-            if float(np.max(np.abs(pg))) > _FACET_TOL * max(1.0, float(np.max(np.abs(g)))):
+            if float(np.abs(pg).max()) > _FACET_TOL * max(1.0, float(np.abs(g).max())):
                 d = _null_space_step(A, g, H)
             elif act[1] and lam[0] < -_FACET_TOL:
                 clamped = False  # the cap does not bind at the optimum
@@ -499,14 +504,14 @@ def _active_set_newton(sp: _Support, v: np.ndarray, t: np.ndarray, cur: float):
                 converged = True
                 break
         if not clamped:
-            if float(np.max(np.abs(g))) <= _GRAD_TOL:
+            if float(np.abs(g).max()) <= _GRAD_TOL:
                 converged = True
                 break
             try:
                 d = np.linalg.solve(H, -g)
             except np.linalg.LinAlgError:
                 d = np.linalg.lstsq(H, -g, rcond=None)[0]
-        if d is None or not np.all(np.isfinite(d)) or float(np.max(np.abs(d))) == 0.0:
+        if d is None or not np.isfinite(d).all() or float(np.abs(d).max()) == 0.0:
             break
         v, t, cur, ok, hit = _backtrack(sp, v, t, d, cur, float(g @ d))
         if not ok and (clamped or on_boundary or not hit):
@@ -522,7 +527,7 @@ def _ridge_start(sp: _Support):
     sum_g m_g x_g x_g' and the working-response sums."""
     Xs, k = sp.Xs, len(sp.S)
     A = Xs.T @ (sp.rows.m[:, None] * Xs)
-    A = A + 1e-3 * max(1.0, float(np.trace(A)) / k) * np.eye(k)
+    A.flat[::k + 1] += 1e-3 * max(1.0, float(A.trace()) / k)
     try:
         v = np.linalg.solve(A, Xs.T @ sp.rows.working_sums)
     except np.linalg.LinAlgError:
@@ -535,15 +540,15 @@ def _ridge_start(sp: _Support):
     return None
 
 
-def inner_solve(prob: FitProblem, S: tuple):
+def inner_solve(prob: FitProblem, S: tuple, groups: tuple | None = None):
     """Solve the smooth inner problem on a fixed support.
 
     Every start runs ``_active_set_newton`` with the loss's own derivative
     pair (exact Hessian for the likelihood, Gauss-Newton for least squares).
     Returns (u, loss, converged, boundary_clamped) or None when no feasible
-    start exists for the support.
+    start exists for the support; ``groups`` is passed to ``_Support``.
     """
-    sp = _Support(prob, S)
+    sp = _Support(prob, S, groups)
     zero = np.zeros(len(sp.S))
     t0 = sp.Xs @ zero
     starts = [(zero, t0)] if sp.admits(zero, t0) else []
@@ -573,16 +578,19 @@ def fit(prob: FitProblem) -> FitResult:
     ascending floor order (a stable sort: equal floors keep combinations
     order), and stopped at the first support whose floor plus c_r k exceeds
     the incumbent by more than the tie tolerance; every later one fails the
-    same test.  Both prunes are exact, so the reported minimizer is the
-    same as under full enumeration; pruned supports simply do not appear in
-    ``records``, which lists the solved ones in enumeration order (by size,
-    then lexicographically) whatever order they were solved in.  The caveat
-    both prunes share: they charge a support c_r |S|, while a solve that
-    returns exact zeros is charged only for its nonzeros, so a pruned S
-    could have returned such a point; it lies on a smaller support, and the
-    result is exact when that support's own solve does at least as well.
-    (A constant floor stops a level only after such a solve: any other
-    point on a size-k support costs at least that floor plus c_r k.)
+    same test.  The solves are grouped in chunks of ``_PASS_CELLS // n``, in
+    solve order, one ``_group_rows`` pass each when its first support comes
+    up, so no chunk past the stop is keyed.  Both prunes are exact, so the
+    reported minimizer is the same as under full enumeration; pruned
+    supports simply do not appear in ``records``, which lists the solved
+    ones in enumeration order (by size, then lexicographically) whatever
+    order they were solved in.  The caveat both prunes share: they charge a
+    support c_r |S|, while a solve that returns exact zeros is charged only
+    for its nonzeros, so a pruned S could have returned such a point; it
+    lies on a smaller support, and the result is exact when that support's
+    own solve does at least as well.  (A constant floor stops a level only
+    after such a solve: any other point on a size-k support costs at least
+    that floor plus c_r k.)
 
     Raises
     ------
@@ -598,6 +606,7 @@ def fit(prob: FitProblem) -> FitResult:
         raise ValueError("enumeration budget exceeded (more than 1e6 supports)")
     loss = _LOSSES[prob.loss]
     loss_floor = loss.loss_floor(prob)  # an exact lower bound on the unpenalized loss over all u
+    chunk = max(1, _PASS_CELLS // prob.X.n)  # supports grouped per pass, as in the level floors
     records = []
     candidates = []  # (objective, sparsity, support, u, loss)
     incumbent = math.inf
@@ -609,14 +618,17 @@ def fit(prob: FitProblem) -> FitResult:
         combos = itertools.chain.from_iterable(itertools.combinations(range(p), k))
         supports = np.fromiter(combos, dtype=np.intp, count=count * k).reshape(count, k)
         floors = loss.level_floors(prob, supports)
+        order = np.argsort(floors, kind="stable")
         level = []  # (enumeration index, record, candidate or None)
-        for i in np.argsort(floors, kind="stable"):
+        for j, i in enumerate(order):
             # exact prune: no point on this support, nor (the floors ascend)
             # on any later one of this size, can beat the incumbent
             if floors[i] + prob.c_r * k > incumbent + _TIE_TOL:
                 break
+            if j % chunk == 0:
+                groups = _group_rows(prob, supports[order[j:j + chunk]])
             S = tuple(supports[i].tolist())
-            got = inner_solve(prob, S)
+            got = inner_solve(prob, S, groups[j % chunk])
             if got is None:
                 level.append((i, SupportRecord(S, math.inf, False, False, False), None))
                 continue

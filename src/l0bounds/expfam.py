@@ -43,20 +43,21 @@ class ExpFamily:
 
     def check_natural(self, t: np.ndarray):
         """Raise (with the first offending row) if t is not finite."""
-        bad = ~np.isfinite(np.asarray(t, dtype=float))
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"natural parameter outside family domain at row {i}"
-            )
+        finite = np.isfinite(np.asarray(t, dtype=float))
+        if not finite.all():
+            raise ValueError(f"natural parameter outside family domain at row {np.argmin(finite)}")
 
     def nll(self, y: np.ndarray, t: np.ndarray, m=1.0) -> float:
         """Negative log-likelihood sum_g m_g Lambda(t_g) - y't on row images
         t with multiplicities m (1 for plain rows, where y is the response;
         for grouped rows y holds each group's response sum); raises
-        ValueError outside the natural domain."""
-        self.check_natural(t)
-        return float(np.sum(m * self.log_partition(t)) - y @ t)
+        ValueError outside the natural domain, checked only when the value
+        is not finite (as any non-finite t_g makes it); overflow gives inf."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float((m * self.log_partition(t)).sum() - y @ t)
+        if not np.isfinite(value):
+            self.check_natural(t)
+        return value
 
     def nll_derivatives(self, y: np.ndarray, Xs: np.ndarray, t: np.ndarray, m=1.0):
         """Gradient Xs'(m Lambda'(t) - y) and Hessian Xs' diag(m Lambda''(t)) Xs

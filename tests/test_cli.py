@@ -531,6 +531,22 @@ def test_exit_code_2_on_arithmetic_overflow(tmp_path, capsys):
     assert "computation error: overflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block", [
+    {"theorem": "glm", "family": {"tag": "bernoulli"}},
+    {"theorem": "one_disc", "link": {"tag": "logistic_flip", "p01": 0.1, "p11": 0.9}, "theta": 0.75},
+])
+def test_exit_code_2_names_c2_when_it_overflows(tmp_path, capsys, block):
+    # c2 scales with the square of the design: past about 1e154 it leaves
+    # the double range, and the message says which constant and why
+    x = tmp_path / "x.csv"
+    np.savetxt(x, 1e160 * np.random.default_rng(23).standard_normal((50, 4)), delimiter=",")
+    cfg = _write(tmp_path / "cfg.json", {**block, "interval": [-1, 1], "q": 0.1})
+    assert main(["bounds", "--config", cfg, "--x", str(x), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "computation error: c2 overflows" in err
+    assert "minimum column 2-norm" in err and "design scale" in err
+
+
 def test_configs_keep_running_with_the_deleted_keys(tmp_path):
     # bounds, fit and grid ignore top-level keys they do not read, so configs
     # that still carry nu, loss, h_max or h give the same output

@@ -587,8 +587,8 @@ def test_every_iterate_carries_the_row_images_its_trial_admitted(monkeypatch):
 
     real_init = estimator._Support.__init__
 
-    def init(self, prob, S):
-        real_init(self, prob, S)
+    def init(self, prob, S, *args):
+        real_init(self, prob, S, *args)
         assert len(self.Xs) <= 2 ** len(S)  # a +-1 design
         self.Xs = self.Xs.view(CountedDesign)
         group_rows[id(self.Xs)] = self.Xs
@@ -613,10 +613,10 @@ def test_every_iterate_carries_the_row_images_its_trial_admitted(monkeypatch):
 
     real_inner = estimator.inner_solve
 
-    def inner(prob, S):
+    def inner(prob, S, *args):
         inside[0] = True
         try:
-            return real_inner(prob, S)
+            return real_inner(prob, S, *args)
         finally:
             inside[0] = False
 
@@ -785,6 +785,92 @@ def test_group_rows_are_the_distinct_row_images(design, loss):
                 assert sp.rows.Y[g] == pytest.approx(prob.y[members].sum(), rel=1e-15, abs=1e-15)
 
 
+def _levels_design(design, n, rng):
+    """A 6-column design: +-1, 0/1, few levels (with two columns whose
+    level counts multiply past n), or gaussian (n levels per column)."""
+    if design == "pm1":
+        return rng.choice([-1.0, 1.0], size=(n, 6))
+    if design == "binary":
+        return rng.integers(0, 2, size=(n, 6)).astype(float)
+    if design == "few":
+        return np.column_stack([rng.integers(0, L, n) for L in (3, 5, 2, 12, 25, 4)]).astype(float)
+    return rng.standard_normal((n, 6))
+
+
+@pytest.mark.parametrize("design", ["pm1", "binary", "few", "gaussian"])
+def test_batched_grouping_matches_unique_per_support(design):
+    # one batch pass groups each support's rows as np.unique does: groups in
+    # lexicographic order of the images, or in row order when a column has
+    # n levels; in batches of every support of a level, of one support and
+    # of three (so the last batch of a level is short)
+    from l0bounds import estimator
+
+    rng = np.random.default_rng(38)
+    n = 60
+    Xm = _levels_design(design, n, rng)
+    prob = FitProblem(y=rng.standard_normal(n), X=DesignMatrix(Xm), domain=WIDE, c_r=0.0,
+                      family=gaussian(1.0))
+    for k in range(4):
+        combos = list(itertools.combinations(range(6), k))
+        supports = np.array(combos, dtype=np.intp).reshape(len(combos), k)
+        for size in (len(supports), 1, 3):
+            groups = []
+            for lo in range(0, len(supports), size):
+                groups += estimator._group_rows(prob, supports[lo:lo + size])
+            assert len(groups) == len(supports)
+            for S, (inv, m, rep) in zip(supports.tolist(), groups):
+                images, want = np.unique(Xm[:, S], axis=0, return_inverse=True)
+                if design == "gaussian" and k:
+                    want = np.arange(n)  # ungrouped: each row its own group
+                np.testing.assert_array_equal(inv, want.ravel())
+                np.testing.assert_array_equal(m, np.bincount(inv).astype(float))
+                np.testing.assert_array_equal(Xm[rep][:, S][inv], Xm[:, S])
+                assert len(rep) == len(images)
+
+
+@pytest.mark.parametrize("design,loss", GROUPING_CASES)
+def test_fit_is_the_same_whatever_the_grouping_chunk(monkeypatch, design, loss):
+    # the solves group their rows a chunk of a level at a time; chunks of
+    # one support, and of three (a short last chunk on each level), give
+    # the fit of whole-level chunks bit for bit
+    from l0bounds import estimator
+
+    rng = np.random.default_rng(39)
+    prob = _grouping_problem(design, loss, 90, 5, rng)(0.3)
+    base = fit(prob)
+    assert base.n_supports == 16
+    for cells in (90, 3 * 90):
+        with monkeypatch.context() as patch:
+            patch.setattr(estimator, "_PASS_CELLS", cells)
+            res = fit(prob)
+        assert res.support == base.support
+        assert res.objective.hex() == base.objective.hex()
+        assert res.beta_hat.tobytes() == base.beta_hat.tobytes()
+        assert res.tie_break_applied == base.tie_break_applied
+        assert res.records == base.records
+
+
+def test_rows_are_keyed_once_per_chunk_of_a_level_not_once_per_solve(monkeypatch):
+    # a 37-support glm fit on a +-1 design with n = 1200: chunks of
+    # _PASS_CELLS // n = 13 supports, so at most 1 + 1 + 3 keying passes
+    from l0bounds import estimator
+
+    _cfg, inst, D = _boundary_instance(1200)
+    calls = [0]
+    real = estimator._level_keys
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(estimator, "_level_keys", counted)
+    res = fit(FitProblem(y=inst.y, X=inst.X, domain=D, c_r=0.5, family=bernoulli()))
+    assert len(res.records) == 37
+    chunk = estimator._PASS_CELLS // inst.X.n
+    solved = [sum(len(r.support) == k for r in res.records) for k in range(3)]
+    assert 0 < calls[0] <= sum(-(-s // chunk) for s in solved) == 5
+
+
 @pytest.mark.parametrize("design,loss", GROUPING_CASES)
 def test_inner_solve_losses_match_the_per_row_recomputation(design, loss):
     rng = np.random.default_rng(33)
@@ -913,9 +999,9 @@ def test_least_squares_solves_each_level_in_floor_order_and_records_it_in_enumer
     solved = []
     real_inner = estimator.inner_solve
 
-    def inner(prob, S):
+    def inner(prob, S, *args):
         solved.append(S)
-        return real_inner(prob, S)
+        return real_inner(prob, S, *args)
 
     monkeypatch.setattr(estimator, "inner_solve", inner)
     res = fit(prob)

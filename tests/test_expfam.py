@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,51 @@ def test_flat_family_raises():
 def test_check_natural_reports_row():
     with pytest.raises(ValueError, match="natural parameter outside family domain at row 2"):
         bernoulli().check_natural(np.array([0.0, 0.5, math.inf, math.nan]))
+
+
+@pytest.mark.parametrize("fam_name", sorted(FAMILIES))
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_natural_parameter_raises_with_its_row(fam_name, bad):
+    # nll checks the natural domain only when its value is not finite: any
+    # non-finite t_g makes it so (y_g = 0 turns -inf into nan), and the error
+    # names the first bad row, with no RuntimeWarning on the way
+    fam = FAMILIES[fam_name]()
+    rng = np.random.default_rng(13)
+    Xs = rng.standard_normal((6, 2))
+    t = rng.standard_normal(6)
+    t[3], t[5] = bad, math.nan
+    for y3 in (0.0, 1.0):
+        y = rng.integers(0, 2, 6).astype(float)
+        y[3] = y3
+        for m in (1.0, rng.integers(1, 4, 6).astype(float)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="outside family domain at row 3$"):
+                    fam.nll(y, t, m)
+                with pytest.raises(ValueError, match="outside family domain at row 3$"):
+                    fam.nll_derivatives(y, Xs, t, m)
+
+
+def test_gaussian_nll_overflow_at_a_finite_parameter_is_inf():
+    # t is in the natural domain, so no error: the value overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gaussian().nll(np.array([1.0, 0.0]), np.array([0.5, 1e200])) == math.inf
+
+
+@pytest.mark.parametrize("fam_name", sorted(FAMILIES))
+def test_nll_is_bit_equal_to_the_plain_sum(fam_name):
+    fam = FAMILIES[fam_name]()
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        n = int(rng.integers(1, 300))
+        t = 3.0 * rng.standard_normal(n)
+        m = rng.integers(2, 9, n).astype(float)
+        Y = rng.binomial(m.astype(int), 0.4).astype(float)
+        y = rng.integers(0, 2, n).astype(float)
+        for resp, mult in ((y, 1.0), (Y, m)):  # plain rows, then grouped ones
+            want = float(np.sum(mult * fam.log_partition(t)) - resp @ t)
+            assert fam.nll(resp, t, mult).hex() == want.hex()
 
 
 def test_mle_loss_at_zero_is_n_log2():
