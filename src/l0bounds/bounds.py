@@ -350,7 +350,7 @@ def multi_disc_report(
 
 def ub_report(
     X, f: AnalyticFn, I: Interval, sigma: float, q: float,
-    rho1: float, theta: float, h: float | None = None,
+    rho1: float, theta: float = 0.75, h: float | None = None,
     delta_D: float | None = None, mode: str = "strip", K: int = 60,
 ) -> BoundsReport:
     """Least-squares constants from the explicit-envelope series.

@@ -42,26 +42,26 @@ def _need(cfg: dict, key: str):
     return cfg[key]
 
 
-_REQUIRED = object()
-
-
-def _num(cfg: dict, key: str, kind=float, default=_REQUIRED):
-    """``kind(cfg[key])`` for a scalar key (kind is float or int), or
-    ``default`` when the key is absent; a missing required key, a value that
-    does not convert, a JSON boolean, or a fractional number for an int key
-    (which int() would truncate) is a config error."""
-    if key not in cfg and default is not _REQUIRED:
-        return default
+def _num(cfg: dict, key: str, kind=float):
+    """``cfg[key]`` as a float, or as an int when kind is int; a numeric
+    string reads as its number.  A missing key, a value that does not
+    convert, a JSON boolean, or a number that is not whole for an int key is
+    a config error."""
     v = _need(cfg, key)
-    if isinstance(v, bool):
-        raise ConfigError(f"bad value for {key!r}: {v!r} is not a number")
     try:
-        x = kind(v)
+        if isinstance(v, bool):
+            raise ValueError(f"{v!r} is not a number")
+        if kind is float:
+            return float(v)
+        return harness._whole_number(key, int(v) if isinstance(v, str) else v)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {v!r}") from exc
-    if kind is int and not isinstance(v, str) and x != v:
-        raise ConfigError(f"bad value for {key!r}: {v!r} is not a whole number")
-    return x
+        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+
+
+def _given(cfg: dict, kind, *keys) -> dict:
+    """The keys among ``keys`` that ``cfg`` gives, read by ``_num``; the
+    library signature they are passed to holds the defaults of the rest."""
+    return {k: _num(cfg, k, kind) for k in keys if k in cfg}
 
 
 def parse_block(cfg: dict, key: str, table: dict):
@@ -92,7 +92,7 @@ def parse_domain(d: dict) -> domains.DomainSpec:
         return domains.DomainSpec(
             interval=parse_interval(_need(d, "interval")),
             max_support=_num(d, "max_support"),
-            l1inf_cap=_num(d, "l1inf_cap", default=None),
+            **_given(d, float, "l1inf_cap"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad domain block: {exc}") from exc
@@ -102,11 +102,10 @@ def parse_domain(d: dict) -> domains.DomainSpec:
 _B_RULES = {"half_radius": (), "constant": ("c",)}
 
 
-def parse_b_rule(cfg: dict) -> tuple:
-    """The ``b_rule`` block as ``build_grid`` takes it: ("half_radius",) by
-    default, or ("constant", c); a block that is not an object, an unknown
-    rule or an unknown key is a config error."""
-    br = cfg.get("b_rule", {"rule": "half_radius"})
+def parse_b_rule(br) -> tuple:
+    """The ``b_rule`` block as ``build_grid`` takes it: ("half_radius",) or
+    ("constant", c); a block that is not an object, an unknown rule or an
+    unknown key is a config error."""
     if not isinstance(br, dict):
         raise ConfigError(f"b_rule must be an object, got {br!r}")
     rule = _need(br, "rule")
@@ -128,7 +127,8 @@ def load_design(args, cfg: dict) -> DesignMatrix:
     d = cfg.get("design")
     if d is None:
         raise ConfigError("no design: pass --x or a 'design' config block")
-    n, p, seed = _num(d, "n", int), _num(d, "p", int), _num(d, "seed", int, 0)
+    n, p = _num(d, "n", int), _num(d, "p", int)
+    seed = _num(d, "seed", int) if "seed" in d else 0
     try:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDE5)))
         return random_design(_need(d, "tag"), n, p, rng)
@@ -146,21 +146,19 @@ def _cmd_bounds(args, cfg: dict) -> dict:
     theorem = _need(cfg, "theorem")
     I = parse_interval(_need(cfg, "interval"))
     q = _num(cfg, "q")
-    sigma = _num(cfg, "sigma", default=1.0)
-    K = _num(cfg, "K", int, 60)
+    sigma = _num(cfg, "sigma") if "sigma" in cfg else 1.0
+    K = _given(cfg, int, "K")  # the glm constants take no series order
     if theorem == "glm":
         fam = parse_block(cfg, "family", expfam.FAMILIES)
         rep = bounds.glm_report(dm, fam, I, sigma, q)
     elif theorem == "one_disc":
         f = parse_block(cfg, "link", analytic.LINKS)
-        rep = bounds.one_disc_report(dm, f, I, sigma, q, _num(cfg, "theta"), K=K)
+        rep = bounds.one_disc_report(dm, f, I, sigma, q, _num(cfg, "theta"), **K)
     elif theorem in ("ub_strip", "ub_interval"):
         f = parse_block(cfg, "link", analytic.LINKS)
         rep = bounds.ub_report(
-            dm, f, I, sigma, q,
-            rho1=_num(cfg, "rho1"), theta=_num(cfg, "theta", default=0.75),
-            h=_num(cfg, "h", default=None), delta_D=_num(cfg, "delta_D", default=None),
-            mode=theorem.removeprefix("ub_"), K=K,
+            dm, f, I, sigma, q, rho1=_num(cfg, "rho1"), mode=theorem.removeprefix("ub_"),
+            **_given(cfg, float, "theta", "h", "delta_D"), **K,
         )
     else:
         raise ConfigError(f"unknown theorem {theorem!r}")
@@ -215,22 +213,18 @@ def _cmd_grid(args, cfg: dict) -> dict:
     dm = load_design(args, cfg)
     f = parse_block(cfg, "link", analytic.LINKS)
     D = parse_domain(_need(cfg, "domain"))
-    G = grids.build_grid(dm, f, D, b_rule=parse_b_rule(cfg))
+    b_rule = {"b_rule": parse_b_rule(cfg["b_rule"])} if "b_rule" in cfg else {}
+    G = grids.build_grid(dm, f, D, **b_rule)
     return G.to_dict()
 
 
 def _cmd_verify(args, cfg: dict) -> dict:
     what = _need(cfg, "what")
     noise = parse_block(cfg, "noise", harness.NOISES)
-    seed = args.seed if args.seed is not None else _num(cfg, "seed", int, 2026)
+    if args.seed is not None:
+        cfg = {**cfg, "seed": args.seed}
     if what == "tail":
-        return harness.verify_tail(
-            noise,
-            trials=_num(cfg, "trials", int, 100_000),
-            n=_num(cfg, "n", int, 20),
-            n_dirs=_num(cfg, "n_dirs", int, 8),
-            seed=seed,
-        )
+        return harness.verify_tail(noise, **_given(cfg, int, "trials", "n", "n_dirs", "seed"))
     if what == "control":
         dm = load_design(args, cfg)
         f = parse_block(cfg, "link", analytic.LINKS)
@@ -238,22 +232,25 @@ def _cmd_verify(args, cfg: dict) -> dict:
         if centers is None:
             centers = [[0.0] * dm.p]
         return harness.verify_control_event(
-            dm, f, [np.asarray(c, float) for c in centers], noise,
-            q=_num(cfg, "q"),
-            K_check=_num(cfg, "K_check", int, 3),
-            trials=_num(cfg, "trials", int, 10_000),
-            seed=seed,
+            dm, f, [np.asarray(c, float) for c in centers], noise, q=_num(cfg, "q"),
+            **_given(cfg, int, "K_check", "trials", "seed"),
         )
     raise ConfigError("verify 'what' must be 'tail' or 'control'")
 
 
-# per command: handler, output file, and the flags of _FLAGS it reads
+# per command: handler, output file, the flags of _FLAGS it reads, and its summary line
 _COMMANDS = {
-    "bounds": (_cmd_bounds, "bounds.json", ("x",)),
-    "fit": (_cmd_fit, "fit.json", ("x", "y")),
-    "coverage": (_cmd_coverage, "coverage.json", ("seed",)),
-    "grid": (_cmd_grid, "grid.json", ("x",)),
-    "verify": (_cmd_verify, "verify.json", ("x", "seed")),
+    "bounds": (_cmd_bounds, "bounds.json", ("x",),
+               lambda r: f"c_r={r['c_r']:.6g} kappa_r={r['kappa_r']:.6g}"),
+    "fit": (_cmd_fit, "fit.json", ("x", "y"),
+            lambda r: f"support={r['support']} objective={r['objective']:.6g}"),
+    "coverage": (_cmd_coverage, "coverage.json", ("seed",),
+                 lambda r: f"coverage={r['coverage']:.3f} wilson_lo={r['wilson_lo']:.3f} "
+                           f"target={r['target']:.3f} passed={r['passed']}"),
+    "grid": (_cmd_grid, "grid.json", ("x",),
+             lambda r: f"size={r['size']} bound={r['cardinality_bound']:.6g}"),
+    "verify": (_cmd_verify, "verify.json", ("x", "seed"),
+               lambda r: f"ok={r.get('all_ok', r.get('ok'))}"),
 }
 
 _FLAGS = {
@@ -269,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="L0-penalized nonlinear regression with certified error radii",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, _, flags) in _COMMANDS.items():
+    for name, (_, _, flags, _) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON configuration file")
         for flag in flags:
@@ -293,7 +290,7 @@ def main(argv=None) -> int:
             raise ConfigError("config root must be a JSON object")
         if args.out:
             Path(args.out).mkdir(parents=True, exist_ok=True)
-        fn, outname, _ = _COMMANDS[args.command]
+        fn, outname, _, summary = _COMMANDS[args.command]
         result = fn(args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -307,17 +304,7 @@ def main(argv=None) -> int:
         fh.write(json.dumps(result, indent=2, default=str))
         fh.write("\n")
     if not args.quiet:
-        summary = {
-            "bounds": lambda r: f"c_r={r['c_r']:.6g} kappa_r={r['kappa_r']:.6g}",
-            "fit": lambda r: f"support={r['support']} objective={r['objective']:.6g}",
-            "coverage": lambda r: (
-                f"coverage={r['coverage']:.3f} wilson_lo={r['wilson_lo']:.3f} "
-                f"target={r['target']:.3f} passed={r['passed']}"
-            ),
-            "grid": lambda r: f"size={r['size']} bound={r['cardinality_bound']:.6g}",
-            "verify": lambda r: f"ok={r.get('all_ok', r.get('ok'))}",
-        }[args.command](result)
-        print(f"{args.command}: {summary} -> {out_path}")
+        print(f"{args.command}: {summary(result)} -> {out_path}")
     return 0
 
 

@@ -11,6 +11,10 @@ Three kinds of simulation live here:
 * ``verify_control_event`` -- empirical frequency of the moment control
   event behind the series bounds (all orders k and index tuples at once).
 
+Each coverage setting ("glm", "flip") is one entry of the model table
+``_MODELS``, which builds from the config how that setting is simulated,
+fitted and bounded; the rest of the experiment is shared.
+
 Reproducibility: every replicate draws from
 ``SeedSequence((seed, replicate))`` so runs are bit-for-bit repeatable and
 replicates are independent streams.
@@ -22,6 +26,7 @@ import functools
 import itertools
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +36,7 @@ from .bounds import BoundsReport, glm_report, ub_report
 from .design import DESIGNS, DesignMatrix, _as_design, capacity, random_design, weighted_l1_norm
 from .domains import DomainSpec, Interval, in_domain
 from .estimator import FitProblem, fit
-from .expfam import FAMILIES, ExpFamily, bernoulli, gaussian
+from .expfam import FAMILIES, bernoulli, gaussian
 
 __all__ = [
     "NoiseModel",
@@ -51,12 +56,6 @@ __all__ = [
 ]
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-# The flip model's strip-envelope series: contour half-width _RHO1 / _THETA,
-# inside the pole-free strip (0 < rho1 < rho1/theta < pi), summed to order _K.
-_THETA = 0.75
-_RHO1 = math.pi / 2.0
-_K = 60
 
 
 # ----------------------------------------------------------------------------
@@ -150,12 +149,10 @@ def bernoulli_residual() -> NoiseModel:
 
 
 def flip_channel(p01: float, p11: float) -> NoiseModel:
-    for name, v in (("p01", p01), ("p11", p11)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1]")
-    if not p11 > p01:
-        raise ValueError("flip channel needs p11 > p01")
-    return _FlipChannel("flip_channel", 1.0, {"p01": float(p01), "p11": float(p11)})
+    """Observed 0/1 output of the channel whose success curve is
+    ``logistic_flip(p01, p11)``, which validates the two parameters."""
+    f = logistic_flip(p01, p11)
+    return _FlipChannel("flip_channel", 1.0, {"p01": f.params["p01"], "p11": f.params["p11"]})
 
 
 NOISES = {
@@ -186,6 +183,16 @@ def wilson_interval(k: int, n: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _whole_number(name: str, v) -> int:
+    """``v`` as an int when it is a whole number, an integral float included;
+    anything else, a boolean too, raises a ValueError naming ``name``."""
+    if isinstance(v, bool) or not (
+        isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
+    ):
+        raise ValueError(f"{name} must be a whole number, got {v!r}")
+    return int(v)
+
+
 # ----------------------------------------------------------------------------
 # coverage experiments
 # ----------------------------------------------------------------------------
@@ -195,11 +202,12 @@ def wilson_interval(k: int, n: int):
 class ExperimentConfig:
     """Specification of one coverage experiment.
 
-    model = "glm" fits a penalized MLE (``family``, a key of ``FAMILIES``)
-    with the closed-form constants; model = "flip" observes a
-    flipped-channel binary response and fits least squares with the
-    strip-envelope series constants.  c_r = "theorem" takes the penalty from
-    the per-replicate report; a finite number >= 0 is used directly.
+    ``model`` is a key of the model table ``_MODELS``: "glm" fits a
+    penalized MLE (``family``, a key of ``FAMILIES``) with the closed-form
+    constants; "flip" observes a flipped-channel binary response and fits
+    least squares with the strip-envelope series constants.  c_r =
+    "theorem" takes the penalty from the per-replicate report; a finite
+    number >= 0 is used directly.
     """
 
     n: int
@@ -224,13 +232,8 @@ class ExperimentConfig:
         # sizes, budgets and seeds: whole numbers only, integral floats stored as int
         for name in ("n", "p", "spt_size", "replicates", "seed", "h_max"):
             v = getattr(self, name)
-            if v is None and name == "h_max":
-                continue
-            if isinstance(v, bool) or not (
-                isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
-            ):
-                raise ValueError(f"{name} must be a whole number, got {v!r}")
-            setattr(self, name, int(v))
+            if not (name == "h_max" and v is None):
+                setattr(self, name, _whole_number(name, v))
         for name in ("n", "p", "spt_size", "replicates"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -238,8 +241,8 @@ class ExperimentConfig:
             raise ValueError("spt_size cannot exceed p")
         if self.h_max is not None and self.h_max < self.spt_size:
             raise ValueError(f"h_max must be >= spt_size, got h_max={self.h_max}")
-        if self.model not in ("glm", "flip"):
-            raise ValueError("model must be 'glm' or 'flip'")
+        if not isinstance(self.model, str) or self.model not in _MODELS:
+            raise ValueError(f"model must be one of {sorted(_MODELS)}")
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {sorted(FAMILIES)}")
         if self.c_r != "theorem":
@@ -253,33 +256,14 @@ class ExperimentConfig:
             raise ValueError("unknown design tag")
         if not self.interval_halfwidth > 0:
             raise ValueError("interval_halfwidth must be positive")
-        # the constructors validate their own parameters
-        if self.model == "glm":
-            self.family_obj()
-        else:
-            self.link_obj()
-        self.noise_obj()
+        _MODELS[self.model](self)  # the constructors validate their own parameters
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
+        extra = set(d) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown experiment keys: {sorted(extra)}")
         return cls(**d)
-
-    def family_obj(self) -> ExpFamily:
-        return gaussian(self.sigma2) if self.family == "gaussian" else bernoulli()
-
-    def link_obj(self) -> AnalyticFn:
-        return logistic_flip(self.p01, self.p11)
-
-    def noise_obj(self) -> NoiseModel:
-        if self.model == "flip":
-            return flip_channel(self.p01, self.p11)
-        if self.family == "bernoulli":
-            return bernoulli_residual()
-        return gaussian_iid(math.sqrt(self.sigma2))
 
 
 @dataclass(frozen=True)
@@ -293,6 +277,48 @@ class Instance:
     y: np.ndarray
     domain: DomainSpec
     budget_ok: bool
+
+
+@dataclass(frozen=True)
+class _Model:
+    """One coverage setting: the ``FitProblem`` keyword that picks the loss,
+    E[y] given the row images, the noise, and a replicate's constants."""
+
+    fit_kw: dict
+    mean: Callable[[np.ndarray], np.ndarray]
+    noise: NoiseModel
+    report: Callable[[Instance], BoundsReport]
+
+
+def _glm_model(cfg: ExperimentConfig) -> _Model:
+    """Penalized MLE in ``cfg.family``, with the closed-form constants."""
+    if cfg.family == "gaussian":
+        fam, noise = gaussian(cfg.sigma2), gaussian_iid(math.sqrt(cfg.sigma2))
+    else:
+        fam, noise = bernoulli(), bernoulli_residual()
+    return _Model(
+        {"family": fam}, fam.mean, noise,
+        lambda inst: glm_report(inst.X, fam, inst.domain.interval, noise.sigma, cfg.q),
+    )
+
+
+def _flip_model(cfg: ExperimentConfig) -> _Model:
+    """Least squares on the flipped channel's 0/1 output.  The strip series
+    at rho1 = pi/2 (with ub_report's theta, rho1/theta stays below pi, in
+    the pole-free strip) covers the segment hull of the fit domain, whose
+    points have supports up to twice its budget."""
+    link, noise = logistic_flip(cfg.p01, cfg.p11), flip_channel(cfg.p01, cfg.p11)
+    return _Model(
+        {"link": link}, link, noise,
+        lambda inst: ub_report(
+            inst.X, link, inst.domain.interval, noise.sigma, cfg.q, rho1=math.pi / 2.0,
+            h=2.0 * inst.domain.max_support, mode="strip",
+        ),
+    )
+
+
+# the coverage settings, keyed by ExperimentConfig.model
+_MODELS = {"glm": _glm_model, "flip": _flip_model}
 
 
 def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -320,7 +346,6 @@ def generate_instance(cfg: ExperimentConfig, replicate: int) -> Instance:
     rng = _replicate_rng(cfg.seed, replicate)
     dm = random_design(cfg.design, cfg.n, cfg.p, rng)
     D, budget_ok = _fit_domain(cfg, dm)
-    beta = None
     for _ in range(100):
         b = np.zeros(cfg.p)
         spt = rng.choice(cfg.p, size=cfg.spt_size, replace=False)
@@ -335,28 +360,21 @@ def generate_instance(cfg: ExperimentConfig, replicate: int) -> Instance:
             scale = min(scale, D.l1inf_cap / wn)
         b = b * (scale * (1.0 - 1e-12))
         if in_domain(b, dm, D) and np.count_nonzero(b) == cfg.spt_size:
-            beta = b
             break
-    if beta is None:
+    else:
         raise ValueError("could not place beta inside the domain after 100 attempts")
+    beta = b
     t = dm.X @ beta
-    mean = cfg.link_obj() if cfg.model == "flip" else cfg.family_obj().mean
+    model = _MODELS[cfg.model](cfg)
     # channel models return exactly the observed 0/1 output
-    y = mean(t) + cfg.noise_obj().draw(rng, cfg.n, t=t)
+    y = model.mean(t) + model.noise.draw(rng, cfg.n, t=t)
     return Instance(X=dm, beta=beta, y=y, domain=D, budget_ok=budget_ok)
 
 
 def replicate_report(cfg: ExperimentConfig, inst: Instance) -> BoundsReport:
-    """Theorem constants for one replicate's design.  The flip series covers
-    the segment hull of the fit domain, whose points have supports up to
-    twice its budget."""
-    I = Interval(-cfg.interval_halfwidth, cfg.interval_halfwidth)
-    if cfg.model == "glm":
-        return glm_report(inst.X, cfg.family_obj(), I, cfg.noise_obj().sigma, cfg.q)
-    return ub_report(
-        inst.X, cfg.link_obj(), I, 1.0, cfg.q, rho1=_RHO1, theta=_THETA,
-        h=2.0 * inst.domain.max_support, mode="strip", K=_K,
-    )
+    """Theorem constants for one replicate's design, on the interval of its
+    fit domain and at its noise model's sigma."""
+    return _MODELS[cfg.model](cfg).report(inst)
 
 
 @dataclass
@@ -374,19 +392,11 @@ class CoverageResult:
     budget_ok_frac: float
 
     def to_dict(self) -> dict:
-        cfg = {k: getattr(self.config, k) for k in self.config.__dataclass_fields__}
+        """Every field but the rows, with the config as a plain dict."""
+        d = {k: getattr(self, k) for k in self.__dataclass_fields__ if k != "rows"}
+        cfg = d["config"] = {k: getattr(self.config, k) for k in self.config.__dataclass_fields__}
         cfg["c_r"] = str(cfg["c_r"])
-        return {
-            "config": cfg,
-            "coverage": self.coverage,
-            "wilson_lo": self.wilson_lo,
-            "wilson_hi": self.wilson_hi,
-            "target": self.target,
-            "passed": self.passed,
-            "n_fit_errors": self.n_fit_errors,
-            "budget_ok_frac": self.budget_ok_frac,
-            "replicates": len(self.rows),
-        }
+        return {**d, "replicates": len(self.rows)}
 
     def to_csv(self, path):
         import csv  # only the CSV writer needs it; the package import skips it
@@ -413,7 +423,7 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageResult:
     hits = 0
     errors = 0
     budget_ok = 0
-    model = {"family": cfg.family_obj()} if cfg.model == "glm" else {"link": cfg.link_obj()}
+    fit_kw = _MODELS[cfg.model](cfg).fit_kw
     for rep in range(cfg.replicates):
         inst = generate_instance(cfg, rep)
         report = replicate_report(cfg, inst)
@@ -433,7 +443,7 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageResult:
             "spt_hat": -1,
         }
         try:
-            res = fit(FitProblem(y=inst.y, X=inst.X, domain=inst.domain, c_r=c_r, **model))
+            res = fit(FitProblem(y=inst.y, X=inst.X, domain=inst.domain, c_r=c_r, **fit_kw))
             err = float(np.linalg.norm(res.beta_hat - inst.beta))
             row["error"] = err
             row["hit"] = int(err <= radius)
@@ -475,34 +485,33 @@ def verify_tail(
     not exceed 2 exp(-t^2 / 2 sigma^2) by more than 3 binomial SEs."""
     if trials < 10_000:
         raise ValueError("tail verification needs at least 1e4 trials")
+    for name, v in (("n", n), ("n_dirs", n_dirs)):
+        if v < 1:
+            raise ValueError(f"{name} must be >= 1, got {v}")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x7A11)))
     A = rng.normal(0.0, 1.0, size=(n, n_dirs))
     A /= np.linalg.norm(A, axis=0, keepdims=True)
     t_lat = rng.uniform(-2.0, 2.0, n)  # row images for channel noises
     counts = np.zeros((3, n_dirs), dtype=int)
     block = 20_000
-    done = 0
-    while done < trials:
+    for done in range(0, trials, block):
         b = min(block, trials - done)
         S = noise.draw(rng, (b, n), t=t_lat) @ A
         for m in (1, 2, 3):
             counts[m - 1] += np.sum(S**2 > (m * noise.sigma) ** 2, axis=0)
-        done += b
     rows = []
-    all_ok = True
     for m in (1, 2, 3):
         bound = 2.0 * math.exp(-(m**2) / 2.0)
         for j in range(n_dirs):
             freq = counts[m - 1, j] / trials
             se = math.sqrt(max(freq * (1 - freq), 1.0 / trials) / trials)
             ok = freq <= min(1.0, bound) + 3.0 * se
-            all_ok &= ok
             rows.append(
                 {"t_over_sigma": m, "direction": j, "freq": freq, "bound": bound,
                  "se": se, "ok": bool(ok)}
             )
     return {"noise": noise.tag, "sigma": noise.sigma, "trials": trials,
-            "rows": rows, "all_ok": bool(all_ok)}
+            "rows": rows, "all_ok": all(r["ok"] for r in rows)}
 
 
 def verify_control_event(
@@ -530,9 +539,14 @@ def verify_control_event(
         raise ValueError("q must lie in (0, 1/2)")
     if K_check < 1 or K_check > 6:
         raise ValueError("K_check must lie in 1..6")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     centers = [np.asarray(c, dtype=float).ravel() for c in centers]
     if not centers:
         raise ValueError("need at least one center")
+    for i, c in enumerate(centers):
+        if c.size != dm.p:
+            raise ValueError(f"center {i} has length {c.size}, the design has p = {dm.p}")
     n_rows = len(centers) * sum(dm.p**k for k in range(1, K_check + 1))
     if n_rows > 100_000:
         raise ValueError("tuple budget exceeded (more than 1e5 rows)")
@@ -560,12 +574,10 @@ def verify_control_event(
     t0 = dm.X @ centers[0]
     good = 0
     block = 2_000
-    done = 0
-    while done < trials:
+    for done in range(0, trials, block):
         b = min(block, trials - done)
         Z = np.abs(noise.draw(rng, (b, dm.n), t=t0) @ V.T) <= thr[None, :]
         good += int(np.sum(np.all(Z, axis=1)))
-        done += b
     freq = good / trials
     se = math.sqrt(max(freq * (1 - freq), 1.0 / trials) / trials)
     target = 1.0 - 2.0 * q

@@ -501,6 +501,60 @@ def test_b_rule_block_picks_the_rule(tmp_path):
     assert grids["const"]["d"] == 0.375
 
 
+# each command's config with its defaulted keys left out, and those keys at
+# the values the CLI used to fill in: the library signatures now hold them
+TAIL = {"what": "tail", "noise": {"tag": "gaussian_iid", "sigma": 1.0}}
+DEFAULTED = {
+    "verify-tail": ("verify", TAIL, {"trials": 100_000, "n": 20, "n_dirs": 8, "seed": 2026}),
+    "verify-control": (
+        "verify", {k: v for k, v in SCALAR_BASE["verify"].items() if k != "trials"},
+        {"K_check": 3, "trials": 10_000, "seed": 2026},
+    ),
+    "bounds-one_disc": (
+        "bounds", {**SCALAR_BASE["bounds"], "theorem": "one_disc", "K": None},
+        {"K": 60},
+    ),
+    "bounds-ub_strip": (
+        "bounds", {**SCALAR_BASE["bounds"], "theta": None, "K": None},
+        {"theta": 0.75, "K": 60},
+    ),
+    "grid": ("grid", SCALAR_BASE["grid"], {"b_rule": {"rule": "half_radius"}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEFAULTED))
+def test_left_out_keys_give_the_bytes_of_their_defaults(tmp_path, case):
+    command, base, defaults = DEFAULTED[case]
+    base = {k: v for k, v in base.items() if v is not None}
+    out = {}
+    for name, cfg in (("left_out", base), ("written", {**base, **defaults})):
+        path = _write(tmp_path / f"{name}.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / name), "--quiet"]) == 0
+        out[name] = (tmp_path / name / f"{command}.json").read_bytes()
+    assert out["left_out"] == out["written"]
+
+
+@pytest.mark.parametrize(
+    "cfg,named",
+    [
+        ({**TAIL, "trials": 10_000, "n": 0}, "n must be >= 1"),
+        ({**TAIL, "trials": 10_000, "n_dirs": 0}, "n_dirs must be >= 1"),
+        ({**SCALAR_BASE["verify"], "trials": 0}, "trials must be >= 1"),
+        ({**SCALAR_BASE["verify"], "trials": -5}, "trials must be >= 1"),
+        ({**SCALAR_BASE["verify"], "centers": [[0.0, 0.0, 0.0], [0.0, 0.0]]},
+         "center 1 has length 2"),
+    ],
+    ids=["tail-n-0", "tail-n_dirs-0", "control-trials-0", "control-trials-negative",
+         "control-center-length"],
+)
+def test_verify_refuses_empty_checks_and_bad_centers(tmp_path, capsys, cfg, named):
+    # each used to exit 0 with a vacuous pass, or 2 with an error naming no key
+    cfg = _write(tmp_path / "cfg.json", cfg)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+
+
 def test_bad_fit_scalar_exits_1(tmp_path, capsys):
     rng = np.random.default_rng(0)
     x, y = tmp_path / "x.csv", tmp_path / "y.csv"

@@ -1038,6 +1038,7 @@ def test_least_squares_prune_solves_few_supports_of_a_flip_enum_instance():
         interval_halfwidth=3.0, c_r=1.0, replicates=1, seed=1,
     )
     inst = harness.generate_instance(cfg, 0)
-    res = fit(FitProblem(y=inst.y, X=inst.X, domain=inst.domain, c_r=1.0, link=cfg.link_obj()))
+    f = logistic_flip(cfg.p01, cfg.p11)
+    res = fit(FitProblem(y=inst.y, X=inst.X, domain=inst.domain, c_r=1.0, link=f))
     assert res.n_supports == 121
     assert len(res.records) <= 3

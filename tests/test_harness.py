@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -50,6 +51,21 @@ def test_noise_model_constructors():
     assert gaussian_correlated(1.0, rho=0.3).params["rho"] == 0.3
     with pytest.raises(ValueError):
         flip_channel(0.9, 0.1)
+
+
+@pytest.mark.parametrize(
+    "p01,p11,named",
+    [
+        (-0.1, 0.9, "p01"),
+        (0.1, 1.5, "p11"),
+        (0.1, math.nan, "p11"),
+        (0.5, 0.5, "p11 must exceed p01"),
+    ],
+)
+def test_flip_channel_checks_its_parameters_as_its_link_does(p01, p11, named):
+    for make in (flip_channel, logistic_flip):
+        with pytest.raises(ValueError, match=named):
+            make(p01, p11)
 
 
 def test_draw_noise_shapes_and_bounds():
@@ -104,6 +120,12 @@ def test_correlated_covariance_spectral_radius_at_most_one():
 
     L = _corr_chol(200, 0.5)
     assert np.linalg.eigvalsh(L @ L.T)[-1] <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("model", ["probit", "", ["glm"], None])
+def test_experiment_config_names_the_model_table_keys(model):
+    with pytest.raises(ValueError, match=r"model must be one of \['flip', 'glm'\]"):
+        ExperimentConfig(n=40, p=6, spt_size=2, replicates=5, model=model)
 
 
 def test_experiment_config_from_dict_rejects_unknown_keys():
@@ -191,6 +213,37 @@ def test_run_coverage_bit_reproducible():
     assert json.dumps(a.to_dict(), indent=2) == json.dumps(b.to_dict(), indent=2)
 
 
+# sha256 of the to_csv bytes and of json.dumps(to_dict(), indent=2), one
+# small config per coverage setting (recorded before the model table)
+PINNED_COVERAGE = [
+    (
+        dict(n=40, p=5, spt_size=1, replicates=4, seed=3),
+        "e763ecfa1e3fc6bb24b2334e52b7c0862f8b9eb832c216d66661668d23cd366f",
+        "492f1420bb13ef6e310378c2edd59c98d481c87b97f490386a155dbbe8392b10",
+    ),
+    (
+        dict(n=40, p=5, spt_size=1, replicates=4, family="gaussian", sigma2=0.5, c_r=1.0, seed=3),
+        "6e3d8bb727d4bd3812c11fc03872580eed50f57faa013ec1517b4a4160c21be5",
+        "27d73c758219db67f66bf844eb13ed11aea350ebc689d8271c038e92a603cc3c",
+    ),
+    (
+        dict(n=60, p=6, spt_size=2, replicates=3, model="flip", design="pm1_iid", c_r=0.5, seed=4),
+        "6692792f415d01779cbf7ed39f951063a8268c84e01d49cd341a135ab1fc868c",
+        "32494822979f471da31152cd3e42e35a2d0e1818894fd2169e096a12f7eedc49",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kw,csv_sha,json_sha", PINNED_COVERAGE, ids=["glm-bernoulli", "glm-gaussian", "flip"]
+)
+def test_coverage_outputs_are_pinned(tmp_path, kw, csv_sha, json_sha):
+    out = run_coverage(ExperimentConfig(**kw))
+    out.to_csv(tmp_path / "cov.csv")
+    assert hashlib.sha256((tmp_path / "cov.csv").read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256(json.dumps(out.to_dict(), indent=2).encode()).hexdigest() == json_sha
+
+
 def test_run_coverage_csv(tmp_path):
     cfg = ExperimentConfig(n=30, p=5, spt_size=1, replicates=4, seed=2)
     out = run_coverage(cfg)
@@ -254,6 +307,14 @@ def test_verify_tail_trial_floor():
         verify_tail(gaussian_iid(1.0), trials=100)
 
 
+@pytest.mark.parametrize("key", ["n", "n_dirs"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_verify_tail_refuses_an_empty_projection(key, value):
+    # n = 0 or n_dirs = 0 used to report a vacuous all_ok
+    with pytest.raises(ValueError, match=f"^{key} must be >= 1"):
+        verify_tail(gaussian_iid(1.0), trials=10_000, **{key: value})
+
+
 def test_verify_control_event():
     rng = np.random.default_rng(4)
     X = rng.choice([-1.0, 1.0], size=(12, 3))
@@ -265,6 +326,24 @@ def test_verify_control_event():
     assert rep["freq"] >= rep["target"] - 3 * rep["se"]
     with pytest.raises(ValueError):
         verify_control_event(X, f, [np.zeros(3)], gaussian_iid(1.0), q=0.1, K_check=9)
+
+
+@pytest.mark.parametrize(
+    "kw,named",
+    [
+        # trials 0 used to divide by zero, -5 to report freq = -0.0 and ok
+        ({"trials": 0}, "trials must be >= 1"),
+        ({"trials": -5}, "trials must be >= 1"),
+        # a center of the wrong length used to end in numpy's matmul error
+        ({"centers": [np.zeros(3), np.zeros(2)]}, "center 1 has length 2"),
+    ],
+    ids=["trials-0", "trials-negative", "center-length"],
+)
+def test_verify_control_event_refuses_bad_trials_and_centers(kw, named):
+    X = np.random.default_rng(4).choice([-1.0, 1.0], size=(12, 3))
+    kw = {"centers": [np.zeros(3)], "trials": 100, **kw}
+    with pytest.raises(ValueError, match=named):
+        verify_control_event(X, logistic_flip(0.1, 0.9), noise=gaussian_iid(1.0), q=0.1, **kw)
 
 
 @pytest.mark.parametrize("name", sorted(LINKS))
