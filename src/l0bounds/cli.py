@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +51,8 @@ def _num(cfg: dict, key: str, kind=float):
     a config error."""
     v = _need(cfg, key)
     try:
-        if isinstance(v, bool):
-            raise ValueError(f"{v!r} is not a number")
         if kind is float:
-            return float(v)
+            return float(harness._real_number(key, v))
         return harness._whole_number(key, int(v) if isinstance(v, str) else v)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
@@ -134,6 +134,89 @@ def load_design(args, cfg: dict) -> DesignMatrix:
         return random_design(_need(d, "tag"), n, p, rng)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad design block: {exc}") from exc
+
+
+# ----------------------------------------------------------------------------
+# JSON output
+# ----------------------------------------------------------------------------
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+# the scalars json writes without a container, by exact type (subclasses
+# take the isinstance path of _json_write, as they do in json)
+_JSON_SCALARS = {
+    str: encode_basestring_ascii, int: int.__repr__, float: _json_float,
+    bool: lambda b: "true" if b else "false", type(None): lambda _: "null",
+}
+
+
+def _json_key(k) -> str:
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _json_float(k)
+    if k is True or k is False or k is None:
+        return _JSON_SCALARS[type(k)](k)
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _json_write(o, out: list, nl: str):
+    """Append the chunks of ``o``, at the indent that ``nl`` (a newline and
+    the current indent) carries, to ``out``: the dispatch, separators and
+    number formats of ``json.dumps(indent=2, default=str)``.  A list of
+    plain ints and floats is formatted by one ``map``, and a scalar inside
+    a container without a call of its own."""
+    scalar = _JSON_SCALARS.get(type(o))
+    if scalar is not None:
+        out.append(scalar(o))
+    elif isinstance(o, (str, int, float)):  # subclasses, np.float64 among them
+        base = str if isinstance(o, str) else int if isinstance(o, int) else float
+        out.append(_JSON_SCALARS[base](o))
+    elif isinstance(o, (list, tuple, dict)):
+        is_dict = isinstance(o, dict)
+        close = "}" if is_dict else "]"
+        inner = nl + "  "
+        if not o:
+            out.append(("{" if is_dict else "[") + close)
+        elif not is_dict and set(map(type, o)) <= {int, float}:
+            parts = list(map(repr, o))
+            if "nan" in parts or "inf" in parts or "-inf" in parts:
+                parts = [_json_float(v) if type(v) is float else repr(v) for v in o]
+            out.append("[" + inner + ("," + inner).join(parts) + nl + "]")
+        else:
+            sep = ("{" if is_dict else "[") + inner
+            pairs = ((encode_basestring_ascii(_json_key(k)) + ": ", v) for k, v in o.items()) \
+                if is_dict else (("", v) for v in o)
+            for head, v in pairs:
+                scalar = _JSON_SCALARS.get(type(v))
+                if scalar is not None:
+                    out.append(sep + head + scalar(v))
+                else:
+                    out.append(sep + head)
+                    _json_write(v, out, inner)
+                sep = "," + inner
+            out.append(nl + close)
+    else:
+        _json_write(str(o), out, nl)
+
+
+def _json_text(result) -> str:
+    """``json.dumps(result, indent=2, default=str)``, the same string for any
+    value without reference cycles, written without the pure-Python
+    encoder's generator per container (json encodes indented output in
+    Python; a command's result is mostly lists of numbers)."""
+    out: list = []
+    _json_write(result, out, "\n")
+    return "".join(out)
 
 
 # ----------------------------------------------------------------------------
@@ -301,7 +384,7 @@ def main(argv=None) -> int:
     out_dir = Path(args.out) if args.out else Path.cwd()
     out_path = out_dir / outname
     with open(out_path, "w") as fh:
-        fh.write(json.dumps(result, indent=2, default=str))
+        fh.write(_json_text(result))
         fh.write("\n")
     if not args.quiet:
         print(f"{args.command}: {summary(result)} -> {out_path}")

@@ -34,13 +34,20 @@ class Interval:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError("interval requires lo < hi")
+        # which ends are closed (the finite ones), fixed once for ``contains``
+        object.__setattr__(self, "_closed", (math.isfinite(self.lo), math.isfinite(self.hi)))
 
     def contains(self, x) -> bool:
-        """Exact membership of a scalar or of every entry of an array."""
+        """Exact membership of a scalar or of every entry of an array (an
+        empty one is contained): only the least and the greatest entry are
+        compared, and a NaN entry makes both NaN, which fails either test."""
         x = np.asarray(x, dtype=float)
-        lo_ok = (x >= self.lo) if math.isfinite(self.lo) else (x > self.lo)
-        hi_ok = (x <= self.hi) if math.isfinite(self.hi) else (x < self.hi)
-        return bool((lo_ok & hi_ok).all())
+        if not x.size:
+            return True
+        least, greatest = x.min(), x.max()
+        lo_closed, hi_closed = self._closed
+        return bool((least >= self.lo if lo_closed else least > self.lo)
+                    and (greatest <= self.hi if hi_closed else greatest < self.hi))
 
     @property
     def sup_abs(self) -> float:

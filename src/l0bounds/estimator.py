@@ -29,9 +29,12 @@ support whose floor plus penalty cannot beat the incumbent.  The
 likelihood's floor is its global loss floor, the same for every support.
 On the group rows the least-squares loss is W_S + sum_g m_g (ybar_g -
 f(t_g))^2, so its floor is the within-group sum of squares W_S (less a
-rounding margin), formed for a whole level from stacked level keys; it is
-0 on a continuous column, where every group is one row.  ``_level_keys``
-keys the rows of a level's supports, for the floors and the groups alike.
+rounding margin), formed for a whole level from its supports' cell counts
+and response sums: for sizes 1 and 2 read from one one-hot Gram of the
+columns (``FitProblem.level_gram``), otherwise from stacked level keys; it
+is 0 on a continuous column, where every group is one row.  ``_level_keys``
+keys the rows of a level's supports, for the level pass and the groups
+alike; a solve's rows are keyed only if the prune still admits it.
 
 Determinism: equal floors keep itertools.combinations order; records come
 in enumeration order, by size and then lexicographically; tie-breaking is
@@ -51,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import AnalyticFn
-from .design import DesignMatrix, _as_design
+from .design import _SERIES_BLOCK_BYTES, DesignMatrix, _as_design
 from .domains import DomainSpec
 from .expfam import ExpFamily
 
@@ -63,6 +66,7 @@ _GRAD_TOL = 1e-9  # free stop: max |gradient|
 _FACET_TOL = 1e-8  # facet stop: max |projected gradient| / max(1, max |gradient|)
 _STEP_TOL = 1e-12  # backtracking gives up once max |alpha d| falls below this
 _MAX_ITER = 100  # Newton iterations per start
+_GRAM_LEVELS = 2048  # one-hot columns of FitProblem.level_gram, at most
 
 
 @dataclass
@@ -105,14 +109,52 @@ class FitProblem:
     @functools.cached_property
     def level_codes(self) -> tuple:
         """(codes, levels): codes[j, i] is the rank of X_ij among the distinct
-        values of column j, levels[j] their number."""
+        values of column j, levels[j] their number.  Two-level columns (every
+        entry the column's min or max, and min < max) are coded in one pass,
+        X == max; the others by ``np.unique``."""
         X = self.X.X
+        lo, hi = X.min(axis=0), X.max(axis=0)
+        at_hi = X == hi
+        two = (at_hi | (X == lo)).all(axis=0) & (lo < hi)
         codes = np.empty((self.X.p, self.X.n), dtype=np.intp)
-        levels = np.empty(self.X.p, dtype=np.intp)
-        for j in range(self.X.p):
+        levels = np.full(self.X.p, 2, dtype=np.intp)
+        codes[two] = at_hi[:, two].T
+        for j in np.flatnonzero(~two):
             values, codes[j] = np.unique(X[:, j], return_inverse=True)
             levels[j] = values.size
         return codes, levels
+
+    @functools.cached_property
+    def level_gram(self) -> tuple:
+        """(offset, C, D): the one-hot Gram of the grouped columns, which
+        ``_lse_level_floors`` reads the cells of 1- and 2-supports from.
+
+        E is the n x T level indicator, E[i, offset[j] + codes[j, i]] = 1,
+        over the columns with fewer than n levels, fewest levels first while
+        T = sum of their levels stays within ``_GRAM_LEVELS`` (offset[j] is
+        -1 for the rest); C = E'E holds the cell counts m_g and
+        D = E' diag(y) E the response sums Y_g, so the cells of S = (j, l)
+        are the L_j x L_l block at (offset[j], offset[l]), row-major in key
+        order (``_level_keys``), and those of S = (j,) its diagonal.  E is
+        formed a block of rows at a time, never whole; C and D are the only
+        state kept, 16 T^2 bytes (64 MB at T = 2048, 14 KB on a 30-level
+        +-1 design with p = 15)."""
+        codes, levels = self.level_codes
+        by_levels = np.argsort(levels, kind="stable")
+        fits = (levels[by_levels] < self.X.n) & (np.cumsum(levels[by_levels]) <= _GRAM_LEVELS)
+        cols = np.sort(by_levels[fits])
+        offset = np.full(self.X.p, -1, dtype=np.intp)
+        offset[cols] = np.cumsum(levels[cols]) - levels[cols]
+        T = int(levels[cols].sum())
+        C, D = np.zeros((T, T)), np.zeros((T, T))
+        rows = max(T, _SERIES_BLOCK_BYTES // (8 * max(T, 1)))
+        for i in range(0, self.X.n if T else 0, rows):
+            hot = (offset[cols, None] + codes[cols, i:i + rows]).T  # each row's one-hot columns
+            E = np.zeros((len(hot), T))
+            np.put_along_axis(E, hot, 1.0, axis=1)
+            C += E.T @ E
+            D += E.T @ (self.y[i:i + rows, None] * E)
+        return offset, C, D
 
 
 @dataclass(frozen=True)
@@ -143,11 +185,14 @@ class _Rows:
     and Y the response sums.  Least squares reads the group means ybar and
     the within-group sum of squares W = sum_i (y_i - ybar_g(i))^2, the ridge
     start the working-response sums; each is formed on first use.  With one
-    row per group (inv = 0..n-1, m = 1) the losses are their per-row forms."""
+    row per group (inv = 0..n-1, m = 1) the losses are their per-row forms.
+    ``linked`` keeps the link's values on the images it last saw, for
+    ``_link_at``."""
 
     def __init__(self, prob: FitProblem, inv: np.ndarray, m: np.ndarray):
         self.prob, self.inv, self.m = prob, inv, m
         self.Y = np.bincount(inv, weights=prob.y, minlength=m.size)
+        self.linked = (None, None)  # (t, f(t)) of the last images the link was evaluated on
 
     @functools.cached_property
     def ybar(self) -> np.ndarray:
@@ -225,19 +270,54 @@ def _group_rows(prob: FitProblem, supports: np.ndarray) -> list:
 _PASS_CELLS = 1 << 14  # keys per chunk of a level pass: 128 KB of them
 
 
+def _key_cells(prob: FitProblem, supports: np.ndarray) -> tuple:
+    """(m, Y, start, grouped): the cell counts and response sums of every
+    support of a (B, k) array, support b's cells at start[b] on in key
+    order, from the level pass: their keys (``_level_keys``), each offset
+    past the one before, go through two bincounts."""
+    keys, radix, grouped = _level_keys(prob, supports)
+    start = np.cumsum(radix) - radix
+    keys += start[:, None]
+    cells = keys.ravel()
+    m = np.bincount(cells, minlength=int(start[-1] + radix[-1]))
+    Y = np.bincount(cells, weights=np.tile(prob.y, len(supports)), minlength=m.size)
+    return m, Y, start, grouped
+
+
+def _gram_cells(prob: FitProblem, supports: np.ndarray) -> tuple:
+    """(m, Y, start) as ``_key_cells`` gives them, for a (B, k) array of
+    supports, k = 1 or 2, whose columns are all in ``level_gram``: read from
+    its blocks, every cell of the L_j x L_l block (the empty ones too), in
+    key order.  No row is touched."""
+    offset, C, D = prob.level_gram
+    L = prob.level_codes[1][supports]
+    at = offset[supports]
+    cells = L.prod(axis=1)
+    start = np.cumsum(cells) - cells
+    b = np.repeat(np.arange(len(supports)), cells)
+    q = np.arange(int(cells.sum())) - start[b]  # each cell's place in its support's block
+    if supports.shape[1] == 1:
+        i = j = at[b, 0] + q
+    else:
+        i, j = at[b, 0] + q // L[b, 1], at[b, 1] + q % L[b, 1]
+    return C[i, j], D[i, j], start
+
+
 def _lse_level_floors(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
     """A lower bound on the least-squares loss, as ``_lse_value`` computes
     it, of every point on each support of a (B, k) array.
 
     On the group rows of S the loss is W_S + sum_g m_g (ybar_g - f(t_g))^2,
     so no point on S goes below the within-group sum of squares
-    W_S = sum_i y_i^2 - sum_g Y_g^2 / m_g.  One pass prices a chunk of
-    supports at once: their keys (``_level_keys``), each offset past the one
-    before, go through two bincounts (m_g and Y_g of every group of the
-    chunk) and one segmented sum of Y_g (Y_g / m_g) per support.  Chunks
-    hold at most ``_PASS_CELLS`` keys, so no temporary grows with the level.
-    A support that ``_level_keys`` leaves ungrouped (every group one row)
-    has floor 0.
+    W_S = sum_i y_i^2 - sum_g Y_g^2 / m_g, formed from the cell counts m_g
+    and response sums Y_g by one segmented sum of Y_g (Y_g / m_g) per
+    support.  Supports of size 1 and 2 whose columns are all in the one-hot
+    Gram read their cells from it (``_gram_cells``); the rest go through the
+    level pass (``_key_cells``) in chunks of at most ``_PASS_CELLS`` keys,
+    so no temporary grows with the level.  A support that ``_level_keys``
+    leaves ungrouped (every group one row) has floor 0.  With integer y and
+    0/1 indicators every m_g and Y_g is an exact integer whatever the
+    summation order, so both paths give the same floors bit for bit.
 
     Rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3;
     u = eps/2, gamma_k = k u / (1 - k u), Q = sum_i y_i^2, G <= n groups).
@@ -257,24 +337,29 @@ def _lse_level_floors(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
     4 (n + 2) eps Q = 8 (n + 2) u Q exceeds both together with their
     second-order terms.  ``_lse_value`` adds a rounded sum of nonnegative
     terms to W, and rounding is monotone, so the floor never exceeds the
-    loss it reports.
+    loss it reports.  The Gram's sums (BLAS, row blocks) are summations of
+    the same terms in another order, so the bounds hold for them too.
     """
     n, y = prob.X.n, prob.y
     yy = float(y @ y)
     margin = 4.0 * (n + 2) * np.finfo(float).eps * yy
-    floors = np.empty(len(supports))
-    chunk = max(1, _PASS_CELLS // n)
-    weights = np.tile(y, min(chunk, len(supports)))
-    for lo in range(0, len(supports), chunk):
-        keys, radix, grouped = _level_keys(prob, supports[lo:lo + chunk])
-        start = np.cumsum(radix) - radix
-        keys += start[:, None]
-        cells = keys.ravel()
-        m = np.bincount(cells, minlength=int(start[-1] + radix[-1]))
-        Y = np.bincount(cells, weights=weights[:cells.size], minlength=m.size)
+
+    def floor(m, Y, start):
         # an empty group has Y_g = 0 exactly, so dividing it by 1 adds 0
-        W = yy - np.add.reduceat(Y * (Y / np.maximum(m, 1)), start) - margin
-        floors[lo:lo + chunk] = np.where(grouped, W, 0.0)
+        return yy - np.add.reduceat(Y * (Y / np.maximum(m, 1)), start) - margin
+
+    floors = np.empty(len(supports))
+    gram = np.zeros(len(supports), dtype=bool)
+    if supports.shape[1] in (1, 2):
+        gram = (prob.level_gram[0][supports] >= 0).all(axis=1)
+        if gram.any():
+            floors[gram] = floor(*_gram_cells(prob, supports[gram]))
+    rest = np.flatnonzero(~gram)
+    chunk = max(1, _PASS_CELLS // n)
+    for lo in range(0, rest.size, chunk):
+        at = rest[lo:lo + chunk]
+        m, Y, start, grouped = _key_cells(prob, supports[at])
+        floors[at] = np.where(grouped, floor(m, Y, start), 0.0)
     return floors
 
 
@@ -285,8 +370,18 @@ def _mle_value(prob: FitProblem, rows: _Rows, t: np.ndarray) -> float:
         return math.inf
 
 
+def _link_at(prob: FitProblem, rows: _Rows, t: np.ndarray) -> np.ndarray:
+    """f(t), evaluated once per images array: a Newton step takes its
+    derivatives at the images of the trial it accepted, the last ones the
+    loss was evaluated on, so their link values are handed over, not
+    recomputed (the same array object, never written to, so the same values)."""
+    if rows.linked[0] is not t:
+        rows.linked = (t, prob.link(t))
+    return rows.linked[1]
+
+
 def _lse_value(prob: FitProblem, rows: _Rows, t: np.ndarray) -> float:
-    r = rows.ybar - prob.link(t)
+    r = rows.ybar - _link_at(prob, rows, t)
     if not np.isfinite(r).all():
         return math.inf
     return rows.W + float((rows.m * r) @ r)
@@ -302,9 +397,8 @@ def _mle_grad_hess(prob: FitProblem, rows: _Rows, Xs: np.ndarray, t: np.ndarray)
 
 
 def _lse_grad_hess(prob: FitProblem, rows: _Rows, Xs: np.ndarray, t: np.ndarray):
-    f = prob.link
-    fp = f.deriv1(t)
-    r = rows.ybar - f(t)
+    fp = prob.link.deriv1(t)
+    r = rows.ybar - _link_at(prob, rows, t)
     if not (np.isfinite(fp).all() and np.isfinite(r).all()):
         return None
     J = fp[:, None] * Xs
@@ -571,8 +665,8 @@ def fit(prob: FitProblem) -> FitResult:
 
     Support sizes are visited in increasing order; once the penalty alone
     (plus the loss's exact global floor) can no longer beat the incumbent,
-    the remaining sizes are skipped.  Each size k is priced in one level
-    pass (the loss's ``level_floors``: the likelihood's global floor for
+    the remaining sizes are skipped.  Each size k is priced at once (the
+    loss's ``level_floors``: the likelihood's global floor for
     every support; for least squares the within-group sum of squares, a
     floor on every loss on S, less an explicit rounding margin), solved in
     ascending floor order (a stable sort: equal floors keep combinations
@@ -580,7 +674,10 @@ def fit(prob: FitProblem) -> FitResult:
     the incumbent by more than the tie tolerance; every later one fails the
     same test.  The solves are grouped in chunks of ``_PASS_CELLS // n``, in
     solve order, one ``_group_rows`` pass each when its first support comes
-    up, so no chunk past the stop is keyed.  Both prunes are exact, so the
+    up; the pass keys the chunk only up to its first support that fails the
+    same test against the incumbent of that moment, which only falls, so
+    no support the prune skips is keyed (a likelihood level, whose floors
+    are all equal, keys whole chunks).  Both prunes are exact, so the
     reported minimizer is the same as under full enumeration; pruned
     supports simply do not appear in ``records``, which lists the solved
     ones in enumeration order (by size, then lexicographically) whatever
@@ -626,7 +723,11 @@ def fit(prob: FitProblem) -> FitResult:
             if floors[i] + prob.c_r * k > incumbent + _TIE_TOL:
                 break
             if j % chunk == 0:
-                groups = _group_rows(prob, supports[order[j:j + chunk]])
+                # key only the supports the same test still admits: the
+                # incumbent only falls, so the rest of the chunk is never solved
+                nxt = order[j:j + chunk]
+                cut = np.flatnonzero(floors[nxt] + prob.c_r * k > incumbent + _TIE_TOL)
+                groups = _group_rows(prob, supports[nxt[:cut[0] if cut.size else nxt.size]])
             S = tuple(supports[i].tolist())
             got = inner_solve(prob, S, groups[j % chunk])
             if got is None:

@@ -193,6 +193,19 @@ def _whole_number(name: str, v) -> int:
     return int(v)
 
 
+def _real_number(name: str, v):
+    """``v`` when it is a real number, a numeric string read by ``float()``;
+    anything else, a boolean too, raises a ValueError naming ``name``."""
+    if isinstance(v, str):
+        try:
+            return float(v)
+        except ValueError:
+            pass
+    elif isinstance(v, numbers.Real) and not isinstance(v, bool):
+        return v
+    raise ValueError(f"{name} must be a number, got {v!r}")
+
+
 # ----------------------------------------------------------------------------
 # coverage experiments
 # ----------------------------------------------------------------------------
@@ -227,6 +240,9 @@ class ExperimentConfig:
     seed: int = 20260819
 
     def __post_init__(self):
+        # real-valued keys: numbers as given, numeric strings as their float
+        for name in ("q", "sigma2", "p01", "p11", "interval_halfwidth"):
+            setattr(self, name, _real_number(name, getattr(self, name)))
         if not 0.0 < self.q <= 0.25:
             raise ValueError("q must lie in (0, 0.25]")
         # sizes, budgets and seeds: whole numbers only, integral floats stored as int
@@ -243,17 +259,17 @@ class ExperimentConfig:
             raise ValueError(f"h_max must be >= spt_size, got h_max={self.h_max}")
         if not isinstance(self.model, str) or self.model not in _MODELS:
             raise ValueError(f"model must be one of {sorted(_MODELS)}")
-        if self.family not in FAMILIES:
+        if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise ValueError(f"family must be one of {sorted(FAMILIES)}")
         if self.c_r != "theorem":
             try:
-                c_r = float(self.c_r)
-            except (TypeError, ValueError):
+                c_r = float(_real_number("c_r", self.c_r))
+            except ValueError:
                 c_r = math.nan
             if not (math.isfinite(c_r) and c_r >= 0.0):
                 raise ValueError("c_r must be 'theorem' or a finite number >= 0")
-        if self.design not in DESIGNS:
-            raise ValueError("unknown design tag")
+        if not isinstance(self.design, str) or self.design not in DESIGNS:
+            raise ValueError(f"design must be one of {sorted(DESIGNS)}")
         if not self.interval_halfwidth > 0:
             raise ValueError("interval_halfwidth must be positive")
         _MODELS[self.model](self)  # the constructors validate their own parameters

@@ -728,3 +728,70 @@ def test_each_command_takes_only_the_flags_it_reads(tmp_path, capsys, command, r
     )
     for flag in reads:
         assert getattr(args, flag[2:]) in ("5", 5)
+
+
+class _Shown:
+    def __str__(self):
+        return "shown <é>"
+
+
+JSON_EDGES = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1, -7, 2**70,
+    True, False, None, "", "plain", "non-ASCII: é ß 中文 😀", "quotes \" \\ and\ncontrols\t\x00",
+    [], {}, (), [[]], [{}], {"": []},
+    [1.5, -0.0, math.nan, math.inf, -math.inf, 3], [math.inf, 2.0], [-1, -math.inf], [1, True],
+    [0.5, None, "x"],
+    np.float64(0.1), np.float64(math.nan), np.int64(3), np.float32(0.5), np.bool_(True),
+    [np.float64(2.0), 1.0], [np.int64(1), 2], _Shown(), [_Shown(), {"k": _Shown()}],
+    {1: "int key", 2.5: "float key", math.inf: 1, -math.inf: 2, True: 3, None: 4, "s": 5},
+    {"nested": {"deeper": [{"a": [1.0, 2.0]}, ({},)]}},
+]
+
+
+@pytest.mark.parametrize("value", JSON_EDGES + [JSON_EDGES, {"all": JSON_EDGES}], ids=repr)
+def test_json_writer_gives_the_bytes_of_json_dumps(value):
+    # json.dumps(indent=2, default=str) is the reference; the fixture in
+    # conftest.py checks the same on every file a command writes in tests/
+    from l0bounds.cli import _json_text
+
+    assert _json_text(value) == json.dumps(value, indent=2, default=str)
+
+
+def test_json_writer_refuses_the_keys_json_refuses():
+    from l0bounds.cli import _json_text
+
+    for key in ((1, 2), np.int64(1)):
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+            json.dumps({key: 1}, indent=2, default=str)
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+            _json_text({key: 1})
+
+
+@pytest.mark.parametrize(
+    "bad,named",
+    [
+        ({"family": ["gaussian"]}, "family must be one of"),
+        ({"design": ["pm1_iid"]}, "design must be one of"),
+        ({"q": "tenth"}, "q must be a number, got 'tenth'"),
+        ({"interval_halfwidth": [3.0]}, "interval_halfwidth must be a number"),
+        ({"model": "flip", "p01": True}, "p01 must be a number, got True"),
+        ({"n": "thirty"}, "n must be a whole number"),
+    ],
+)
+def test_coverage_config_of_a_wrong_type_exits_1_naming_its_key(tmp_path, capsys, bad, named):
+    cfg = _write(tmp_path / "cfg.json", {"n": 30, "p": 5, "spt_size": 1, "replicates": 2, **bad})
+    assert main(["coverage", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+    assert f"bad experiment config: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("q", 0.2), ("interval_halfwidth", 1.5), ("c_r", 0.5)])
+def test_coverage_reads_a_numeric_string_as_its_number(tmp_path, key, value):
+    base = {"n": 30, "p": 5, "spt_size": 1, "replicates": 2, "seed": 3, "model": "flip", "c_r": 1.0}
+    num = _write(tmp_path / "num.json", {**base, key: value})
+    assert main(["coverage", "--config", num, "--out", str(tmp_path / "a"), "--quiet"]) == 0
+    txt = _write(tmp_path / "txt.json", {**base, key: str(value)})
+    assert main(["coverage", "--config", txt, "--out", str(tmp_path / "b"), "--quiet"]) == 0
+    assert (tmp_path / "a" / "coverage.csv").read_bytes() == (tmp_path / "b" / "coverage.csv").read_bytes()
+    a = json.loads((tmp_path / "a" / "coverage.json").read_text())
+    b = json.loads((tmp_path / "b" / "coverage.json").read_text())
+    assert a == b

@@ -35,6 +35,34 @@ def test_interval_validation_and_open_ends():
     assert I.contains(-1e300) and I.contains(0.0)
 
 
+def _contains_entrywise(I, x) -> bool:
+    # every entry on its own: closed at a finite end, open at an infinite one
+    x = np.asarray(x, dtype=float)
+    lo_ok = (x >= I.lo) if math.isfinite(I.lo) else (x > I.lo)
+    hi_ok = (x <= I.hi) if math.isfinite(I.hi) else (x < I.hi)
+    return bool((lo_ok & hi_ok).all())
+
+
+INTERVALS = [(-1.0, 2.0), (-math.inf, 0.0), (0.0, math.inf), (-math.inf, math.inf), (-0.0, 1e-300)]
+POINTS = [
+    0.0, -0.0, -1.0, 2.0, 2.0000001, -1.0000001, 1e-300, -1e300, 1e300, 5e-324,
+    math.inf, -math.inf, math.nan,
+]
+
+
+@pytest.mark.parametrize("lo,hi", INTERVALS)
+def test_contains_compares_its_extremes_as_every_entry_would(lo, hi):
+    # scalars, 0-d arrays, pairs (NaN in either place, +-inf, the ends
+    # themselves) and the empty array give the entrywise test's booleans
+    I = Interval(lo, hi)
+    cases = POINTS + [np.float64(x) for x in POINTS] + [np.array(x) for x in POINTS]
+    cases += [np.array([a, b]) for a in POINTS for b in POINTS]
+    cases += [[lo, hi], [0.5 * lo, 0.5 * hi], np.empty(0), [], np.empty((0, 3))]
+    for x in cases:
+        assert I.contains(x) is _contains_entrywise(I, x), (lo, hi, x)
+    assert I.contains(np.empty(0)) is True
+
+
 def test_support_budget_rejects_nan_and_keeps_inf():
     # a nan budget compares false both ways, so every support size would pass
     for bad in (math.nan, -1.0):

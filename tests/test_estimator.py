@@ -1042,3 +1042,321 @@ def test_least_squares_prune_solves_few_supports_of_a_flip_enum_instance():
     res = fit(FitProblem(y=inst.y, X=inst.X, domain=inst.domain, c_r=1.0, link=f))
     assert res.n_supports == 121
     assert len(res.records) <= 3
+
+
+# ----------------------------------------------------------------------------
+# level codes, the one-hot Gram and the chunks the prune admits
+# ----------------------------------------------------------------------------
+
+LEVEL_COLUMNS = {
+    "pm1": lambda rng, n: rng.choice([-1.0, 1.0], n),
+    "binary": lambda rng, n: rng.integers(0, 2, n).astype(float),
+    "two": lambda rng, n: rng.choice([-3.0, 5.0], n),
+    "three": lambda rng, n: rng.integers(0, 3, n) - 1.0,
+    "constant": lambda rng, n: np.full(n, 2.5),
+    "signed_zero": lambda rng, n: rng.choice([-0.0, 0.0, 1.0], n),  # two levels: -0.0 == 0.0
+    "many": lambda rng, n: rng.integers(0, 12, n).astype(float),
+    "more": lambda rng, n: rng.integers(0, 25, n).astype(float),  # with "many": past n = 60 cells
+    "gaussian": lambda rng, n: rng.standard_normal(n),
+}
+
+
+def _level_design(kind, n, rng):
+    """Three columns of one kind, or one of every kind ("mixed")."""
+    kinds = list(LEVEL_COLUMNS) if kind == "mixed" else [kind] * 3
+    return np.column_stack([LEVEL_COLUMNS[k](rng, n) for k in kinds])
+
+
+@pytest.mark.parametrize("kind", ["pm1", "binary", "two", "three", "constant", "signed_zero", "mixed"])
+def test_level_codes_equal_per_column_unique(kind):
+    rng = np.random.default_rng(40)
+    Xm = _level_design(kind, 50, rng)
+    prob = FitProblem(y=np.zeros(50), X=DesignMatrix(Xm), domain=WIDE, c_r=0.0,
+                      link=logistic_flip(0.1, 0.9))
+    codes, levels = prob.level_codes
+    assert codes.dtype == np.intp and codes.shape == (Xm.shape[1], 50)
+    for j in range(Xm.shape[1]):
+        values, want = np.unique(Xm[:, j], return_inverse=True)
+        np.testing.assert_array_equal(codes[j], want)
+        assert levels[j] == values.size
+
+
+def _gram_problem(kind, y_kind, n=60, seed=42):
+    rng = np.random.default_rng(seed)
+    Xm = _level_design(kind, n, rng)
+    f = logistic_flip(0.1, 0.9)
+    mean = f(0.8 * Xm[:, 0] - 0.5 * Xm[:, 1])
+    y = (rng.random(n) < mean).astype(float) if y_kind == "int" else mean + rng.normal(0.0, 0.3, n)
+    D = DomainSpec(Interval(-1.2, 1.2), max_support=3.0, l1inf_cap=1.2)
+    return FitProblem(y=y, X=DesignMatrix(Xm), domain=D, c_r=0.0, link=f)
+
+
+def _level_pass_floors(monkeypatch, prob, supports):
+    """The floors with no column in the Gram: every support on the level pass."""
+    from l0bounds import estimator
+
+    with monkeypatch.context() as patch:
+        patch.setattr(estimator, "_GRAM_LEVELS", 0)
+        fresh = FitProblem(y=prob.y, X=prob.X, domain=prob.domain, c_r=prob.c_r, link=prob.link)
+        assert (fresh.level_gram[0] == -1).all()
+        return estimator._lse_level_floors(fresh, supports)
+
+
+GRAM_KINDS = ["pm1", "binary", "three", "mixed"]
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_gram_floors_equal_the_level_pass_bit_for_bit_on_integer_data(monkeypatch, kind):
+    # 0/1 indicators and a 0/1 response make every m_g and Y_g an integer,
+    # so reading the cells from the Gram changes no bit of any floor; sizes
+    # past 2 stay on the level pass
+    from l0bounds import estimator
+
+    prob = _gram_problem(kind, "int")
+    p = prob.X.p
+    offset, C, D = prob.level_gram
+    grouped = prob.level_codes[1] < prob.X.n
+    np.testing.assert_array_equal(offset >= 0, grouped)
+    assert C.shape == D.shape == (int(prob.level_codes[1][grouped].sum()),) * 2
+    for k in range(4):
+        combos = list(itertools.combinations(range(p), k))
+        supports = np.array(combos, dtype=np.intp).reshape(len(combos), k)
+        floors = estimator._lse_level_floors(prob, supports)
+        assert floors.tobytes() == _level_pass_floors(monkeypatch, prob, supports).tobytes(), k
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_gram_cells_are_the_level_pass_cells_in_key_order(kind):
+    # the cells of each 1- and 2-support, read from the Gram, are those the
+    # level pass counts, in the same order: the L_j x L_l block row-major,
+    # empty cells included (the level pass drops them once the levels
+    # multiply past n), whether read one support at a time or a level at once
+    from l0bounds import estimator
+
+    prob = _gram_problem(kind, "int")
+    levels = prob.level_codes[1]
+    gram = prob.level_gram[0] >= 0
+    for k in (1, 2):
+        supports = np.array([S for S in itertools.combinations(range(prob.X.p), k) if gram[list(S)].all()])
+        m_all, Y_all, start_all = estimator._gram_cells(prob, supports)
+        ends = np.append(start_all[1:], m_all.size)
+        for b, S in enumerate(supports.tolist()):
+            m, Y, start = estimator._gram_cells(prob, supports[b:b + 1])
+            np.testing.assert_array_equal(m, m_all[start_all[b]:ends[b]])
+            np.testing.assert_array_equal(Y, Y_all[start_all[b]:ends[b]])
+            assert start.tolist() == [0] and m.size == math.prod(levels[S])
+            mk, Yk, _, grouped = estimator._key_cells(prob, supports[b:b + 1])
+            assert grouped.all()
+            np.testing.assert_array_equal(m[m > 0], mk[mk > 0])
+            np.testing.assert_array_equal(Y[m > 0], Yk[mk > 0])
+            assert not Y[m == 0].any()
+            if mk.size == m.size:
+                np.testing.assert_array_equal(m, mk)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_gram_floors_on_real_data_lie_below_every_loss(monkeypatch, kind, scale):
+    # a real response: the Gram sums in another order than the level pass,
+    # so the floors may differ in the last bits, by less than the margin,
+    # and each stays below every loss inner_solve reaches on its support
+    from l0bounds import estimator
+
+    prob = _gram_problem(kind, "real")
+    prob = FitProblem(y=scale * prob.y, X=prob.X, domain=prob.domain, c_r=0.0, link=prob.link)
+    yy = float(prob.y @ prob.y)
+    margin = 4.0 * (prob.X.n + 2) * np.finfo(float).eps * yy
+    for k in (1, 2):
+        supports = np.array(list(itertools.combinations(range(prob.X.p), k)))
+        floors = estimator._lse_level_floors(prob, supports)
+        ref = _level_pass_floors(monkeypatch, prob, supports)
+        assert np.all(np.abs(floors - ref) <= margin), k
+        for S, floor in zip(map(tuple, supports.tolist()), floors):
+            got = inner_solve(prob, S)
+            assert got is not None
+            assert floor <= got[1], S
+
+
+def test_the_margin_keeps_a_lifted_floor_below_the_grouped_loss():
+    # y constant on the groups of column 0: every support holding column 0
+    # has W_S = 0 exactly, yet rounding lifts y'y - sum_g Y_g^2 / m_g above
+    # the within-group sum that _lse_value adds to; the margin takes the
+    # floor back below it, on the Gram path (sizes 1, 2) and the level pass (3)
+    from l0bounds import estimator
+
+    rng = np.random.default_rng(41)
+    n = 40
+    Xm = rng.choice([-1.0, 1.0], size=(n, 3))
+    D = DomainSpec(Interval(-3.0, 3.0), max_support=3.0, l1inf_cap=3.0)
+    lifted = 0
+    for seed in range(4):
+        level = np.random.default_rng(seed).random(2)
+        y = np.where(Xm[:, 0] > 0, level[0], level[1])
+        prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=D, c_r=0.0, link=logistic_flip(0.1, 0.9))
+        margin = 4.0 * (n + 2) * np.finfo(float).eps * float(y @ y)
+        for k in (1, 2, 3):
+            supports = np.array([S for S in itertools.combinations(range(3), k) if 0 in S])
+            for S, floor in zip(supports.tolist(), estimator._lse_level_floors(prob, supports)):
+                inv, m, _rep = estimator._group_rows(prob, np.array([S]))[0]
+                W = estimator._Rows(prob, inv, m).W
+                assert floor <= W, (seed, S)
+                lifted += floor + margin > W
+    assert lifted  # the case the margin is there for does occur
+
+
+@pytest.mark.parametrize("y_kind", ["int", "real"])
+@pytest.mark.parametrize("c_r", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("kind", ["three", "mixed"])
+def test_fit_on_few_level_designs_equals_full_enumeration(kind, c_r, y_kind):
+    prob = _gram_problem(kind, y_kind)
+    prob = FitProblem(
+        y=prob.y, X=prob.X, domain=DomainSpec(Interval(-1.2, 1.2), max_support=2.0, l1inf_cap=1.2),
+        c_r=c_r, link=prob.link,
+    )
+    res = fit(prob)
+    support, obj, u, tie, solved = full_enumeration_fit(prob)
+    assert res.support == support
+    assert res.objective.hex() == obj.hex()
+    assert res.beta_hat.tobytes() == u.tobytes()
+    assert res.tie_break_applied == tie
+    for rec in res.records:
+        got = solved[rec.support]
+        assert rec.feasible == (got is not None)
+        if got is not None:
+            assert (rec.loss, rec.converged, rec.boundary_clamped) == got[1:], rec.support
+
+
+def _flip_enum_problem(seed=1):
+    cfg = harness.ExperimentConfig(
+        n=400, p=15, spt_size=2, model="flip", p01=0.1, p11=0.9, design="pm1_iid",
+        interval_halfwidth=3.0, c_r=1.0, replicates=1, seed=seed,
+    )
+    inst = harness.generate_instance(cfg, 0)
+    return FitProblem(y=inst.y, X=inst.X, domain=inst.domain, c_r=1.0, link=logistic_flip(0.1, 0.9))
+
+
+@pytest.mark.parametrize("case", ["flip_enum", "pm1", "binary", "narrow"])
+def test_rows_are_keyed_only_for_supports_the_prune_admits(monkeypatch, case):
+    # each chunk is cut at its first support whose floor + c_r k exceeds the
+    # incumbent of the moment (+ the tie tolerance); the incumbent only
+    # falls, so every support keyed was admitted when it was keyed, and none
+    # past the cut is ever solved
+    from l0bounds import estimator
+
+    if case == "flip_enum":
+        prob = _flip_enum_problem()
+    elif case == "narrow":  # a narrow domain keeps fits far from their floors
+        prob = _gram_problem("mixed", "int")
+        prob = FitProblem(y=prob.y, X=prob.X, domain=DomainSpec(Interval(-0.3, 0.3), 2.0, 0.3),
+                          c_r=0.05, link=prob.link)
+    else:
+        prob = _grouping_problem(case, "lse", 90, 6, np.random.default_rng(43))(0.5)
+    keyed, solved = [], []
+    incumbent = [math.inf]
+    real_group = estimator._group_rows
+
+    def group(prob, supports):
+        k = supports.shape[1]
+        floors = estimator._lse_level_floors(prob, supports)
+        assert np.all(floors + prob.c_r * k <= incumbent[0] + estimator._TIE_TOL), supports
+        keyed.extend(map(tuple, supports.tolist()))
+        return real_group(prob, supports)
+
+    real_solve = estimator.inner_solve
+
+    def inner(prob, S, *args):
+        got = real_solve(prob, S, *args)
+        solved.append(S)
+        if got is not None:
+            incumbent[0] = min(incumbent[0], got[1] + prob.c_r * int(np.count_nonzero(got[0])))
+        return got
+
+    monkeypatch.setattr(estimator, "_group_rows", group)
+    monkeypatch.setattr(estimator, "inner_solve", inner)
+    res = fit(prob)
+    assert solved == [S for S in keyed if S in set(solved)]  # solved in keying order
+    assert set(solved) <= set(keyed)
+    if case == "flip_enum":
+        assert res.n_supports == 121 and len(keyed) <= 2 * len(res.records)
+    assert len(keyed) < res.n_supports
+
+
+def test_a_likelihood_fit_never_forms_the_gram():
+    rng = np.random.default_rng(44)
+    lik = _grouping_problem("pm1", "mle", 90, 5, rng)(0.3)
+    fit(lik)
+    assert "level_gram" not in vars(lik)
+    lse = _grouping_problem("pm1", "lse", 90, 5, rng)(0.3)
+    fit(lse)
+    assert "level_gram" in vars(lse)
+
+
+def _records_digest(res) -> str:
+    import hashlib
+
+    h = hashlib.sha256()
+    for r in res.records:
+        h.update(repr((r.support, float(r.loss).hex(), r.feasible, r.converged,
+                       r.boundary_clamped)).encode())
+    h.update(res.beta_hat.tobytes())
+    h.update(f"{res.objective.hex()} {res.tie_break_applied}".encode())
+    return h.hexdigest()
+
+
+def _handoff_problem(case):
+    if case.startswith("flip_enum"):
+        return _flip_enum_problem(int(case[-1]))
+    return _grouping_problem(case, "lse", 90, 5, np.random.default_rng(45))(0.0)
+
+
+# sha256 of every record, beta_hat, the objective and the tie flag, recorded
+# while the derivatives still evaluated the link for themselves
+HANDOFF_DIGESTS = {
+    "flip_enum1": "54d84da0abc8ec7a42619e4442650173b535e379e3a0873acd2758350778faaf",
+    "flip_enum2": "e44f0eaf87e554cde465a30fc3d4f3918f71d36fbe88a7093a483996c574f27a",
+    "pm1": "026fbcbf81f13767fa9401a70923bc9ee493bb48bf3ce13699db07f2968368b8",
+    "binary": "4db23162ad2943fb6b685d9e265cc238a8356255a7c156835eabe25f721e0de0",
+    "gaussian": "dbc4a68c8a638c38010f3bf96cbbf46dc26ef3dde44e520a7cd03510dc8db418",
+}
+
+
+@pytest.mark.parametrize("case", sorted(HANDOFF_DIGESTS))
+def test_newton_steps_take_the_link_values_of_the_trial_they_accepted(monkeypatch, case):
+    # a Newton step evaluates the link once per trial the loss prices and
+    # not again for its derivatives, whose images are the accepted trial's,
+    # the last ones priced; only a step that follows a rejected trial (the
+    # derivatives then sit at the older images) evaluates it again; the
+    # records are those of evaluating it afresh, bit for bit
+    from l0bounds import estimator
+
+    prob = _handoff_problem(case)
+    evals = [0]
+
+    class Counted(type(prob.link)):
+        def __call__(self, t):
+            evals[0] += 1
+            return super().__call__(t)
+
+    prob.link = Counted(prob.link.tag, prob.link.params)
+    loss = estimator._LOSSES["lse"]
+    last = [None]
+    steps = []  # link evaluations in each derivative call
+
+    def value(prob, rows, t):
+        before = evals[0]
+        got = loss.value(prob, rows, t)
+        assert evals[0] - before == 1
+        last[0] = t
+        return got
+
+    def grad_hess(prob, rows, Xs, t):
+        before = evals[0]
+        got = loss.grad_hess(prob, rows, Xs, t)
+        steps.append(evals[0] - before)
+        assert steps[-1] == (0 if t is last[0] else 1)
+        return got
+
+    monkeypatch.setitem(estimator._LOSSES, "lse", loss._replace(value=value, grad_hess=grad_hess))
+    res = fit(prob)
+    assert steps and steps.count(0) > 0.9 * len(steps)
+    assert _records_digest(res) == HANDOFF_DIGESTS[case]

@@ -140,6 +140,41 @@ def test_experiment_config_from_dict_rejects_unknown_keys():
         ExperimentConfig.from_dict({**good, "q": 0.4})  # q must be <= 0.25
 
 
+# one case per kind of key: whole numbers, real numbers, table keys, c_r
+WRONG_TYPES = {
+    "whole": [("n", "forty"), ("p", 6.5), ("replicates", True), ("seed", [1]), ("h_max", "2")],
+    "real": [("q", "tenth"), ("sigma2", [1.0]), ("p01", True), ("p11", None),
+             ("interval_halfwidth", {"r": 3})],
+    "table": [("model", ["glm"]), ("family", ["gaussian"]), ("design", ["pm1_iid"]),
+              ("family", 3), ("design", None)],
+    "c_r": [("c_r", ["theorem"]), ("c_r", True), ("c_r", "big")],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRONG_TYPES))
+def test_experiment_config_names_the_key_of_a_wrong_type(kind):
+    # every check raises a ValueError that names its key, never a TypeError
+    # from a comparison or a lookup
+    good = dict(n=40, p=6, spt_size=2, replicates=5, model="flip")
+    for key, value in WRONG_TYPES[kind]:
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig(**{**good, key: value})
+
+
+def test_experiment_config_reads_numeric_strings_as_cli_num_does():
+    from l0bounds import cli
+
+    good = dict(n=40, p=6, spt_size=2, replicates=5, model="flip")
+    for key in ("q", "sigma2", "p01", "p11", "interval_halfwidth"):
+        value = {"q": 0.2, "p01": 0.2, "p11": 0.7}.get(key, 1.5)
+        cfg = ExperimentConfig(**{**good, key: str(value)})
+        assert getattr(cfg, key) == cli._num({key: str(value)}, key) == value
+        assert type(getattr(cfg, key)) is float
+    # a number stays as given, so the coverage JSON echoes it unchanged
+    assert type(ExperimentConfig(**good, sigma2=2).sigma2) is int
+    assert ExperimentConfig(**good, c_r="0.5").c_r == "0.5"
+
+
 def test_experiment_config_refuses_a_budget_below_the_support_size():
     good = dict(n=40, p=6, spt_size=2, replicates=5)
     for h_max in (0, -3, 1):
