@@ -30,9 +30,9 @@ likelihood's floor is its global loss floor, the same for every support.
 On the group rows the least-squares loss is W_S + sum_g m_g (ybar_g -
 f(t_g))^2, so its floor is the within-group sum of squares W_S (less a
 rounding margin), formed for a whole level from its supports' cell counts
-and response sums: for sizes 1 and 2 read from one one-hot Gram of the
-columns (``FitProblem.level_gram``), otherwise from stacked level keys; it
-is 0 on a continuous column, where every group is one row.  ``_level_keys``
+and response sums: for pairs of two-level columns read from one one-hot
+Gram (``FitProblem.level_gram``), otherwise from stacked level keys; it is
+0 on a continuous column, where every group is one row.  ``_level_keys``
 keys the rows of a level's supports, for the level pass and the groups
 alike; a solve's rows are keyed only if the prune still admits it.
 
@@ -66,7 +66,11 @@ _GRAD_TOL = 1e-9  # free stop: max |gradient|
 _FACET_TOL = 1e-8  # facet stop: max |projected gradient| / max(1, max |gradient|)
 _STEP_TOL = 1e-12  # backtracking gives up once max |alpha d| falls below this
 _MAX_ITER = 100  # Newton iterations per start
-_GRAM_LEVELS = 2048  # one-hot columns of FitProblem.level_gram, at most
+# one-hot columns of FitProblem.level_gram, at most: at T = 1024 (512 +-1
+# columns; 2-core Intel Xeon, one OpenBLAS thread) the Gram prices all
+# 130816 pairs in 0.15 s at n = 400 and 0.57 s at n = 2000, against 0.87 s
+# and 6.1 s on the level pass, at a traced peak of 26 MB against 3.4 MB
+_GRAM_LEVELS = 1024
 
 
 @dataclass
@@ -126,34 +130,35 @@ class FitProblem:
 
     @functools.cached_property
     def level_gram(self) -> tuple:
-        """(offset, C, D): the one-hot Gram of the grouped columns, which
-        ``_lse_level_floors`` reads the cells of 1- and 2-supports from.
+        """(offset, C, D): the one-hot Gram of the two-level columns, which
+        ``_lse_level_floors`` reads the cells of 2-supports from.
 
         E is the n x T level indicator, E[i, offset[j] + codes[j, i]] = 1,
-        over the columns with fewer than n levels, fewest levels first while
-        T = sum of their levels stays within ``_GRAM_LEVELS`` (offset[j] is
-        -1 for the rest); C = E'E holds the cell counts m_g and
-        D = E' diag(y) E the response sums Y_g, so the cells of S = (j, l)
-        are the L_j x L_l block at (offset[j], offset[l]), row-major in key
-        order (``_level_keys``), and those of S = (j,) its diagonal.  E is
-        formed a block of rows at a time, never whole; C and D are the only
-        state kept, 16 T^2 bytes (64 MB at T = 2048, 14 KB on a 30-level
-        +-1 design with p = 15)."""
+        over the first ``_GRAM_LEVELS // 2`` two-level columns, and only when
+        n >= 4, so that a pair's 2 x 2 block is no more cells than the n keys
+        the level pass would make (offset[j] is -1 for every other column);
+        C = E'E holds the cell counts m_g and D = E' diag(y) E the response
+        sums Y_g, so the cells of S = (j, l) are the 2 x 2 block at
+        (offset[j], offset[l]), row-major in key order (``_level_keys``).
+        C and D are the only state kept, 16 T^2 bytes (16 MB at T = 1024,
+        14 KB on a +-1 design with p = 15).  E is formed
+        ``_SERIES_BLOCK_BYTES`` of rows at a time, never whole, and each
+        block's products go through one T x T buffer, so forming them peaks
+        at 24 T^2 bytes plus the two blocks E and y E, 512 KB."""
         codes, levels = self.level_codes
-        by_levels = np.argsort(levels, kind="stable")
-        fits = (levels[by_levels] < self.X.n) & (np.cumsum(levels[by_levels]) <= _GRAM_LEVELS)
-        cols = np.sort(by_levels[fits])
+        n = self.X.n
+        cols = np.flatnonzero(levels == 2)[:_GRAM_LEVELS // 2 if n >= 4 else 0]
         offset = np.full(self.X.p, -1, dtype=np.intp)
-        offset[cols] = np.cumsum(levels[cols]) - levels[cols]
-        T = int(levels[cols].sum())
-        C, D = np.zeros((T, T)), np.zeros((T, T))
-        rows = max(T, _SERIES_BLOCK_BYTES // (8 * max(T, 1)))
-        for i in range(0, self.X.n if T else 0, rows):
+        offset[cols] = 2 * np.arange(cols.size)
+        T = 2 * cols.size
+        C, D, buf = np.zeros((T, T)), np.zeros((T, T)), np.empty((T, T))
+        rows = max(1, _SERIES_BLOCK_BYTES // (8 * max(T, 1)))
+        for i in range(0, n if T else 0, rows):
             hot = (offset[cols, None] + codes[cols, i:i + rows]).T  # each row's one-hot columns
             E = np.zeros((len(hot), T))
             np.put_along_axis(E, hot, 1.0, axis=1)
-            C += E.T @ E
-            D += E.T @ (self.y[i:i + rows, None] * E)
+            C += np.matmul(E.T, E, out=buf)
+            D += np.matmul(E.T, self.y[i:i + rows, None] * E, out=buf)
         return offset, C, D
 
 
@@ -285,22 +290,14 @@ def _key_cells(prob: FitProblem, supports: np.ndarray) -> tuple:
 
 
 def _gram_cells(prob: FitProblem, supports: np.ndarray) -> tuple:
-    """(m, Y, start) as ``_key_cells`` gives them, for a (B, k) array of
-    supports, k = 1 or 2, whose columns are all in ``level_gram``: read from
-    its blocks, every cell of the L_j x L_l block (the empty ones too), in
-    key order.  No row is touched."""
+    """(m, Y, start) as ``_key_cells`` gives them, for a (B, 2) array of
+    supports whose columns are both in ``level_gram``: read from its 2 x 2
+    blocks, every cell (the empty ones too), in key order.  No row is
+    touched."""
     offset, C, D = prob.level_gram
-    L = prob.level_codes[1][supports]
-    at = offset[supports]
-    cells = L.prod(axis=1)
-    start = np.cumsum(cells) - cells
-    b = np.repeat(np.arange(len(supports)), cells)
-    q = np.arange(int(cells.sum())) - start[b]  # each cell's place in its support's block
-    if supports.shape[1] == 1:
-        i = j = at[b, 0] + q
-    else:
-        i, j = at[b, 0] + q // L[b, 1], at[b, 1] + q % L[b, 1]
-    return C[i, j], D[i, j], start
+    i = (offset[supports[:, 0], None] + [0, 0, 1, 1]).ravel()
+    j = (offset[supports[:, 1], None] + [0, 1, 0, 1]).ravel()
+    return C[i, j], D[i, j], 4 * np.arange(len(supports))
 
 
 def _lse_level_floors(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
@@ -311,10 +308,11 @@ def _lse_level_floors(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
     so no point on S goes below the within-group sum of squares
     W_S = sum_i y_i^2 - sum_g Y_g^2 / m_g, formed from the cell counts m_g
     and response sums Y_g by one segmented sum of Y_g (Y_g / m_g) per
-    support.  Supports of size 1 and 2 whose columns are all in the one-hot
-    Gram read their cells from it (``_gram_cells``); the rest go through the
-    level pass (``_key_cells``) in chunks of at most ``_PASS_CELLS`` keys,
-    so no temporary grows with the level.  A support that ``_level_keys``
+    support.  Supports of size 2 whose columns are both in the one-hot Gram
+    read their cells from it (``_gram_cells``), in chunks of at most
+    ``_PASS_CELLS`` cells; the rest go through the level pass
+    (``_key_cells``) in chunks of at most ``_PASS_CELLS`` keys, so no
+    temporary grows with the level.  A support that ``_level_keys``
     leaves ungrouped (every group one row) has floor 0.  With integer y and
     0/1 indicators every m_g and Y_g is an exact integer whatever the
     summation order, so both paths give the same floors bit for bit.
@@ -350,10 +348,12 @@ def _lse_level_floors(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
 
     floors = np.empty(len(supports))
     gram = np.zeros(len(supports), dtype=bool)
-    if supports.shape[1] in (1, 2):
+    if supports.shape[1] == 2:
         gram = (prob.level_gram[0][supports] >= 0).all(axis=1)
-        if gram.any():
-            floors[gram] = floor(*_gram_cells(prob, supports[gram]))
+        read, chunk = np.flatnonzero(gram), max(1, _PASS_CELLS // 4)
+        for lo in range(0, read.size, chunk):
+            at = read[lo:lo + chunk]
+            floors[at] = floor(*_gram_cells(prob, supports[at]))
     rest = np.flatnonzero(~gram)
     chunk = max(1, _PASS_CELLS // n)
     for lo in range(0, rest.size, chunk):

@@ -1108,16 +1108,17 @@ GRAM_KINDS = ["pm1", "binary", "three", "mixed"]
 @pytest.mark.parametrize("kind", GRAM_KINDS)
 def test_gram_floors_equal_the_level_pass_bit_for_bit_on_integer_data(monkeypatch, kind):
     # 0/1 indicators and a 0/1 response make every m_g and Y_g an integer,
-    # so reading the cells from the Gram changes no bit of any floor; sizes
-    # past 2 stay on the level pass
+    # so reading the cells from the Gram changes no bit of any floor; other
+    # sizes and the pairs of other columns stay on the level pass
     from l0bounds import estimator
 
     prob = _gram_problem(kind, "int")
     p = prob.X.p
     offset, C, D = prob.level_gram
-    grouped = prob.level_codes[1] < prob.X.n
-    np.testing.assert_array_equal(offset >= 0, grouped)
-    assert C.shape == D.shape == (int(prob.level_codes[1][grouped].sum()),) * 2
+    two = prob.level_codes[1] == 2
+    np.testing.assert_array_equal(offset >= 0, two)
+    np.testing.assert_array_equal(offset[two], 2 * np.arange(two.sum()))
+    assert C.shape == D.shape == (2 * int(two.sum()),) * 2
     for k in range(4):
         combos = list(itertools.combinations(range(p), k))
         supports = np.array(combos, dtype=np.intp).reshape(len(combos), k)
@@ -1125,33 +1126,65 @@ def test_gram_floors_equal_the_level_pass_bit_for_bit_on_integer_data(monkeypatc
         assert floors.tobytes() == _level_pass_floors(monkeypatch, prob, supports).tobytes(), k
 
 
-@pytest.mark.parametrize("kind", GRAM_KINDS)
+@pytest.mark.parametrize("kind", ["pm1", "binary", "mixed"])
 def test_gram_cells_are_the_level_pass_cells_in_key_order(kind):
-    # the cells of each 1- and 2-support, read from the Gram, are those the
-    # level pass counts, in the same order: the L_j x L_l block row-major,
-    # empty cells included (the level pass drops them once the levels
-    # multiply past n), whether read one support at a time or a level at once
+    # the cells of each pair of two-level columns, read from the Gram, are
+    # those the level pass counts, in the same order: the 2 x 2 block
+    # row-major, empty cells included, whether read one support at a time or
+    # a level at once
     from l0bounds import estimator
 
     prob = _gram_problem(kind, "int")
-    levels = prob.level_codes[1]
     gram = prob.level_gram[0] >= 0
-    for k in (1, 2):
-        supports = np.array([S for S in itertools.combinations(range(prob.X.p), k) if gram[list(S)].all()])
-        m_all, Y_all, start_all = estimator._gram_cells(prob, supports)
-        ends = np.append(start_all[1:], m_all.size)
-        for b, S in enumerate(supports.tolist()):
-            m, Y, start = estimator._gram_cells(prob, supports[b:b + 1])
-            np.testing.assert_array_equal(m, m_all[start_all[b]:ends[b]])
-            np.testing.assert_array_equal(Y, Y_all[start_all[b]:ends[b]])
-            assert start.tolist() == [0] and m.size == math.prod(levels[S])
-            mk, Yk, _, grouped = estimator._key_cells(prob, supports[b:b + 1])
-            assert grouped.all()
-            np.testing.assert_array_equal(m[m > 0], mk[mk > 0])
-            np.testing.assert_array_equal(Y[m > 0], Yk[mk > 0])
-            assert not Y[m == 0].any()
-            if mk.size == m.size:
-                np.testing.assert_array_equal(m, mk)
+    supports = np.array([S for S in itertools.combinations(range(prob.X.p), 2) if gram[list(S)].all()])
+    assert len(supports)
+    m_all, Y_all, start_all = estimator._gram_cells(prob, supports)
+    assert start_all.tolist() == list(range(0, 4 * len(supports), 4))
+    for b in range(len(supports)):
+        m, Y, start = estimator._gram_cells(prob, supports[b:b + 1])
+        np.testing.assert_array_equal(m, m_all[4 * b:4 * b + 4])
+        np.testing.assert_array_equal(Y, Y_all[4 * b:4 * b + 4])
+        assert start.tolist() == [0]
+        mk, Yk, _, grouped = estimator._key_cells(prob, supports[b:b + 1])
+        assert grouped.all()
+        np.testing.assert_array_equal(m, mk)
+        np.testing.assert_array_equal(Y, Yk)
+
+
+def test_gram_reads_are_chunked_and_hold_only_two_level_columns(monkeypatch):
+    # reading a level in chunks of _PASS_CELLS cells changes no floor; the
+    # Gram takes the first _GRAM_LEVELS // 2 two-level columns, none when
+    # n < 4 (a pair's 4 cells would outnumber its keys), and its row blocks
+    # change no count
+    from l0bounds import estimator
+
+    prob = _gram_problem("mixed", "int")
+    supports = np.array(list(itertools.combinations(range(prob.X.p), 2)))
+    floors = estimator._lse_level_floors(prob, supports)
+    assert (prob.level_gram[0] >= 0).sum() == 4  # pm1, binary, two, signed_zero
+    read = []
+    real = estimator._gram_cells
+
+    def cells(prob, supports):
+        read.extend(map(tuple, supports.tolist()))
+        assert 4 * len(supports) <= estimator._PASS_CELLS
+        return real(prob, supports)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(estimator, "_PASS_CELLS", 8)
+        patch.setattr(estimator, "_SERIES_BLOCK_BYTES", 8)
+        patch.setattr(estimator, "_GRAM_LEVELS", 6)
+        patch.setattr(estimator, "_gram_cells", cells)
+        fresh = FitProblem(y=prob.y, X=prob.X, domain=prob.domain, c_r=0.0, link=prob.link)
+        offset, C, D = fresh.level_gram
+        assert offset.tolist() == [0, 2, 4] + [-1] * (prob.X.p - 3)
+        np.testing.assert_array_equal(C, prob.level_gram[1][:6, :6])
+        np.testing.assert_array_equal(D, prob.level_gram[2][:6, :6])
+        assert estimator._lse_level_floors(fresh, supports).tobytes() == floors.tobytes()
+    assert read == [(0, 1), (0, 2), (1, 2)]
+    tiny = FitProblem(y=[0.0, 1.0, 1.0], X=DesignMatrix(np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])),
+                      domain=prob.domain, c_r=0.0, link=prob.link)
+    assert (tiny.level_gram[0] == -1).all() and tiny.level_gram[1].shape == (0, 0)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
@@ -1181,7 +1214,7 @@ def test_the_margin_keeps_a_lifted_floor_below_the_grouped_loss():
     # y constant on the groups of column 0: every support holding column 0
     # has W_S = 0 exactly, yet rounding lifts y'y - sum_g Y_g^2 / m_g above
     # the within-group sum that _lse_value adds to; the margin takes the
-    # floor back below it, on the Gram path (sizes 1, 2) and the level pass (3)
+    # floor back below it, on the level pass (sizes 1, 3) and the Gram (2)
     from l0bounds import estimator
 
     rng = np.random.default_rng(41)
@@ -1281,12 +1314,18 @@ def test_rows_are_keyed_only_for_supports_the_prune_admits(monkeypatch, case):
     assert len(keyed) < res.n_supports
 
 
-def test_a_likelihood_fit_never_forms_the_gram():
+def test_only_a_priced_least_squares_pair_level_forms_the_gram():
+    # a likelihood fit's floor is a constant, and a least-squares fit that
+    # prices no pairs has no use for the Gram: neither forms it
     rng = np.random.default_rng(44)
     lik = _grouping_problem("pm1", "mle", 90, 5, rng)(0.3)
     fit(lik)
     assert "level_gram" not in vars(lik)
     lse = _grouping_problem("pm1", "lse", 90, 5, rng)(0.3)
+    singles = FitProblem(y=lse.y, X=lse.X, domain=DomainSpec(Interval(-1.2, 1.2), 1.0, 1.2),
+                         c_r=0.3, link=lse.link)
+    assert fit(singles).n_supports == 6
+    assert "level_gram" not in vars(singles)
     fit(lse)
     assert "level_gram" in vars(lse)
 
