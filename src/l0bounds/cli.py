@@ -301,24 +301,35 @@ def _cmd_grid(args, cfg: dict) -> dict:
     return G.to_dict()
 
 
+# the keys each verify check reads: any other key is a config error
+_VERIFY_KEYS = {
+    "tail": {"what", "noise", "trials", "n", "n_dirs", "seed"},
+    "control": {"what", "noise", "design", "link", "centers", "q", "K_check", "trials", "seed"},
+}
+
+
 def _cmd_verify(args, cfg: dict) -> dict:
     what = _need(cfg, "what")
+    keys = _VERIFY_KEYS.get(what) if isinstance(what, str) else None
+    if keys is None:
+        raise ConfigError("verify 'what' must be 'tail' or 'control'")
+    extra = sorted(set(cfg) - keys)
+    if extra:
+        raise ConfigError(f"unknown verify key(s) {extra} for what {what!r}")
     noise = parse_block(cfg, "noise", harness.NOISES)
     if args.seed is not None:
         cfg = {**cfg, "seed": args.seed}
     if what == "tail":
         return harness.verify_tail(noise, **_given(cfg, int, "trials", "n", "n_dirs", "seed"))
-    if what == "control":
-        dm = load_design(args, cfg)
-        f = parse_block(cfg, "link", analytic.LINKS)
-        centers = cfg.get("centers")
-        if centers is None:
-            centers = [[0.0] * dm.p]
-        return harness.verify_control_event(
-            dm, f, [np.asarray(c, float) for c in centers], noise, q=_num(cfg, "q"),
-            **_given(cfg, int, "K_check", "trials", "seed"),
-        )
-    raise ConfigError("verify 'what' must be 'tail' or 'control'")
+    dm = load_design(args, cfg)
+    f = parse_block(cfg, "link", analytic.LINKS)
+    centers = cfg.get("centers")
+    if centers is None:
+        centers = [[0.0] * dm.p]
+    return harness.verify_control_event(
+        dm, f, [np.asarray(c, float) for c in centers], noise, q=_num(cfg, "q"),
+        **_given(cfg, int, "K_check", "trials", "seed"),
+    )
 
 
 # per command: handler, output file, the flags of _FLAGS it reads, and its summary line

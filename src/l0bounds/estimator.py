@@ -30,9 +30,10 @@ likelihood's floor is its global loss floor, the same for every support.
 On the group rows the least-squares loss is W_S + sum_g m_g (ybar_g -
 f(t_g))^2, so its floor is the within-group sum of squares W_S (less a
 rounding margin), formed for a whole level from its supports' cell counts
-and response sums: for pairs of two-level columns read from one one-hot
-Gram (``FitProblem.level_gram``), otherwise from stacked level keys; it is
-0 on a continuous column, where every group is one row.  ``_level_keys``
+and response sums: for pairs of two-level columns, when every y_i is an
+integer, read from one p x p Gram of their 0/1 indicators
+(``FitProblem.level_gram``), otherwise from stacked level keys; it is 0 on
+a continuous column, where every group is one row.  ``_level_keys``
 keys the rows of a level's supports, for the level pass and the groups
 alike; a solve's rows are keyed only if the prune still admits it.
 
@@ -66,11 +67,6 @@ _GRAD_TOL = 1e-9  # free stop: max |gradient|
 _FACET_TOL = 1e-8  # facet stop: max |projected gradient| / max(1, max |gradient|)
 _STEP_TOL = 1e-12  # backtracking gives up once max |alpha d| falls below this
 _MAX_ITER = 100  # Newton iterations per start
-# one-hot columns of FitProblem.level_gram, at most: at T = 1024 (512 +-1
-# columns; 2-core Intel Xeon, one OpenBLAS thread) the Gram prices all
-# 130816 pairs in 0.15 s at n = 400 and 0.57 s at n = 2000, against 0.87 s
-# and 6.1 s on the level pass, at a traced peak of 26 MB against 3.4 MB
-_GRAM_LEVELS = 1024
 
 
 @dataclass
@@ -130,36 +126,33 @@ class FitProblem:
 
     @functools.cached_property
     def level_gram(self) -> tuple:
-        """(offset, C, D): the one-hot Gram of the two-level columns, which
-        ``_lse_level_floors`` reads the cells of 2-supports from.
+        """(slot, N, M): N = Z'Z and M = Z' diag(y) Z for the 0/1 indicators
+        Z of the two-level columns (their level codes as floats), column j at
+        row slot[j] (-1 when left out), for ``_gram_cells``.
 
-        E is the n x T level indicator, E[i, offset[j] + codes[j, i]] = 1,
-        over the first ``_GRAM_LEVELS // 2`` two-level columns, and only when
-        n >= 4, so that a pair's 2 x 2 block is no more cells than the n keys
-        the level pass would make (offset[j] is -1 for every other column);
-        C = E'E holds the cell counts m_g and D = E' diag(y) E the response
-        sums Y_g, so the cells of S = (j, l) are the 2 x 2 block at
-        (offset[j], offset[l]), row-major in key order (``_level_keys``).
-        C and D are the only state kept, 16 T^2 bytes (16 MB at T = 1024,
-        14 KB on a +-1 design with p = 15).  E is formed
-        ``_SERIES_BLOCK_BYTES`` of rows at a time, never whole, and each
-        block's products go through one T x T buffer, so forming them peaks
-        at 24 T^2 bytes plus the two blocks E and y E, 512 KB."""
+        Z holds every two-level column, but only when n >= 4 (a pair's 4
+        cells are then no more than the n keys of the level pass) and every
+        y_i is an integer with sum |y_i| < 2^53, so that every entry, and
+        every cell formed from them, is an exact integer in any summation
+        order.  N and M are the only state, 16 q^2 bytes for q columns: at
+        most 32 MB, since ``_ENUM_BUDGET`` admits pairs only when p <= 1413.
+        Z is formed in blocks of r = max(q, ``_SERIES_BLOCK_BYTES`` // 8q)
+        rows, as ``DesignMatrix.scaled_gram`` is, so forming peaks at 24 q^2
+        bytes plus two blocks of 8 r q: 40 q^2 bytes once q >= 182."""
         codes, levels = self.level_codes
-        n = self.X.n
-        cols = np.flatnonzero(levels == 2)[:_GRAM_LEVELS // 2 if n >= 4 else 0]
-        offset = np.full(self.X.p, -1, dtype=np.intp)
-        offset[cols] = 2 * np.arange(cols.size)
-        T = 2 * cols.size
-        C, D, buf = np.zeros((T, T)), np.zeros((T, T)), np.empty((T, T))
-        rows = max(1, _SERIES_BLOCK_BYTES // (8 * max(T, 1)))
-        for i in range(0, n if T else 0, rows):
-            hot = (offset[cols, None] + codes[cols, i:i + rows]).T  # each row's one-hot columns
-            E = np.zeros((len(hot), T))
-            np.put_along_axis(E, hot, 1.0, axis=1)
-            C += np.matmul(E.T, E, out=buf)
-            D += np.matmul(E.T, self.y[i:i + rows, None] * E, out=buf)
-        return offset, C, D
+        y = self.y
+        exact = self.X.n >= 4 and np.abs(y).sum() < 2.0**53 and (y == np.trunc(y)).all()
+        cols = np.flatnonzero((levels == 2) & exact)
+        slot = np.full(self.X.p, -1, dtype=np.intp)
+        slot[cols] = np.arange(cols.size)
+        q = cols.size
+        N, M = np.zeros((q, q)), np.zeros((q, q))
+        rows = max(q, _SERIES_BLOCK_BYTES // (8 * max(q, 1)))
+        for i in range(0, self.X.n, rows):
+            Zt = codes[cols, i:i + rows].astype(float)  # the block of Z, transposed
+            N += Zt @ Zt.T
+            M += (Zt * y[i:i + rows]) @ Zt.T
+        return slot, N, M
 
 
 @dataclass(frozen=True)
@@ -291,13 +284,18 @@ def _key_cells(prob: FitProblem, supports: np.ndarray) -> tuple:
 
 def _gram_cells(prob: FitProblem, supports: np.ndarray) -> tuple:
     """(m, Y, start) as ``_key_cells`` gives them, for a (B, 2) array of
-    supports whose columns are both in ``level_gram``: read from its 2 x 2
-    blocks, every cell (the empty ones too), in key order.  No row is
-    touched."""
-    offset, C, D = prob.level_gram
-    i = (offset[supports[:, 0], None] + [0, 0, 1, 1]).ravel()
-    j = (offset[supports[:, 1], None] + [0, 1, 0, 1]).ravel()
-    return C[i, j], D[i, j], 4 * np.arange(len(supports))
+    supports with both columns in ``level_gram``, and no row touched: the
+    cells of S = (j, l) in key order, (z_j, z_l) = 00, 01, 10, 11, count
+    n - N_jj - N_ll + N_jl, N_ll - N_jl, N_jj - N_jl and N_jl rows, and
+    their response sums are the same in M and sum y, all exact integers."""
+    slot, N, M = prob.level_gram
+    a, b = slot[supports[:, 0]], slot[supports[:, 1]]
+
+    def cells(G, total):
+        jj, ll, jl = G[a, a], G[b, b], G[a, b]
+        return np.column_stack([total - jj - ll + jl, ll - jl, jj - jl, jl]).ravel()
+
+    return cells(N, prob.X.n), cells(M, prob.y.sum()), 4 * np.arange(len(supports))
 
 
 def _lse_level_floors(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
@@ -308,14 +306,16 @@ def _lse_level_floors(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
     so no point on S goes below the within-group sum of squares
     W_S = sum_i y_i^2 - sum_g Y_g^2 / m_g, formed from the cell counts m_g
     and response sums Y_g by one segmented sum of Y_g (Y_g / m_g) per
-    support.  Supports of size 2 whose columns are both in the one-hot Gram
-    read their cells from it (``_gram_cells``), in chunks of at most
+    support.  Supports of size 2 whose columns are both in the indicator
+    Gram read their cells from it (``_gram_cells``), in chunks of at most
     ``_PASS_CELLS`` cells; the rest go through the level pass
     (``_key_cells``) in chunks of at most ``_PASS_CELLS`` keys, so no
     temporary grows with the level.  A support that ``_level_keys``
-    leaves ungrouped (every group one row) has floor 0.  With integer y and
-    0/1 indicators every m_g and Y_g is an exact integer whatever the
-    summation order, so both paths give the same floors bit for bit.
+    leaves ungrouped (every group one row) has floor 0.  The Gram is
+    formed only for integer y with sum |y_i| < 2^53, where every m_g and
+    Y_g is an exact integer on both paths, so both give the same floors bit
+    for bit, and the bounds below, derived for the level pass, hold for
+    both; real y goes through the level pass alone.
 
     Rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3;
     u = eps/2, gamma_k = k u / (1 - k u), Q = sum_i y_i^2, G <= n groups).
@@ -335,8 +335,7 @@ def _lse_level_floors(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
     4 (n + 2) eps Q = 8 (n + 2) u Q exceeds both together with their
     second-order terms.  ``_lse_value`` adds a rounded sum of nonnegative
     terms to W, and rounding is monotone, so the floor never exceeds the
-    loss it reports.  The Gram's sums (BLAS, row blocks) are summations of
-    the same terms in another order, so the bounds hold for them too.
+    loss it reports.
     """
     n, y = prob.X.n, prob.y
     yy = float(y @ y)

@@ -555,6 +555,27 @@ def test_verify_refuses_empty_checks_and_bad_centers(tmp_path, capsys, cfg, name
     assert not (tmp_path / "verify.json").exists()
 
 
+@pytest.mark.parametrize(
+    "cfg,named",
+    [
+        ({**TAIL, "bogus": 1}, "['bogus']"),
+        ({**TAIL, "K_check": 9, "centers": "x"}, "['K_check', 'centers']"),
+        ({**SCALAR_BASE["verify"], "bogus": 1}, "['bogus']"),
+        ({**SCALAR_BASE["verify"], "n_dirs": 2}, "['n_dirs']"),
+        ({**TAIL, "what": "nope"}, "'what' must be 'tail' or 'control'"),
+        ({**TAIL, "what": ["tail"]}, "'what' must be 'tail' or 'control'"),
+    ],
+    ids=["tail-bogus", "tail-control-keys", "control-bogus", "control-tail-key", "what-unknown",
+         "what-list"],
+)
+def test_verify_refuses_a_key_its_check_does_not_read(tmp_path, capsys, cfg, named):
+    # a misspelt or misplaced key used to fall back to its default and exit 0
+    cfg = _write(tmp_path / "cfg.json", cfg)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+
+
 def test_bad_fit_scalar_exits_1(tmp_path, capsys):
     rng = np.random.default_rng(0)
     x, y = tmp_path / "x.csv", tmp_path / "y.csv"

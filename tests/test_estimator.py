@@ -1045,7 +1045,7 @@ def test_least_squares_prune_solves_few_supports_of_a_flip_enum_instance():
 
 
 # ----------------------------------------------------------------------------
-# level codes, the one-hot Gram and the chunks the prune admits
+# level codes, the indicator Gram and the chunks the prune admits
 # ----------------------------------------------------------------------------
 
 LEVEL_COLUMNS = {
@@ -1082,86 +1082,100 @@ def test_level_codes_equal_per_column_unique(kind):
 
 
 def _gram_problem(kind, y_kind, n=60, seed=42):
+    """A least-squares problem on ``_level_design``; y is 0/1 ("int"), an
+    integer in -4..8 ("count") or the link's mean plus noise ("real")."""
     rng = np.random.default_rng(seed)
     Xm = _level_design(kind, n, rng)
     f = logistic_flip(0.1, 0.9)
     mean = f(0.8 * Xm[:, 0] - 0.5 * Xm[:, 1])
-    y = (rng.random(n) < mean).astype(float) if y_kind == "int" else mean + rng.normal(0.0, 0.3, n)
+    y = {
+        "int": lambda: (rng.random(n) < mean).astype(float),
+        "count": lambda: rng.integers(-4, 9, n).astype(float),
+        "real": lambda: mean + rng.normal(0.0, 0.3, n),
+    }[y_kind]()
     D = DomainSpec(Interval(-1.2, 1.2), max_support=3.0, l1inf_cap=1.2)
     return FitProblem(y=y, X=DesignMatrix(Xm), domain=D, c_r=0.0, link=f)
 
 
-def _level_pass_floors(monkeypatch, prob, supports):
+def _with_y(prob, y):
+    return FitProblem(y=y, X=prob.X, domain=prob.domain, c_r=prob.c_r, link=prob.link)
+
+
+def _level_pass_floors(prob, supports):
     """The floors with no column in the Gram: every support on the level pass."""
     from l0bounds import estimator
 
-    with monkeypatch.context() as patch:
-        patch.setattr(estimator, "_GRAM_LEVELS", 0)
-        fresh = FitProblem(y=prob.y, X=prob.X, domain=prob.domain, c_r=prob.c_r, link=prob.link)
-        assert (fresh.level_gram[0] == -1).all()
-        return estimator._lse_level_floors(fresh, supports)
+    fresh = _with_y(prob, prob.y)
+    fresh.level_gram = (np.full(prob.X.p, -1, dtype=np.intp), np.zeros((0, 0)), np.zeros((0, 0)))
+    return estimator._lse_level_floors(fresh, supports)
 
 
 GRAM_KINDS = ["pm1", "binary", "three", "mixed"]
 
 
 @pytest.mark.parametrize("kind", GRAM_KINDS)
-def test_gram_floors_equal_the_level_pass_bit_for_bit_on_integer_data(monkeypatch, kind):
-    # 0/1 indicators and a 0/1 response make every m_g and Y_g an integer,
-    # so reading the cells from the Gram changes no bit of any floor; other
-    # sizes and the pairs of other columns stay on the level pass
+def test_gram_floors_equal_the_level_pass_bit_for_bit_on_integer_data(kind):
+    # with integer y every m_g and Y_g is an exact integer, so reading the
+    # cells from the Gram changes no bit of any floor; other sizes and the
+    # pairs of other columns stay on the level pass
     from l0bounds import estimator
 
-    prob = _gram_problem(kind, "int")
-    p = prob.X.p
-    offset, C, D = prob.level_gram
-    two = prob.level_codes[1] == 2
-    np.testing.assert_array_equal(offset >= 0, two)
-    np.testing.assert_array_equal(offset[two], 2 * np.arange(two.sum()))
-    assert C.shape == D.shape == (2 * int(two.sum()),) * 2
-    for k in range(4):
-        combos = list(itertools.combinations(range(p), k))
-        supports = np.array(combos, dtype=np.intp).reshape(len(combos), k)
-        floors = estimator._lse_level_floors(prob, supports)
-        assert floors.tobytes() == _level_pass_floors(monkeypatch, prob, supports).tobytes(), k
+    for y_kind in ("int", "count"):
+        prob = _gram_problem(kind, y_kind)
+        p = prob.X.p
+        slot, N, M = prob.level_gram
+        two = prob.level_codes[1] == 2
+        np.testing.assert_array_equal(slot >= 0, two)
+        np.testing.assert_array_equal(slot[two], np.arange(two.sum()))
+        assert N.shape == M.shape == (int(two.sum()),) * 2
+        for k in range(4):
+            combos = list(itertools.combinations(range(p), k))
+            supports = np.array(combos, dtype=np.intp).reshape(len(combos), k)
+            floors = estimator._lse_level_floors(prob, supports)
+            assert floors.tobytes() == _level_pass_floors(prob, supports).tobytes(), (y_kind, k)
 
 
 @pytest.mark.parametrize("kind", ["pm1", "binary", "mixed"])
 def test_gram_cells_are_the_level_pass_cells_in_key_order(kind):
-    # the cells of each pair of two-level columns, read from the Gram, are
-    # those the level pass counts, in the same order: the 2 x 2 block
-    # row-major, empty cells included, whether read one support at a time or
-    # a level at once
+    # the cells of each pair of two-level columns, formed from the Gram, are
+    # those the level pass counts, in the same order (z_j, z_l) = 00, 01,
+    # 10, 11, empty cells included, whether read one support at a time or a
+    # level at once
     from l0bounds import estimator
 
-    prob = _gram_problem(kind, "int")
-    gram = prob.level_gram[0] >= 0
-    supports = np.array([S for S in itertools.combinations(range(prob.X.p), 2) if gram[list(S)].all()])
-    assert len(supports)
-    m_all, Y_all, start_all = estimator._gram_cells(prob, supports)
-    assert start_all.tolist() == list(range(0, 4 * len(supports), 4))
-    for b in range(len(supports)):
-        m, Y, start = estimator._gram_cells(prob, supports[b:b + 1])
-        np.testing.assert_array_equal(m, m_all[4 * b:4 * b + 4])
-        np.testing.assert_array_equal(Y, Y_all[4 * b:4 * b + 4])
-        assert start.tolist() == [0]
-        mk, Yk, _, grouped = estimator._key_cells(prob, supports[b:b + 1])
-        assert grouped.all()
-        np.testing.assert_array_equal(m, mk)
-        np.testing.assert_array_equal(Y, Yk)
+    for y_kind in ("int", "count"):
+        prob = _gram_problem(kind, y_kind)
+        gram = prob.level_gram[0] >= 0
+        supports = np.array([S for S in itertools.combinations(range(prob.X.p), 2) if gram[list(S)].all()])
+        assert len(supports)
+        m_all, Y_all, start_all = estimator._gram_cells(prob, supports)
+        assert start_all.tolist() == list(range(0, 4 * len(supports), 4))
+        for b in range(len(supports)):
+            m, Y, start = estimator._gram_cells(prob, supports[b:b + 1])
+            np.testing.assert_array_equal(m, m_all[4 * b:4 * b + 4])
+            np.testing.assert_array_equal(Y, Y_all[4 * b:4 * b + 4])
+            assert start.tolist() == [0]
+            mk, Yk, _, grouped = estimator._key_cells(prob, supports[b:b + 1])
+            assert grouped.all()
+            np.testing.assert_array_equal(m, mk)
+            np.testing.assert_array_equal(Y, Yk)
 
 
 def test_gram_reads_are_chunked_and_hold_only_two_level_columns(monkeypatch):
     # reading a level in chunks of _PASS_CELLS cells changes no floor; the
-    # Gram takes the first _GRAM_LEVELS // 2 two-level columns, none when
-    # n < 4 (a pair's 4 cells would outnumber its keys), and its row blocks
-    # change no count
+    # Gram holds every two-level column, none when n < 4 (a pair's 4 cells
+    # would outnumber its keys), N = Z'Z and M = Z' diag(y) Z for their 0/1
+    # indicators Z, and its row blocks change no entry
     from l0bounds import estimator
 
-    prob = _gram_problem("mixed", "int")
+    prob = _gram_problem("mixed", "count")
     supports = np.array(list(itertools.combinations(range(prob.X.p), 2)))
     floors = estimator._lse_level_floors(prob, supports)
-    assert (prob.level_gram[0] >= 0).sum() == 4  # pm1, binary, two, signed_zero
+    slot, N, M = prob.level_gram
+    assert slot.tolist() == [0, 1, 2, -1, -1, 3, -1, -1, -1]  # pm1, binary, two, signed_zero
+    Z = prob.level_codes[0][slot >= 0].T.astype(float)
+    np.testing.assert_array_equal(N, Z.T @ Z)
+    np.testing.assert_array_equal(M, Z.T @ (prob.y[:, None] * Z))
     read = []
     real = estimator._gram_cells
 
@@ -1172,49 +1186,97 @@ def test_gram_reads_are_chunked_and_hold_only_two_level_columns(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(estimator, "_PASS_CELLS", 8)
-        patch.setattr(estimator, "_SERIES_BLOCK_BYTES", 8)
-        patch.setattr(estimator, "_GRAM_LEVELS", 6)
+        patch.setattr(estimator, "_SERIES_BLOCK_BYTES", 8)  # blocks of q = 4 rows
         patch.setattr(estimator, "_gram_cells", cells)
-        fresh = FitProblem(y=prob.y, X=prob.X, domain=prob.domain, c_r=0.0, link=prob.link)
-        offset, C, D = fresh.level_gram
-        assert offset.tolist() == [0, 2, 4] + [-1] * (prob.X.p - 3)
-        np.testing.assert_array_equal(C, prob.level_gram[1][:6, :6])
-        np.testing.assert_array_equal(D, prob.level_gram[2][:6, :6])
+        fresh = _with_y(prob, prob.y)
+        assert fresh.level_gram[0].tolist() == slot.tolist()
+        np.testing.assert_array_equal(fresh.level_gram[1], N)
+        np.testing.assert_array_equal(fresh.level_gram[2], M)
         assert estimator._lse_level_floors(fresh, supports).tobytes() == floors.tobytes()
-    assert read == [(0, 1), (0, 2), (1, 2)]
+    assert read == list(itertools.combinations([0, 1, 2, 5], 2))
     tiny = FitProblem(y=[0.0, 1.0, 1.0], X=DesignMatrix(np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])),
                       domain=prob.domain, c_r=0.0, link=prob.link)
     assert (tiny.level_gram[0] == -1).all() and tiny.level_gram[1].shape == (0, 0)
 
 
+def test_only_integer_responses_form_the_gram():
+    # the Gram's cells are exact only when every y_i is an integer and
+    # sum |y_i| < 2^53; any other response leaves every column out, so its
+    # floors come from the level pass alone
+    from l0bounds import estimator
+
+    prob = _gram_problem("pm1", "int")
+    n = prob.X.n
+    big = np.where(np.arange(n) < 2, 2.0**52 - 1, 0.0)  # sum |y| = 2^53 - 2
+    cases = {
+        "int": (prob.y, True),
+        "count": (np.arange(n) - 30.0, True),
+        "large": (big, True),
+        "too_large": (big + np.where(np.arange(n) == 2, 2.0, 0.0), False),  # sum |y| = 2^53
+        "half": (prob.y + 0.5, False),
+        "one_real": (np.where(np.arange(n) == 7, 0.25, prob.y), False),
+        "nan": (np.where(np.arange(n) == 7, np.nan, prob.y), False),
+        "inf": (np.where(np.arange(n) == 7, np.inf, prob.y), False),
+    }
+    pairs = np.array(list(itertools.combinations(range(prob.X.p), 2)))
+    for name, (y, formed) in cases.items():
+        case = _with_y(prob, y)
+        slot = case.level_gram[0]
+        assert (slot >= 0).all() if formed else (slot == -1).all(), name
+        if formed:  # exact cells: the level pass's floors bit for bit
+            floors = estimator._lse_level_floors(case, pairs)
+            assert floors.tobytes() == _level_pass_floors(case, pairs).tobytes(), name
+
+
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
 @pytest.mark.parametrize("kind", GRAM_KINDS)
-def test_gram_floors_on_real_data_lie_below_every_loss(monkeypatch, kind, scale):
-    # a real response: the Gram sums in another order than the level pass,
-    # so the floors may differ in the last bits, by less than the margin,
-    # and each stays below every loss inner_solve reaches on its support
+def test_gram_floors_on_real_data_lie_below_every_loss(kind, scale):
+    # a real response goes through the level pass alone, whose margin
+    # covers its rounding: the floors are the level pass's bit for bit, and
+    # each stays below the within-group sum of squares and every loss
+    # inner_solve reaches on its support
     from l0bounds import estimator
 
     prob = _gram_problem(kind, "real")
-    prob = FitProblem(y=scale * prob.y, X=prob.X, domain=prob.domain, c_r=0.0, link=prob.link)
-    yy = float(prob.y @ prob.y)
-    margin = 4.0 * (prob.X.n + 2) * np.finfo(float).eps * yy
+    prob = _with_y(prob, scale * prob.y)
+    assert (prob.level_gram[0] == -1).all()
     for k in (1, 2):
         supports = np.array(list(itertools.combinations(range(prob.X.p), k)))
         floors = estimator._lse_level_floors(prob, supports)
-        ref = _level_pass_floors(monkeypatch, prob, supports)
-        assert np.all(np.abs(floors - ref) <= margin), k
+        assert floors.tobytes() == _level_pass_floors(prob, supports).tobytes(), k
         for S, floor in zip(map(tuple, supports.tolist()), floors):
+            inv, m, _rep = estimator._group_rows(prob, np.array([S]))[0]
+            assert floor <= estimator._Rows(prob, inv, m).W, S
             got = inner_solve(prob, S)
             assert got is not None
             assert floor <= got[1], S
+
+
+@pytest.mark.parametrize("kind", ["pm1", "binary", "mixed"])
+def test_floors_lie_below_the_grouped_loss_at_a_large_offset(kind):
+    # y = 1e6 + noise: y'y - sum_g Y_g^2 / m_g cancels about 12 of its 16
+    # digits, the case where summing column sums in another order would
+    # leave the margin's derivation; every floor stays below W_S and the loss
+    from l0bounds import estimator
+
+    prob = _gram_problem(kind, "real")
+    prob = _with_y(prob, 1e6 + prob.y)
+    for k in (1, 2, 3):
+        supports = np.array(list(itertools.combinations(range(prob.X.p), k)))
+        floors = estimator._lse_level_floors(prob, supports)
+        for S, floor in zip(map(tuple, supports.tolist()), floors):
+            inv, m, _rep = estimator._group_rows(prob, np.array([S]))[0]
+            assert floor <= estimator._Rows(prob, inv, m).W, S
+            if k < 3:
+                got = inner_solve(prob, S)
+                assert got is not None and floor <= got[1], S
 
 
 def test_the_margin_keeps_a_lifted_floor_below_the_grouped_loss():
     # y constant on the groups of column 0: every support holding column 0
     # has W_S = 0 exactly, yet rounding lifts y'y - sum_g Y_g^2 / m_g above
     # the within-group sum that _lse_value adds to; the margin takes the
-    # floor back below it, on the level pass (sizes 1, 3) and the Gram (2)
+    # floor back below it (a real response: every size on the level pass)
     from l0bounds import estimator
 
     rng = np.random.default_rng(41)
@@ -1266,6 +1328,35 @@ def _flip_enum_problem(seed=1):
     )
     inst = harness.generate_instance(cfg, 0)
     return FitProblem(y=inst.y, X=inst.X, domain=inst.domain, c_r=1.0, link=logistic_flip(0.1, 0.9))
+
+
+BASIC_CONFIGS = {
+    "glm": dict(n=300, p=6, spt_size=2, model="glm", family="bernoulli", design="pm1_iid",
+                interval_halfwidth=1.0, c_r=1.0, seed=1),
+    "flip": dict(n=300, p=6, spt_size=2, model="flip", p01=0.1, p11=0.9, design="pm1_iid",
+                 interval_halfwidth=3.0, c_r=1.0, seed=1),
+}
+
+
+@pytest.mark.parametrize("model", sorted(BASIC_CONFIGS))
+def test_the_fit_satisfies_the_basic_inequality(model):
+    # the truth lies in the fit domain, so an exact fit's objective is at
+    # most the truth's: loss(beta) + c_r |spt beta| on all n rows (plus the
+    # tie tolerance), whatever the radius says; a prune that skips the true
+    # support breaks it
+    from l0bounds import estimator
+
+    cfg = harness.ExperimentConfig(replicates=30, **BASIC_CONFIGS[model])
+    fit_kw = harness._MODELS[cfg.model](cfg).fit_kw
+    n = cfg.n
+    for rep in range(cfg.replicates):
+        inst = harness.generate_instance(cfg, rep)
+        prob = FitProblem(y=inst.y, X=inst.X, domain=inst.domain, c_r=cfg.c_r, **fit_kw)
+        assert inst.domain.admits(inst.beta, inst.X.X @ inst.beta, inst.X.column_norms(math.inf))
+        rows = estimator._Rows(prob, np.arange(n), np.ones(n))
+        truth = estimator._LOSSES[prob.loss].value(prob, rows, inst.X.X @ inst.beta)
+        truth += cfg.c_r * int(np.count_nonzero(inst.beta))
+        assert fit(prob).objective <= truth + estimator._TIE_TOL, rep
 
 
 @pytest.mark.parametrize("case", ["flip_enum", "pm1", "binary", "narrow"])
