@@ -755,6 +755,10 @@ class _Shown:
     def __str__(self):
         return "shown <é>"
 
+    def __repr__(self):
+        # a fixed repr keeps the parametrized test ids free of memory addresses
+        return "_Shown()"
+
 
 JSON_EDGES = [
     math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1, -7, 2**70,
