@@ -248,9 +248,16 @@ def _cmd_bounds(args, cfg: dict) -> dict:
     return rep.to_dict()
 
 
+# the top-level keys fit reads (its design comes from --x): any other key is a config error
+_FIT_KEYS = {"domain", "c_r", "family", "link"}
+
+
 def _cmd_fit(args, cfg: dict) -> dict:
     if not args.x or not args.y:
         raise ConfigError("fit needs --x and --y CSV paths")
+    extra = sorted(set(cfg) - _FIT_KEYS)
+    if extra:
+        raise ConfigError(f"unknown fit key(s) {extra}")
     dm = load_design(args, cfg)
     try:
         y = np.loadtxt(args.y, delimiter=",", dtype=float).ravel()
@@ -288,7 +295,7 @@ def _cmd_coverage(args, cfg: dict) -> dict:
         ecfg.seed = args.seed
     result = harness.run_coverage(ecfg)
     if args.out:
-        result.to_csv(Path(args.out) / "coverage.csv")
+        result.to_csv(_out_dir(args) / "coverage.csv")
     return result.to_dict()
 
 
@@ -354,6 +361,15 @@ _FLAGS = {
 }
 
 
+def _out_dir(args) -> Path:
+    """The --out directory (the working directory by default), created on
+    first use: once the command has accepted its config, so a refused one
+    leaves nothing behind."""
+    out = Path(args.out) if args.out else Path.cwd()
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="l0bounds",
@@ -382,8 +398,6 @@ def main(argv=None) -> int:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
-        if args.out:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
         fn, outname, _, summary = _COMMANDS[args.command]
         result = fn(args, cfg)
     except ConfigError as exc:
@@ -392,8 +406,7 @@ def main(argv=None) -> int:
     except (ValueError, AssertionError, ArithmeticError) as exc:  # LinAlgError is a ValueError
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out) if args.out else Path.cwd()
-    out_path = out_dir / outname
+    out_path = _out_dir(args) / outname
     with open(out_path, "w") as fh:
         fh.write(_json_text(result))
         fh.write("\n")

@@ -110,6 +110,13 @@ def _as_design(X) -> DesignMatrix:
     return X if isinstance(X, DesignMatrix) else DesignMatrix(X)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, one per leading index of two
+    stacks (leading axes broadcast): one BLAS dot each, the call a 1-D
+    ``a @ b`` makes."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _binary_iid(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
     X = rng.integers(0, 2, size=(n, p)).astype(float)
     for j in range(p):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import _as_design
+from .design import _as_design, _dot
 
 __all__ = ["Interval", "DomainSpec", "in_domain"]
 
@@ -37,17 +37,17 @@ class Interval:
         # which ends are closed (the finite ones), fixed once for ``contains``
         object.__setattr__(self, "_closed", (math.isfinite(self.lo), math.isfinite(self.hi)))
 
-    def contains(self, x) -> bool:
+    def contains(self, x, axis=None):
         """Exact membership of a scalar or of every entry of an array (an
         empty one is contained): only the least and the greatest entry are
-        compared, and a NaN entry makes both NaN, which fails either test."""
+        compared, and a NaN entry makes both NaN, which fails either test.
+        With an axis, one verdict per slice along it, as a bool array."""
         x = np.asarray(x, dtype=float)
-        if not x.size:
-            return True
-        least, greatest = x.min(), x.max()
+        least, greatest = x.min(axis=axis, initial=math.inf), x.max(axis=axis, initial=-math.inf)
         lo_closed, hi_closed = self._closed
-        return bool((least >= self.lo if lo_closed else least > self.lo)
-                    and (greatest <= self.hi if hi_closed else greatest < self.hi))
+        ok = ((least >= self.lo if lo_closed else least > self.lo)
+              & (greatest <= self.hi if hi_closed else greatest < self.hi))
+        return ok if axis is not None else bool(ok)
 
     @property
     def sup_abs(self) -> float:
@@ -87,18 +87,22 @@ class DomainSpec:
         if self.l1inf_cap is not None and not self.l1inf_cap > 0:
             raise ValueError("l1inf_cap must be positive")
 
-    def admits(self, u: np.ndarray, t: np.ndarray, w: np.ndarray) -> bool:
+    def admits(self, u: np.ndarray, t: np.ndarray, w: np.ndarray):
         """Exact membership given the row images t = X u and the column sup
         norms w.  u may be restricted to a support S, with t = X_S u and
         w = ||V_j||_inf for j in S: the three tests see the same numbers.
         t may also list each distinct row image once, as the estimator's
         grouped rows do: the interval test depends only on the set of
-        images."""
-        if u.size > self.max_support and np.count_nonzero(u) > self.max_support:
-            return False
-        if not self.interval.contains(t):
-            return False
-        return self.l1inf_cap is None or not float(np.abs(u) @ w) > self.l1inf_cap
+        images.  u, t and w may carry leading axes, a stack of points (u of
+        shape (..., k), t (..., G), w broadcasting against u): one verdict
+        per point, as a bool array."""
+        u = np.asarray(u, dtype=float)
+        ok = self.interval.contains(t, axis=-1)
+        if u.shape[-1] > self.max_support:
+            ok &= np.count_nonzero(u, axis=-1) <= self.max_support
+        if self.l1inf_cap is not None:
+            ok &= ~(_dot(np.abs(u), np.asarray(w, dtype=float)) > self.l1inf_cap)
+        return ok if ok.ndim else bool(ok)
 
 
 def in_domain(u, X, D: DomainSpec) -> bool:

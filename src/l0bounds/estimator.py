@@ -10,7 +10,14 @@ smooth in the support's coordinates and share one solver, a primal
 active-set Newton loop whose free steps and facet steps (Newton on the
 facet of binding constraints) share one state: exact Hessian and one start
 for the likelihood (convex per support), Gauss-Newton and two starts for
-least squares.
+least squares.  The loop runs in lockstep over members, one per start of
+each support of a run (``fit``'s supports of equal floor): their
+derivatives, free Newton steps and trial points are stacked into one numpy
+call each, per number G of group rows (never padded), while facet steps
+are taken member by member.  numpy's stacked matmul and solve call the
+same BLAS/LAPACK routine per member with the same shapes, and stacked
+reductions along the last axis sum as the 1-D ones do, so every member
+does the floating-point operations of its solve alone.
 
 Every inner problem depends on the rows only through the distinct row
 images of X_S, their multiplicities m_g and their response sums, so the
@@ -19,9 +26,9 @@ a chunk of a level's supports at a time, and each support solves on its
 G <= min(n, prod of the columns' level counts) group rows: at most 2^k on
 a +-1 or 0/1 design with support size k, n on a gaussian one.  A trial
 point costs one product of the G x k group rows with v, and those images
-serve the domain test, the loss, the derivatives and the binding
-constraints of the accepted point; no work per trial scales with n.
-``fit`` rechecks the winner's objective on all n rows.
+(with the link's values there) serve the domain test, the loss, the
+derivatives and the binding constraints of the accepted point; no work per
+trial scales with n.  ``fit`` rechecks the winner's objective on all n rows.
 
 Each support size is one level for both losses: ``fit`` prices it with the
 loss's floors, solves it in ascending floor order and stops at the first
@@ -55,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import AnalyticFn
-from .design import _SERIES_BLOCK_BYTES, DesignMatrix, _as_design
+from .design import _SERIES_BLOCK_BYTES, DesignMatrix, _as_design, _dot
 from .domains import DomainSpec
 from .expfam import ExpFamily
 
@@ -179,31 +186,39 @@ class FitResult:
 
 
 class _Rows:
-    """Rows in groups: ``inv[i]`` is the group of row i, m the multiplicities
-    and Y the response sums.  Least squares reads the group means ybar and
-    the within-group sum of squares W = sum_i (y_i - ybar_g(i))^2, the ridge
+    """Rows in groups, for one support or for a stack of supports of equal
+    group count G, whose arrays then gain a leading support axis:
+    ``inv[..., i]`` is the group of row i, m the multiplicities and Y the
+    response sums.  Least squares reads the group means ybar and the
+    within-group sum of squares W = sum_i (y_i - ybar_g(i))^2, the ridge
     start the working-response sums; each is formed on first use.  With one
-    row per group (inv = 0..n-1, m = 1) the losses are their per-row forms.
-    ``linked`` keeps the link's values on the images it last saw, for
-    ``_link_at``."""
+    row per group (inv = 0..n-1, m = 1) the losses are their per-row forms."""
 
     def __init__(self, prob: FitProblem, inv: np.ndarray, m: np.ndarray):
         self.prob, self.inv, self.m = prob, inv, m
-        self.Y = np.bincount(inv, weights=prob.y, minlength=m.size)
-        self.linked = (None, None)  # (t, f(t)) of the last images the link was evaluated on
+        # each row's group in the flat m: support b's groups offset past the ones before
+        G = m.shape[-1]
+        self.cell = (inv + G * np.arange(m.size // G).reshape(m.shape[:-1] + (1,))).ravel()
+        self.Y = self._sums(prob.y)
+
+    def _sums(self, x: np.ndarray) -> np.ndarray:
+        """The group sums of x, every support's in one bincount (the rows in
+        their order)."""
+        x = np.broadcast_to(x, self.inv.shape).ravel()
+        return np.bincount(self.cell, weights=x, minlength=self.m.size).reshape(self.m.shape)
 
     @functools.cached_property
     def ybar(self) -> np.ndarray:
         return self.Y / self.m
 
     @functools.cached_property
-    def W(self) -> float:
-        r = self.prob.y - self.ybar[self.inv]
-        return float(r @ r)
+    def W(self) -> np.ndarray:
+        r = self.prob.y - self.ybar.ravel()[self.cell].reshape(self.inv.shape)
+        return _dot(r, r)
 
     @functools.cached_property
     def working_sums(self) -> np.ndarray:
-        return np.bincount(self.inv, weights=self.prob.working_response, minlength=self.m.size)
+        return self._sums(self.prob.working_response)
 
 
 def _level_keys(prob: FitProblem, supports: np.ndarray):
@@ -250,8 +265,9 @@ def _group_rows(prob: FitProblem, supports: np.ndarray) -> list:
     """Group the rows of each support S of a (B, k) array by their image
     under X_S, in one pass (keys offset support by support, one bincount,
     one rank table): one (inv, m, rep) per support, rep holding one row of
-    each group.  Groups come in key order (``_level_keys``): in row order
-    when every row is its own group."""
+    each group, each a view of one array for the whole pass (a row of inv,
+    slices of the flat m and rep).  Groups come in key order
+    (``_level_keys``): in row order when every row is its own group."""
     keys, radix, _ = _level_keys(prob, supports)
     start = np.cumsum(radix) - radix
     keys += start[:, None]
@@ -261,8 +277,10 @@ def _group_rows(prob: FitProblem, supports: np.ndarray) -> list:
     rep = np.empty(present.size, dtype=np.intp)
     rep[inv] = np.arange(keys.shape[1])  # the rows of a group are equal on S: any one serves
     first = np.searchsorted(present, start)  # each support's first group
-    m = np.split(counts[present].astype(float), first[1:])
-    return list(zip(inv - first[:, None], m, np.split(rep, first[1:])))
+    inv -= first[:, None]
+    m = counts[present].astype(float)
+    ends = np.append(first[1:], present.size).tolist()
+    return [(inv[b], m[lo:hi], rep[lo:hi]) for b, (lo, hi) in enumerate(zip(first.tolist(), ends))]
 
 
 _PASS_CELLS = 1 << 14  # keys per chunk of a level pass: 128 KB of them
@@ -362,50 +380,49 @@ def _lse_level_floors(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
     return floors
 
 
-def _mle_value(prob: FitProblem, rows: _Rows, t: np.ndarray) -> float:
-    try:
-        return prob.family.nll(rows.Y, t, rows.m)
-    except ValueError:
-        return math.inf
+# The losses are evaluated only at admitted points, whose images are finite
+# (an interval's infinite ends are open), so ``nll`` never raises here.
 
 
-def _link_at(prob: FitProblem, rows: _Rows, t: np.ndarray) -> np.ndarray:
-    """f(t), evaluated once per images array: a Newton step takes its
-    derivatives at the images of the trial it accepted, the last ones the
-    loss was evaluated on, so their link values are handed over, not
-    recomputed (the same array object, never written to, so the same values)."""
-    if rows.linked[0] is not t:
-        rows.linked = (t, prob.link(t))
-    return rows.linked[1]
+def _mle_value(prob: FitProblem, rows, t: np.ndarray, f: np.ndarray):
+    return prob.family.nll(rows.Y, t, rows.m)
 
 
-def _lse_value(prob: FitProblem, rows: _Rows, t: np.ndarray) -> float:
-    r = rows.ybar - _link_at(prob, rows, t)
-    if not np.isfinite(r).all():
-        return math.inf
-    return rows.W + float((rows.m * r) @ r)
+def _lse_value(prob: FitProblem, rows, t: np.ndarray, f: np.ndarray):
+    r = rows.ybar - f
+    if np.isfinite(r).all():
+        return rows.W + _dot(rows.m * r, r)
+    finite = np.isfinite(r).all(axis=-1)  # inf for the other members, with no arithmetic on their r
+    r = np.where(finite[..., None], r, 0.0)
+    return np.where(finite, rows.W + _dot(rows.m * r, r), math.inf)
 
 
-def _mle_grad_hess(prob: FitProblem, rows: _Rows, Xs: np.ndarray, t: np.ndarray):
-    try:
-        g, H = prob.family.nll_derivatives(rows.Y, Xs, t, rows.m)
-    except ValueError:
-        return None
-    H.flat[::Xs.shape[1] + 1] += 1e-12 * max(1.0, float(H.trace()))
-    return g, H
+def _mle_grad_hess(prob: FitProblem, st, t: np.ndarray, f: np.ndarray):
+    g, H = prob.family.nll_derivatives(st.Y, st.Xs, t, st.m)
+    return g, _ridged(H, 1e-12), np.ones(len(t), dtype=bool)
 
 
-def _lse_grad_hess(prob: FitProblem, rows: _Rows, Xs: np.ndarray, t: np.ndarray):
+def _lse_grad_hess(prob: FitProblem, st, t: np.ndarray, f: np.ndarray):
     fp = prob.link.deriv1(t)
-    r = rows.ybar - _link_at(prob, rows, t)
+    r = st.ybar - f
+    ok = np.ones(len(t), dtype=bool)
     if not (np.isfinite(fp).all() and np.isfinite(r).all()):
-        return None
-    J = fp[:, None] * Xs
-    mJ = rows.m[:, None] * J
-    g = -2.0 * (mJ.T @ r)
-    H = 2.0 * (J.T @ mJ)  # Gauss-Newton curvature, positive definite with the ridge
-    H.flat[::Xs.shape[1] + 1] += 1e-10 * max(1.0, float(H.trace()))
-    return g, H
+        # a member whose values are not finite stops here: no arithmetic on them
+        ok = np.isfinite(fp).all(axis=-1) & np.isfinite(r).all(axis=-1)
+        fp, r = np.where(ok[:, None], fp, 0.0), np.where(ok[:, None], r, 0.0)
+    J = fp[..., None] * st.Xs
+    mJ = st.m[..., None] * J
+    g = -2.0 * (mJ.transpose(0, 2, 1) @ r[..., None])[..., 0]
+    H = 2.0 * (J.transpose(0, 2, 1) @ mJ)  # Gauss-Newton curvature, positive definite with the ridge
+    return g, _ridged(H, 1e-10), ok
+
+
+def _ridged(H: np.ndarray, c: float) -> np.ndarray:
+    """H, C-contiguous, plus c max(1, tr H) on the diagonal of each member."""
+    k = H.shape[-1]
+    diag = H.reshape(H.shape[:-2] + (k * k,))[..., ::k + 1]  # a view
+    diag += (c * np.fmax(1.0, diag.sum(axis=-1)))[..., None]
+    return H
 
 
 def _mle_working_response(prob: FitProblem) -> np.ndarray:
@@ -428,14 +445,22 @@ def _mle_level_floors(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
 
 
 class _Loss(NamedTuple):
-    """Per loss: value on the images t of grouped rows, (gradient, Hessian)
-    on a support, working response of the ridge start, whether the zero
-    start is kept beside the ridge start (least squares is not convex, so it
-    keeps the better of two), an exact lower bound on the loss over all u,
-    and a lower bound on the loss of each support of a level (the
-    likelihood's is its global floor, the same for every support; least
-    squares has the within-group sum of squares)."""
+    """Per loss, each on a stack of members (one per leading index; a
+    ``_Rows`` of one support serves as a stack of one): the ``_Rows``
+    statistics value and grad_hess read besides m, what they read at images
+    t besides t (least squares: the link values f(t); the likelihood's
+    family takes t itself), the value on the images of grouped rows,
+    (gradient, Hessian, ok) on a support, ok False where a member's
+    derivatives are not finite (its solve stops there), the working response
+    of the ridge start, whether the zero start is kept beside the ridge
+    start (least squares is not convex, so it keeps the better of two), an
+    exact lower bound on the loss over all u, and a lower bound on the loss
+    of each support of a level (the likelihood's is its global floor, the
+    same for every support; least squares has the within-group sum of
+    squares)."""
 
+    reads: tuple
+    at: Callable
     value: Callable
     grad_hess: Callable
     working_response: Callable
@@ -445,68 +470,45 @@ class _Loss(NamedTuple):
 
 
 _LOSSES = {
-    "mle": _Loss(_mle_value, _mle_grad_hess, _mle_working_response, False, _mle_loss_floor,
-                 _mle_level_floors),
-    "lse": _Loss(_lse_value, _lse_grad_hess, _lse_working_response, True, lambda prob: 0.0,
-                 _lse_level_floors),
+    "mle": _Loss(("Y",), lambda prob, t: t, _mle_value, _mle_grad_hess, _mle_working_response,
+                 False, _mle_loss_floor, _mle_level_floors),
+    "lse": _Loss(("ybar", "W"), lambda prob, t: prob.link(t), _lse_value, _lse_grad_hess,
+                 _lse_working_response, True, lambda prob: 0.0, _lse_level_floors),
 }
 
 
-class _Support:
-    """The inner problem on one support S: the G x |S| distinct rows Xs of
-    X_S (from ``groups``, S's ``_group_rows`` entry, formed here if None)
-    with their grouped statistics, the columns' sup norms (the cap weights)
-    and the loss pieces bound to them.  Iterates are v in R^|S|; every
-    evaluation goes through the images t = Xs v, which are the row images
-    X_S v without their repeats."""
+class _Members:
+    """Members of one lockstep solve, row b of every array member b's: the
+    G x k distinct rows Xs[b] of its support S, column-major like X[:, S]
+    (XsT[b] is Xs[b].T, C-contiguous), the columns' sup norms w[b] (the cap
+    weights), and the multiplicities m[b] with the statistics its loss reads
+    (``_Loss.reads``) of S's grouped rows."""
 
-    def __init__(self, prob: FitProblem, S: tuple, groups: tuple | None = None):
-        loss = _LOSSES[prob.loss]
-        self.two_starts = loss.two_starts
-        self.prob, self.S = prob, list(S)
-        inv, m, rep = groups or _group_rows(prob, np.array([self.S], dtype=np.intp))[0]
-        self.rows = _Rows(prob, inv, m)
-        self.Xs = prob.X.X[:, self.S].T.take(rep, axis=1).T  # column-major, like X[:, S]
-        self.w = prob.X.column_norms(math.inf)[self.S]
-        self.value = functools.partial(loss.value, prob, self.rows)
-        self.grad_hess = functools.partial(loss.grad_hess, prob, self.rows, self.Xs)
+    def __init__(self, XsT: np.ndarray, **arrays):
+        self.XsT, self.Xs = XsT, XsT.transpose(0, 2, 1)
+        vars(self).update(arrays)
 
-    def admits(self, v: np.ndarray, t: np.ndarray) -> bool:
-        return self.prob.domain.admits(v, t, self.w)
-
-    def embed(self, v: np.ndarray) -> np.ndarray:
-        u = np.zeros(self.prob.X.p)
-        u[self.S] = v
-        return u
+    def take(self, idx) -> _Members:
+        """The members idx (an index array or a mask)."""
+        return _Members(**{name: a[idx] for name, a in vars(self).items() if name != "Xs"})
 
 
-def _backtrack(sp: _Support, v, t, d, cur, gdotd):
-    """Armijo backtracking along d; rejects infeasible steps.
-
-    Each trial forms its images Xs v once, for the membership test and the
-    loss.  Returns (v, t, loss, step_ok, hit_boundary): the accepted
-    trial and its row images, or the inputs when no step is accepted; only a
-    membership failure counts as hitting the boundary.
-    """
-    alpha = 1.0
-    dn = float(np.abs(d).max())
-    hit_boundary = False
-    while alpha * dn > _STEP_TOL:
-        trial = v + alpha * d
-        t_trial = sp.Xs @ trial
-        if not sp.admits(trial, t_trial):
-            hit_boundary = True
-        else:
-            val = sp.value(t_trial)
-            if val <= cur + 1e-4 * alpha * gdotd:
-                return trial, t_trial, val, True, False
-        alpha *= 0.5
-    return v, t, cur, False, hit_boundary
+def _stack(prob: FitProblem, supports: np.ndarray, groups: list) -> tuple:
+    """(rows, members) for a (B, k) array of supports of equal G with their
+    ``_group_rows`` entries: their grouped rows stacked in one ``_Rows``,
+    and one member per support."""
+    inv, m, rep = (np.array(a) for a in zip(*groups))
+    rows = _Rows(prob, inv, m)
+    XsT = prob.X.X[rep[:, None, :], supports[:, :, None]]
+    w = prob.X.column_norms(math.inf)[supports]
+    stats = {name: getattr(rows, name) for name in _LOSSES[prob.loss].reads}
+    return rows, _Members(XsT, w=w, m=m, **stats)
 
 
-def _active_constraints(sp: _Support, v: np.ndarray, t: np.ndarray):
-    """Linearize the constraints binding at the support iterate v, whose
-    images on the group rows are t = Xs v.
+def _active_constraints(D: DomainSpec, Xs: np.ndarray, w: np.ndarray, v: np.ndarray,
+                        t: np.ndarray):
+    """Linearize the constraints of D binding at the support iterate v,
+    whose images on the group rows Xs (the cap weights w) are t = Xs v.
 
     The domain is an intersection of the weighted-l1 ball (linear on each
     sign orthant) and per-row interval half-spaces, so every active
@@ -520,8 +522,7 @@ def _active_constraints(sp: _Support, v: np.ndarray, t: np.ndarray):
     order), then the frozen unit rows; cap_alone says whether A is the cap
     row alone.  None when nothing binds.
     """
-    D, Xs, w = sp.prob.domain, sp.Xs, sp.w
-    k = len(sp.S)
+    k = len(v)
     cap_rows = []
     frozen: list[int] = []
     cap = D.l1inf_cap
@@ -556,107 +557,301 @@ def _null_space_step(A: np.ndarray, g: np.ndarray, H: np.ndarray):
     return -Z @ np.linalg.solve(Z.T @ H @ Z, Z.T @ g)
 
 
-def _active_set_newton(sp: _Support, v: np.ndarray, t: np.ndarray, cur: float):
-    """Primal active-set Newton from one start (Nocedal & Wright, ch. 16).
+_LADDER_TRIALS = 16  # trial points a backtracking pass prices, shared by the members searching
+_RUNGS = np.ldexp(1.0, -np.arange(1100))  # the step sizes 2^-j, exactly; 2^-1074 is the last
 
-    The state is v, its images t = Xs v on the G group rows (those of the
-    trial that accepted v) and its loss.  Each iteration takes (g, H) at t
-    and one step judged by feasibility-rejecting Armijo backtracking.  A
-    free step is the Newton step -H^{-1} g, until max |g| <= ``_GRAD_TOL``.
-    Once a free step is stopped by the domain, the constraints binding at v
-    are linearized (they are linear on a sign orthant) and the step is
-    Newton on their facet: d = -Z (Z'HZ)^{-1} Z'g, Z an orthonormal basis of
-    the null space of the active rows.  On +-1 and 0/1 designs about n/2
-    rows can bind, but they fall into at most 2^k group rows, and at most
-    1 + 2G + k constraint rows bind, so an iteration costs O(G k^2 + k^3)
-    whatever n is.  A sign flip leaves the facet and is rejected exactly.  A vanishing projected gradient is converged, unless
-    the cap binds alone with a negative multiplier; then, as when nothing
-    binds, free steps resume, and an accepted free step ends the
-    linearizing.  A failed step ends the solve, unless it is a free step
-    stopped by the domain at a v not yet linearized.  Returns (v, loss,
-    converged, boundary_clamped), clamped if constraints bind where the
-    solve stopped or its last step was stopped by the domain.
+
+def _armijo(prob: FitProblem, mem: _Members, V, T, F, cur, d, dn, gdotd, careful: bool):
+    """Armijo backtracking along d, rejecting infeasible steps, for every
+    member at once: updates V, T, F and cur in place for the members that
+    accept a trial and returns (moved, hit) per member.
+
+    Member b tries v + 2^-j d for j = 0, 1, ... while 2^-j dn[b] exceeds
+    ``_STEP_TOL`` (dn = max |d|) and accepts its first admitted trial whose
+    loss passes the Armijo test.  A pass covers the same rungs for every
+    member still searching, ceil(``_LADDER_TRIALS`` / their number) of them
+    (one when ``careful``), in a fixed number of numpy calls: the images Xs
+    v of every rung in one stacked product, one membership call, and one
+    loss call on the admitted trials (a rejected one is priced at the
+    member's current images instead, whose loss is known, and ignored).
+    The rungs a member prices past its accepted one are discarded, and a
+    member whose rungs run out leaves.  Only a membership failure counts as
+    hitting the boundary, and only for a member that accepts no trial, as a
+    sequential search reports it.
     """
-    on_boundary = converged = clamped = False
+    loss, D = _LOSSES[prob.loss], prob.domain
+    moved = hit = None  # formed once a pass leaves a member searching or hitting the boundary
+    idx = slice(None)  # the members searching (an index array once some have left)...
+    Vi, Ti, di, dni, ci, gi = V, T, d, dn, cur, gdotd  # ...and their rows of these
+    j0 = 0
+    while True:
+        width = 1 if careful else -(-_LADDER_TRIALS // len(Vi))
+        alpha = _RUNGS[j0:j0 + width, None]
+        # rung-major: row j of each array below is rung j0 + j of every member
+        valid = alpha * dni > _STEP_TOL
+        trial = Vi + alpha[..., None] * di
+        t = (mem.Xs @ trial[..., None])[..., 0]
+        ok = valid & D.admits(trial, t, mem.w)
+        if not ok.all():
+            hit = np.zeros(len(V), dtype=bool) if hit is None else hit
+            hit[idx] |= (valid & ~ok).any(axis=0)
+            t = np.where(ok[..., None], t, Ti)
+        f = loss.at(prob, t)
+        va = loss.value(prob, mem, t, f)
+        passing = ok & (va <= ci + 1e-4 * alpha * gi)
+        if passing[0].all():  # every member accepts the first rung of the pass
+            V[idx], T[idx], F[idx], cur[idx] = trial[0], t[0], f[0], va[0]
+            if moved is None:
+                return None
+            moved[idx] = True
+            break
+        moved = np.zeros(len(V), dtype=bool) if moved is None else moved
+        hit = np.zeros(len(V), dtype=bool) if hit is None else hit
+        pos = np.arange(len(V))[idx]
+        acc = np.flatnonzero(passing.any(axis=0))
+        if acc.size:
+            j = passing[:, acc].argmax(axis=0)  # each member's first passing rung
+            at = pos[acc]
+            moved[at] = True
+            V[at], T[at], F[at], cur[at] = trial[j, acc], t[j, acc], f[j, acc], va[j, acc]
+        left = valid[-1]
+        left[acc] = False
+        if not left.any():
+            break
+        idx, mem = pos[left], mem.take(left)
+        Vi, Ti, di, dni, ci, gi = (x[left] for x in (Vi, Ti, di, dni, ci, gi))
+        j0 += width
+    hit &= ~moved
+    return moved, hit
+
+
+def _active_set_newton(prob: FitProblem, mem: _Members, V, T, F, cur, careful: bool = False):
+    """Primal active-set Newton (Nocedal & Wright, ch. 16), in lockstep over
+    members.
+
+    A member's state is its iterate v, the images t = Xs v on its G group
+    rows (those of the trial that accepted v), the ``_Loss.at`` values there
+    and its loss.  Each iteration takes (g, H) at t and one step judged by
+    feasibility-rejecting Armijo backtracking (``_armijo``).  A free step is
+    the Newton step -H^{-1} g, until max |g| <= ``_GRAD_TOL``.  Once a free
+    step is stopped by the domain, the constraints binding at v are
+    linearized (they are linear on a sign orthant) and the step is Newton on
+    their facet: d = -Z (Z'HZ)^{-1} Z'g, Z an orthonormal basis of the null
+    space of the active rows.  On +-1 and 0/1 designs about n/2 rows can
+    bind, but they fall into at most 2^k group rows, and at most 1 + 2G + k
+    constraint rows bind, so an iteration costs O(G k^2 + k^3) whatever n
+    is.  A sign flip leaves the facet and is rejected exactly.  A vanishing
+    projected gradient is converged, unless the cap binds alone with a
+    negative multiplier; then, as when nothing binds, free steps resume, and
+    an accepted free step ends the linearizing.  A failed step ends the
+    solve, unless it is a free step stopped by the domain at a v not yet
+    linearized.
+
+    The live members share the iteration count, one stacked (g, H) call,
+    one stacked solve for their free steps (member by member, with the
+    least-squares fallback, when one of them is singular) and the passes of
+    one backtracking; facet steps are taken member by member.  A member
+    does the floating-point operations of its solve alone, whatever else is
+    in the stack.  Returns per member (v, loss, converged,
+    boundary_clamped), clamped if constraints bind where the solve stopped
+    or its last step was stopped by the domain.
+    """
+    loss, D = _LOSSES[prob.loss], prob.domain
+    B, k = V.shape
+    out = np.empty_like(V), np.empty_like(cur), np.zeros(B, dtype=bool), np.zeros(B, dtype=bool)
+    ids = np.arange(B)  # the live members; every other array holds their rows, in this order
+    on_boundary = np.zeros(B, dtype=bool)
     for _ in range(_MAX_ITER):
-        act = _active_constraints(sp, v, t) if on_boundary else None
-        clamped = act is not None
-        got = sp.grad_hess(t)
-        if got is None:
-            break
-        g, H = got
-        if clamped:
-            A = act[0]
-            lam = np.linalg.lstsq(A.T, -g, rcond=None)[0]
-            pg = g + A.T @ lam
-            if float(np.abs(pg).max()) > _FACET_TOL * max(1.0, float(np.abs(g).max())):
-                d = _null_space_step(A, g, H)
-            elif act[1] and lam[0] < -_FACET_TOL:
-                clamped = False  # the cap does not bind at the optimum
+        clamped = np.zeros(ids.size, dtype=bool)
+        acts = {}
+        if on_boundary.any():
+            for i in np.flatnonzero(on_boundary):
+                act = _active_constraints(D, mem.Xs[i], mem.w[i], V[i], T[i])
+                if act is not None:
+                    acts[i] = act
+                    clamped[i] = True
+        g, H, ok = loss.grad_hess(prob, mem, T, F)
+        stop = ~ok
+        d = _newton_steps(H, g)  # every member's; the facet steps replace theirs
+        facet_done = []
+        for i, (A, cap_alone) in acts.items():
+            if stop[i]:
+                continue
+            lam = np.linalg.lstsq(A.T, -g[i], rcond=None)[0]
+            pg = g[i] + A.T @ lam
+            if float(np.abs(pg).max()) > _FACET_TOL * max(1.0, float(np.abs(g[i]).max())):
+                step = _null_space_step(A, g[i], H[i])
+                if step is None:
+                    stop[i] = True
+                else:
+                    d[i] = step
+            elif cap_alone and lam[0] < -_FACET_TOL:
+                clamped[i] = False  # the cap does not bind at the optimum
             else:
-                converged = True
-                break
-        if not clamped:
-            if float(np.abs(g).max()) <= _GRAD_TOL:
-                converged = True
-                break
+                facet_done.append(i)
+        converged = ~(stop | clamped) & (np.abs(g).max(axis=1) <= _GRAD_TOL)
+        if facet_done:
+            converged[facet_done] = True
+        dn = np.abs(d).max(axis=1)
+        stop |= converged | ~((dn > 0.0) & (dn < math.inf))  # as does a zero or non-finite step
+        nstop = np.count_nonzero(stop)
+        if not nstop:
+            go = slice(None)
+            res = _armijo(prob, mem, V, T, F, cur, d, dn, _dot(g, d), careful)
+        elif nstop < ids.size:
+            go = ~stop
+            Va, Ta, Fa, ca = V[go], T[go], F[go], cur[go]
+            res = _armijo(prob, mem.take(go), Va, Ta, Fa, ca, d[go], dn[go], _dot(g[go], d[go]),
+                          careful)
+            V[go], T[go], F[go], cur[go] = Va, Ta, Fa, ca
+        if nstop < ids.size:
+            if res is not None:  # None: every member accepted its full step
+                moved, hit = res
+                stop[go] = ~moved & (clamped[go] | on_boundary[go] | ~hit)
+                clamped[go] |= hit
+                nstop = np.count_nonzero(stop)
+        if nstop:
+            for o, x in zip(out, (V, cur, converged, clamped)):
+                o[ids[stop]] = x[stop]
+            keep = ~stop
+            if nstop == ids.size:
+                return out
+            ids, V, T, F, cur, clamped = (x[keep] for x in (ids, V, T, F, cur, clamped))
+            mem = mem.take(keep)
+        on_boundary = clamped
+    # members still live after _MAX_ITER: not converged, clamped as their last step left them
+    for o, x in zip(out, (V, cur, np.zeros(ids.size, dtype=bool), on_boundary)):
+        o[ids] = x
+    return out
+
+
+def _newton_steps(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """-H^{-1} g per member: one stacked solve, or member by member, with
+    the least-squares fallback, when one of them is singular."""
+    try:
+        return np.linalg.solve(H, -g[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        d = np.empty_like(g)
+        for i in range(len(g)):
             try:
-                d = np.linalg.solve(H, -g)
+                d[i] = np.linalg.solve(H[i], -g[i])
             except np.linalg.LinAlgError:
-                d = np.linalg.lstsq(H, -g, rcond=None)[0]
-        if d is None or not np.isfinite(d).all() or float(np.abs(d).max()) == 0.0:
-            break
-        v, t, cur, ok, hit = _backtrack(sp, v, t, d, cur, float(g @ d))
-        if not ok and (clamped or on_boundary or not hit):
-            clamped = clamped or hit
-            break
-        on_boundary = clamped = clamped or hit
-    return v, cur, converged, clamped
+                d[i] = np.linalg.lstsq(H[i], -g[i], rcond=None)[0]
+        return d
 
 
-def _ridge_start(sp: _Support):
-    """Ridge fit of the working response on X_S, shrunk into the domain:
-    (v, Xs v) or None.  The normal equations are summed over the group rows,
-    sum_g m_g x_g x_g' and the working-response sums."""
-    Xs, k = sp.Xs, len(sp.S)
-    A = Xs.T @ (sp.rows.m[:, None] * Xs)
+def _ridge_start(prob: FitProblem, Xs: np.ndarray, m: np.ndarray, sums: np.ndarray,
+                 w: np.ndarray):
+    """Ridge fit of the working response on the group rows Xs of a support,
+    shrunk into the domain: (v, Xs v) or None.  The normal equations are
+    summed over the group rows, sum_g m_g x_g x_g' and the working-response
+    sums."""
+    k = Xs.shape[1]
+    A = Xs.T @ (m[:, None] * Xs)
     A.flat[::k + 1] += 1e-3 * max(1.0, float(A.trace()) / k)
     try:
-        v = np.linalg.solve(A, Xs.T @ sp.rows.working_sums)
+        v = np.linalg.solve(A, Xs.T @ sums)
     except np.linalg.LinAlgError:
         return None
     for _ in range(80):
         t = Xs @ v
-        if sp.admits(v, t):
+        if prob.domain.admits(v, t, w):
             return v, t
         v = v * 0.7
     return None
 
 
-def inner_solve(prob: FitProblem, S: tuple, groups: tuple | None = None):
-    """Solve the smooth inner problem on a fixed support.
-
-    Every start runs ``_active_set_newton`` with the loss's own derivative
-    pair (exact Hessian for the likelihood, Gauss-Newton for least squares).
-    Returns (u, loss, converged, boundary_clamped) or None when no feasible
-    start exists for the support; ``groups`` is passed to ``_Support``.
-    """
-    sp = _Support(prob, S, groups)
-    zero = np.zeros(len(sp.S))
-    t0 = sp.Xs @ zero
-    starts = [(zero, t0)] if sp.admits(zero, t0) else []
-    if not S:
-        return (sp.embed(zero), sp.value(t0), True, False) if starts else None
-    if sp.two_starts or not starts:
-        ridge = _ridge_start(sp)
-        if ridge is not None and not (starts and np.array_equal(ridge[0], zero)):
-            starts.append(ridge)
+def _solve_stack(prob: FitProblem, supports: np.ndarray, groups: list, careful: bool) -> list:
+    """Solve a (B, k) array of supports of equal G, with their
+    ``_group_rows`` entries: the zero start where it is admitted, and the
+    ridge start as well for least squares (or alone where zero is not
+    admitted), all of them members of one ``_active_set_newton``.  Returns
+    one result per support, as ``inner_solve`` does; a support's best start
+    is its first of least loss."""
+    loss = _LOSSES[prob.loss]
+    rows, mem = _stack(prob, supports, groups)
+    Bs, k = supports.shape
+    zero, t0 = np.zeros(k), np.zeros(mem.Xs.shape[1])
+    inside = prob.domain.interval.contains(0.0)  # the zero start's images are 0, its norm is 0
+    starts = []  # (support, v, t)
+    for b in range(Bs):
+        if inside:
+            starts.append((b, zero, t0))
+        if k and (loss.two_starts or not inside):
+            ridge = _ridge_start(prob, mem.Xs[b], rows.m[b], rows.working_sums[b], mem.w[b])
+            if ridge is not None and not (inside and not ridge[0].any()):
+                starts.append((b, *ridge))
+    out = [None] * Bs
     if not starts:
-        return None
-    v, cur, converged, clamped = min(
-        (_active_set_newton(sp, v, t, sp.value(t)) for v, t in starts), key=lambda r: r[1]
-    )
-    return sp.embed(v), cur, converged, clamped
+        return out
+    sup, V, T = (np.array(a) for a in zip(*starts))
+    if len(sup) != Bs or (sup != np.arange(Bs)).any():
+        mem = mem.take(sup)
+    F = loss.at(prob, T)
+    cur = loss.value(prob, mem, T, F)
+    if k:
+        V, cur, converged, clamped = _active_set_newton(prob, mem, V, T, F, cur, careful)
+    else:
+        converged, clamped = np.ones(len(sup), dtype=bool), np.zeros(len(sup), dtype=bool)
+    for i, b in enumerate(sup.tolist()):
+        if out[b] is None or cur[i] < out[b][1]:
+            u = np.zeros(prob.X.p)
+            u[supports[b]] = V[i]
+            out[b] = (u, float(cur[i]), bool(converged[i]), bool(clamped[i]))
+    return out
+
+
+def _solve_run(prob: FitProblem, supports: np.ndarray, groups: list) -> list:
+    """Solve a run of supports of one size, a (B, k) array with their
+    ``_group_rows`` entries: the supports of equal G as one stack each,
+    never padded.  Returns one result per support, as ``inner_solve``
+    does, or the exception its solve raised.
+
+    Members share arrays, so an exception (say a link that overflows under
+    np.errstate(over="raise")) stops the whole attempt; each support is then
+    solved again alone, one rung per backtracking pass, which evaluates
+    exactly the points a sequential solve does: an exception that recurs
+    there is the support's own, and the others are unaffected."""
+    try:
+        return _lockstep(prob, supports, groups, careful=False)
+    except Exception:
+        pass
+    out = []
+    for b in range(len(supports)):
+        try:
+            out += _lockstep(prob, supports[b:b + 1], groups[b:b + 1], careful=True)
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
+def _lockstep(prob: FitProblem, supports: np.ndarray, groups: list, careful: bool) -> list:
+    """``_solve_stack`` on the supports of each G, their results in run order."""
+    sizes = np.array([len(m) for _, m, _ in groups])
+    if (sizes == sizes[0]).all():
+        return _solve_stack(prob, supports, groups, careful)
+    out = [None] * len(supports)
+    for G in np.unique(sizes):
+        at = np.flatnonzero(sizes == G)
+        for i, got in zip(at, _solve_stack(prob, supports[at], [groups[i] for i in at], careful)):
+            out[i] = got
+    return out
+
+
+def inner_solve(prob: FitProblem, S: tuple, groups: tuple | None = None):
+    """Solve the smooth inner problem on a fixed support: a run of one
+    support (``_solve_run``), whose starts are the members of one
+    ``_active_set_newton`` with the loss's own derivative pair (exact
+    Hessian for the likelihood, Gauss-Newton for least squares).
+    Returns (u, loss, converged, boundary_clamped) or None when no feasible
+    start exists for the support; ``groups`` is its ``_group_rows`` entry,
+    formed here if None.
+    """
+    supports = np.array(S, dtype=np.intp).reshape(1, len(S))
+    got = _solve_run(prob, supports, [groups or _group_rows(prob, supports)[0]])[0]
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 def fit(prob: FitProblem) -> FitResult:
@@ -676,17 +871,31 @@ def fit(prob: FitProblem) -> FitResult:
     up; the pass keys the chunk only up to its first support that fails the
     same test against the incumbent of that moment, which only falls, so
     no support the prune skips is keyed (a likelihood level, whose floors
-    are all equal, keys whole chunks).  Both prunes are exact, so the
-    reported minimizer is the same as under full enumeration; pruned
-    supports simply do not appear in ``records``, which lists the solved
-    ones in enumeration order (by size, then lexicographically) whatever
-    order they were solved in.  The caveat both prunes share: they charge a
-    support c_r |S|, while a solve that returns exact zeros is charged only
-    for its nonzeros, so a pruned S could have returned such a point; it
-    lies on a smaller support, and the result is exact when that support's
-    own solve does at least as well.  (A constant floor stops a level only
-    after such a solve: any other point on a size-k support costs at least
-    that floor plus c_r k.)
+    are all equal, keys whole chunks).
+
+    The keyed supports of a chunk that share the floor of the one coming up
+    form a run, solved at once (``_solve_run``: every start of every
+    support a member of one lockstep loop).  The prune test is then
+    replayed on the results in solve order, each against the incumbent the
+    solves before it leave, and the first support it rejects ends the level
+    as it would have ended a sequential solve; the supports after it are
+    dropped unrecorded, and a solve's exception is raised only where the
+    replay reaches it.  Equal floors pass the same test until a solve
+    returns exact zeros and beats floor + c_r k, so a likelihood run is its
+    whole admitted chunk, and a least-squares run, whose floors differ, one
+    support.  Records, incumbent and fit are exactly those of solving one
+    support at a time.
+
+    Both prunes are exact, so the reported minimizer is the same as under
+    full enumeration; pruned supports simply do not appear in ``records``,
+    which lists the solved ones in enumeration order (by size, then
+    lexicographically) whatever order they were solved in.  The caveat both
+    prunes share: they charge a support c_r |S|, while a solve that returns
+    exact zeros is charged only for its nonzeros, so a pruned S could have
+    returned such a point; it lies on a smaller support, and the result is
+    exact when that support's own solve does at least as well.  (A constant
+    floor stops a level only after such a solve: any other point on a
+    size-k support costs at least that floor plus c_r k.)
 
     Raises
     ------
@@ -716,28 +925,37 @@ def fit(prob: FitProblem) -> FitResult:
         floors = loss.level_floors(prob, supports)
         order = np.argsort(floors, kind="stable")
         level = []  # (enumeration index, record, candidate or None)
-        for j, i in enumerate(order):
+        j = 0
+        while j < count:
             # exact prune: no point on this support, nor (the floors ascend)
             # on any later one of this size, can beat the incumbent
-            if floors[i] + prob.c_r * k > incumbent + _TIE_TOL:
+            if floors[order[j]] + prob.c_r * k > incumbent + _TIE_TOL:
                 break
             if j % chunk == 0:
                 # key only the supports the same test still admits: the
                 # incumbent only falls, so the rest of the chunk is never solved
                 nxt = order[j:j + chunk]
                 cut = np.flatnonzero(floors[nxt] + prob.c_r * k > incumbent + _TIE_TOL)
-                groups = _group_rows(prob, supports[nxt[:cut[0] if cut.size else nxt.size]])
-            S = tuple(supports[i].tolist())
-            got = inner_solve(prob, S, groups[j % chunk])
-            if got is None:
-                level.append((i, SupportRecord(S, math.inf, False, False, False), None))
-                continue
-            u, lval, conv, clamp = got
-            spt = int(np.count_nonzero(u))
-            obj = lval + prob.c_r * spt
-            cand = (obj, spt, tuple(int(j) for j in np.nonzero(u)[0]), u, lval)
-            level.append((i, SupportRecord(S, lval, True, conv, clamp), cand))
-            incumbent = min(incumbent, obj)
+                keyed = nxt[:cut[0] if cut.size else nxt.size]
+                groups = _group_rows(prob, supports[keyed])
+            o = j % chunk
+            run = keyed[o:o + 1 + int(np.count_nonzero(floors[keyed[o + 1:]] == floors[keyed[o]]))]
+            for i, got in zip(run, _solve_run(prob, supports[run], groups[o:o + run.size])):
+                if floors[i] + prob.c_r * k > incumbent + _TIE_TOL:
+                    break  # the replay: the test above ends the level here
+                if isinstance(got, Exception):
+                    raise got
+                j += 1
+                S = tuple(supports[i].tolist())
+                if got is None:
+                    level.append((i, SupportRecord(S, math.inf, False, False, False), None))
+                    continue
+                u, lval, conv, clamp = got
+                spt = int(np.count_nonzero(u))
+                obj = lval + prob.c_r * spt
+                cand = (obj, spt, tuple(int(c) for c in np.nonzero(u)[0]), u, lval)
+                level.append((i, SupportRecord(S, lval, True, conv, clamp), cand))
+                incumbent = min(incumbent, obj)
         level.sort(key=lambda e: e[0])
         records += [rec for _, rec, _ in level]
         candidates += [cand for _, _, cand in level if cand is not None]
@@ -752,7 +970,8 @@ def fit(prob: FitProblem) -> FitResult:
     # rows, one per group: an independent check of the grouping
     n = prob.X.n
     rows = _Rows(prob, np.arange(n), np.ones(n))
-    check = loss.value(prob, rows, prob.X.X @ u) + prob.c_r * int(np.count_nonzero(u))
+    t = prob.X.X @ u
+    check = loss.value(prob, rows, t, loss.at(prob, t)) + prob.c_r * int(np.count_nonzero(u))
     if not math.isclose(check, obj, rel_tol=0.0, abs_tol=1e-9 * max(1.0, abs(obj))):
         raise AssertionError("objective recomputation mismatch")
     return FitResult(

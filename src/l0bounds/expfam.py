@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analytic import _logistic, _logistic_slope, _logistic_slope_floor
+from .design import _dot
 from .domains import Interval
 
 __all__ = [
@@ -47,24 +48,30 @@ class ExpFamily:
         if not finite.all():
             raise ValueError(f"natural parameter outside family domain at row {np.argmin(finite)}")
 
-    def nll(self, y: np.ndarray, t: np.ndarray, m=1.0) -> float:
+    def nll(self, y: np.ndarray, t: np.ndarray, m=1.0):
         """Negative log-likelihood sum_g m_g Lambda(t_g) - y't on row images
         t with multiplicities m (1 for plain rows, where y is the response;
         for grouped rows y holds each group's response sum); raises
         ValueError outside the natural domain, checked only when the value
-        is not finite (as any non-finite t_g makes it); overflow gives inf."""
+        is not finite (as any non-finite t_g makes it); overflow gives inf.
+        t, y and m may carry leading axes, a stack of members summed along
+        the last axis: the values then come as an array, one per member."""
+        t = np.asarray(t, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            value = float((m * self.log_partition(t)).sum() - y @ t)
-        if not np.isfinite(value):
+            value = (m * self.log_partition(t)).sum(axis=-1) - _dot(np.asarray(y, dtype=float), t)
+        if not np.isfinite(value).all():
             self.check_natural(t)
-        return value
+        return float(value) if value.ndim == 0 else value
 
     def nll_derivatives(self, y: np.ndarray, Xs: np.ndarray, t: np.ndarray, m=1.0):
         """Gradient Xs'(m Lambda'(t) - y) and Hessian Xs' diag(m Lambda''(t)) Xs
         of ``nll`` along the columns Xs, at row images t with multiplicities
-        m (as in ``nll``); raises ValueError outside the natural domain."""
+        m (as in ``nll``, stacked alike: Xs then has shape (..., G, k));
+        raises ValueError outside the natural domain."""
         self.check_natural(t)
-        return Xs.T @ (m * self.mean(t) - y), Xs.T @ ((m * self.variance(t))[:, None] * Xs)
+        XsT = np.swapaxes(Xs, -1, -2)
+        g = XsT @ (m * self.mean(t) - y)[..., None]
+        return g[..., 0], XsT @ ((m * self.variance(t))[..., None] * Xs)
 
 
 class _Gaussian(ExpFamily):

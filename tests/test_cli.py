@@ -623,8 +623,9 @@ def test_exit_code_2_names_c2_when_it_overflows(tmp_path, capsys, block):
 
 
 def test_configs_keep_running_with_the_deleted_keys(tmp_path):
-    # bounds, fit and grid ignore top-level keys they do not read, so configs
-    # that still carry nu, loss, h_max or h give the same output
+    # bounds and grid ignore top-level keys they do not read, so configs
+    # that still carry nu or h give the same output (fit refuses such keys:
+    # test_fit_refuses_a_key_it_does_not_read)
     for command, base, old in (
         ("bounds", SCALAR_BASE["bounds"], {"nu": 0.5}),
         ("grid", SCALAR_BASE["grid"], {"h": 2}),
@@ -635,14 +636,43 @@ def test_configs_keep_running_with_the_deleted_keys(tmp_path):
         assert main([command, "--config", b, "--out", str(tmp_path / "b"), "--quiet"]) == 0
         out = f"{command}.json"
         assert (tmp_path / "a" / out).read_bytes() == (tmp_path / "b" / out).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "extra,named",
+    [({"c_rr": 0.5}, "['c_rr']"), ({"loss": "lse", "h_max": 3}, "['h_max', 'loss']"),
+     ({"design": {"tag": "pm1_iid", "n": 60, "p": 4}}, "['design']")],
+    ids=["misspelt", "deleted-keys", "design-beside-x"],
+)
+def test_fit_refuses_a_key_it_does_not_read(tmp_path, capsys, extra, named):
+    # a misspelt key used to fall back to its default and exit 0; fit reads
+    # only domain, c_r and the model block (its design comes from --x)
     x, y, base = _fit_inputs(tmp_path)
-    base = {**base, "link": LINK_BLOCK}
-    old = _write(tmp_path / "old.json", {**base, "loss": "lse", "h_max": 3})
-    new = _write(tmp_path / "new.json", base)
     argv = ["fit", "--x", x, "--y", y, "--quiet"]
-    assert main(argv + ["--config", new, "--out", str(tmp_path / "a")]) == 0
-    assert main(argv + ["--config", old, "--out", str(tmp_path / "b")]) == 0
-    assert (tmp_path / "a" / "fit.json").read_bytes() == (tmp_path / "b" / "fit.json").read_bytes()
+    good = _write(tmp_path / "good.json", {**base, "link": LINK_BLOCK})
+    assert main(argv + ["--config", good, "--out", str(tmp_path / "good")]) == 0
+    cfg = _write(tmp_path / "cfg.json", {**base, "link": LINK_BLOCK, **extra})
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert f"unknown fit key(s) {named}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "coverage", "fit"])
+def test_a_refused_config_leaves_no_out_directory(tmp_path, capsys, command):
+    # --out used to be created before the command read its config, so a
+    # refused config exited 1 and still left an empty directory
+    x, y, base = _fit_inputs(tmp_path)
+    cfg = {
+        "verify": {"what": "tail", "noise": {"tag": "gaussian_iid", "sigma": 1.0}, "bogus": 1},
+        "coverage": {"n": 30, "p": 5, "spt_size": 1, "replicates": 2, "seed": 11, "bogus": 1},
+        "fit": {**base, "link": LINK_BLOCK, "bogus": 1},
+    }[command]
+    flags = ["--x", x, "--y", y] if command == "fit" else []
+    out = tmp_path / "out"
+    path = _write(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(out), "--quiet", *flags]) == 1
+    assert "bogus" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _fit_inputs(tmp_path, budget=2):

@@ -31,6 +31,32 @@ def _wide(budget=3):
 WIDE = _wide()
 
 
+class _Solo:
+    """One support as the solver holds it: the single member of a stack, with
+    its distinct rows Xs, cap weights w and grouped rows (inv, m, Y), and the
+    loss's value and (g, H) at images t of those rows."""
+
+    def __init__(self, prob, S):
+        from types import SimpleNamespace
+
+        from l0bounds import estimator
+
+        supports = np.array([S], dtype=np.intp).reshape(1, len(S))
+        self.prob, self.loss = prob, estimator._LOSSES[prob.loss]
+        rows, self.mem = estimator._stack(prob, supports, estimator._group_rows(prob, supports))
+        self.rows = SimpleNamespace(inv=rows.inv[0], m=rows.m[0], Y=rows.Y[0])
+        self.Xs, self.w = self.mem.Xs[0], self.mem.w[0]
+
+    def value(self, t):
+        t = t[None]
+        return self.loss.value(self.prob, self.mem, t, self.loss.at(self.prob, t))[0]
+
+    def grad_hess(self, t):
+        t = t[None]
+        g, H, ok = self.loss.grad_hess(self.prob, self.mem, t, self.loss.at(self.prob, t))
+        return (g[0], H[0]) if ok[0] else None
+
+
 def _problem_gaussian(y, X, c_r, budget=3):
     return FitProblem(y=y, X=X, domain=_wide(budget), c_r=c_r, family=gaussian(1.0))
 
@@ -327,7 +353,7 @@ def test_active_constraints_match_row_loop():
     # the solver sees each support's distinct rows once: its constraint rows
     # equal a loop over those group rows, and, up to repeats, a loop over
     # all n rows of X_S
-    from l0bounds.estimator import _active_constraints, _Support
+    from l0bounds.estimator import _active_constraints
 
     rng = np.random.default_rng(21)
     seen = {"cap": 0, "row": 0, "frozen": 0, "none": 0}
@@ -347,12 +373,12 @@ def test_active_constraints_match_row_loop():
         cap = wn if wn > 0 and rng.random() < 0.5 else None
         D = DomainSpec(Interval(lo, hi), max_support=float(p), l1inf_cap=cap)
         prob = FitProblem(y=np.zeros(n), X=dm, domain=D, c_r=0.0, family=bernoulli())
-        sp = _Support(prob, S)
+        sp = _Solo(prob, S)
         assert sp.Xs.shape == _distinct(dm.X[:, S]).shape
         np.testing.assert_array_equal(_distinct(sp.Xs), _distinct(dm.X[:, S]))
         want = _active_rows_loop(prob, S, u, sp.Xs)
         per_row = _active_rows_loop(prob, S, u)
-        got = _active_constraints(sp, u[S], sp.Xs @ u[S])
+        got = _active_constraints(D, sp.Xs, sp.w, u[S], sp.Xs @ u[S])
         if want is None:
             assert got is None and per_row is None
             seen["none"] += 1
@@ -394,7 +420,9 @@ def test_facet_phase_solves_no_system_of_order_above_distinct_rows(monkeypatch):
         real = getattr(np.linalg, name)
 
         def wrapped(a, *args, _real=real, _name=name, **kwargs):
-            if sys._getframe(1).f_code.co_name in ("_active_set_newton", "_null_space_step"):
+            if sys._getframe(1).f_code.co_name in (
+                "_active_set_newton", "_newton_steps", "_null_space_step"
+            ):
                 seen.append((_name, np.shape(a)))
             return _real(a, *args, **kwargs)
 
@@ -403,7 +431,8 @@ def test_facet_phase_solves_no_system_of_order_above_distinct_rows(monkeypatch):
     k = 2
     assert {r.support for r in res.records if r.boundary_clamped}, "no facet phase entered"
     assert any(name == "solve" for name, _ in seen), seen
-    assert max(max(shape) for _, shape in seen) <= k + 2**k, seen
+    # a stacked solve has one system per member: its order is the last two axes
+    assert max(max(shape[-2:]) for _, shape in seen) <= k + 2**k, seen
 
 
 def _reference_block_kkt(Au, g, H):
@@ -446,7 +475,7 @@ def test_null_space_step_matches_block_kkt_on_facets():
     # the facet step the solver takes from a support's group rows and grouped
     # derivatives is the block-KKT step, and the per-row constraints (every
     # binding row, repeats included) and per-row derivatives give the same
-    from l0bounds.estimator import _active_constraints, _null_space_step, _Support
+    from l0bounds.estimator import _active_constraints, _null_space_step
 
     rng = np.random.default_rng(606)
     f = logistic_flip(0.1, 0.9)
@@ -485,12 +514,12 @@ def test_null_space_step_matches_block_kkt_on_facets():
             prob = FitProblem(y=y, X=dm, domain=D, c_r=0.0, link=f)
             J = f.deriv1(t)[:, None] * Xm[:, S]
             g_row, H_row = -2.0 * J.T @ (y - f(t)), 2.0 * J.T @ J
-        sp = _Support(prob, S)
+        sp = _Solo(prob, S)
         ts = sp.Xs @ v
         g, H = sp.grad_hess(ts)
         np.testing.assert_allclose(g, g_row, rtol=1e-10, atol=1e-10 * float(np.max(np.abs(g_row))))
         np.testing.assert_allclose(H, H_row, rtol=1e-10, atol=1e-9 * float(np.max(np.abs(H_row))))
-        A, cap_alone = _active_constraints(sp, v, ts)
+        A, cap_alone = _active_constraints(D, sp.Xs, sp.w, v, ts)
         assert cap_alone == cap_facet
         Au = np.unique(A, axis=0)
         d = _null_space_step(Au, g, H)
@@ -560,79 +589,69 @@ def test_fit_does_not_call_the_full_vector_helpers_per_trial(monkeypatch):
 
 
 def test_every_iterate_carries_the_row_images_its_trial_admitted(monkeypatch):
-    # an inner solve forms the images of its group rows Xs v once per point,
-    # where the membership test judges it: the derivatives and the binding
-    # constraints of the accepted point are computed on those very images,
-    # never on a fresh product, and no product runs over all n rows
-    from l0bounds import estimator
+    # a solve forms the images of its group rows once per trial, where the
+    # membership test judges them: the derivatives and the binding
+    # constraints of an accepted point are computed on those very images (or
+    # on the zero start's), never on a fresh product, and no product runs
+    # over all n rows
+    from l0bounds import domains, estimator
 
     _cfg, inst, D = _boundary_instance(1200)
     inside = [False]
-    products = {"all_rows": 0, "group_rows": 0}
-    group_rows = {}  # id -> each support's Xs, kept alive so that ids stay unique
+    all_rows = [0]
 
     class CountedDesign(np.ndarray):
         def __matmul__(self, other):
-            if inside[0] and self.ndim == 2 and np.ndim(other) == 1:
-                if self.shape[0] == inst.X.n:
-                    products["all_rows"] += 1
-                if group_rows.get(id(self)) is self:
-                    products["group_rows"] += 1
+            if inside[0] and self.ndim >= 2 and self.shape[-2] == inst.X.n:
+                all_rows[0] += 1
             return np.asarray(self) @ np.asarray(other)
 
     dm = DesignMatrix(inst.X.X)
     dm.X = dm.X.view(CountedDesign)
-    admitted = {}  # id -> row images, kept alive so that ids stay unique
+    admitted = set()  # the bytes of every row of images the membership test admitted
     received = {"grad_hess": [], "active": []}
+    real_admits = domains.DomainSpec.admits
 
-    real_init = estimator._Support.__init__
-
-    def init(self, prob, S, *args):
-        real_init(self, prob, S, *args)
-        assert len(self.Xs) <= 2 ** len(S)  # a +-1 design
-        self.Xs = self.Xs.view(CountedDesign)
-        group_rows[id(self.Xs)] = self.Xs
-
-    real_admits = estimator._Support.admits
-
-    def admits(self, v, t):
-        admitted[id(t)] = t
-        return real_admits(self, v, t)
+    def admits(self, u, t, w):
+        ok = real_admits(self, u, t, w)
+        t = np.asarray(t)
+        admitted.update(r.tobytes() for r in t.reshape(-1, t.shape[-1])[np.ravel(ok)])
+        return ok
 
     grad_hess = estimator._LOSSES["mle"].grad_hess
 
-    def counted_grad_hess(*args):
-        received["grad_hess"].append(args[-1])
-        return grad_hess(*args)
+    def counted_grad_hess(prob, mem, t, f):
+        received["grad_hess"] += [r.tobytes() for r in np.asarray(t)]
+        return grad_hess(prob, mem, t, f)
 
     real_active = estimator._active_constraints
 
-    def active(*args):
-        received["active"].append(args[-1])
-        return real_active(*args)
+    def active(D, Xs, w, v, t):
+        received["active"].append(np.asarray(t).tobytes())
+        return real_active(D, Xs, w, v, t)
 
-    real_inner = estimator.inner_solve
+    real_run = estimator._solve_run
 
-    def inner(prob, S, *args):
+    def run(*args):
         inside[0] = True
         try:
-            return real_inner(prob, S, *args)
+            return real_run(*args)
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(estimator._Support, "__init__", init)
-    monkeypatch.setattr(estimator._Support, "admits", admits)
+    monkeypatch.setattr(domains.DomainSpec, "admits", admits)
     monkeypatch.setitem(
         estimator._LOSSES, "mle", estimator._LOSSES["mle"]._replace(grad_hess=counted_grad_hess)
     )
     monkeypatch.setattr(estimator, "_active_constraints", active)
-    monkeypatch.setattr(estimator, "inner_solve", inner)
+    monkeypatch.setattr(estimator, "_solve_run", run)
     res = fit(FitProblem(y=inst.y, X=dm, domain=D, c_r=0.5, family=bernoulli()))
     assert {r.support for r in res.records if r.boundary_clamped}, "no facet step taken"
     assert received["active"] and received["grad_hess"]
     for kind, ts in received.items():
-        assert all(admitted.get(id(t)) is t for t in ts), kind
-    assert products == {"all_rows": 0, "group_rows": len(admitted)}
+        assert all(t in admitted or not np.frombuffer(t).any() for t in ts), kind
+    assert any(t in admitted for t in received["grad_hess"])
+    assert all_rows[0] == 0
 
 
 def test_lse_interior_solves_are_stationary():
@@ -679,8 +698,6 @@ def test_likelihood_derivatives_are_the_public_ones():
     # nll_derivatives with the group multiplicities and response sums (plus
     # a 1e-12 trace ridge), so criterion 09's finite-difference checks cover
     # what fit uses; and they equal the per-row sums over all n rows
-    from l0bounds.estimator import _Support
-
     rng = np.random.default_rng(9)
     for fam in (bernoulli(), gaussian(1.3)):
         for design in ("pm1", "gaussian"):
@@ -693,7 +710,7 @@ def test_likelihood_derivatives_are_the_public_ones():
             u[S] = 0.3 * rng.standard_normal(3)
             y = rng.integers(0, 2, 30).astype(float)
             prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=WIDE, c_r=0.0, family=fam)
-            sp = _Support(prob, S)
+            sp = _Solo(prob, S)
             assert len(sp.Xs) <= (8 if design == "pm1" else 30)
             t = sp.Xs @ u[S]
             g, H = sp.grad_hess(t)
@@ -761,14 +778,12 @@ def test_stacking_the_data_twice_doubles_every_record_loss(design, loss):
 
 @pytest.mark.parametrize("design,loss", GROUPING_CASES)
 def test_group_rows_are_the_distinct_row_images(design, loss):
-    from l0bounds.estimator import _Support
-
     rng = np.random.default_rng(32)
     n, p = 120, 5
     prob = _grouping_problem(design, loss, n, p, rng)(0.0)
     for k in range(p + 1):
         for S in itertools.combinations(range(p), k):
-            sp = _Support(prob, S)
+            sp = _Solo(prob, S)
             G = len(sp.Xs)
             if design == "gaussian" and k:
                 assert G == n
@@ -996,14 +1011,14 @@ def test_least_squares_solves_each_level_in_floor_order_and_records_it_in_enumer
     y = (rng.random(n) < f(1.5 * Xm[:, 5] - 1.0 * Xm[:, 3] + 0.8 * Xm[:, 1])).astype(float)
     D = DomainSpec(Interval(-0.5, 0.5), max_support=2.0, l1inf_cap=0.5)
     prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=D, c_r=0.0, link=f)
-    solved = []
-    real_inner = estimator.inner_solve
+    solved = []  # the supports of each run, in solve order (c_r = 0: no run stops partway)
+    real_run = estimator._solve_run
 
-    def inner(prob, S, *args):
-        solved.append(S)
-        return real_inner(prob, S, *args)
+    def run(prob, supports, groups):
+        solved.extend(map(tuple, supports.tolist()))
+        return real_run(prob, supports, groups)
 
-    monkeypatch.setattr(estimator, "inner_solve", inner)
+    monkeypatch.setattr(estimator, "_solve_run", run)
     res = fit(prob)
     assert [r.support for r in res.records] == sorted(solved, key=lambda S: (len(S), S))
     assert solved != sorted(solved, key=lambda S: (len(S), S))
@@ -1354,7 +1369,8 @@ def test_the_fit_satisfies_the_basic_inequality(model):
         prob = FitProblem(y=inst.y, X=inst.X, domain=inst.domain, c_r=cfg.c_r, **fit_kw)
         assert inst.domain.admits(inst.beta, inst.X.X @ inst.beta, inst.X.column_norms(math.inf))
         rows = estimator._Rows(prob, np.arange(n), np.ones(n))
-        truth = estimator._LOSSES[prob.loss].value(prob, rows, inst.X.X @ inst.beta)
+        loss, t = estimator._LOSSES[prob.loss], inst.X.X @ inst.beta
+        truth = loss.value(prob, rows, t, loss.at(prob, t))
         truth += cfg.c_r * int(np.count_nonzero(inst.beta))
         assert fit(prob).objective <= truth + estimator._TIE_TOL, rep
 
@@ -1386,17 +1402,18 @@ def test_rows_are_keyed_only_for_supports_the_prune_admits(monkeypatch, case):
         keyed.extend(map(tuple, supports.tolist()))
         return real_group(prob, supports)
 
-    real_solve = estimator.inner_solve
+    real_run = estimator._solve_run
 
-    def inner(prob, S, *args):
-        got = real_solve(prob, S, *args)
-        solved.append(S)
-        if got is not None:
-            incumbent[0] = min(incumbent[0], got[1] + prob.c_r * int(np.count_nonzero(got[0])))
-        return got
+    def run(prob, supports, groups):
+        out = real_run(prob, supports, groups)
+        for S, got in zip(map(tuple, supports.tolist()), out):
+            solved.append(S)
+            if got is not None:
+                incumbent[0] = min(incumbent[0], got[1] + prob.c_r * int(np.count_nonzero(got[0])))
+        return out
 
     monkeypatch.setattr(estimator, "_group_rows", group)
-    monkeypatch.setattr(estimator, "inner_solve", inner)
+    monkeypatch.setattr(estimator, "_solve_run", run)
     res = fit(prob)
     assert solved == [S for S in keyed if S in set(solved)]  # solved in keying order
     assert set(solved) <= set(keyed)
@@ -1440,7 +1457,8 @@ def _handoff_problem(case):
 
 
 # sha256 of every record, beta_hat, the objective and the tie flag, recorded
-# while the derivatives still evaluated the link for themselves
+# while the derivatives still evaluated the link for themselves and every
+# start was solved alone
 HANDOFF_DIGESTS = {
     "flip_enum1": "54d84da0abc8ec7a42619e4442650173b535e379e3a0873acd2758350778faaf",
     "flip_enum2": "e44f0eaf87e554cde465a30fc3d4f3918f71d36fbe88a7093a483996c574f27a",
@@ -1452,14 +1470,15 @@ HANDOFF_DIGESTS = {
 
 @pytest.mark.parametrize("case", sorted(HANDOFF_DIGESTS))
 def test_newton_steps_take_the_link_values_of_the_trial_they_accepted(monkeypatch, case):
-    # a Newton step evaluates the link once per trial the loss prices and
-    # not again for its derivatives, whose images are the accepted trial's,
-    # the last ones priced; only a step that follows a rejected trial (the
-    # derivatives then sit at the older images) evaluates it again; the
-    # records are those of evaluating it afresh, bit for bit
+    # the link is evaluated where the loss is priced (a start, a pass of
+    # trials), and each accepted point's values are carried to its next
+    # (g, H), which evaluates no link; they are the link's values at that
+    # point's images, and the records are those of evaluating it afresh, bit
+    # for bit
     from l0bounds import estimator
 
     prob = _handoff_problem(case)
+    plain = prob.link
     evals = [0]
 
     class Counted(type(prob.link)):
@@ -1469,24 +1488,200 @@ def test_newton_steps_take_the_link_values_of_the_trial_they_accepted(monkeypatc
 
     prob.link = Counted(prob.link.tag, prob.link.params)
     loss = estimator._LOSSES["lse"]
-    last = [None]
     steps = []  # link evaluations in each derivative call
 
-    def value(prob, rows, t):
+    def grad_hess(prob, mem, t, f):
         before = evals[0]
-        got = loss.value(prob, rows, t)
-        assert evals[0] - before == 1
-        last[0] = t
-        return got
-
-    def grad_hess(prob, rows, Xs, t):
-        before = evals[0]
-        got = loss.grad_hess(prob, rows, Xs, t)
+        got = loss.grad_hess(prob, mem, t, f)
         steps.append(evals[0] - before)
-        assert steps[-1] == (0 if t is last[0] else 1)
+        assert f.tobytes() == plain(t).tobytes()
         return got
 
-    monkeypatch.setitem(estimator._LOSSES, "lse", loss._replace(value=value, grad_hess=grad_hess))
+    monkeypatch.setitem(estimator._LOSSES, "lse", loss._replace(grad_hess=grad_hess))
     res = fit(prob)
-    assert steps and steps.count(0) > 0.9 * len(steps)
+    assert steps and not any(steps)
     assert _records_digest(res) == HANDOFF_DIGESTS[case]
+
+
+# ----------------------------------------------------------------------------
+# runs: the supports of equal floor solved in one lockstep loop
+# ----------------------------------------------------------------------------
+
+
+def _result_bytes(got):
+    """An inner-solve result as bytes: beta_hat, loss hex and both flags."""
+    if got is None or isinstance(got, Exception):
+        return got
+    u, lval, conv, clamp = got
+    return u.tobytes(), float(lval).hex(), conv, clamp
+
+
+def _run_and_alone(monkeypatch, prob, supports):
+    """(the run's results, each support's solved as a run of one), checking
+    that neither took the member-by-member path meant for exceptions."""
+    from l0bounds import estimator
+
+    careful = []
+    real = estimator._lockstep
+
+    def lockstep(prob, supports, groups, **kw):
+        careful.append(kw["careful"])
+        return real(prob, supports, groups, **kw)
+
+    monkeypatch.setattr(estimator, "_lockstep", lockstep)
+    groups = estimator._group_rows(prob, supports)
+    run = estimator._solve_run(prob, supports, groups)
+    alone = [estimator._solve_run(prob, supports[b:b + 1], groups[b:b + 1])[0]
+             for b in range(len(supports))]
+    assert not any(careful)
+    return run, alone
+
+
+@pytest.mark.parametrize("design,loss", GROUPING_CASES)
+def test_a_run_solves_each_member_as_it_would_alone(monkeypatch, design, loss):
+    # the members of a run share every numpy call, but each does the
+    # floating-point operations of its own solve: loss hex, beta_hat bytes
+    # and flags are those of the support solved alone
+    rng = np.random.default_rng(46)
+    prob = _grouping_problem(design, loss, 90, 5, rng)(0.3)
+    for k in (1, 2):
+        supports = np.array(list(itertools.combinations(range(5), k)), dtype=np.intp)
+        run, alone = _run_and_alone(monkeypatch, prob, supports)
+        assert [_result_bytes(r) for r in run] == [_result_bytes(r) for r in alone]
+        assert all(r is not None for r in run)
+
+
+def test_a_run_whose_members_differ_in_g_is_stacked_by_g(monkeypatch):
+    # a column twin of another and a three-level column give pairs of 2, 3,
+    # 4 and 6 group rows: each G is its own stack, never padded
+    from l0bounds import estimator
+
+    rng = np.random.default_rng(47)
+    n = 80
+    x0 = rng.choice([-1.0, 1.0], n)
+    Xm = np.column_stack([x0, rng.choice([-1.0, 1.0], n), x0, rng.integers(0, 3, n) - 1.0])
+    Xm[0, 3], Xm[1, 3] = 0.0, 1.0
+    y = (rng.random(n) < expit(0.8 * x0)).astype(float)
+    D = DomainSpec(Interval(-1.5, 1.5), max_support=2.0, l1inf_cap=1.5)
+    for model in ({"family": bernoulli()}, {"link": logistic_flip(0.1, 0.9)}):
+        prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=D, c_r=0.3, **model)
+        supports = np.array(list(itertools.combinations(range(4), 2)), dtype=np.intp)
+        sizes = {len(m) for _, m, _ in estimator._group_rows(prob, supports)}
+        assert len(sizes) >= 3, sizes
+        run, alone = _run_and_alone(monkeypatch, prob, supports)
+        assert [_result_bytes(r) for r in run] == [_result_bytes(r) for r in alone]
+
+
+def test_a_run_with_members_in_the_facet_phase(monkeypatch):
+    # the glm boundary instance: some pairs end on a facet, linearized member
+    # by member inside the shared loop, while the others take free steps
+    from l0bounds import estimator
+
+    _cfg, inst, D = _boundary_instance(1200)
+    prob = FitProblem(y=inst.y, X=inst.X, domain=D, c_r=0.5, family=bernoulli())
+    linearized = [0]
+    real = estimator._active_constraints
+
+    def active(*args):
+        linearized[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(estimator, "_active_constraints", active)
+    supports = np.array(list(itertools.combinations(range(8), 2)), dtype=np.intp)
+    run, alone = _run_and_alone(monkeypatch, prob, supports)
+    assert [_result_bytes(r) for r in run] == [_result_bytes(r) for r in alone]
+    assert linearized[0] > 0
+    assert 0 < sum(r[3] for r in run) < len(run)  # clamped and free members side by side
+
+
+def test_a_singular_hessian_falls_back_member_by_member(monkeypatch):
+    # members whose Hessian is exactly singular (forced here: a matrix of
+    # ones for those with a positive first gradient entry) make the stacked
+    # solve raise; every member is then solved alone, with the least-squares
+    # fallback for the singular ones, as each would be alone
+    from l0bounds import estimator
+
+    rng = np.random.default_rng(48)
+    prob = _grouping_problem("pm1", "mle", 90, 5, rng)(0.3)
+    grad_hess = estimator._LOSSES["mle"].grad_hess
+    singular = [0]
+
+    def forced(prob, mem, t, f):
+        g, H, ok = grad_hess(prob, mem, t, f)
+        flat = g[:, 0] > 0
+        H[flat] = 1.0
+        singular[0] += int(flat.sum())
+        return g, H, ok
+
+    monkeypatch.setitem(estimator._LOSSES, "mle", estimator._LOSSES["mle"]._replace(grad_hess=forced))
+    supports = np.array(list(itertools.combinations(range(5), 2)), dtype=np.intp)
+    run, alone = _run_and_alone(monkeypatch, prob, supports)
+    assert [_result_bytes(r) for r in run] == [_result_bytes(r) for r in alone]
+    assert singular[0] > 0
+
+
+def test_a_run_stops_where_a_member_returns_exact_zeros(monkeypatch):
+    # the replay tests each result against the incumbent the ones before it
+    # leave: a member returning exact zeros below floor + c_r k ends the
+    # level right after it, as a support-by-support loop would, and the
+    # members after it are neither recorded nor allowed to raise.  Forced
+    # here: the single (0,) reports a poor point, and the pair (0, 1) the
+    # optimum on (0,), whose exact zero makes it cost c_r less than 2 c_r
+    from l0bounds import estimator
+
+    rng = np.random.default_rng(49)
+    n = 200
+    Xm = rng.choice([-1.0, 1.0], size=(n, 4))
+    y = ((Xm[:, 0] > 0) ^ (rng.random(n) < 0.05)).astype(float)
+    D = DomainSpec(Interval(-3.0, 3.0), max_support=2.0, l1inf_cap=3.0)
+    empty = bernoulli().nll(y, np.zeros(n))
+    single = inner_solve(FitProblem(y=y, X=DesignMatrix(Xm), domain=D, c_r=0.0,
+                                    family=bernoulli()), (0,))
+    c_r = 0.5 * (single[1] + empty / 2)  # single loss < c_r < empty / 2: level 2 is entered
+    assert single[1] < c_r < empty / 2
+    prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=D, c_r=c_r, family=bernoulli())
+    real = estimator._solve_run
+
+    def run(prob, supports, groups):
+        out = real(prob, supports, groups)
+        where = [tuple(S) for S in supports.tolist()]
+        if (0,) in where:
+            poor = np.zeros(prob.X.p)
+            poor[0] = 1e-3
+            out[where.index((0,))] = (poor, empty + 1.0, True, False)
+        if (0, 1) in where:
+            i = where.index((0, 1))
+            out[i] = single
+            out[i + 1:] = [RuntimeError("never reached")] * (len(out) - i - 1)
+        return out
+
+    monkeypatch.setattr(estimator, "_solve_run", run)
+    res = fit(prob)
+    assert [r.support for r in res.records if len(r.support) == 2] == [(0, 1)]
+    assert len(res.records) == 1 + 4 + 1
+    assert res.support == (0,) and res.objective == single[1] + c_r
+
+
+def test_an_overflow_in_one_member_leaves_the_others(monkeypatch):
+    # an exp link overflows (np.errstate(over="raise")) on the support whose
+    # groups' means are huge, and never on the one whose groups' means are 1:
+    # the run returns the overflow for the first, and the second's result
+    # is its own, as inner_solve gives them
+    from l0bounds import estimator, exp_fn
+
+    n = 64
+    x0 = np.repeat([1.0, -1.0], n // 2)
+    x1 = np.tile([1.0, -1.0], n // 2)  # each of its groups holds half of each x0 group
+    y = np.where(x0 > 0, 1000.0, -998.0)
+    D = DomainSpec(Interval(-2000.0, 2000.0), max_support=1.0)
+    prob = FitProblem(y=y, X=DesignMatrix(np.column_stack([x0, x1])), domain=D, c_r=0.1,
+                      link=exp_fn())
+    supports = np.array([[1], [0]], dtype=np.intp)
+    with np.errstate(over="raise"):
+        groups = estimator._group_rows(prob, supports)
+        run = estimator._solve_run(prob, supports, groups)
+        ok = inner_solve(prob, (1,))
+        with pytest.raises(FloatingPointError):
+            inner_solve(prob, (0,))
+    assert isinstance(run[1], FloatingPointError)
+    assert _result_bytes(run[0]) == _result_bytes(ok)
