@@ -39,15 +39,14 @@ class Interval:
 
     def contains(self, x, axis=None):
         """Exact membership of a scalar or of every entry of an array (an
-        empty one is contained): only the least and the greatest entry are
-        compared, and a NaN entry makes both NaN, which fails either test.
-        With an axis, one verdict per slice along it, as a bool array."""
+        empty one is contained): every entry is compared with both ends,
+        and a NaN entry fails either test.  With an axis, one verdict per
+        slice along it, as a bool array."""
         x = np.asarray(x, dtype=float)
-        least, greatest = x.min(axis=axis, initial=math.inf), x.max(axis=axis, initial=-math.inf)
         lo_closed, hi_closed = self._closed
-        ok = ((least >= self.lo if lo_closed else least > self.lo)
-              & (greatest <= self.hi if hi_closed else greatest < self.hi))
-        return ok if axis is not None else bool(ok)
+        inside = (x >= self.lo if lo_closed else x > self.lo)
+        inside &= (x <= self.hi if hi_closed else x < self.hi)
+        return inside.all(axis=axis) if axis is not None else bool(inside.all())
 
     @property
     def sup_abs(self) -> float:

@@ -198,13 +198,15 @@ class _Rows:
         self.prob, self.inv, self.m = prob, inv, m
         # each row's group in the flat m: support b's groups offset past the ones before
         G = m.shape[-1]
-        self.cell = (inv + G * np.arange(m.size // G).reshape(m.shape[:-1] + (1,))).ravel()
+        self.cell = inv.ravel() if len(m) == 1 or m.ndim == 1 else (
+            inv + G * np.arange(len(m))[:, None]).ravel()
         self.Y = self._sums(prob.y)
 
     def _sums(self, x: np.ndarray) -> np.ndarray:
         """The group sums of x, every support's in one bincount (the rows in
         their order)."""
-        x = np.broadcast_to(x, self.inv.shape).ravel()
+        if self.inv.ndim > 1:
+            x = np.concatenate([x] * len(self.inv))
         return np.bincount(self.cell, weights=x, minlength=self.m.size).reshape(self.m.shape)
 
     @functools.cached_property
@@ -380,6 +382,13 @@ def _lse_level_floors(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
     return floors
 
 
+def _all(b: np.ndarray) -> bool:
+    """b.all() for a bool array b, counted in one C call: the solver's
+    hot loop asks it several times per iteration, where the reduction
+    machinery of ``ndarray.all`` costs more than the count."""
+    return np.count_nonzero(b) == b.size
+
+
 # The losses are evaluated only at admitted points, whose images are finite
 # (an interval's infinite ends are open), so ``nll`` never raises here.
 
@@ -390,7 +399,7 @@ def _mle_value(prob: FitProblem, rows, t: np.ndarray, f: np.ndarray):
 
 def _lse_value(prob: FitProblem, rows, t: np.ndarray, f: np.ndarray):
     r = rows.ybar - f
-    if np.isfinite(r).all():
+    if _all(np.isfinite(r)):
         return rows.W + _dot(rows.m * r, r)
     finite = np.isfinite(r).all(axis=-1)  # inf for the other members, with no arithmetic on their r
     r = np.where(finite[..., None], r, 0.0)
@@ -399,14 +408,14 @@ def _lse_value(prob: FitProblem, rows, t: np.ndarray, f: np.ndarray):
 
 def _mle_grad_hess(prob: FitProblem, st, t: np.ndarray, f: np.ndarray):
     g, H = prob.family.nll_derivatives(st.Y, st.Xs, t, st.m)
-    return g, _ridged(H, 1e-12), np.ones(len(t), dtype=bool)
+    return g, _ridged(H, 1e-12), None
 
 
 def _lse_grad_hess(prob: FitProblem, st, t: np.ndarray, f: np.ndarray):
     fp = prob.link.deriv1(t)
     r = st.ybar - f
-    ok = np.ones(len(t), dtype=bool)
-    if not (np.isfinite(fp).all() and np.isfinite(r).all()):
+    ok = None
+    if not (_all(np.isfinite(fp)) and _all(np.isfinite(r))):
         # a member whose values are not finite stops here: no arithmetic on them
         ok = np.isfinite(fp).all(axis=-1) & np.isfinite(r).all(axis=-1)
         fp, r = np.where(ok[:, None], fp, 0.0), np.where(ok[:, None], r, 0.0)
@@ -421,7 +430,7 @@ def _ridged(H: np.ndarray, c: float) -> np.ndarray:
     """H, C-contiguous, plus c max(1, tr H) on the diagonal of each member."""
     k = H.shape[-1]
     diag = H.reshape(H.shape[:-2] + (k * k,))[..., ::k + 1]  # a view
-    diag += (c * np.fmax(1.0, diag.sum(axis=-1)))[..., None]
+    diag += (c * np.fmax(1.0, np.add.reduce(diag, axis=-1)))[..., None]
     return H
 
 
@@ -451,13 +460,13 @@ class _Loss(NamedTuple):
     t besides t (least squares: the link values f(t); the likelihood's
     family takes t itself), the value on the images of grouped rows,
     (gradient, Hessian, ok) on a support, ok False where a member's
-    derivatives are not finite (its solve stops there), the working response
-    of the ridge start, whether the zero start is kept beside the ridge
-    start (least squares is not convex, so it keeps the better of two), an
-    exact lower bound on the loss over all u, and a lower bound on the loss
-    of each support of a level (the likelihood's is its global floor, the
-    same for every support; least squares has the within-group sum of
-    squares)."""
+    derivatives are not finite (its solve stops there) and None when every
+    member's are, the working response of the ridge start, whether the
+    zero start is kept beside the ridge start (least squares is not
+    convex, so it keeps the better of two), an exact lower bound on the
+    loss over all u, and a lower bound on the loss of each support of a
+    level (the likelihood's is its global floor, the same for every
+    support; least squares has the within-group sum of squares)."""
 
     reads: tuple
     at: Callable
@@ -497,7 +506,10 @@ def _stack(prob: FitProblem, supports: np.ndarray, groups: list) -> tuple:
     """(rows, members) for a (B, k) array of supports of equal G with their
     ``_group_rows`` entries: their grouped rows stacked in one ``_Rows``,
     and one member per support."""
-    inv, m, rep = (np.array(a) for a in zip(*groups))
+    if len(groups) == 1:
+        inv, m, rep = (a[None] for a in groups[0])
+    else:
+        inv, m, rep = (np.array(a) for a in zip(*groups))
     rows = _Rows(prob, inv, m)
     XsT = prob.X.X[rep[:, None, :], supports[:, :, None]]
     w = prob.X.column_norms(math.inf)[supports]
@@ -557,8 +569,12 @@ def _null_space_step(A: np.ndarray, g: np.ndarray, H: np.ndarray):
     return -Z @ np.linalg.solve(Z.T @ H @ Z, Z.T @ g)
 
 
-_LADDER_TRIALS = 16  # trial points a backtracking pass prices, shared by the members searching
+# trial points a backtracking pass prices, shared by the members searching;
+# 32 ran fastest of 4-128 on glm_boundary, and flip_enum is flat from 16 to
+# 64 (BENCH_27.json, ladder_sweep)
+_LADDER_TRIALS = 32
 _RUNGS = np.ldexp(1.0, -np.arange(1100))  # the step sizes 2^-j, exactly; 2^-1074 is the last
+_DECREASE = 1e-4 * _RUNGS  # the Armijo factor 1e-4 alpha of each rung
 
 
 def _armijo(prob: FitProblem, mem: _Members, V, T, F, cur, d, dn, gdotd, careful: bool):
@@ -591,15 +607,17 @@ def _armijo(prob: FitProblem, mem: _Members, V, T, F, cur, d, dn, gdotd, careful
         valid = alpha * dni > _STEP_TOL
         trial = Vi + alpha[..., None] * di
         t = (mem.Xs @ trial[..., None])[..., 0]
-        ok = valid & D.admits(trial, t, mem.w)
-        if not ok.all():
+        ok = D.admits(trial, t, mem.w)
+        ok &= valid
+        if not _all(ok):
             hit = np.zeros(len(V), dtype=bool) if hit is None else hit
             hit[idx] |= (valid & ~ok).any(axis=0)
             t = np.where(ok[..., None], t, Ti)
         f = loss.at(prob, t)
         va = loss.value(prob, mem, t, f)
-        passing = ok & (va <= ci + 1e-4 * alpha * gi)
-        if passing[0].all():  # every member accepts the first rung of the pass
+        passing = va <= ci + _DECREASE[j0:j0 + width, None] * gi
+        passing &= ok
+        if _all(passing[0]):  # every member accepts the first rung of the pass
             V[idx], T[idx], F[idx], cur[idx] = trial[0], t[0], f[0], va[0]
             if moved is None:
                 return None
@@ -664,14 +682,14 @@ def _active_set_newton(prob: FitProblem, mem: _Members, V, T, F, cur, careful: b
     for _ in range(_MAX_ITER):
         clamped = np.zeros(ids.size, dtype=bool)
         acts = {}
-        if on_boundary.any():
+        if np.count_nonzero(on_boundary):
             for i in np.flatnonzero(on_boundary):
                 act = _active_constraints(D, mem.Xs[i], mem.w[i], V[i], T[i])
                 if act is not None:
                     acts[i] = act
                     clamped[i] = True
         g, H, ok = loss.grad_hess(prob, mem, T, F)
-        stop = ~ok
+        stop = np.zeros(ids.size, dtype=bool) if ok is None else ~ok
         d = _newton_steps(H, g)  # every member's; the facet steps replace theirs
         facet_done = []
         for i, (A, cap_alone) in acts.items():
@@ -689,40 +707,47 @@ def _active_set_newton(prob: FitProblem, mem: _Members, V, T, F, cur, careful: b
                 clamped[i] = False  # the cap does not bind at the optimum
             else:
                 facet_done.append(i)
-        converged = ~(stop | clamped) & (np.abs(g).max(axis=1) <= _GRAD_TOL)
+        converged = np.abs(g).max(axis=1) <= _GRAD_TOL
+        if acts or ok is not None:  # otherwise no member stops or is clamped yet
+            converged &= ~(stop | clamped)
         if facet_done:
             converged[facet_done] = True
         dn = np.abs(d).max(axis=1)
         stop |= converged | ~((dn > 0.0) & (dn < math.inf))  # as does a zero or non-finite step
-        nstop = np.count_nonzero(stop)
-        if not nstop:
-            go = slice(None)
-            res = _armijo(prob, mem, V, T, F, cur, d, dn, _dot(g, d), careful)
-        elif nstop < ids.size:
-            go = ~stop
-            Va, Ta, Fa, ca = V[go], T[go], F[go], cur[go]
-            res = _armijo(prob, mem.take(go), Va, Ta, Fa, ca, d[go], dn[go], _dot(g[go], d[go]),
-                          careful)
-            V[go], T[go], F[go], cur[go] = Va, Ta, Fa, ca
-        if nstop < ids.size:
-            if res is not None:  # None: every member accepted its full step
-                moved, hit = res
-                stop[go] = ~moved & (clamped[go] | on_boundary[go] | ~hit)
-                clamped[go] |= hit
-                nstop = np.count_nonzero(stop)
-        if nstop:
-            for o, x in zip(out, (V, cur, converged, clamped)):
-                o[ids[stop]] = x[stop]
-            keep = ~stop
-            if nstop == ids.size:
+        if np.count_nonzero(stop):
+            ids, V, T, F, cur, clamped, on_boundary, g, d, dn = _retire(
+                out, ids, stop, (V, cur, converged, clamped),
+                (ids, V, T, F, cur, clamped, on_boundary, g, d, dn))
+            if not ids.size:
                 return out
-            ids, V, T, F, cur, clamped = (x[keep] for x in (ids, V, T, F, cur, clamped))
-            mem = mem.take(keep)
+            mem = mem.take(~stop)
+        res = _armijo(prob, mem, V, T, F, cur, d, dn, _dot(g, d), careful)
+        if res is not None:  # None: every member accepted its full step
+            moved, hit = res
+            stop = ~moved & (clamped | on_boundary | ~hit)
+            clamped |= hit
+            if np.count_nonzero(stop):
+                ids, V, T, F, cur, clamped = _retire(
+                    out, ids, stop, (V, cur, np.zeros_like(stop), clamped),
+                    (ids, V, T, F, cur, clamped))
+                if not ids.size:
+                    return out
+                mem = mem.take(~stop)
         on_boundary = clamped
     # members still live after _MAX_ITER: not converged, clamped as their last step left them
     for o, x in zip(out, (V, cur, np.zeros(ids.size, dtype=bool), on_boundary)):
         o[ids] = x
     return out
+
+
+def _retire(out: tuple, ids: np.ndarray, stop: np.ndarray, final: tuple, live: tuple) -> list:
+    """Write the final arrays (v, loss, converged, clamped) of the members
+    that stop into out, at their ids, and return the rows of the live
+    arrays that belong to the others."""
+    for o, x in zip(out, final):
+        o[ids[stop]] = x[stop]
+    keep = ~stop
+    return [x[keep] for x in live]
 
 
 def _newton_steps(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -772,7 +797,8 @@ def _solve_stack(prob: FitProblem, supports: np.ndarray, groups: list, careful: 
     rows, mem = _stack(prob, supports, groups)
     Bs, k = supports.shape
     zero, t0 = np.zeros(k), np.zeros(mem.Xs.shape[1])
-    inside = prob.domain.interval.contains(0.0)  # the zero start's images are 0, its norm is 0
+    I = prob.domain.interval
+    inside = I.lo <= 0.0 <= I.hi  # the zero start's images are 0 (finite), its norm is 0
     starts = []  # (support, v, t)
     for b in range(Bs):
         if inside:
@@ -785,7 +811,7 @@ def _solve_stack(prob: FitProblem, supports: np.ndarray, groups: list, careful: 
     if not starts:
         return out
     sup, V, T = (np.array(a) for a in zip(*starts))
-    if len(sup) != Bs or (sup != np.arange(Bs)).any():
+    if sup.tolist() != list(range(Bs)):
         mem = mem.take(sup)
     F = loss.at(prob, T)
     cur = loss.value(prob, mem, T, F)
@@ -801,35 +827,60 @@ def _solve_stack(prob: FitProblem, supports: np.ndarray, groups: list, careful: 
     return out
 
 
+# What a solve raises on its own numbers, which the replay must defer to the
+# support it belongs to: FloatingPointError under np.errstate(..="raise"),
+# LinAlgError (a ValueError), the likelihood's ValueError outside its
+# natural domain, and MemoryError; any other exception is a fault and
+# propagates at once.
+_SOLVE_ERRORS = (ArithmeticError, ValueError, MemoryError)
+
+
 def _solve_run(prob: FitProblem, supports: np.ndarray, groups: list) -> list:
     """Solve a run of supports of one size, a (B, k) array with their
     ``_group_rows`` entries: the supports of equal G as one stack each,
     never padded.  Returns one result per support, as ``inner_solve``
-    does, or the exception its solve raised.
+    does, or the exception (one of ``_SOLVE_ERRORS``) its solve raised.
 
-    Members share arrays, so an exception (say a link that overflows under
-    np.errstate(over="raise")) stops the whole attempt; each support is then
-    solved again alone, one rung per backtracking pass, which evaluates
-    exactly the points a sequential solve does: an exception that recurs
-    there is the support's own, and the others are unaffected."""
+    Members share arrays, so such an exception (say a link that overflows
+    under np.errstate(over="raise")) stops the whole attempt; each support
+    is then solved again alone, one rung per backtracking pass, which
+    evaluates exactly the points a sequential solve does: an exception that
+    recurs there is the support's own, and the others are unaffected."""
     try:
         return _lockstep(prob, supports, groups, careful=False)
-    except Exception:
+    except _SOLVE_ERRORS:
         pass
     out = []
     for b in range(len(supports)):
         try:
             out += _lockstep(prob, supports[b:b + 1], groups[b:b + 1], careful=True)
-        except Exception as exc:
+        except _SOLVE_ERRORS as exc:
             out.append(exc)
     return out
 
 
+class _Run:
+    """A run of ``fit`` (supports of one size, a (B, k) array, with their
+    ``_group_rows`` entries), solved by ``_solve_run`` on the first
+    ``inner_solve`` that asks for one of its supports."""
+
+    def __init__(self, prob: FitProblem, supports: np.ndarray, groups: list):
+        self.prob, self.supports, self.groups = prob, supports, groups
+        self.results = None  # support tuple -> its result or exception, once solved
+
+    def result(self, S: tuple):
+        if self.results is None:
+            got = _solve_run(self.prob, self.supports, self.groups)
+            self.results = dict(zip(map(tuple, self.supports.tolist()), got))
+        return self.results[S]
+
+
 def _lockstep(prob: FitProblem, supports: np.ndarray, groups: list, careful: bool) -> list:
     """``_solve_stack`` on the supports of each G, their results in run order."""
-    sizes = np.array([len(m) for _, m, _ in groups])
-    if (sizes == sizes[0]).all():
+    sizes = [len(m) for _, m, _ in groups]
+    if len(set(sizes)) == 1:
         return _solve_stack(prob, supports, groups, careful)
+    sizes = np.array(sizes)
     out = [None] * len(supports)
     for G in np.unique(sizes):
         at = np.flatnonzero(sizes == G)
@@ -838,17 +889,26 @@ def _lockstep(prob: FitProblem, supports: np.ndarray, groups: list, careful: boo
     return out
 
 
-def inner_solve(prob: FitProblem, S: tuple, groups: tuple | None = None):
-    """Solve the smooth inner problem on a fixed support: a run of one
-    support (``_solve_run``), whose starts are the members of one
-    ``_active_set_newton`` with the loss's own derivative pair (exact
-    Hessian for the likelihood, Gauss-Newton for least squares).
-    Returns (u, loss, converged, boundary_clamped) or None when no feasible
-    start exists for the support; ``groups`` is its ``_group_rows`` entry,
-    formed here if None.
+def inner_solve(prob: FitProblem, S: tuple, groups: tuple | None = None,
+                run: _Run | None = None):
+    """Solve the smooth inner problem on a fixed support S: its starts are
+    members of one ``_active_set_newton`` with the loss's own derivative
+    pair (exact Hessian for the likelihood, Gauss-Newton for least
+    squares).  Returns (u, loss, converged, boundary_clamped) or None when
+    no feasible start exists for the support, and raises what its solve
+    raised.
+
+    ``run`` is a ``_Run`` holding S (``fit`` passes each support its run):
+    the first inner_solve of a run solves every support of it at once, and
+    each call returns its own support's result.  Without one, S is a run of
+    one support, grouped by ``groups`` (its ``_group_rows`` entry, formed
+    here if None).
     """
-    supports = np.array(S, dtype=np.intp).reshape(1, len(S))
-    got = _solve_run(prob, supports, [groups or _group_rows(prob, supports)[0]])[0]
+    S = tuple(S)
+    if run is None:
+        supports = np.array(S, dtype=np.intp).reshape(1, len(S))
+        run = _Run(prob, supports, [groups or _group_rows(prob, supports)[0]])
+    got = run.result(S)
     if isinstance(got, Exception):
         raise got
     return got
@@ -874,17 +934,18 @@ def fit(prob: FitProblem) -> FitResult:
     are all equal, keys whole chunks).
 
     The keyed supports of a chunk that share the floor of the one coming up
-    form a run, solved at once (``_solve_run``: every start of every
+    form a run (a ``_Run``), solved at once by the first ``inner_solve``
+    that asks for one of its supports (``_solve_run``: every start of every
     support a member of one lockstep loop).  The prune test is then
-    replayed on the results in solve order, each against the incumbent the
-    solves before it leave, and the first support it rejects ends the level
-    as it would have ended a sequential solve; the supports after it are
-    dropped unrecorded, and a solve's exception is raised only where the
-    replay reaches it.  Equal floors pass the same test until a solve
-    returns exact zeros and beats floor + c_r k, so a likelihood run is its
-    whole admitted chunk, and a least-squares run, whose floors differ, one
-    support.  Records, incumbent and fit are exactly those of solving one
-    support at a time.
+    replayed in solve order, one ``inner_solve`` per support it admits,
+    each against the incumbent the solves before it leave, and the first
+    support it rejects ends the level as it would have ended a sequential
+    solve; the supports after it are dropped unrecorded, and a solve's
+    exception is raised only where the replay reaches it.  Equal floors
+    pass the same test until a solve returns exact zeros and beats
+    floor + c_r k, so a likelihood run is its whole admitted chunk, and a
+    least-squares run, whose floors differ, one support.  Records,
+    incumbent and fit are exactly those of solving one support at a time.
 
     Both prunes are exact, so the reported minimizer is the same as under
     full enumeration; pruned supports simply do not appear in ``records``,
@@ -940,13 +1001,13 @@ def fit(prob: FitProblem) -> FitResult:
                 groups = _group_rows(prob, supports[keyed])
             o = j % chunk
             run = keyed[o:o + 1 + int(np.count_nonzero(floors[keyed[o + 1:]] == floors[keyed[o]]))]
-            for i, got in zip(run, _solve_run(prob, supports[run], groups[o:o + run.size])):
+            solving = _Run(prob, supports[run], groups[o:o + run.size])
+            for i in run:
                 if floors[i] + prob.c_r * k > incumbent + _TIE_TOL:
                     break  # the replay: the test above ends the level here
-                if isinstance(got, Exception):
-                    raise got
                 j += 1
                 S = tuple(supports[i].tolist())
+                got = inner_solve(prob, S, run=solving)
                 if got is None:
                     level.append((i, SupportRecord(S, math.inf, False, False, False), None))
                     continue

@@ -54,7 +54,7 @@ class _Solo:
     def grad_hess(self, t):
         t = t[None]
         g, H, ok = self.loss.grad_hess(self.prob, self.mem, t, self.loss.at(self.prob, t))
-        return (g[0], H[0]) if ok[0] else None
+        return (g[0], H[0]) if ok is None or ok[0] else None
 
 
 def _problem_gaussian(y, X, c_r, budget=3):
@@ -593,30 +593,49 @@ def test_every_iterate_carries_the_row_images_its_trial_admitted(monkeypatch):
     # membership test judges them: the derivatives and the binding
     # constraints of an accepted point are computed on those very images (or
     # on the zero start's), never on a fresh product, and no product runs
-    # over all n rows
+    # over all n rows.  Stacked members hold copies of the images they
+    # accepted, so the images are matched by their bytes, and the count
+    # rules out a fresh product: exactly one image product (Xs v, on the
+    # G x k group rows the members hold) per membership test
     from l0bounds import domains, estimator
 
     _cfg, inst, D = _boundary_instance(1200)
     inside = [False]
-    all_rows = [0]
+    products = {"all_rows": 0, "images": 0}
+    held = []  # every stack's G x k group rows, as the members hold them
 
     class CountedDesign(np.ndarray):
         def __matmul__(self, other):
-            if inside[0] and self.ndim >= 2 and self.shape[-2] == inst.X.n:
-                all_rows[0] += 1
+            if inside[0] and self.ndim >= 2:
+                if self.shape[-2] == inst.X.n:
+                    products["all_rows"] += 1
+                # Xs (column-major, a view of XsT), not its transpose XsT
+                column_major = self.strides[-2] == self.itemsize
+                if column_major and any(np.shares_memory(self, a) for a in held):
+                    products["images"] += 1
             return np.asarray(self) @ np.asarray(other)
 
     dm = DesignMatrix(inst.X.X)
-    dm.X = dm.X.view(CountedDesign)
+    dm.X = dm.X.view(CountedDesign)  # the members' rows are gathered from it, and stay counted
     admitted = set()  # the bytes of every row of images the membership test admitted
+    tests = [0]
     received = {"grad_hess": [], "active": []}
     real_admits = domains.DomainSpec.admits
 
     def admits(self, u, t, w):
+        tests[0] += 1
         ok = real_admits(self, u, t, w)
         t = np.asarray(t)
         admitted.update(r.tobytes() for r in t.reshape(-1, t.shape[-1])[np.ravel(ok)])
         return ok
+
+    real_init = estimator._Members.__init__
+
+    def init(self, XsT, **arrays):
+        real_init(self, XsT, **arrays)
+        G, k = XsT.shape[-1], XsT.shape[-2]
+        assert 2 <= G <= 2**k or G == 1 > k  # a +-1 design: G >= 2 keeps Xs and XsT apart
+        held.append(XsT)
 
     grad_hess = estimator._LOSSES["mle"].grad_hess
 
@@ -640,6 +659,7 @@ def test_every_iterate_carries_the_row_images_its_trial_admitted(monkeypatch):
             inside[0] = False
 
     monkeypatch.setattr(domains.DomainSpec, "admits", admits)
+    monkeypatch.setattr(estimator._Members, "__init__", init)
     monkeypatch.setitem(
         estimator._LOSSES, "mle", estimator._LOSSES["mle"]._replace(grad_hess=counted_grad_hess)
     )
@@ -651,7 +671,7 @@ def test_every_iterate_carries_the_row_images_its_trial_admitted(monkeypatch):
     for kind, ts in received.items():
         assert all(t in admitted or not np.frombuffer(t).any() for t in ts), kind
     assert any(t in admitted for t in received["grad_hess"])
-    assert all_rows[0] == 0
+    assert products == {"all_rows": 0, "images": tests[0]} and tests[0] > 0
 
 
 def test_lse_interior_solves_are_stationary():
@@ -1537,6 +1557,68 @@ def _run_and_alone(monkeypatch, prob, supports):
     return run, alone
 
 
+@pytest.mark.parametrize("careful", [False, True])
+def test_the_ladder_accepts_what_a_sequential_search_accepts(careful):
+    # each member takes the first of v + 2^-j d, j = 0, 1, ..., that the
+    # domain admits and whose loss is at most cur + 1e-4 2^-j g'd, as a
+    # search one trial at a time finds it (written out below); cur is set
+    # just above the Armijo threshold of a chosen rung, so that both the
+    # rung and the constant decide which trial is accepted
+    from l0bounds import estimator
+
+    rng = np.random.default_rng(52)
+    n, p = 60, 4
+    Xm = rng.choice([-1.0, 1.0], size=(n, p))
+    D = DomainSpec(Interval(-3.0, 3.0), max_support=2.0)
+    y = rng.choice([0.0, 1.0], size=n)
+    for model in ({"family": bernoulli()}, {"link": logistic_flip(0.1, 0.9)}):
+        prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=D, c_r=0.1, **model)
+        loss = estimator._LOSSES[prob.loss]
+        supports = np.array([[0, 1], [0, 2], [1, 3], [2, 3], [0, 3], [1, 2]] * 2, dtype=np.intp)
+        groups = estimator._group_rows(prob, supports)
+        assert len({len(m) for _, m, _ in groups}) == 1
+        _rows, mem = estimator._stack(prob, supports, groups)
+        B = len(supports)
+        V = rng.uniform(-0.5, 0.5, (B, 2))
+        d = rng.standard_normal((B, 2)) * np.ldexp(1.0, rng.integers(-3, 4, B))[:, None]
+        d[0] *= 1e-11  # its rungs run out after a few trials
+        target = rng.integers(0, 12, B)  # the rung whose threshold cur sits above
+        gd = -np.abs(rng.standard_normal(B))
+        T = (mem.Xs @ V[..., None])[..., 0]
+        F = loss.at(prob, T)
+        cur = np.empty(B)
+        for b in range(B):
+            tv = V[b] + np.ldexp(1.0, -int(target[b])) * d[b]
+            tt = (mem.Xs[b:b + 1] @ tv[None, :, None])[..., 0]
+            val = loss.value(prob, mem.take([b]), tt, loss.at(prob, tt))[0]
+            cur[b] = val - 0.75e-4 * np.ldexp(1.0, -int(target[b])) * gd[b]
+        expect = []
+        for b in range(B):  # the sequential search
+            one = mem.take([b])
+            alpha, dn, hit, got = 1.0, float(np.abs(d[b]).max()), False, None
+            while alpha * dn > estimator._STEP_TOL:
+                tv = V[b] + alpha * d[b]
+                tt = (one.Xs @ tv[None, :, None])[..., 0]
+                if not D.admits(tv, tt[0], one.w[0]):
+                    hit = True
+                else:
+                    val = loss.value(prob, one, tt, loss.at(prob, tt))[0]
+                    if val <= cur[b] + 1e-4 * alpha * gd[b]:
+                        got = (tv.tobytes(), tt[0].tobytes(), float(val).hex())
+                        break
+                alpha *= 0.5
+            expect.append((got, got is None and hit))
+        Vs, Ts, Fs, cs = V.copy(), T.copy(), F.copy(), cur.copy()
+        res = estimator._armijo(prob, mem, Vs, Ts, Fs, cs, d, np.abs(d).max(axis=1), gd, careful)
+        moved, hit = res if res is not None else (np.ones(B, dtype=bool), np.zeros(B, dtype=bool))
+        got = [((Vs[b].tobytes(), Ts[b].tobytes(), float(cs[b]).hex()) if moved[b] else None,
+                bool(hit[b])) for b in range(B)]
+        assert got == expect
+        assert any(e[0] is None for e in expect) and sum(e[0] is not None for e in expect) > B // 2
+        for b in np.flatnonzero(~moved):  # a member that takes no trial keeps its state
+            assert Vs[b].tobytes() == V[b].tobytes() and cs[b] == cur[b]
+
+
 @pytest.mark.parametrize("design,loss", GROUPING_CASES)
 def test_a_run_solves_each_member_as_it_would_alone(monkeypatch, design, loss):
     # the members of a run share every numpy call, but each does the
@@ -1685,3 +1767,67 @@ def test_an_overflow_in_one_member_leaves_the_others(monkeypatch):
             inner_solve(prob, (0,))
     assert isinstance(run[1], FloatingPointError)
     assert _result_bytes(run[0]) == _result_bytes(ok)
+
+
+def test_a_fault_in_the_lockstep_loop_is_raised_not_retried(monkeypatch):
+    # only what a solve raises on its own numbers (overflow, a singular
+    # system, a value outside the natural domain) sends a run to the
+    # member-by-member retry; a fault in the code, here a TypeError forced
+    # into the backtracking, leaves fit at once
+    from l0bounds import estimator
+
+    rng = np.random.default_rng(50)
+    prob = _grouping_problem("pm1", "mle", 90, 5, rng)(0.3)
+    retried = []
+    real = estimator._lockstep
+
+    def lockstep(prob, supports, groups, **kw):
+        retried.append(kw["careful"])
+        return real(prob, supports, groups, **kw)
+
+    def broken(*args):
+        raise TypeError("forced")
+
+    monkeypatch.setattr(estimator, "_lockstep", lockstep)
+    monkeypatch.setattr(estimator, "_armijo", broken)
+    with pytest.raises(TypeError, match="forced"):
+        fit(prob)
+    assert retried and not any(retried)  # no support was solved again alone
+
+
+@pytest.mark.parametrize("design,loss", GROUPING_CASES)
+def test_fit_asks_inner_solve_once_per_recorded_support(monkeypatch, design, loss):
+    # fit solves a run at once, but hands each support the replay admits to
+    # inner_solve: one call per record, whose result is the record's, and
+    # every run is solved inside the first call that asks for one of its
+    # supports (so that call's time is the run's)
+    from l0bounds import estimator
+
+    rng = np.random.default_rng(51)
+    prob = _grouping_problem(design, loss, 120, 5, rng)(0.05)
+    asked, depth, solved_inside = [], [0], []
+    real_inner, real_run = estimator.inner_solve, estimator._solve_run
+
+    def inner(prob, S, groups=None, run=None):
+        depth[0] += 1
+        try:
+            got = real_inner(prob, S, groups, run)
+        finally:
+            depth[0] -= 1
+        asked.append((S, got))
+        return got
+
+    def run(prob, supports, groups):
+        solved_inside.append(depth[0] == 1)
+        return real_run(prob, supports, groups)
+
+    monkeypatch.setattr(estimator, "inner_solve", inner)
+    monkeypatch.setattr(estimator, "_solve_run", run)
+    res = fit(prob)
+    assert sorted(S for S, _ in asked) == sorted(r.support for r in res.records)
+    by_support = {r.support: r for r in res.records}
+    for S, got in asked:
+        rec = by_support[S]
+        assert (got is not None) == rec.feasible
+        assert got is None or (got[1], got[2], got[3]) == (rec.loss, rec.converged, rec.boundary_clamped)
+    assert solved_inside and all(solved_inside)
