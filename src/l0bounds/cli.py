@@ -119,6 +119,8 @@ def parse_b_rule(br) -> tuple:
 
 
 def load_design(args, cfg: dict) -> DesignMatrix:
+    if args.x and "design" in cfg:
+        raise ConfigError("give the design once: --x or a 'design' config block, not both")
     if args.x:
         try:
             return DesignMatrix(np.loadtxt(args.x, delimiter=",", ndmin=2, dtype=float))

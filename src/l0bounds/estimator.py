@@ -21,10 +21,14 @@ does the floating-point operations of its solve alone.
 
 Every inner problem depends on the rows only through the distinct row
 images of X_S, their multiplicities m_g and their response sums, so the
-rows are grouped (by the columns' level codes, which the problem caches)
-a chunk of a level's supports at a time, and each support solves on its
-G <= min(n, prod of the columns' level counts) group rows: at most 2^k on
-a +-1 or 0/1 design with support size k, n on a gaussian one.  A trial
+rows are grouped a chunk of a level's supports at a time, and each
+support solves on its G <= min(n, prod of the columns' level counts)
+group rows: at most 2^k on a +-1 or 0/1 design with support size k, n on
+a gaussian one.  A likelihood support of size <= 2 whose columns are in
+the indicator Gram (``FitProblem.level_gram``) reads its groups from it,
+with no row touched (the cells route, when 0 lies in the interval); every
+other support keys its rows by the columns' level codes, which the
+problem caches (the row route).  A trial
 point costs one product of the G x k group rows with v, and those images
 (with the link's values there) serve the domain test, the loss, the
 derivatives and the binding constraints of the accepted point; no work per
@@ -37,12 +41,12 @@ likelihood's floor is its global loss floor, the same for every support.
 On the group rows the least-squares loss is W_S + sum_g m_g (ybar_g -
 f(t_g))^2, so its floor is the within-group sum of squares W_S (less a
 rounding margin), formed for a whole level from its supports' cell counts
-and response sums: for pairs of two-level columns, when every y_i is an
-integer, read from one p x p Gram of their 0/1 indicators
-(``FitProblem.level_gram``), otherwise from stacked level keys; it is 0 on
-a continuous column, where every group is one row.  ``_level_keys``
-keys the rows of a level's supports, for the level pass and the groups
-alike; a solve's rows are keyed only if the prune still admits it.
+and response sums: for supports of size <= 2 of two-level columns, when
+every y_i is an integer, read from the Gram of their 0/1 indicators,
+otherwise from stacked level keys; it is 0 on a continuous column, where
+every group is one row.  ``_level_keys`` keys the rows of a level's
+supports, for the level pass and the row route alike; a support is
+grouped only if the prune still admits it.
 
 Determinism: equal floors keep itertools.combinations order; records come
 in enumeration order, by size and then lexicographically; tie-breaking is
@@ -120,7 +124,7 @@ class FitProblem:
         entry the column's min or max, and min < max) are coded in one pass,
         X == max; the others by ``np.unique``."""
         X = self.X.X
-        lo, hi = X.min(axis=0), X.max(axis=0)
+        lo, hi = self.level_range
         at_hi = X == hi
         two = (at_hi | (X == lo)).all(axis=0) & (lo < hi)
         codes = np.empty((self.X.p, self.X.n), dtype=np.intp)
@@ -132,10 +136,23 @@ class FitProblem:
         return codes, levels
 
     @functools.cached_property
+    def level_range(self) -> np.ndarray:
+        """(2, p), of X's array type: each column's min and max, so that row
+        c holds the value of level code c of every two-level column."""
+        X = self.X.X
+        out = np.empty_like(X, shape=(2, self.X.p))
+        X.min(axis=0, out=out[0])
+        X.max(axis=0, out=out[1])
+        return out
+
+    @functools.cached_property
     def level_gram(self) -> tuple:
         """(slot, N, M): N = Z'Z and M = Z' diag(y) Z for the 0/1 indicators
         Z of the two-level columns (their level codes as floats), column j at
-        row slot[j] (-1 when left out), for ``_gram_cells``.
+        row slot[j] (-1 when left out), for ``_gram_cells``.  ``fit`` forms
+        it once its budget reaches pairs; the least-squares floors and the
+        likelihood's groups of supports of size <= 2 then read their cells
+        from it (``_in_gram``) instead of keying rows.
 
         Z holds every two-level column, but only when n >= 4 (a pair's 4
         cells are then no more than the n keys of the level pass) and every
@@ -192,15 +209,20 @@ class _Rows:
     response sums.  Least squares reads the group means ybar and the
     within-group sum of squares W = sum_i (y_i - ybar_g(i))^2, the ridge
     start the working-response sums; each is formed on first use.  With one
-    row per group (inv = 0..n-1, m = 1) the losses are their per-row forms."""
+    row per group (inv = 0..n-1, m = 1) the losses are their per-row forms.
+    Groups read from the Gram (``_Cells``) come with their sums Y and no
+    inv, so they serve only m and Y."""
 
-    def __init__(self, prob: FitProblem, inv: np.ndarray, m: np.ndarray):
+    def __init__(self, prob: FitProblem, inv: np.ndarray | None, m: np.ndarray,
+                 Y: np.ndarray | None = None):
         self.prob, self.inv, self.m = prob, inv, m
-        # each row's group in the flat m: support b's groups offset past the ones before
-        G = m.shape[-1]
-        self.cell = inv.ravel() if len(m) == 1 or m.ndim == 1 else (
-            inv + G * np.arange(len(m))[:, None]).ravel()
-        self.Y = self._sums(prob.y)
+        if Y is None:
+            # each row's group in the flat m: support b's groups offset past the ones before
+            G = m.shape[-1]
+            self.cell = inv.ravel() if len(m) == 1 or m.ndim == 1 else (
+                inv + G * np.arange(len(m))[:, None]).ravel()
+            Y = self._sums(prob.y)
+        self.Y = Y
 
     def _sums(self, x: np.ndarray) -> np.ndarray:
         """The group sums of x, every support's in one bincount (the rows in
@@ -285,7 +307,7 @@ def _group_rows(prob: FitProblem, supports: np.ndarray) -> list:
     return [(inv[b], m[lo:hi], rep[lo:hi]) for b, (lo, hi) in enumerate(zip(first.tolist(), ends))]
 
 
-_PASS_CELLS = 1 << 14  # keys per chunk of a level pass: 128 KB of them
+_PASS_CELLS = 1 << 14  # keys (or Gram cells) per chunk of a level: 128 KB of them
 
 
 def _key_cells(prob: FitProblem, supports: np.ndarray) -> tuple:
@@ -302,20 +324,40 @@ def _key_cells(prob: FitProblem, supports: np.ndarray) -> tuple:
     return m, Y, start, grouped
 
 
+def _in_gram(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
+    """Which supports of a (B, k) array read their cells from the indicator
+    Gram (``_gram_cells``): k <= 2, the Gram is formed and holds a column
+    (so every y_i is an integer), and it holds every column of the
+    support."""
+    if supports.shape[1] > 2 or "level_gram" not in vars(prob):
+        return np.zeros(len(supports), dtype=bool)
+    slot = prob.level_gram[0]
+    return (slot[supports] >= 0).all(axis=1) & bool((slot >= 0).any())
+
+
 def _gram_cells(prob: FitProblem, supports: np.ndarray) -> tuple:
-    """(m, Y, start) as ``_key_cells`` gives them, for a (B, 2) array of
-    supports with both columns in ``level_gram``, and no row touched: the
-    cells of S = (j, l) in key order, (z_j, z_l) = 00, 01, 10, 11, count
-    n - N_jj - N_ll + N_jl, N_ll - N_jl, N_jj - N_jl and N_jl rows, and
-    their response sums are the same in M and sum y, all exact integers."""
+    """(m, Y, start) as ``_key_cells`` gives them, for a (B, k) array of
+    supports with k <= 2 and every column in ``level_gram``, and no row
+    touched: the cells of S in key order, all exact integers.  For
+    S = (j, l) they are (z_j, z_l) = 00, 01, 10, 11, counting
+    n - N_jj - N_ll + N_jl, N_ll - N_jl, N_jj - N_jl and N_jl rows; for
+    S = (j,) z_j = 0, 1, counting n - N_jj and N_jj; for S = () the one cell
+    of n rows.  Their response sums are the same in M and sum y."""
     slot, N, M = prob.level_gram
-    a, b = slot[supports[:, 0]], slot[supports[:, 1]]
+    s = slot[supports]
 
     def cells(G, total):
-        jj, ll, jl = G[a, a], G[b, b], G[a, b]
+        if not s.shape[1]:
+            return np.full(len(s), float(total))
+        a = s[:, 0]
+        jj = G[a, a]
+        if s.shape[1] == 1:
+            return np.column_stack([total - jj, jj]).ravel()
+        b = s[:, 1]
+        ll, jl = G[b, b], G[a, b]
         return np.column_stack([total - jj - ll + jl, ll - jl, jj - jl, jl]).ravel()
 
-    return cells(N, prob.X.n), cells(M, prob.y.sum()), 4 * np.arange(len(supports))
+    return cells(N, prob.X.n), cells(M, prob.y.sum()), np.arange(len(s)) << s.shape[1]
 
 
 def _lse_level_floors(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
@@ -326,9 +368,10 @@ def _lse_level_floors(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
     so no point on S goes below the within-group sum of squares
     W_S = sum_i y_i^2 - sum_g Y_g^2 / m_g, formed from the cell counts m_g
     and response sums Y_g by one segmented sum of Y_g (Y_g / m_g) per
-    support.  Supports of size 2 whose columns are both in the indicator
-    Gram read their cells from it (``_gram_cells``), in chunks of at most
-    ``_PASS_CELLS`` cells; the rest go through the level pass
+    support.  Supports of size <= 2 whose columns are all in the indicator
+    Gram, once ``fit`` has formed it, read their cells from it
+    (``_gram_cells``), in chunks of at most ``_PASS_CELLS`` cells; the rest
+    go through the level pass
     (``_key_cells``) in chunks of at most ``_PASS_CELLS`` keys, so no
     temporary grows with the level.  A support that ``_level_keys``
     leaves ungrouped (every group one row) has floor 0.  The Gram is
@@ -366,13 +409,11 @@ def _lse_level_floors(prob: FitProblem, supports: np.ndarray) -> np.ndarray:
         return yy - np.add.reduceat(Y * (Y / np.maximum(m, 1)), start) - margin
 
     floors = np.empty(len(supports))
-    gram = np.zeros(len(supports), dtype=bool)
-    if supports.shape[1] == 2:
-        gram = (prob.level_gram[0][supports] >= 0).all(axis=1)
-        read, chunk = np.flatnonzero(gram), max(1, _PASS_CELLS // 4)
-        for lo in range(0, read.size, chunk):
-            at = read[lo:lo + chunk]
-            floors[at] = floor(*_gram_cells(prob, supports[at]))
+    gram = _in_gram(prob, supports)
+    read, chunk = np.flatnonzero(gram), max(1, _PASS_CELLS >> supports.shape[1])
+    for lo in range(0, read.size, chunk):
+        at = read[lo:lo + chunk]
+        floors[at] = floor(*_gram_cells(prob, supports[at]))
     rest = np.flatnonzero(~gram)
     chunk = max(1, _PASS_CELLS // n)
     for lo in range(0, rest.size, chunk):
@@ -502,16 +543,66 @@ class _Members:
         return _Members(**{name: a[idx] for name, a in vars(self).items() if name != "Xs"})
 
 
+class _Cells:
+    """The groups of a (B, k) array of supports read from the Gram, k <= 2,
+    with no row keyed: the cells of support b in key order (``_gram_cells``)
+    with their counts m[b] and response sums Y[b], and XsT[b][c] the value
+    of column S[c] in each cell, its min or max as the cell's level code of
+    the column is 0 or 1 (every entry of a two-level column is one of
+    them).  Its groups are the cells with m > 0, G[b] of them, in key
+    order, as ``_group_rows`` forms them from the rows."""
+
+    def __init__(self, prob: FitProblem, supports: np.ndarray):
+        B, k = supports.shape
+        m, Y, _ = _gram_cells(prob, supports)
+        self.m, self.Y = m.reshape(B, 1 << k), Y.reshape(B, 1 << k)
+        code = (np.arange(1 << k) >> np.arange(k - 1, -1, -1)[:, None]) & 1  # (k, 2^k)
+        self.XsT = prob.level_range[code, supports[:, :, None]]
+        self.G = np.count_nonzero(self.m, axis=1).tolist()
+
+    def stack(self, idx: list) -> tuple:
+        """(m, Y, XsT) of the supports idx, of equal G, stacked."""
+        m, Y, XsT = self.m[idx], self.Y[idx], self.XsT[idx]
+        if self.G[idx[0]] < m.shape[1]:  # drop the empty cells, keeping key order
+            cell = np.nonzero(m)[1].reshape(len(idx), -1)
+            m, Y = np.take_along_axis(m, cell, 1), np.take_along_axis(Y, cell, 1)
+            XsT = np.take_along_axis(XsT, cell[:, None, :], 2)
+        return m, Y, XsT
+
+
+class _Cell(NamedTuple):
+    """The groups entry of support b of a ``_Cells``."""
+
+    cells: _Cells
+    b: int
+
+
+def _groups(prob: FitProblem, supports: np.ndarray, on_cells: np.ndarray) -> list:
+    """One groups entry per support of a (B, k) array: a ``_Cell`` where
+    on_cells says so, otherwise its ``_group_rows`` entry, each route's
+    supports in one pass."""
+    on = on_cells.tolist()
+    cells = _Cells(prob, supports[on_cells]) if any(on) else None
+    rows = iter(_group_rows(prob, supports[~on_cells]) if not all(on) else ())
+    b = itertools.count()
+    return [_Cell(cells, next(b)) if c else next(rows) for c in on]
+
+
 def _stack(prob: FitProblem, supports: np.ndarray, groups: list) -> tuple:
-    """(rows, members) for a (B, k) array of supports of equal G with their
-    ``_group_rows`` entries: their grouped rows stacked in one ``_Rows``,
-    and one member per support."""
-    if len(groups) == 1:
-        inv, m, rep = (a[None] for a in groups[0])
+    """(rows, members) for a (B, k) array of supports of one route and equal
+    G with their groups entries (``_groups``; ``_Cell`` entries of one
+    ``_Cells``): their grouped rows stacked in one ``_Rows``, and one member
+    per support."""
+    if isinstance(groups[0], _Cell):
+        m, Y, XsT = groups[0].cells.stack([e.b for e in groups])
+        rows = _Rows(prob, None, m, Y)
     else:
-        inv, m, rep = (np.array(a) for a in zip(*groups))
-    rows = _Rows(prob, inv, m)
-    XsT = prob.X.X[rep[:, None, :], supports[:, :, None]]
+        if len(groups) == 1:
+            inv, m, rep = (a[None] for a in groups[0])
+        else:
+            inv, m, rep = (np.array(a) for a in zip(*groups))
+        rows = _Rows(prob, inv, m)
+        XsT = prob.X.X[rep[:, None, :], supports[:, :, None]]
     w = prob.X.column_norms(math.inf)[supports]
     stats = {name: getattr(rows, name) for name in _LOSSES[prob.loss].reads}
     return rows, _Members(XsT, w=w, m=m, **stats)
@@ -787,11 +878,12 @@ def _ridge_start(prob: FitProblem, Xs: np.ndarray, m: np.ndarray, sums: np.ndarr
 
 
 def _solve_stack(prob: FitProblem, supports: np.ndarray, groups: list, careful: bool) -> list:
-    """Solve a (B, k) array of supports of equal G, with their
-    ``_group_rows`` entries: the zero start where it is admitted, and the
-    ridge start as well for least squares (or alone where zero is not
-    admitted), all of them members of one ``_active_set_newton``.  Returns
-    one result per support, as ``inner_solve`` does; a support's best start
+    """Solve a (B, k) array of supports of one route and equal G, with
+    their groups entries (``_groups``): the zero start where it is
+    admitted, and the ridge start as well for least squares (or alone where
+    zero is not admitted), all of them members of one
+    ``_active_set_newton``.  Returns one result per support, as
+    ``inner_solve`` does; a support's best start
     is its first of least loss."""
     loss = _LOSSES[prob.loss]
     rows, mem = _stack(prob, supports, groups)
@@ -837,9 +929,10 @@ _SOLVE_ERRORS = (ArithmeticError, ValueError, MemoryError)
 
 def _solve_run(prob: FitProblem, supports: np.ndarray, groups: list) -> list:
     """Solve a run of supports of one size, a (B, k) array with their
-    ``_group_rows`` entries: the supports of equal G as one stack each,
-    never padded.  Returns one result per support, as ``inner_solve``
-    does, or the exception (one of ``_SOLVE_ERRORS``) its solve raised.
+    groups entries (``_groups``): the supports of each route and G as one
+    stack each, never padded.  Returns one result per support, as
+    ``inner_solve`` does, or the exception (one of ``_SOLVE_ERRORS``) its
+    solve raised.
 
     Members share arrays, so such an exception (say a link that overflows
     under np.errstate(over="raise")) stops the whole attempt; each support
@@ -861,7 +954,7 @@ def _solve_run(prob: FitProblem, supports: np.ndarray, groups: list) -> list:
 
 class _Run:
     """A run of ``fit`` (supports of one size, a (B, k) array, with their
-    ``_group_rows`` entries), solved by ``_solve_run`` on the first
+    groups entries), solved by ``_solve_run`` on the first
     ``inner_solve`` that asks for one of its supports."""
 
     def __init__(self, prob: FitProblem, supports: np.ndarray, groups: list):
@@ -876,14 +969,16 @@ class _Run:
 
 
 def _lockstep(prob: FitProblem, supports: np.ndarray, groups: list, careful: bool) -> list:
-    """``_solve_stack`` on the supports of each G, their results in run order."""
-    sizes = [len(m) for _, m, _ in groups]
-    if len(set(sizes)) == 1:
+    """``_solve_stack`` on the supports of each route and G, their results
+    in run order."""
+    stacks = {}  # (route, G) -> the positions of its supports
+    for i, e in enumerate(groups):
+        key = (True, e.cells.G[e.b]) if isinstance(e, _Cell) else (False, len(e[1]))
+        stacks.setdefault(key, []).append(i)
+    if len(stacks) == 1:
         return _solve_stack(prob, supports, groups, careful)
-    sizes = np.array(sizes)
     out = [None] * len(supports)
-    for G in np.unique(sizes):
-        at = np.flatnonzero(sizes == G)
+    for at in stacks.values():
         for i, got in zip(at, _solve_stack(prob, supports[at], [groups[i] for i in at], careful)):
             out[i] = got
     return out
@@ -926,14 +1021,21 @@ def fit(prob: FitProblem) -> FitResult:
     ascending floor order (a stable sort: equal floors keep combinations
     order), and stopped at the first support whose floor plus c_r k exceeds
     the incumbent by more than the tie tolerance; every later one fails the
-    same test.  The solves are grouped in chunks of ``_PASS_CELLS // n``, in
-    solve order, one ``_group_rows`` pass each when its first support comes
-    up; the pass keys the chunk only up to its first support that fails the
-    same test against the incumbent of that moment, which only falls, so
-    no support the prune skips is keyed (a likelihood level, whose floors
-    are all equal, keys whole chunks).
+    same test.  The solves are grouped in chunks, in solve order, one pass
+    each (``_groups``) when its first support comes up.  A support takes the
+    cells route when the loss is the likelihood, 0 lies in the interval
+    (else its ridge start reads working-response sums, which only the rows
+    give) and its cells are in the Gram (``_in_gram``: k <= 2, and ``fit``
+    forms the Gram once its budget reaches pairs); its groups are then read
+    from the Gram (``_Cells``) and no row is keyed.  Every other support
+    keys its rows (``_group_rows``).  A chunk holds up to ``_PASS_CELLS`` of
+    what its supports hold while grouped: n keys on the row route, 2^k cells
+    on the cells route (4096 pairs).  The pass groups the chunk only up to
+    its first support that fails the same test against the incumbent of
+    that moment, which only falls, so no support the prune skips is grouped
+    (a likelihood level, whose floors are all equal, groups whole chunks).
 
-    The keyed supports of a chunk that share the floor of the one coming up
+    The grouped supports of a chunk that share the floor of the one coming up
     form a run (a ``_Run``), solved at once by the first ``inner_solve``
     that asks for one of its supports (``_solve_run``: every start of every
     support a member of one lockstep loop).  The prune test is then
@@ -972,7 +1074,10 @@ def fit(prob: FitProblem) -> FitResult:
         raise ValueError("enumeration budget exceeded (more than 1e6 supports)")
     loss = _LOSSES[prob.loss]
     loss_floor = loss.loss_floor(prob)  # an exact lower bound on the unpenalized loss over all u
-    chunk = max(1, _PASS_CELLS // prob.X.n)  # supports grouped per pass, as in the level floors
+    if h >= 2:
+        prob.level_gram  # formed here, so that sizes 0 and 1 read it too
+    I = prob.domain.interval
+    cells_ok = prob.loss == "mle" and I.lo <= 0.0 <= I.hi
     records = []
     candidates = []  # (objective, sparsity, support, u, loss)
     incumbent = math.inf
@@ -985,22 +1090,28 @@ def fit(prob: FitProblem) -> FitResult:
         supports = np.fromiter(combos, dtype=np.intp, count=count * k).reshape(count, k)
         floors = loss.level_floors(prob, supports)
         order = np.argsort(floors, kind="stable")
+        on_cells = _in_gram(prob, supports) & cells_ok
+        # what the supports before each one in solve order hold while grouped
+        held = np.concatenate([[0], np.cumsum(np.where(on_cells[order], 1 << k, prob.X.n))])
         level = []  # (enumeration index, record, candidate or None)
-        j = 0
+        j = end = 0
         while j < count:
             # exact prune: no point on this support, nor (the floors ascend)
             # on any later one of this size, can beat the incumbent
             if floors[order[j]] + prob.c_r * k > incumbent + _TIE_TOL:
                 break
-            if j % chunk == 0:
-                # key only the supports the same test still admits: the
+            if j == end:
+                end = max(j + 1, int(np.searchsorted(held, held[j] + _PASS_CELLS, "right")) - 1)
+                # group only the supports the same test still admits: the
                 # incumbent only falls, so the rest of the chunk is never solved
-                nxt = order[j:j + chunk]
+                nxt = order[j:end]
                 cut = np.flatnonzero(floors[nxt] + prob.c_r * k > incumbent + _TIE_TOL)
-                keyed = nxt[:cut[0] if cut.size else nxt.size]
-                groups = _group_rows(prob, supports[keyed])
-            o = j % chunk
-            run = keyed[o:o + 1 + int(np.count_nonzero(floors[keyed[o + 1:]] == floors[keyed[o]]))]
+                grouped = nxt[:cut[0] if cut.size else nxt.size]
+                groups = _groups(prob, supports[grouped], on_cells[grouped])
+                first = j
+            o = j - first
+            ties = int(np.count_nonzero(floors[grouped[o + 1:]] == floors[grouped[o]]))
+            run = grouped[o:o + 1 + ties]
             solving = _Run(prob, supports[run], groups[o:o + run.size])
             for i in run:
                 if floors[i] + prob.c_r * k > incumbent + _TIE_TOL:

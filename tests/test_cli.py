@@ -622,6 +622,23 @@ def test_exit_code_2_names_c2_when_it_overflows(tmp_path, capsys, block):
     assert "minimum column 2-norm" in err and "design scale" in err
 
 
+@pytest.mark.parametrize("command", ["bounds", "grid", "verify"])
+def test_a_design_block_beside_x_is_refused(tmp_path, capsys, command):
+    # the design used to come from --x while the config's design block was
+    # silently ignored; giving both is now a config error naming the block,
+    # and the config without it still runs on --x
+    x = tmp_path / "x.csv"
+    np.savetxt(x, np.random.default_rng(24).choice([-1.0, 1.0], (40, 3)), delimiter=",")
+    both = _write(tmp_path / "both.json", SCALAR_BASE[command])
+    argv = [command, "--x", str(x), "--quiet"]
+    assert main(argv + ["--config", both, "--out", str(tmp_path / "both")]) == 1
+    assert "'design'" in capsys.readouterr().err
+    assert not (tmp_path / "both").exists()
+    base = {k: v for k, v in SCALAR_BASE[command].items() if k != "design"}
+    alone = _write(tmp_path / "alone.json", base)
+    assert main(argv + ["--config", alone, "--out", str(tmp_path / "alone")]) == 0
+
+
 def test_configs_keep_running_with_the_deleted_keys(tmp_path):
     # bounds and grid ignore top-level keys they do not read, so configs
     # that still carry nu or h give the same output (fit refuses such keys:

@@ -867,14 +867,16 @@ def test_batched_grouping_matches_unique_per_support(design):
 def test_fit_is_the_same_whatever_the_grouping_chunk(monkeypatch, design, loss):
     # the solves group their rows a chunk of a level at a time; chunks of
     # one support, and of three (a short last chunk on each level), give
-    # the fit of whole-level chunks bit for bit
+    # the fit of whole-level chunks bit for bit, on the row route (n keys a
+    # support) and on the cells route (the likelihood on two-level columns:
+    # 2^k cells a support, so 4 cells make pairs one at a time)
     from l0bounds import estimator
 
     rng = np.random.default_rng(39)
     prob = _grouping_problem(design, loss, 90, 5, rng)(0.3)
     base = fit(prob)
     assert base.n_supports == 16
-    for cells in (90, 3 * 90):
+    for cells in (4, 3 * 4, 90, 3 * 90):
         with monkeypatch.context() as patch:
             patch.setattr(estimator, "_PASS_CELLS", cells)
             res = fit(prob)
@@ -886,24 +888,29 @@ def test_fit_is_the_same_whatever_the_grouping_chunk(monkeypatch, design, loss):
 
 
 def test_rows_are_keyed_once_per_chunk_of_a_level_not_once_per_solve(monkeypatch):
-    # a 37-support glm fit on a +-1 design with n = 1200: chunks of
-    # _PASS_CELLS // n = 13 supports, so at most 1 + 1 + 3 keying passes
+    # a 37-support glm fit on a +-1 design with n = 1200 and 0/1 responses:
+    # every support of size <= 2 reads its groups from the Gram, so no row
+    # is keyed at all, and each level is one chunk (1, 8 and 28 supports)
     from l0bounds import estimator
 
     _cfg, inst, D = _boundary_instance(1200)
-    calls = [0]
-    real = estimator._level_keys
+    calls, chunks = [0], []
+    real, real_cells = estimator._level_keys, estimator._Cells
 
     def counted(*args):
         calls[0] += 1
         return real(*args)
 
+    def cells(prob, supports):
+        chunks.append(len(supports))
+        return real_cells(prob, supports)
+
     monkeypatch.setattr(estimator, "_level_keys", counted)
+    monkeypatch.setattr(estimator, "_Cells", cells)
     res = fit(FitProblem(y=inst.y, X=inst.X, domain=D, c_r=0.5, family=bernoulli()))
     assert len(res.records) == 37
-    chunk = estimator._PASS_CELLS // inst.X.n
-    solved = [sum(len(r.support) == k for r in res.records) for k in range(3)]
-    assert 0 < calls[0] <= sum(-(-s // chunk) for s in solved) == 5
+    assert calls[0] == 0
+    assert chunks == [1, 8, 28]
 
 
 @pytest.mark.parametrize("design,loss", GROUPING_CASES)
@@ -1133,16 +1140,23 @@ def _gram_problem(kind, y_kind, n=60, seed=42):
 
 
 def _with_y(prob, y):
-    return FitProblem(y=y, X=prob.X, domain=prob.domain, c_r=prob.c_r, link=prob.link)
+    return FitProblem(y=y, X=prob.X, domain=prob.domain, c_r=prob.c_r, family=prob.family,
+                      link=prob.link)
+
+
+def _without_gram(prob):
+    """prob with an empty Gram: every support prices its level and groups
+    its rows by keying them."""
+    fresh = _with_y(prob, prob.y)
+    fresh.level_gram = (np.full(prob.X.p, -1, dtype=np.intp), np.zeros((0, 0)), np.zeros((0, 0)))
+    return fresh
 
 
 def _level_pass_floors(prob, supports):
     """The floors with no column in the Gram: every support on the level pass."""
     from l0bounds import estimator
 
-    fresh = _with_y(prob, prob.y)
-    fresh.level_gram = (np.full(prob.X.p, -1, dtype=np.intp), np.zeros((0, 0)), np.zeros((0, 0)))
-    return estimator._lse_level_floors(fresh, supports)
+    return estimator._lse_level_floors(_without_gram(prob), supports)
 
 
 GRAM_KINDS = ["pm1", "binary", "three", "mixed"]
@@ -1443,12 +1457,13 @@ def test_rows_are_keyed_only_for_supports_the_prune_admits(monkeypatch, case):
 
 
 def test_only_a_priced_least_squares_pair_level_forms_the_gram():
-    # a likelihood fit's floor is a constant, and a least-squares fit that
-    # prices no pairs has no use for the Gram: neither forms it
+    # a fit whose budget reaches pairs forms the Gram: a likelihood fit reads
+    # its groups from it; a least-squares fit that prices no pairs has no use
+    # for it and does not form it
     rng = np.random.default_rng(44)
     lik = _grouping_problem("pm1", "mle", 90, 5, rng)(0.3)
     fit(lik)
-    assert "level_gram" not in vars(lik)
+    assert "level_gram" in vars(lik)
     lse = _grouping_problem("pm1", "lse", 90, 5, rng)(0.3)
     singles = FitProblem(y=lse.y, X=lse.X, domain=DomainSpec(Interval(-1.2, 1.2), 1.0, 1.2),
                          c_r=0.3, link=lse.link)
@@ -1831,3 +1846,144 @@ def test_fit_asks_inner_solve_once_per_recorded_support(monkeypatch, design, los
         assert (got is not None) == rec.feasible
         assert got is None or (got[1], got[2], got[3]) == (rec.loss, rec.converged, rec.boundary_clamped)
     assert solved_inside and all(solved_inside)
+
+
+# ----------------------------------------------------------------------------
+# the cells route: likelihood groups read from the indicator Gram
+# ----------------------------------------------------------------------------
+
+
+def _cells_design(kind, n, rng):
+    """Four two-level columns, the last a twin of the first (its pairs with
+    column 0 have empty cells: G = 2 < 4), and for "mixed" a three-level
+    column the Gram leaves out."""
+    cols = {
+        "pm1": [LEVEL_COLUMNS["pm1"](rng, n) for _ in range(3)],
+        "binary": [LEVEL_COLUMNS["binary"](rng, n) for _ in range(3)],
+        "mixed": [LEVEL_COLUMNS[k](rng, n) for k in ("pm1", "binary", "two")],
+    }[kind]
+    extra = [LEVEL_COLUMNS["three"](rng, n)] if kind == "mixed" else []
+    return np.column_stack(cols + [cols[0]] + extra)
+
+
+@pytest.mark.parametrize("y_kind", ["int", "count"])
+@pytest.mark.parametrize("kind", ["pm1", "binary", "mixed"])
+def test_cells_route_groups_equal_the_keyed_groups(kind, y_kind):
+    # the groups read from the Gram are those _group_rows keys from the
+    # rows, bit for bit: the same G, the cells with m > 0 in key order,
+    # their counts, response sums and distinct rows X[rep][:, S]; stacked,
+    # they give _stack's rows and members bit for bit
+    from l0bounds import estimator
+
+    rng = np.random.default_rng(53)
+    n = 60
+    Xm = _cells_design(kind, n, rng)
+    y = ((rng.random(n) < 0.4) if y_kind == "int" else rng.integers(-4, 9, n)).astype(float)
+    prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=WIDE, c_r=0.0, family=bernoulli())
+    prob.level_gram  # as fit forms it
+    seen = set()
+    for k in range(3):
+        combos = list(itertools.combinations(range(Xm.shape[1]), k))
+        supports = np.array(combos, dtype=np.intp).reshape(len(combos), k)
+        on = estimator._in_gram(prob, supports)
+        assert on.tolist() == [4 not in S or kind != "mixed" for S in combos]
+        supports = supports[on]
+        cells = estimator._Cells(prob, supports)
+        keyed = estimator._group_rows(prob, supports)
+        for b, (S, (inv, m, rep)) in enumerate(zip(supports.tolist(), keyed)):
+            cm, cY, cXsT = cells.stack([b])
+            seen.add(len(m))
+            assert cells.G[b] == len(m) == cm.shape[1], S
+            assert cm[0].tobytes() == m.tobytes(), S
+            assert cY[0].tobytes() == estimator._Rows(prob, inv, m).Y.tobytes(), S
+            assert cXsT[0].tobytes() == np.ascontiguousarray(Xm[rep][:, S].T).tobytes(), S
+        for G in set(cells.G):  # one stack per G, as _lockstep forms it
+            at = [b for b in range(len(supports)) if cells.G[b] == G]
+            rows, mem = estimator._stack(prob, supports[at], [estimator._Cell(cells, b) for b in at])
+            krows, kmem = estimator._stack(prob, supports[at], [keyed[b] for b in at])
+            pairs = ((rows.m, krows.m), (rows.Y, krows.Y), (mem.XsT, kmem.XsT), (mem.w, kmem.w))
+            for a, want in pairs:
+                assert a.shape == want.shape and a.flags.c_contiguous
+                assert a.tobytes() == want.tobytes()
+    assert {1, 2, 4} <= seen  # the empty support, singles and pairs, the twin's G = 2
+
+
+@pytest.mark.parametrize("c_r", [0.0, 0.5, 3.0])
+@pytest.mark.parametrize("case", ["bernoulli", "gaussian_counts", "zero_outside"])
+@pytest.mark.parametrize("kind", ["pm1", "binary", "mixed"])
+def test_fit_on_the_cells_route_equals_the_row_route(monkeypatch, kind, case, c_r):
+    # a likelihood fit that reads its groups from the Gram is the fit that
+    # keys every support's rows, bit for bit, and the fit of solving every
+    # support alone; with 0 outside the interval the ridge start reads
+    # working-response sums, and every support keys its rows whatever the
+    # Gram holds
+    from l0bounds import estimator
+
+    rng = np.random.default_rng(54)
+    n = 90
+    Xm = _cells_design(kind, n, rng)
+    t = 0.6 * Xm[:, 0] - 0.4 * Xm[:, 1]
+    if case == "gaussian_counts":
+        y, model = np.round(3.0 * t + rng.normal(0.0, 1.0, n)), {"family": gaussian(1.0)}
+    else:
+        y, model = (rng.random(n) < expit(t)).astype(float), {"family": bernoulli()}
+    D = DomainSpec(Interval(-1.2, 1.2), max_support=2.0, l1inf_cap=1.2)
+    if case == "zero_outside":  # columns of positive levels and mostly 1s: positive ridge starts
+        Xm = Xm - Xm.min(axis=0) + 1.0
+        y = (rng.random(n) < 0.8).astype(float)
+        D = DomainSpec(Interval(0.1, 10.0), max_support=2.0, l1inf_cap=10.0)
+    prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=D, c_r=c_r, **model)
+    made = []
+    real = estimator._Cells
+
+    def cells(prob, supports):
+        made.append(len(supports))
+        return real(prob, supports)
+
+    monkeypatch.setattr(estimator, "_Cells", cells)
+    res = fit(prob)
+    assert (sum(made) > 0) == (case != "zero_outside")
+    assert (prob.level_gram[0] >= 0).sum() == 4
+    made.clear()
+    rows = fit(_without_gram(prob))
+    assert (res.support, res.objective.hex(), res.beta_hat.tobytes(), res.tie_break_applied) == (
+        rows.support, rows.objective.hex(), rows.beta_hat.tobytes(), rows.tie_break_applied)
+    assert res.records == rows.records and res.n_supports == rows.n_supports
+    assert not made
+    if case != "zero_outside":
+        support, obj, u, tie, _solved = full_enumeration_fit(prob)
+        assert (res.support, res.objective.hex(), res.beta_hat.tobytes(), res.tie_break_applied) == (
+            support, obj.hex(), u.tobytes(), tie)
+
+
+def test_a_large_two_level_likelihood_fit_keys_no_row(monkeypatch):
+    # n = 20 000, p = 40 on a +-1 design with 0/1 responses: every support
+    # reads its groups from the Gram, and each level's 40 singles and 780
+    # pairs are one chunk, so one _active_set_newton call serves each
+    # (level, G), where keying rows would have grouped one support per pass
+    from l0bounds import estimator
+
+    rng = np.random.default_rng(55)
+    n, p = 20_000, 40
+    Xm = rng.choice([-1.0, 1.0], size=(n, p))
+    y = (rng.random(n) < expit(0.3 * Xm[:, 0] - 0.2 * Xm[:, 1])).astype(float)
+    prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=DomainSpec(Interval(-1.0, 1.0), 2.0, 1.0),
+                      c_r=5.0, family=bernoulli())
+    keyed, calls = [0], []
+    real_keys, real_newton = estimator._level_keys, estimator._active_set_newton
+
+    def keys(*args):
+        keyed[0] += 1
+        return real_keys(*args)
+
+    def newton(prob, mem, V, *args, **kw):
+        calls.append((V.shape[1], mem.Xs.shape[1], len(V)))
+        return real_newton(prob, mem, V, *args, **kw)
+
+    monkeypatch.setattr(estimator, "_level_keys", keys)
+    monkeypatch.setattr(estimator, "_active_set_newton", newton)
+    res = fit(prob)
+    assert len(res.records) == 1 + p + p * (p - 1) // 2  # a constant floor prunes nothing
+    assert res.support == (0, 1)
+    assert keyed[0] == 0
+    assert calls == [(1, 2, p), (2, 4, p * (p - 1) // 2)]
