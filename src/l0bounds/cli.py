@@ -285,6 +285,7 @@ def _cmd_fit(args, cfg: dict) -> dict:
         "tie_break_applied": res.tie_break_applied,
         "n_supports": res.n_supports,
         "supports_solved": len(res.records),
+        "diagnostics": res.diagnostics,
     }
 
 

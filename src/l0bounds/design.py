@@ -51,7 +51,9 @@ class DesignMatrix:
     coherence and every norm ratio meaningless).  The rows are held
     C-contiguous, so every column sum adds the rows in the same order
     whatever the layout of the input.  The sup norms m_j are stored; the
-    2-norms and the coherence read ``scaled_gram``, formed on first use.
+    2-norms and the coherence read ``scaled_gram``, formed on first use;
+    each column's min and max, which validation computes, are kept too
+    (``column_range``).
     The series bounds need the column maxima of the orders 2k, k <= ~60,
     all together; ``series_max`` serves them.
     """
@@ -63,16 +65,17 @@ class DesignMatrix:
         n, p = X.shape
         if n < 1 or p < 1:
             raise ValueError("design must have at least one row and one column")
-        hi, lo = X.max(axis=0), X.min(axis=0)  # NaN and +-inf reach these
-        if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
+        column_range = np.stack([X.min(axis=0), X.max(axis=0)])  # NaN and +-inf reach these
+        if not np.all(np.isfinite(column_range)):
             raise ValueError("design contains non-finite entries")
-        sup = np.maximum(hi, -lo)
+        sup = np.maximum(column_range[1], -column_range[0])
         if np.any(sup == 0.0):
             j = int(np.argmin(sup > 0.0))
             raise ValueError(f"zero column in design (column {j})")
         self.X = X
         self.n = n
         self.p = p
+        self.column_range = column_range  # (2, p): each column's min, then its max
         self._sup = sup
 
     @functools.cached_property

@@ -42,11 +42,15 @@ class Interval:
         empty one is contained): every entry is compared with both ends,
         and a NaN entry fails either test.  With an axis, one verdict per
         slice along it, as a bool array."""
-        x = np.asarray(x, dtype=float)
+        inside = self._inside(np.asarray(x, dtype=float))
+        return inside.all(axis=axis) if axis is not None else bool(inside.all())
+
+    def _inside(self, x: np.ndarray) -> np.ndarray:
+        """Membership of each entry of a float array, with no conversion."""
         lo_closed, hi_closed = self._closed
         inside = (x >= self.lo if lo_closed else x > self.lo)
         inside &= (x <= self.hi if hi_closed else x < self.hi)
-        return inside.all(axis=axis) if axis is not None else bool(inside.all())
+        return inside
 
     @property
     def sup_abs(self) -> float:
@@ -95,13 +99,20 @@ class DomainSpec:
         images.  u, t and w may carry leading axes, a stack of points (u of
         shape (..., k), t (..., G), w broadcasting against u): one verdict
         per point, as a bool array."""
-        u = np.asarray(u, dtype=float)
-        ok = self.interval.contains(t, axis=-1)
+        ok = self._admits(np.asarray(u, dtype=float), np.asarray(t, dtype=float),
+                          np.asarray(w, dtype=float))
+        return ok if ok.ndim else bool(ok)
+
+    def _admits(self, u: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """``admits`` with no conversion, for float arrays, its verdicts as a
+        bool array (0-d for one point): the kernel the estimator's solver
+        calls on its stacked trial points."""
+        ok = np.logical_and.reduce(self.interval._inside(t), axis=-1)
         if u.shape[-1] > self.max_support:
             ok &= np.count_nonzero(u, axis=-1) <= self.max_support
         if self.l1inf_cap is not None:
-            ok &= ~(_dot(np.abs(u), np.asarray(w, dtype=float)) > self.l1inf_cap)
-        return ok if ok.ndim else bool(ok)
+            ok &= ~(_dot(np.abs(u), w) > self.l1inf_cap)
+        return ok
 
 
 def in_domain(u, X, D: DomainSpec) -> bool:

@@ -17,7 +17,16 @@ call each, per number G of group rows (never padded), while facet steps
 are taken member by member.  numpy's stacked matmul and solve call the
 same BLAS/LAPACK routine per member with the same shapes, and stacked
 reductions along the last axis sum as the 1-D ones do, so every member
-does the floating-point operations of its solve alone.
+does the floating-point operations of its solve alone.  A step costs a
+fixed number of numpy calls: the likelihood and the domain test run as
+kernels with no validation (``ExpFamily._nll`` and ``_nll_derivatives``,
+``DomainSpec._admits``; the public ``nll``, ``nll_derivatives`` and
+``admits`` validate, then call them), a backtracking pass writes each
+member's accepted trial with one gather per array, and a member that stops
+leaves the live arrays with one gather each.  A run's results are read
+from the loop's arrays (each support's u a row of one (B, p) array), and
+``fit`` reports, per support size, the supports solved and the lockstep
+iterations and member steps their runs took (``FitResult.diagnostics``).
 
 Every inner problem depends on the rows only through the distinct row
 images of X_S, their multiplicities m_g and their response sums, so the
@@ -60,7 +69,7 @@ import functools
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -137,12 +146,11 @@ class FitProblem:
 
     @functools.cached_property
     def level_range(self) -> np.ndarray:
-        """(2, p), of X's array type: each column's min and max, so that row
-        c holds the value of level code c of every two-level column."""
-        X = self.X.X
-        out = np.empty_like(X, shape=(2, self.X.p))
-        X.min(axis=0, out=out[0])
-        X.max(axis=0, out=out[1])
+        """(2, p), of X's array type: each column's min and max (the
+        design's ``column_range``), so that row c holds the value of level
+        code c of every two-level column."""
+        out = np.empty_like(self.X.X, shape=(2, self.X.p))
+        out[...] = self.X.column_range
         return out
 
     @functools.cached_property
@@ -191,7 +199,10 @@ class SupportRecord:
 @dataclass(frozen=True)
 class FitResult:
     """beta_hat is the estimate as a length-p float array, support its
-    nonzero coordinates."""
+    nonzero coordinates.  diagnostics["levels"] has one entry per support
+    size k that ``fit`` entered: the supports solved there (its records),
+    and the lockstep iterations and member steps (live members summed over
+    the iterations) of every run of that size solved, retries included."""
 
     beta_hat: np.ndarray
     objective: float
@@ -200,6 +211,7 @@ class FitResult:
     tie_break_applied: bool
     n_supports: int
     records: tuple
+    diagnostics: dict = field(default_factory=dict)
 
 
 class _Rows:
@@ -431,11 +443,13 @@ def _all(b: np.ndarray) -> bool:
 
 
 # The losses are evaluated only at admitted points, whose images are finite
-# (an interval's infinite ends are open), so ``nll`` never raises here.
+# (an interval's infinite ends are open), so the likelihood calls the family's
+# kernels, with no check of the natural domain (``ExpFamily.nll`` and
+# ``nll_derivatives`` check it, then call the same kernels).
 
 
 def _mle_value(prob: FitProblem, rows, t: np.ndarray, f: np.ndarray):
-    return prob.family.nll(rows.Y, t, rows.m)
+    return prob.family._nll(rows.Y, t, rows.m)
 
 
 def _lse_value(prob: FitProblem, rows, t: np.ndarray, f: np.ndarray):
@@ -448,7 +462,7 @@ def _lse_value(prob: FitProblem, rows, t: np.ndarray, f: np.ndarray):
 
 
 def _mle_grad_hess(prob: FitProblem, st, t: np.ndarray, f: np.ndarray):
-    g, H = prob.family.nll_derivatives(st.Y, st.Xs, t, st.m)
+    g, H = prob.family._nll_derivatives(st.Y, st.Xs, st.XsT, t, st.m)
     return g, _ridged(H, 1e-12), None
 
 
@@ -539,8 +553,9 @@ class _Members:
         vars(self).update(arrays)
 
     def take(self, idx) -> _Members:
-        """The members idx (an index array or a mask)."""
-        return _Members(**{name: a[idx] for name, a in vars(self).items() if name != "Xs"})
+        """The members idx (an index array), in that order."""
+        return _Members(**{name: a.take(idx, axis=0) for name, a in vars(self).items()
+                           if name != "Xs"})
 
 
 class _Cells:
@@ -671,23 +686,29 @@ _DECREASE = 1e-4 * _RUNGS  # the Armijo factor 1e-4 alpha of each rung
 def _armijo(prob: FitProblem, mem: _Members, V, T, F, cur, d, dn, gdotd, careful: bool):
     """Armijo backtracking along d, rejecting infeasible steps, for every
     member at once: updates V, T, F and cur in place for the members that
-    accept a trial and returns (moved, hit) per member.
+    accept a trial and returns (moved, hit) per member, or None when every
+    member moved (and so none hit the boundary).
 
     Member b tries v + 2^-j d for j = 0, 1, ... while 2^-j dn[b] exceeds
     ``_STEP_TOL`` (dn = max |d|) and accepts its first admitted trial whose
     loss passes the Armijo test.  A pass covers the same rungs for every
     member still searching, ceil(``_LADDER_TRIALS`` / their number) of them
     (one when ``careful``), in a fixed number of numpy calls: the images Xs
-    v of every rung in one stacked product, one membership call, and one
-    loss call on the admitted trials (a rejected one is priced at the
-    member's current images instead, whose loss is known, and ignored).
-    The rungs a member prices past its accepted one are discarded, and a
-    member whose rungs run out leaves.  Only a membership failure counts as
-    hitting the boundary, and only for a member that accepts no trial, as a
-    sequential search reports it.
+    v of every rung in one stacked product, one domain kernel call
+    (``DomainSpec._admits``), and one loss call on the admitted trials (a
+    rejected one is priced at the member's current images instead, whose
+    loss is known, and ignored).  Each member's first passing rung is
+    written with one gather per array (F only when it is not T, as for
+    least squares), the rungs a member prices past it are discarded, and
+    a member whose rungs run out leaves.  Which rungs a pass prices
+    changes no member's accepted trial, only what is priced in vain.  Only
+    a membership failure counts as hitting the boundary, and only for a
+    member that accepts no trial, as a sequential search reports it.
     """
-    loss, D = _LOSSES[prob.loss], prob.domain
-    moved = hit = None  # formed once a pass leaves a member searching or hitting the boundary
+    loss = _LOSSES[prob.loss]
+    at, value, admits = loss.at, loss.value, prob.domain._admits
+    linked = F is not T  # the likelihood's F is T itself, written once
+    moved = hit = None  # formed once a pass leaves a member searching or unmoved
     idx = slice(None)  # the members searching (an index array once some have left)...
     Vi, Ti, di, dni, ci, gi = V, T, d, dn, cur, gdotd  # ...and their rows of these
     j0 = 0
@@ -698,43 +719,53 @@ def _armijo(prob: FitProblem, mem: _Members, V, T, F, cur, d, dn, gdotd, careful
         valid = alpha * dni > _STEP_TOL
         trial = Vi + alpha[..., None] * di
         t = (mem.Xs @ trial[..., None])[..., 0]
-        ok = D.admits(trial, t, mem.w)
+        ok = admits(trial, t, mem.w)
         ok &= valid
-        if not _all(ok):
-            hit = np.zeros(len(V), dtype=bool) if hit is None else hit
-            hit[idx] |= (valid & ~ok).any(axis=0)
+        every = _all(ok)
+        if not every:
             t = np.where(ok[..., None], t, Ti)
-        f = loss.at(prob, t)
-        va = loss.value(prob, mem, t, f)
+        f = at(prob, t)
+        va = value(prob, mem, t, f)
         passing = va <= ci + _DECREASE[j0:j0 + width, None] * gi
         passing &= ok
+        # the accepting members (acc None: all of them), their rows in V and
+        # their trials in the rung-major arrays
         if _all(passing[0]):  # every member accepts the first rung of the pass
-            V[idx], T[idx], F[idx], cur[idx] = trial[0], t[0], f[0], va[0]
+            acc, rows, sel = None, idx, 0
+        else:
+            acc = np.logical_or.reduce(passing, axis=0)
+            first = passing.argmax(axis=0)  # each member's first passing rung
+            if _all(acc):
+                acc, rows, sel = None, idx, (first, np.arange(first.size))
+            else:
+                a = acc.nonzero()[0]
+                rows, sel = (a if isinstance(idx, slice) else idx[a]), (first[a], a)
+        V[rows], T[rows], cur[rows] = trial[sel], t[sel], va[sel]
+        if linked:
+            F[rows] = f[sel]
+        if acc is None:
             if moved is None:
                 return None
             moved[idx] = True
             break
-        moved = np.zeros(len(V), dtype=bool) if moved is None else moved
-        hit = np.zeros(len(V), dtype=bool) if hit is None else hit
-        pos = np.arange(len(V))[idx]
-        acc = np.flatnonzero(passing.any(axis=0))
-        if acc.size:
-            j = passing[:, acc].argmax(axis=0)  # each member's first passing rung
-            at = pos[acc]
-            moved[at] = True
-            V[at], T[at], F[at], cur[at] = trial[j, acc], t[j, acc], f[j, acc], va[j, acc]
-        left = valid[-1]
-        left[acc] = False
-        if not left.any():
+        if moved is None:
+            moved, hit = np.zeros(len(V), dtype=bool), np.zeros(len(V), dtype=bool)
+        moved[rows] = True
+        if not every:  # a rejected valid rung hits the boundary, unless the member moves
+            hit[idx] |= np.logical_or.reduce(valid & ~ok, axis=0)
+        keep = (valid[-1] & ~acc).nonzero()[0]
+        if not keep.size:
             break
-        idx, mem = pos[left], mem.take(left)
-        Vi, Ti, di, dni, ci, gi = (x[left] for x in (Vi, Ti, di, dni, ci, gi))
+        idx = keep if isinstance(idx, slice) else idx[keep]
+        mem = mem.take(keep)
+        Vi, Ti, di, dni, ci, gi = (x.take(keep, axis=0) for x in (Vi, Ti, di, dni, ci, gi))
         j0 += width
     hit &= ~moved
     return moved, hit
 
 
-def _active_set_newton(prob: FitProblem, mem: _Members, V, T, F, cur, careful: bool = False):
+def _active_set_newton(prob: FitProblem, mem: _Members, V, T, F, cur, careful: bool,
+                       tally: list):
     """Primal active-set Newton (Nocedal & Wright, ch. 16), in lockstep over
     members.
 
@@ -756,29 +787,35 @@ def _active_set_newton(prob: FitProblem, mem: _Members, V, T, F, cur, careful: b
     solve, unless it is a free step stopped by the domain at a v not yet
     linearized.
 
-    The live members share the iteration count, one stacked (g, H) call,
-    one stacked solve for their free steps (member by member, with the
-    least-squares fallback, when one of them is singular) and the passes of
-    one backtracking; facet steps are taken member by member.  A member
-    does the floating-point operations of its solve alone, whatever else is
-    in the stack.  Returns per member (v, loss, converged,
-    boundary_clamped), clamped if constraints bind where the solve stopped
-    or its last step was stopped by the domain.
+    The live members share the iteration count, one stacked (g, H) call
+    (the loss's kernel, with no validation), one stacked solve for their
+    free steps (member by member, with the least-squares fallback, when one
+    of them is singular) and the passes of one backtracking; facet steps
+    are taken member by member.  A member that stops writes its final
+    arrays at its id and leaves every live array, one gather each (F
+    stays T itself for the likelihood).  A member does the floating-point
+    operations of its solve alone, whatever else is in the stack.  Returns
+    per member (v, loss, converged, boundary_clamped), clamped if
+    constraints bind where the solve stopped or its last step was stopped
+    by the domain; ``tally`` (the lockstep iterations and the member steps,
+    live members summed over them) is added to as the loop runs.
     """
     loss, D = _LOSSES[prob.loss], prob.domain
-    B, k = V.shape
+    B = len(V)
     out = np.empty_like(V), np.empty_like(cur), np.zeros(B, dtype=bool), np.zeros(B, dtype=bool)
+    linked = F is not T
     ids = np.arange(B)  # the live members; every other array holds their rows, in this order
     on_boundary = np.zeros(B, dtype=bool)
     for _ in range(_MAX_ITER):
+        tally[0] += 1
+        tally[1] += ids.size
         clamped = np.zeros(ids.size, dtype=bool)
         acts = {}
-        if np.count_nonzero(on_boundary):
-            for i in np.flatnonzero(on_boundary):
-                act = _active_constraints(D, mem.Xs[i], mem.w[i], V[i], T[i])
-                if act is not None:
-                    acts[i] = act
-                    clamped[i] = True
+        for i in on_boundary.nonzero()[0].tolist():
+            act = _active_constraints(D, mem.Xs[i], mem.w[i], V[i], T[i])
+            if act is not None:
+                acts[i] = act
+                clamped[i] = True
         g, H, ok = loss.grad_hess(prob, mem, T, F)
         stop = np.zeros(ids.size, dtype=bool) if ok is None else ~ok
         d = _newton_steps(H, g)  # every member's; the facet steps replace theirs
@@ -798,32 +835,33 @@ def _active_set_newton(prob: FitProblem, mem: _Members, V, T, F, cur, careful: b
                 clamped[i] = False  # the cap does not bind at the optimum
             else:
                 facet_done.append(i)
-        converged = np.abs(g).max(axis=1) <= _GRAD_TOL
+        converged = np.maximum.reduce(np.abs(g), axis=1) <= _GRAD_TOL
         if acts or ok is not None:  # otherwise no member stops or is clamped yet
             converged &= ~(stop | clamped)
         if facet_done:
             converged[facet_done] = True
-        dn = np.abs(d).max(axis=1)
+        dn = np.maximum.reduce(np.abs(d), axis=1)
         stop |= converged | ~((dn > 0.0) & (dn < math.inf))  # as does a zero or non-finite step
         if np.count_nonzero(stop):
-            ids, V, T, F, cur, clamped, on_boundary, g, d, dn = _retire(
-                out, ids, stop, (V, cur, converged, clamped),
-                (ids, V, T, F, cur, clamped, on_boundary, g, d, dn))
-            if not ids.size:
+            keep = _retire(out, ids, stop, (V, cur, converged, clamped))
+            if not keep.size:
                 return out
-            mem = mem.take(~stop)
+            mem = mem.take(keep)
+            ids, V, T, cur, clamped, on_boundary, g, d, dn = (
+                x.take(keep, axis=0) for x in (ids, V, T, cur, clamped, on_boundary, g, d, dn))
+            F = F.take(keep, axis=0) if linked else T
         res = _armijo(prob, mem, V, T, F, cur, d, dn, _dot(g, d), careful)
-        if res is not None:  # None: every member accepted its full step
+        if res is not None:  # None: every member moved
             moved, hit = res
             stop = ~moved & (clamped | on_boundary | ~hit)
             clamped |= hit
             if np.count_nonzero(stop):
-                ids, V, T, F, cur, clamped = _retire(
-                    out, ids, stop, (V, cur, np.zeros_like(stop), clamped),
-                    (ids, V, T, F, cur, clamped))
-                if not ids.size:
+                keep = _retire(out, ids, stop, (V, cur, None, clamped))
+                if not keep.size:
                     return out
-                mem = mem.take(~stop)
+                mem = mem.take(keep)
+                ids, V, T, cur, clamped = (x.take(keep, axis=0) for x in (ids, V, T, cur, clamped))
+                F = F.take(keep, axis=0) if linked else T
         on_boundary = clamped
     # members still live after _MAX_ITER: not converged, clamped as their last step left them
     for o, x in zip(out, (V, cur, np.zeros(ids.size, dtype=bool), on_boundary)):
@@ -831,14 +869,16 @@ def _active_set_newton(prob: FitProblem, mem: _Members, V, T, F, cur, careful: b
     return out
 
 
-def _retire(out: tuple, ids: np.ndarray, stop: np.ndarray, final: tuple, live: tuple) -> list:
+def _retire(out: tuple, ids: np.ndarray, stop: np.ndarray, final: tuple) -> np.ndarray:
     """Write the final arrays (v, loss, converged, clamped) of the members
-    that stop into out, at their ids, and return the rows of the live
-    arrays that belong to the others."""
+    that stop into out, at their ids (None: out's False stays), and return
+    the positions of the others, whose rows every live array keeps."""
+    gone, keep = stop.nonzero()[0], (~stop).nonzero()[0]
+    at = ids[gone]
     for o, x in zip(out, final):
-        o[ids[stop]] = x[stop]
-    keep = ~stop
-    return [x[keep] for x in live]
+        if x is not None:
+            o[at] = x[gone]
+    return keep
 
 
 def _newton_steps(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -877,14 +917,16 @@ def _ridge_start(prob: FitProblem, Xs: np.ndarray, m: np.ndarray, sums: np.ndarr
     return None
 
 
-def _solve_stack(prob: FitProblem, supports: np.ndarray, groups: list, careful: bool) -> list:
+def _solve_stack(prob: FitProblem, supports: np.ndarray, groups: list, careful: bool,
+                 tally: list) -> list:
     """Solve a (B, k) array of supports of one route and equal G, with
     their groups entries (``_groups``): the zero start where it is
     admitted, and the ridge start as well for least squares (or alone where
     zero is not admitted), all of them members of one
     ``_active_set_newton``.  Returns one result per support, as
-    ``inner_solve`` does; a support's best start
-    is its first of least loss."""
+    ``inner_solve`` does, read from the loop's arrays: a support's best
+    start is its first of least loss, and its u a row of one (B, p)
+    array."""
     loss = _LOSSES[prob.loss]
     rows, mem = _stack(prob, supports, groups)
     Bs, k = supports.shape
@@ -899,23 +941,29 @@ def _solve_stack(prob: FitProblem, supports: np.ndarray, groups: list, careful: 
             ridge = _ridge_start(prob, mem.Xs[b], rows.m[b], rows.working_sums[b], mem.w[b])
             if ridge is not None and not (inside and not ridge[0].any()):
                 starts.append((b, *ridge))
-    out = [None] * Bs
     if not starts:
-        return out
+        return [None] * Bs
     sup, V, T = (np.array(a) for a in zip(*starts))
     if sup.tolist() != list(range(Bs)):
         mem = mem.take(sup)
     F = loss.at(prob, T)
     cur = loss.value(prob, mem, T, F)
     if k:
-        V, cur, converged, clamped = _active_set_newton(prob, mem, V, T, F, cur, careful)
+        V, cur, converged, clamped = _active_set_newton(prob, mem, V, T, F, cur, careful, tally)
     else:
         converged, clamped = np.ones(len(sup), dtype=bool), np.zeros(len(sup), dtype=bool)
+    losses = cur.tolist()
+    best = {}  # support -> its first start of least loss
     for i, b in enumerate(sup.tolist()):
-        if out[b] is None or cur[i] < out[b][1]:
-            u = np.zeros(prob.X.p)
-            u[supports[b]] = V[i]
-            out[b] = (u, float(cur[i]), bool(converged[i]), bool(clamped[i]))
+        if b not in best or losses[i] < losses[best[b]]:
+            best[b] = i
+    found = list(best)
+    U = np.zeros((Bs, prob.X.p))  # row b: support b's u
+    U[np.array(found)[:, None], supports[found]] = V[list(best.values())]
+    converged, clamped = converged.tolist(), clamped.tolist()
+    out = [None] * Bs
+    for b, i in best.items():
+        out[b] = (U[b], losses[i], converged[i], clamped[i])
     return out
 
 
@@ -927,26 +975,29 @@ def _solve_stack(prob: FitProblem, supports: np.ndarray, groups: list, careful: 
 _SOLVE_ERRORS = (ArithmeticError, ValueError, MemoryError)
 
 
-def _solve_run(prob: FitProblem, supports: np.ndarray, groups: list) -> list:
+def _solve_run(prob: FitProblem, supports: np.ndarray, groups: list,
+               tally: list | None = None) -> list:
     """Solve a run of supports of one size, a (B, k) array with their
     groups entries (``_groups``): the supports of each route and G as one
     stack each, never padded.  Returns one result per support, as
     ``inner_solve`` does, or the exception (one of ``_SOLVE_ERRORS``) its
-    solve raised.
+    solve raised; ``tally`` counts the lockstep work of every attempt
+    (``_active_set_newton``).
 
     Members share arrays, so such an exception (say a link that overflows
     under np.errstate(over="raise")) stops the whole attempt; each support
     is then solved again alone, one rung per backtracking pass, which
     evaluates exactly the points a sequential solve does: an exception that
     recurs there is the support's own, and the others are unaffected."""
+    tally = [0, 0] if tally is None else tally
     try:
-        return _lockstep(prob, supports, groups, careful=False)
+        return _lockstep(prob, supports, groups, careful=False, tally=tally)
     except _SOLVE_ERRORS:
         pass
     out = []
     for b in range(len(supports)):
         try:
-            out += _lockstep(prob, supports[b:b + 1], groups[b:b + 1], careful=True)
+            out += _lockstep(prob, supports[b:b + 1], groups[b:b + 1], careful=True, tally=tally)
         except _SOLVE_ERRORS as exc:
             out.append(exc)
     return out
@@ -955,20 +1006,25 @@ def _solve_run(prob: FitProblem, supports: np.ndarray, groups: list) -> list:
 class _Run:
     """A run of ``fit`` (supports of one size, a (B, k) array, with their
     groups entries), solved by ``_solve_run`` on the first
-    ``inner_solve`` that asks for one of its supports."""
+    ``inner_solve`` that asks for one of its supports: keys are its
+    supports as tuples, in run order, and tally its lockstep iterations and
+    member steps (``_active_set_newton``)."""
 
     def __init__(self, prob: FitProblem, supports: np.ndarray, groups: list):
         self.prob, self.supports, self.groups = prob, supports, groups
+        self.keys = list(map(tuple, supports.tolist()))
         self.results = None  # support tuple -> its result or exception, once solved
+        self.tally = [0, 0]
 
     def result(self, S: tuple):
         if self.results is None:
-            got = _solve_run(self.prob, self.supports, self.groups)
-            self.results = dict(zip(map(tuple, self.supports.tolist()), got))
+            got = _solve_run(self.prob, self.supports, self.groups, self.tally)
+            self.results = dict(zip(self.keys, got))
         return self.results[S]
 
 
-def _lockstep(prob: FitProblem, supports: np.ndarray, groups: list, careful: bool) -> list:
+def _lockstep(prob: FitProblem, supports: np.ndarray, groups: list, careful: bool,
+              tally: list) -> list:
     """``_solve_stack`` on the supports of each route and G, their results
     in run order."""
     stacks = {}  # (route, G) -> the positions of its supports
@@ -976,11 +1032,12 @@ def _lockstep(prob: FitProblem, supports: np.ndarray, groups: list, careful: boo
         key = (True, e.cells.G[e.b]) if isinstance(e, _Cell) else (False, len(e[1]))
         stacks.setdefault(key, []).append(i)
     if len(stacks) == 1:
-        return _solve_stack(prob, supports, groups, careful)
+        return _solve_stack(prob, supports, groups, careful, tally)
     out = [None] * len(supports)
     for at in stacks.values():
-        for i, got in zip(at, _solve_stack(prob, supports[at], [groups[i] for i in at], careful)):
-            out[i] = got
+        got = _solve_stack(prob, supports[at], [groups[i] for i in at], careful, tally)
+        for i, one in zip(at, got):
+            out[i] = one
     return out
 
 
@@ -1048,6 +1105,10 @@ def fit(prob: FitProblem) -> FitResult:
     floor + c_r k, so a likelihood run is its whole admitted chunk, and a
     least-squares run, whose floors differ, one support.  Records,
     incumbent and fit are exactly those of solving one support at a time.
+    The replay reads the run's arrays: the run's floor is one number, its
+    supports' tuples are formed once, each result's u is a row of one
+    array and its nonzeros take one call, and the run's lockstep
+    iterations and member steps are added to its level's ``diagnostics``.
 
     Both prunes are exact, so the reported minimizer is the same as under
     full enumeration; pruned supports simply do not appear in ``records``,
@@ -1079,6 +1140,7 @@ def fit(prob: FitProblem) -> FitResult:
     I = prob.domain.interval
     cells_ok = prob.loss == "mle" and I.lo <= 0.0 <= I.hi
     records = []
+    levels = []  # the diagnostics of each support size entered
     candidates = []  # (objective, sparsity, support, u, loss)
     incumbent = math.inf
     for k in range(h + 1):
@@ -1094,6 +1156,7 @@ def fit(prob: FitProblem) -> FitResult:
         # what the supports before each one in solve order hold while grouped
         held = np.concatenate([[0], np.cumsum(np.where(on_cells[order], 1 << k, prob.X.n))])
         level = []  # (enumeration index, record, candidate or None)
+        tally = [0, 0]  # the level's lockstep iterations and member steps
         j = end = 0
         while j < count:
             # exact prune: no point on this support, nor (the floors ascend)
@@ -1113,24 +1176,27 @@ def fit(prob: FitProblem) -> FitResult:
             ties = int(np.count_nonzero(floors[grouped[o + 1:]] == floors[grouped[o]]))
             run = grouped[o:o + 1 + ties]
             solving = _Run(prob, supports[run], groups[o:o + run.size])
-            for i in run:
-                if floors[i] + prob.c_r * k > incumbent + _TIE_TOL:
+            bar = float(floors[run[0]]) + prob.c_r * k  # the run's floors are equal
+            for i, S in zip(run.tolist(), solving.keys):
+                if bar > incumbent + _TIE_TOL:
                     break  # the replay: the test above ends the level here
                 j += 1
-                S = tuple(supports[i].tolist())
                 got = inner_solve(prob, S, run=solving)
                 if got is None:
                     level.append((i, SupportRecord(S, math.inf, False, False, False), None))
                     continue
                 u, lval, conv, clamp = got
-                spt = int(np.count_nonzero(u))
-                obj = lval + prob.c_r * spt
-                cand = (obj, spt, tuple(int(c) for c in np.nonzero(u)[0]), u, lval)
-                level.append((i, SupportRecord(S, lval, True, conv, clamp), cand))
+                nonzero = tuple(u.nonzero()[0].tolist())
+                obj = lval + prob.c_r * len(nonzero)
+                level.append((i, SupportRecord(S, lval, True, conv, clamp),
+                              (obj, len(nonzero), nonzero, u, lval)))
                 incumbent = min(incumbent, obj)
+            tally = [a + b for a, b in zip(tally, solving.tally)]
         level.sort(key=lambda e: e[0])
         records += [rec for _, rec, _ in level]
         candidates += [cand for _, _, cand in level if cand is not None]
+        levels.append({"k": k, "supports_solved": len(level), "lockstep_iterations": tally[0],
+                       "member_steps": tally[1]})
     if not candidates:
         raise ValueError("empty domain")
     best_obj = min(c[0] for c in candidates)
@@ -1147,11 +1213,12 @@ def fit(prob: FitProblem) -> FitResult:
     if not math.isclose(check, obj, rel_tol=0.0, abs_tol=1e-9 * max(1.0, abs(obj))):
         raise AssertionError("objective recomputation mismatch")
     return FitResult(
-        beta_hat=u,
+        beta_hat=u.copy(),  # a row of its run's (B, p) array
         objective=float(obj),
         loss_value=float(lval),
         support=support,
         tie_break_applied=tie_break,
         n_supports=total,
         records=tuple(records),
+        diagnostics={"levels": levels},
     )

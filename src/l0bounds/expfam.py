@@ -57,11 +57,16 @@ class ExpFamily:
         t, y and m may carry leading axes, a stack of members summed along
         the last axis: the values then come as an array, one per member."""
         t = np.asarray(t, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = (m * self.log_partition(t)).sum(axis=-1) - _dot(np.asarray(y, dtype=float), t)
+        value = self._nll(np.asarray(y, dtype=float), t, m)
         if not np.isfinite(value).all():
             self.check_natural(t)
         return float(value) if value.ndim == 0 else value
+
+    def _nll(self, y: np.ndarray, t: np.ndarray, m):
+        """``nll``'s value with no conversion or check, for float arrays:
+        the kernel the estimator's solver calls on its stacked members."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.add.reduce(m * self.log_partition(t), axis=-1) - _dot(y, t)
 
     def nll_derivatives(self, y: np.ndarray, Xs: np.ndarray, t: np.ndarray, m=1.0):
         """Gradient Xs'(m Lambda'(t) - y) and Hessian Xs' diag(m Lambda''(t)) Xs
@@ -69,7 +74,11 @@ class ExpFamily:
         m (as in ``nll``, stacked alike: Xs then has shape (..., G, k));
         raises ValueError outside the natural domain."""
         self.check_natural(t)
-        XsT = np.swapaxes(Xs, -1, -2)
+        return self._nll_derivatives(y, Xs, np.swapaxes(Xs, -1, -2), t, m)
+
+    def _nll_derivatives(self, y, Xs: np.ndarray, XsT: np.ndarray, t: np.ndarray, m):
+        """``nll_derivatives`` with no check, given Xs and its transpose XsT:
+        the kernel the estimator's solver calls on its stacked members."""
         g = XsT @ (m * self.mean(t) - y)[..., None]
         return g[..., 0], XsT @ ((m * self.variance(t))[..., None] * Xs)
 

@@ -726,6 +726,7 @@ def test_fit_loss_follows_from_the_model_block(tmp_path, capsys):
         want = fit(FitProblem(y=yfit, X=dm, domain=D, c_r=0.05, **model))
         assert got["objective"] == want.objective and got["loss"] == want.loss_value
         assert got["supports_solved"] == len(want.records) <= got["n_supports"]
+        assert got["diagnostics"] == want.diagnostics  # per support size: solves, steps
         assert got["support"] == list(want.support) == [1, 3]
     both = {**base, "link": LINK_BLOCK, "family": {"tag": "bernoulli"}}
     for bad in (both, base):

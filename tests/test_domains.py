@@ -103,6 +103,38 @@ def test_admits_on_a_support_restriction_matches_in_domain():
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("lo,hi", [(-1.0, 2.0), (-2.0, 2.0), (-math.inf, 2.0), (-1.0, math.inf),
+                                   (-math.inf, math.inf)])
+@pytest.mark.parametrize("cap", [None, 1.5])
+@pytest.mark.parametrize("budget", [1.0, 2.0])
+def test_admits_gives_the_solver_kernels_verdicts(lo, hi, cap, budget):
+    # the solver calls _admits on stacked trial points (rungs x members, k =
+    # 2 coordinates, G = 3 images each) with no conversion; admits converts,
+    # then gives the same verdicts, stacked or point by point, and both are
+    # the three tests written out: a finite end is closed, an infinite one
+    # open (so +-inf and nan images are refused), at most budget nonzeros,
+    # and the weighted l1 norm at most the cap
+    D = DomainSpec(Interval(lo, hi), max_support=budget, l1inf_cap=cap)
+    rng = np.random.default_rng(17)
+    W, B, k, G = 6, 5, 2, 3
+    u = rng.uniform(-1.0, 1.0, (W, B, k)) * rng.choice([0.0, 1.0], (W, B, k))
+    w = rng.uniform(0.5, 2.0, (B, k))
+    t = rng.choice([-1.0, 2.0, -2.0, -1.5, 2.5, 0.0, math.inf, -math.inf, math.nan, 0.3],
+                   (W, B, G), p=[0.1, 0.1, 0.05, 0.03, 0.03, 0.3, 0.03, 0.03, 0.03, 0.3])
+    got = D._admits(u, t, w)
+    assert got.dtype == bool and got.shape == (W, B)
+    assert D.admits(u, t, w).tolist() == got.tolist()
+    for j in range(W):
+        for b in range(B):
+            inside = all((x >= lo if math.isfinite(lo) else x > lo)
+                         and (x <= hi if math.isfinite(hi) else x < hi) for x in t[j, b])
+            small = int(np.count_nonzero(u[j, b])) <= budget
+            capped = cap is None or float(np.abs(u[j, b]) @ w[b]) <= cap
+            assert D.admits(u[j, b], t[j, b], w[b]) is bool(got[j, b]) is (inside and small and capped)
+    assert not got[np.isnan(t).any(axis=-1)].any()
+    assert got.any() and not got.all()
+
+
 def test_segment_hull_sample_hand_example():
     got = segment_hull_sample([np.zeros(2), np.array([1.0, 0.0])], grid_per_edge=3)
     pts = sorted(tuple(p) for p in got)

@@ -620,12 +620,11 @@ def test_every_iterate_carries_the_row_images_its_trial_admitted(monkeypatch):
     admitted = set()  # the bytes of every row of images the membership test admitted
     tests = [0]
     received = {"grad_hess": [], "active": []}
-    real_admits = domains.DomainSpec.admits
+    real_admits = domains.DomainSpec._admits  # the kernel the solver calls (admits calls it too)
 
     def admits(self, u, t, w):
         tests[0] += 1
         ok = real_admits(self, u, t, w)
-        t = np.asarray(t)
         admitted.update(r.tobytes() for r in t.reshape(-1, t.shape[-1])[np.ravel(ok)])
         return ok
 
@@ -658,7 +657,7 @@ def test_every_iterate_carries_the_row_images_its_trial_admitted(monkeypatch):
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(domains.DomainSpec, "admits", admits)
+    monkeypatch.setattr(domains.DomainSpec, "_admits", admits)
     monkeypatch.setattr(estimator._Members, "__init__", init)
     monkeypatch.setitem(
         estimator._LOSSES, "mle", estimator._LOSSES["mle"]._replace(grad_hess=counted_grad_hess)
@@ -1041,9 +1040,9 @@ def test_least_squares_solves_each_level_in_floor_order_and_records_it_in_enumer
     solved = []  # the supports of each run, in solve order (c_r = 0: no run stops partway)
     real_run = estimator._solve_run
 
-    def run(prob, supports, groups):
+    def run(prob, supports, groups, tally=None):
         solved.extend(map(tuple, supports.tolist()))
-        return real_run(prob, supports, groups)
+        return real_run(prob, supports, groups, tally)
 
     monkeypatch.setattr(estimator, "_solve_run", run)
     res = fit(prob)
@@ -1438,8 +1437,8 @@ def test_rows_are_keyed_only_for_supports_the_prune_admits(monkeypatch, case):
 
     real_run = estimator._solve_run
 
-    def run(prob, supports, groups):
-        out = real_run(prob, supports, groups)
+    def run(prob, supports, groups, tally=None):
+        out = real_run(prob, supports, groups, tally)
         for S, got in zip(map(tuple, supports.tolist()), out):
             solved.append(S)
             if got is not None:
@@ -1536,6 +1535,95 @@ def test_newton_steps_take_the_link_values_of_the_trial_they_accepted(monkeypatc
     res = fit(prob)
     assert steps and not any(steps)
     assert _records_digest(res) == HANDOFF_DIGESTS[case]
+
+
+def _glm_boundary_problem(seed):
+    """The glm_boundary benchmark's operation with this seed, as
+    ``harness.run_coverage`` fits it: n = 1200, p = 8, +-1 design,
+    bernoulli, interval [-1, 1], theorem penalty."""
+    cfg = harness.ExperimentConfig(
+        n=1200, p=8, spt_size=2, model="glm", family="bernoulli", design="pm1_iid",
+        interval_halfwidth=1.0, c_r="theorem", replicates=1, seed=seed,
+    )
+    inst = harness.generate_instance(cfg, 0)
+    c_r = harness.replicate_report(cfg, inst).c_r
+    return FitProblem(y=inst.y, X=inst.X, domain=inst.domain, c_r=c_r,
+                      **harness._MODELS[cfg.model](cfg).fit_kw)
+
+
+# sha256 (``_records_digest``) of glm_boundary fits, recorded before the
+# lockstep step lost its per-call validation and index bookkeeping: seed
+# 2579376181 is operation 8 of seed 1, whose pair run ends with one member
+# creeping to the boundary by halved steps
+LOCKSTEP_DIGESTS = {
+    2579376181: "ac76478788187fa3a23b1fecc5dc179db082ca552e6554eebd910d5507943c3e",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LOCKSTEP_DIGESTS))
+def test_the_benchmark_glm_records_are_pinned(monkeypatch, seed):
+    # every record, beta_hat, the objective and the tie flag of a
+    # glm_boundary fit, bit for bit; its pair run backtracks member by
+    # member (some members accept a later rung than others, some none),
+    # and its last live member takes at least 15 iterations alone, of
+    # which the last stops without moving and retires after the step
+    from l0bounds import estimator
+
+    prob = _glm_boundary_problem(seed)
+    passes = []  # per _armijo call: (members, every member moved)
+    real = estimator._armijo
+
+    def armijo(prob, mem, V, *rest):
+        got = real(prob, mem, V, *rest)
+        passes.append((len(V), got is None))
+        return got
+
+    monkeypatch.setattr(estimator, "_armijo", armijo)
+    res = fit(prob)
+    assert _records_digest(res) == LOCKSTEP_DIGESTS[seed]
+    assert any(B > 1 and not all_moved for B, all_moved in passes)
+    alone = list(itertools.takewhile(lambda e: e[0] == 1, reversed(passes)))
+    assert len(alone) >= 15 and not all(all_moved for _, all_moved in alone)
+
+
+FIT_CASES = ["glm_boundary", "flip_enum1", "pm1-lse", "binary-mle", "gaussian-mle"]
+
+
+def _fit_case(case):
+    if case == "glm_boundary":
+        return _glm_boundary_problem(2579376181)
+    if case == "flip_enum1":
+        return _flip_enum_problem(1)
+    design, loss = case.split("-")
+    return _grouping_problem(design, loss, 120, 5, np.random.default_rng(54))(0.05)
+
+
+@pytest.mark.parametrize("case", FIT_CASES)
+def test_fit_diagnostics_count_the_solves_of_each_level(monkeypatch, case):
+    # diagnostics["levels"] has one entry per support size entered: its
+    # records, and the lockstep iterations and member steps of its runs,
+    # which are the stacked Newton solves and the members they serve
+    from l0bounds import estimator
+
+    prob = _fit_case(case)
+    steps = []  # per stacked Newton solve: (support size, members)
+    real = estimator._newton_steps
+
+    def newton_steps(H, g):
+        steps.append((g.shape[1], len(g)))
+        return real(H, g)
+
+    monkeypatch.setattr(estimator, "_newton_steps", newton_steps)
+    res = fit(prob)
+    levels = res.diagnostics["levels"]
+    assert [e["k"] for e in levels] == list(range(len(levels)))
+    assert max(len(r.support) for r in res.records) == len(levels) - 1
+    for e in levels:
+        k = e["k"]
+        assert e["supports_solved"] == sum(len(r.support) == k for r in res.records)
+        assert e["lockstep_iterations"] == sum(1 for kk, _ in steps if kk == k)
+        assert e["member_steps"] == sum(B for kk, B in steps if kk == k)
+    assert sum(e["lockstep_iterations"] for e in levels) == len(steps) > 0
 
 
 # ----------------------------------------------------------------------------
@@ -1739,8 +1827,8 @@ def test_a_run_stops_where_a_member_returns_exact_zeros(monkeypatch):
     prob = FitProblem(y=y, X=DesignMatrix(Xm), domain=D, c_r=c_r, family=bernoulli())
     real = estimator._solve_run
 
-    def run(prob, supports, groups):
-        out = real(prob, supports, groups)
+    def run(prob, supports, groups, tally=None):
+        out = real(prob, supports, groups, tally)
         where = [tuple(S) for S in supports.tolist()]
         if (0,) in where:
             poor = np.zeros(prob.X.p)
@@ -1832,9 +1920,9 @@ def test_fit_asks_inner_solve_once_per_recorded_support(monkeypatch, design, los
         asked.append((S, got))
         return got
 
-    def run(prob, supports, groups):
+    def run(prob, supports, groups, tally=None):
         solved_inside.append(depth[0] == 1)
-        return real_run(prob, supports, groups)
+        return real_run(prob, supports, groups, tally)
 
     monkeypatch.setattr(estimator, "inner_solve", inner)
     monkeypatch.setattr(estimator, "_solve_run", run)

@@ -134,6 +134,45 @@ def test_gaussian_nll_overflow_at_a_finite_parameter_is_inf():
 
 
 @pytest.mark.parametrize("fam_name", sorted(FAMILIES))
+def test_the_public_likelihood_returns_the_solver_kernels_numbers(fam_name):
+    # the solver calls _nll and _nll_derivatives on stacked members (rungs x
+    # members x group rows) with no validation; nll and nll_derivatives
+    # validate, then give the same numbers bit for bit, stacked or member
+    # by member
+    fam = FAMILIES[fam_name]()
+    rng = np.random.default_rng(16)
+    W, B, G, k = 3, 4, 5, 2
+    t = 2.0 * rng.standard_normal((W, B, G))
+    m = rng.integers(1, 9, (B, G)).astype(float)
+    Y = rng.binomial(m.astype(int), 0.4).astype(float)
+    XsT = rng.choice([-1.0, 1.0], (B, k, G))
+    Xs = XsT.transpose(0, 2, 1)
+    value = fam._nll(Y, t, m)
+    assert value.shape == (W, B)
+    assert fam.nll(Y, t, m).tobytes() == value.tobytes()
+    g, H = fam._nll_derivatives(Y, Xs, XsT, t[0], m)
+    g1, H1 = fam.nll_derivatives(Y, Xs, t[0], m)
+    assert (g1.tobytes(), H1.tobytes()) == (g.tobytes(), H.tobytes())
+    for b in range(B):
+        for j in range(W):
+            assert fam.nll(Y[b], t[j, b], m[b]).hex() == float(value[j, b]).hex()
+        gb, Hb = fam.nll_derivatives(Y[b], Xs[b], t[0, b], m[b])
+        assert (gb.tobytes(), Hb.tobytes()) == (g[b].tobytes(), H[b].tobytes())
+
+
+def test_the_gaussian_kernel_overflows_to_inf_quietly():
+    # t^2 overflows at a finite t: the kernel and nll give inf with no
+    # RuntimeWarning, and an errstate that raises on overflow changes neither
+    fam = gaussian()
+    y, t = np.array([1.0, 0.0]), np.array([[0.5, 1e200], [0.5, 0.25]])
+    for over in ("warn", "raise"):
+        with warnings.catch_warnings(), np.errstate(over=over):
+            warnings.simplefilter("error")
+            assert fam._nll(y, t, 1.0)[0] == math.inf and math.isfinite(fam._nll(y, t, 1.0)[1])
+            assert fam.nll(y, t[0]) == math.inf
+
+
+@pytest.mark.parametrize("fam_name", sorted(FAMILIES))
 def test_nll_is_bit_equal_to_the_plain_sum(fam_name):
     fam = FAMILIES[fam_name]()
     rng = np.random.default_rng(14)
